@@ -328,7 +328,7 @@ def _finish_presheaf(doc: SiteDocument, section, body):
             raise SiteParseError(lineno, f"presheaf {name!r} is missing 'map' for arrow {decl.arrow_names[f]}")
     try:
         P = ps.FinPresheaf(cat, tuple(sizes), tuple(restrict))
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         raise SiteParseError(lineno, f"invalid presheaf {name!r}: {exc}") from None
     doc.presheaves[name] = PresheafDecl(name, on, P)
 
@@ -440,10 +440,21 @@ def _jsonable(x):
     return str(x)
 
 
-def _site_functor(doc: SiteDocument, args) -> mor.SiteFunctor:
-    if args.name not in doc.functors:
-        raise SiteParseError(0, f"unresolved functor name {args.name!r}")
-    fd = doc.functors[args.name]
+def _lookup(table: dict, name, what: str):
+    if name not in table:
+        raise SiteParseError(0, f"unresolved {what} name {name!r}")
+    return table[name]
+
+
+def _operand(args, what: str) -> str:
+    """The name that follows a subcommand, as in `topology induced F`."""
+    if not args.args:
+        raise SiteParseError(0, f"{args.name!r} needs a {what} name")
+    return args.args[0]
+
+
+def _site_functor(doc: SiteDocument, name, args) -> mor.SiteFunctor:
+    fd = _lookup(doc.functors, name, "functor")
     j = doc.topology_for(fd.source, args.source_topology).topology
     k = doc.topology_for(fd.target, args.target_topology).topology
     return mor.SiteFunctor(fd.functor, j, k)
@@ -481,7 +492,7 @@ def _cmd_validate(doc: SiteDocument, args, report: Report):
 
 
 def _cmd_classify_morphism(doc, args, report):
-    sf = _site_functor(doc, args)
+    sf = _site_functor(doc, args.name, args)
     cls = mor.classify_morphism(sf)
     for flag, verdict in (("surjection", cls.surjection), ("inclusion", cls.inclusion),
                           ("hyperconnected", cls.hyperconnected), ("localic", cls.localic),
@@ -490,7 +501,7 @@ def _cmd_classify_morphism(doc, args, report):
 
 
 def _cmd_classify_comorphism(doc, args, report):
-    sf = _site_functor(doc, args)
+    sf = _site_functor(doc, args.name, args)
     cls = mor.classify_comorphism(sf)
     for flag, verdict in (("surjection", cls.surjection), ("inclusion", cls.inclusion),
                           ("hyperconnected", cls.hyperconnected), ("localic", cls.localic),
@@ -499,7 +510,7 @@ def _cmd_classify_comorphism(doc, args, report):
 
 
 def _cmd_denseness(doc, args, report):
-    sf = _site_functor(doc, args)
+    sf = _site_functor(doc, args.name, args)
     dense = mor.is_dense_morphism(sf)
     weakly = mor.is_weakly_dense(sf)
     report.add("dense", dense.holds, dense.witness)
@@ -509,7 +520,7 @@ def _cmd_denseness(doc, args, report):
 
 
 def _cmd_continuity(doc, args, report):
-    sf = _site_functor(doc, args)
+    sf = _site_functor(doc, args.name, args)
     v = mor.is_continuous(sf)
     report.add("continuous", v.holds, v.witness)
     if args.oracle:
@@ -522,7 +533,7 @@ def _cmd_continuity(doc, args, report):
 
 
 def _cmd_cofinal(doc, args, report):
-    sf = _site_functor(doc, args)
+    sf = _site_functor(doc, args.name, args)
     v = mor.is_J_cofinal(sf.functor, sf.target_topology)
     report.add("cofinal", v.holds, v.witness)
     if not v.holds:
@@ -530,7 +541,7 @@ def _cmd_cofinal(doc, args, report):
 
 
 def _cmd_locally_connected(doc, args, report):
-    sf = _site_functor(doc, args)
+    sf = _site_functor(doc, args.name, args)
     v = mor.is_locally_connected_general(sf)
     report.add("locally-connected", v.holds, v.witness)
     if not v.holds:
@@ -538,9 +549,7 @@ def _cmd_locally_connected(doc, args, report):
 
 
 def _cmd_sheafify(doc, args, report):
-    if args.name not in doc.presheaves:
-        raise SiteParseError(0, f"unresolved presheaf name {args.name!r}")
-    pd = doc.presheaves[args.name]
+    pd = _lookup(doc.presheaves, args.name, "presheaf")
     j = doc.topology_for(pd.on, args.source_topology).topology
     sh = ps.sheafify(pd.presheaf, j)
     report.add("sizes", list(sh.sheaf.sizes))
@@ -564,16 +573,16 @@ def _cmd_sheafify(doc, args, report):
 def _cmd_topology(doc, args, report):
     sub = args.name
     if sub == "canonical":
-        decl = doc.categories[args.args[0]]
+        decl = _lookup(doc.categories, _operand(args, "category"), "category")
         top = canonical_topology(decl.category)
     elif sub == "generate":
-        tdecl = doc.topologies[args.args[0]]
+        tdecl = _lookup(doc.topologies, _operand(args, "topology"), "topology")
         top = generate_topology(tdecl.topology.cat,
                                 [(c, s) for c in tdecl.topology.cat.objects
                                  for s in tdecl.topology.covers[c]],
                                 max_sieves=args.max_sieves)
     elif sub in ("induced", "coinduced", "smallest-comorphism", "fibration"):
-        fd = doc.functors[args.args[0]]
+        fd = _lookup(doc.functors, _operand(args, "functor"), "functor")
         if sub == "induced":
             k = doc.topology_for(fd.target, args.target_topology).topology
             top = induced_topology(fd.functor, k)
@@ -600,16 +609,18 @@ def _cmd_topology(doc, args, report):
 
 def _cmd_factorize(doc, args, report):
     sub = args.name
-    sf = _site_functor_named(doc, args, args.args[0])
+    if sub not in ("surj-incl", "hyper-localic", "comprehensive"):
+        raise SiteParseError(0, f"unknown factorization {sub!r}")
+    sf = _site_functor(doc, _operand(args, "functor"), args)
     if sub == "surj-incl":
         fact = mor.surjection_inclusion_factorization(sf)
         report.add("induced-topology",
                    [sorted(fact.induced.covers[c]) for c in sf.functor.source.objects])
-        report.add("surjection-leg-cover-reflecting",
-                   mor.is_cover_reflecting(fact.surjection_leg).holds)
+        reflecting = mor.is_cover_reflecting(fact.surjection_leg).holds
+        report.add("surjection-leg-cover-reflecting", reflecting)
         incl = mor.classify_morphism(fact.inclusion_leg)
         report.add("inclusion-leg-inclusion", incl.inclusion.holds)
-        if not (mor.is_cover_reflecting(fact.surjection_leg).holds and incl.inclusion.holds):
+        if not (reflecting and incl.inclusion.holds):
             report.exit_code = 1
     elif sub == "hyper-localic":
         fact = mor.hyperconnected_localic_factorization(sf)
@@ -619,27 +630,25 @@ def _cmd_factorize(doc, args, report):
         report.add("localic-leg", loc.localic.holds)
         if not (hyper.hyperconnected.holds and loc.localic.holds):
             report.exit_code = 1
-    elif sub == "comprehensive":
-        fd = doc.functors[args.args[0]]
-        k = doc.topology_for(fd.target, args.target_topology).topology
-        fact = mor.comprehensive_factorization(fd.functor, k)
+    else:
+        fact = mor.comprehensive_factorization(sf.functor, sf.K)
         report.add("sheaf-sizes", list(fact.sheaf.sizes))
         report.add("lift-cofinal", fact.cofinality.holds, fact.cofinality.witness)
         recomposed = fact.lift.then(fact.projection)
-        report.add("recomposes", recomposed.obj_map == fd.functor.obj_map
-                   and recomposed.arr_map == fd.functor.arr_map)
+        report.add("recomposes", recomposed.obj_map == sf.functor.obj_map
+                   and recomposed.arr_map == sf.functor.arr_map)
         if not fact.cofinality.holds:
             report.exit_code = 1
-    else:
-        raise SiteParseError(0, f"unknown factorization {sub!r}")
 
 
 def _cmd_comma(doc, args, report):
     sub = args.name
-    sf = _site_functor_named(doc, args, args.args[0])
     builder = {"m2c": cons.morphism_to_comorphism,
                "c2m": cons.comorphism_to_morphism_comma,
-               "gen-elements": cons.generalized_elements_fibration}[sub]
+               "gen-elements": cons.generalized_elements_fibration}.get(sub)
+    if builder is None:
+        raise SiteParseError(0, f"unknown comma construction {sub!r}")
+    sf = _site_functor(doc, _operand(args, "functor"), args)
     site = builder(sf, max_objects=args.max_arrows)
     report.add("objects", len(site.comma.objects))
     for key, value in site.certificates.items():
@@ -649,16 +658,6 @@ def _cmd_comma(doc, args, report):
             report.add(key, value)
     if not all(site.certificates.values()):
         report.exit_code = 1
-
-
-def _site_functor_named(doc, args, name: str) -> mor.SiteFunctor:
-    class _A:
-        pass
-    a = _A()
-    a.name = name
-    a.source_topology = args.source_topology
-    a.target_topology = args.target_topology
-    return _site_functor(doc, a)
 
 
 _COMMANDS = {

@@ -114,6 +114,12 @@ class FinCategory:
             masks.append(mask)
         return tuple(masks)
 
+    @cached_property
+    def representables(self) -> dict:
+        """Object -> its representable presheaf, filled lazily by
+        `presheaf.yoneda`; it lives and dies with this instance."""
+        return {}
+
     def opposite(self) -> "FinCategory":
         return FinCategory(
             n_objects=self.n_objects,

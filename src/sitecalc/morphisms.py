@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .fincat import (
@@ -68,6 +69,18 @@ class SiteFunctor:
     def K(self) -> GrothendieckTopology:
         return self.target_topology
 
+    @cached_property
+    def verdicts(self) -> dict[str, Verdict]:
+        """Checker verdicts on this site functor, each computed once by
+        `verdict`; they live and die with this instance."""
+        return {}
+
+    def verdict(self, key: str, check: Callable[[SiteFunctor], Verdict]) -> Verdict:
+        """check(self), computed on the first request for `key` only."""
+        if key not in self.verdicts:
+            self.verdicts[key] = check(self)
+        return self.verdicts[key]
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -100,6 +113,10 @@ def is_cover_preserving(sf: SiteFunctor) -> Verdict:
 
 
 def is_cover_reflecting(sf: SiteFunctor) -> Verdict:
+    return sf.verdict("cover-reflecting", _check_cover_reflecting)
+
+
+def _check_cover_reflecting(sf: SiteFunctor) -> Verdict:
     F, J, K = sf.F, sf.J, sf.K
     for c in F.source.objects:
         for s in all_sieve_masks(F.source, c):
@@ -127,6 +144,10 @@ def is_comorphism_of_sites(sf: SiteFunctor) -> Verdict:
 # morphisms of sites: the four clauses, each reduced to "this sieve covers"
 
 def is_morphism_of_sites(sf: SiteFunctor) -> Verdict:
+    return sf.verdict("morphism-of-sites", _check_morphism_of_sites)
+
+
+def _check_morphism_of_sites(sf: SiteFunctor) -> Verdict:
     F, J, K = sf.F, sf.J, sf.K
     C, D = F.source, F.target
 
@@ -529,20 +550,25 @@ def _coherent_families(D: FinCategory, K: GrothendieckTopology,
 
 
 def _weakly_dense_clause_ii(sf: SiteFunctor) -> Verdict:
+    return sf.verdict("weakly-dense-ii", _check_weakly_dense_clause_ii)
+
+
+def _check_weakly_dense_clause_ii(sf: SiteFunctor) -> Verdict:
     """Every d is covered by arrows presenting maps from sheafified images:
     the realizable g_f arrows, collected over S_min ∪ ⟨f⟩ carriers (complete
-    by the restriction argument), must generate a covering sieve."""
-    F, J, K = sf.F, sf.J, sf.K
+    by the restriction argument), must generate a covering sieve.  Reads
+    only F and K."""
+    F, K = sf.F, sf.K
     C, D = F.source, F.target
     for d in D.objects:
         realized = 0
+        yd = ps.yoneda(D, d)
         for c in C.objects:
             e0 = F.on_obj(c)
             for f0 in D.arrows_into(e0):
                 carrier = K.min_cover[e0] | D.principal_sieves[f0]
                 members = sorted(bits(carrier))
                 slot = members.index(f0)
-                yd = ps.yoneda(D, d)
                 for fam in ps._locally_matching_families(yd, K, e0, members):
                     realized |= 1 << D.hom(D.dom[f0], d)[fam[slot]]
         if not K.is_covering(d, generate_mask(D, realized)):
@@ -554,6 +580,10 @@ def _weakly_dense_clause_ii(sf: SiteFunctor) -> Verdict:
 def is_weakly_dense(sf: SiteFunctor) -> Verdict:
     """Weakly dense morphism of sites; equivalent to the induced geometric
     morphism being an equivalence."""
+    return sf.verdict("weakly-dense", _check_weakly_dense)
+
+
+def _check_weakly_dense(sf: SiteFunctor) -> Verdict:
     mos = is_morphism_of_sites(sf)
     if not mos:
         raise ValueError(f"not a morphism of sites: {mos.witness}")
@@ -638,12 +668,12 @@ def _localic_condition(sf: SiteFunctor) -> Verdict:
     C, D = F.source, F.target
     for d in D.objects:
         realized = 0
+        yd = ps.yoneda(D, d)
         for c in C.objects:
             e0 = F.on_obj(c)
             for f0 in D.arrows_into(e0):
                 members = sorted(bits(D.principal_sieves[f0]))
                 slot = members.index(f0)
-                yd = ps.yoneda(D, d)
                 for fam in ps._locally_matching_families(yd, K, e0, members):
                     realized |= 1 << D.hom(D.dom[f0], d)[fam[slot]]
         if not K.is_covering(d, generate_mask(D, realized)):
@@ -692,7 +722,12 @@ def classify_morphism(sf: SiteFunctor) -> MorphismClassification:
         raise ValueError(f"not a morphism of sites: {mos.witness}")
     surjection = is_cover_reflecting(sf)
     jf = induced_topology(sf.F, sf.K)
-    f_r = SiteFunctor(sf.F, jf, sf.K)
+    ii = _weakly_dense_clause_ii(sf)
+    if jf.covers == sf.J.covers:
+        f_r = sf
+    else:
+        f_r = SiteFunctor(sf.F, jf, sf.K)
+        f_r.verdicts["weakly-dense-ii"] = ii  # clause (ii) reads only F and K
     inclusion = is_weakly_dense(f_r)
     csl = closed_sieve_lifting(sf)
     if surjection and csl:
@@ -702,7 +737,6 @@ def classify_morphism(sf: SiteFunctor) -> MorphismClassification:
         hyperconnected = _no("hyperconnected", witness=bad.witness)
     localic = _localic_condition(sf)
     equivalence = is_weakly_dense(sf)
-    ii = _weakly_dense_clause_ii(sf)
     if csl and ii:
         essential = _yes("essential-surjective-closed-image")
     else:
@@ -766,9 +800,6 @@ def _cjs_sheaf_arrows(cjs: ps.CJsResult, K: GrothendieckTopology):
             [a for a in cat.hom(e, ci) if (si >> a) & 1])} for e in cat.objects]
         idx_j = [{y: k for k, y in enumerate(
             [a for a in cat.hom(e, cj) if (sj >> a) & 1])} for e in cat.objects]
-        pairs = [frozenset((idx_i[cat.dom[x]][x], idx_j[cat.dom[y]][y])
-                           for (x, y) in rel if cat.dom[x] == e) or frozenset()
-                 for e in cat.objects]
         pairs = tuple(
             frozenset((idx_i[e][x], idx_j[e][y])
                       for (x, y) in rel if cat.dom[x] == e)
@@ -1375,8 +1406,8 @@ def comprehensive_factorization(F: FinFunctor, K: GrothendieckTopology) -> Compr
     xi_arr = tuple(arr_index[(F.on_arr(u), elt(C.cod[u]))] for u in C.arrows)
     xi = FinFunctor(C, el.category, xi_obj, xi_arr)
     for u in C.arrows:
-        assert el.category.dom[xi_arr[u]] == xi_obj[C.dom[u]], \
-            "comprehensive lift is not a functor"
+        if el.category.dom[xi_arr[u]] != xi_obj[C.dom[u]]:
+            raise ValueError(f"comprehensive lift is not a functor at arrow {u}")
     cof = is_J_cofinal(xi, topology)
     return ComprehensiveFactorization(sh.sheaf, el, topology, xi,
                                       el.projection, cof)
@@ -1408,6 +1439,7 @@ def recheck_witness(sf: SiteFunctor, verdict: Verdict) -> bool:
     kind = w["kind"]
     F, J, K = sf.F, sf.source_topology, sf.target_topology
     C, D = F.source, F.target
+    sf = SiteFunctor(F, J, K)  # re-run the checkers, not the verdicts kept on sf
     if verdict.holds:
         runner = _POSITIVE_RUNNERS.get(kind)
         return runner is None or runner(sf).holds

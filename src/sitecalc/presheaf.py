@@ -27,11 +27,20 @@ class FinPresheaf:
 
     def __post_init__(self):
         cat = self.cat
-        assert len(self.sizes) == cat.n_objects
-        assert len(self.restrict) == cat.n_arrows
+        if len(self.sizes) != cat.n_objects:
+            raise ValueError(f"{len(self.sizes)} set sizes for {cat.n_objects} objects")
+        if len(self.restrict) != cat.n_arrows:
+            raise ValueError(f"{len(self.restrict)} restriction maps for {cat.n_arrows} arrows")
         for f in cat.arrows:
-            assert len(self.restrict[f]) == self.sizes[cat.cod[f]]
-            assert all(0 <= x < self.sizes[cat.dom[f]] for x in self.restrict[f])
+            a, b = cat.dom[f], cat.cod[f]
+            if len(self.restrict[f]) != self.sizes[b]:
+                raise ValueError(
+                    f"restriction along arrow {f} has {len(self.restrict[f])} entries, "
+                    f"expected {self.sizes[b]}, the size at its codomain {b}")
+            if not all(0 <= x < self.sizes[a] for x in self.restrict[f]):
+                raise ValueError(
+                    f"restriction along arrow {f} leaves the {self.sizes[a]} elements "
+                    f"at its domain {a}")
         for c in cat.objects:
             i = cat.identity[c]
             if self.restrict[i] != tuple(range(self.sizes[c])):
@@ -54,23 +63,23 @@ def constant_presheaf(cat: FinCategory, n: int) -> FinPresheaf:
 
 
 def yoneda(cat: FinCategory, c: int) -> FinPresheaf:
-    """y(c): e -> Hom(e, c), elements indexed by position in hom(e, c)."""
-    index = {e: {h: i for i, h in enumerate(cat.hom(e, c))} for e in cat.objects}
-    sizes = tuple(len(cat.hom(e, c)) for e in cat.objects)
-    restrict = []
-    for f in cat.arrows:
-        a, b = cat.dom[f], cat.cod[f]
-        restrict.append(tuple(index[a][cat.comp[(h, f)]] for h in cat.hom(b, c)))
-    return FinPresheaf(cat, sizes, tuple(restrict))
+    """y(c): e -> Hom(e, c), elements indexed by position in hom(e, c).
+    Built and validated once per category instance and object."""
+    memo = cat.representables
+    if c not in memo:
+        index = {e: {h: i for i, h in enumerate(cat.hom(e, c))} for e in cat.objects}
+        sizes = tuple(len(cat.hom(e, c)) for e in cat.objects)
+        restrict = []
+        for f in cat.arrows:
+            a, b = cat.dom[f], cat.cod[f]
+            restrict.append(tuple(index[a][cat.comp[(h, f)]] for h in cat.hom(b, c)))
+        memo[c] = FinPresheaf(cat, sizes, tuple(restrict))
+    return memo[c]
 
 
 def yoneda_element(cat: FinCategory, c: int, h: int) -> int:
     """Index of the arrow h in y(c)(dom h)."""
     return cat.hom(cat.dom[h], c).index(h)
-
-
-def yoneda_arrow(cat: FinCategory, c: int, e: int, i: int) -> int:
-    return cat.hom(e, c)[i]
 
 
 @dataclass(frozen=True)
@@ -81,8 +90,13 @@ class PresheafMorphism:
 
     def __post_init__(self):
         cat = self.source.cat
+        if len(self.components) != cat.n_objects:
+            raise ValueError(f"{len(self.components)} components for {cat.n_objects} objects")
         for c in cat.objects:
-            assert len(self.components[c]) == self.source.sizes[c]
+            if len(self.components[c]) != self.source.sizes[c]:
+                raise ValueError(
+                    f"component at object {c} has {len(self.components[c])} entries, "
+                    f"expected {self.source.sizes[c]}")
         for f in cat.arrows:
             a, b = cat.dom[f], cat.cod[f]
             for x in range(self.source.sizes[b]):
@@ -621,27 +635,6 @@ def validate_functional_relation(R: FunctionalRelation,
             if not J.is_covering(c, s):
                 return False, {"clause": "iii", "object": c, "element": x}
     return True, None
-
-
-def relation_closure(R: FunctionalRelation, J: GrothendieckTopology) -> FunctionalRelation:
-    """J-closure: add every pair whose agreement sieve is covering."""
-    P, Q = R.source, R.target
-    cat = P.cat
-    pairs = [set(p) for p in R.pairs]
-    changed = True
-    while changed:
-        changed = False
-        for c in cat.objects:
-            for x in range(P.sizes[c]):
-                for y in range(Q.sizes[c]):
-                    if (x, y) in pairs[c]:
-                        continue
-                    s = mask_of(f for f in cat.arrows_into(c)
-                                if (P.res(f, x), Q.res(f, y)) in pairs[cat.dom[f]])
-                    if J.is_covering(c, s):
-                        pairs[c].add((x, y))
-                        changed = True
-    return FunctionalRelation(P, Q, tuple(frozenset(p) for p in pairs))
 
 
 def identity_relation(P: FinPresheaf, J: GrothendieckTopology) -> FunctionalRelation:

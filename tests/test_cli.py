@@ -267,3 +267,32 @@ def test_run_locally_connected_and_explicit_topologies():
     b = _args("Id")
     report2 = run("locally-connected", doc, b)
     assert report2.exit_code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["topology", "canonical", "NOPE"],
+    ["topology", "generate", "NOPE"],
+    ["topology", "induced"],
+    ["factorize", "surj-incl"],
+    ["factorize", "comprehensive"],
+    ["comma", "m2c"],
+])
+def test_missing_or_unknown_operand_is_exit_2(argv):
+    out = subprocess.run(
+        [sys.executable, "-m", "sitecalc.cli", str(FIXTURE), *argv],
+        capture_output=True, text=True)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+
+
+def test_presheaf_validation_survives_optimize(tmp_path):
+    """A `map` line shorter than the set at the arrow's codomain is invalid
+    input (exit 2, with a reason) also under `python -O`."""
+    doc_path = tmp_path / "short_map.site"
+    doc_path.write_text(FIXTURE.read_text().replace("sets: 0: 2, 1: 1", "sets: 0: 2, 1: 2"))
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "sitecalc.cli", str(doc_path), "validate"],
+        capture_output=True, text=True)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "invalid presheaf 'P': restriction along arrow" in out.stderr

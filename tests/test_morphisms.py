@@ -826,3 +826,89 @@ def test_locally_connected_general_discriminates():
 def validate_or_generate(cat, masks):
     from sitecalc.topology import validate_topology
     return validate_topology(cat, [frozenset(masks)])
+
+
+# ---------------------------------------------------------------------------
+# verdicts are computed once per site functor
+
+def _count_bodies(monkeypatch):
+    """Wrap the checker bodies behind the memoised verdicts with counters."""
+    import collections
+
+    import sitecalc.morphisms as mor
+    counts = collections.Counter()
+    for name in ("_check_morphism_of_sites", "_check_cover_reflecting",
+                 "_check_weakly_dense", "_check_weakly_dense_clause_ii"):
+        def counted(sf, _name=name, _body=getattr(mor, name)):
+            counts[_name] += 1
+            return _body(sf)
+        monkeypatch.setattr(mor, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["trivial", "atomic"])
+def test_classify_morphism_runs_each_body_once(monkeypatch, kind):
+    """On a site isomorphism the induced topology is the source topology, so
+    inclusion and equivalence are one weak-denseness verdict, and clause
+    (ii) and the morphism-of-sites check run once each."""
+    chain = poset_category(3, [(0, 1), (1, 2), (0, 2)])
+    J = trivial_topology(chain) if kind == "trivial" else atomic_topology(chain)
+    sf = SiteFunctor(identity_functor(chain), J, J)
+    counts = _count_bodies(monkeypatch)
+    cls = classify_morphism(sf)
+    assert all(cls.flags().values())
+    assert cls.inclusion is cls.equivalence
+    assert counts == {"_check_morphism_of_sites": 1, "_check_cover_reflecting": 1,
+                      "_check_weakly_dense": 1, "_check_weakly_dense_clause_ii": 1}
+
+
+def test_denseness_sequence_shares_verdicts(monkeypatch, two):
+    """The checkers of the `denseness` command, called in its order on one
+    site functor, decide each memoised verdict once."""
+    sf = collapse_site_functor(two)
+    counts = _count_bodies(monkeypatch)
+    dense, weakly = is_dense_morphism(sf), is_weakly_dense(sf)
+    cls = classify_morphism(sf)
+    assert (dense.holds, weakly.holds, cls.equivalence.holds) == (False, True, True)
+    assert cls.equivalence is weakly
+    assert counts["_check_morphism_of_sites"] == 1
+    assert counts["_check_cover_reflecting"] == 1
+    assert counts["_check_weakly_dense"] == 1
+    assert counts["_check_weakly_dense_clause_ii"] == 1
+
+
+def test_classify_morphism_matches_cold_checkers(rng):
+    """Flags and witnesses of one classification equal those of the
+    individual checkers, each run on a fresh site functor (cold caches);
+    the corpus reaches both the shared and the separate induced site."""
+    from sitecalc.morphisms import (
+        _localic_condition, _weakly_dense_clause_ii, closed_sieve_lifting)
+    from sitecalc.topology import induced_topology
+    shared = separate = 0
+    for sf in _enumerate_morphisms_of_sites(rng, n=30):
+        F, J, K = sf.F, sf.J, sf.K
+
+        def cold(source_topology=J):
+            return SiteFunctor(F, source_topology, K)
+
+        cls = classify_morphism(sf)
+        jf = induced_topology(F, K)
+        shared += jf.covers == J.covers
+        separate += jf.covers != J.covers
+        surjection = is_cover_reflecting(cold())
+        csl = closed_sieve_lifting(cold())
+        ii = _weakly_dense_clause_ii(cold())
+        assert cls.surjection == surjection
+        assert cls.inclusion == is_weakly_dense(cold(jf))
+        assert cls.localic == _localic_condition(cold())
+        assert cls.equivalence == is_weakly_dense(cold())
+        assert cls.hyperconnected.holds == (surjection.holds and csl.holds)
+        if not cls.hyperconnected.holds:
+            bad = surjection if not surjection.holds else csl
+            assert cls.hyperconnected.witness["witness"] == bad.witness
+        essential = cls.essential_surjective_closed_image
+        assert essential.holds == (csl.holds and ii.holds)
+        if not essential.holds:
+            bad = csl if not csl.holds else ii
+            assert essential.witness["witness"] == bad.witness
+    assert shared and separate

@@ -1,7 +1,10 @@
 import itertools
 
+import pytest
+
 from sitecalc.fincat import FinFunctor, poset_category, terminal_category
 from sitecalc.presheaf import (
+    FinPresheaf,
     FunctionalRelation,
     PresheafMorphism,
     SubPresheaf,
@@ -647,3 +650,39 @@ def test_sheafification_decode_round_trip(rng):
                 family = sh.decode(c, elt)
                 assert set(family) == set(sh.carrier[c])
                 assert sh.element_of_family(c, family) == elt
+
+
+# ---------------------------------------------------------------------------
+# representables are built once per category instance
+
+def test_yoneda_is_memoised_per_category_instance(rng):
+    """A repeat call returns the same object; a twin instance of an equal
+    category builds its own, equal presheaf and shares no entries."""
+    import dataclasses
+    for _ in range(15):
+        cat = random_category(rng)
+        twin = dataclasses.replace(cat)
+        assert twin == cat and twin is not cat
+        for c in cat.objects:
+            first = yoneda(cat, c)
+            assert yoneda(cat, c) is first
+            fresh = yoneda(twin, c)
+            assert fresh == first and fresh is not first and fresh.cat is twin
+        assert set(cat.representables) == set(cat.objects)
+        assert twin.representables is not cat.representables
+        assert all(twin.representables[c] is not cat.representables[c]
+                   for c in cat.objects)
+
+
+def test_invalid_presheaf_and_morphism_raise_with_a_reason(two):
+    with pytest.raises(ValueError, match="restriction along arrow 2 has 1 entries"):
+        FinPresheaf(two, (2, 2), ((0, 1), (0, 1), (0,)))
+    with pytest.raises(ValueError, match="restriction along arrow 2 leaves"):
+        FinPresheaf(two, (1, 1), ((0,), (0,), (1,)))
+    with pytest.raises(ValueError, match="set sizes"):
+        FinPresheaf(two, (1,), ((0,), (0,), (0,)))
+    with pytest.raises(ValueError, match="restriction maps"):
+        FinPresheaf(two, (1, 1), ((0,), (0,)))
+    Y = yoneda(two, 1)
+    with pytest.raises(ValueError, match="component at object 0 has 0 entries"):
+        PresheafMorphism(Y, Y, ((), (0,)))
