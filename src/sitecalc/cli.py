@@ -18,7 +18,7 @@ from . import constructions as cons
 from . import morphisms as mor
 from . import presheaf as ps
 from .fincat import CategoryError, FinCategory, FinFunctor, SizeGuardError, validate_category
-from .sieves import mask_of
+from .sieves import generate_mask, mask_of
 from .topology import (
     GrothendieckTopology,
     TopologyError,
@@ -249,7 +249,6 @@ def _finish_topology(doc: SiteDocument, section, body):
         elif kind == "canonical":
             top = canonical_topology(decl.category)
         elif kind == "sieves" or (kind is None and base):
-            from .sieves import generate_mask
             top = generate_topology(decl.category,
                                     [(c, generate_mask(decl.category, m)) for c, m in base])
         else:
@@ -491,22 +490,16 @@ def _cmd_validate(doc: SiteDocument, args, report: Report):
         report.add(f"presheaf {name}", True)
 
 
-def _cmd_classify_morphism(doc, args, report):
-    sf = _site_functor(doc, args.name, args)
-    cls = mor.classify_morphism(sf)
-    for flag, verdict in (("surjection", cls.surjection), ("inclusion", cls.inclusion),
-                          ("hyperconnected", cls.hyperconnected), ("localic", cls.localic),
-                          ("equivalence", cls.equivalence)):
-        report.add(flag, verdict.holds, verdict.witness)
-
-
-def _cmd_classify_comorphism(doc, args, report):
-    sf = _site_functor(doc, args.name, args)
-    cls = mor.classify_comorphism(sf)
-    for flag, verdict in (("surjection", cls.surjection), ("inclusion", cls.inclusion),
-                          ("hyperconnected", cls.hyperconnected), ("localic", cls.localic),
-                          ("equivalence", cls.equivalence)):
-        report.add(flag, verdict.holds, verdict.witness)
+def _cmd_classify(classify):
+    """The `classify-morphism` or `classify-comorphism` command: the five
+    flags of `classify(sf)` with their witnesses."""
+    def command(doc, args, report):
+        cls = classify(_site_functor(doc, args.name, args))
+        for flag, verdict in (("surjection", cls.surjection), ("inclusion", cls.inclusion),
+                              ("hyperconnected", cls.hyperconnected), ("localic", cls.localic),
+                              ("equivalence", cls.equivalence)):
+            report.add(flag, verdict.holds, verdict.witness)
+    return command
 
 
 def _cmd_denseness(doc, args, report):
@@ -662,8 +655,8 @@ def _cmd_comma(doc, args, report):
 
 _COMMANDS = {
     "validate": _cmd_validate,
-    "classify-morphism": _cmd_classify_morphism,
-    "classify-comorphism": _cmd_classify_comorphism,
+    "classify-morphism": _cmd_classify(mor.classify_morphism),
+    "classify-comorphism": _cmd_classify(mor.classify_comorphism),
     "denseness": _cmd_denseness,
     "continuity": _cmd_continuity,
     "cofinal": _cmd_cofinal,
@@ -690,10 +683,11 @@ def main(argv=None) -> int:
                         help="also run the independent construction and compare")
     parser.add_argument("--witness", action="store_true", help="emit witnesses")
     parser.add_argument("--format", choices=["human", "machine"], default="human")
+    # a string default goes through `type`, so a bad variable is a usage error
     parser.add_argument("--max-arrows", type=int,
-                        default=int(os.environ.get("SITECALC_MAX_ARROWS", 1 << 16)))
+                        default=os.environ.get("SITECALC_MAX_ARROWS", 1 << 16))
     parser.add_argument("--max-sieves", type=int,
-                        default=int(os.environ.get("SITECALC_MAX_SIEVES", 1 << 20)))
+                        default=os.environ.get("SITECALC_MAX_SIEVES", 1 << 20))
     ns = parser.parse_args(argv)
 
     try:

@@ -17,10 +17,10 @@ from .topology import (
     GrothendieckTopology,
     coinduced_topology,
     fibration_topology,
+    induced_topology,
     join_topologies,
     rigid_topology,
     smallest_comorphism_topology,
-    validate_topology,
 )
 from .morphisms import (
     SiteFunctor,
@@ -40,24 +40,6 @@ class CommaSite:
     projections: dict[str, SiteFunctor]
     embedding: SiteFunctor
     certificates: dict[str, bool]
-
-
-def _projected_topology(cc: CommaCategory, side: str,
-                        K: GrothendieckTopology) -> GrothendieckTopology:
-    """Topology on a comma category whose covering sieves are those whose
-    image under the named projection is covering."""
-    cat = cc.category
-    proj = cc.left_projection if side == "left" else cc.right_projection
-    covers = []
-    for o in cat.objects:
-        target = proj.on_obj(o)
-        good = []
-        for s in all_sieve_masks(cat, o):
-            image = mask_of(proj.on_arr(a) for a in bits(s))
-            if K.covers_family(target, image):
-                good.append(s)
-        covers.append(frozenset(good))
-    return validate_topology(cat, covers)
 
 
 def _check_adjunction(left: FinFunctor, right: FinFunctor) -> bool:
@@ -83,7 +65,7 @@ def morphism_to_comorphism(sf: SiteFunctor, max_objects: int | None = None) -> C
     F, J, K = sf.F, sf.J, sf.K
     C, D = F.source, F.target
     cc = comma(identity_functor(D), F, max_objects=max_objects)
-    k_tilde = _projected_topology(cc, "left", K)
+    k_tilde = induced_topology(cc.left_projection, K)
 
     pi_C = SiteFunctor(cc.right_projection, k_tilde, J)
     pi_D = SiteFunctor(cc.left_projection, k_tilde, K)
@@ -125,7 +107,7 @@ def comorphism_to_morphism_comma(sf: SiteFunctor, max_objects: int | None = None
     D, C = F.source, F.target
     K, J = sf.source_topology, sf.target_topology
     cc = comma(F, identity_functor(C), max_objects=max_objects)
-    k_bar = _projected_topology(cc, "left", K)
+    k_bar = induced_topology(cc.left_projection, K)
 
     pi_D = SiteFunctor(cc.left_projection, k_bar, K)
     pi_C = SiteFunctor(cc.right_projection, k_bar, J)

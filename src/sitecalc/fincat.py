@@ -201,11 +201,6 @@ def terminal_category() -> FinCategory:
     return validate_category(1, [(0, 0)], [0], {(0, 0): 0})
 
 
-def discrete_category(n: int) -> FinCategory:
-    return validate_category(n, [(c, c) for c in range(n)], list(range(n)),
-                             {(c, c): c for c in range(n)})
-
-
 def poset_category(n: int, le: Sequence[tuple[int, int]]) -> FinCategory:
     """Category of a preorder: one arrow a -> b per related pair.
 
@@ -310,9 +305,6 @@ class CommaCategory:
     arrow_data: tuple[tuple[int, int, int, int], ...]  # (src_idx, dst_idx, u, v)
     left_projection: FinFunctor
     right_projection: FinFunctor
-
-    def object_index(self, triple: tuple[int, int, int]) -> int:
-        return self.objects.index(triple)
 
 
 def comma(F: FinFunctor, G: FinFunctor, max_objects: int | None = None) -> CommaCategory:

@@ -39,8 +39,10 @@ from .topology import (
     closure_mask,
     coinduced_topology,
     induced_topology,
+    local_equality,
     smallest_comorphism_topology,
-    validate_topology,
+    topology_where,
+    trivial_topology,
 )
 from . import presheaf as ps
 
@@ -461,10 +463,10 @@ def local_property_tests(sf: SiteFunctor) -> dict[str, Verdict]:
                         if h == k:
                             continue
                         if local_target:
-                            eq = _target_locally_equal(sf, F.on_arr(h), F.on_arr(k))
+                            eq = local_equality(K, F.on_arr(h), F.on_arr(k))
                         else:
                             eq = F.on_arr(h) == F.on_arr(k)
-                        if eq and not _source_locally_equal(sf, h, k):
+                        if eq and not local_equality(J, h, k):
                             return _no(kind, instance={"h": h, "k": k})
         return _yes(kind)
 
@@ -477,7 +479,7 @@ def local_property_tests(sf: SiteFunctor) -> dict[str, Verdict]:
                     for f in C.arrows_into(x):
                         gf = D.compose(g, F.on_arr(f))
                         hit = any(
-                            (_target_locally_equal(sf, gf, F.on_arr(k))
+                            (local_equality(K, gf, F.on_arr(k))
                              if local_target else gf == F.on_arr(k))
                             for k in C.hom(C.dom[f], y))
                         if hit:
@@ -500,20 +502,6 @@ def local_property_tests(sf: SiteFunctor) -> dict[str, Verdict]:
             break
     out["K_dense"] = k_dense
     return out
-
-
-def _source_locally_equal(sf: SiteFunctor, h: int, k: int) -> bool:
-    C = sf.F.source
-    agree = mask_of(f for f in C.arrows_into(C.dom[h])
-                    if C.compose(h, f) == C.compose(k, f))
-    return sf.J.is_covering(C.dom[h], agree)
-
-
-def _target_locally_equal(sf: SiteFunctor, h: int, k: int) -> bool:
-    D = sf.F.target
-    agree = mask_of(f for f in D.arrows_into(D.dom[h])
-                    if D.compose(h, f) == D.compose(k, f))
-    return sf.K.is_covering(D.dom[h], agree)
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +541,11 @@ def _weakly_dense_clause_ii(sf: SiteFunctor) -> Verdict:
     return sf.verdict("weakly-dense-ii", _check_weakly_dense_clause_ii)
 
 
-def _check_weakly_dense_clause_ii(sf: SiteFunctor) -> Verdict:
-    """Every d is covered by arrows presenting maps from sheafified images:
-    the realizable g_f arrows, collected over S_min ∪ ⟨f⟩ carriers (complete
-    by the restriction argument), must generate a covering sieve.  Reads
-    only F and K."""
+def _uncovered_by_realized(sf: SiteFunctor, base: Sequence[int]) -> tuple[int, int] | None:
+    """The first d, with the sieve it gets, that is not covered by the
+    arrows g_f0 realized by locally matching families of y(d) over the
+    carriers base[e0] ∪ ⟨f0⟩, for f0 into an image object e0; None when
+    every d is covered.  Reads only F and K."""
     F, K = sf.F, sf.K
     C, D = F.source, F.target
     for d in D.objects:
@@ -566,14 +554,24 @@ def _check_weakly_dense_clause_ii(sf: SiteFunctor) -> Verdict:
         for c in C.objects:
             e0 = F.on_obj(c)
             for f0 in D.arrows_into(e0):
-                carrier = K.min_cover[e0] | D.principal_sieves[f0]
-                members = sorted(bits(carrier))
+                members = sorted(bits(base[e0] | D.principal_sieves[f0]))
                 slot = members.index(f0)
                 for fam in ps._locally_matching_families(yd, K, e0, members):
                     realized |= 1 << D.hom(D.dom[f0], d)[fam[slot]]
-        if not K.is_covering(d, generate_mask(D, realized)):
-            return _no("weakly-dense", clause="ii", object=d,
-                       sieve=generate_mask(D, realized))
+        sieve = generate_mask(D, realized)
+        if not K.is_covering(d, sieve):
+            return d, sieve
+    return None
+
+
+def _check_weakly_dense_clause_ii(sf: SiteFunctor) -> Verdict:
+    """Every d is covered by arrows presenting maps from sheafified images:
+    the realizable g_f arrows, collected over S_min ∪ ⟨f⟩ carriers (complete
+    by the restriction argument), must generate a covering sieve.  Reads
+    only F and K."""
+    miss = _uncovered_by_realized(sf, sf.K.min_cover)
+    if miss:
+        return _no("weakly-dense", clause="ii", object=miss[0], sieve=miss[1])
     return _yes("weakly-dense-ii")
 
 
@@ -618,8 +616,8 @@ def _check_weakly_dense(sf: SiteFunctor) -> Verdict:
                                         for z in D.hom(e, D.dom[h]):
                                             if fw != D.compose(h, z):
                                                 continue
-                                            if not _target_locally_equal(
-                                                    sf, D.compose(g[h], z),
+                                            if not local_equality(
+                                                    K, D.compose(g[h], z),
                                                     D.compose(F.on_arr(k), w)):
                                                 valid = False
                                                 break
@@ -664,20 +662,9 @@ def closed_sieve_lifting(sf: SiteFunctor) -> Verdict:
 def _localic_condition(sf: SiteFunctor) -> Verdict:
     """Localic criterion: arrows presented by families over arbitrary sieves
     on image objects must cover every d; complete over principal sieves."""
-    F, J, K = sf.F, sf.J, sf.K
-    C, D = F.source, F.target
-    for d in D.objects:
-        realized = 0
-        yd = ps.yoneda(D, d)
-        for c in C.objects:
-            e0 = F.on_obj(c)
-            for f0 in D.arrows_into(e0):
-                members = sorted(bits(D.principal_sieves[f0]))
-                slot = members.index(f0)
-                for fam in ps._locally_matching_families(yd, K, e0, members):
-                    realized |= 1 << D.hom(D.dom[f0], d)[fam[slot]]
-        if not K.is_covering(d, generate_mask(D, realized)):
-            return _no("localic", object=d, sieve=generate_mask(D, realized))
+    miss = _uncovered_by_realized(sf, (0,) * sf.F.target.n_objects)
+    if miss:
+        return _no("localic", object=miss[0], sieve=miss[1])
     return _yes("localic")
 
 
@@ -813,16 +800,8 @@ def cjs_canonical_topology(cjs: ps.CJsResult, K: GrothendieckTopology) -> Grothe
     """C^s_K: a sieve covers (d, S) iff the corresponding sheaf arrows are
     jointly locally surjective onto a_K(S)."""
     shs, arrow_maps = _cjs_sheaf_arrows(cjs, K)
-    cat = cjs.category
-    covers = []
-    for i in range(cat.n_objects):
-        good = []
-        for sigma in all_sieve_masks(cat, i):
-            fam = [arrow_maps[a] for a in bits(sigma)]
-            if ps.family_locally_surjective(K, fam, shs[i].sheaf):
-                good.append(sigma)
-        covers.append(frozenset(good))
-    return validate_topology(cat, covers)
+    return topology_where(cjs.category, lambda i, sigma: ps.family_locally_surjective(
+        K, [arrow_maps[a] for a in bits(sigma)], shs[i].sheaf))
 
 
 def hyperconnected_localic_factorization(sf: SiteFunctor) -> HyperconnectedLocalicFactorization:
@@ -1190,16 +1169,8 @@ def comorphism_factorizations(sf: SiteFunctor) -> ComorphismFactorizations:
                          tuple(arr_index[F.on_arr(g)] for g in D.arrows))
 
     quotient, projection, induced = quotient_by_functor_congruence(F)
-    covers = []
-    for c in quotient.objects:
-        good = []
-        for s in all_sieve_masks(quotient, c):
-            inverse = mask_of(g for g in D.arrows_into(c)
-                              if (s >> projection.on_arr(g)) & 1)
-            if K.is_covering(c, inverse):
-                good.append(s)
-        covers.append(frozenset(good))
-    L = validate_topology(quotient, covers)
+    L = topology_where(quotient, lambda c, s: K.is_covering(
+        c, preimage_mask(projection, s, c)))
 
     return ComorphismFactorizations(
         j_prime,
@@ -1257,53 +1228,10 @@ def _ab_categories(F: FinFunctor, h: int, c: int, x: int):
 
 
 def is_locally_connected_presheaf(F: FinFunctor) -> Verdict:
-    """Local connectedness of the presheaf-topos morphism induced by F
-    (trivial topologies): the two comparison conditions over the elements
-    categories attached to every (h, c, x)."""
-    C, D = F.source, F.target
-    for h in D.arrows:
-        for c in C.objects:
-            for x in D.hom(F.on_obj(c), D.cod[h]):
-                (a_objects, a_edges, a_proj,
-                 b_objects, b_edges, b_proj, xi_map) = _ab_categories(F, h, c, x)
-                b_labels: dict[int, dict] = {}
-                a_labels: dict[int, dict] = {}
-
-                def labels_b(d):
-                    if d not in b_labels:
-                        b_labels[d] = comma_components(D, d, b_proj, b_edges)
-                    return b_labels[d]
-
-                def labels_a(d):
-                    if d not in a_labels:
-                        a_labels[d] = comma_components(D, d, a_proj, a_edges)
-                    return a_labels[d]
-
-                for bi, (d, z, g) in enumerate(b_objects):
-                    lab = labels_b(d)
-                    ident = D.identity[d]
-                    if not any(
-                        lab[(bi, ident)] == lab[(xi_map[ai], s)]
-                        for ai in range(len(a_objects))
-                        for s in D.hom(d, a_proj[ai])
-                    ):
-                        return _no("locally-connected", clause="a",
-                                   instance={"h": h, "c": c, "x": x,
-                                             "b_object": (d, z, g)})
-
-                for d in D.objects:
-                    lab_b = labels_b(d)
-                    lab_a = labels_a(d)
-                    for ai in range(len(a_objects)):
-                        for alpha in D.hom(d, a_proj[ai]):
-                            for aj in range(len(a_objects)):
-                                for beta in D.hom(d, a_proj[aj]):
-                                    if lab_b[(xi_map[ai], alpha)] == lab_b[(xi_map[aj], beta)] \
-                                            and lab_a[(ai, alpha)] != lab_a[(aj, beta)]:
-                                        return _no("locally-connected", clause="b",
-                                                   instance={"h": h, "c": c, "x": x,
-                                                             "alpha": alpha, "beta": beta})
-    return _yes("locally-connected")
+    """Local connectedness of the presheaf-topos morphism induced by F: the
+    trivial-topology instance of `is_locally_connected_general`, where every
+    functor is a continuous comorphism."""
+    return _locally_connected(F, trivial_topology(F.target))
 
 
 def is_locally_connected_general(sf: SiteFunctor) -> Verdict:
@@ -1315,9 +1243,13 @@ def is_locally_connected_general(sf: SiteFunctor) -> Verdict:
     cont = is_continuous(sf)
     if not cont:
         raise ValueError(f"not continuous: {cont.witness}")
-    F = sf.F
+    return _locally_connected(sf.F, sf.target_topology)
+
+
+def _locally_connected(F: FinFunctor, K: GrothendieckTopology) -> Verdict:
+    """The two comparison conditions over the elements categories attached
+    to every (h, c, x), each required to hold on a K-covering sieve."""
     C, D = F.source, F.target
-    K = sf.target_topology
     for h in D.arrows:
         for c in C.objects:
             for x in D.hom(F.on_obj(c), D.cod[h]):

@@ -14,9 +14,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fincat import FinCategory, FinFunctor, SizeGuardError, _UnionFind
-from .sieves import bits, generate_mask, mask_of, maximal_sieve_mask, pullback_mask
-from .topology import GrothendieckTopology, closure_mask
+from .fincat import FinCategory, FinFunctor, SizeGuardError, _UnionFind, validate_category
+from .sieves import all_sieve_masks, bits, mask_of, maximal_sieve_mask, pullback_mask
+from .topology import GrothendieckTopology, closure_mask, induced_topology
 
 
 @dataclass(frozen=True)
@@ -882,7 +882,6 @@ def build_CJ(cat: FinCategory, J: GrothendieckTopology) -> CJResult:
         for i, (c, d, R) in enumerate(arrow_decode):
             if d == d2:
                 comp[(j, i)] = arr_index[(c, a, _compose_CJ(cat, J, S, R, c, d, a))]
-    from .fincat import validate_category
     category = validate_category(
         cat.n_objects, list(zip(dom, cod)), identities, comp)
     return CJResult(cat, J, category,
@@ -900,7 +899,6 @@ class CJsResult:
 
 
 def closed_sieves(cat: FinCategory, J: GrothendieckTopology, c: int) -> list[int]:
-    from .sieves import all_sieve_masks
     return [s for s in all_sieve_masks(cat, c) if closure_mask(J, c, s) == s]
 
 
@@ -993,7 +991,6 @@ def build_CJs(cat: FinCategory, J: GrothendieckTopology) -> CJsResult:
                         if J.is_covering(cat.dom[x], s):
                             out.add((x, z))
                 comp[(b, a)] = arr_index[(i, k, frozenset(out))]
-    from .fincat import validate_category
     category = validate_category(
         len(objects), list(zip(dom, cod)), identities, comp)
     return CJsResult(cat, J, category, tuple(objects), tuple(arrow_decode))
@@ -1098,20 +1095,8 @@ def category_of_elements(P: FinPresheaf) -> ElementsResult:
 
 def elements_topology(P: FinPresheaf, J: GrothendieckTopology) -> tuple[ElementsResult, GrothendieckTopology]:
     """J_P on ∫P: sieves sent by the projection to J-covering families."""
-    from .sieves import all_sieve_masks
-    from .topology import validate_topology
     el = category_of_elements(P)
-    cat = el.category
-    covers = []
-    for i in range(cat.n_objects):
-        c = el.objects[i][0]
-        good = []
-        for s in all_sieve_masks(cat, i):
-            image = mask_of(el.projection.on_arr(f) for f in bits(s))
-            if J.is_covering(c, generate_mask(J.cat, image)):
-                good.append(s)
-        covers.append(frozenset(good))
-    return el, validate_topology(cat, covers)
+    return el, induced_topology(el.projection, J)
 
 
 def family_locally_surjective(J: GrothendieckTopology,

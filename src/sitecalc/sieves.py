@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .fincat import FinCategory, FinFunctor, cartesian_vertical_factor, vertical_arrows
+from .fincat import FinCategory, FinFunctor, SizeGuardError, cartesian_vertical_factor, vertical_arrows
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -79,7 +79,6 @@ def all_sieve_masks(cat: FinCategory, c: int, guard: int = 1 << 20) -> tuple[int
             s2 = s | cat.principal_sieves[f]
             if s2 not in seen:
                 if len(seen) >= guard:
-                    from .fincat import SizeGuardError
                     raise SizeGuardError(f"more than {guard} sieves on object {c}")
                 seen.add(s2)
                 frontier.append(s2)
@@ -120,10 +119,6 @@ class Sieve(Presieve):
 
 def maximal_sieve(cat: FinCategory, c: int) -> Sieve:
     return Sieve(cat, c, maximal_sieve_mask(cat, c))
-
-
-def empty_sieve(cat: FinCategory, c: int) -> Sieve:
-    return Sieve(cat, c, 0)
 
 
 def generate(presieve: Presieve) -> Sieve:

@@ -3,7 +3,10 @@ per-object families of covering sieves.
 
 Explicit storage makes every axiom and every downstream classifier a finite
 loop; generation is worklist saturation over bitmask sieves with a size
-guard that fails fast.
+guard that fails fast.  A topology defined by a condition on sieves (atomic,
+rigid, canonical, induced, coinduced, fibration, and the ones built in the
+other modules) is built by `topology_where`, which enumerates the sieves,
+keeps those meeting the condition and validates the result.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 from .fincat import FinCategory, FinFunctor, SizeGuardError, cartesian_arrows, is_fibration
 from .sieves import (
@@ -46,9 +50,6 @@ class GrothendieckTopology:
         """A family of arrows is covering when the sieve it generates is."""
         return generate_mask(self.cat, mask) in self.covers[c]
 
-    def covering_sieves(self, c: int) -> frozenset[int]:
-        return self.covers[c]
-
     @cached_property
     def min_cover(self) -> tuple[int, ...]:
         """Least covering sieve per object (covering sieves are closed under
@@ -60,6 +61,12 @@ class GrothendieckTopology:
                 m &= s
             out.append(m)
         return tuple(out)
+
+    @cached_property
+    def local_equalities(self) -> dict[tuple[int, int], bool]:
+        """Verdicts of `local_equality` on this topology, filled lazily;
+        they live and die with this instance."""
+        return {}
 
     def __le__(self, other: "GrothendieckTopology") -> bool:
         return all(a <= b for a, b in zip(self.covers, other.covers))
@@ -104,6 +111,16 @@ def validate_topology(cat: FinCategory, covers) -> GrothendieckTopology:
     return GrothendieckTopology(cat, covers)
 
 
+def topology_where(cat: FinCategory,
+                   covers: Callable[[int, int], bool]) -> GrothendieckTopology:
+    """The topology whose covering sieves on c are the sieves s with
+    covers(c, s).  The result is validated: a condition that breaks an
+    axiom raises TopologyError."""
+    return validate_topology(cat, [
+        frozenset(s for s in all_sieve_masks(cat, c) if covers(c, s))
+        for c in cat.objects])
+
+
 def trivial_topology(cat: FinCategory) -> GrothendieckTopology:
     return GrothendieckTopology(
         cat, tuple(frozenset({maximal_sieve_mask(cat, c)}) for c in cat.objects))
@@ -112,9 +129,7 @@ def trivial_topology(cat: FinCategory) -> GrothendieckTopology:
 def atomic_topology(cat: FinCategory) -> GrothendieckTopology:
     """All nonempty sieves; defined only when these satisfy the axioms
     (a right-Ore-type condition), otherwise raises TopologyError."""
-    covers = tuple(
-        frozenset(s for s in all_sieve_masks(cat, c) if s != 0) for c in cat.objects)
-    return validate_topology(cat, covers)
+    return topology_where(cat, lambda c, s: s != 0)
 
 
 def rigid_topology(inclusion: FinFunctor) -> GrothendieckTopology:
@@ -122,12 +137,9 @@ def rigid_topology(inclusion: FinFunctor) -> GrothendieckTopology:
     contain every arrow from an object of the form i(d)."""
     cat = inclusion.target
     image = inclusion.image_objects
-    covers = []
-    for c in cat.objects:
-        required = mask_of(f for f in cat.arrows_into(c) if cat.dom[f] in image)
-        covers.append(frozenset(
-            s for s in all_sieve_masks(cat, c) if s & required == required))
-    return validate_topology(cat, covers)
+    required = [mask_of(f for f in cat.arrows_into(c) if cat.dom[f] in image)
+                for c in cat.objects]
+    return topology_where(cat, lambda c, s: s & required[c] == required[c])
 
 
 def _is_effective_epi(cat: FinCategory, c: int, mask: int) -> bool:
@@ -201,15 +213,9 @@ def _count_arrow_cocones(cat: FinCategory, c: int, members: list[int], e: int) -
 
 def canonical_topology(cat: FinCategory) -> GrothendieckTopology:
     """Covering sieves are the universally effective-epimorphic ones."""
-    covers = []
-    for c in cat.objects:
-        good = []
-        for s in all_sieve_masks(cat, c):
-            if all(_is_effective_epi(cat, cat.dom[f], pullback_mask(cat, s, f))
-                   for f in cat.arrows_into(c)):
-                good.append(s)
-        covers.append(frozenset(good))
-    return validate_topology(cat, covers)
+    return topology_where(cat, lambda c, s: all(
+        _is_effective_epi(cat, cat.dom[f], pullback_mask(cat, s, f))
+        for f in cat.arrows_into(c)))
 
 
 def generate_topology(cat: FinCategory, base, max_sieves: int = MAX_STORED_SIEVES) -> GrothendieckTopology:
@@ -257,37 +263,18 @@ def induced_topology(F: FinFunctor, K: GrothendieckTopology) -> GrothendieckTopo
     """J_F on the source: sieves whose image generates a K-covering sieve.
     Validates the axioms; failure signals that F is not a morphism of sites
     from any topology on its source."""
-    cat = F.source
-    covers = []
-    for c in cat.objects:
-        covers.append(frozenset(
-            s for s in all_sieve_masks(cat, c)
-            if K.is_covering(F.on_obj(c),
-                             generate_mask(F.target, mask_of(F.on_arr(f) for f in bits(s))))))
-    return validate_topology(cat, covers)
+    return topology_where(F.source, lambda c, s: K.covers_family(
+        F.on_obj(c), mask_of(F.on_arr(f) for f in bits(s))))
 
 
 def coinduced_topology(F: FinFunctor, J: GrothendieckTopology) -> GrothendieckTopology:
     """J^F on the target: T covers d iff every arrow ξ: F(c) -> d pulls T
     back to something containing the F-image of a J-covering sieve."""
     src, tgt = F.source, F.target
-    covers = []
-    for d in tgt.objects:
-        good = []
-        for t in all_sieve_masks(tgt, d):
-            ok = True
-            for c in src.objects:
-                for xi in tgt.hom(F.on_obj(c), d):
-                    lifted = preimage_mask(F, pullback_mask(tgt, t, xi), c)
-                    if not J.is_covering(c, lifted):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                good.append(t)
-        covers.append(frozenset(good))
-    return validate_topology(tgt, covers)
+    return topology_where(tgt, lambda d, t: all(
+        J.is_covering(c, preimage_mask(F, pullback_mask(tgt, t, xi), c))
+        for c in src.objects
+        for xi in tgt.hom(F.on_obj(c), d)))
 
 
 def smallest_comorphism_topology(A: FinFunctor, K: GrothendieckTopology) -> GrothendieckTopology:
@@ -304,27 +291,23 @@ def fibration_topology(p: FinFunctor, K: GrothendieckTopology) -> GrothendieckTo
     ok, witness = is_fibration(p)
     if not ok:
         raise ValueError(f"not a fibration: no cartesian lift at {witness}")
-    cat = p.source
     cart = mask_of(cartesian_arrows(p))
-    covers = []
-    for c in cat.objects:
-        good = []
-        for s in all_sieve_masks(cat, c):
-            image = mask_of(p.on_arr(f) for f in bits(s & cart))
-            if K.is_covering(p.on_obj(c), generate_mask(p.target, image)):
-                good.append(s)
-        covers.append(frozenset(good))
-    return validate_topology(cat, covers)
+    return topology_where(p.source, lambda c, s: K.covers_family(
+        p.on_obj(c), mask_of(p.on_arr(f) for f in bits(s & cart))))
 
 
 def local_equality(J: GrothendieckTopology, h: int, k: int) -> bool:
-    """h ≡_J k: the arrows agree after precomposition with a covering sieve."""
+    """h ≡_J k: the arrows agree after precomposition with a covering sieve.
+    Decided once per pair and kept in `J.local_equalities`."""
     cat = J.cat
     if cat.dom[h] != cat.dom[k] or cat.cod[h] != cat.cod[k]:
         raise ValueError("local equality needs parallel arrows")
-    agree = mask_of(f for f in cat.arrows_into(cat.dom[h])
-                    if cat.comp[(h, f)] == cat.comp[(k, f)])
-    return agree in J.covers[cat.dom[h]]
+    memo = J.local_equalities
+    if (h, k) not in memo:
+        agree = mask_of(f for f in cat.arrows_into(cat.dom[h])
+                        if cat.comp[(h, f)] == cat.comp[(k, f)])
+        memo[(h, k)] = agree in J.covers[cat.dom[h]]
+    return memo[(h, k)]
 
 
 def sieve_J_closure(J: GrothendieckTopology, s: Sieve) -> Sieve:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,17 @@ from hypothesis import given, settings, strategies as st
 from sitecalc import cli
 from sitecalc.cli import SiteParseError, parse, print_document, run
 
-FIXTURE = Path(__file__).resolve().parent.parent / "src" / "sitecalc" / "data" / "two_atomic.site"
+SRC = Path(__file__).resolve().parent.parent / "src"
+FIXTURE = SRC / "sitecalc" / "data" / "two_atomic.site"
+
+
+def sitecalc_cli(*argv, env=None, python_flags=()):
+    """`python -m sitecalc.cli ARGV` in a subprocess that imports this
+    checkout's sources, whether or not the package is installed."""
+    env = dict(os.environ, **(env or {}))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *python_flags, "-m", "sitecalc.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env)
 
 
 def load_fixture():
@@ -181,30 +192,21 @@ def test_machine_witness_replays():
 
 
 def test_cli_entrypoint_exit_codes(tmp_path):
-    out = subprocess.run(
-        [sys.executable, "-m", "sitecalc.cli", str(FIXTURE), "denseness", "F"],
-        capture_output=True, text=True)
+    out = sitecalc_cli(FIXTURE, "denseness", "F")
     assert out.returncode == 0
     assert "weakly-dense: yes" in out.stdout
 
     bad = tmp_path / "bad.site"
     bad.write_text("not a site file\n")
-    out = subprocess.run(
-        [sys.executable, "-m", "sitecalc.cli", str(bad), "validate"],
-        capture_output=True, text=True)
+    out = sitecalc_cli(bad, "validate")
     assert out.returncode == 2
 
-    out = subprocess.run(
-        [sys.executable, "-m", "sitecalc.cli", str(FIXTURE), "classify-comorphism", "F"],
-        capture_output=True, text=True)
+    out = sitecalc_cli(FIXTURE, "classify-comorphism", "F")
     assert out.returncode == 2  # precondition failure surfaces as diagnostics
 
 
 def test_cli_machine_format(tmp_path):
-    out = subprocess.run(
-        [sys.executable, "-m", "sitecalc.cli", str(FIXTURE),
-         "classify-morphism", "F", "--format", "machine"],
-        capture_output=True, text=True)
+    out = sitecalc_cli(FIXTURE, "classify-morphism", "F", "--format", "machine")
     assert out.returncode == 0
     for line in out.stdout.splitlines():
         json.loads(line)
@@ -231,15 +233,11 @@ def test_parse_print_round_trip_generated(text):
 def test_resource_guard_exit_code(tmp_path):
     """A tripped size guard surfaces as exit code 3, and the guard default
     can be set through the environment."""
-    import os
     text = FIXTURE.read_text()
     doc_path = tmp_path / "doc.site"
     doc_path.write_text(text)
-    env = dict(os.environ, SITECALC_MAX_SIEVES="1")
-    out = subprocess.run(
-        [sys.executable, "-m", "sitecalc.cli", str(doc_path),
-         "topology", "generate", "Jat"],
-        capture_output=True, text=True, env=env)
+    out = sitecalc_cli(doc_path, "topology", "generate", "Jat",
+                       env={"SITECALC_MAX_SIEVES": "1"})
     assert out.returncode == 3
     assert "resource-guard" in out.stdout
 
@@ -278,11 +276,19 @@ def test_run_locally_connected_and_explicit_topologies():
     ["comma", "m2c"],
 ])
 def test_missing_or_unknown_operand_is_exit_2(argv):
-    out = subprocess.run(
-        [sys.executable, "-m", "sitecalc.cli", str(FIXTURE), *argv],
-        capture_output=True, text=True)
+    out = sitecalc_cli(FIXTURE, *argv)
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("variable", ["SITECALC_MAX_ARROWS", "SITECALC_MAX_SIEVES"])
+def test_non_integer_guard_variable_is_exit_2(variable):
+    """A guard default from the environment that is not an integer is a
+    usage error (exit 2), not a crash."""
+    out = sitecalc_cli(FIXTURE, "validate", env={variable: "abc"})
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "invalid int value: 'abc'" in out.stderr
 
 
 def test_presheaf_validation_survives_optimize(tmp_path):
@@ -290,9 +296,7 @@ def test_presheaf_validation_survives_optimize(tmp_path):
     input (exit 2, with a reason) also under `python -O`."""
     doc_path = tmp_path / "short_map.site"
     doc_path.write_text(FIXTURE.read_text().replace("sets: 0: 2, 1: 1", "sets: 0: 2, 1: 2"))
-    out = subprocess.run(
-        [sys.executable, "-O", "-m", "sitecalc.cli", str(doc_path), "validate"],
-        capture_output=True, text=True)
+    out = sitecalc_cli(doc_path, "validate", python_flags=["-O"])
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert "invalid presheaf 'P': restriction along arrow" in out.stderr

@@ -20,6 +20,7 @@ from sitecalc.topology import (
     rigid_topology,
     sieve_J_closure,
     smallest_comorphism_topology,
+    topology_where,
     trivial_topology,
     validate_topology,
 )
@@ -256,6 +257,37 @@ def test_local_equality(two):
     assert local_equality(J, 2, 2)
     with pytest.raises(ValueError):
         local_equality(J, 0, 2)
+
+
+def test_local_equality_is_memoised_per_instance(two):
+    """A verdict is decided once and kept on the topology instance; an equal
+    topology built separately has its own memo; a non-parallel pair raises
+    on every call and is never stored."""
+    J = atomic_topology(two)
+    assert local_equality(J, 2, 2)
+    assert J.local_equalities == {(2, 2): True}
+    J.local_equalities[(2, 2)] = "kept"
+    assert local_equality(J, 2, 2) == "kept"
+    twin = atomic_topology(two)
+    assert twin == J and twin.local_equalities == {}
+    assert local_equality(twin, 2, 2) is True
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            local_equality(J, 0, 2)
+    assert (0, 2) not in J.local_equalities
+
+
+def test_topology_where_validates(rng, two):
+    """The condition s == maximal gives the trivial topology; a condition
+    that breaks an axiom raises TopologyError instead of being stored."""
+    for _ in range(6):
+        cat = random_category(rng)
+        top = topology_where(cat, lambda c, s: s == maximal_sieve_mask(cat, c))
+        assert top.covers == trivial_topology(cat).covers
+    # not upward closed on object 1: the empty sieve covers, {u} does not
+    with pytest.raises(TopologyError) as exc:
+        topology_where(two, lambda c, s: s in (0, maximal_sieve_mask(two, c)))
+    assert {v["axiom"] for v in exc.value.violations} == {"transitivity"}
 
 
 def test_closure_of_covering_is_maximal(rng):
