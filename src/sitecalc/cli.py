@@ -162,11 +162,15 @@ def _finish_category(doc: SiteDocument, section, body):
     n_objects = None
     arrow_names: list[str] = []
     arrow_ends: list[tuple[int, int]] = []
+    arrow_lines: list[int] = []
     identities: list[str] = []
     composes: list[tuple[int, str]] = []
     for ln, key, value in body:
         if key == "objects":
-            n_objects = int(value)
+            try:
+                n_objects = int(value)
+            except ValueError:
+                raise SiteParseError(ln, f"bad object count {value!r}") from None
         elif key == "arrows":
             for entry in _split_entries(value):
                 try:
@@ -174,6 +178,7 @@ def _finish_category(doc: SiteDocument, section, body):
                     a, b = ends.split("->")
                     arrow_names.append(arr_name.strip())
                     arrow_ends.append((int(a), int(b)))
+                    arrow_lines.append(ln)
                 except ValueError:
                     raise SiteParseError(ln, f"bad arrow entry {entry!r}") from None
         elif key == "identities":
@@ -193,6 +198,10 @@ def _finish_category(doc: SiteDocument, section, body):
         if ident not in index:
             raise SiteParseError(lineno, f"unresolved identity arrow {ident!r}")
     ids = [index[i] for i in identities]
+    for f, (a, b) in enumerate(arrow_ends):
+        if not (0 <= a < n_objects and 0 <= b < n_objects):
+            raise SiteParseError(arrow_lines[f], f"arrow {arrow_names[f]!r} has endpoints "
+                                                 f"({a}, {b}) outside [0, {n_objects})")
 
     comp: dict[tuple[int, int], int] = {}
     for f, (a, b) in enumerate(arrow_ends):
@@ -235,9 +244,12 @@ def _finish_topology(doc: SiteDocument, section, body):
             try:
                 obj, arrows = value.split(":")
                 mask = mask_of(decl.arrow_index[a] for a in arrows.split())
-                base.append((int(obj), mask))
+                obj = int(obj)
             except (ValueError, KeyError):
                 raise SiteParseError(ln, f"bad sieve entry {value!r}") from None
+            if not 0 <= obj < decl.category.n_objects:
+                raise SiteParseError(ln, f"sieve entry {value!r} names no object")
+            base.append((obj, mask))
             recipe_lines.append(f"sieve {value}")
         else:
             raise SiteParseError(ln, f"unknown topology key {key!r}")
@@ -253,7 +265,7 @@ def _finish_topology(doc: SiteDocument, section, body):
                                     [(c, generate_mask(decl.category, m)) for c, m in base])
         else:
             raise SiteParseError(lineno, f"topology needs a kind or sieve entries")
-    except TopologyError as exc:
+    except (TopologyError, ValueError) as exc:
         raise SiteParseError(lineno, f"invalid topology {name!r}: {exc}") from None
     doc.topologies[name] = TopologyDecl(name, on, top, "; ".join(recipe_lines))
 
@@ -270,10 +282,12 @@ def _finish_functor(doc: SiteDocument, section, body):
         if key == "objects":
             for entry in _split_entries(value):
                 try:
-                    a, b = entry.split("->")
-                    obj_map[int(a)] = int(b)
-                except (ValueError, IndexError):
+                    a, b = (int(x) for x in entry.split("->"))
+                except ValueError:
                     raise SiteParseError(ln, f"bad object entry {entry!r}") from None
+                if not (0 <= a < A.category.n_objects and 0 <= b < B.category.n_objects):
+                    raise SiteParseError(ln, f"object entry {entry!r} leaves the objects")
+                obj_map[a] = b
         elif key == "arrows":
             for entry in _split_entries(value):
                 try:
@@ -304,15 +318,20 @@ def _finish_presheaf(doc: SiteDocument, section, body):
         if key == "sets":
             for entry in _split_entries(value):
                 try:
-                    obj, n = entry.split(":")
-                    sizes[int(obj)] = int(n)
-                except (ValueError, IndexError):
+                    obj, n = (int(x) for x in entry.split(":"))
+                except ValueError:
                     raise SiteParseError(ln, f"bad set entry {entry!r}") from None
+                if not 0 <= obj < cat.n_objects:
+                    raise SiteParseError(ln, f"set entry {entry!r} names no object")
+                sizes[obj] = n
         elif key.startswith("map "):
             arr = key[4:].strip()
             if arr not in decl.arrow_index:
                 raise SiteParseError(ln, f"unresolved arrow name {arr!r}")
-            maps[decl.arrow_index[arr]] = tuple(int(x) for x in value.split())
+            try:
+                maps[decl.arrow_index[arr]] = tuple(int(x) for x in value.split())
+            except ValueError:
+                raise SiteParseError(ln, f"bad map entry {value!r}") from None
         else:
             raise SiteParseError(ln, f"unknown presheaf key {key!r}")
     if None in sizes:

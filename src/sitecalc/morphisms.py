@@ -931,11 +931,16 @@ def _inclusion_relation_condition(sf: SiteFunctor) -> Verdict:
     return _yes("comorphism-inclusion-relations")
 
 
-def _chi_morphism(sf: SiteFunctor, d: int) -> tuple[ps.SheafificationResult,
-                                                    ps.SheafificationResult,
-                                                    ps.PresheafMorphism]:
+def _chi_morphism(sf: SiteFunctor, d: int,
+                  chi_cache: dict) -> tuple[ps.SheafificationResult,
+                                            ps.SheafificationResult,
+                                            ps.PresheafMorphism]:
     """The canonical arrow χ_d: l'(d) -> a(Hom_C(F(-), F(d))), as the
-    sheafification of u -> F(u)."""
+    sheafification of u -> F(u), with the sheafified representable l'(d)
+    and a(Hom_C(F(-), F(d))).  Built once per object and kept in
+    `chi_cache`."""
+    if d in chi_cache:
+        return chi_cache[d]
     F = sf.F
     src_top = sf.source_topology
     D, C = F.source, F.target
@@ -948,7 +953,8 @@ def _chi_morphism(sf: SiteFunctor, d: int) -> tuple[ps.SheafificationResult,
     chi0 = ps.PresheafMorphism(yd, P, tuple(comps))
     sh_yd = ps.sheafify(yd, src_top)
     sh_P = ps.sheafify(P, src_top)
-    return sh_yd, sh_P, ps.sheafify_morphism(chi0, sh_yd, sh_P)
+    chi_cache[d] = sh_yd, sh_P, ps.sheafify_morphism(chi0, sh_yd, sh_P)
+    return chi_cache[d]
 
 
 def _yoneda_sheaf_arrow(sf: SiteFunctor, g: int,
@@ -970,12 +976,9 @@ def _inclusion_arrow_splits(sf: SiteFunctor, g: int,
     """Is there a relation (equivalently sheaf arrow a(P_{F(d')}) -> l'(d))
     splitting χ_{d'} over g: d' -> d."""
     D = sf.F.source
-    src_top = sf.source_topology
     d1, d = D.dom[g], D.cod[g]
-    if d1 not in chi_cache:
-        chi_cache[d1] = _chi_morphism(sf, d1)
-    sh_yd1, sh_P, chi = chi_cache[d1]
-    sh_yd = ps.sheafify(ps.yoneda(D, d), src_top)
+    sh_yd1, sh_P, chi = _chi_morphism(sf, d1, chi_cache)
+    sh_yd = _chi_morphism(sf, d, chi_cache)[0]
     target_arrow = _yoneda_sheaf_arrow(sf, g, sh_yd1, sh_yd)
     for xi in ps.enumerate_presheaf_morphisms(sh_P.sheaf, sh_yd.sheaf):
         if chi.then(xi).components == target_arrow.components:
@@ -1015,10 +1018,8 @@ def _comorphism_localic_general(sf: SiteFunctor) -> Verdict:
 
     def arrow_ok(g: int) -> bool:
         d1, d = D.dom[g], D.cod[g]
-        if d1 not in chi_cache:
-            chi_cache[d1] = _chi_morphism(sf, d1)
-        sh_yd1, sh_P, chi = chi_cache[d1]
-        sh_yd = ps.sheafify(ps.yoneda(D, d), src_top)
+        sh_yd1, sh_P, chi = _chi_morphism(sf, d1, chi_cache)
+        sh_yd = _chi_morphism(sf, d, chi_cache)[0]
         target_arrow = _yoneda_sheaf_arrow(sf, g, sh_yd1, sh_yd)
         _subsheaf_guard(sh_P.sheaf)
         for sub in ps.subpresheaves(sh_P.sheaf):

@@ -11,6 +11,7 @@ all covering sieves with a union-find quotient.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -252,15 +253,25 @@ def strict_matching_families(P: FinPresheaf, c: int, mask: int) -> list[dict[int
     return out
 
 
+def _by_restrictions(P: FinPresheaf, c: int, members: Sequence[int]) -> dict[tuple[int, ...], list[int]]:
+    """The elements of P(c), ascending, keyed by their restrictions along
+    the arrows `members` into c."""
+    out: dict[tuple[int, ...], list[int]] = {}
+    for x in range(P.sizes[c]):
+        out.setdefault(tuple(P.res(f, x) for f in members), []).append(x)
+    return out
+
+
 def is_sheaf(P: FinPresheaf, J: GrothendieckTopology) -> tuple[bool, dict | None]:
     """Unique amalgamation of every matching family over every covering
     sieve; returns a failing (sieve, family) witness otherwise."""
     cat = P.cat
     for c in cat.objects:
         for s in J.covers[c]:
+            members = sorted(bits(s))
+            amalgamations = _by_restrictions(P, c, members)
             for fam in strict_matching_families(P, c, s):
-                amalg = [x for x in range(P.sizes[c])
-                         if all(P.res(f, x) == fam[f] for f in fam)]
+                amalg = amalgamations.get(tuple(fam[f] for f in members), [])
                 if len(amalg) != 1:
                     return False, {"object": c, "sieve": s, "family": fam,
                                    "amalgamations": amalg}
@@ -334,32 +345,48 @@ def _locally_matching_families(P: FinPresheaf, J: GrothendieckTopology,
     return out
 
 
+def _least_locally_equal(P: FinPresheaf, J: GrothendieckTopology, c: int) -> list[int]:
+    """For each x in P(c), the least element locally equal to x: the first
+    element of its class, as local equality is an equivalence relation on
+    a topology (the agreement sieve of x and z contains the intersection
+    of those of x, y and y, z)."""
+    least: list[int] = []
+    firsts: list[int] = []
+    for x in range(P.sizes[c]):
+        r = next((y for y in firsts if elem_locally_equal(P, J, c, x, y)), x)
+        if r == x:
+            firsts.append(x)
+        least.append(r)
+    return least
+
+
 def sheafify(P: FinPresheaf, J: GrothendieckTopology) -> SheafificationResult:
+    """Locally matching families over the least covering sieve of each
+    object, modulo componentwise local equality.  J must be a topology: then
+    local equality is an equivalence relation, so two families are
+    identified exactly when their components have the same least locally
+    equal elements, and each class is found by that tuple.  Sorted
+    iteration makes each class's representative its lexicographically
+    least family."""
     cat = P.cat
     carriers = tuple(tuple(sorted(bits(J.min_cover[c]))) for c in cat.objects)
     all_families = [
         _locally_matching_families(P, J, c, carriers[c]) for c in cat.objects]
+    least = [_least_locally_equal(P, J, d) for d in cat.objects]
 
     reps: list[tuple[tuple[int, ...], ...]] = []
     index: list[dict[tuple[int, ...], int]] = []
     for c in cat.objects:
-        members = carriers[c]
-        doms = [cat.dom[f] for f in members]
+        doms = [cat.dom[f] for f in carriers[c]]
         classes: list[tuple[int, ...]] = []
+        by_key: dict[tuple[int, ...], int] = {}
         idx: dict[tuple[int, ...], int] = {}
         for fam in sorted(all_families[c]):
-            if fam in idx:
-                continue
-            hit = None
-            for k, rep in enumerate(classes):
-                if all(elem_locally_equal(P, J, doms[i], fam[i], rep[i])
-                       for i in range(len(members))):
-                    hit = k
-                    break
-            if hit is None:
-                hit = len(classes)
-                classes.append(fam)  # sorted iteration makes reps lexicographic minima
-            idx[fam] = hit
+            key = tuple(least[d][x] for d, x in zip(doms, fam))
+            if key not in by_key:
+                by_key[key] = len(classes)
+                classes.append(fam)
+            idx[fam] = by_key[key]
         reps.append(tuple(classes))
         index.append(idx)
 
@@ -477,22 +504,37 @@ def sheaf_comparison(P: FinPresheaf, J: GrothendieckTopology,
 
     phi(e) is the unique v with {f | some x has eta1(x) = e·f and
     eta2(x) = v·f} covering; raises if existence or uniqueness fails.
+
+    A covering sieve contains the least covering sieve m_c, which is the
+    intersection of the covers of c.  So only the v whose restriction along
+    each f in m_c lies in over[dom f][e·f] = {eta2(x) | eta1(x) = e·f} can
+    qualify; those are looked up by their restrictions along m_c and then
+    tested in full.  When there are more such keys than elements of E2(c),
+    every element is tested.
     """
     cat = P.cat
+    over = []
+    for d in cat.objects:
+        images: list[set[int]] = [set() for _ in range(E1.sizes[d])]
+        for x in range(P.sizes[d]):
+            images[eta1.at(d, x)].add(eta2.at(d, x))
+        over.append(images)
     components = []
     for c in cat.objects:
+        members = sorted(bits(J.min_cover[c]))
+        by_key = _by_restrictions(E2, c, members)
         comp = []
         for e in range(E1.sizes[c]):
+            options = [over[cat.dom[f]][E1.res(f, e)] for f in members]
+            if math.prod(len(o) for o in options) > E2.sizes[c]:
+                candidates = range(E2.sizes[c])
+            else:
+                candidates = sorted(v for key in itertools.product(*options)
+                                    for v in by_key.get(key, ()))
             found = []
-            for v in range(E2.sizes[c]):
-                s = 0
-                for f in cat.arrows_into(c):
-                    d = cat.dom[f]
-                    ef = E1.res(f, e)
-                    vf = E2.res(f, v)
-                    if any(eta1.at(d, x) == ef and eta2.at(d, x) == vf
-                           for x in range(P.sizes[d])):
-                        s |= 1 << f
+            for v in candidates:
+                s = mask_of(f for f in cat.arrows_into(c)
+                            if E2.res(f, v) in over[cat.dom[f]][E1.res(f, e)])
                 if J.is_covering(c, s):
                     found.append(v)
             if len(found) != 1:

@@ -1,7 +1,10 @@
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -228,6 +231,137 @@ def site_texts(draw):
 def test_parse_print_round_trip_generated(text):
     doc = parse(text)
     assert parse(print_document(doc)).categories["C"].category == doc.categories["C"].category
+
+
+# ---------------------------------------------------------------------------
+# mutated documents and argument vectors keep the exit-code contract
+
+def vee_site(k: int, m: int) -> str:
+    """The vee with legs l_i: i -> k covered by the sieve of its k legs, an
+    identity functor G, and a presheaf P with m elements over each leg's
+    domain and one over the top."""
+    arrows = [f"i{c}: {c} -> {c}" for c in range(k + 1)] + [f"l{i}: {i} -> {k}" for i in range(k)]
+    names = [a.split(":")[0] for a in arrows]
+    return "\n".join([
+        "site-format 1",
+        "category V",
+        f"  objects: {k + 1}",
+        "  arrows: " + ", ".join(arrows),
+        "  identities: " + ", ".join(names[:k + 1]),
+        "topology J on V",
+        f"  sieve: {k} : " + " ".join(names[k + 1:]),
+        "functor G : V -> V",
+        "  objects: " + ", ".join(f"{c} -> {c}" for c in range(k + 1)),
+        "  arrows: " + ", ".join(f"{a} -> {a}" for a in names),
+        "presheaf P on V",
+        "  sets: " + ", ".join(f"{c}: {m if c < k else 1}" for c in range(k + 1)),
+        *[f"  map l{i}: {i % m}" for i in range(k)],
+    ]) + "\n"
+
+
+MUTATION_TOKENS = ["0", "9", "x", "->", ",", ":", "-1", ""]
+SUBCOMMANDS = {
+    "topology": ["canonical", "generate", "induced", "coinduced", "fibration"],
+    "factorize": ["surj-incl", "hyper-localic", "comprehensive"],
+    "comma": ["m2c", "c2m", "gen-elements"],
+}
+OPERANDS = ["F", "G", "P", "TWO", "V", "Jat", "J", "NOPE"]
+
+
+@st.composite
+def mutated_site_texts(draw):
+    """The fixture or a small vee document with one to three lines deleted,
+    duplicated, or with a token replaced by a digit, a separator, a stray
+    word or nothing."""
+    lines = draw(st.sampled_from([FIXTURE.read_text(), vee_site(2, 2)])).splitlines()
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        edit = draw(st.sampled_from(["delete", "replace", "duplicate"]))
+        if edit == "delete":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            tokens = re.findall(r"->|[,:]|[^\s,:]+|\s+", lines[i])
+            words = [k for k, t in enumerate(tokens) if not t.isspace()]
+            if words:
+                tokens[draw(st.sampled_from(words))] = draw(st.sampled_from(MUTATION_TOKENS))
+                lines[i] = "".join(tokens)
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def cli_argvs(draw):
+    """A command from the command table with its subcommand and operands,
+    and some of the output and oracle flags."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = [command]
+    if command in SUBCOMMANDS:
+        argv.append(draw(st.sampled_from(SUBCOMMANDS[command])))
+    argv += draw(st.lists(st.sampled_from(OPERANDS), max_size=2))
+    for flags in (["--oracle"], ["--witness"], ["--format", "machine"]):
+        if draw(st.booleans()):
+            argv += flags
+    return argv
+
+
+def main_in_process(*argv):
+    """Exit code, stdout and stderr of `cli.main(argv)`; argparse usage
+    errors arrive as `SystemExit`, and any other exception escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(text=mutated_site_texts(), argv=cli_argvs())
+@settings(max_examples=150, deadline=None)
+def test_mutated_documents_keep_the_exit_code_contract(tmp_path_factory, text, argv):
+    path = tmp_path_factory.mktemp("mutated") / "doc.site"
+    path.write_text(text)
+    code, out, err = main_in_process(path, *argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("objects: 2", "objects: two", 8),
+    ("u: 0 -> 1", "u: 0 -> 9", 9),
+    ("kind: atomic", "sieve: 9 : u", 13),
+    ("kind: atomic", "sieve: 0 : u", 12),
+    ("objects: 0 -> 1, 1 -> 1", "objects: 0 -> 1, 1 -> 9", 16),
+    ("sets: 0: 2, 1: 1", "sets: 0: 2, -1: 1", 20),
+    ("map u: 0", "map u: x", 21),
+])
+def test_parse_errors_name_their_line(tmp_path, old, new, line):
+    """Out-of-range object numbers, a non-integer, and a sieve entry that
+    is not a sieve are parse errors on a line of their own section (exit
+    2), not crashes."""
+    text = FIXTURE.read_text()
+    assert old in text
+    with pytest.raises(SiteParseError) as exc:
+        parse(text.replace(old, new))
+    assert exc.value.line == line
+    path = tmp_path / "doc.site"
+    path.write_text(text.replace(old, new))
+    code, _, err = main_in_process(path, "validate")
+    assert code == 2
+    assert f"parse error: line {line}:" in err
+
+
+def test_sheafify_oracle_on_nine_leg_vee():
+    """The top of the sheaf has 2^9 elements, one per family of leg values,
+    and the plus-plus oracle agrees."""
+    report = run("sheafify", parse(vee_site(9, 2)), _args("P", oracle=True))
+    values = {e["name"]: e["value"] for e in report.entries}
+    assert values["sizes"] == [2] * 9 + [2 ** 9]
+    assert values["is-sheaf"] and values["oracle-agreement"]
+    assert report.exit_code == 0
 
 
 def test_resource_guard_exit_code(tmp_path):

@@ -918,3 +918,39 @@ def test_classify_morphism_matches_cold_checkers(rng):
             bad = csl if not csl.holds else ii
             assert essential.witness["witness"] == bad.witness
     assert shared and separate
+
+
+def test_comorphism_classifiers_sheafify_each_representable_once(monkeypatch, rng):
+    """The general inclusion and localic bodies sheafify each representable
+    y(d) once per call, not once more for every arrow into d."""
+    import collections
+
+    import sitecalc.morphisms as mor
+    import sitecalc.presheaf as ps
+    counts = collections.Counter()
+    sheafify_body = ps.sheafify
+
+    def counted(P, J):
+        counts.update(d for d in P.cat.objects if P.cat.representables.get(d) is P)
+        return sheafify_body(P, J)
+
+    monkeypatch.setattr(ps, "sheafify", counted)
+    reached = 0
+    for _ in range(120):
+        src, tgt = random_category(rng), random_category(rng)
+        try:
+            functors = all_functors(src, tgt)
+        except RuntimeError:
+            continue
+        if not functors:
+            continue
+        sf = SiteFunctor(rng.choice(functors), random_topology(rng, src),
+                         random_topology(rng, tgt))
+        if not is_comorphism_of_sites(sf).holds:
+            continue
+        for body in (mor._comorphism_inclusion_general, mor._comorphism_localic_general):
+            counts.clear()
+            body(sf)
+            assert set(counts.values()) <= {1}
+            reached += any(len(src.arrows_into(d)) > 1 for d in counts)
+    assert reached >= 5
