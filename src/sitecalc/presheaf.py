@@ -213,9 +213,19 @@ def is_bicovering(alpha: PresheafMorphism, J: GrothendieckTopology) -> bool:
 # sheaf condition
 
 def strict_matching_families(P: FinPresheaf, c: int, mask: int) -> list[dict[int, int]]:
-    """Families (x_f)_{f in S} with x_{f∘z} = P(z)(x_f) exactly."""
+    """Families (x_f)_{f in S} with x_{f∘z} = P(z)(x_f) exactly, in
+    ascending order of their values along the ascending members.
+
+    A sieve holding the identity of c is the maximal sieve, and its
+    families are the restrictions of the elements of P(c), so they are read
+    off directly; a search that assigned the identity after other members
+    would try every element of P(c) for each choice of those members.
+    """
     cat = P.cat
     members = sorted(bits(mask))
+    if (mask >> cat.identity[c]) & 1:
+        return [dict(zip(members, fam)) for fam in
+                sorted(tuple(P.res(f, x) for f in members) for x in range(P.sizes[c]))]
     position = {f: i for i, f in enumerate(members)}
     out: list[dict[int, int]] = []
 

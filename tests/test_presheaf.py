@@ -37,7 +37,7 @@ from sitecalc.presheaf import (
     validate_functional_relation,
     yoneda,
 )
-from sitecalc.sieves import bits, mask_of, maximal_sieve_mask
+from sitecalc.sieves import all_sieve_masks, bits, mask_of, maximal_sieve_mask
 from sitecalc.topology import (
     atomic_topology,
     canonical_topology,
@@ -796,3 +796,55 @@ def test_restriction_lookups_match_reference_scans(rng):
                                                  *presentations)
             raised += isinstance(got, str)
     assert raised and non_sheaves
+
+
+def _reference_strict_matching_families(P, c, mask):
+    """Each member's value forced by an earlier member, or else tried over
+    every element of its domain and checked against the earlier members."""
+    cat = P.cat
+    members = sorted(bits(mask))
+    out = []
+
+    def extend(i, assign):
+        if i == len(members):
+            out.append(dict(assign))
+            return
+        f = members[i]
+        forced = {P.res(z, xg) for g, xg in assign.items()
+                  for z in cat.arrows_into(cat.dom[g]) if cat.comp[(g, z)] == f}
+        if len(forced) > 1:
+            return
+        for x in forced or range(P.sizes[cat.dom[f]]):
+            if all(P.res(z, x) == x if cat.comp[(f, z)] == f
+                   else assign.get(cat.comp[(f, z)], P.res(z, x)) == P.res(z, x)
+                   for z in cat.arrows_into(cat.dom[f])):
+                assign[f] = x
+                extend(i + 1, assign)
+                del assign[f]
+
+    extend(0, {})
+    return out
+
+
+def test_strict_matching_families_match_reference_scan(rng):
+    """On every sieve of 150 random sites, for a random presheaf and its
+    sheafification, the lookup by restrictions yields the families of the
+    scan over every element, in the same order, also where the identity
+    sorts after other arrows of the sieve."""
+    late_identity = 0
+    for _ in range(150):
+        cat = random_category(rng)
+        P = random_presheaf(rng, cat)
+        for Q in (P, sheafify(P, random_topology(rng, cat)).sheaf):
+            for c in cat.objects:
+                for s in all_sieve_masks(cat, c):
+                    assert strict_matching_families(Q, c, s) \
+                        == _reference_strict_matching_families(Q, c, s)
+                    late_identity += cat.identity[c] in bits(s) and min(bits(s)) != cat.identity[c]
+    assert late_identity
+    # arrow 1 is 0 -> 1 and sorts before id_1 = 2; P(1) swaps the two elements,
+    # so the families over the maximal sieve on 1 do not come in element order
+    two = poset_category(2, [(0, 1)])
+    swap = FinPresheaf(two, (2, 2), ((0, 1), (1, 0), (0, 1)))
+    assert strict_matching_families(swap, 1, 0b110) == [{1: 0, 2: 1}, {1: 1, 2: 0}] \
+        == _reference_strict_matching_families(swap, 1, 0b110)
