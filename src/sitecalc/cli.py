@@ -709,6 +709,7 @@ def main(argv=None) -> int:
                         default=os.environ.get("SITECALC_MAX_SIEVES", 1 << 20))
     ns = parser.parse_args(argv)
 
+    start = time.perf_counter()
     try:
         with open(ns.document, encoding="utf-8") as fh:
             doc = parse(fh.read())
@@ -718,6 +719,11 @@ def main(argv=None) -> int:
     except SiteParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    except SizeGuardError as exc:
+        report = Report(ns.command, exit_code=3, elapsed=time.perf_counter() - start)
+        report.add("resource-guard", str(exc))
+        print(report.render(ns.format, ns.witness))
+        return report.exit_code
 
     report = run(ns.command, doc, ns)
     print(report.render(ns.format, ns.witness))

@@ -214,7 +214,8 @@ def is_bicovering(alpha: PresheafMorphism, J: GrothendieckTopology) -> bool:
 
 def strict_matching_families(P: FinPresheaf, c: int, mask: int) -> list[dict[int, int]]:
     """Families (x_f)_{f in S} with x_{f∘z} = P(z)(x_f) exactly, in
-    ascending order of their values along the ascending members.
+    ascending order of their values along the ascending members; each
+    family's keys are the members in ascending order.
 
     A sieve holding the identity of c is the maximal sieve, and its
     families are the restrictions of the elements of P(c), so they are read
@@ -443,60 +444,74 @@ def sheafify_morphism(alpha: PresheafMorphism, shP: SheafificationResult,
 
 def plus_construction(P: FinPresheaf, J: GrothendieckTopology) -> tuple[FinPresheaf, PresheafMorphism]:
     """P⁺(c): matching families over covering sieves, glued along restriction
-    to smaller covering sieves (a filtered colimit, realized by union-find)."""
+    to smaller covering sieves (a filtered colimit, realized by union-find).
+
+    A pair (s, x) is a covering sieve s on c with a matching family x,
+    given by its values along the ascending members of s.  Restricting x
+    to a sieve t picks the values at the positions of t's members among
+    s's; these positions are computed once per pair of covers t ⊊ s, and
+    once per cover s and arrow f for the pullback f*(s).  The pairs of a
+    class restrict along f into one class, so each row of P⁺ is filled
+    from the first pair of each class.
+    """
     cat = P.cat
-    pairs: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = []
-    pair_index: list[dict[tuple[int, tuple[tuple[int, int], ...]], int]] = []
+    pairs: list[list[tuple[int, tuple[int, ...]]]] = []
+    pair_index: list[dict[tuple[int, tuple[int, ...]], int]] = []
+    position: list[dict[int, dict[int, int]]] = []
     for c in cat.objects:
         lst = []
         for s in sorted(J.covers[c]):
-            for fam in strict_matching_families(P, c, s):
-                lst.append((s, tuple(sorted(fam.items()))))
+            lst.extend((s, tuple(fam.values())) for fam in strict_matching_families(P, c, s))
         pairs.append(lst)
         pair_index.append({p: i for i, p in enumerate(lst)})
+        position.append({s: {f: i for i, f in enumerate(bits(s))} for s in J.covers[c]})
 
     classes: list[list[int]] = []
-    reps: list[dict[int, int]] = []
+    firsts: list[list[int]] = []
     for c in cat.objects:
+        below = {s: [(t, [position[c][s][f] for f in bits(t)])
+                     for t in J.covers[c] if t & ~s == 0 and t != s]
+                 for s in J.covers[c]}
+        index = pair_index[c]
         uf = _UnionFind(len(pairs[c]))
-        for i, (s, fam_items) in enumerate(pairs[c]):
-            fam = dict(fam_items)
-            for t in J.covers[c]:
-                if t & ~s == 0 and t != s:
-                    restricted = tuple(sorted((f, fam[f]) for f in bits(t)))
-                    uf.union(i, pair_index[c][(t, restricted)])
-        roots = {}
+        for i, (s, x) in enumerate(pairs[c]):
+            for t, pos in below[s]:
+                uf.union(i, index[(t, tuple(x[p] for p in pos))])
+        roots: dict[int, int] = {}
         cls = []
+        first = []
         for i in range(len(pairs[c])):
             r = uf.find(i)
             if r not in roots:
                 roots[r] = len(roots)
+                first.append(i)
             cls.append(roots[r])
         classes.append(cls)
-        reps.append(roots)
+        firsts.append(first)
 
-    sizes = tuple(len(reps[c]) for c in cat.objects)
+    sizes = tuple(len(first) for first in firsts)
     restrict = []
     for f in cat.arrows:
         a, b = cat.dom[f], cat.cod[f]
-        row = [0] * sizes[b]
-        for i, (s, fam_items) in enumerate(pairs[b]):
-            fam = dict(fam_items)
+        pulled = {}
+        for s in J.covers[b]:
             pb = pullback_mask(cat, s, f)
-            restricted = tuple(sorted(
-                (g, fam[cat.comp[(f, g)]]) for g in bits(pb)))
-            row[classes[b][i]] = classes[a][pair_index[a][(pb, restricted)]]
+            pulled[s] = pb, [position[b][s][cat.comp[(f, g)]] for g in bits(pb)]
+        row = []
+        for i in firsts[b]:
+            s, x = pairs[b][i]
+            pb, pos = pulled[s]
+            row.append(classes[a][pair_index[a][(pb, tuple(x[p] for p in pos))]])
         restrict.append(tuple(row))
     plus = FinPresheaf(cat, sizes, tuple(restrict))
 
     unit_components = []
     for c in cat.objects:
         top = maximal_sieve_mask(cat, c)
-        comp = []
-        for x in range(P.sizes[c]):
-            fam = tuple(sorted((f, P.res(f, x)) for f in bits(top)))
-            comp.append(classes[c][pair_index[c][(top, fam)]])
-        unit_components.append(tuple(comp))
+        members = list(bits(top))
+        unit_components.append(tuple(
+            classes[c][pair_index[c][(top, tuple(P.res(f, x) for f in members))]]
+            for x in range(P.sizes[c])))
     return plus, PresheafMorphism(P, plus, tuple(unit_components))
 
 

@@ -376,6 +376,26 @@ def test_resource_guard_exit_code(tmp_path):
     assert "resource-guard" in out.stdout
 
 
+def test_size_guard_while_parsing_is_exit_3(tmp_path):
+    """A discrete category with 2^16 + 1 objects trips the arrow guard while
+    the document is parsed; that is exit 3 with a report, not a traceback."""
+    n = (1 << 16) + 1
+    doc_path = tmp_path / "big.site"
+    doc_path.write_text("\n".join([
+        "site-format 1",
+        "category D",
+        f"  objects: {n}",
+        "  arrows: " + ", ".join(f"i{c}: {c} -> {c}" for c in range(n)),
+        "  identities: " + ", ".join(f"i{c}" for c in range(n)),
+    ]) + "\n")
+    out = sitecalc_cli(doc_path, "validate", "--format", "machine")
+    assert out.returncode == 3
+    assert "Traceback" not in out.stderr
+    records = [json.loads(line) for line in out.stdout.splitlines()]
+    assert records[0]["name"] == "resource-guard"
+    assert (records[-1]["record"], records[-1]["exit"]) == ("status", 3)
+
+
 def test_run_locally_connected_and_explicit_topologies():
     text = FIXTURE.read_text() + "\n".join([
         "",

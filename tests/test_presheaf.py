@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from sitecalc.fincat import FinFunctor, poset_category, terminal_category
+from sitecalc import presheaf, sieves
+from sitecalc.fincat import FinFunctor, _UnionFind, poset_category, terminal_category
 from sitecalc.presheaf import (
     FinPresheaf,
     FunctionalRelation,
@@ -24,6 +25,7 @@ from sitecalc.presheaf import (
     identity_relation,
     is_bicovering,
     is_sheaf,
+    plus_construction,
     relation_is_epi,
     relation_is_mono,
     relation_to_arrow,
@@ -37,7 +39,7 @@ from sitecalc.presheaf import (
     validate_functional_relation,
     yoneda,
 )
-from sitecalc.sieves import all_sieve_masks, bits, mask_of, maximal_sieve_mask
+from sitecalc.sieves import all_sieve_masks, bits, mask_of, maximal_sieve_mask, pullback_mask
 from sitecalc.topology import (
     atomic_topology,
     canonical_topology,
@@ -848,3 +850,116 @@ def test_strict_matching_families_match_reference_scan(rng):
     swap = FinPresheaf(two, (2, 2), ((0, 1), (1, 0), (0, 1)))
     assert strict_matching_families(swap, 1, 0b110) == [{1: 0, 2: 1}, {1: 1, 2: 0}] \
         == _reference_strict_matching_families(swap, 1, 0b110)
+
+
+# ---------------------------------------------------------------------------
+# the plus construction against the body that rebuilt each family per pair
+
+def _reference_plus_construction(P, J):
+    """Each pair's family as sorted (arrow, value) items, every pair scanning
+    every cover of its object and restricted along every arrow."""
+    cat = P.cat
+    pairs = []
+    pair_index = []
+    for c in cat.objects:
+        lst = []
+        for s in sorted(J.covers[c]):
+            for fam in strict_matching_families(P, c, s):
+                lst.append((s, tuple(sorted(fam.items()))))
+        pairs.append(lst)
+        pair_index.append({p: i for i, p in enumerate(lst)})
+
+    classes = []
+    reps = []
+    for c in cat.objects:
+        uf = _UnionFind(len(pairs[c]))
+        for i, (s, fam_items) in enumerate(pairs[c]):
+            fam = dict(fam_items)
+            for t in J.covers[c]:
+                if t & ~s == 0 and t != s:
+                    restricted = tuple(sorted((f, fam[f]) for f in bits(t)))
+                    uf.union(i, pair_index[c][(t, restricted)])
+        roots = {}
+        cls = []
+        for i in range(len(pairs[c])):
+            r = uf.find(i)
+            if r not in roots:
+                roots[r] = len(roots)
+            cls.append(roots[r])
+        classes.append(cls)
+        reps.append(roots)
+
+    sizes = tuple(len(reps[c]) for c in cat.objects)
+    restrict = []
+    for f in cat.arrows:
+        a, b = cat.dom[f], cat.cod[f]
+        row = [0] * sizes[b]
+        for i, (s, fam_items) in enumerate(pairs[b]):
+            fam = dict(fam_items)
+            pb = pullback_mask(cat, s, f)
+            restricted = tuple(sorted(
+                (g, fam[cat.comp[(f, g)]]) for g in bits(pb)))
+            row[classes[b][i]] = classes[a][pair_index[a][(pb, restricted)]]
+        restrict.append(tuple(row))
+    plus = FinPresheaf(cat, sizes, tuple(restrict))
+
+    unit_components = []
+    for c in cat.objects:
+        top = maximal_sieve_mask(cat, c)
+        comp = []
+        for x in range(P.sizes[c]):
+            fam = tuple(sorted((f, P.res(f, x)) for f in bits(top)))
+            comp.append(classes[c][pair_index[c][(top, fam)]])
+        unit_components.append(tuple(comp))
+    return plus, PresheafMorphism(P, plus, tuple(unit_components))
+
+
+def test_plus_construction_matches_reference_body(rng):
+    """On 600 random sites and presheaves (every seventh on the trivial
+    topology), P⁺ and P⁺⁺ have the sizes, restrictions and unit of the
+    body that restricted every pair of a class."""
+    merged = 0
+    for i in range(600):
+        cat = random_category(rng)
+        J = trivial_topology(cat) if i % 7 == 0 else random_topology(rng, cat)
+        Q = random_presheaf(rng, cat)
+        for _ in range(2):
+            plus, unit = plus_construction(Q, J)
+            ref, ref_unit = _reference_plus_construction(Q, J)
+            assert (plus.sizes, plus.restrict, unit.components) \
+                == (ref.sizes, ref.restrict, ref_unit.components)
+            merged += sum(plus.sizes) < sum(len(strict_matching_families(Q, c, s))
+                                            for c in cat.objects for s in J.covers[c])
+            Q = plus
+    assert merged
+
+
+def test_plus_construction_pulls_each_cover_back_once_per_arrow(monkeypatch):
+    """On the vee with four legs covered by its legs sieve, and two elements
+    over each leg, one plus construction calls `pullback_mask` at most once
+    per covering sieve and arrow into its object; restricting every pair
+    along every arrow called it once per pair and arrow."""
+    k = 4
+    cat = poset_category(k + 1, [(i, k) for i in range(k)])
+    legs = mask_of(f for f in cat.arrows_into(k) if not cat.is_identity(f))
+    J = generate_topology(cat, [(k, legs)])
+    P = FinPresheaf(cat, (2,) * k + (1,),
+                    tuple((0,) if cat.cod[f] == k and not cat.is_identity(f)
+                          else tuple(range(2 if cat.dom[f] < k else 1))
+                          for f in cat.arrows))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sieves.pullback_mask(*args)
+
+    bound = sum(len(J.covers[c]) * len(cat.arrows_into(c)) for c in cat.objects)
+    per_pair = sum(len(strict_matching_families(P, c, s)) * len(cat.arrows_into(c))
+                   for c in cat.objects for s in J.covers[c])
+    monkeypatch.setattr(presheaf, "pullback_mask", counted)
+    plus, unit = plus_construction(P, J)
+    assert len(calls) <= bound < per_pair
+    monkeypatch.setitem(globals(), "pullback_mask", counted)
+    calls.clear()
+    assert _reference_plus_construction(P, J)[0] == plus
+    assert len(calls) == per_pair
