@@ -169,9 +169,12 @@ def validate_category(
             violations.append(
                 f"dom/cod mismatch: {g}∘{f} = {h} but {h}: {dom[h]} -> {cod[h]}, "
                 f"expected {dom[f]} -> {cod[g]}")
+    into: list[list[int]] = [[] for _ in range(n_objects)]  # per object, ascending
+    for f in range(n_arrows):
+        into[cod[f]].append(f)
     for g in range(n_arrows):
-        for f in range(n_arrows):
-            if cod[f] == dom[g] and (g, f) not in composition:
+        for f in into[dom[g]]:
+            if (g, f) not in composition:
                 violations.append(f"missing composite for composable pair ({g}, {f})")
     if violations:
         raise CategoryError(violations)
@@ -183,13 +186,9 @@ def validate_category(
         if comp[(identities[cod[f]], f)] != f:
             violations.append(f"identity law broken: id_{cod[f]}∘{f} != {f}")
     for h in range(n_arrows):
-        for g in range(n_arrows):
-            if cod[g] != dom[h]:
-                continue
+        for g in into[dom[h]]:
             hg = comp[(h, g)]
-            for f in range(n_arrows):
-                if cod[f] != dom[g]:
-                    continue
+            for f in into[dom[g]]:
                 if comp[(hg, f)] != comp[(h, comp[(g, f)])]:
                     violations.append(f"non-associative triple ({h}, {g}, {f})")
     if violations:

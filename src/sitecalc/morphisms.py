@@ -541,22 +541,28 @@ def _weakly_dense_clause_ii(sf: SiteFunctor) -> Verdict:
     return sf.verdict("weakly-dense-ii", _check_weakly_dense_clause_ii)
 
 
-def _uncovered_by_realized(sf: SiteFunctor, base: Sequence[int]) -> tuple[int, int] | None:
+def _uncovered_by_realized(sf: SiteFunctor) -> tuple[int, int] | None:
     """The first d, with the sieve it gets, that is not covered by the
     arrows g_f0 realized by locally matching families of y(d) over the
-    carriers base[e0] ∪ ⟨f0⟩, for f0 into an image object e0; None when
-    every d is covered.  Reads only F and K."""
+    carriers S_min(e0) ∪ ⟨f0⟩, for f0 into an image object e0; None when
+    every d is covered.  Carriers that coincide are searched once per d.
+    Reads only F and K."""
     F, K = sf.F, sf.K
     C, D = F.source, F.target
+    base = K.min_cover
     for d in D.objects:
         realized = 0
         yd = ps.yoneda(D, d)
+        families: dict[int, list[tuple[int, ...]]] = {}  # carrier mask -> families of y(d)
         for c in C.objects:
             e0 = F.on_obj(c)
             for f0 in D.arrows_into(e0):
-                members = sorted(bits(base[e0] | D.principal_sieves[f0]))
+                carrier = base[e0] | D.principal_sieves[f0]
+                members = sorted(bits(carrier))
+                if carrier not in families:
+                    families[carrier] = ps._locally_matching_families(yd, K, e0, members)
                 slot = members.index(f0)
-                for fam in ps._locally_matching_families(yd, K, e0, members):
+                for fam in families[carrier]:
                     realized |= 1 << D.hom(D.dom[f0], d)[fam[slot]]
         sieve = generate_mask(D, realized)
         if not K.is_covering(d, sieve):
@@ -569,10 +575,44 @@ def _check_weakly_dense_clause_ii(sf: SiteFunctor) -> Verdict:
     the realizable g_f arrows, collected over S_min ∪ ⟨f⟩ carriers (complete
     by the restriction argument), must generate a covering sieve.  Reads
     only F and K."""
-    miss = _uncovered_by_realized(sf, sf.K.min_cover)
+    miss = _uncovered_by_realized(sf)
     if miss:
         return _no("weakly-dense", clause="ii", object=miss[0], sieve=miss[1])
     return _yes("weakly-dense-ii")
+
+
+def _weakly_dense_clause_iii(sf: SiteFunctor) -> Verdict:
+    """Clause (iii), exhaustive over covering sieves U on images and
+    coherent families g over U.  An arrow f into x is found when some
+    k: dom f -> y has g_h∘z ≡_K F(k)∘w for every w into F(dom f) and every
+    h∘z = F(f)∘w with h in U; the values g_h∘z are collected once per
+    composite h∘z.  The found arrows must J-cover x."""
+    F, J, K = sf.F, sf.J, sf.K
+    C, D = F.source, F.target
+    for x in C.objects:
+        fx = F.on_obj(x)
+        for y in C.objects:
+            for u_mask in K.covers[fx]:
+                members = sorted(bits(u_mask))
+                for g in _coherent_families(D, K, fx, members, F.on_obj(y)):
+                    through: dict[int, set[int]] = {}
+                    for h in members:
+                        for z in D.arrows_into(D.dom[h]):
+                            through.setdefault(D.comp[(h, z)], set()).add(D.comp[(g[h], z)])
+                    ok = 0
+                    for f in C.arrows_into(x):
+                        dom_f, Ff = C.dom[f], F.on_arr(f)
+                        ws = D.arrows_into(F.on_obj(dom_f))
+                        if any(all(local_equality(K, v, D.comp[(F.on_arr(k), w)])
+                                   for w in ws for v in through.get(D.comp[(Ff, w)], ()))
+                               for k in C.hom(dom_f, y)):
+                            ok |= 1 << f
+                    if not J.is_covering(x, ok):
+                        return _no("weakly-dense", clause="iii",
+                                   instance={"x": x, "y": y, "sieve": u_mask,
+                                             "family": {h: g[h] for h in members}},
+                                   found=ok)
+    return _yes("weakly-dense")
 
 
 def is_weakly_dense(sf: SiteFunctor) -> Verdict:
@@ -585,59 +625,13 @@ def _check_weakly_dense(sf: SiteFunctor) -> Verdict:
     mos = is_morphism_of_sites(sf)
     if not mos:
         raise ValueError(f"not a morphism of sites: {mos.witness}")
-    F, J, K = sf.F, sf.J, sf.K
-    C, D = F.source, F.target
-
     cr = is_cover_reflecting(sf)
     if not cr:
         return _no("weakly-dense", clause="i", witness=cr.witness)
-
     ii = _weakly_dense_clause_ii(sf)
     if not ii:
         return ii
-
-    # clause (iii): exhaustive over covering sieves U and coherent families
-    for x in C.objects:
-        for y in C.objects:
-            fx, fy = F.on_obj(x), F.on_obj(y)
-            for u_mask in K.covers[fx]:
-                members = sorted(bits(u_mask))
-                for g in _coherent_families(D, K, fx, members, fy):
-                    ok = 0
-                    for f in C.arrows_into(x):
-                        dom_f = C.dom[f]
-                        found = False
-                        for k in C.hom(dom_f, y):
-                            valid = True
-                            for h in members:
-                                for e in D.objects:
-                                    for w in D.hom(e, F.on_obj(dom_f)):
-                                        fw = D.compose(F.on_arr(f), w)
-                                        for z in D.hom(e, D.dom[h]):
-                                            if fw != D.compose(h, z):
-                                                continue
-                                            if not local_equality(
-                                                    K, D.compose(g[h], z),
-                                                    D.compose(F.on_arr(k), w)):
-                                                valid = False
-                                                break
-                                        if not valid:
-                                            break
-                                    if not valid:
-                                        break
-                                if not valid:
-                                    break
-                            if valid:
-                                found = True
-                                break
-                        if found:
-                            ok |= 1 << f
-                    if not J.is_covering(x, ok):
-                        return _no("weakly-dense", clause="iii",
-                                   instance={"x": x, "y": y, "sieve": u_mask,
-                                             "family": {h: g[h] for h in members}},
-                                   found=ok)
-    return _yes("weakly-dense")
+    return _weakly_dense_clause_iii(sf)
 
 
 # ---------------------------------------------------------------------------
@@ -659,12 +653,42 @@ def closed_sieve_lifting(sf: SiteFunctor) -> Verdict:
     return _yes("closed-sieve-lifting")
 
 
+def _principally_presented(sf: SiteFunctor) -> list[int]:
+    """Per object d, the mask of arrows h: dom f0 -> d presented by locally
+    matching families of y(d) over principal sieves ⟨f0⟩, f0 into an image
+    object.  Such a family is fixed, up to local equality, by its value h
+    at f0, and h extends to one exactly when h∘u ≡_K h∘u' for all u, u'
+    with f0∘u = f0∘u', local equality being an equivalence relation on a
+    topology; so no search over families is needed.  Reads only F and K."""
+    F, K = sf.F, sf.K
+    D = F.target
+    # per f0 into an image object: pairs (u, u') with f0∘u = f0∘u'
+    equalized: dict[int, list[tuple[int, int]]] = {}
+    for e0 in {F.on_obj(c) for c in F.source.objects}:
+        for f0 in D.arrows_into(e0):
+            by_composite: dict[int, list[int]] = {}
+            for u in D.arrows_into(D.dom[f0]):
+                by_composite.setdefault(D.comp[(f0, u)], []).append(u)
+            equalized[f0] = [(us[0], u) for us in by_composite.values() for u in us[1:]]
+    presented = []
+    for d in D.objects:
+        realized = 0
+        for f0, pairs in equalized.items():
+            for h in D.hom(D.dom[f0], d):
+                if all(local_equality(K, D.comp[(h, u)], D.comp[(h, u2)]) for u, u2 in pairs):
+                    realized |= 1 << h
+        presented.append(realized)
+    return presented
+
+
 def _localic_condition(sf: SiteFunctor) -> Verdict:
     """Localic criterion: arrows presented by families over arbitrary sieves
     on image objects must cover every d; complete over principal sieves."""
-    miss = _uncovered_by_realized(sf, (0,) * sf.F.target.n_objects)
-    if miss:
-        return _no("localic", object=miss[0], sieve=miss[1])
+    D, K = sf.F.target, sf.K
+    for d, realized in enumerate(_principally_presented(sf)):
+        sieve = generate_mask(D, realized)
+        if not K.is_covering(d, sieve):
+            return _no("localic", object=d, sieve=sieve)
     return _yes("localic")
 
 

@@ -314,39 +314,39 @@ class SheafificationResult:
 
 def _locally_matching_families(P: FinPresheaf, J: GrothendieckTopology,
                                c: int, members: Sequence[int]) -> list[tuple[int, ...]]:
+    """Families (x_f) over `members` with x_{f∘z} ≡_J P(z)(x_f) whenever
+    f∘z is a member too, as value tuples along `members`, in lexicographic
+    order.  Each constraint is collected once, at the later of its two
+    members, so a candidate value is checked only against its own."""
     cat = P.cat
+    if any(P.sizes[cat.dom[f]] == 0 for f in members):
+        return []
     position = {f: i for i, f in enumerate(members)}
-    member_set = set(members)
+    # at member i: (z, j) with members[j] = members[i]∘z and j ≤ i, so x_j ≡ P(z)(x_i)
+    below: list[list[tuple[int, int]]] = [[] for _ in members]
+    # at member i: (z, j) with members[j]∘z = members[i] and j < i, so x_i ≡ P(z)(x_j)
+    above: list[list[tuple[int, int]]] = [[] for _ in members]
+    for i, f in enumerate(members):
+        for z in cat.arrows_into(cat.dom[f]):
+            j = position.get(cat.comp[(f, z)])
+            if j is None:
+                continue
+            if j <= i:
+                below[i].append((z, j))
+            else:
+                above[j].append((z, i))
     out: list[tuple[int, ...]] = []
 
     def extend(i: int, assign: list[int]):
         if i == len(members):
             out.append(tuple(assign))
             return
-        f = members[i]
-        for x in range(P.sizes[cat.dom[f]]):
-            ok = True
-            for z in cat.arrows_into(cat.dom[f]):
-                fz = cat.comp[(f, z)]
-                if fz == f:
-                    if not elem_locally_equal(P, J, cat.dom[z], x, P.res(z, x)):
-                        ok = False
-                        break
-                elif fz in member_set and position[fz] < i:
-                    if not elem_locally_equal(P, J, cat.dom[z], assign[position[fz]], P.res(z, x)):
-                        ok = False
-                        break
-            if ok:
-                # constraints where f is the composite: x ≡ P(z)(x_g) for g∘z = f
-                for j in range(i):
-                    g = members[j]
-                    for z in cat.arrows_into(cat.dom[g]):
-                        if cat.comp[(g, z)] == f:
-                            if not elem_locally_equal(P, J, cat.dom[f], x, P.res(z, assign[j])):
-                                ok = False
-                                break
-                    if not ok:
-                        break
+        a = cat.dom[members[i]]
+        for x in range(P.sizes[a]):
+            ok = all(elem_locally_equal(P, J, cat.dom[z], x if j == i else assign[j],
+                                        P.res(z, x)) for z, j in below[i]) \
+                and all(elem_locally_equal(P, J, a, x, P.res(z, assign[j]))
+                        for z, j in above[i])
             if ok:
                 assign.append(x)
                 extend(i + 1, assign)

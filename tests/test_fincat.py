@@ -13,6 +13,7 @@ from sitecalc.fincat import (
     is_cartesian,
     is_colimit_cocone,
     is_fibration,
+    monoid_category,
     poset_category,
     terminal_category,
     validate_category,
@@ -60,6 +61,53 @@ def test_non_associative_triple_reported():
     with pytest.raises(CategoryError) as exc:
         validate_category(1, [(0, 0)] * 3, [0], table)
     assert any("non-associative" in v for v in exc.value.violations)
+
+
+def _reference_table_violations(dom, cod, comp):
+    """Missing composites and non-associative triples, by a scan over every
+    pair and every triple of arrows."""
+    n = len(dom)
+    missing = [f"missing composite for composable pair ({g}, {f})"
+               for g in range(n) for f in range(n) if cod[f] == dom[g] and (g, f) not in comp]
+    if missing:
+        return missing
+    return [f"non-associative triple ({h}, {g}, {f})"
+            for h in range(n) for g in range(n) for f in range(n)
+            if cod[g] == dom[h] and cod[f] == dom[g]
+            and comp[(comp[(h, g)], f)] != comp[(h, comp[(g, f)])]]
+
+
+def test_table_violations_match_reference_scan(rng):
+    """With a composite dropped, or replaced by a parallel arrow, the
+    violations listed by the per-object scans are those of the scan over
+    every pair and triple, in the same order."""
+    # Z/3 and the four maps of a two-element set, under composition
+    maps = [(0, 1), (1, 0), (0, 0), (1, 1)]
+    monoids = [monoid_category([[(a + b) % 3 for b in range(3)] for a in range(3)], 0),
+               monoid_category([[maps.index(tuple(g[x] for x in f)) for f in maps]
+                                for g in maps], 0)]
+    associative = 0
+    for _ in range(120):
+        cat = rng.choice(monoids) if rng.random() < 0.3 else random_category(rng)
+        comp = dict(cat.comp)
+        swaps = [(key, h2) for key, h in sorted(comp.items())
+                 if not (cat.is_identity(key[0]) or cat.is_identity(key[1]))
+                 for h2 in cat.hom(cat.dom[h], cat.cod[h]) if h2 != h]
+        if swaps and rng.random() < 0.5:
+            key, h2 = rng.choice(swaps)
+            comp[key] = h2
+        else:
+            del comp[rng.choice(sorted(comp))]
+        expected = _reference_table_violations(cat.dom, cat.cod, comp)
+        if not expected:
+            continue
+        with pytest.raises(CategoryError) as exc:
+            validate_category(cat.n_objects, list(zip(cat.dom, cat.cod)),
+                              list(cat.identity), comp)
+        got = [v for v in exc.value.violations if v.startswith(("missing", "non-associative"))]
+        assert got == expected
+        associative += expected[0].startswith("non-associative")
+    assert associative >= 5
 
 
 def test_opposite_round_trip_random(rng):

@@ -6,9 +6,13 @@ from sitecalc.fincat import (
     identity_functor,
     poset_category,
     terminal_category,
+    validate_category,
 )
 from sitecalc.morphisms import (
     SiteFunctor,
+    _coherent_families,
+    _principally_presented,
+    _weakly_dense_clause_iii,
     classify_comorphism,
     classify_morphism,
     cocone_is_sheaf_colimit,
@@ -33,15 +37,18 @@ from sitecalc.morphisms import (
     surjection_inclusion_factorization,
 )
 from sitecalc.presheaf import (
+    _locally_matching_families,
     category_of_elements,
     enumerate_presheaf_morphisms,
     sheafify,
     yoneda,
 )
+from sitecalc.sieves import bits, mask_of
 from sitecalc.topology import (
     atomic_topology,
     canonical_topology,
     fibration_topology,
+    local_equality,
     smallest_comorphism_topology,
     trivial_topology,
 )
@@ -954,3 +961,95 @@ def test_comorphism_classifiers_sheafify_each_representable_once(monkeypatch, rn
             assert set(counts.values()) <= {1}
             reached += any(len(src.arrows_into(d)) > 1 for d in counts)
     assert reached >= 5
+
+
+# ---------------------------------------------------------------------------
+# the localic criterion and weak denseness clause (iii) against their searches
+
+def _random_site_functors(rng, n):
+    """Random functors between random sites, morphisms of sites or not."""
+    out = []
+    while len(out) < n:
+        src, tgt = random_category(rng), random_category(rng)
+        try:
+            fs = all_functors(src, tgt)
+        except RuntimeError:
+            continue
+        for F in rng.sample(fs, min(2, len(fs))):
+            out.append(SiteFunctor(F, random_topology(rng, src), random_topology(rng, tgt)))
+    return out
+
+
+def _searched_principal_presentations(sf):
+    """The arrows presented by the locally matching families of y(d) over
+    each ⟨f0⟩, f0 into an image object, found by the family search."""
+    F, K = sf.F, sf.K
+    D = F.target
+    out = []
+    for d in D.objects:
+        realized = 0
+        for e0 in {F.on_obj(c) for c in F.source.objects}:
+            for f0 in D.arrows_into(e0):
+                members = sorted(bits(D.principal_sieves[f0]))
+                for fam in _locally_matching_families(yoneda(D, d), K, e0, members):
+                    realized |= 1 << D.hom(D.dom[f0], d)[fam[members.index(f0)]]
+        out.append(realized)
+    return out
+
+
+def test_principal_presentations_match_family_search(rng):
+    """The closed form for families over principal sieves presents the
+    arrows the search finds, on 300 random site functors and on one where
+    it must drop an arrow h that fails to equalize what f0 equalizes."""
+    for sf in _random_site_functors(rng, 300):
+        assert _principally_presented(sf) == _searched_principal_presentations(sf)
+    # objects d = 0, e = 1; s: d -> d idempotent and p: d -> e with p∘s = p.
+    # The point of e presents only s at d: id_d does not equalize (id_d, s).
+    D = validate_category(2, [(0, 0), (1, 1), (0, 0), (0, 1)], [0, 1],
+                          {(0, 0): 0, (0, 2): 2, (2, 0): 2, (2, 2): 2,
+                           (3, 0): 3, (3, 2): 3, (1, 1): 1, (1, 3): 3})
+    one = terminal_category()
+    sf = SiteFunctor(FinFunctor(one, D, (1,), (1,)), trivial_topology(one),
+                     trivial_topology(D))
+    assert _principally_presented(sf) == _searched_principal_presentations(sf) == [0b100, 0b1010]
+    assert not classify_morphism(sf).localic.holds
+
+
+def _reference_weakly_dense_clause_iii(sf):
+    """Clause (iii) scanning every object e, every w: e -> F(dom f) and
+    every z: e -> dom h for each member h, per f and k."""
+    F, J, K = sf.F, sf.J, sf.K
+    C, D = F.source, F.target
+    for x in C.objects:
+        for y in C.objects:
+            fx, fy = F.on_obj(x), F.on_obj(y)
+            for u_mask in K.covers[fx]:
+                members = sorted(bits(u_mask))
+                for g in _coherent_families(D, K, fx, members, fy):
+                    ok = 0
+                    for f in C.arrows_into(x):
+                        if any(all(local_equality(K, D.compose(g[h], z),
+                                                  D.compose(F.on_arr(k), w))
+                                   for h in members for e in D.objects
+                                   for w in D.hom(e, F.on_obj(C.dom[f]))
+                                   for z in D.hom(e, D.dom[h])
+                                   if D.compose(F.on_arr(f), w) == D.compose(h, z))
+                               for k in C.hom(C.dom[f], y)):
+                            ok |= 1 << f
+                    if not J.is_covering(x, ok):
+                        return False, {"x": x, "y": y, "sieve": u_mask,
+                                       "family": {h: g[h] for h in members}}, ok
+    return True, None, None
+
+
+def test_weakly_dense_clause_iii_matches_reference_scan(rng):
+    """Clause (iii) with the values g_h∘z collected per composite gives the
+    verdict and witness of the scan over every object and factorization,
+    on 300 random site functors, some of which fail it."""
+    failed = 0
+    for sf in _random_site_functors(rng, 300):
+        v = _weakly_dense_clause_iii(sf)
+        got = (v.holds, v.witness.get("instance"), v.witness.get("found"))
+        assert got == _reference_weakly_dense_clause_iii(sf)
+        failed += not v.holds
+    assert failed
