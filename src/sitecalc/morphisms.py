@@ -790,42 +790,11 @@ class HyperconnectedLocalicFactorization:
     embedding: SiteFunctor                  # i^s_K∘F = i^s_F ∘ F_s: (C, J) -> (D^s_K, C^s_K)
 
 
-def _cjs_sheaf_arrows(cjs: ps.CJsResult, K: GrothendieckTopology):
-    """Per object of D^s_K its sheafified sieve carrier, and per arrow the
-    induced sheaf morphism."""
-    objs = cjs.objects
-    carriers = []
-    shs = []
-    for (d, s) in objs:
-        sub = ps.sieve_subpresheaf(K.cat, d, s)
-        carrier, elems = sub.as_presheaf()
-        carriers.append((carrier, elems))
-        shs.append(ps.sheafify(carrier, K))
-    arrow_maps = []
-    for (i, j, rel) in cjs.arrow_decode:
-        (ci, si), (cj, sj) = objs[i], objs[j]
-        carrier_i, elems_i = carriers[i]
-        carrier_j, elems_j = carriers[j]
-        cat = K.cat
-        idx_i = [{x: k for k, x in enumerate(
-            [a for a in cat.hom(e, ci) if (si >> a) & 1])} for e in cat.objects]
-        idx_j = [{y: k for k, y in enumerate(
-            [a for a in cat.hom(e, cj) if (sj >> a) & 1])} for e in cat.objects]
-        pairs = tuple(
-            frozenset((idx_i[e][x], idx_j[e][y])
-                      for (x, y) in rel if cat.dom[x] == e)
-            for e in cat.objects)
-        R = ps.FunctionalRelation(carrier_i, carrier_j, pairs)
-        arrow_maps.append(ps.relation_to_arrow(K, R, shs[i], shs[j]))
-    return shs, arrow_maps
-
-
 def cjs_canonical_topology(cjs: ps.CJsResult, K: GrothendieckTopology) -> GrothendieckTopology:
     """C^s_K: a sieve covers (d, S) iff the corresponding sheaf arrows are
     jointly locally surjective onto a_K(S)."""
-    shs, arrow_maps = _cjs_sheaf_arrows(cjs, K)
     return topology_where(cjs.category, lambda i, sigma: ps.family_locally_surjective(
-        K, [arrow_maps[a] for a in bits(sigma)], shs[i].sheaf))
+        K, [cjs.sheaf_arrows[a] for a in bits(sigma)], cjs.sheaves[i].sheaf))
 
 
 def hyperconnected_localic_factorization(sf: SiteFunctor) -> HyperconnectedLocalicFactorization:

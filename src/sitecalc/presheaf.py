@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fincat import FinCategory, FinFunctor, SizeGuardError, _UnionFind, validate_category
+from .fincat import FinCategory, FinFunctor, _UnionFind, validate_category
 from .sieves import all_sieve_masks, bits, mask_of, maximal_sieve_mask, pullback_mask
 from .topology import GrothendieckTopology, closure_mask, induced_topology
 
@@ -839,9 +839,6 @@ def relation_is_epi(R: FunctionalRelation, J: GrothendieckTopology) -> bool:
 # ---------------------------------------------------------------------------
 # the categories C_J and C_J^s
 
-MAX_RELATION_PAIRS = 16
-
-
 @dataclass(frozen=True)
 class CJResult:
     site_cat: FinCategory
@@ -851,111 +848,6 @@ class CJResult:
     arrow_decode: tuple  # per arrow of `category`: (c, d, relation)
 
 
-def _arrow_pair_universe(cat: FinCategory, c: int, d: int) -> list[tuple[int, int]]:
-    return [(f, g) for e in cat.objects
-            for f in cat.hom(e, c) for g in cat.hom(e, d)]
-
-
-def _is_CJ_relation(cat: FinCategory, J: GrothendieckTopology, c: int, d: int,
-                    rel: frozenset[tuple[int, int]]) -> bool:
-    # (i) precomposition closure
-    for (f, g) in rel:
-        for k in cat.arrows_into(cat.dom[f]):
-            if (cat.comp[(f, k)], cat.comp[(g, k)]) not in rel:
-                return False
-    # (ii) J-closedness
-    for e in cat.objects:
-        for x in cat.hom(e, c):
-            for y in cat.hom(e, d):
-                if (x, y) in rel:
-                    continue
-                s = mask_of(h for h in cat.arrows_into(e)
-                            if (cat.comp[(x, h)], cat.comp[(y, h)]) in rel)
-                if J.is_covering(e, s):
-                    return False
-    # (iii) local single-valuedness
-    for (x, y) in rel:
-        for (x2, y2) in rel:
-            if x == x2:
-                e = cat.dom[x]
-                s = mask_of(h for h in cat.arrows_into(e)
-                            if cat.comp[(y, h)] == cat.comp[(y2, h)])
-                if not J.is_covering(e, s):
-                    return False
-    # (iv) local totality
-    for e in cat.objects:
-        for x in cat.hom(e, c):
-            s = mask_of(h for h in cat.arrows_into(e)
-                        if any((cat.comp[(x, h)], y) in rel
-                               for y in cat.hom(cat.dom[h], d)))
-            if not J.is_covering(e, s):
-                return False
-    return True
-
-
-def _compose_CJ(cat: FinCategory, J: GrothendieckTopology,
-                S: frozenset[tuple[int, int]], R: frozenset[tuple[int, int]],
-                c: int, d: int, a: int) -> frozenset[tuple[int, int]]:
-    """S * R for R: c -> d and S: d -> a, on pairs of arrows."""
-    out = set()
-    for e in cat.objects:
-        for x in cat.hom(e, c):
-            for z in cat.hom(e, a):
-                s = mask_of(
-                    h for h in cat.arrows_into(e)
-                    if any((cat.comp[(x, h)], y) in R and (y, cat.comp[(z, h)]) in S
-                           for y in cat.hom(cat.dom[h], d)))
-                if J.is_covering(e, s):
-                    out.add((x, z))
-    return frozenset(out)
-
-
-def build_CJ(cat: FinCategory, J: GrothendieckTopology) -> CJResult:
-    """The category C_J: same objects, arrows c -> d are the collections of
-    arrow pairs that are precomposition-closed, locally closed, locally
-    single-valued and locally total, composed by the * formula."""
-    homs = {}
-    for c in cat.objects:
-        for d in cat.objects:
-            universe = _arrow_pair_universe(cat, c, d)
-            if len(universe) > MAX_RELATION_PAIRS:
-                raise SizeGuardError(
-                    f"hom({c},{d}) pair universe has {len(universe)} entries")
-            rels = []
-            for k in range(len(universe) + 1):
-                for combo in itertools.combinations(universe, k):
-                    rel = frozenset(combo)
-                    if _is_CJ_relation(cat, J, c, d, rel):
-                        rels.append(rel)
-            homs[(c, d)] = tuple(sorted(rels, key=sorted))
-
-    arrow_decode = [(c, d, rel)
-                    for c in cat.objects for d in cat.objects
-                    for rel in homs[(c, d)]]
-    arr_index = {t: i for i, t in enumerate(arrow_decode)}
-    dom = tuple(t[0] for t in arrow_decode)
-    cod = tuple(t[1] for t in arrow_decode)
-    identities = []
-    for c in cat.objects:
-        ident = frozenset(
-            (f, g) for e in cat.objects
-            for f in cat.hom(e, c) for g in cat.hom(e, c)
-            if J.is_covering(e, mask_of(
-                h for h in cat.arrows_into(e)
-                if cat.comp[(f, h)] == cat.comp[(g, h)])))
-        identities.append(arr_index[(c, c, ident)])
-    comp = {}
-    for j, (d2, a, S) in enumerate(arrow_decode):
-        for i, (c, d, R) in enumerate(arrow_decode):
-            if d == d2:
-                comp[(j, i)] = arr_index[(c, a, _compose_CJ(cat, J, S, R, c, d, a))]
-    category = validate_category(
-        cat.n_objects, list(zip(dom, cod)), identities, comp)
-    return CJResult(cat, J, category,
-                    tuple(homs[(c, d)] for c in cat.objects for d in cat.objects),
-                    tuple(arrow_decode))
-
-
 @dataclass(frozen=True)
 class CJsResult:
     site_cat: FinCategory
@@ -963,104 +855,113 @@ class CJsResult:
     category: FinCategory
     objects: tuple[tuple[int, int], ...]      # (object, closed sieve mask)
     arrow_decode: tuple  # per arrow: (src_idx, dst_idx, relation frozenset)
+    sheaves: tuple[SheafificationResult, ...]   # per object (c, S): a_J(S)
+    sheaf_arrows: tuple[PresheafMorphism, ...]  # per arrow (c, S) -> (d, T): a_J(S) -> a_J(T)
 
 
 def closed_sieves(cat: FinCategory, J: GrothendieckTopology, c: int) -> list[int]:
     return [s for s in all_sieve_masks(cat, c) if closure_mask(J, c, s) == s]
 
 
-def _is_CJs_relation(cat: FinCategory, J: GrothendieckTopology,
-                     S: int, T: int, c: int, d: int,
-                     rel: frozenset[tuple[int, int]]) -> bool:
-    for (x, y) in rel:
-        if not ((S >> x) & 1 and (T >> y) & 1):
-            return False
-        for k in cat.arrows_into(cat.dom[x]):
-            if (cat.comp[(x, k)], cat.comp[(y, k)]) not in rel:
-                return False
-    for x in bits(S):
-        for y in bits(T):
-            if cat.dom[x] != cat.dom[y] or (x, y) in rel:
-                continue
-            e = cat.dom[x]
-            s = mask_of(h for h in cat.arrows_into(e)
-                        if (cat.comp[(x, h)], cat.comp[(y, h)]) in rel)
-            if J.is_covering(e, s):
-                return False
-    for (x, y) in rel:
-        for (x2, y2) in rel:
-            if x == x2:
-                e = cat.dom[x]
-                s = mask_of(h for h in cat.arrows_into(e)
-                            if cat.comp[(y, h)] == cat.comp[(y2, h)])
-                if not J.is_covering(e, s):
-                    return False
-    for x in bits(S):
-        e = cat.dom[x]
-        s = mask_of(h for h in cat.arrows_into(e)
-                    if any((cat.comp[(x, h)], y) in rel
-                           for y in cat.hom(cat.dom[h], d) if (T >> y) & 1))
-        if not J.is_covering(e, s):
-            return False
-    return True
+def _sheafified_sieve_category(cat: FinCategory, J: GrothendieckTopology,
+                               objects: Sequence[tuple[int, int]]):
+    """The category on `objects`, pairs (c, S) of an object and a sieve on
+    it, whose arrows (c, S) -> (d, T) are the sheaf arrows a_J(S) -> a_J(T).
+
+    Such an arrow is fixed by its restriction along the unit of S, a
+    matching family for S in the sheaf a_J(T), so a hom-set is one
+    `strict_matching_families` call.  The identity is the unit family
+    x ↦ η_S(x).  ψ∘φ applies to φ's values the extension of ψ along the
+    unit: each carrier family of a_J(T), pushed through ψ, is a matching
+    family of the sheaf a_J(U), and its amalgamation is the image.
+
+    An arrow is recorded as the relation of the arrow pairs (x, y), x in S
+    and y in T with one domain, such that φ(x) = η_T(y); each hom-set is
+    listed in the order of its sorted relations.  Returns the category,
+    the arrows as (source, target, relation), the sheafified sieves and,
+    per arrow, the components of its sheaf arrow.
+    """
+    members = []      # per object, per e: the arrows of S from e, ascending
+    sheaves = []
+    for c, s in objects:
+        members.append(tuple(tuple(h for h in cat.hom(e, c) if (s >> h) & 1)
+                             for e in cat.objects))
+        carrier, _ = sieve_subpresheaf(cat, c, s).as_presheaf()
+        sheaves.append(sheafify(carrier, J))
+    # per object, η_S(x) for each arrow x of S, and the arrows of S keyed
+    # by their domain e and unit value v in a_J(S)(e)
+    unit = [{h: sh.unit.at(e, k) for e in cat.objects for k, h in enumerate(mem[e])}
+            for mem, sh in zip(members, sheaves)]
+    preimage: list[dict[tuple[int, int], list[int]]] = []
+    for u in unit:
+        over: dict[tuple[int, int], list[int]] = {}
+        for h, v in u.items():
+            over.setdefault((cat.dom[h], v), []).append(h)
+        preimage.append(over)
+
+    sieve_members = [sorted(bits(s)) for _, s in objects]
+    arrow_decode = []
+    families = []
+    for i, (c, s) in enumerate(objects):
+        for j in range(len(objects)):
+            hom = []
+            for fam in strict_matching_families(sheaves[j].sheaf, c, s):
+                phi = tuple(fam.values())
+                hom.append((frozenset((x, y) for x, v in zip(sieve_members[i], phi)
+                                      for y in preimage[j].get((cat.dom[x], v), ())), phi))
+            for rel, phi in sorted(hom, key=lambda arrow: sorted(arrow[0])):
+                arrow_decode.append((i, j, rel))
+                families.append(phi)
+    arr_index = {(i, j, phi): a for a, ((i, j, _), phi) in enumerate(zip(arrow_decode, families))}
+    identities = [arr_index[(i, i, tuple(unit[i][x] for x in sieve_members[i]))]
+                  for i in range(len(objects))]
+
+    amalgamations = [[{key: xs[0] for key, xs in
+                       _by_restrictions(sh.sheaf, e, sh.carrier[e]).items()}
+                      for e in cat.objects] for sh in sheaves]
+    extensions = []
+    for (j, k, _), psi in zip(arrow_decode, families):
+        sh = sheaves[j]
+        at = dict(zip(sieve_members[j], psi))
+        extensions.append(tuple(
+            tuple(amalgamations[k][e][tuple(at[members[j][cat.dom[g]][m]]
+                                            for g, m in zip(sh.carrier[e], fam))]
+                  for fam in sh.families[e])
+            for e in cat.objects))
+
+    into: list[list[int]] = [[] for _ in objects]
+    for a, (_, j, _) in enumerate(arrow_decode):
+        into[j].append(a)
+    comp = {}
+    for b, (j, k, _) in enumerate(arrow_decode):
+        ext = extensions[b]
+        for a in into[j]:
+            i = arrow_decode[a][0]
+            phi = tuple(ext[cat.dom[x]][v] for x, v in zip(sieve_members[i], families[a]))
+            comp[(b, a)] = arr_index[(i, k, phi)]
+    category = validate_category(
+        len(objects), [(i, j) for i, j, _ in arrow_decode], identities, comp)
+    return category, tuple(arrow_decode), tuple(sheaves), extensions
+
+
+def build_CJ(cat: FinCategory, J: GrothendieckTopology) -> CJResult:
+    """The category C_J: same objects, arrows c -> d the sheaf arrows
+    a_J(y c) -> a_J(y d), recorded as relations on arrow pairs; the case of
+    `build_CJs` where every sieve is maximal."""
+    objects = [(c, maximal_sieve_mask(cat, c)) for c in cat.objects]
+    category, arrow_decode, _, _ = _sheafified_sieve_category(cat, J, objects)
+    homs = tuple(tuple(rel for (i, j, rel) in arrow_decode if (i, j) == (c, d))
+                 for c in cat.objects for d in cat.objects)
+    return CJResult(cat, J, category, homs, arrow_decode)
 
 
 def build_CJs(cat: FinCategory, J: GrothendieckTopology) -> CJsResult:
     """The category C_J^s on pairs (c, J-closed sieve on c)."""
-    objects = [(c, s) for c in cat.objects for s in closed_sieves(cat, J, c)]
-    homs = {}
-    for i, (c, S) in enumerate(objects):
-        for j, (d, T) in enumerate(objects):
-            universe = [(x, y) for x in bits(S) for y in bits(T)
-                        if cat.dom[x] == cat.dom[y]]
-            if len(universe) > MAX_RELATION_PAIRS:
-                raise SizeGuardError(
-                    f"hom-set pair universe has {len(universe)} entries")
-            rels = []
-            for k in range(len(universe) + 1):
-                for combo in itertools.combinations(universe, k):
-                    rel = frozenset(combo)
-                    if _is_CJs_relation(cat, J, S, T, c, d, rel):
-                        rels.append(rel)
-            homs[(i, j)] = tuple(sorted(rels, key=sorted))
-
-    arrow_decode = [(i, j, rel)
-                    for i in range(len(objects)) for j in range(len(objects))
-                    for rel in homs[(i, j)]]
-    arr_index = {t: a for a, t in enumerate(arrow_decode)}
-    dom = tuple(t[0] for t in arrow_decode)
-    cod = tuple(t[1] for t in arrow_decode)
-    identities = []
-    for i, (c, S) in enumerate(objects):
-        ident = frozenset(
-            (x, y) for x in bits(S) for y in bits(S)
-            if cat.dom[x] == cat.dom[y]
-            and J.is_covering(cat.dom[x], mask_of(
-                h for h in cat.arrows_into(cat.dom[x])
-                if cat.comp[(x, h)] == cat.comp[(y, h)])))
-        identities.append(arr_index[(i, i, ident)])
-    comp = {}
-    for b, (j2, k, S2) in enumerate(arrow_decode):
-        for a, (i, j, R) in enumerate(arrow_decode):
-            if j == j2:
-                c, d, e = objects[i][0], objects[j][0], objects[k][0]
-                out = set()
-                for x in bits(objects[i][1]):
-                    for z in bits(objects[k][1]):
-                        if cat.dom[x] != cat.dom[z]:
-                            continue
-                        s = mask_of(
-                            h for h in cat.arrows_into(cat.dom[x])
-                            if any((cat.comp[(x, h)], y) in R
-                                   and (y, cat.comp[(z, h)]) in S2
-                                   for y in bits(objects[j][1])
-                                   if cat.dom[y] == cat.dom[h]))
-                        if J.is_covering(cat.dom[x], s):
-                            out.add((x, z))
-                comp[(b, a)] = arr_index[(i, k, frozenset(out))]
-    category = validate_category(
-        len(objects), list(zip(dom, cod)), identities, comp)
-    return CJsResult(cat, J, category, tuple(objects), tuple(arrow_decode))
+    objects = tuple((c, s) for c in cat.objects for s in closed_sieves(cat, J, c))
+    category, arrow_decode, sheaves, extensions = _sheafified_sieve_category(cat, J, objects)
+    sheaf_arrows = tuple(PresheafMorphism(sheaves[j].sheaf, sheaves[k].sheaf, ext)
+                         for (j, k, _), ext in zip(arrow_decode, extensions))
+    return CJsResult(cat, J, category, objects, arrow_decode, sheaves, sheaf_arrows)
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,42 @@ def test_run_factorize_surj_incl():
     assert report.exit_code == 0
 
 
+def cyclic_site(n: int) -> str:
+    """The cyclic group Z_n as a one-object category, arrows r0 (the
+    identity) to r{n-1} with r_i . r_j = r_{i+j mod n}, its trivial topology
+    J and the identity functor Id."""
+    names = [f"r{i}" for i in range(n)]
+    return "\n".join([
+        "site-format 1",
+        "category Z",
+        "  objects: 1",
+        "  arrows: " + ", ".join(f"{a}: 0 -> 0" for a in names),
+        "  identities: r0",
+        "  compose: " + ", ".join(f"r{i} . r{j} = r{(i + j) % n}"
+                                  for i in range(1, n) for j in range(1, n)),
+        "topology J on Z",
+        "  kind: trivial",
+        "functor Id : Z -> Z",
+        "  objects: 0 -> 0",
+        "  arrows: " + ", ".join(f"{a} -> {a}" for a in names),
+    ]) + "\n"
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_factorize_hyper_localic_on_cyclic_groups(tmp_path, n):
+    """On the identity of Z5 and Z6 the maximal sieve has n^2 arrow pairs
+    with itself, past any search over their subsets; the factorization is
+    built and both legs are certified."""
+    path = tmp_path / f"z{n}.site"
+    path.write_text(cyclic_site(n))
+    code, out, err = main_in_process(path, "factorize", "hyper-localic", "Id",
+                                     "--format", "machine")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert (code, err) == (0, "")
+    assert {r["name"]: r["value"] for r in records if r["record"] == "result"} \
+        == {"hyperconnected-leg": True, "localic-leg": True}
+
+
 def test_run_unknown_name_is_exit_2():
     doc = load_fixture()
     report = run("denseness", doc, _args("NOPE"))

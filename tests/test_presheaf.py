@@ -3,7 +3,15 @@ import itertools
 import pytest
 
 from sitecalc import presheaf, sieves
-from sitecalc.fincat import FinFunctor, _UnionFind, poset_category, terminal_category
+from sitecalc.fincat import (
+    FinFunctor,
+    SizeGuardError,
+    _UnionFind,
+    monoid_category,
+    poset_category,
+    terminal_category,
+    validate_category,
+)
 from sitecalc.presheaf import (
     FinPresheaf,
     FunctionalRelation,
@@ -14,6 +22,7 @@ from sitecalc.presheaf import (
     build_CJ,
     build_CJs,
     category_of_elements,
+    closed_sieves,
     closure_cJ,
     colimit_of_representables,
     compose_relations,
@@ -47,7 +56,14 @@ from sitecalc.topology import (
     trivial_topology,
 )
 
-from conftest import random_category, random_presheaf, random_topology
+from conftest import (
+    idempotent_monoid_category,
+    make_two,
+    random_category,
+    random_presheaf,
+    random_topology,
+    z2_category,
+)
 
 
 def test_every_presheaf_is_trivial_sheaf(rng):
@@ -356,7 +372,7 @@ def test_build_CJ_two_atomic(two):
     cj = build_CJ(two, J)
     # everything is sheafified to the terminal object: all hom sets singleton
     assert all(len(h) == 1 for h in cj.homs)
-    # oracle: arrow counts между sheafified representables
+    # oracle: arrow counts between sheafified representables
     for c in two.objects:
         for d in two.objects:
             shc = sheafify(yoneda(two, c), J)
@@ -366,13 +382,10 @@ def test_build_CJ_two_atomic(two):
 
 
 def test_build_CJ_hom_counts_match_oracle(rng):
-    for _ in range(4):
+    for _ in range(30):
         cat = random_category(rng)
         J = random_topology(rng, cat)
-        try:
-            cj = build_CJ(cat, J)
-        except Exception:
-            continue
+        cj = build_CJ(cat, J)
         for c in cat.objects:
             for d in cat.objects:
                 shc = sheafify(yoneda(cat, c), J)
@@ -1022,3 +1035,270 @@ def test_locally_matching_families_match_reference_search(rng):
                         assert got == _reference_locally_matching_families(Q, J, members)
                         empty_member += any(Q.sizes[cat.dom[f]] == 0 for f in members)
     assert empty_member
+
+
+# ---------------------------------------------------------------------------
+# C_J and C_J^s against the search over subsets of arrow pairs
+
+REFERENCE_MAX_RELATION_PAIRS = 16
+
+
+def _reference_arrow_pair_universe(cat, c, d):
+    return [(f, g) for e in cat.objects
+            for f in cat.hom(e, c) for g in cat.hom(e, d)]
+
+
+def _reference_is_CJ_relation(cat, J, c, d, rel):
+    # (i) precomposition closure
+    for (f, g) in rel:
+        for k in cat.arrows_into(cat.dom[f]):
+            if (cat.comp[(f, k)], cat.comp[(g, k)]) not in rel:
+                return False
+    # (ii) J-closedness
+    for e in cat.objects:
+        for x in cat.hom(e, c):
+            for y in cat.hom(e, d):
+                if (x, y) in rel:
+                    continue
+                s = mask_of(h for h in cat.arrows_into(e)
+                            if (cat.comp[(x, h)], cat.comp[(y, h)]) in rel)
+                if J.is_covering(e, s):
+                    return False
+    # (iii) local single-valuedness
+    for (x, y) in rel:
+        for (x2, y2) in rel:
+            if x == x2:
+                e = cat.dom[x]
+                s = mask_of(h for h in cat.arrows_into(e)
+                            if cat.comp[(y, h)] == cat.comp[(y2, h)])
+                if not J.is_covering(e, s):
+                    return False
+    # (iv) local totality
+    for e in cat.objects:
+        for x in cat.hom(e, c):
+            s = mask_of(h for h in cat.arrows_into(e)
+                        if any((cat.comp[(x, h)], y) in rel
+                               for y in cat.hom(cat.dom[h], d)))
+            if not J.is_covering(e, s):
+                return False
+    return True
+
+
+def _reference_compose_CJ(cat, J, S, R, c, d, a):
+    """S * R for R: c -> d and S: d -> a, on pairs of arrows."""
+    out = set()
+    for e in cat.objects:
+        for x in cat.hom(e, c):
+            for z in cat.hom(e, a):
+                s = mask_of(
+                    h for h in cat.arrows_into(e)
+                    if any((cat.comp[(x, h)], y) in R and (y, cat.comp[(z, h)]) in S
+                           for y in cat.hom(cat.dom[h], d)))
+                if J.is_covering(e, s):
+                    out.add((x, z))
+    return frozenset(out)
+
+
+def _reference_build_CJ(cat, J):
+    """Arrows c -> d are the subsets of arrow pairs that are
+    precomposition-closed, locally closed, locally single-valued and locally
+    total, composed by the * formula; returns (arrow_decode, category)."""
+    homs = {}
+    for c in cat.objects:
+        for d in cat.objects:
+            universe = _reference_arrow_pair_universe(cat, c, d)
+            if len(universe) > REFERENCE_MAX_RELATION_PAIRS:
+                raise SizeGuardError(
+                    f"hom({c},{d}) pair universe has {len(universe)} entries")
+            rels = []
+            for k in range(len(universe) + 1):
+                for combo in itertools.combinations(universe, k):
+                    rel = frozenset(combo)
+                    if _reference_is_CJ_relation(cat, J, c, d, rel):
+                        rels.append(rel)
+            homs[(c, d)] = tuple(sorted(rels, key=sorted))
+
+    arrow_decode = [(c, d, rel)
+                    for c in cat.objects for d in cat.objects
+                    for rel in homs[(c, d)]]
+    arr_index = {t: i for i, t in enumerate(arrow_decode)}
+    identities = []
+    for c in cat.objects:
+        ident = frozenset(
+            (f, g) for e in cat.objects
+            for f in cat.hom(e, c) for g in cat.hom(e, c)
+            if J.is_covering(e, mask_of(
+                h for h in cat.arrows_into(e)
+                if cat.comp[(f, h)] == cat.comp[(g, h)])))
+        identities.append(arr_index[(c, c, ident)])
+    comp = {}
+    for j, (d2, a, S) in enumerate(arrow_decode):
+        for i, (c, d, R) in enumerate(arrow_decode):
+            if d == d2:
+                comp[(j, i)] = arr_index[(c, a, _reference_compose_CJ(cat, J, S, R, c, d, a))]
+    category = validate_category(
+        cat.n_objects, [(c, d) for c, d, _ in arrow_decode], identities, comp)
+    return tuple(arrow_decode), category
+
+
+def _reference_is_CJs_relation(cat, J, S, T, c, d, rel):
+    for (x, y) in rel:
+        if not ((S >> x) & 1 and (T >> y) & 1):
+            return False
+        for k in cat.arrows_into(cat.dom[x]):
+            if (cat.comp[(x, k)], cat.comp[(y, k)]) not in rel:
+                return False
+    for x in bits(S):
+        for y in bits(T):
+            if cat.dom[x] != cat.dom[y] or (x, y) in rel:
+                continue
+            e = cat.dom[x]
+            s = mask_of(h for h in cat.arrows_into(e)
+                        if (cat.comp[(x, h)], cat.comp[(y, h)]) in rel)
+            if J.is_covering(e, s):
+                return False
+    for (x, y) in rel:
+        for (x2, y2) in rel:
+            if x == x2:
+                e = cat.dom[x]
+                s = mask_of(h for h in cat.arrows_into(e)
+                            if cat.comp[(y, h)] == cat.comp[(y2, h)])
+                if not J.is_covering(e, s):
+                    return False
+    for x in bits(S):
+        e = cat.dom[x]
+        s = mask_of(h for h in cat.arrows_into(e)
+                    if any((cat.comp[(x, h)], y) in rel
+                           for y in cat.hom(cat.dom[h], d) if (T >> y) & 1))
+        if not J.is_covering(e, s):
+            return False
+    return True
+
+
+def _reference_build_CJs(cat, J):
+    """C_J^s on pairs (c, J-closed sieve on c) by the same subset search;
+    returns (objects, arrow_decode, category)."""
+    objects = [(c, s) for c in cat.objects for s in closed_sieves(cat, J, c)]
+    homs = {}
+    for i, (c, S) in enumerate(objects):
+        for j, (d, T) in enumerate(objects):
+            universe = [(x, y) for x in bits(S) for y in bits(T)
+                        if cat.dom[x] == cat.dom[y]]
+            if len(universe) > REFERENCE_MAX_RELATION_PAIRS:
+                raise SizeGuardError(
+                    f"hom-set pair universe has {len(universe)} entries")
+            rels = []
+            for k in range(len(universe) + 1):
+                for combo in itertools.combinations(universe, k):
+                    rel = frozenset(combo)
+                    if _reference_is_CJs_relation(cat, J, S, T, c, d, rel):
+                        rels.append(rel)
+            homs[(i, j)] = tuple(sorted(rels, key=sorted))
+
+    arrow_decode = [(i, j, rel)
+                    for i in range(len(objects)) for j in range(len(objects))
+                    for rel in homs[(i, j)]]
+    arr_index = {t: a for a, t in enumerate(arrow_decode)}
+    identities = []
+    for i, (c, S) in enumerate(objects):
+        ident = frozenset(
+            (x, y) for x in bits(S) for y in bits(S)
+            if cat.dom[x] == cat.dom[y]
+            and J.is_covering(cat.dom[x], mask_of(
+                h for h in cat.arrows_into(cat.dom[x])
+                if cat.comp[(x, h)] == cat.comp[(y, h)])))
+        identities.append(arr_index[(i, i, ident)])
+    comp = {}
+    for b, (j2, k, S2) in enumerate(arrow_decode):
+        for a, (i, j, R) in enumerate(arrow_decode):
+            if j == j2:
+                out = set()
+                for x in bits(objects[i][1]):
+                    for z in bits(objects[k][1]):
+                        if cat.dom[x] != cat.dom[z]:
+                            continue
+                        s = mask_of(
+                            h for h in cat.arrows_into(cat.dom[x])
+                            if any((cat.comp[(x, h)], y) in R
+                                   and (y, cat.comp[(z, h)]) in S2
+                                   for y in bits(objects[j][1])
+                                   if cat.dom[y] == cat.dom[h]))
+                        if J.is_covering(cat.dom[x], s):
+                            out.add((x, z))
+                comp[(b, a)] = arr_index[(i, k, frozenset(out))]
+    category = validate_category(
+        len(objects), [(i, j) for i, j, _ in arrow_decode], identities, comp)
+    return tuple(objects), tuple(arrow_decode), category
+
+
+def _reference_sheaf_arrow(cjs, J, a):
+    """The sheaf arrow of arrow a of C_J^s, rebuilt from its relation."""
+    cat = cjs.site_cat
+    i, j, rel = cjs.arrow_decode[a]
+    (c, S), (d, T) = cjs.objects[i], cjs.objects[j]
+    carrier_i, _ = sieve_subpresheaf(cat, c, S).as_presheaf()
+    carrier_j, _ = sieve_subpresheaf(cat, d, T).as_presheaf()
+    idx_i = [{x: k for k, x in enumerate(h for h in cat.hom(e, c) if (S >> h) & 1)}
+             for e in cat.objects]
+    idx_j = [{y: k for k, y in enumerate(h for h in cat.hom(e, d) if (T >> h) & 1)}
+             for e in cat.objects]
+    pairs = tuple(frozenset((idx_i[e][x], idx_j[e][y]) for (x, y) in rel if cat.dom[x] == e)
+                  for e in cat.objects)
+    R = FunctionalRelation(carrier_i, carrier_j, pairs)
+    return relation_to_arrow(J, R, cjs.sheaves[i], cjs.sheaves[j])
+
+
+def _category_tables(cat):
+    return cat.dom, cat.cod, cat.identity, dict(cat.comp)
+
+
+def _assert_CJ_and_CJs_match_reference(cat, J):
+    ref_decode, ref_cat = _reference_build_CJ(cat, J)
+    cj = build_CJ(cat, J)
+    assert cj.arrow_decode == ref_decode
+    assert _category_tables(cj.category) == _category_tables(ref_cat)
+    ref_objects, ref_decode, ref_cat = _reference_build_CJs(cat, J)
+    cjs = build_CJs(cat, J)
+    assert (cjs.objects, cjs.arrow_decode) == (ref_objects, ref_decode)
+    assert _category_tables(cjs.category) == _category_tables(ref_cat)
+    return cj, cjs
+
+
+def _left_zero_monoid():
+    """The monoid {1, a, b} with a∘x = a and b∘x = b."""
+    return monoid_category([[0, 1, 2], [1, 1, 1], [2, 2, 2]], 0)
+
+
+NAMED_SITES = [
+    pytest.param(make, top, id=f"{name}-{top.__name__.removesuffix('_topology')}")
+    for name, make in [("two", make_two),
+                       ("3-chain", lambda: poset_category(3, [(0, 1), (1, 2)])),
+                       ("Z2", z2_category), ("idempotent", idempotent_monoid_category)]
+    for top in (atomic_topology, trivial_topology)
+] + [
+    # the search yields the matching families of some hom-sets in another
+    # order than their relations
+    pytest.param(_left_zero_monoid, lambda cat: generate_topology(cat, [(0, mask_of([1, 2]))]),
+                 id="left-zero-generated"),
+]
+
+
+@pytest.mark.parametrize("make, topology", NAMED_SITES)
+def test_CJ_and_CJs_match_reference_on_named_sites(make, topology):
+    """Objects, arrows in their order, identities and composition are the
+    subset search's, and each sheaf arrow of C_J^s is the one its relation
+    names."""
+    cat = make()
+    J = topology(cat)
+    _, cjs = _assert_CJ_and_CJs_match_reference(cat, J)
+    for a in cjs.category.arrows:
+        assert cjs.sheaf_arrows[a].components == _reference_sheaf_arrow(cjs, J, a).components
+
+
+def test_CJ_and_CJs_match_reference_on_random_sites(rng):
+    """On 300 random sites, each within the reference's pair limit, C_J and
+    C_J^s have the subset search's objects, arrows in the same order,
+    identities and composition."""
+    for _ in range(300):
+        cat = random_category(rng)
+        _assert_CJ_and_CJs_match_reference(cat, random_topology(rng, cat))
