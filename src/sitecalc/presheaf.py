@@ -38,7 +38,8 @@ class FinPresheaf:
                 raise ValueError(
                     f"restriction along arrow {f} has {len(self.restrict[f])} entries, "
                     f"expected {self.sizes[b]}, the size at its codomain {b}")
-            if not all(0 <= x < self.sizes[a] for x in self.restrict[f]):
+            r = self.restrict[f]
+            if r and not (0 <= min(r) and max(r) < self.sizes[a]):
                 raise ValueError(
                     f"restriction along arrow {f} leaves the {self.sizes[a]} elements "
                     f"at its domain {a}")
@@ -46,9 +47,12 @@ class FinPresheaf:
             i = cat.identity[c]
             if self.restrict[i] != tuple(range(self.sizes[c])):
                 raise ValueError(f"restriction along id_{c} is not the identity")
+        # P(g∘f) = P(f)∘P(g), compared as whole tuples; a pair whose
+        # codomain set is empty has nothing to compare
+        restrict = self.restrict
         for (g, f), h in cat.comp.items():
-            rf, rg, rh = self.restrict[f], self.restrict[g], self.restrict[h]
-            if any(rf[rg[x]] != rh[x] for x in range(self.sizes[cat.cod[g]])):
+            rg = restrict[g]
+            if rg and tuple(map(restrict[f].__getitem__, rg)) != restrict[h]:
                 raise ValueError(f"contravariant functoriality fails at pair ({g}, {f})")
 
     def size(self, c: int) -> int:
@@ -317,10 +321,19 @@ def _locally_matching_families(P: FinPresheaf, J: GrothendieckTopology,
     """Families (x_f) over `members` with x_{f∘z} ≡_J P(z)(x_f) whenever
     f∘z is a member too, as value tuples along `members`, in lexicographic
     order.  Each constraint is collected once, at the later of its two
-    members, so a candidate value is checked only against its own."""
+    members, so a candidate value is checked only against its own.
+
+    When the members hold the identity of c the families are read off:
+    they are the products over the members f of the classes [P(f)(x)]_J,
+    for x in P(c).  A family is locally equal to the restrictions of its
+    value at the identity, and any such product is a family, as local
+    equality is an equivalence relation stable under restriction on a
+    topology."""
     cat = P.cat
     if any(P.sizes[cat.dom[f]] == 0 for f in members):
         return []
+    if cat.identity[c] in members:
+        return _read_off_families(P, J, c, members)
     position = {f: i for i, f in enumerate(members)}
     # at member i: (z, j) with members[j] = members[i]∘z and j ≤ i, so x_j ≡ P(z)(x_i)
     below: list[list[tuple[int, int]]] = [[] for _ in members]
@@ -354,6 +367,22 @@ def _locally_matching_families(P: FinPresheaf, J: GrothendieckTopology,
 
     extend(0, [])
     return out
+
+
+def _read_off_families(P: FinPresheaf, J: GrothendieckTopology, c: int,
+                       members: Sequence[int]) -> list[tuple[int, ...]]:
+    """The locally matching families over members that hold the identity
+    of c, sorted: the products of the classes of the restrictions of each
+    x in P(c).  Distinct tuples of classes give disjoint products."""
+    cat = P.cat
+    least = {d: _least_locally_equal(P, J, d) for d in {cat.dom[f] for f in members}}
+    classes: dict[int, dict[int, list[int]]] = {d: {} for d in least}  # least element -> class
+    for d, reps in least.items():
+        for y, r in enumerate(reps):
+            classes[d].setdefault(r, []).append(y)
+    keys = {tuple(least[cat.dom[f]][P.res(f, x)] for f in members) for x in range(P.sizes[c])}
+    return sorted(fam for key in keys for fam in itertools.product(
+        *(classes[cat.dom[f]][r] for f, r in zip(members, key))))
 
 
 def _least_locally_equal(P: FinPresheaf, J: GrothendieckTopology, c: int) -> list[int]:

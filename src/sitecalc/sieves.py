@@ -69,8 +69,22 @@ def multicompose_mask(cat: FinCategory, mask: int, refinements: dict[int, int]) 
 
 
 def all_sieve_masks(cat: FinCategory, c: int, guard: int = 1 << 20) -> tuple[int, ...]:
-    """Every sieve on c, enumerated as unions of principal sieves."""
+    """Every sieve on c, enumerated as unions of principal sieves.
+
+    The guard fires before the enumeration when it can: the unions of w
+    pairwise incomparable principal sieves are 2^w distinct sieves, so an
+    antichain of them, taken greedily from the smallest, bounds the count
+    from below.  With n arrows into c there are at most 2^n sieves, so the
+    antichain is sought only when 2^n passes the guard."""
     top = maximal_sieve_mask(cat, c)
+    if 1 << top.bit_count() > guard:
+        antichain: list[tuple[int, int]] = []  # (f, ⟨f⟩)
+        for f in sorted(bits(top), key=lambda f: cat.principal_sieves[f].bit_count()):
+            p = cat.principal_sieves[f]
+            if all(not (q >> f) & 1 and not (p >> g) & 1 for g, q in antichain):
+                antichain.append((f, p))
+                if 1 << len(antichain) > guard:
+                    raise SizeGuardError(f"more than {guard} sieves on object {c}")
     seen = {0}
     frontier = [0]
     while frontier:

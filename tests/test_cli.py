@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -188,6 +189,43 @@ def test_factorize_hyper_localic_on_cyclic_groups(tmp_path, n):
     built and both legs are certified."""
     path = tmp_path / f"z{n}.site"
     path.write_text(cyclic_site(n))
+    code, out, err = main_in_process(path, "factorize", "hyper-localic", "Id",
+                                     "--format", "machine")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert (code, err) == (0, "")
+    assert {r["name"]: r["value"] for r in records if r["record"] == "result"} \
+        == {"hyperconnected-leg": True, "localic-leg": True}
+
+
+def chain_site(n: int) -> str:
+    """The n-chain 0 < 1 < ... < n-1 as a poset category, arrows a{i}_{j}
+    for i <= j, its trivial topology J and the identity functor Id."""
+    arrows = [(i, j) for i in range(n) for j in range(i, n)]
+    name = {a: f"a{a[0]}_{a[1]}" for a in arrows}
+    composites = [f"{name[(j, k)]} . {name[(i, j)]} = {name[(i, k)]}"
+                  for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)]
+    return "\n".join([
+        "site-format 1",
+        "category Ch",
+        f"  objects: {n}",
+        "  arrows: " + ", ".join(f"{name[a]}: {a[0]} -> {a[1]}" for a in arrows),
+        "  identities: " + ", ".join(name[(i, i)] for i in range(n)),
+        *(["  compose: " + ", ".join(composites)] if composites else []),
+        "topology J on Ch",
+        "  kind: trivial",
+        "functor Id : Ch -> Ch",
+        "  objects: " + ", ".join(f"{i} -> {i}" for i in range(n)),
+        "  arrows: " + ", ".join(f"{name[a]} -> {name[a]}" for a in arrows),
+    ]) + "\n"
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_factorize_hyper_localic_on_chains(tmp_path, n):
+    """On the identity of the n-chain with the trivial topology, C^s_J has
+    up to 27 objects and 428 arrows; the factorization is built and both
+    legs are certified."""
+    path = tmp_path / f"chain{n}.site"
+    path.write_text(chain_site(n))
     code, out, err = main_in_process(path, "factorize", "hyper-localic", "Id",
                                      "--format", "machine")
     records = [json.loads(line) for line in out.splitlines()]
@@ -432,6 +470,34 @@ def test_size_guard_while_parsing_is_exit_3(tmp_path):
     assert (records[-1]["record"], records[-1]["exit"]) == ("status", 3)
 
 
+def test_sieve_guard_fires_before_enumerating(tmp_path):
+    """The vee with 21 legs has 2^21 + 1 sieves on its top, as its 21
+    legs generate pairwise incomparable principal sieves.  Generating a
+    topology from its legs sieve trips the 2^20 sieve guard before any
+    sieve is enumerated: exit 3 with a report, within a second."""
+    k = 21
+    doc_path = tmp_path / "vee21.site"
+    doc_path.write_text("\n".join([
+        "site-format 1",
+        "category V",
+        f"  objects: {k + 1}",
+        "  arrows: " + ", ".join([f"i{c}: {c} -> {c}" for c in range(k + 1)]
+                                 + [f"l{c}: {c} -> {k}" for c in range(k)]),
+        "  identities: " + ", ".join(f"i{c}" for c in range(k + 1)),
+        "topology J on V",
+        f"  sieve: {k}: " + " ".join(f"l{c}" for c in range(k)),
+    ]) + "\n")
+    start = time.process_time()
+    code, out, err = main_in_process(doc_path, "validate", "--format", "machine")
+    assert time.process_time() - start < 1.0
+    assert code == 3
+    assert "Traceback" not in err
+    records = [json.loads(line) for line in out.splitlines()]
+    assert (records[0]["name"], records[0]["value"]) == \
+        ("resource-guard", f"more than {1 << 20} sieves on object {k}")
+    assert (records[-1]["record"], records[-1]["exit"]) == ("status", 3)
+
+
 def test_run_locally_connected_and_explicit_topologies():
     text = FIXTURE.read_text() + "\n".join([
         "",
@@ -490,3 +556,27 @@ def test_presheaf_validation_survives_optimize(tmp_path):
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert "invalid presheaf 'P': restriction along arrow" in out.stderr
+
+
+def test_presheaf_functoriality_survives_optimize(tmp_path):
+    """A presheaf whose `map` lines have the right sizes but break
+    P(v∘u) = P(u)∘P(v) on the 3-chain is invalid input (exit 2, naming
+    the failing pair) also under `python -O`."""
+    doc_path = tmp_path / "non_functorial.site"
+    doc_path.write_text("\n".join([
+        "site-format 1",
+        "category T",
+        "  objects: 3",
+        "  arrows: i0: 0 -> 0, i1: 1 -> 1, i2: 2 -> 2, u: 0 -> 1, v: 1 -> 2, w: 0 -> 2",
+        "  identities: i0, i1, i2",
+        "  compose: v . u = w",
+        "presheaf P on T",
+        "  sets: 0: 2, 1: 2, 2: 1",
+        "  map u: 0 1",
+        "  map v: 0",
+        "  map w: 1",
+    ]) + "\n")
+    out = sitecalc_cli(doc_path, "validate", python_flags=["-O"])
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "invalid presheaf 'P': contravariant functoriality fails at pair (4, 3)" in out.stderr

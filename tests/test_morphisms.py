@@ -1,3 +1,6 @@
+import collections
+import itertools
+
 import pytest
 
 from sitecalc.fincat import (
@@ -10,10 +13,14 @@ from sitecalc.fincat import (
 )
 from sitecalc.morphisms import (
     SiteFunctor,
+    Verdict,
     _coherent_families,
     _principally_presented,
+    _realized_arrows,
+    _uncovered_by_realized,
     _weakly_dense_clause_iii,
     classify_comorphism,
+    closed_sieve_lifting,
     classify_morphism,
     cocone_is_sheaf_colimit,
     cocone_sheaf_colimit_oracle,
@@ -43,10 +50,11 @@ from sitecalc.presheaf import (
     sheafify,
     yoneda,
 )
-from sitecalc.sieves import bits, mask_of
+from sitecalc.sieves import all_sieve_masks, bits, generate_mask, mask_of, maximal_sieve_mask
 from sitecalc.topology import (
     atomic_topology,
     canonical_topology,
+    closure_mask,
     fibration_topology,
     local_equality,
     smallest_comorphism_topology,
@@ -63,6 +71,7 @@ from conftest import (
     random_presheaf,
     random_topology,
 )
+from test_presheaf import _reference_locally_matching_families
 
 
 def collapse_site_functor(two):
@@ -1015,6 +1024,14 @@ def test_principal_presentations_match_family_search(rng):
     assert not classify_morphism(sf).localic.holds
 
 
+def _reference_coherent_families(D, K, carrier_obj, members, d):
+    """The coherent families of y(d) over `members`, found by the reference
+    search of `tests/test_presheaf.py`, which reads nothing off."""
+    fams = _reference_locally_matching_families(yoneda(D, d), K, members)
+    hom_lists = {h: D.hom(D.dom[h], d) for h in members}
+    return [{h: hom_lists[h][fam[i]] for i, h in enumerate(members)} for fam in fams]
+
+
 def _reference_weakly_dense_clause_iii(sf):
     """Clause (iii) scanning every object e, every w: e -> F(dom f) and
     every z: e -> dom h for each member h, per f and k."""
@@ -1025,7 +1042,7 @@ def _reference_weakly_dense_clause_iii(sf):
             fx, fy = F.on_obj(x), F.on_obj(y)
             for u_mask in K.covers[fx]:
                 members = sorted(bits(u_mask))
-                for g in _coherent_families(D, K, fx, members, fy):
+                for g in _reference_coherent_families(D, K, fx, members, fy):
                     ok = 0
                     for f in C.arrows_into(x):
                         if any(all(local_equality(K, D.compose(g[h], z),
@@ -1042,14 +1059,248 @@ def _reference_weakly_dense_clause_iii(sf):
     return True, None, None
 
 
+def _identity_families_sharing_a_value(sf):
+    """The number of pairs (x, y) whose coherent families over the maximal
+    sieve on F(x) include two with the same value at the identity, which
+    happens exactly when a local-equality class there has two elements."""
+    F, K = sf.F, sf.K
+    D = F.target
+    shared = 0
+    for x in F.source.objects:
+        fx = F.on_obj(x)
+        members = sorted(bits(maximal_sieve_mask(D, fx)))
+        for y in F.source.objects:
+            values = [g[D.identity[fx]]
+                      for g in _coherent_families(D, K, fx, members, F.on_obj(y))]
+            shared += len(set(values)) < len(values)
+    return shared
+
+
 def test_weakly_dense_clause_iii_matches_reference_scan(rng):
-    """Clause (iii) with the values g_h∘z collected per composite gives the
-    verdict and witness of the scan over every object and factorization,
-    on 300 random site functors, some of which fail it."""
-    failed = 0
+    """Clause (iii) with the values g_h∘z collected per composite, and
+    with the found arrows computed once per value g_id over the sieves
+    that hold the identity, gives the verdict and witness of the scan over
+    every object and factorization, whose families come from the reference
+    search, on 300 random site functors, some of which fail it.  The corpus
+    reaches identity-carrying sieves whose families share their value at
+    the identity, where local-equality classes have more than one
+    element."""
+    failed = shared = 0
     for sf in _random_site_functors(rng, 300):
         v = _weakly_dense_clause_iii(sf)
         got = (v.holds, v.witness.get("instance"), v.witness.get("found"))
         assert got == _reference_weakly_dense_clause_iii(sf)
         failed += not v.holds
+        shared += _identity_families_sharing_a_value(sf)
     assert failed
+    assert shared
+
+
+# ---------------------------------------------------------------------------
+# morphism-of-sites clauses, clause (ii) of weak denseness and closed sieve
+# lifting against the scans they replace
+
+def _reference_morphism_of_sites(sf):
+    """Clauses (i)-(iv) with a scan over every cone for each gp."""
+    F, K = sf.F, sf.K
+    C, D = F.source, F.target
+    cp = is_cover_preserving(sf)
+    if not cp:
+        return {"kind": "morphism-of-sites", "holds": False, "clause": "i",
+                "object": cp.witness["object"], "sieve": cp.witness["sieve"]}
+    for d in D.objects:
+        good = mask_of(
+            g for g in D.arrows_into(d)
+            if any(D.hom(D.dom[g], F.on_obj(c1)) for c1 in C.objects))
+        if not K.is_covering(d, good):
+            return {"kind": "morphism-of-sites", "holds": False, "clause": "ii",
+                    "object": d, "sieve": good}
+    for c1, c2 in itertools.product(C.objects, repeat=2):
+        for d in D.objects:
+            for g1 in D.hom(d, F.on_obj(c1)):
+                for g2 in D.hom(d, F.on_obj(c2)):
+                    good = 0
+                    for gp in D.arrows_into(d):
+                        e = D.dom[gp]
+                        if any(
+                            D.compose(F.on_arr(f1), h) == D.compose(g1, gp)
+                            and D.compose(F.on_arr(f2), h) == D.compose(g2, gp)
+                            for cc in C.objects
+                            for h in D.hom(e, F.on_obj(cc))
+                            for f1 in C.hom(cc, c1)
+                            for f2 in C.hom(cc, c2)
+                        ):
+                            good |= 1 << gp
+                    if not K.is_covering(d, good):
+                        return {"kind": "morphism-of-sites", "holds": False, "clause": "iii",
+                                "instance": {"d": d, "g1": g1, "g2": g2}, "sieve": good}
+    for c1, c2 in itertools.product(C.objects, repeat=2):
+        for f1 in C.hom(c1, c2):
+            for f2 in C.hom(c1, c2):
+                if f1 == f2:
+                    continue
+                for d in D.objects:
+                    for g in D.hom(d, F.on_obj(c1)):
+                        if D.compose(F.on_arr(f1), g) != D.compose(F.on_arr(f2), g):
+                            continue
+                        good = 0
+                        for gp in D.arrows_into(d):
+                            e = D.dom[gp]
+                            if any(
+                                D.compose(F.on_arr(k), h) == D.compose(g, gp)
+                                for cc in C.objects
+                                for k in C.hom(cc, c1)
+                                if C.compose(f1, k) == C.compose(f2, k)
+                                for h in D.hom(e, F.on_obj(cc))
+                            ):
+                                good |= 1 << gp
+                        if not K.is_covering(d, good):
+                            return {"kind": "morphism-of-sites", "holds": False,
+                                    "clause": "iv",
+                                    "instance": {"f1": f1, "f2": f2, "g": g, "d": d},
+                                    "sieve": good}
+    return {"kind": "morphism-of-sites", "holds": True}
+
+
+def _reference_realized_arrows(sf):
+    """Per object d, the arrows realized for clause (ii) of weak denseness,
+    with the carrier, its members and the slot of f0 rebuilt for every
+    (d, f0), and the families found by the reference search."""
+    F, K = sf.F, sf.K
+    C, D = F.source, F.target
+    out = []
+    for d in D.objects:
+        realized = 0
+        for c in C.objects:
+            e0 = F.on_obj(c)
+            for f0 in D.arrows_into(e0):
+                members = sorted(bits(K.min_cover[e0] | D.principal_sieves[f0]))
+                slot = members.index(f0)
+                for fam in _reference_locally_matching_families(yoneda(D, d), K, members):
+                    realized |= 1 << D.hom(D.dom[f0], d)[fam[slot]]
+        out.append(realized)
+    return out
+
+
+def _reference_closed_sieve_lifting(sf):
+    """Every sieve tested for closedness by its full closure, against the
+    closures of the images of every sieve upstairs."""
+    F, K = sf.F, sf.K
+    C, D = F.source, F.target
+    for c in C.objects:
+        fc = F.on_obj(c)
+        liftable = {
+            closure_mask(K, fc, generate_mask(D, mask_of(F.on_arr(f) for f in bits(r))))
+            for r in all_sieve_masks(C, c)}
+        for s in all_sieve_masks(D, fc):
+            if closure_mask(K, fc, s) == s and s not in liftable:
+                return {"kind": "closed-sieve-lifting", "holds": False, "object": c, "sieve": s}
+    return {"kind": "closed-sieve-lifting", "holds": True}
+
+
+def _equalizer_off_the_image():
+    """Objects 0..3 with k: 0 -> 1, parallel f1, f2: 1 -> 2 and g: 3 -> 1,
+    where f1∘k = f2∘k and f1∘g = f2∘g, and the inclusion of the full
+    subcategory on 0, 1, 2 with trivial topologies.  Clause (iv) realizes
+    k for (f1, f2), but g does not factor through it, so (f1, f2, g) fails
+    with the empty sieve on 3."""
+    # arrows: identities 0-3, k 4, f1 5, f2 6, m 7: 0 -> 2, g 8, n 9: 3 -> 2;
+    # in the subcategory f1 and f2 are arrows 4 and 5
+    arrows = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (1, 2), (1, 2), (0, 2), (3, 1), (3, 2)]
+    comp = {(5, 4): 7, (6, 4): 7, (5, 8): 9, (6, 8): 9}
+    for f, (a, b) in enumerate(arrows):
+        comp[(b, f)] = comp[(f, a)] = f
+    D = validate_category(4, arrows, [0, 1, 2, 3], comp)
+    C, incl = full_subcategory(D, [0, 1, 2])
+    return SiteFunctor(incl, trivial_topology(C), trivial_topology(D))
+
+
+def test_morphism_of_sites_matches_reference_scans(rng):
+    """Looking gp up among what the cones realize gives the verdict and
+    witness of the scan over every cone, on 600 random site functors with
+    generated topologies, which fail at each of the four clauses, and on a
+    clause (iv) failure where some composites are realized but not g."""
+    clauses = collections.Counter()
+    for sf in _random_site_functors(rng, 600):
+        v = is_morphism_of_sites(sf)
+        assert v.witness == _reference_morphism_of_sites(sf)
+        clauses[v.witness.get("clause")] += 1
+    assert all(clauses[c] for c in ("i", "ii", "iii", "iv", None))
+    sf = _equalizer_off_the_image()
+    v = is_morphism_of_sites(sf)
+    assert v.witness == _reference_morphism_of_sites(sf) == {
+        "kind": "morphism-of-sites", "holds": False, "clause": "iv",
+        "instance": {"f1": 4, "f2": 5, "g": 8, "d": 3}, "sieve": 0}
+    assert recheck_witness(sf, v)
+
+
+def test_weakly_dense_clause_ii_matches_reference_carriers(rng):
+    """Clause (ii) with its carriers laid out once realizes, at every
+    object, the arrows of the per-(d, f0) rebuild with the reference family
+    search, on 300 random site functors, some of which leave an object
+    uncovered, and on a carrier whose members have hom-sets of different
+    sizes into d, so that each f0 must read its own slot."""
+    uncovered = 0
+    for sf in _random_site_functors(rng, 300):
+        assert list(_realized_arrows(sf)) == _reference_realized_arrows(sf)
+        uncovered += _uncovered_by_realized(sf) is not None
+    assert uncovered
+    # objects e0 = 0, a = 1, d = 2; u: a -> e0 (3), p, q: e0 -> d (4, 5) and
+    # r = p∘u = q∘u: a -> d (6); the point of e0, trivial topologies
+    arrows = [(0, 0), (1, 1), (2, 2), (1, 0), (0, 2), (0, 2), (1, 2)]
+    comp = {(4, 3): 6, (5, 3): 6}
+    for f, (a, b) in enumerate(arrows):
+        comp[(b, f)] = comp[(f, a)] = f
+    D = validate_category(3, arrows, [0, 1, 2], comp)
+    one = terminal_category()
+    sf = SiteFunctor(FinFunctor(one, D, (0,), (0,)), trivial_topology(one), trivial_topology(D))
+    assert list(_realized_arrows(sf)) == _reference_realized_arrows(sf) == [0b1001, 0, 0b1110000]
+
+
+def test_closed_sieve_lifting_matches_reference_closures(rng):
+    """Closedness tested on the non-members only, and liftability read off
+    the sieve generated by the image arrows in it, give the verdict and
+    witness of the full closures against every image, on 600 random site
+    functors, some failing."""
+    failed = 0
+    for sf in _random_site_functors(rng, 600):
+        v = closed_sieve_lifting(sf)
+        assert v.witness == _reference_closed_sieve_lifting(sf)
+        failed += not v.holds
+    assert failed
+
+
+def test_morphism_of_sites_witnesses_replay_independently(monkeypatch, rng):
+    """Clause (ii)-(iv) counterexamples replay from their recorded
+    instance by the direct scans, without the checker; a tampered sieve or
+    instance is rejected."""
+    import sitecalc.morphisms as mor
+    witnesses = [(sf, is_morphism_of_sites(sf).witness)
+                 for sf in _random_site_functors(rng, 600)]
+    witnesses = [(sf, w) for sf, w in witnesses if w.get("clause") in ("ii", "iii", "iv")]
+
+    def no_checker(sf):
+        raise AssertionError("the replay re-ran the checker")
+    monkeypatch.setattr(mor, "_check_morphism_of_sites", no_checker)
+
+    def replays(sf, w):
+        return recheck_witness(sf, Verdict(False, w))
+
+    replayed = collections.Counter()
+    for sf, w in witnesses:
+        D = sf.F.target
+        d = w["object"] if w["clause"] == "ii" else w["instance"]["d"]
+        assert replays(sf, w)
+        replayed[w["clause"]] += 1
+        assert not replays(sf, {**w, "sieve": maximal_sieve_mask(D, d)})
+        for f in D.arrows_into(d):
+            assert not replays(sf, {**w, "sieve": w["sieve"] ^ (1 << f)})
+        if w["clause"] == "ii":
+            continue
+        inst = w["instance"]
+        for other in D.objects:
+            if other != d:
+                assert not replays(sf, {**w, "instance": {**inst, "d": other}})
+        if w["clause"] == "iv":
+            assert not replays(sf, {**w, "instance": {**inst, "f2": inst["f1"]}})
+    assert all(replayed[c] for c in ("ii", "iii", "iv"))

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -704,6 +705,60 @@ def test_invalid_presheaf_and_morphism_raise_with_a_reason(two):
         PresheafMorphism(Y, Y, ((), (0,)))
 
 
+def _reference_presheaf_violation(cat, sizes, restrict):
+    """The message of the element-by-element validation, or None: the body
+    FinPresheaf ran before it compared whole restriction tuples."""
+    if len(sizes) != cat.n_objects:
+        return f"{len(sizes)} set sizes for {cat.n_objects} objects"
+    if len(restrict) != cat.n_arrows:
+        return f"{len(restrict)} restriction maps for {cat.n_arrows} arrows"
+    for f in cat.arrows:
+        a, b = cat.dom[f], cat.cod[f]
+        if len(restrict[f]) != sizes[b]:
+            return (f"restriction along arrow {f} has {len(restrict[f])} entries, "
+                    f"expected {sizes[b]}, the size at its codomain {b}")
+        if not all(0 <= x < sizes[a] for x in restrict[f]):
+            return (f"restriction along arrow {f} leaves the {sizes[a]} elements "
+                    f"at its domain {a}")
+    for c in cat.objects:
+        if restrict[cat.identity[c]] != tuple(range(sizes[c])):
+            return f"restriction along id_{c} is not the identity"
+    for (g, f), h in cat.comp.items():
+        rf, rg, rh = restrict[f], restrict[g], restrict[h]
+        if any(rf[rg[x]] != rh[x] for x in range(sizes[cat.cod[g]])):
+            return f"contravariant functoriality fails at pair ({g}, {f})"
+    return None
+
+
+def test_presheaf_validation_matches_reference_loop(rng):
+    """Every single-entry change of a restriction, to every other value in
+    range and to one below and one above it, in the representables and a
+    random presheaf of 150 random categories: the validation raises the
+    reference's ValueError, naming the same first failing pair, or accepts
+    where the reference does."""
+    reasons = collections.Counter()
+    for _ in range(150):
+        cat = random_category(rng)
+        for P in [yoneda(cat, c) for c in cat.objects] + [random_presheaf(rng, cat)]:
+            for f in cat.arrows:
+                row = P.restrict[f]
+                for x, old in enumerate(row):
+                    for v in range(-1, P.sizes[cat.dom[f]] + 1):
+                        if v == old:
+                            continue
+                        restrict = list(P.restrict)
+                        restrict[f] = row[:x] + (v,) + row[x + 1:]
+                        expected = _reference_presheaf_violation(cat, P.sizes, tuple(restrict))
+                        try:
+                            FinPresheaf(cat, P.sizes, tuple(restrict))
+                            got = None
+                        except ValueError as exc:
+                            got = str(exc)
+                        assert got == expected
+                        reasons[expected.split(" ")[0] if expected else None] += 1
+    assert reasons["contravariant"] and reasons["restriction"]
+
+
 # ---------------------------------------------------------------------------
 # restriction-tuple lookups against the element-by-element scans they replace
 
@@ -1015,9 +1070,12 @@ def _reference_locally_matching_families(P, J, members):
 def test_locally_matching_families_match_reference_search(rng):
     """On every sieve of 150 random sites, in ascending and in descending
     member order, for a random presheaf and for one that is empty at an
-    object, the search with constraints collected once yields the families
-    of the search that rescanned, in the same order."""
-    empty_member = 0
+    object, the search with constraints collected once, and the families
+    read off where the members hold the identity, are the families of the
+    search that rescanned, in the same order.  The corpus reaches
+    identity-carrying sieves where some local-equality class has more than
+    one element."""
+    empty_member = identity_carrying = merged_classes = 0
     for _ in range(150):
         cat = random_category(rng)
         J = random_topology(rng, cat)
@@ -1034,7 +1092,15 @@ def test_locally_matching_families_match_reference_search(rng):
                         got = _locally_matching_families(Q, J, c, members)
                         assert got == _reference_locally_matching_families(Q, J, members)
                         empty_member += any(Q.sizes[cat.dom[f]] == 0 for f in members)
+                        if cat.identity[c] in members and got:
+                            identity_carrying += 1
+                            # some restriction has a locally equal element besides itself
+                            merged_classes += any(
+                                elem_locally_equal(Q, J, cat.dom[f], Q.res(f, x), y)
+                                for f in members for x in range(Q.sizes[c])
+                                for y in range(Q.sizes[cat.dom[f]]) if y != Q.res(f, x))
     assert empty_member
+    assert identity_carrying and merged_classes
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sitecalc.fincat import cartesian_arrows, identity_functor
+from sitecalc.fincat import SizeGuardError, cartesian_arrows, identity_functor, poset_category
 from sitecalc.presheaf import category_of_elements, yoneda
 from sitecalc.sieves import (
+    all_sieve_masks,
     preimage_presieve,
     Presieve,
     Sieve,
@@ -316,3 +317,46 @@ def test_pullback_of_maximal_and_identity(seed):
         assert pullback(top, f) == maximal_sieve(cat, cat.dom[f])
     s = random_sieve(rng, cat)
     assert pullback(s, cat.identity[s.codomain]) == s
+
+
+def _reference_all_sieve_masks(cat, c, guard):
+    """Every sieve on c, with the guard counted as the enumeration goes."""
+    top = maximal_sieve_mask(cat, c)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        s = frontier.pop()
+        for f in bits(top & ~s):
+            s2 = s | cat.principal_sieves[f]
+            if s2 not in seen:
+                if len(seen) >= guard:
+                    raise SizeGuardError(f"more than {guard} sieves on object {c}")
+                seen.add(s2)
+                frontier.append(s2)
+    return tuple(sorted(seen))
+
+
+def _sieves_or_message(enumerate_sieves, cat, c, guard):
+    try:
+        return enumerate_sieves(cat, c, guard)
+    except SizeGuardError as exc:
+        return str(exc)
+
+
+def test_sieve_guard_fires_where_the_counting_enumeration_does(rng):
+    """With every guard from 0 to one above the sieve count, on every
+    object of 100 random categories and of the vees with 1 to 6 legs, the
+    guard that fires before the enumeration raises the same message
+    exactly when the counting enumeration does, and otherwise the same
+    sieves come back."""
+    cats = [random_category(rng) for _ in range(100)]
+    cats += [poset_category(k + 1, [(i, k) for i in range(k)]) for k in range(1, 7)]
+    early = 0
+    for cat in cats:
+        for c in cat.objects:
+            count = len(_reference_all_sieve_masks(cat, c, 1 << 20))
+            for guard in range(count + 2):
+                got = _sieves_or_message(all_sieve_masks, cat, c, guard)
+                assert got == _sieves_or_message(_reference_all_sieve_masks, cat, c, guard)
+                early += isinstance(got, str) and guard < count
+    assert early
