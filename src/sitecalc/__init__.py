@@ -23,11 +23,10 @@ from .topology import (
     GrothendieckTopology,
     TopologyError,
     atomic_topology,
-    canonical_topology,
     trivial_topology,
     validate_topology,
 )
-from .presheaf import FinPresheaf, PresheafMorphism, is_sheaf, sheafify, yoneda
+from .presheaf import FinPresheaf, PresheafMorphism, canonical_topology, is_sheaf, sheafify, yoneda
 from .morphisms import (
     MorphismClassification,
     SiteFunctor,

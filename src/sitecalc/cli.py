@@ -23,7 +23,6 @@ from .topology import (
     GrothendieckTopology,
     TopologyError,
     atomic_topology,
-    canonical_topology,
     coinduced_topology,
     fibration_topology,
     generate_topology,
@@ -259,7 +258,7 @@ def _finish_topology(doc: SiteDocument, section, body):
         elif kind == "atomic":
             top = atomic_topology(decl.category)
         elif kind == "canonical":
-            top = canonical_topology(decl.category)
+            top = ps.canonical_topology(decl.category)
         elif kind == "sieves" or (kind is None and base):
             top = generate_topology(decl.category,
                                     [(c, generate_mask(decl.category, m)) for c, m in base])
@@ -586,7 +585,7 @@ def _cmd_topology(doc, args, report):
     sub = args.name
     if sub == "canonical":
         decl = _lookup(doc.categories, _operand(args, "category"), "category")
-        top = canonical_topology(decl.category)
+        top = ps.canonical_topology(decl.category)
     elif sub == "generate":
         tdecl = _lookup(doc.topologies, _operand(args, "topology"), "topology")
         top = generate_topology(tdecl.topology.cat,

@@ -297,6 +297,32 @@ def comma_components(cat: FinCategory, e: int,
     return {n: uf.find(idx[n]) for n in nodes}
 
 
+class _CommaComponents:
+    """The components of (e ↓ D) for a diagram D in cat, presented as in
+    `comma_components`, labelled once per object e on first use."""
+
+    def __init__(self, cat: FinCategory, vertices: Sequence[int],
+                 edges: Sequence[tuple[int, int, int]]):
+        self.cat, self.vertices, self.edges = cat, vertices, edges
+        self._labels: dict[int, dict[tuple[int, int], int]] = {}
+
+    def labels(self, e: int) -> dict[tuple[int, int], int]:
+        if e not in self._labels:
+            self._labels[e] = comma_components(self.cat, e, self.vertices, self.edges)
+        return self._labels[e]
+
+    def sieve(self, c: int, i: int, x: int, j: int, y: int) -> int:
+        """The arrows f into c along which (i, x∘f) and (j, y∘f) are
+        connected, for arrows x: c -> D(i) and y: c -> D(j)."""
+        cat = self.cat
+        good = 0
+        for f in cat.arrows_into(c):
+            lab = self.labels(cat.dom[f])
+            if lab[(i, cat.compose(x, f))] == lab[(j, cat.compose(y, f))]:
+                good |= 1 << f
+        return good
+
+
 def is_continuous(sf: SiteFunctor) -> Verdict:
     """Finitary continuity criterion: cover-preserving, plus local connection
     of every commuting square over the image diagram of a covering sieve."""
@@ -310,8 +336,8 @@ def is_continuous(sf: SiteFunctor) -> Verdict:
         for s in J.covers[c]:
             members, raw_edges = sieve_diagram(C, s)
             vertices = [F.on_obj(C.dom[f]) for f in members]
-            edges = [(i, j, F.on_arr(t)) for (i, j, t) in raw_edges]
-            cache: dict[int, dict] = {}
+            comma = _CommaComponents(D, vertices,
+                                     [(i, j, F.on_arr(t)) for (i, j, t) in raw_edges])
             for i1, f in enumerate(members):
                 for i2, g in enumerate(members):
                     for d in D.objects:
@@ -319,15 +345,7 @@ def is_continuous(sf: SiteFunctor) -> Verdict:
                             for z in D.hom(d, vertices[i2]):
                                 if D.compose(F.on_arr(f), w) != D.compose(F.on_arr(g), z):
                                     continue
-                                good = 0
-                                for alpha in D.arrows_into(d):
-                                    e = D.dom[alpha]
-                                    if e not in cache:
-                                        cache[e] = comma_components(D, e, vertices, edges)
-                                    labels = cache[e]
-                                    if labels[(i1, D.compose(w, alpha))] == \
-                                            labels[(i2, D.compose(z, alpha))]:
-                                        good |= 1 << alpha
+                                good = comma.sieve(d, i1, w, i2, z)
                                 if not K.is_covering(d, good):
                                     return _no("continuous", clause="connection",
                                                object=c, sieve=s,
@@ -406,26 +424,18 @@ def is_J_cofinal(F: FinFunctor, J: GrothendieckTopology) -> Verdict:
     local connection of pairs, via components of (c ↓ F)."""
     A, C = F.source, F.target
     vertices = [F.on_obj(a) for a in A.objects]
-    edges = [(A.dom[u], A.cod[u], F.on_arr(u)) for u in A.arrows]
     for c in C.objects:
         good = mask_of(f for f in C.arrows_into(c)
                        if any(C.hom(C.dom[f], v) for v in vertices))
         if not J.is_covering(c, good):
             return _no("cofinal", clause="i", object=c, sieve=good)
-    cache: dict[int, dict] = {}
+    comma = _CommaComponents(C, vertices, [(A.dom[u], A.cod[u], F.on_arr(u)) for u in A.arrows])
     for c in C.objects:
         for a in A.objects:
             for x in C.hom(c, F.on_obj(a)):
                 for b in A.objects:
                     for x2 in C.hom(c, F.on_obj(b)):
-                        good = 0
-                        for f in C.arrows_into(c):
-                            e = C.dom[f]
-                            if e not in cache:
-                                cache[e] = comma_components(C, e, vertices, edges)
-                            labels = cache[e]
-                            if labels[(a, C.compose(x, f))] == labels[(b, C.compose(x2, f))]:
-                                good |= 1 << f
+                        good = comma.sieve(c, a, x, b, x2)
                         if not J.is_covering(c, good):
                             return _no("cofinal", clause="ii",
                                        instance={"c": c, "a": a, "x": x,
@@ -457,9 +467,8 @@ def cocone_is_sheaf_colimit(D: FinFunctor, vertex: int, legs,
                 return _no("sheaf-colimit", clause="i",
                            instance={"c": c, "y": y}, sieve=good)
 
-    vertices = [D.on_obj(a) for a in A.objects]
-    edges = [(A.dom[u], A.cod[u], D.on_arr(u)) for u in A.arrows]
-    cache: dict[int, dict] = {}
+    comma = _CommaComponents(C, [D.on_obj(a) for a in A.objects],
+                             [(A.dom[u], A.cod[u], D.on_arr(u)) for u in A.arrows])
     for c in C.objects:
         for a in A.objects:
             for x in C.hom(c, D.on_obj(a)):
@@ -467,14 +476,7 @@ def cocone_is_sheaf_colimit(D: FinFunctor, vertex: int, legs,
                     for x2 in C.hom(c, D.on_obj(b)):
                         if C.compose(legs[a], x) != C.compose(legs[b], x2):
                             continue
-                        good = 0
-                        for f in C.arrows_into(c):
-                            e = C.dom[f]
-                            if e not in cache:
-                                cache[e] = comma_components(C, e, vertices, edges)
-                            labels = cache[e]
-                            if labels[(a, C.compose(x, f))] == labels[(b, C.compose(x2, f))]:
-                                good |= 1 << f
+                        good = comma.sieve(c, a, x, b, x2)
                         if not J.is_covering(c, good):
                             return _no("sheaf-colimit", clause="ii",
                                        instance={"c": c, "a": a, "x": x,
@@ -1362,24 +1364,13 @@ def _locally_connected(F: FinFunctor, K: GrothendieckTopology) -> Verdict:
             for x in D.hom(F.on_obj(c), D.cod[h]):
                 (a_objects, a_edges, a_proj,
                  b_objects, b_edges, b_proj, xi_map) = _ab_categories(F, h, c, x)
-                b_labels: dict[int, dict] = {}
-                a_labels: dict[int, dict] = {}
-
-                def labels_b(d):
-                    if d not in b_labels:
-                        b_labels[d] = comma_components(D, d, b_proj, b_edges)
-                    return b_labels[d]
-
-                def labels_a(d):
-                    if d not in a_labels:
-                        a_labels[d] = comma_components(D, d, a_proj, a_edges)
-                    return a_labels[d]
-
+                comma_a = _CommaComponents(D, a_proj, a_edges)
+                comma_b = _CommaComponents(D, b_proj, b_edges)
                 for bi, (d, z, g) in enumerate(b_objects):
                     good = 0
                     for u in D.arrows_into(d):
                         e = D.dom[u]
-                        lab = labels_b(e)
+                        lab = comma_b.labels(e)
                         if any(
                             lab[(bi, u)] == lab[(xi_map[ai], s)]
                             for ai in range(len(a_objects))
@@ -1392,20 +1383,14 @@ def _locally_connected(F: FinFunctor, K: GrothendieckTopology) -> Verdict:
                                              "b_object": (d, z, g)}, sieve=good)
 
                 for d in D.objects:
-                    lab_b = labels_b(d)
+                    lab_b = comma_b.labels(d)
                     for ai in range(len(a_objects)):
                         for alpha in D.hom(d, a_proj[ai]):
                             for aj in range(len(a_objects)):
                                 for beta in D.hom(d, a_proj[aj]):
                                     if lab_b[(xi_map[ai], alpha)] != lab_b[(xi_map[aj], beta)]:
                                         continue
-                                    good = 0
-                                    for u in D.arrows_into(d):
-                                        e = D.dom[u]
-                                        lab_ae = labels_a(e)
-                                        if lab_ae[(ai, D.compose(alpha, u))] == \
-                                                lab_ae[(aj, D.compose(beta, u))]:
-                                            good |= 1 << u
+                                    good = comma_a.sieve(d, ai, alpha, aj, beta)
                                     if not K.is_covering(d, good):
                                         return _no("locally-connected", clause="b",
                                                    instance={"h": h, "c": c, "x": x,

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .fincat import FinCategory, FinFunctor, _UnionFind, validate_category
 from .sieves import all_sieve_masks, bits, mask_of, maximal_sieve_mask, pullback_mask
-from .topology import GrothendieckTopology, closure_mask, induced_topology
+from .topology import GrothendieckTopology, closure_mask, induced_topology, topology_where
 
 
 @dataclass(frozen=True)
@@ -197,16 +197,7 @@ def is_locally_injective(alpha: PresheafMorphism, J: GrothendieckTopology) -> bo
 
 
 def is_locally_surjective(alpha: PresheafMorphism, J: GrothendieckTopology) -> bool:
-    G = alpha.target
-    cat = G.cat
-    images = [set(alpha.components[c]) for c in cat.objects]
-    for c in cat.objects:
-        for y in range(G.sizes[c]):
-            s = mask_of(f for f in cat.arrows_into(c)
-                        if G.res(f, y) in images[cat.dom[f]])
-            if not J.is_covering(c, s):
-                return False
-    return True
+    return family_locally_surjective(J, [alpha], alpha.target)
 
 
 def is_bicovering(alpha: PresheafMorphism, J: GrothendieckTopology) -> bool:
@@ -277,20 +268,45 @@ def _by_restrictions(P: FinPresheaf, c: int, members: Sequence[int]) -> dict[tup
     return out
 
 
+def _unamalgamated(P: FinPresheaf, c: int, mask: int) -> tuple[dict[int, int], list[int]] | None:
+    """The sheaf condition for one sieve on c: the first matching family
+    without exactly one amalgamation, with its amalgamations, or None when
+    every family has exactly one."""
+    members = sorted(bits(mask))
+    amalgamations = _by_restrictions(P, c, members)
+    for fam in strict_matching_families(P, c, mask):
+        amalg = amalgamations.get(tuple(fam[f] for f in members), [])
+        if len(amalg) != 1:
+            return fam, amalg
+    return None
+
+
 def is_sheaf(P: FinPresheaf, J: GrothendieckTopology) -> tuple[bool, dict | None]:
     """Unique amalgamation of every matching family over every covering
     sieve; returns a failing (sieve, family) witness otherwise."""
-    cat = P.cat
-    for c in cat.objects:
+    for c in P.cat.objects:
         for s in J.covers[c]:
-            members = sorted(bits(s))
-            amalgamations = _by_restrictions(P, c, members)
-            for fam in strict_matching_families(P, c, s):
-                amalg = amalgamations.get(tuple(fam[f] for f in members), [])
-                if len(amalg) != 1:
-                    return False, {"object": c, "sieve": s, "family": fam,
-                                   "amalgamations": amalg}
+            failure = _unamalgamated(P, c, s)
+            if failure is not None:
+                fam, amalg = failure
+                return False, {"object": c, "sieve": s, "family": fam,
+                               "amalgamations": amalg}
     return True, None
+
+
+def canonical_topology(cat: FinCategory) -> GrothendieckTopology:
+    """Covering sieves are the universally effective-epimorphic ones: every
+    representable satisfies the sheaf condition on every pullback of the
+    sieve (a matching family of y(e) is a cocone with vertex e)."""
+    return topology_where(cat, lambda c, s: all(
+        _unamalgamated(yoneda(cat, e), cat.dom[f], pullback_mask(cat, s, f)) is None
+        for f in cat.arrows_into(c) for e in cat.objects))
+
+
+def is_subcanonical(J: GrothendieckTopology) -> bool:
+    """J lies below the canonical topology: every representable is a
+    J-sheaf (the covers of a topology are stable under pullback)."""
+    return all(is_sheaf(yoneda(J.cat, e), J)[0] for e in J.cat.objects)
 
 
 # ---------------------------------------------------------------------------

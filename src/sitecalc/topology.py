@@ -4,9 +4,9 @@ per-object families of covering sieves.
 Explicit storage makes every axiom and every downstream classifier a finite
 loop; generation is worklist saturation over bitmask sieves with a size
 guard that fails fast.  A topology defined by a condition on sieves (atomic,
-rigid, canonical, induced, coinduced, fibration, and the ones built in the
-other modules) is built by `topology_where`, which enumerates the sieves,
-keeps those meeting the condition and validates the result.
+rigid, induced, coinduced, fibration, and the ones built in the other
+modules) is built by `topology_where`, which enumerates the sieves, keeps
+those meeting the condition and validates the result.
 """
 
 from __future__ import annotations
@@ -142,82 +142,6 @@ def rigid_topology(inclusion: FinFunctor) -> GrothendieckTopology:
     return topology_where(cat, lambda c, s: s & required[c] == required[c])
 
 
-def _is_effective_epi(cat: FinCategory, c: int, mask: int) -> bool:
-    """Hom(c, e) -> {compatible cocones under the sieve's diagram} bijective
-    for every e."""
-    members = list(bits(mask))
-    for e in cat.objects:
-        homs = cat.hom(c, e)
-        seen = set()
-        for h in homs:
-            key = tuple(cat.comp[(h, f)] for f in members)
-            if key in seen:
-                return False  # restriction not injective
-            seen.add(key)
-        # cocones under the diagram of the sieve = matching families of
-        # arrows; injectivity plus equal counts gives bijectivity
-        if _count_arrow_cocones(cat, c, members, e) != len(homs):
-            return False
-    return True
-
-
-def _count_arrow_cocones(cat: FinCategory, c: int, members: list[int], e: int) -> int:
-    """Number of families (u_f: dom f -> e)_{f in S} with u_{f∘z} = u_f∘z."""
-
-    def extend(i: int, assign: dict[int, int]) -> int:
-        if i == len(members):
-            return 1
-        f = members[i]
-        forced = None
-        # u_f may be forced by an earlier assignment via f = g∘z
-        for g, ug in assign.items():
-            for z in cat.arrows_into(cat.dom[g]):
-                if cat.comp[(g, z)] == f:
-                    val = cat.comp[(ug, z)]
-                    if forced is not None and forced != val:
-                        return 0
-                    forced = val
-        candidates = [forced] if forced is not None else cat.hom(cat.dom[f], e)
-        total = 0
-        for u in candidates:
-            ok = all(cat.comp[(u, z)] == u
-                     for z in cat.arrows_into(cat.dom[f])
-                     if cat.comp[(f, z)] == f)
-            for g, ug in assign.items():
-                if not ok:
-                    break
-                for z in cat.arrows_into(cat.dom[f]):
-                    if cat.comp[(f, z)] == g and cat.comp[(u, z)] != ug:
-                        ok = False
-                        break
-                if not ok:
-                    break
-                for z in cat.arrows_into(cat.dom[f]):
-                    for w in cat.arrows_into(cat.dom[g]):
-                        if cat.dom[z] == cat.dom[w] and cat.comp[(f, z)] == cat.comp[(g, w)]:
-                            if cat.comp[(u, z)] != cat.comp[(ug, w)]:
-                                ok = False
-                                break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok:
-                assign[f] = u
-                total += extend(i + 1, assign)
-                del assign[f]
-        return total
-
-    return extend(0, {})
-
-
-def canonical_topology(cat: FinCategory) -> GrothendieckTopology:
-    """Covering sieves are the universally effective-epimorphic ones."""
-    return topology_where(cat, lambda c, s: all(
-        _is_effective_epi(cat, cat.dom[f], pullback_mask(cat, s, f))
-        for f in cat.arrows_into(c)))
-
-
 def generate_topology(cat: FinCategory, base, max_sieves: int = MAX_STORED_SIEVES) -> GrothendieckTopology:
     """Least topology whose covers include the given (object, sieve-mask)
     pairs: closes under maximality, pullback stability and transitivity."""
@@ -312,11 +236,7 @@ def local_equality(J: GrothendieckTopology, h: int, k: int) -> bool:
 
 def sieve_J_closure(J: GrothendieckTopology, s: Sieve) -> Sieve:
     """{f | f*(S) is J-covering}; a closure operator on sieves."""
-    cat = J.cat
-    mask = mask_of(
-        f for f in cat.arrows_into(s.codomain)
-        if J.is_covering(cat.dom[f], pullback_mask(cat, s.arrows, f)))
-    return Sieve(cat, s.codomain, mask)
+    return Sieve(J.cat, s.codomain, closure_mask(J, s.codomain, s.arrows))
 
 
 def closure_mask(J: GrothendieckTopology, c: int, mask: int) -> int:
@@ -324,10 +244,6 @@ def closure_mask(J: GrothendieckTopology, c: int, mask: int) -> int:
     return mask_of(
         f for f in cat.arrows_into(c)
         if J.is_covering(cat.dom[f], pullback_mask(cat, mask, f)))
-
-
-def is_subcanonical(J: GrothendieckTopology) -> bool:
-    return J <= canonical_topology(J.cat)
 
 
 def enumerate_topologies(cat: FinCategory) -> list[GrothendieckTopology]:

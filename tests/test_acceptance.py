@@ -43,12 +43,14 @@ from sitecalc.constructions import (
 from sitecalc.presheaf import (
     arrow_to_relation,
     build_CJ,
+    canonical_topology,
     category_of_elements,
     compose_relations,
     enumerate_presheaf_morphisms,
     graph_relation,
     is_bicovering,
     is_sheaf,
+    is_subcanonical,
     relation_to_arrow,
     sheaf_comparison,
     sheafify,
@@ -58,10 +60,8 @@ from sitecalc.presheaf import (
 from sitecalc.sieves import all_sieve_masks
 from sitecalc.topology import (
     atomic_topology,
-    canonical_topology,
     fibration_topology,
     generate_topology,
-    is_subcanonical,
     smallest_comorphism_topology,
     trivial_topology,
 )
@@ -76,6 +76,7 @@ from conftest import (
     random_presheaf,
     random_topology,
 )
+from test_topology import reference_canonical_topology
 
 SEED = 20260809
 
@@ -384,6 +385,8 @@ def test_acceptance_09_canonical_topology():
         if any(len(all_sieve_masks(cat, c)) > 10 for c in cat.objects):
             continue
         J = canonical_topology(cat)
+        reference = reference_canonical_topology(cat)
+        assert J.covers == reference.covers
         assert is_subcanonical(J)
         for c in cat.objects:
             ok_sheaf = all(is_sheaf(yoneda(cat, e), J)[0] for e in cat.objects)
@@ -396,6 +399,7 @@ def test_acceptance_09_canonical_topology():
                     + [(c, s)])
                 assert not is_subcanonical(bigger), \
                     f"canonical not maximal at object {c}, sieve {s:#x}"
+                assert not bigger <= reference
         checked += 1
     assert checked >= 5
     assert report(9, True, f"{checked} categories: subcanonical and maximal")

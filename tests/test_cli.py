@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from sitecalc import cli
 from sitecalc.cli import SiteParseError, parse, print_document, run
 
+from test_topology import reference_canonical_topology
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURE = SRC / "sitecalc" / "data" / "two_atomic.site"
 
@@ -195,6 +197,42 @@ def test_factorize_hyper_localic_on_cyclic_groups(tmp_path, n):
     assert (code, err) == (0, "")
     assert {r["name"]: r["value"] for r in records if r["record"] == "result"} \
         == {"hyperconnected-leg": True, "localic-leg": True}
+
+
+def diamond_site() -> str:
+    """The diamond poset 0 < 1, 2 < 3, where 3 is the join of 1 and 2, with
+    its trivial topology J."""
+    return "\n".join([
+        "site-format 1",
+        "category Dia",
+        "  objects: 4",
+        "  arrows: i0: 0 -> 0, i1: 1 -> 1, i2: 2 -> 2, i3: 3 -> 3, "
+        "a01: 0 -> 1, a02: 0 -> 2, a13: 1 -> 3, a23: 2 -> 3, a03: 0 -> 3",
+        "  identities: i0, i1, i2, i3",
+        "  compose: a13 . a01 = a03, a23 . a02 = a03",
+        "topology J on Dia",
+        "  kind: trivial",
+    ]) + "\n"
+
+
+@pytest.mark.parametrize("text, category", [(diamond_site(), "Dia"), (cyclic_site(4), "Z")])
+def test_topology_canonical_matches_reference(tmp_path, text, category):
+    """`topology canonical` prints the covers of the canonical topology
+    built by counting arrow cocones, and a `kind: canonical` declaration
+    parses to the same topology."""
+    text += f"topology Jc on {category}\n  kind: canonical\n"
+    path = tmp_path / "doc.site"
+    path.write_text(text)
+    doc = parse(text)
+    cat = doc.categories[category].category
+    reference = reference_canonical_topology(cat)
+    code, out, err = main_in_process(path, "topology", "canonical", category,
+                                     "--format", "machine")
+    assert (code, err) == (0, "")
+    results = {r["name"]: r["value"] for r in map(json.loads, out.splitlines())
+               if r["record"] == "result"}
+    assert results == {f"covers({c})": sorted(reference.covers[c]) for c in cat.objects}
+    assert doc.topologies["Jc"].topology.covers == reference.covers
 
 
 def chain_site(n: int) -> str:

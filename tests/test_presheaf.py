@@ -22,6 +22,7 @@ from sitecalc.presheaf import (
     arrow_to_relation,
     build_CJ,
     build_CJs,
+    canonical_topology,
     category_of_elements,
     closed_sieves,
     closure_cJ,
@@ -52,7 +53,6 @@ from sitecalc.presheaf import (
 from sitecalc.sieves import all_sieve_masks, bits, mask_of, maximal_sieve_mask, pullback_mask
 from sitecalc.topology import (
     atomic_topology,
-    canonical_topology,
     generate_topology,
     trivial_topology,
 )

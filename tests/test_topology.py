@@ -1,20 +1,34 @@
+import collections
 import random
 
 import pytest
 
-from sitecalc.fincat import FinFunctor, full_subcategory, identity_functor, poset_category, terminal_category
-from sitecalc.presheaf import elements_topology, is_sheaf, yoneda
-from sitecalc.sieves import Sieve, all_sieve_masks, generate_mask, mask_of, maximal_sieve_mask
+from sitecalc.fincat import (
+    FinFunctor,
+    full_subcategory,
+    identity_functor,
+    monoid_category,
+    poset_category,
+    terminal_category,
+)
+from sitecalc.presheaf import canonical_topology, elements_topology, is_sheaf, is_subcanonical, yoneda
+from sitecalc.sieves import (
+    Sieve,
+    all_sieve_masks,
+    bits,
+    generate_mask,
+    mask_of,
+    maximal_sieve_mask,
+    pullback_mask,
+)
 from sitecalc.topology import (
     TopologyError,
     atomic_topology,
-    canonical_topology,
     coinduced_topology,
     enumerate_topologies,
     fibration_topology,
     generate_topology,
     induced_topology,
-    is_subcanonical,
     join_topologies,
     local_equality,
     rigid_topology,
@@ -27,12 +41,15 @@ from sitecalc.topology import (
 from sitecalc.morphisms import SiteFunctor, is_comorphism_of_sites, is_dense_morphism
 
 from conftest import (
+    idempotent_monoid_category,
+    indiscrete_category,
     make_collapse_functor,
     make_two,
     random_category,
     random_fibration,
     random_presheaf,
     random_topology,
+    z2_category,
 )
 
 
@@ -126,6 +143,142 @@ def test_rigid_topology_on_two(two):
     assert R.covers[0] == frozenset({1})
 
 
+# ---------------------------------------------------------------------------
+# canonical topology: a bespoke cocone search as the reference, independent
+# of the sheaf condition of `presheaf`
+
+def _is_effective_epi(cat, c, mask):
+    """Hom(c, e) -> {compatible cocones under the sieve's diagram} bijective
+    for every e."""
+    members = list(bits(mask))
+    for e in cat.objects:
+        homs = cat.hom(c, e)
+        seen = set()
+        for h in homs:
+            key = tuple(cat.comp[(h, f)] for f in members)
+            if key in seen:
+                return False  # restriction not injective
+            seen.add(key)
+        # cocones under the diagram of the sieve = matching families of
+        # arrows; injectivity plus equal counts gives bijectivity
+        if _count_arrow_cocones(cat, c, members, e) != len(homs):
+            return False
+    return True
+
+
+def _count_arrow_cocones(cat, c, members, e):
+    """Number of families (u_f: dom f -> e)_{f in S} with u_{f∘z} = u_f∘z."""
+
+    def extend(i, assign):
+        if i == len(members):
+            return 1
+        f = members[i]
+        forced = None
+        # u_f may be forced by an earlier assignment via f = g∘z
+        for g, ug in assign.items():
+            for z in cat.arrows_into(cat.dom[g]):
+                if cat.comp[(g, z)] == f:
+                    val = cat.comp[(ug, z)]
+                    if forced is not None and forced != val:
+                        return 0
+                    forced = val
+        candidates = [forced] if forced is not None else cat.hom(cat.dom[f], e)
+        total = 0
+        for u in candidates:
+            ok = all(cat.comp[(u, z)] == u
+                     for z in cat.arrows_into(cat.dom[f])
+                     if cat.comp[(f, z)] == f)
+            for g, ug in assign.items():
+                if not ok:
+                    break
+                for z in cat.arrows_into(cat.dom[f]):
+                    if cat.comp[(f, z)] == g and cat.comp[(u, z)] != ug:
+                        ok = False
+                        break
+                if not ok:
+                    break
+                for z in cat.arrows_into(cat.dom[f]):
+                    for w in cat.arrows_into(cat.dom[g]):
+                        if cat.dom[z] == cat.dom[w] and cat.comp[(f, z)] == cat.comp[(g, w)]:
+                            if cat.comp[(u, z)] != cat.comp[(ug, w)]:
+                                ok = False
+                                break
+                    if not ok:
+                        break
+                if not ok:
+                    break
+            if ok:
+                assign[f] = u
+                total += extend(i + 1, assign)
+                del assign[f]
+        return total
+
+    return extend(0, {})
+
+
+def reference_canonical_topology(cat):
+    """Covering sieves are the universally effective-epimorphic ones, by
+    counting arrow cocones."""
+    return topology_where(cat, lambda c, s: all(
+        _is_effective_epi(cat, cat.dom[f], pullback_mask(cat, s, f))
+        for f in cat.arrows_into(c)))
+
+
+def z4_category():
+    return monoid_category([[(i + j) % 4 for j in range(4)] for i in range(4)], 0)
+
+
+def diamond_category():
+    """0 < 1, 0 < 2, 1 < 3, 2 < 3: 3 = 1 ∨ 2 and 0 = 1 ∧ 2."""
+    return poset_category(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+
+
+NAMED_CATEGORIES = {
+    "terminal": terminal_category,
+    "two": make_two,
+    "diamond": diamond_category,
+    "Z2": z2_category,
+    "Z4": z4_category,
+    "idempotent": idempotent_monoid_category,
+    "indiscrete3": lambda: indiscrete_category(3),
+}
+
+
+@pytest.mark.parametrize("name", NAMED_CATEGORIES)
+def test_canonical_matches_reference_on_named_categories(name):
+    cat = NAMED_CATEGORIES[name]()
+    assert canonical_topology(cat).covers == reference_canonical_topology(cat).covers
+
+
+def test_canonical_matches_reference_on_random_categories():
+    rng = random.Random(11)
+    for _ in range(300):
+        cat = random_category(rng)
+        assert canonical_topology(cat).covers == reference_canonical_topology(cat).covers
+
+
+def atomic_or_trivial(cat):
+    try:
+        return atomic_topology(cat)
+    except TopologyError:
+        return trivial_topology(cat)
+
+
+def test_subcanonical_matches_reference():
+    """`is_subcanonical` asks whether the representables are sheaves; the
+    reference compares with the canonical topology built by cocone counts."""
+    rng = random.Random(12)
+    verdicts = collections.Counter()
+    for _ in range(300):
+        cat = random_category(rng)
+        canonical = reference_canonical_topology(cat)
+        for J in (random_topology(rng, cat), atomic_or_trivial(cat)):
+            verdict = is_subcanonical(J)
+            assert verdict == (J <= canonical)
+            verdicts[verdict] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50
+
+
 def test_canonical_on_terminal():
     # the unique object is initial, so the empty sieve is universally
     # effective-epimorphic and belongs to the canonical topology
@@ -136,8 +289,7 @@ def test_canonical_on_terminal():
 def test_canonical_join_covers_on_poset():
     """In a poset with binary joins, the sieve generated by a pair covering
     the join is canonical-covering."""
-    # diamond: 0 < 1, 0 < 2, 1 < 3, 2 < 3 where 3 = 1 ∨ 2 and 0 = 1 ∧ 2
-    cat = poset_category(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    cat = diamond_category()
     J = canonical_topology(cat)
     legs = mask_of(f for f in cat.arrows_into(3)
                    if cat.dom[f] in (1, 2))
@@ -145,10 +297,12 @@ def test_canonical_join_covers_on_poset():
 
 
 def test_canonical_is_subcanonical_sheaf_oracle(rng):
-    """All representables are sheaves for the computed canonical topology."""
+    """All representables are sheaves for the computed canonical topology,
+    which is the one built by cocone counts."""
     for _ in range(8):
         cat = random_category(rng)
         J = canonical_topology(cat)
+        assert J.covers == reference_canonical_topology(cat).covers
         for c in cat.objects:
             ok, _ = is_sheaf(yoneda(cat, c), J)
             assert ok
