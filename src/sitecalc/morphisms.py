@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .fincat import (
     FinCategory,
@@ -47,6 +47,8 @@ from .topology import (
 )
 from . import presheaf as ps
 
+V = TypeVar("V")
+
 
 @dataclass(frozen=True)
 class SiteFunctor:
@@ -73,12 +75,12 @@ class SiteFunctor:
         return self.target_topology
 
     @cached_property
-    def verdicts(self) -> dict[str, Verdict]:
+    def verdicts(self) -> dict[str, Verdict | dict[str, Verdict]]:
         """Checker verdicts on this site functor, each computed once by
         `verdict`; they live and die with this instance."""
         return {}
 
-    def verdict(self, key: str, check: Callable[[SiteFunctor], Verdict]) -> Verdict:
+    def verdict(self, key: str, check: Callable[[SiteFunctor], V]) -> V:
         """check(self), computed on the first request for `key` only."""
         if key not in self.verdicts:
             self.verdicts[key] = check(self)
@@ -363,15 +365,6 @@ def continuity_oracle(sf: SiteFunctor) -> bool:
     for c in C.objects:
         for s in J.covers[c]:
             members, raw_edges = sieve_diagram(C, s)
-            if not members:
-                # empty diagram: comparison is 0 -> y(F(c))
-                empty = ps.FinPresheaf(D, (0,) * D.n_objects,
-                                       tuple(() for _ in D.arrows))
-                comparison = ps.PresheafMorphism(
-                    empty, ps.yoneda(D, F.on_obj(c)), tuple(() for _ in D.objects))
-                if not ps.is_bicovering(comparison, K):
-                    return False
-                continue
             shape = _diagram_shape(len(members), raw_edges, C, members)
             diagram = [ps.yoneda(D, F.on_obj(C.dom[f])) for f in members]
             arrows = []
@@ -383,7 +376,7 @@ def continuity_oracle(sf: SiteFunctor) -> bool:
                                           D.compose(F.on_arr(t), u))
                         for u in D.hom(e, F.on_obj(C.dom[members[i]]))))
                 arrows.append(ps.PresheafMorphism(diagram[i], diagram[j], tuple(comps)))
-            colim, legs = ps.colimit_presheaf(shape, diagram, arrows)
+            colim, legs = ps.colimit_presheaf(D, shape, diagram, arrows)
             target = ps.yoneda(D, F.on_obj(c))
             comps = [[0] * colim.sizes[e] for e in D.objects]
             for i, f in enumerate(members):
@@ -506,6 +499,12 @@ def cocone_sheaf_colimit_oracle(D: FinFunctor, vertex: int, legs,
 # local faithfulness / fullness / denseness
 
 def local_property_tests(sf: SiteFunctor) -> dict[str, Verdict]:
+    """The five local verdicts, J_faithful, JK_faithful, J_full, JK_full
+    and K_dense, computed once per site functor."""
+    return sf.verdict("local-properties", _check_local_properties)
+
+
+def _check_local_properties(sf: SiteFunctor) -> dict[str, Verdict]:
     F, J, K = sf.F, sf.J, sf.K
     C, D = F.source, F.target
     out: dict[str, Verdict] = {}
@@ -981,6 +980,10 @@ def _hom_presheaf(F: FinFunctor, c: int) -> ps.FinPresheaf:
 def comorphism_surjection(sf: SiteFunctor) -> Verdict:
     """C_F surjection iff the target topology equals the coinduced image of
     the source topology along F."""
+    return sf.verdict("comorphism-surjection", _check_comorphism_surjection)
+
+
+def _check_comorphism_surjection(sf: SiteFunctor) -> Verdict:
     coind = coinduced_topology(sf.F, sf.source_topology)
     if coind.covers == sf.target_topology.covers:
         return _yes("comorphism-surjection")
@@ -991,42 +994,31 @@ def comorphism_surjection(sf: SiteFunctor) -> Verdict:
     raise AssertionError("unreachable")
 
 
-def _functional_relations_between(src_top: GrothendieckTopology,
-                                  P: ps.FinPresheaf, Q: ps.FinPresheaf):
-    """All src_top-functional relations P -> Q, via the bijection with sheaf
-    arrows (complete, so no search bound is needed)."""
-    shP, shQ = ps.sheafify(P, src_top), ps.sheafify(Q, src_top)
-    for xi in ps.enumerate_presheaf_morphisms(shP.sheaf, shQ.sheaf):
-        yield ps.arrow_to_relation(shP, shQ, xi)
-
-
 def _inclusion_relation_condition(sf: SiteFunctor) -> Verdict:
-    """For every functional relation between image-hom presheaves, the family
-    of all arrow pairs compatible with it must realize it locally."""
+    """For every sheaf arrow ξ: a(P_c) -> a(P_c2) between sheafified
+    image-hom presheaves P_c = Hom_C(F(-), c), the arrows f: z -> c paired
+    with some g: z -> c2 such that ξ(η(f∘x)) = η(g∘x) for every
+    x: F(e) -> z generate a sieve whose pullback along each x: F(e) -> c
+    covers e.  These are the pairs related by the functional relation of
+    ξ, read off ξ and the units directly; each P_c is sheafified once."""
     F = sf.F
     src_top = sf.source_topology
     D, C = F.source, F.target
+    sheafified = [ps.sheafify(_hom_presheaf(F, c), src_top) for c in C.objects]
+
+    def unit(c: int, e: int, x: int) -> int:
+        """η(x) in a(P_c)(e), for x: F(e) -> c."""
+        return sheafified[c].unit.at(e, C.hom(F.on_obj(e), c).index(x))
+
     for c in C.objects:
         for c2 in C.objects:
-            P, Q = _hom_presheaf(F, c), _hom_presheaf(F, c2)
-            for R in _functional_relations_between(src_top, P, Q):
-                pairs = []
-                for z in C.objects:
-                    for f in C.hom(z, c):
-                        for g in C.hom(z, c2):
-                            good = True
-                            for e in D.objects:
-                                for x in C.hom(F.on_obj(e), z):
-                                    xi = C.hom(F.on_obj(e), c).index(C.compose(f, x))
-                                    yi = C.hom(F.on_obj(e), c2).index(C.compose(g, x))
-                                    if (xi, yi) not in R.pairs[e]:
-                                        good = False
-                                        break
-                                if not good:
-                                    break
-                            if good:
-                                pairs.append((f, g))
-                gen = generate_mask(C, mask_of(f for (f, _) in pairs))
+            for xi in ps.enumerate_presheaf_morphisms(sheafified[c].sheaf, sheafified[c2].sheaf):
+                paired = mask_of(
+                    f for z in C.objects for f in C.hom(z, c)
+                    if any(all(xi.at(e, unit(c, e, C.compose(f, x))) == unit(c2, e, C.compose(g, x))
+                               for e in D.objects for x in C.hom(F.on_obj(e), z))
+                           for g in C.hom(z, c2)))
+                gen = generate_mask(C, paired)
                 for e in D.objects:
                     for x in C.hom(F.on_obj(e), c):
                         t_mask = mask_of(
@@ -1110,46 +1102,30 @@ def _comorphism_inclusion_general(sf: SiteFunctor) -> Verdict:
     return _yes("comorphism-inclusion")
 
 
-def _subsheaf_guard(sheaf: ps.FinPresheaf, limit: int = 16) -> None:
-    if sum(sheaf.sizes) > limit:
-        raise SizeGuardError(
-            f"subsheaf enumeration over {sum(sheaf.sizes)} elements (limit {limit})")
-
-
 def _comorphism_localic_general(sf: SiteFunctor) -> Verdict:
-    """Localic criterion: arrows from subobjects of the a(P_{F(d')}) through
-    which χ factors must cover every d."""
+    """Localic criterion: the arrows g: d' -> d for which a(y(g)) factors,
+    through χ_{d'}, over a subsheaf of a(P_{F(d')}) must cover every d.
+
+    One candidate decides each g.  A closed subpresheaf of a sheaf is a
+    sheaf, and any splitting ξ restricts to the closure of im χ_{d'}, where
+    it is forced by its values on the dense image.  So g passes exactly
+    when χ_{d'}(x) = χ_{d'}(x') implies a(y(g))(x) = a(y(g))(x') at every
+    object."""
     F = sf.F
     D = F.source
     src_top = sf.source_topology
+    if local_property_tests(sf)["J_faithful"]:
+        return _yes("comorphism-localic", via="K-faithful")
     chi_cache: dict = {}
 
     def arrow_ok(g: int) -> bool:
         d1, d = D.dom[g], D.cod[g]
-        sh_yd1, sh_P, chi = _chi_morphism(sf, d1, chi_cache)
+        sh_yd1, _, chi = _chi_morphism(sf, d1, chi_cache)
         sh_yd = _chi_morphism(sf, d, chi_cache)[0]
-        target_arrow = _yoneda_sheaf_arrow(sf, g, sh_yd1, sh_yd)
-        _subsheaf_guard(sh_P.sheaf)
-        for sub in ps.subpresheaves(sh_P.sheaf):
-            if not all(chi.at(e, x) in sub.members[e]
-                       for e in D.objects for x in range(sh_yd1.sheaf.sizes[e])):
-                continue
-            carrier, elems = sub.as_presheaf()
-            sheaf_ok, _ = ps.is_sheaf(carrier, src_top)
-            if not sheaf_ok:
-                continue
-            index = [{x: i for i, x in enumerate(elems[e])} for e in D.objects]
-            chi_bar = ps.PresheafMorphism(sh_yd1.sheaf, carrier, tuple(
-                tuple(index[e][chi.at(e, x)] for x in range(sh_yd1.sheaf.sizes[e]))
-                for e in D.objects))
-            for xi in ps.enumerate_presheaf_morphisms(carrier, sh_yd.sheaf):
-                if chi_bar.then(xi).components == target_arrow.components:
-                    return True
-        return False
+        y_g = _yoneda_sheaf_arrow(sf, g, sh_yd1, sh_yd)
+        return all(len(set(zip(chi.components[e], y_g.components[e])))
+                   == len(set(chi.components[e])) for e in D.objects)
 
-    props = local_property_tests(sf)
-    if props["J_faithful"]:
-        return _yes("comorphism-localic", via="K-faithful")
     for d in D.objects:
         ok = mask_of(g for g in D.arrows_into(d) if arrow_ok(g))
         if not src_top.is_covering(d, generate_mask(D, ok)):
@@ -1158,9 +1134,15 @@ def _comorphism_localic_general(sf: SiteFunctor) -> Verdict:
 
 
 def _comorphism_hyperconnected(sf: SiteFunctor) -> Verdict:
-    """Surjection condition plus: every functorial source-closed family of
+    """Surjection condition plus: every functorial source-closed family A of
     arrows F(d) -> c (a closed subpresheaf of the hom presheaf) is induced
-    by some sieve on c."""
+    by some sieve on c.
+
+    One candidate decides each A: s*(A), the largest sieve whose principal
+    sieves miss every arrow outside A.  A sieve s that induces A has its
+    image arrows in A, so s ⊆ s*(A), and inducing is monotone; s*(A)
+    induces a family inside A, as A is closed.  So A is induced exactly
+    when s*(A) induces it."""
     surj = comorphism_surjection(sf)
     if not surj:
         return _no("comorphism-hyperconnected", witness=surj.witness)
@@ -1172,24 +1154,22 @@ def _comorphism_hyperconnected(sf: SiteFunctor) -> Verdict:
         if sum(P.sizes) > 16:
             raise SizeGuardError(
                 f"{sum(P.sizes)} image arrows into {c} (limit 16)")
-        sieves = all_sieve_masks(C, c)
-        closed_families = [
-            A.members for A in ps.subpresheaves(P)
-            if ps.closure_cJ(A, src_top).members == A.members]
-        for members in closed_families:
-            hit = False
-            for s in sieves:
-                induced = tuple(
-                    frozenset(
-                        xi for xi, x in enumerate(C.hom(F.on_obj(d), c))
-                        if src_top.is_covering(d, mask_of(
-                            t for t in D.arrows_into(d)
-                            if (s >> C.compose(x, F.on_arr(t))) & 1)))
-                    for d in D.objects)
-                if induced == members:
-                    hit = True
-                    break
-            if not hit:
+        homs = [C.hom(F.on_obj(d), c) for d in D.objects]
+        for A in ps.subpresheaves(P):
+            members = A.members
+            if ps.closure_cJ(A, src_top).members != members:
+                continue
+            outside = mask_of(x for d in D.objects for xi, x in enumerate(homs[d])
+                              if xi not in members[d])
+            s = mask_of(f for f in C.arrows_into(c) if not C.principal_sieves[f] & outside)
+            induced = tuple(
+                frozenset(
+                    xi for xi, x in enumerate(homs[d])
+                    if src_top.is_covering(d, mask_of(
+                        t for t in D.arrows_into(d)
+                        if (s >> C.compose(x, F.on_arr(t))) & 1)))
+                for d in D.objects)
+            if induced != members:
                 return _no("comorphism-hyperconnected", object=c,
                            family=[sorted(m) for m in members])
     return _yes("comorphism-hyperconnected")
@@ -1204,14 +1184,11 @@ def classify_comorphism(sf: SiteFunctor) -> MorphismClassification:
 
     surjection = comorphism_surjection(sf)
 
-    if continuous:
-        if props["J_full"] and props["J_faithful"]:
-            inclusion = _yes("comorphism-inclusion", via="K-full and K-faithful")
-        else:
-            bad = props["J_full"] if not props["J_full"] else props["J_faithful"]
-            inclusion = _no("comorphism-inclusion", witness=bad.witness)
-    elif props["J_full"] and props["J_faithful"]:
+    if props["J_full"] and props["J_faithful"]:
         inclusion = _yes("comorphism-inclusion", via="K-full and K-faithful")
+    elif continuous:
+        bad = props["J_full"] if not props["J_full"] else props["J_faithful"]
+        inclusion = _no("comorphism-inclusion", witness=bad.witness)
     else:
         inclusion = _comorphism_inclusion_general(sf)
 

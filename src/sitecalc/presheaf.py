@@ -1012,11 +1012,11 @@ def build_CJs(cat: FinCategory, J: GrothendieckTopology) -> CJsResult:
 # ---------------------------------------------------------------------------
 # colimits and categories of elements
 
-def colimit_presheaf(shape: FinCategory, diagram: Sequence[FinPresheaf],
+def colimit_presheaf(cat: FinCategory, shape: FinCategory, diagram: Sequence[FinPresheaf],
                      arrows: Sequence[PresheafMorphism]) -> tuple[FinPresheaf, list[list[tuple[int, ...]]]]:
-    """Pointwise colimit of a diagram of presheaves; also returns, per shape
-    object, the per-object leg maps into the colimit."""
-    cat = diagram[0].cat
+    """Pointwise colimit of a diagram of presheaves on cat; also returns,
+    per shape object, the per-object leg maps into the colimit.  The empty
+    diagram has the empty presheaf as its colimit."""
     offsets = []
     sizes = []
     classes: list[list[int]] = []
@@ -1073,7 +1073,7 @@ def colimit_of_representables(F: FinFunctor) -> tuple[FinPresheaf, list[list[tup
                 yoneda_element(C, F.on_obj(b), C.compose(F.on_arr(u), h))
                 for h in C.hom(c, F.on_obj(a))))
         arrows.append(PresheafMorphism(diagram[a], diagram[b], tuple(comps)))
-    return colimit_presheaf(A, diagram, arrows)
+    return colimit_presheaf(C, A, diagram, arrows)
 
 
 @dataclass(frozen=True)

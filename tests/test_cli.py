@@ -371,6 +371,24 @@ def vee_site(k: int, m: int) -> str:
     ]) + "\n"
 
 
+# a functor F out of a category with no objects, and an endofunctor G of it
+EMPTY_SOURCE_SITE = """site-format 1
+category E
+  objects: 0
+category C
+  objects: 1
+  arrows: i: 0 -> 0
+  identities: i
+topology JE on E
+  kind: trivial
+topology JC on C
+  kind: atomic
+functor F : E -> C
+functor G : E -> E
+presheaf P on E
+"""
+
+
 MUTATION_TOKENS = ["0", "9", "x", "->", ",", ":", "-1", ""]
 SUBCOMMANDS = {
     "topology": ["canonical", "generate", "induced", "coinduced", "fibration"],
@@ -382,10 +400,11 @@ OPERANDS = ["F", "G", "P", "TWO", "V", "Jat", "J", "NOPE"]
 
 @st.composite
 def mutated_site_texts(draw):
-    """The fixture or a small vee document with one to three lines deleted,
-    duplicated, or with a token replaced by a digit, a separator, a stray
-    word or nothing."""
-    lines = draw(st.sampled_from([FIXTURE.read_text(), vee_site(2, 2)])).splitlines()
+    """The fixture, a small vee document or a document over a category with
+    no objects, with one to three lines deleted, duplicated, or with a
+    token replaced by a digit, a separator, a stray word or nothing."""
+    lines = draw(st.sampled_from(
+        [FIXTURE.read_text(), vee_site(2, 2), EMPTY_SOURCE_SITE])).splitlines()
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
         edit = draw(st.sampled_from(["delete", "replace", "duplicate"]))
@@ -439,6 +458,27 @@ def test_mutated_documents_keep_the_exit_code_contract(tmp_path_factory, text, a
     code, out, err = main_in_process(path, *argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("argv", [
+    ("factorize", "comprehensive", "F"),
+    ("factorize", "comprehensive", "G"),
+    ("continuity", "F", "--oracle"),
+    ("classify-comorphism", "F"),
+    ("cofinal", "G"),
+])
+def test_functors_out_of_an_empty_category_keep_the_contract(tmp_path, argv):
+    """The colimit of the empty diagram is the empty presheaf, so the
+    comprehensive factorization of a functor out of a category with no
+    objects answers without a traceback, as do the continuity oracle, the
+    comorphism classifier and cofinality on it."""
+    path = tmp_path / "empty.site"
+    path.write_text(EMPTY_SOURCE_SITE)
+    code, out, err = main_in_process(path, *argv, "--witness", "--format", "machine")
+    assert code in (0, 1)
+    assert "Traceback" not in out + err
+    records = [json.loads(line) for line in out.splitlines()]
+    assert (records[-1]["record"], records[-1]["exit"]) == ("status", code)
 
 
 @pytest.mark.parametrize("old, new, line", [

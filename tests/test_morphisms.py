@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+import sitecalc.morphisms as mor
 from sitecalc.fincat import (
     FinFunctor,
     full_subcategory,
@@ -49,11 +50,16 @@ from sitecalc.morphisms import (
     surjection_inclusion_factorization,
 )
 from sitecalc.presheaf import (
+    PresheafMorphism,
     _locally_matching_families,
+    arrow_to_relation,
     canonical_topology,
     category_of_elements,
+    closure_cJ,
     enumerate_presheaf_morphisms,
+    is_sheaf,
     sheafify,
+    subpresheaves,
     yoneda,
 )
 from sitecalc.sieves import all_sieve_masks, bits, generate_mask, mask_of, maximal_sieve_mask
@@ -61,6 +67,7 @@ from sitecalc.topology import (
     atomic_topology,
     closure_mask,
     fibration_topology,
+    generate_topology,
     local_equality,
     smallest_comorphism_topology,
     trivial_topology,
@@ -305,8 +312,8 @@ def test_comma_components_sieve_matches_reference_loop(rng):
     each covering sieve, as in continuity, and the two elements-style
     diagrams of each (h, c, x), as in local connectedness.  The checkers
     built on it still
-    agree with their independent oracles: continuity, and every nonempty
-    sieve of the target as a cocone."""
+    agree with their independent oracles: continuity, and every sieve of
+    the target as a cocone, the empty one included."""
     functors = 0
     compared = 0
     verdicts = collections.Counter()
@@ -349,8 +356,6 @@ def test_comma_components_sieve_matches_reference_loop(rng):
         verdicts["continuous", continuous] += 1
         for c in tgt.objects:
             for s in all_sieve_masks(tgt, c):
-                if not s:
-                    continue  # `colimit_presheaf` needs a nonempty diagram
                 D, legs = _sieve_cocone(tgt, c, s)
                 colimit = cocone_is_sheaf_colimit(D, c, legs, sf.K).holds
                 assert colimit == cocone_sheaf_colimit_oracle(D, c, legs, sf.K)
@@ -1394,3 +1399,213 @@ def test_morphism_of_sites_witnesses_replay_independently(monkeypatch, rng):
         if w["clause"] == "iv":
             assert not replays(sf, {**w, "instance": {**inst, "f2": inst["f1"]}})
     assert all(replayed[c] for c in ("ii", "iii", "iv"))
+
+
+# ---------------------------------------------------------------------------
+# comorphism classifiers against the searches they replace
+
+def _reference_comorphism_localic(sf):
+    """The localic criterion by search: g: d' -> d passes when some
+    subsheaf of a(P_{F(d')}) through which χ_{d'} factors carries an arrow
+    ξ into a(y(d)) with χ̄_{d'}∘ξ = a(y(g)); every subpresheaf is tried,
+    and every ξ."""
+    F = sf.F
+    D = F.source
+    J = sf.source_topology
+    chi_cache = {}
+
+    def arrow_ok(g):
+        d1, d = D.dom[g], D.cod[g]
+        sh_yd1, sh_P, chi = mor._chi_morphism(sf, d1, chi_cache)
+        sh_yd = mor._chi_morphism(sf, d, chi_cache)[0]
+        target_arrow = mor._yoneda_sheaf_arrow(sf, g, sh_yd1, sh_yd)
+        for sub in subpresheaves(sh_P.sheaf):
+            if not all(chi.at(e, x) in sub.members[e]
+                       for e in D.objects for x in range(sh_yd1.sheaf.sizes[e])):
+                continue
+            carrier, elems = sub.as_presheaf()
+            if not is_sheaf(carrier, J)[0]:
+                continue
+            index = [{x: i for i, x in enumerate(elems[e])} for e in D.objects]
+            chi_bar = PresheafMorphism(sh_yd1.sheaf, carrier, tuple(
+                tuple(index[e][chi.at(e, x)] for x in range(sh_yd1.sheaf.sizes[e]))
+                for e in D.objects))
+            for xi in enumerate_presheaf_morphisms(carrier, sh_yd.sheaf):
+                if chi_bar.then(xi).components == target_arrow.components:
+                    return True
+        return False
+
+    if local_property_tests(sf)["J_faithful"]:
+        return {"kind": "comorphism-localic", "holds": True, "via": "K-faithful"}
+    for d in D.objects:
+        ok = mask_of(g for g in D.arrows_into(d) if arrow_ok(g))
+        if not J.is_covering(d, generate_mask(D, ok)):
+            return {"kind": "comorphism-localic", "holds": False, "object": d}
+    return {"kind": "comorphism-localic", "holds": True}
+
+
+def _reference_comorphism_hyperconnected(sf):
+    """Every closed family of image arrows into c tried against every sieve
+    on c."""
+    surj = mor.comorphism_surjection(sf)
+    if not surj:
+        return {"kind": "comorphism-hyperconnected", "holds": False, "witness": surj.witness}
+    F = sf.F
+    D, C = F.source, F.target
+    J = sf.source_topology
+    for c in C.objects:
+        P = mor._hom_presheaf(F, c)
+        closed = [A.members for A in subpresheaves(P) if closure_cJ(A, J).members == A.members]
+        induced_by_some_sieve = {
+            tuple(frozenset(
+                xi for xi, x in enumerate(C.hom(F.on_obj(d), c))
+                if J.is_covering(d, mask_of(t for t in D.arrows_into(d)
+                                            if (s >> C.compose(x, F.on_arr(t))) & 1)))
+                for d in D.objects)
+            for s in all_sieve_masks(C, c)}
+        for members in closed:
+            if members not in induced_by_some_sieve:
+                return {"kind": "comorphism-hyperconnected", "holds": False, "object": c,
+                        "family": [sorted(m) for m in members]}
+    return {"kind": "comorphism-hyperconnected", "holds": True}
+
+
+def _reference_inclusion_relation_condition(sf):
+    """The relation clause with every sheaf arrow turned into its
+    functional relation, the hom presheaves sheafified once per pair."""
+    F = sf.F
+    J = sf.source_topology
+    D, C = F.source, F.target
+    for c in C.objects:
+        for c2 in C.objects:
+            shP = sheafify(mor._hom_presheaf(F, c), J)
+            shQ = sheafify(mor._hom_presheaf(F, c2), J)
+            for xi in enumerate_presheaf_morphisms(shP.sheaf, shQ.sheaf):
+                R = arrow_to_relation(shP, shQ, xi)
+                paired = mask_of(
+                    f for z in C.objects for f in C.hom(z, c)
+                    if any(all((C.hom(F.on_obj(e), c).index(C.compose(f, x)),
+                                C.hom(F.on_obj(e), c2).index(C.compose(g, x))) in R.pairs[e]
+                               for e in D.objects for x in C.hom(F.on_obj(e), z))
+                           for g in C.hom(z, c2)))
+                gen = generate_mask(C, paired)
+                for e in D.objects:
+                    for x in C.hom(F.on_obj(e), c):
+                        if not J.is_covering(e, mask_of(
+                                t for t in D.arrows_into(e)
+                                if (gen >> C.compose(x, F.on_arr(t))) & 1)):
+                            return {"kind": "comorphism-inclusion", "holds": False,
+                                    "clause": "relation-family",
+                                    "instance": {"c": c, "c2": c2, "e": e, "x": x}}
+    return {"kind": "comorphism-inclusion-relations", "holds": True}
+
+
+def _comorphism_corpora(rng):
+    """Random comorphisms, fibrations with their fibration topologies, and
+    the four legs of the factorizations of the cover-preserving random
+    ones."""
+    randoms = [sf for sf in _random_site_functors(rng, 240) if is_comorphism_of_sites(sf).holds]
+    fibrations = []
+    for _ in range(60):
+        p = random_fibration(rng)
+        K = random_topology(rng, p.target)
+        fibrations.append(SiteFunctor(p, fibration_topology(p, K), K))
+    legs = []
+    for sf in randoms:
+        if is_cover_preserving(sf).holds:
+            fact = comorphism_factorizations(sf)
+            legs += [fact.surjection_leg, fact.inclusion_leg,
+                     fact.hyperconnected_leg, fact.localic_leg]
+    return {"random": randoms, "fibration": fibrations, "leg": legs}
+
+
+def _branch(name, witness):
+    if name == "localic":
+        return "shortcut" if "via" in witness else witness["holds"]
+    if name == "hyperconnected" and "witness" in witness:
+        return "not a surjection"
+    return witness["holds"]
+
+
+def test_comorphism_classifiers_match_reference_searches(rng):
+    """The localic check from the kernel of χ, the hyperconnected check
+    from the one candidate sieve s*(A) and the relation clause read off
+    the sheaf arrows give the verdicts and witnesses of the searches they
+    replace, on random comorphisms, fibration topologies and factorization
+    legs; each corpus reaches both answers of every body and both routes
+    of the localic and hyperconnected checks, save a localic pass without
+    the J-faithful shortcut (see the hand-built case below)."""
+    bodies = {"localic": (mor._comorphism_localic_general, _reference_comorphism_localic),
+              "hyperconnected": (mor._comorphism_hyperconnected,
+                                 _reference_comorphism_hyperconnected),
+              "relation": (mor._inclusion_relation_condition,
+                           _reference_inclusion_relation_condition)}
+    branches = collections.Counter()
+    for corpus, sfs in _comorphism_corpora(rng).items():
+        for sf in sfs:
+            for name, (body, reference) in bodies.items():
+                witness = body(SiteFunctor(sf.F, sf.J, sf.K)).witness
+                assert witness == reference(SiteFunctor(sf.F, sf.J, sf.K))
+                branches[corpus, name, _branch(name, witness)] += 1
+    for corpus in ("random", "leg"):
+        for name, branch in [("localic", "shortcut"), ("localic", False),
+                             ("hyperconnected", "not a surjection"),
+                             ("hyperconnected", True), ("hyperconnected", False),
+                             ("relation", True), ("relation", False)]:
+            assert branches[corpus, name, branch], (corpus, name, branch)
+    assert branches["fibration", "hyperconnected", False]
+    assert branches["fibration", "localic", False]
+
+
+def _localic_without_faithfulness():
+    """Objects d = 0, d1 = 1, d2 = 2, e = 3, with g1: d1 -> d, g2: d2 -> d,
+    v1: e -> d1, v2: e -> d2 and h = g1∘v1, k = g2∘v2: e -> d, the topology
+    generated by the sieve of g1 and g2 on d, and the functor onto the
+    quotient where h = k, with the trivial topology.  h and k are not
+    locally equal, so F is not J-faithful, yet g1 and g2 pass the localic
+    check and cover d."""
+    def category(arrows, composites):
+        comp = dict(composites)
+        for f, (a, b) in enumerate(arrows):
+            comp[(b, f)] = comp[(f, a)] = f
+        return validate_category(4, arrows, [0, 1, 2, 3], comp)
+    arrows = [(0, 0), (1, 1), (2, 2), (3, 3), (1, 0), (2, 0), (3, 1), (3, 2)]
+    D = category(arrows + [(3, 0), (3, 0)], {(4, 6): 8, (5, 7): 9})
+    C = category(arrows + [(3, 0)], {(4, 6): 8, (5, 7): 8})
+    F = FinFunctor(D, C, (0, 1, 2, 3), tuple(range(9)) + (8,))
+    J = generate_topology(D, [(0, mask_of([4, 5, 8, 9]))])
+    return SiteFunctor(F, J, trivial_topology(C))
+
+
+def test_localic_comorphism_that_is_not_J_faithful():
+    """No random corpus reaches a localic pass that the J-faithful shortcut
+    misses; this hand-built one does, and the search agrees."""
+    sf = _localic_without_faithfulness()
+    assert is_comorphism_of_sites(sf).holds
+    assert local_property_tests(sf)["J_faithful"].witness["instance"] == {"h": 8, "k": 9}
+    assert mor._comorphism_localic_general(sf).witness == \
+        _reference_comorphism_localic(SiteFunctor(sf.F, sf.J, sf.K)) == \
+        {"kind": "comorphism-localic", "holds": True}
+    assert classify_comorphism(sf).localic.holds
+
+
+def test_classify_comorphism_runs_each_shared_body_once(monkeypatch, rng):
+    """One classification builds the coinduced topology once and decides
+    the five local verdicts once, although the localic check reads them and
+    the hyperconnected check reads the surjection verdict, on random
+    comorphisms and the hand-built one."""
+    counts = collections.Counter()
+    for name in ("_check_local_properties", "coinduced_topology"):
+        def counted(*args, _name=name, _body=getattr(mor, name)):
+            counts[_name] += 1
+            return _body(*args)
+        monkeypatch.setattr(mor, name, counted)
+    reached = collections.Counter()
+    comorphisms = [sf for sf in _random_site_functors(rng, 80) if is_comorphism_of_sites(sf).holds]
+    for sf in comorphisms + [_localic_without_faithfulness()]:
+        counts.clear()
+        cls = classify_comorphism(sf)
+        assert counts == {"_check_local_properties": 1, "coinduced_topology": 1}
+        reached["general localic"] += "via" not in cls.localic.witness
+        reached["closed families"] += cls.surjection.holds
+    assert reached["general localic"] and reached["closed families"]
