@@ -54,7 +54,7 @@ class TopologyDecl:
     name: str
     on: str
     topology: GrothendieckTopology
-    recipe: str  # "trivial" | "atomic" | "canonical" | "sieve ..." lines
+    recipe: list[str]  # the section's "kind: ..." and "sieve: ..." lines
 
 
 @dataclass
@@ -227,6 +227,10 @@ def _finish_category(doc: SiteDocument, section, body):
     doc.categories[name] = CategoryDecl(name, cat, arrow_names, index)
 
 
+_TOPOLOGY_KINDS = {"trivial": trivial_topology, "atomic": atomic_topology,
+                   "canonical": ps.canonical_topology}
+
+
 def _finish_topology(doc: SiteDocument, section, body):
     _, lineno, name, on = section
     if on not in doc.categories:
@@ -234,11 +238,11 @@ def _finish_topology(doc: SiteDocument, section, body):
     decl = doc.categories[on]
     kind = None
     base: list[tuple[int, int]] = []
-    recipe_lines = []
     for ln, key, value in body:
         if key == "kind":
+            if kind is not None:
+                raise SiteParseError(ln, f"topology {name!r} has a second kind")
             kind = value
-            recipe_lines.append(value)
         elif key == "sieve":
             try:
                 obj, arrows = value.split(":")
@@ -249,24 +253,23 @@ def _finish_topology(doc: SiteDocument, section, body):
             if not 0 <= obj < decl.category.n_objects:
                 raise SiteParseError(ln, f"sieve entry {value!r} names no object")
             base.append((obj, mask))
-            recipe_lines.append(f"sieve {value}")
         else:
             raise SiteParseError(ln, f"unknown topology key {key!r}")
+    if kind in _TOPOLOGY_KINDS and base:
+        raise SiteParseError(lineno, f"topology of kind {kind!r} takes no sieve entries")
+    if kind not in _TOPOLOGY_KINDS and kind not in (None, "sieves"):
+        raise SiteParseError(lineno, f"unknown topology kind {kind!r}")
+    if kind is None and not base:
+        raise SiteParseError(lineno, "topology needs a kind or sieve entries")
     try:
-        if kind == "trivial":
-            top = trivial_topology(decl.category)
-        elif kind == "atomic":
-            top = atomic_topology(decl.category)
-        elif kind == "canonical":
-            top = ps.canonical_topology(decl.category)
-        elif kind == "sieves" or (kind is None and base):
+        if kind in _TOPOLOGY_KINDS:
+            top = _TOPOLOGY_KINDS[kind](decl.category)
+        else:
             top = generate_topology(decl.category,
                                     [(c, generate_mask(decl.category, m)) for c, m in base])
-        else:
-            raise SiteParseError(lineno, f"topology needs a kind or sieve entries")
     except (TopologyError, ValueError) as exc:
         raise SiteParseError(lineno, f"invalid topology {name!r}: {exc}") from None
-    doc.topologies[name] = TopologyDecl(name, on, top, "; ".join(recipe_lines))
+    doc.topologies[name] = TopologyDecl(name, on, top, [f"{k}: {v}" for _, k, v in body])
 
 
 def _finish_functor(doc: SiteDocument, section, body):
@@ -372,11 +375,7 @@ def print_document(doc: SiteDocument) -> str:
         out.append("")
     for name, tdecl in doc.topologies.items():
         out.append(f"topology {name} on {tdecl.on}")
-        if tdecl.recipe.startswith("sieve"):
-            for part in tdecl.recipe.split("; "):
-                out.append("  " + part.replace("sieve ", "sieve: ", 1))
-        else:
-            out.append(f"  kind: {tdecl.recipe}")
+        out.extend("  " + line for line in tdecl.recipe)
         out.append("")
     for name, fdecl in doc.functors.items():
         A = doc.categories[fdecl.source]
@@ -587,11 +586,8 @@ def _cmd_topology(doc, args, report):
         decl = _lookup(doc.categories, _operand(args, "category"), "category")
         top = ps.canonical_topology(decl.category)
     elif sub == "generate":
-        tdecl = _lookup(doc.topologies, _operand(args, "topology"), "topology")
-        top = generate_topology(tdecl.topology.cat,
-                                [(c, s) for c in tdecl.topology.cat.objects
-                                 for s in tdecl.topology.covers[c]],
-                                max_sieves=args.max_sieves)
+        # parsing generated the declared topology already
+        top = _lookup(doc.topologies, _operand(args, "topology"), "topology").topology
     elif sub in ("induced", "coinduced", "smallest-comorphism", "fibration"):
         fd = _lookup(doc.functors, _operand(args, "functor"), "functor")
         if sub == "induced":
@@ -704,8 +700,6 @@ def main(argv=None) -> int:
     # a string default goes through `type`, so a bad variable is a usage error
     parser.add_argument("--max-arrows", type=int,
                         default=os.environ.get("SITECALC_MAX_ARROWS", 1 << 16))
-    parser.add_argument("--max-sieves", type=int,
-                        default=os.environ.get("SITECALC_MAX_SIEVES", 1 << 20))
     ns = parser.parse_args(argv)
 
     start = time.perf_counter()

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fincat import FinCategory, FinFunctor, _UnionFind, validate_category
+from .fincat import FinCategory, FinFunctor, SizeGuardError, _UnionFind, validate_category
 from .sieves import all_sieve_masks, bits, mask_of, maximal_sieve_mask, pullback_mask
 from .topology import GrothendieckTopology, closure_mask, induced_topology, topology_where
 
@@ -641,7 +641,9 @@ def unpair_elem(Q: FinPresheaf, c: int, z: int) -> tuple[int, int]:
 
 
 def enumerate_presheaf_morphisms(P: FinPresheaf, Q: FinPresheaf) -> list[PresheafMorphism]:
-    """All natural transformations P -> Q, by backtracking over objects."""
+    """All natural transformations P -> Q, by backtracking over objects.
+    Before it tries the |Q(c)|^|P(c)| candidate components at an object c,
+    it raises SizeGuardError if they number more than 2^20."""
     cat = P.cat
     objs = list(cat.objects)
     out = []
@@ -651,6 +653,9 @@ def enumerate_presheaf_morphisms(P: FinPresheaf, Q: FinPresheaf) -> list[Preshea
             out.append(PresheafMorphism(P, Q, tuple(comps[c] for c in objs)))
             return
         c = objs[i]
+        if Q.sizes[c] ** P.sizes[c] > 1 << 20:
+            raise SizeGuardError(f"{Q.sizes[c]}^{P.sizes[c]} candidate components "
+                                 f"at object {c} exceed 2^20")
         for comp in itertools.product(range(Q.sizes[c]), repeat=P.sizes[c]):
             ok = True
             for f in cat.arrows:

@@ -1,7 +1,7 @@
 """Sieve and presieve algebra.
 
 Arrow families are bitmasks over arrow ids, so membership, intersection and
-the saturation loops in the topology module are single integer operations.
+the fixpoint loops in the topology module are single integer operations.
 A Presieve is any family with common codomain; a Sieve is additionally
 closed under precomposition, and `generate` is the only coercion between
 the two.
@@ -30,7 +30,7 @@ def mask_of(arrows: Iterable[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# mask-level core (used by the topology saturation loops)
+# mask-level core (used by the topology fixpoint loops)
 
 def maximal_sieve_mask(cat: FinCategory, c: int) -> int:
     return mask_of(cat.arrows_into(c))

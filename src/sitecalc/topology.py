@@ -2,9 +2,10 @@
 per-object families of covering sieves.
 
 Explicit storage makes every axiom and every downstream classifier a finite
-loop; generation is worklist saturation over bitmask sieves with a size
-guard that fails fast.  A topology defined by a condition on sieves (atomic,
-rigid, induced, coinduced, fibration, and the ones built in the other
+loop.  On a finite category a topology is fixed by its least covering sieve
+on each object, so generation is a descending fixpoint on those least
+sieves.  A topology defined by a condition on sieves (atomic, rigid,
+induced, coinduced, fibration, generated, and the ones built in the other
 modules) is built by `topology_where`, which enumerates the sieves, keeps
 those meeting the condition and validates the result.
 """
@@ -25,11 +26,10 @@ from .sieves import (
     is_sieve_mask,
     mask_of,
     maximal_sieve_mask,
+    multicompose_mask,
     preimage_mask,
     pullback_mask,
 )
-
-MAX_STORED_SIEVES = 1 << 20
 
 
 class TopologyError(Exception):
@@ -142,45 +142,37 @@ def rigid_topology(inclusion: FinFunctor) -> GrothendieckTopology:
     return topology_where(cat, lambda c, s: s & required[c] == required[c])
 
 
-def generate_topology(cat: FinCategory, base, max_sieves: int = MAX_STORED_SIEVES) -> GrothendieckTopology:
+def generate_topology(cat: FinCategory, base) -> GrothendieckTopology:
     """Least topology whose covers include the given (object, sieve-mask)
-    pairs: closes under maximality, pullback stability and transitivity."""
-    covers: list[set[int]] = [set() for _ in cat.objects]
-    for c in cat.objects:
-        covers[c].add(maximal_sieve_mask(cat, c))
+    pairs.  Its least covering sieve m_c on c starts as the intersection of
+    the base sieves on c and shrinks until m_d ⊆ f*(m_c) for every
+    f: d -> c (stability) and m_c = {g∘h | g ∈ m_c, h ∈ m_dom(g)}
+    (transitivity); the covering sieves are those containing m_c."""
+    m = [maximal_sieve_mask(cat, c) for c in cat.objects]
     for c, mask in base:
         if not is_sieve_mask(cat, c, mask):
             raise ValueError(f"base mask {mask:#x} on object {c} is not a sieve")
-        covers[c].add(mask)
-
-    sieves = [all_sieve_masks(cat, c) for c in cat.objects]
+        m[c] &= mask
     changed = True
     while changed:
         changed = False
         for c in cat.objects:
-            for s in list(covers[c]):
-                for f in cat.arrows_into(c):
-                    pb = pullback_mask(cat, s, f)
-                    if pb not in covers[cat.dom[f]]:
-                        covers[cat.dom[f]].add(pb)
-                        changed = True
-        for c in cat.objects:
-            for s in sieves[c]:
-                if s in covers[c]:
-                    continue
-                for t in covers[c]:
-                    if all(pullback_mask(cat, s, f) in covers[cat.dom[f]] for f in bits(t)):
-                        covers[c].add(s)
-                        changed = True
-                        break
-        if sum(len(x) for x in covers) > max_sieves:
-            raise SizeGuardError(f"generated topology exceeds {max_sieves} stored sieves")
-    return GrothendieckTopology(cat, tuple(frozenset(x) for x in covers))
+            for f in cat.arrows_into(c):
+                d = cat.dom[f]
+                pb = m[d] & pullback_mask(cat, m[c], f)
+                if pb != m[d]:
+                    m[d] = pb
+                    changed = True
+            composed = multicompose_mask(cat, m[c], {g: m[cat.dom[g]] for g in bits(m[c])})
+            if composed != m[c]:
+                m[c] = composed
+                changed = True
+    return topology_where(cat, lambda c, s: s & m[c] == m[c])
 
 
 def join_topologies(j1: GrothendieckTopology, j2: GrothendieckTopology) -> GrothendieckTopology:
-    base = [(c, s) for c in j1.cat.objects for s in (j1.covers[c] | j2.covers[c])]
-    return generate_topology(j1.cat, base)
+    return generate_topology(j1.cat, [(c, j1.min_cover[c] & j2.min_cover[c])
+                                      for c in j1.cat.objects])
 
 
 def induced_topology(F: FinFunctor, K: GrothendieckTopology) -> GrothendieckTopology:
@@ -202,11 +194,10 @@ def coinduced_topology(F: FinFunctor, J: GrothendieckTopology) -> GrothendieckTo
 
 
 def smallest_comorphism_topology(A: FinFunctor, K: GrothendieckTopology) -> GrothendieckTopology:
-    """M^A_K, generated by the sieves S^A_R for R a K-covering sieve on A(c)."""
-    base = [(c, preimage_mask(A, r, c))
-            for c in A.source.objects
-            for r in K.covers[A.on_obj(c)]]
-    return generate_topology(A.source, base)
+    """M^A_K, generated by the sieves S^A_R for R a K-covering sieve on A(c);
+    the least of them, S^A_R for R = K.min_cover[A(c)], suffices."""
+    return generate_topology(A.source, [(c, preimage_mask(A, K.min_cover[A.on_obj(c)], c))
+                                        for c in A.source.objects])
 
 
 def fibration_topology(p: FinFunctor, K: GrothendieckTopology) -> GrothendieckTopology:

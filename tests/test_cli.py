@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from sitecalc import cli
 from sitecalc.cli import SiteParseError, parse, print_document, run
 
-from test_topology import reference_canonical_topology
+from test_topology import reference_canonical_topology, reference_generate_topology
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURE = SRC / "sitecalc" / "data" / "two_atomic.site"
@@ -80,10 +80,51 @@ def test_print_parse_round_trip():
     doc = load_fixture()
     text = print_document(doc)
     doc2 = parse(text)
+    assert print_document(doc2) == text
     assert doc2.categories["TWO"].category == doc.categories["TWO"].category
     assert doc2.topologies["Jat"].topology.covers == doc.topologies["Jat"].topology.covers
     assert doc2.functors["F"].functor == doc.functors["F"].functor
     assert doc2.presheaves["P"].presheaf == doc.presheaves["P"].presheaf
+
+
+TOPOLOGY_SECTIONS = [
+    "  kind: trivial",
+    "  kind: atomic",
+    "  kind: canonical",
+    "  kind: sieves",
+    "  kind: sieves\n  sieve: 1 : u",
+    "  sieve: 1 : u",
+    "  sieve: 1 : u\n  sieve: 0 :",
+]
+
+
+@pytest.mark.parametrize("section", TOPOLOGY_SECTIONS)
+def test_topology_sections_survive_print_parse(section):
+    """parse∘print is the identity on every topology section that parse
+    accepts: each known kind, `kind: sieves` with and without sieve lines,
+    and bare sieve lines."""
+    doc = parse(FIXTURE.read_text().replace("  kind: atomic", section))
+    text = print_document(doc)
+    assert f"topology Jat on TWO\n{section}\n" in text
+    again = parse(text)
+    assert print_document(again) == text
+    assert again.topologies["Jat"].topology.covers == doc.topologies["Jat"].topology.covers
+
+
+@pytest.mark.parametrize("section, message", [
+    ("  kind: trivial\n  sieve: 1 : u", "topology of kind 'trivial' takes no sieve entries"),
+    ("  sieve: 1 : u\n  kind: atomic", "topology of kind 'atomic' takes no sieve entries"),
+    ("  kind: atomc", "unknown topology kind 'atomc'"),
+    ("  kind: atomic\n  kind: trivial", "topology 'Jat' has a second kind"),
+])
+def test_malformed_topology_sections_are_exit_2(tmp_path, section, message):
+    """A known kind mixed with sieve lines, an unknown kind and a second
+    kind are parse errors that say what is wrong."""
+    path = tmp_path / "doc.site"
+    path.write_text(FIXTURE.read_text().replace("  kind: atomic", section))
+    code, _, err = main_in_process(path, "validate")
+    assert code == 2
+    assert message in err
 
 
 class Args:
@@ -94,7 +135,6 @@ class Args:
     oracle = False
     witness = True
     max_arrows = 1 << 16
-    max_sieves = 1 << 20
 
 
 def _args(name=None, args=(), oracle=False):
@@ -517,15 +557,78 @@ def test_sheafify_oracle_on_nine_leg_vee():
 
 
 def test_resource_guard_exit_code(tmp_path):
-    """A tripped size guard surfaces as exit code 3, and the guard default
-    can be set through the environment."""
-    text = FIXTURE.read_text()
-    doc_path = tmp_path / "doc.site"
-    doc_path.write_text(text)
-    out = sitecalc_cli(doc_path, "topology", "generate", "Jat",
-                       env={"SITECALC_MAX_SIEVES": "1"})
+    """A tripped size guard surfaces as exit code 3: `topology generate` on
+    the vee with 21 legs, whose top carries more than 2^20 sieves."""
+    doc_path = tmp_path / "vee21.site"
+    doc_path.write_text(vee_site(21, 1))
+    out = sitecalc_cli(doc_path, "topology", "generate", "J")
     assert out.returncode == 3
     assert "resource-guard" in out.stdout
+    assert "Traceback" not in out.stderr
+
+
+def test_topology_generate_reports_the_declared_topology():
+    """`topology generate J` prints the covers of the declared J, which
+    are those of the reference saturation of its sieve lines: a leg of a
+    vee, whose pullback along the other legs is empty, and a chain whose
+    two sieves compose."""
+    chain = "\n".join([
+        "site-format 1",
+        "category T",
+        "  objects: 3",
+        "  arrows: i0: 0 -> 0, i1: 1 -> 1, i2: 2 -> 2, u: 0 -> 1, v: 1 -> 2, w: 0 -> 2",
+        "  identities: i0, i1, i2",
+        "  compose: v . u = w",
+        "topology J on T",
+        "  sieve: 2 : v",
+        "  sieve: 1 : u",
+    ])
+    vee = vee_site(3, 1).replace("sieve: 3 : l0 l1 l2", "sieve: 3 : l0")
+    for text, base in ((chain, [(2, 0b110000), (1, 0b1000)]), (vee, [(3, 1 << 4)])):
+        doc = parse(text)
+        J = doc.topologies["J"].topology
+        report = run("topology", doc, _args("generate", ["J"]))
+        assert report.exit_code == 0
+        covers = [e["value"] for e in report.entries]
+        assert covers == [sorted(s) for s in J.covers]
+        assert covers == [sorted(s) for s in reference_generate_topology(J.cat, base)]
+
+
+def test_classify_comorphism_guards_the_general_inclusion_check(tmp_path):
+    """F sends the objects 0, 1 of a discrete category to the top and to
+    the source of eight parallel arrows a1..a8 of a cospan.  It is a
+    comorphism that is neither continuous nor full, so the general
+    inclusion check runs; its sheaf arrows have 8^8 candidate components
+    at object 1, which trips the guard: exit 3 with a report."""
+    path = tmp_path / "parallel.site"
+    path.write_text("\n".join([
+        "site-format 1",
+        "category D",
+        "  objects: 2",
+        "  arrows: d0: 0 -> 0, d1: 1 -> 1",
+        "  identities: d0, d1",
+        "category C",
+        "  objects: 3",
+        "  arrows: c0: 0 -> 0, c1: 1 -> 1, c2: 2 -> 2, "
+        + ", ".join(f"a{i}: 0 -> 2" for i in range(1, 9)) + ", b: 1 -> 2",
+        "  identities: c0, c1, c2",
+        "topology J on D",
+        "  sieve: 0 :",
+        "topology K on C",
+        "  sieve: 1 :",
+        "functor F : D -> C",
+        "  objects: 0 -> 2, 1 -> 0",
+        "  arrows: d0 -> c2, d1 -> c0",
+    ]) + "\n")
+    start = time.process_time()
+    code, out, err = main_in_process(path, "classify-comorphism", "F", "--format", "machine")
+    assert time.process_time() - start < 1.0
+    assert code == 3
+    assert "Traceback" not in err
+    records = [json.loads(line) for line in out.splitlines()]
+    assert (records[0]["name"], records[0]["value"]) == \
+        ("resource-guard", "8^8 candidate components at object 1 exceed 2^20")
+    assert (records[-1]["record"], records[-1]["exit"]) == ("status", 3)
 
 
 def test_size_guard_while_parsing_is_exit_3(tmp_path):
@@ -615,7 +718,7 @@ def test_missing_or_unknown_operand_is_exit_2(argv):
     assert "Traceback" not in out.stderr
 
 
-@pytest.mark.parametrize("variable", ["SITECALC_MAX_ARROWS", "SITECALC_MAX_SIEVES"])
+@pytest.mark.parametrize("variable", ["SITECALC_MAX_ARROWS"])
 def test_non_integer_guard_variable_is_exit_2(variable):
     """A guard default from the environment that is not an integer is a
     usage error (exit 2), not a crash."""

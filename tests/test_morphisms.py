@@ -1,13 +1,16 @@
 import collections
 import itertools
+import time
 
 import pytest
 
 import sitecalc.morphisms as mor
 from sitecalc.fincat import (
     FinFunctor,
+    SizeGuardError,
     full_subcategory,
     identity_functor,
+    monoid_category,
     poset_category,
     terminal_category,
     validate_category,
@@ -1609,3 +1612,17 @@ def test_classify_comorphism_runs_each_shared_body_once(monkeypatch, rng):
         reached["general localic"] += "via" not in cls.localic.witness
         reached["closed families"] += cls.surjection.holds
     assert reached["general localic"] and reached["closed families"]
+
+
+def test_inclusion_relation_condition_guards_its_arrow_enumeration():
+    """The quotient Z18 -> Z9 with trivial topologies: every sheafified hom
+    presheaf has 9 elements, so the 9^9 candidate components of a sheaf
+    arrow between two of them trip the 2^20 guard before any is tried."""
+    z18, z9 = (monoid_category([[(i + j) % n for j in range(n)] for i in range(n)], 0)
+               for n in (18, 9))
+    F = FinFunctor(z18, z9, (0,), tuple(i % 9 for i in range(18)))
+    sf = SiteFunctor(F, trivial_topology(z18), trivial_topology(z9))
+    start = time.process_time()
+    with pytest.raises(SizeGuardError, match=r"9\^9 candidate components at object 0"):
+        mor._inclusion_relation_condition(sf)
+    assert time.process_time() - start < 1.0

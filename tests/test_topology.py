@@ -19,6 +19,7 @@ from sitecalc.sieves import (
     generate_mask,
     mask_of,
     maximal_sieve_mask,
+    preimage_mask,
     pullback_mask,
 )
 from sitecalc.topology import (
@@ -45,6 +46,7 @@ from conftest import (
     indiscrete_category,
     make_collapse_functor,
     make_two,
+    product_category,
     random_category,
     random_fibration,
     random_presheaf,
@@ -116,6 +118,112 @@ def test_generate_is_least_named_instances():
                           if all(s in t.covers[c] for (c, s) in base)]
             assert all(J <= t for t in containing)
             assert J.covers in [t.covers for t in containing]
+
+
+def reference_generate_topology(cat, base):
+    """Least topology whose covers include the base pairs, by saturating
+    explicit covers under maximality, pullback stability and transitivity
+    until nothing changes."""
+    covers = [{maximal_sieve_mask(cat, c)} for c in cat.objects]
+    for c, mask in base:
+        covers[c].add(mask)
+    sieves = [all_sieve_masks(cat, c) for c in cat.objects]
+    changed = True
+    while changed:
+        changed = False
+        for c in cat.objects:
+            for s in list(covers[c]):
+                for f in cat.arrows_into(c):
+                    pb = pullback_mask(cat, s, f)
+                    if pb not in covers[cat.dom[f]]:
+                        covers[cat.dom[f]].add(pb)
+                        changed = True
+        for c in cat.objects:
+            for s in sieves[c]:
+                if s in covers[c]:
+                    continue
+                for t in covers[c]:
+                    if all(pullback_mask(cat, s, f) in covers[cat.dom[f]] for f in bits(t)):
+                        covers[c].add(s)
+                        changed = True
+                        break
+    return tuple(frozenset(x) for x in covers)
+
+
+def chain_category(n):
+    return poset_category(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def vee_category(k):
+    """k legs i -> k into a common top."""
+    return poset_category(k + 1, [(i, k) for i in range(k)])
+
+
+def cyclic_category(n):
+    return monoid_category([[(i + j) % n for j in range(n)] for i in range(n)], 0)
+
+
+GENERATION_SHAPES = {
+    **{f"chain{n}": (lambda n=n: (chain_category(n), None)) for n in (3, 4, 5)},
+    **{f"vee{k}": (lambda k=k: (vee_category(k), None)) for k in range(3, 9)},
+    "chain2xindiscrete2": lambda: product_category(chain_category(2), indiscrete_category(2)),
+    "chain3xindiscrete2": lambda: product_category(chain_category(3), indiscrete_category(2)),
+    "Z4": lambda: (cyclic_category(4), None),
+    "Z6": lambda: (cyclic_category(6), None),
+    "indiscrete3": lambda: (indiscrete_category(3), None),
+    "idempotent": lambda: (idempotent_monoid_category(), None),
+}
+
+
+def _random_sieve(rng, cat, c):
+    return generate_mask(cat, mask_of(f for f in cat.arrows_into(c) if rng.random() < 0.4))
+
+
+def _random_base(rng, cat, n_max=3):
+    base = []
+    for _ in range(rng.randrange(n_max + 1)):
+        c = rng.randrange(cat.n_objects)
+        base.append((c, _random_sieve(rng, cat, c)))
+    return base
+
+
+def _assert_generation_matches_reference(rng, cat, functors):
+    """generate_topology, join_topologies and smallest_comorphism_topology
+    against the reference saturation, on random bases over cat and on
+    random topologies pulled back along each functor into cat."""
+    base1, base2 = _random_base(rng, cat), _random_base(rng, cat)
+    J1, J2 = generate_topology(cat, base1), generate_topology(cat, base2)
+    assert J1.covers == reference_generate_topology(cat, base1)
+    assert J2.covers == reference_generate_topology(cat, base2)
+    assert join_topologies(J1, J2).covers == reference_generate_topology(
+        cat, [(c, s) for c in cat.objects for s in J1.covers[c] | J2.covers[c]])
+    for A in functors:
+        K = generate_topology(A.target, _random_base(rng, A.target))
+        assert smallest_comorphism_topology(A, K).covers == reference_generate_topology(
+            A.source, [(c, preimage_mask(A, r, c))
+                       for c in A.source.objects for r in K.covers[A.on_obj(c)]])
+
+
+def test_generation_matches_reference_on_named_shapes():
+    """Every named shape with its identity functor, and each product also
+    with its projection onto the first factor."""
+    rng = random.Random(13)
+    for make in GENERATION_SHAPES.values():
+        cat, projection = make()
+        functors = [identity_functor(cat)] + ([projection] if projection else [])
+        for _ in range(10):
+            _assert_generation_matches_reference(rng, cat, functors)
+
+
+def test_generation_matches_reference_on_random_sites():
+    """Random conftest categories with their identity functors, and random
+    fibrations with their projections."""
+    rng = random.Random(11)
+    for _ in range(300):
+        cat = random_category(rng)
+        _assert_generation_matches_reference(rng, cat, [identity_functor(cat)])
+        p = random_fibration(rng)
+        _assert_generation_matches_reference(rng, p.source, [p])
 
 
 def test_trivial_on_terminal():
@@ -225,7 +333,7 @@ def reference_canonical_topology(cat):
 
 
 def z4_category():
-    return monoid_category([[(i + j) % 4 for j in range(4)] for i in range(4)], 0)
+    return cyclic_category(4)
 
 
 def diamond_category():
