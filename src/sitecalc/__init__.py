@@ -18,7 +18,6 @@ from .fincat import (
     identity_functor,
     validate_category,
 )
-from .sieves import Presieve, Sieve, generate, pullback
 from .topology import (
     GrothendieckTopology,
     TopologyError,
@@ -48,9 +47,7 @@ __all__ = [
     "FinPresheaf",
     "GrothendieckTopology",
     "MorphismClassification",
-    "Presieve",
     "PresheafMorphism",
-    "Sieve",
     "SiteFunctor",
     "SizeGuardError",
     "TopologyError",
@@ -61,7 +58,6 @@ __all__ = [
     "classify_morphism",
     "comma",
     "connected_components",
-    "generate",
     "identity_functor",
     "is_comorphism_of_sites",
     "is_continuous",
@@ -69,7 +65,6 @@ __all__ = [
     "is_morphism_of_sites",
     "is_sheaf",
     "is_weakly_dense",
-    "pullback",
     "sheafify",
     "trivial_topology",
     "validate_category",

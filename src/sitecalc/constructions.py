@@ -56,7 +56,7 @@ def _check_adjunction(left: FinFunctor, right: FinFunctor) -> bool:
     return True
 
 
-def morphism_to_comorphism(sf: SiteFunctor, max_objects: int | None = None) -> CommaSite:
+def morphism_to_comorphism(sf: SiteFunctor) -> CommaSite:
     """(1_D ↓ F) with the topology lifted through the right projection;
     turns a morphism of sites into the comorphism c_F = π_C."""
     mos = is_morphism_of_sites(sf)
@@ -64,7 +64,7 @@ def morphism_to_comorphism(sf: SiteFunctor, max_objects: int | None = None) -> C
         raise ValueError(f"not a morphism of sites: {mos.witness}")
     F, J, K = sf.F, sf.J, sf.K
     C, D = F.source, F.target
-    cc = comma(identity_functor(D), F, max_objects=max_objects)
+    cc = comma(identity_functor(D), F)
     k_tilde = induced_topology(cc.left_projection, K)
 
     pi_C = SiteFunctor(cc.right_projection, k_tilde, J)
@@ -97,7 +97,7 @@ def morphism_to_comorphism(sf: SiteFunctor, max_objects: int | None = None) -> C
                      i_F, certificates)
 
 
-def comorphism_to_morphism_comma(sf: SiteFunctor, max_objects: int | None = None) -> CommaSite:
+def comorphism_to_morphism_comma(sf: SiteFunctor) -> CommaSite:
     """(F ↓ 1_C) for a comorphism F: (D, K) -> (C, J); j_F is a dense
     morphism of sites presenting the same topos."""
     com = is_comorphism_of_sites(sf)
@@ -106,7 +106,7 @@ def comorphism_to_morphism_comma(sf: SiteFunctor, max_objects: int | None = None
     F = sf.F
     D, C = F.source, F.target
     K, J = sf.source_topology, sf.target_topology
-    cc = comma(F, identity_functor(C), max_objects=max_objects)
+    cc = comma(F, identity_functor(C))
     k_bar = induced_topology(cc.left_projection, K)
 
     pi_D = SiteFunctor(cc.left_projection, k_bar, K)
@@ -142,7 +142,7 @@ def comorphism_to_morphism_comma(sf: SiteFunctor, max_objects: int | None = None
                      j_F, certificates)
 
 
-def generalized_elements_fibration(sf: SiteFunctor, max_objects: int | None = None) -> CommaSite:
+def generalized_elements_fibration(sf: SiteFunctor) -> CommaSite:
     """(1_C ↓ F) for a comorphism F: (D, K) -> (C, J), with the topology
     coinduced along the canonical embedding; its projection to C is a split
     fibration presenting C_F."""
@@ -152,7 +152,7 @@ def generalized_elements_fibration(sf: SiteFunctor, max_objects: int | None = No
     F = sf.F
     D, C = F.source, F.target
     K, J = sf.source_topology, sf.target_topology
-    cc = comma(identity_functor(C), F, max_objects=max_objects)
+    cc = comma(identity_functor(C), F)
 
     obj_index = {o: i for i, o in enumerate(cc.objects)}
     arr_index = {a: i for i, a in enumerate(cc.arrow_data)}

@@ -306,7 +306,7 @@ class CommaCategory:
     right_projection: FinFunctor
 
 
-def comma(F: FinFunctor, G: FinFunctor, max_objects: int | None = None) -> CommaCategory:
+def comma(F: FinFunctor, G: FinFunctor) -> CommaCategory:
     if F.target != G.target:
         raise ValueError("comma categories need functors with a common target")
     C = F.target
@@ -314,8 +314,10 @@ def comma(F: FinFunctor, G: FinFunctor, max_objects: int | None = None) -> Comma
     objects = [(a, b, alpha)
                for a in A.objects for b in B.objects
                for alpha in C.hom(F.on_obj(a), G.on_obj(b))]
-    if max_objects is not None and len(objects) > max_objects:
-        raise SizeGuardError(f"comma category has {len(objects)} objects (budget {max_objects})")
+    # every object carries an identity arrow, so this is the arrow guard,
+    # fired before any arrow is enumerated
+    if len(objects) > MAX_ARROWS:
+        raise SizeGuardError(f"comma category has {len(objects)} objects (budget {MAX_ARROWS})")
     obj_index = {o: i for i, o in enumerate(objects)}
 
     arrow_data = []

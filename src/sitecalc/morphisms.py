@@ -86,6 +86,13 @@ class SiteFunctor:
             self.verdicts[key] = check(self)
         return self.verdicts[key]
 
+    @cached_property
+    def sheaves(self) -> dict:
+        """Sheafifications on the source site, keyed by presheaf, and the
+        arrows χ_d, each built once by `_sheafified` and `_chi_morphism`;
+        they live and die with this instance."""
+        return {}
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -1000,11 +1007,11 @@ def _inclusion_relation_condition(sf: SiteFunctor) -> Verdict:
     with some g: z -> c2 such that ξ(η(f∘x)) = η(g∘x) for every
     x: F(e) -> z generate a sieve whose pullback along each x: F(e) -> c
     covers e.  These are the pairs related by the functional relation of
-    ξ, read off ξ and the units directly; each P_c is sheafified once."""
+    ξ, read off ξ and the units directly."""
     F = sf.F
     src_top = sf.source_topology
     D, C = F.source, F.target
-    sheafified = [ps.sheafify(_hom_presheaf(F, c), src_top) for c in C.objects]
+    sheafified = [_sheafified(sf, _hom_presheaf(F, c)) for c in C.objects]
 
     def unit(c: int, e: int, x: int) -> int:
         """η(x) in a(P_c)(e), for x: F(e) -> c."""
@@ -1031,18 +1038,26 @@ def _inclusion_relation_condition(sf: SiteFunctor) -> Verdict:
     return _yes("comorphism-inclusion-relations")
 
 
-def _chi_morphism(sf: SiteFunctor, d: int,
-                  chi_cache: dict) -> tuple[ps.SheafificationResult,
-                                            ps.SheafificationResult,
-                                            ps.PresheafMorphism]:
+def _sheafified(sf: SiteFunctor, P: ps.FinPresheaf) -> ps.SheafificationResult:
+    """a(P) on the source site, sheafified once per presheaf (its sizes and
+    restrictions) and kept in `sf.sheaves`."""
+    key = (P.sizes, P.restrict)
+    if key not in sf.sheaves:
+        sf.sheaves[key] = ps.sheafify(P, sf.source_topology)
+    return sf.sheaves[key]
+
+
+def _chi_morphism(sf: SiteFunctor, d: int) -> tuple[ps.SheafificationResult,
+                                                   ps.SheafificationResult,
+                                                   ps.PresheafMorphism]:
     """The canonical arrow χ_d: l'(d) -> a(Hom_C(F(-), F(d))), as the
     sheafification of u -> F(u), with the sheafified representable l'(d)
     and a(Hom_C(F(-), F(d))).  Built once per object and kept in
-    `chi_cache`."""
-    if d in chi_cache:
-        return chi_cache[d]
+    `sf.sheaves`."""
+    key = ("chi", d)
+    if key in sf.sheaves:
+        return sf.sheaves[key]
     F = sf.F
-    src_top = sf.source_topology
     D, C = F.source, F.target
     yd = ps.yoneda(D, d)
     P = _hom_presheaf(F, F.on_obj(d))
@@ -1051,10 +1066,10 @@ def _chi_morphism(sf: SiteFunctor, d: int,
         hom = C.hom(F.on_obj(e), F.on_obj(d))
         comps.append(tuple(hom.index(F.on_arr(u)) for u in D.hom(e, d)))
     chi0 = ps.PresheafMorphism(yd, P, tuple(comps))
-    sh_yd = ps.sheafify(yd, src_top)
-    sh_P = ps.sheafify(P, src_top)
-    chi_cache[d] = sh_yd, sh_P, ps.sheafify_morphism(chi0, sh_yd, sh_P)
-    return chi_cache[d]
+    sh_yd = _sheafified(sf, yd)
+    sh_P = _sheafified(sf, P)
+    sf.sheaves[key] = sh_yd, sh_P, ps.sheafify_morphism(chi0, sh_yd, sh_P)
+    return sf.sheaves[key]
 
 
 def _yoneda_sheaf_arrow(sf: SiteFunctor, g: int,
@@ -1071,14 +1086,13 @@ def _yoneda_sheaf_arrow(sf: SiteFunctor, g: int,
     return ps.sheafify_morphism(y_g, sh_src, sh_dst)
 
 
-def _inclusion_arrow_splits(sf: SiteFunctor, g: int,
-                              chi_cache: dict) -> bool:
+def _inclusion_arrow_splits(sf: SiteFunctor, g: int) -> bool:
     """Is there a relation (equivalently sheaf arrow a(P_{F(d')}) -> l'(d))
     splitting χ_{d'} over g: d' -> d."""
     D = sf.F.source
     d1, d = D.dom[g], D.cod[g]
-    sh_yd1, sh_P, chi = _chi_morphism(sf, d1, chi_cache)
-    sh_yd = _chi_morphism(sf, d, chi_cache)[0]
+    sh_yd1, sh_P, chi = _chi_morphism(sf, d1)
+    sh_yd = _chi_morphism(sf, d)[0]
     target_arrow = _yoneda_sheaf_arrow(sf, g, sh_yd1, sh_yd)
     for xi in ps.enumerate_presheaf_morphisms(sh_P.sheaf, sh_yd.sheaf):
         if chi.then(xi).components == target_arrow.components:
@@ -1093,10 +1107,8 @@ def _comorphism_inclusion_general(sf: SiteFunctor) -> Verdict:
     F = sf.F
     D = F.source
     src_top = sf.source_topology
-    chi_cache: dict = {}
     for d in D.objects:
-        ok = mask_of(g for g in D.arrows_into(d)
-                     if _inclusion_arrow_splits(sf, g, chi_cache))
+        ok = mask_of(g for g in D.arrows_into(d) if _inclusion_arrow_splits(sf, g))
         if not src_top.is_covering(d, generate_mask(D, ok)):
             return _no("comorphism-inclusion", clause="local-splitting", object=d)
     return _yes("comorphism-inclusion")
@@ -1116,12 +1128,11 @@ def _comorphism_localic_general(sf: SiteFunctor) -> Verdict:
     src_top = sf.source_topology
     if local_property_tests(sf)["J_faithful"]:
         return _yes("comorphism-localic", via="K-faithful")
-    chi_cache: dict = {}
 
     def arrow_ok(g: int) -> bool:
         d1, d = D.dom[g], D.cod[g]
-        sh_yd1, _, chi = _chi_morphism(sf, d1, chi_cache)
-        sh_yd = _chi_morphism(sf, d, chi_cache)[0]
+        sh_yd1, _, chi = _chi_morphism(sf, d1)
+        sh_yd = _chi_morphism(sf, d)[0]
         y_g = _yoneda_sheaf_arrow(sf, g, sh_yd1, sh_yd)
         return all(len(set(zip(chi.components[e], y_g.components[e])))
                    == len(set(chi.components[e])) for e in D.objects)

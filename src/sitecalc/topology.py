@@ -12,14 +12,12 @@ those meeting the condition and validates the result.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .fincat import FinCategory, FinFunctor, SizeGuardError, cartesian_arrows, is_fibration
+from .fincat import FinCategory, FinFunctor, cartesian_arrows, is_fibration
 from .sieves import (
-    Sieve,
     all_sieve_masks,
     bits,
     generate_mask,
@@ -225,38 +223,9 @@ def local_equality(J: GrothendieckTopology, h: int, k: int) -> bool:
     return memo[(h, k)]
 
 
-def sieve_J_closure(J: GrothendieckTopology, s: Sieve) -> Sieve:
-    """{f | f*(S) is J-covering}; a closure operator on sieves."""
-    return Sieve(J.cat, s.codomain, closure_mask(J, s.codomain, s.arrows))
-
-
 def closure_mask(J: GrothendieckTopology, c: int, mask: int) -> int:
+    """{f | f*(S) is J-covering}; a closure operator on sieves on c."""
     cat = J.cat
     return mask_of(
         f for f in cat.arrows_into(c)
         if J.is_covering(cat.dom[f], pullback_mask(cat, mask, f)))
-
-
-def enumerate_topologies(cat: FinCategory) -> list[GrothendieckTopology]:
-    """All topologies, by brute force; restricted to categories with at most
-    4 arrows per object (doubly exponential beyond that)."""
-    if any(len(cat.arrows_into(c)) > 4 for c in cat.objects):
-        raise SizeGuardError("topology enumeration needs <= 4 arrows per object")
-    per_object = []
-    for c in cat.objects:
-        sieves = all_sieve_masks(cat, c)
-        maximal = maximal_sieve_mask(cat, c)
-        rest = [s for s in sieves if s != maximal]
-        families = []
-        for k in range(len(rest) + 1):
-            for chosen in itertools.combinations(rest, k):
-                fam = set(chosen) | {maximal}
-                # upward closure among sieves is necessary, prune early
-                if all(t in fam for s in fam for t in sieves if s & ~t == 0):
-                    families.append(frozenset(fam))
-        per_object.append(families)
-    out = []
-    for combo in itertools.product(*per_object):
-        if not _axiom_violations(cat, combo):
-            out.append(GrothendieckTopology(cat, tuple(combo)))
-    return out

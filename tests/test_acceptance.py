@@ -41,17 +41,13 @@ from sitecalc.constructions import (
     morphism_to_comorphism,
 )
 from sitecalc.presheaf import (
-    arrow_to_relation,
     build_CJ,
     canonical_topology,
     category_of_elements,
-    compose_relations,
     enumerate_presheaf_morphisms,
-    graph_relation,
     is_bicovering,
     is_sheaf,
     is_subcanonical,
-    relation_to_arrow,
     sheaf_comparison,
     sheafify,
     sheafify_plus_plus,
@@ -75,6 +71,12 @@ from conftest import (
     random_fibration,
     random_presheaf,
     random_topology,
+)
+from oracles import (
+    arrow_to_relation,
+    compose_relations,
+    graph_relation,
+    relation_to_arrow,
 )
 from test_topology import reference_canonical_topology
 

@@ -134,7 +134,6 @@ class Args:
     target_topology = None
     oracle = False
     witness = True
-    max_arrows = 1 << 16
 
 
 def _args(name=None, args=(), oracle=False):
@@ -651,6 +650,35 @@ def test_size_guard_while_parsing_is_exit_3(tmp_path):
     assert (records[-1]["record"], records[-1]["exit"]) == ("status", 3)
 
 
+def test_comma_guard_is_exit_3(tmp_path):
+    """`comma c2m` on the constant functor from the discrete category on
+    4,097 objects to Z16 would build 4,097 × 16 = 65,552 comma objects,
+    each with an identity arrow, past the 2^16 arrow guard: exit 3 with a
+    report, before any arrow is enumerated."""
+    n, m = 4097, 16
+    path = tmp_path / "wide.site"
+    path.write_text("\n".join([
+        "site-format 1",
+        "category D",
+        f"  objects: {n}",
+        "  arrows: " + ", ".join(f"i{c}: {c} -> {c}" for c in range(n)),
+        "  identities: " + ", ".join(f"i{c}" for c in range(n)),
+        "topology T on D",
+        "  kind: trivial",
+    ]) + "\n" + cyclic_site(m).split("\n", 1)[1] + "\n".join([
+        "functor F : D -> Z",
+        "  objects: " + ", ".join(f"{c} -> 0" for c in range(n)),
+        "  arrows: " + ", ".join(f"i{c} -> r0" for c in range(n)),
+    ]) + "\n")
+    code, out, err = main_in_process(path, "comma", "c2m", "F", "--format", "machine")
+    assert code == 3
+    assert "Traceback" not in err
+    records = [json.loads(line) for line in out.splitlines()]
+    assert (records[0]["name"], records[0]["value"]) == \
+        ("resource-guard", f"comma category has {n * m} objects (budget {1 << 16})")
+    assert (records[-1]["record"], records[-1]["exit"]) == ("status", 3)
+
+
 def test_sieve_guard_fires_before_enumerating(tmp_path):
     """The vee with 21 legs has 2^21 + 1 sieves on its top, as its 21
     legs generate pairwise incomparable principal sieves.  Generating a
@@ -716,16 +744,6 @@ def test_missing_or_unknown_operand_is_exit_2(argv):
     out = sitecalc_cli(FIXTURE, *argv)
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
-
-
-@pytest.mark.parametrize("variable", ["SITECALC_MAX_ARROWS"])
-def test_non_integer_guard_variable_is_exit_2(variable):
-    """A guard default from the environment that is not an integer is a
-    usage error (exit 2), not a crash."""
-    out = sitecalc_cli(FIXTURE, "validate", env={variable: "abc"})
-    assert out.returncode == 2
-    assert "Traceback" not in out.stderr
-    assert "invalid int value: 'abc'" in out.stderr
 
 
 def test_presheaf_validation_survives_optimize(tmp_path):

@@ -6,7 +6,14 @@ from sitecalc.constructions import (
     generalized_elements_identities,
     morphism_to_comorphism,
 )
-from sitecalc.fincat import SizeGuardError, identity_functor
+from sitecalc.fincat import (
+    FinFunctor,
+    SizeGuardError,
+    comma,
+    identity_functor,
+    monoid_category,
+    validate_category,
+)
 from sitecalc.morphisms import SiteFunctor, is_comorphism_of_sites, is_morphism_of_sites
 from sitecalc.topology import (
     atomic_topology,
@@ -94,11 +101,16 @@ def test_m2c_requires_morphism(two):
         morphism_to_comorphism(sf)
 
 
-def test_m2c_object_budget(two):
-    J = atomic_topology(two)
-    sf = SiteFunctor(make_collapse_functor(two), J, J)
-    with pytest.raises(SizeGuardError):
-        morphism_to_comorphism(sf, max_objects=1)
+def test_m2c_object_budget():
+    """4,097 × 16 = 65,552 comma objects, each with an identity arrow, trip
+    the 2^16 arrow guard before any arrow is enumerated."""
+    n = 4097
+    discrete = validate_category(n, [(c, c) for c in range(n)], range(n),
+                                 {(c, c): c for c in range(n)})
+    Z16 = monoid_category([[(i + j) % 16 for j in range(16)] for i in range(16)], 0)
+    F = FinFunctor(discrete, Z16, (0,) * n, (0,) * n)
+    with pytest.raises(SizeGuardError, match="65552 objects"):
+        comma(F, identity_functor(Z16))
 
 
 def test_c2m_identity(rng):

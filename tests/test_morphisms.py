@@ -55,7 +55,6 @@ from sitecalc.morphisms import (
 from sitecalc.presheaf import (
     PresheafMorphism,
     _locally_matching_families,
-    arrow_to_relation,
     canonical_topology,
     category_of_elements,
     closure_cJ,
@@ -86,6 +85,7 @@ from conftest import (
     random_presheaf,
     random_topology,
 )
+from oracles import arrow_to_relation
 from test_presheaf import _reference_locally_matching_families
 
 
@@ -1415,12 +1415,11 @@ def _reference_comorphism_localic(sf):
     F = sf.F
     D = F.source
     J = sf.source_topology
-    chi_cache = {}
 
     def arrow_ok(g):
         d1, d = D.dom[g], D.cod[g]
-        sh_yd1, sh_P, chi = mor._chi_morphism(sf, d1, chi_cache)
-        sh_yd = mor._chi_morphism(sf, d, chi_cache)[0]
+        sh_yd1, sh_P, chi = mor._chi_morphism(sf, d1)
+        sh_yd = mor._chi_morphism(sf, d)[0]
         target_arrow = mor._yoneda_sheaf_arrow(sf, g, sh_yd1, sh_yd)
         for sub in subpresheaves(sh_P.sheaf):
             if not all(chi.at(e, x) in sub.members[e]
@@ -1612,6 +1611,53 @@ def test_classify_comorphism_runs_each_shared_body_once(monkeypatch, rng):
         reached["general localic"] += "via" not in cls.localic.witness
         reached["closed families"] += cls.surjection.holds
     assert reached["general localic"] and reached["closed families"]
+
+
+def _parallel_arrow_cospan(k):
+    """The functor of `test_classify_comorphism_guards_the_general_inclusion_check`
+    with k parallel arrows: the discrete site on 0, 1, where the empty sieve
+    covers 0, into the cospan 0 -> 2 <- 1 with arrows a1..ak: 0 -> 2 and
+    b: 1 -> 2, where the empty sieve covers 1; F(0) = 2 and F(1) = 0."""
+    D = validate_category(2, [(0, 0), (1, 1)], [0, 1], {(0, 0): 0, (1, 1): 1})
+    arrows = [(0, 0), (1, 1), (2, 2)] + [(0, 2)] * k + [(1, 2)]
+    comp = {}
+    for f, (a, b) in enumerate(arrows):
+        comp[(f, a)] = comp[(b, f)] = f
+    C = validate_category(3, arrows, [0, 1, 2], comp)
+    F = FinFunctor(D, C, (2, 0), (2, 0))
+    return SiteFunctor(F, generate_topology(D, [(0, 0)]), generate_topology(C, [(1, 0)]))
+
+
+def test_classify_comorphism_sheafifies_each_presheaf_once(monkeypatch, rng):
+    """One classification sheafifies each distinct presheaf (sizes and
+    restrictions) once, although the relation clause, the local-splitting
+    clause and the localic check all read a(Hom_C(F(-), c)) and the
+    sheafified representables; on the parallel-arrow cospans the verdicts
+    and witnesses equal the reference searches."""
+    counts = collections.Counter()
+
+    def counted(P, J, _body=mor.ps.sheafify):
+        counts[P.sizes, P.restrict] += 1
+        return _body(P, J)
+    monkeypatch.setattr(mor.ps, "sheafify", counted)
+    cospans = [_parallel_arrow_cospan(k) for k in (2, 3, 4)]
+    corpora = [sf for sfs in _comorphism_corpora(rng).values() for sf in sfs]
+    reached = 0
+    for sf in cospans + corpora:
+        counts.clear()
+        cls = classify_comorphism(SiteFunctor(sf.F, sf.J, sf.K))
+        assert set(counts.values()) <= {1}, counts
+        reached += len(counts) > 1
+        if sf in cospans:
+            assert cls.inclusion.witness == {"kind": "comorphism-inclusion", "holds": True}
+            fresh = SiteFunctor(sf.F, sf.J, sf.K)
+            assert mor._inclusion_relation_condition(fresh).witness == \
+                _reference_inclusion_relation_condition(SiteFunctor(sf.F, sf.J, sf.K))
+            assert cls.localic.witness == \
+                _reference_comorphism_localic(SiteFunctor(sf.F, sf.J, sf.K))
+            assert cls.hyperconnected.witness == \
+                _reference_comorphism_hyperconnected(SiteFunctor(sf.F, sf.J, sf.K))
+    assert reached
 
 
 def test_inclusion_relation_condition_guards_its_arrow_enumeration():

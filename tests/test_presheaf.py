@@ -15,11 +15,9 @@ from sitecalc.fincat import (
 )
 from sitecalc.presheaf import (
     FinPresheaf,
-    FunctionalRelation,
     PresheafMorphism,
     SubPresheaf,
     _locally_matching_families,
-    arrow_to_relation,
     build_CJ,
     build_CJs,
     canonical_topology,
@@ -27,19 +25,13 @@ from sitecalc.presheaf import (
     closed_sieves,
     closure_cJ,
     colimit_of_representables,
-    compose_relations,
     constant_presheaf,
     elem_locally_equal,
     enumerate_presheaf_morphisms,
-    graph_relation,
     identity_morphism,
-    identity_relation,
     is_bicovering,
     is_sheaf,
     plus_construction,
-    relation_is_epi,
-    relation_is_mono,
-    relation_to_arrow,
     sheaf_comparison,
     sheafify,
     sheafify_morphism,
@@ -47,7 +39,6 @@ from sitecalc.presheaf import (
     sieve_subpresheaf,
     strict_matching_families,
     subpresheaves,
-    validate_functional_relation,
     yoneda,
 )
 from sitecalc.sieves import all_sieve_masks, bits, mask_of, maximal_sieve_mask, pullback_mask
@@ -64,6 +55,17 @@ from conftest import (
     random_presheaf,
     random_topology,
     z2_category,
+)
+from oracles import (
+    FunctionalRelation,
+    arrow_to_relation,
+    compose_relations,
+    graph_relation,
+    identity_relation,
+    relation_is_epi,
+    relation_is_mono,
+    relation_to_arrow,
+    validate_functional_relation,
 )
 
 

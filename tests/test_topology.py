@@ -13,10 +13,10 @@ from sitecalc.fincat import (
 )
 from sitecalc.presheaf import canonical_topology, elements_topology, is_sheaf, is_subcanonical, yoneda
 from sitecalc.sieves import (
-    Sieve,
     all_sieve_masks,
     bits,
     generate_mask,
+    is_sieve_mask,
     mask_of,
     maximal_sieve_mask,
     preimage_mask,
@@ -25,15 +25,14 @@ from sitecalc.sieves import (
 from sitecalc.topology import (
     TopologyError,
     atomic_topology,
+    closure_mask,
     coinduced_topology,
-    enumerate_topologies,
     fibration_topology,
     generate_topology,
     induced_topology,
     join_topologies,
     local_equality,
     rigid_topology,
-    sieve_J_closure,
     smallest_comorphism_topology,
     topology_where,
     trivial_topology,
@@ -53,6 +52,7 @@ from conftest import (
     random_topology,
     z2_category,
 )
+from oracles import enumerate_topologies
 
 
 def atomic_on_two(two):
@@ -558,8 +558,8 @@ def test_closure_of_covering_is_maximal(rng):
         J = random_topology(rng, cat)
         for c in cat.objects:
             for s in J.covers[c]:
-                closed = sieve_J_closure(J, Sieve(cat, c, s))
-                assert closed.arrows == maximal_sieve_mask(cat, c)
+                closed = closure_mask(J, c, s)
+                assert closed == maximal_sieve_mask(cat, c)
 
 
 def test_closure_is_closure_operator(rng):
@@ -569,15 +569,15 @@ def test_closure_is_closure_operator(rng):
         c = rng.randrange(cat.n_objects)
         masks = all_sieve_masks(cat, c)
         for s in masks:
-            sieve = Sieve(cat, c, s)
-            cl = sieve_J_closure(J, sieve)
-            assert s & ~cl.arrows == 0                      # extensive
-            assert sieve_J_closure(J, cl).arrows == cl.arrows  # idempotent
+            cl = closure_mask(J, c, s)
+            assert is_sieve_mask(cat, c, cl)
+            assert s & ~cl == 0                             # extensive
+            assert closure_mask(J, c, cl) == cl             # idempotent
         for s in masks:
             for t in masks:
                 if s & ~t == 0:
-                    a = sieve_J_closure(J, Sieve(cat, c, s)).arrows
-                    b = sieve_J_closure(J, Sieve(cat, c, t)).arrows
+                    a = closure_mask(J, c, s)
+                    b = closure_mask(J, c, t)
                     assert a & ~b == 0                      # monotone
 
 
