@@ -120,6 +120,21 @@ class FinCategory:
         `presheaf.yoneda`; it lives and dies with this instance."""
         return {}
 
+    @cached_property
+    def sieve_masks(self) -> dict:
+        """Object -> the tuple of every sieve on it, filled lazily by
+        `sieves.all_sieve_masks`; it lives and dies with this instance."""
+        return {}
+
+    @cached_property
+    def composites_by_codomain(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Per object b, the entries (g, f, g∘f) of `comp` with cod(g) = b,
+        in `comp` order."""
+        groups: list[list[tuple[int, int, int]]] = [[] for _ in self.objects]
+        for (g, f), h in self.comp.items():
+            groups[self.cod[g]].append((g, f, h))
+        return tuple(tuple(p) for p in groups)
+
     def opposite(self) -> "FinCategory":
         return FinCategory(
             n_objects=self.n_objects,
@@ -185,9 +200,15 @@ def validate_category(
             violations.append(f"identity law broken: {f}∘id_{dom[f]} != {f}")
         if comp[(identities[cod[f]], f)] != f:
             violations.append(f"identity law broken: id_{cod[f]}∘{f} != {f}")
+    # (h∘g)∘f = h∘(g∘f) for all f at once: post[x] lists x∘f over f into
+    # dom(x), so the row of h∘g is compared with h applied to the row of g
+    post = [tuple(comp[(x, f)] for f in into[dom[x]]) for x in range(n_arrows)]
     for h in range(n_arrows):
+        after_h = dict(zip(into[dom[h]], post[h]))
         for g in into[dom[h]]:
             hg = comp[(h, g)]
+            if post[hg] == tuple(map(after_h.__getitem__, post[g])):
+                continue
             for f in into[dom[g]]:
                 if comp[(hg, f)] != comp[(h, comp[(g, f)])]:
                     violations.append(f"non-associative triple ({h}, {g}, {f})")

@@ -66,6 +66,18 @@ def multicompose_mask(cat: FinCategory, mask: int, refinements: dict[int, int]) 
 
 
 def all_sieve_masks(cat: FinCategory, c: int, guard: int = 1 << 20) -> tuple[int, ...]:
+    """Every sieve on c, in ascending order; enumerated once per category
+    instance and object and kept in `cat.sieve_masks`.  More than `guard`
+    sieves raise SizeGuardError, from the memo as from the enumeration."""
+    memo = cat.sieve_masks
+    if c not in memo:
+        memo[c] = _enumerate_sieve_masks(cat, c, guard)
+    elif len(memo[c]) > guard:
+        raise SizeGuardError(f"more than {guard} sieves on object {c}")
+    return memo[c]
+
+
+def _enumerate_sieve_masks(cat: FinCategory, c: int, guard: int) -> tuple[int, ...]:
     """Every sieve on c, enumerated as unions of principal sieves.
 
     The guard fires before the enumeration when it can: the unions of w

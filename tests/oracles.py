@@ -23,7 +23,7 @@ from sitecalc.presheaf import (
     sheafify,
     sheafify_morphism,
 )
-from sitecalc.sieves import all_sieve_masks, mask_of, maximal_sieve_mask
+from sitecalc.sieves import all_sieve_masks, bits, mask_of, maximal_sieve_mask, pullback_mask
 from sitecalc.topology import GrothendieckTopology, _axiom_violations
 
 
@@ -257,3 +257,29 @@ def enumerate_topologies(cat: FinCategory) -> list[GrothendieckTopology]:
         if not _axiom_violations(cat, combo):
             out.append(GrothendieckTopology(cat, tuple(combo)))
     return out
+
+
+def reference_axiom_violations(cat: FinCategory, covers) -> list[dict]:
+    """Every violated axiom instance, found by pulling each cover back
+    along every arrow, and each non-covering sieve back along every member
+    of every cover."""
+    violations = []
+    for c in cat.objects:
+        if maximal_sieve_mask(cat, c) not in covers[c]:
+            violations.append({"axiom": "maximality", "object": c})
+    for c in cat.objects:
+        for s in covers[c]:
+            for f in cat.arrows_into(c):
+                pb = pullback_mask(cat, s, f)
+                if pb not in covers[cat.dom[f]]:
+                    violations.append(
+                        {"axiom": "stability", "object": c, "sieve": s, "arrow": f, "pullback": pb})
+    for c in cat.objects:
+        non_covering = [s for s in all_sieve_masks(cat, c) if s not in covers[c]]
+        for s in non_covering:
+            for t in covers[c]:
+                if all(pullback_mask(cat, s, f) in covers[cat.dom[f]] for f in bits(t)):
+                    violations.append(
+                        {"axiom": "transitivity", "object": c, "sieve": s, "via": t})
+                    break
+    return violations

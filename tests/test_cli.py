@@ -1,3 +1,4 @@
+import collections
 import io
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sitecalc import cli
+from sitecalc import cli, sieves
 from sitecalc.cli import SiteParseError, parse, print_document, run
 
 from test_topology import reference_canonical_topology, reference_generate_topology
@@ -593,6 +594,27 @@ def test_topology_generate_reports_the_declared_topology():
         assert covers == [sorted(s) for s in reference_generate_topology(J.cat, base)]
 
 
+def test_topology_generate_enumerates_each_object_once(tmp_path, monkeypatch):
+    """`topology generate J` on the 6-leg vee with J generated by two legs
+    enumerates the sieves of each object once: parsing builds J with
+    `topology_where`, whose validation reads the same memo."""
+    counts = collections.Counter()
+    enumerate_sieves = sieves._enumerate_sieve_masks
+
+    def counting(cat, c, guard):
+        counts[(id(cat), c)] += 1
+        return enumerate_sieves(cat, c, guard)
+
+    monkeypatch.setattr(sieves, "_enumerate_sieve_masks", counting)
+    path = tmp_path / "vee6.site"
+    path.write_text(vee_site(6, 1).replace("sieve: 6 : l0 l1 l2 l3 l4 l5", "sieve: 6 : l0 l1"))
+    code, out, err = main_in_process(path, "topology", "generate", "J", "--format", "machine")
+    assert code == 0
+    assert len({key for key, _ in counts}) == 1
+    assert sorted(c for _, c in counts) == list(range(7))
+    assert set(counts.values()) == {1}
+
+
 def test_classify_comorphism_guards_the_general_inclusion_check(tmp_path):
     """F sends the objects 0, 1 of a discrete category to the top and to
     the source of eight parallel arrows a1..a8 of a cospan.  It is a
@@ -779,3 +801,46 @@ def test_presheaf_functoriality_survives_optimize(tmp_path):
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert "invalid presheaf 'P': contravariant functoriality fails at pair (4, 3)" in out.stderr
+
+
+def test_topology_axioms_survive_optimize(tmp_path):
+    """`kind: atomic` on a cospan is invalid input also under `python -O`:
+    the sieve of either leg pulls back along the other to the empty sieve,
+    which does not cover, so stability fails (exit 2, naming both)."""
+    doc_path = tmp_path / "atomic_cospan.site"
+    doc_path.write_text("\n".join([
+        "site-format 1",
+        "category S",
+        "  objects: 3",
+        "  arrows: i0: 0 -> 0, i1: 1 -> 1, i2: 2 -> 2, a: 0 -> 2, b: 1 -> 2",
+        "  identities: i0, i1, i2",
+        "topology J on S",
+        "  kind: atomic",
+    ]) + "\n")
+    out = sitecalc_cli(doc_path, "validate", python_flags=["-O"])
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert ("invalid topology 'J': "
+            "{'axiom': 'stability', 'object': 2, 'sieve': 8, 'arrow': 4, 'pullback': 0}; "
+            "{'axiom': 'stability', 'object': 2, 'sieve': 16, 'arrow': 3, 'pullback': 0}"
+            ) in out.stderr
+
+
+def test_category_associativity_survives_optimize(tmp_path):
+    """A unital composition table on one object with b∘b = a and b∘a = b
+    is not associative, (b∘b)∘b = a∘b = a but b∘(b∘b) = b∘a = b: invalid
+    input (exit 2, naming every failing triple) also under `python -O`."""
+    doc_path = tmp_path / "non_associative.site"
+    doc_path.write_text("\n".join([
+        "site-format 1",
+        "category M",
+        "  objects: 1",
+        "  arrows: i: 0 -> 0, a: 0 -> 0, b: 0 -> 0",
+        "  identities: i",
+        "  compose: a . a = a, a . b = a, b . a = b, b . b = a",
+    ]) + "\n")
+    out = sitecalc_cli(doc_path, "validate", python_flags=["-O"])
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert ("invalid category 'M': non-associative triple (2, 1, 2); "
+            "non-associative triple (2, 2, 2)") in out.stderr

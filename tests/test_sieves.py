@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -358,3 +359,28 @@ def test_sieve_guard_fires_where_the_counting_enumeration_does(rng):
                 assert got == _sieves_or_message(_reference_all_sieve_masks, cat, c, guard)
                 early += isinstance(got, str) and guard < count
     assert early
+
+
+def test_all_sieve_masks_is_memoized_per_category(rng):
+    """The sieves of an object are enumerated once per category instance
+    and kept in `cat.sieve_masks`: a second call returns the same tuple.
+    With the memo warm, every guard from 0 to one above the count gives
+    what it gives on a fresh copy of the category: the same message below
+    the count, and the memoized tuple from there on; a guard that fires
+    stores nothing."""
+    cats = [random_category(rng) for _ in range(40)]
+    cats += [poset_category(k + 1, [(i, k) for i in range(k)]) for k in range(1, 7)]
+    for cat in cats:
+        for c in cat.objects:
+            got = all_sieve_masks(cat, c)
+            assert cat.sieve_masks[c] is got
+            assert all_sieve_masks(cat, c) is got
+            for guard in range(len(got) + 2):
+                fresh = dataclasses.replace(cat)
+                expected = _sieves_or_message(all_sieve_masks, fresh, c, guard)
+                warm = _sieves_or_message(all_sieve_masks, cat, c, guard)
+                assert warm == expected
+                if guard < len(got):
+                    assert isinstance(warm, str) and c not in fresh.sieve_masks
+                else:
+                    assert warm is got

@@ -24,6 +24,7 @@ from sitecalc.sieves import (
 )
 from sitecalc.topology import (
     TopologyError,
+    _axiom_violations,
     atomic_topology,
     closure_mask,
     coinduced_topology,
@@ -52,7 +53,7 @@ from conftest import (
     random_topology,
     z2_category,
 )
-from oracles import enumerate_topologies
+from oracles import enumerate_topologies, reference_axiom_violations
 
 
 def atomic_on_two(two):
@@ -80,6 +81,80 @@ def test_stability_violation_witnessed(two):
     assert any(v["sieve"] == 1 << 2 and v["arrow"] == 2 for v in stability)
     assert any(v["axiom"] == "maximality" and v["object"] == 0
                for v in exc.value.violations)
+
+
+def _assert_violations_match_reference(cat, covers, kinds):
+    """The violations of `validate_topology` equal the reference scan's,
+    in order; the axioms seen are added to kinds."""
+    covers = tuple(frozenset(f) for f in covers)
+    expected = reference_axiom_violations(cat, covers)
+    assert _axiom_violations(cat, covers) == expected
+    if expected:
+        with pytest.raises(TopologyError) as exc:
+            validate_topology(cat, covers)
+        assert exc.value.violations == expected
+    kinds.update(v["axiom"] for v in expected)
+
+
+def _perturbations(rng, cat, covers):
+    """The covers, then the covers with one of them dropped at a random
+    object, then with one non-covering sieve added there."""
+    out = [covers]
+    c = rng.randrange(cat.n_objects)
+    dropped = list(covers)
+    dropped[c] = covers[c] - {rng.choice(sorted(covers[c]))}
+    out.append(dropped)
+    rest = [s for s in all_sieve_masks(cat, c) if s not in covers[c]]
+    if rest:
+        added = list(covers)
+        added[c] = covers[c] | {rng.choice(rest)}
+        out.append(added)
+    return out
+
+
+def _arbitrary_family(rng, cat):
+    """Each sieve on each object, kept with a probability drawn per object."""
+    families = []
+    for c in cat.objects:
+        p = rng.random()
+        families.append({s for s in all_sieve_masks(cat, c) if rng.random() < p})
+    return families
+
+
+def test_axiom_violations_match_reference_on_random_sites():
+    """Random conftest categories carrying a random topology and its
+    one-sieve perturbations, and carrying arbitrary sieve families."""
+    rng = random.Random(17)
+    kinds = collections.Counter()
+    for _ in range(300):
+        cat = random_category(rng)
+        for covers in _perturbations(rng, cat, random_topology(rng, cat).covers):
+            _assert_violations_match_reference(cat, covers, kinds)
+        for _ in range(3):
+            _assert_violations_match_reference(cat, _arbitrary_family(rng, cat), kinds)
+    assert set(kinds) == {"maximality", "stability", "transitivity"}
+
+
+def test_axiom_violations_match_reference_on_named_shapes():
+    """Vees with 3 to 8 legs carrying the topology generated by their first
+    j legs, for each j; chains 3–5, Z4 and the indiscrete category on 3
+    objects carrying random generated topologies; each also with its
+    one-sieve perturbations and with arbitrary sieve families."""
+    rng = random.Random(19)
+    kinds = collections.Counter()
+    sites = []
+    for k in range(3, 9):
+        cat = vee_category(k)
+        for j in range(1, k + 1):
+            legs = mask_of(f for f in cat.arrows_into(k) if cat.dom[f] < j)
+            sites.append((cat, generate_topology(cat, [(k, legs)]).covers))
+    for cat in [chain_category(n) for n in (3, 4, 5)] + [cyclic_category(4), indiscrete_category(3)]:
+        for _ in range(10):
+            sites.append((cat, generate_topology(cat, _random_base(rng, cat)).covers))
+    for cat, covers in sites:
+        for family in _perturbations(rng, cat, covers) + [_arbitrary_family(rng, cat)]:
+            _assert_violations_match_reference(cat, family, kinds)
+    assert set(kinds) == {"maximality", "stability", "transitivity"}
 
 
 def test_generate_empty_base_is_trivial(rng):
