@@ -524,8 +524,8 @@ def _cmd_denseness(doc, args, report):
     weakly = mor.is_weakly_dense(sf)
     report.add("dense", dense.holds, dense.witness)
     report.add("weakly-dense", weakly.holds, weakly.witness)
-    cls = mor.classify_morphism(sf)
-    report.add("equivalence", cls.equivalence.holds, cls.equivalence.witness)
+    # the equivalence flag of `classify_morphism` is the weak-denseness verdict
+    report.add("equivalence", weakly.holds, weakly.witness)
 
 
 def _cmd_continuity(doc, args, report):
@@ -541,20 +541,15 @@ def _cmd_continuity(doc, args, report):
         report.exit_code = 1
 
 
-def _cmd_cofinal(doc, args, report):
-    sf = _site_functor(doc, args.name, args)
-    v = mor.is_J_cofinal(sf.functor, sf.target_topology)
-    report.add("cofinal", v.holds, v.witness)
-    if not v.holds:
-        report.exit_code = 1
-
-
-def _cmd_locally_connected(doc, args, report):
-    sf = _site_functor(doc, args.name, args)
-    v = mor.is_locally_connected_general(sf)
-    report.add("locally-connected", v.holds, v.witness)
-    if not v.holds:
-        report.exit_code = 1
+def _cmd_check(name, check):
+    """A command reporting the verdict `check(sf)` under `name`; it exits 1
+    when the verdict fails."""
+    def command(doc, args, report):
+        v = check(_site_functor(doc, args.name, args))
+        report.add(name, v.holds, v.witness)
+        if not v.holds:
+            report.exit_code = 1
+    return command
 
 
 def _cmd_sheafify(doc, args, report):
@@ -672,8 +667,11 @@ _COMMANDS = {
     "classify-comorphism": _cmd_classify(mor.classify_comorphism),
     "denseness": _cmd_denseness,
     "continuity": _cmd_continuity,
-    "cofinal": _cmd_cofinal,
-    "locally-connected": _cmd_locally_connected,
+    # the checkers are looked up when a command runs, so that a function
+    # rebound in `morphisms` after import, such as a tracing wrapper, is called
+    "cofinal": _cmd_check("cofinal", lambda sf: mor.is_J_cofinal(sf.F, sf.K)),
+    "locally-connected": _cmd_check("locally-connected",
+                                    lambda sf: mor.is_locally_connected_general(sf)),
     "sheafify": _cmd_sheafify,
     "topology": _cmd_topology,
     "factorize": _cmd_factorize,

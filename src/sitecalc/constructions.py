@@ -24,6 +24,7 @@ from .topology import (
 )
 from .morphisms import (
     SiteFunctor,
+    _require,
     classify_morphism,
     is_comorphism_of_sites,
     is_cover_reflecting,
@@ -56,28 +57,29 @@ def _check_adjunction(left: FinFunctor, right: FinFunctor) -> bool:
     return True
 
 
+def _unit_section(cc: CommaCategory, F: FinFunctor) -> FinFunctor:
+    """The embedding x -> (F(x), x, id) of the source of F into
+    cc = (1 ↓ F), with u -> (F(u), u)."""
+    A, B = F.source, F.target
+    obj_index = {o: i for i, o in enumerate(cc.objects)}
+    arr_index = {a: i for i, a in enumerate(cc.arrow_data)}
+    obj = tuple(obj_index[(F.on_obj(x), x, B.identity[F.on_obj(x)])] for x in A.objects)
+    arr = tuple(arr_index[(obj[A.dom[u]], obj[A.cod[u]], F.on_arr(u), u)] for u in A.arrows)
+    return FinFunctor(A, cc.category, obj, arr)
+
+
 def morphism_to_comorphism(sf: SiteFunctor) -> CommaSite:
     """(1_D ↓ F) with the topology lifted through the right projection;
     turns a morphism of sites into the comorphism c_F = π_C."""
-    mos = is_morphism_of_sites(sf)
-    if not mos:
-        raise ValueError(f"not a morphism of sites: {mos.witness}")
+    _require(is_morphism_of_sites(sf), "a morphism of sites")
     F, J, K = sf.F, sf.J, sf.K
-    C, D = F.source, F.target
-    cc = comma(identity_functor(D), F)
+    cc = comma(identity_functor(F.target), F)
     k_tilde = induced_topology(cc.left_projection, K)
 
     pi_C = SiteFunctor(cc.right_projection, k_tilde, J)
     pi_D = SiteFunctor(cc.left_projection, k_tilde, K)
 
-    obj_index = {o: i for i, o in enumerate(cc.objects)}
-    arr_index = {a: i for i, a in enumerate(cc.arrow_data)}
-    i_obj = tuple(obj_index[(F.on_obj(c), c, D.identity[F.on_obj(c)])]
-                  for c in C.objects)
-    i_arr = tuple(
-        arr_index[(i_obj[C.dom[u]], i_obj[C.cod[u]], F.on_arr(u), u)]
-        for u in C.arrows)
-    i_F = SiteFunctor(FinFunctor(C, cc.category, i_obj, i_arr), J, k_tilde)
+    i_F = SiteFunctor(_unit_section(cc, F), J, k_tilde)
 
     pi_D_props = local_property_tests(pi_D)
     certificates = {
@@ -100,9 +102,7 @@ def morphism_to_comorphism(sf: SiteFunctor) -> CommaSite:
 def comorphism_to_morphism_comma(sf: SiteFunctor) -> CommaSite:
     """(F ↓ 1_C) for a comorphism F: (D, K) -> (C, J); j_F is a dense
     morphism of sites presenting the same topos."""
-    com = is_comorphism_of_sites(sf)
-    if not com:
-        raise ValueError(f"not a comorphism of sites: {com.witness}")
+    _require(is_comorphism_of_sites(sf), "a comorphism of sites")
     F = sf.F
     D, C = F.source, F.target
     K, J = sf.source_topology, sf.target_topology
@@ -146,22 +146,12 @@ def generalized_elements_fibration(sf: SiteFunctor) -> CommaSite:
     """(1_C ↓ F) for a comorphism F: (D, K) -> (C, J), with the topology
     coinduced along the canonical embedding; its projection to C is a split
     fibration presenting C_F."""
-    com = is_comorphism_of_sites(sf)
-    if not com:
-        raise ValueError(f"not a comorphism of sites: {com.witness}")
+    _require(is_comorphism_of_sites(sf), "a comorphism of sites")
     F = sf.F
-    D, C = F.source, F.target
     K, J = sf.source_topology, sf.target_topology
-    cc = comma(identity_functor(C), F)
+    cc = comma(identity_functor(F.target), F)
 
-    obj_index = {o: i for i, o in enumerate(cc.objects)}
-    arr_index = {a: i for i, a in enumerate(cc.arrow_data)}
-    i_obj = tuple(obj_index[(F.on_obj(d), d, C.identity[F.on_obj(d)])]
-                  for d in D.objects)
-    i_arr = tuple(
-        arr_index[(i_obj[D.dom[g]], i_obj[D.cod[g]], F.on_arr(g), g)]
-        for g in D.arrows)
-    i_prime = FinFunctor(D, cc.category, i_obj, i_arr)
+    i_prime = _unit_section(cc, F)
 
     k_coinduced = coinduced_topology(i_prime, K)
     pi_C = SiteFunctor(cc.left_projection, k_coinduced, J)

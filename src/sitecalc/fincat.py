@@ -89,6 +89,16 @@ class FinCategory:
         return self._hom[(a, b)]
 
     @cached_property
+    def hom_position(self) -> tuple[int, ...]:
+        """Per arrow f, its index in hom(dom f, cod f): the element of the
+        representable y(cod f) at dom f that f is."""
+        position = [0] * self.n_arrows
+        for arrows in self._hom.values():
+            for i, f in enumerate(arrows):
+                position[f] = i
+        return tuple(position)
+
+    @cached_property
     def isomorphisms(self) -> frozenset[int]:
         isos = set()
         for f in self.arrows:

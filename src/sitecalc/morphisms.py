@@ -111,6 +111,12 @@ def _no(kind: str, **data) -> Verdict:
     return Verdict(False, {"kind": kind, "holds": False, **data})
 
 
+def _require(verdict: Verdict, what: str) -> None:
+    """A failed precondition: ValueError("not <what>: <witness>")."""
+    if not verdict:
+        raise ValueError(f"not {what}: {verdict.witness}")
+
+
 # ---------------------------------------------------------------------------
 # cover preservation / reflection / lifting
 
@@ -178,7 +184,7 @@ def _check_morphism_of_sites(sf: SiteFunctor) -> Verdict:
                    object=cp.witness["object"], sieve=cp.witness["sieve"])
 
     for d in D.objects:
-        good = _clause_ii_sieve(sf, d)
+        good = _sieve_to_image(F, d)
         if not K.is_covering(d, good):
             return _no("morphism-of-sites", clause="ii", object=d, sieve=good)
 
@@ -236,9 +242,10 @@ def _check_morphism_of_sites(sf: SiteFunctor) -> Verdict:
     return _yes("morphism-of-sites")
 
 
-def _clause_ii_sieve(sf: SiteFunctor, d: int) -> int:
-    """The arrows into d whose domain maps to some image object F(c)."""
-    F, D = sf.F, sf.F.target
+def _sieve_to_image(F: FinFunctor, d: int) -> int:
+    """The arrows into d whose domain maps to some image object F(c): the
+    sieve of morphism-of-sites clause (ii) and of cofinality clause (i)."""
+    D = F.target
     return mask_of(g for g in D.arrows_into(d)
                    if any(D.hom(D.dom[g], F.on_obj(c)) for c in F.source.objects))
 
@@ -331,6 +338,26 @@ class _CommaComponents:
                 good |= 1 << f
         return good
 
+    def unconnected(self, J: GrothendieckTopology,
+                    keep: Callable[[int, int, int, int, int], bool] | None = None
+                    ) -> tuple[int, int, int, int, int, int] | None:
+        """The first (c, a, x, b, x2, sieve), in that loop order, with
+        x: c -> D(a), x2: c -> D(b) and keep(c, a, x, b, x2), whose sieve
+        `sieve(c, a, x, b, x2)` does not J-cover c; None when every one
+        covers."""
+        cat, vertices = self.cat, self.vertices
+        for c in cat.objects:
+            for a, va in enumerate(vertices):
+                for x in cat.hom(c, va):
+                    for b, vb in enumerate(vertices):
+                        for x2 in cat.hom(c, vb):
+                            if keep is not None and not keep(c, a, x, b, x2):
+                                continue
+                            good = self.sieve(c, a, x, b, x2)
+                            if not J.is_covering(c, good):
+                                return c, a, x, b, x2, good
+        return None
+
 
 def is_continuous(sf: SiteFunctor) -> Verdict:
     """Finitary continuity criterion: cover-preserving, plus local connection
@@ -366,34 +393,18 @@ def is_continuous(sf: SiteFunctor) -> Verdict:
 
 def continuity_oracle(sf: SiteFunctor) -> bool:
     """Independent route: for each covering sieve S on c the comparison
-    colim(y∘D^F_S) -> y(F(c)) must be K-bicovering."""
+    colim(y∘D^F_S) -> y(F(c)) must be K-bicovering, the image diagram with
+    legs F(f) being a cocone for `cocone_sheaf_colimit_oracle`."""
     F, J, K = sf.F, sf.J, sf.K
     C, D = F.source, F.target
     for c in C.objects:
         for s in J.covers[c]:
-            members, raw_edges = sieve_diagram(C, s)
-            shape = _diagram_shape(len(members), raw_edges, C, members)
-            diagram = [ps.yoneda(D, F.on_obj(C.dom[f])) for f in members]
-            arrows = []
-            for (i, j, t) in raw_edges:
-                comps = []
-                for e in D.objects:
-                    comps.append(tuple(
-                        ps.yoneda_element(D, F.on_obj(C.dom[members[j]]),
-                                          D.compose(F.on_arr(t), u))
-                        for u in D.hom(e, F.on_obj(C.dom[members[i]]))))
-                arrows.append(ps.PresheafMorphism(diagram[i], diagram[j], tuple(comps)))
-            colim, legs = ps.colimit_presheaf(D, shape, diagram, arrows)
-            target = ps.yoneda(D, F.on_obj(c))
-            comps = [[0] * colim.sizes[e] for e in D.objects]
-            for i, f in enumerate(members):
-                for e in D.objects:
-                    for u_idx, u in enumerate(D.hom(e, F.on_obj(C.dom[f]))):
-                        comps[e][legs[i][e][u_idx]] = ps.yoneda_element(
-                            D, F.on_obj(c), D.compose(F.on_arr(f), u))
-            comparison = ps.PresheafMorphism(
-                colim, target, tuple(tuple(row) for row in comps))
-            if not ps.is_bicovering(comparison, K):
+            members, edges = sieve_diagram(C, s)
+            image = FinFunctor(_diagram_shape(len(members), edges, C, members), D,
+                               tuple(F.on_obj(C.dom[f]) for f in members),
+                               tuple(F.on_arr(t) for _, _, t in edges))
+            if not cocone_sheaf_colimit_oracle(image, F.on_obj(c),
+                                               [F.on_arr(f) for f in members], K):
                 return False
     return True
 
@@ -423,25 +434,21 @@ def is_J_cofinal(F: FinFunctor, J: GrothendieckTopology) -> Verdict:
     """The two clauses of J-cofinality: local existence of factorizations and
     local connection of pairs, via components of (c ↓ F)."""
     A, C = F.source, F.target
-    vertices = [F.on_obj(a) for a in A.objects]
     for c in C.objects:
-        good = mask_of(f for f in C.arrows_into(c)
-                       if any(C.hom(C.dom[f], v) for v in vertices))
+        good = _sieve_to_image(F, c)
         if not J.is_covering(c, good):
             return _no("cofinal", clause="i", object=c, sieve=good)
-    comma = _CommaComponents(C, vertices, [(A.dom[u], A.cod[u], F.on_arr(u)) for u in A.arrows])
-    for c in C.objects:
-        for a in A.objects:
-            for x in C.hom(c, F.on_obj(a)):
-                for b in A.objects:
-                    for x2 in C.hom(c, F.on_obj(b)):
-                        good = comma.sieve(c, a, x, b, x2)
-                        if not J.is_covering(c, good):
-                            return _no("cofinal", clause="ii",
-                                       instance={"c": c, "a": a, "x": x,
-                                                 "b": b, "x2": x2},
-                                       sieve=good)
+    comma = _CommaComponents(C, [F.on_obj(a) for a in A.objects],
+                             [(A.dom[u], A.cod[u], F.on_arr(u)) for u in A.arrows])
+    miss = comma.unconnected(J)
+    if miss:
+        return _no("cofinal", clause="ii", **_connection_witness(*miss))
     return _yes("cofinal")
+
+
+def _connection_witness(c: int, a: int, x: int, b: int, x2: int, sieve: int) -> dict:
+    """The witness fields of an instance `_CommaComponents.unconnected` finds."""
+    return {"instance": {"c": c, "a": a, "x": x, "b": b, "x2": x2}, "sieve": sieve}
 
 
 def cocone_is_sheaf_colimit(D: FinFunctor, vertex: int, legs,
@@ -469,19 +476,10 @@ def cocone_is_sheaf_colimit(D: FinFunctor, vertex: int, legs,
 
     comma = _CommaComponents(C, [D.on_obj(a) for a in A.objects],
                              [(A.dom[u], A.cod[u], D.on_arr(u)) for u in A.arrows])
-    for c in C.objects:
-        for a in A.objects:
-            for x in C.hom(c, D.on_obj(a)):
-                for b in A.objects:
-                    for x2 in C.hom(c, D.on_obj(b)):
-                        if C.compose(legs[a], x) != C.compose(legs[b], x2):
-                            continue
-                        good = comma.sieve(c, a, x, b, x2)
-                        if not J.is_covering(c, good):
-                            return _no("sheaf-colimit", clause="ii",
-                                       instance={"c": c, "a": a, "x": x,
-                                                 "b": b, "x2": x2},
-                                       sieve=good)
+    miss = comma.unconnected(J, lambda c, a, x, b, x2:
+                             C.comp[(legs[a], x)] == C.comp[(legs[b], x2)])
+    if miss:
+        return _no("sheaf-colimit", clause="ii", **_connection_witness(*miss))
     return _yes("sheaf-colimit")
 
 
@@ -490,14 +488,13 @@ def cocone_sheaf_colimit_oracle(D: FinFunctor, vertex: int, legs,
     """Oracle: compare colim(y∘D) -> y(vertex) with the bicovering test."""
     A, C = D.source, D.target
     colim, colim_legs = ps.colimit_of_representables(D)
-    target = ps.yoneda(C, vertex)
+    position = C.hom_position
     comps = [[0] * colim.sizes[e] for e in C.objects]
     for a in A.objects:
         for e in C.objects:
             for u_idx, u in enumerate(C.hom(e, D.on_obj(a))):
-                comps[e][colim_legs[a][e][u_idx]] = ps.yoneda_element(
-                    C, vertex, C.compose(legs[a], u))
-    comparison = ps.PresheafMorphism(colim, target,
+                comps[e][colim_legs[a][e][u_idx]] = position[C.compose(legs[a], u)]
+    comparison = ps.PresheafMorphism(colim, ps.yoneda(C, vertex),
                                      tuple(tuple(row) for row in comps))
     return ps.is_bicovering(comparison, J)
 
@@ -572,9 +569,7 @@ def _check_local_properties(sf: SiteFunctor) -> dict[str, Verdict]:
 def is_dense_morphism(sf: SiteFunctor) -> Verdict:
     """Dense morphism of sites: cover-reflecting both ways, K-dense, and
     strictly J-full."""
-    mos = is_morphism_of_sites(sf)
-    if not mos:
-        raise ValueError(f"not a morphism of sites: {mos.witness}")
+    _require(is_morphism_of_sites(sf), "a morphism of sites")
     cp = is_cover_preserving(sf)
     cr = is_cover_reflecting(sf)
     if not cp:
@@ -724,9 +719,7 @@ def is_weakly_dense(sf: SiteFunctor) -> Verdict:
 
 
 def _check_weakly_dense(sf: SiteFunctor) -> Verdict:
-    mos = is_morphism_of_sites(sf)
-    if not mos:
-        raise ValueError(f"not a morphism of sites: {mos.witness}")
+    _require(is_morphism_of_sites(sf), "a morphism of sites")
     cr = is_cover_reflecting(sf)
     if not cr:
         return _no("weakly-dense", clause="i", witness=cr.witness)
@@ -821,8 +814,6 @@ class MorphismClassification:
     localic: Verdict
     equivalence: Verdict
     essential_surjective_closed_image: Verdict | None = None
-    locally_connected: Verdict | None = None
-    terminally_connected: Verdict | None = None
 
     def __post_init__(self):
         if self.equivalence.holds:
@@ -840,18 +831,14 @@ class MorphismClassification:
             "localic": self.localic.holds,
             "equivalence": self.equivalence.holds,
         }
-        for name in ("essential_surjective_closed_image", "locally_connected",
-                     "terminally_connected"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v.holds
+        if self.essential_surjective_closed_image is not None:
+            out["essential_surjective_closed_image"] = \
+                self.essential_surjective_closed_image.holds
         return out
 
 
 def classify_morphism(sf: SiteFunctor) -> MorphismClassification:
-    mos = is_morphism_of_sites(sf)
-    if not mos:
-        raise ValueError(f"not a morphism of sites: {mos.witness}")
+    _require(is_morphism_of_sites(sf), "a morphism of sites")
     surjection = is_cover_reflecting(sf)
     jf = induced_topology(sf.F, sf.K)
     ii = _weakly_dense_clause_ii(sf)
@@ -886,9 +873,7 @@ class SurjectionInclusionFactorization:
 
 
 def surjection_inclusion_factorization(sf: SiteFunctor) -> SurjectionInclusionFactorization:
-    mos = is_morphism_of_sites(sf)
-    if not mos:
-        raise ValueError(f"not a morphism of sites: {mos.witness}")
+    _require(is_morphism_of_sites(sf), "a morphism of sites")
     jf = induced_topology(sf.F, sf.K)
     return SurjectionInclusionFactorization(
         jf,
@@ -919,9 +904,7 @@ def cjs_canonical_topology(cjs: ps.CJsResult, K: GrothendieckTopology) -> Grothe
 
 
 def hyperconnected_localic_factorization(sf: SiteFunctor) -> HyperconnectedLocalicFactorization:
-    mos = is_morphism_of_sites(sf)
-    if not mos:
-        raise ValueError(f"not a morphism of sites: {mos.witness}")
+    _require(is_morphism_of_sites(sf), "a morphism of sites")
     F, J, K = sf.F, sf.J, sf.K
     C, D = F.source, F.target
     cjs = ps.build_CJs(D, K)
@@ -971,17 +954,11 @@ def hyperconnected_localic_factorization(sf: SiteFunctor) -> HyperconnectedLocal
 # comorphism-side classifiers
 
 def _hom_presheaf(F: FinFunctor, c: int) -> ps.FinPresheaf:
-    """Hom_C(F(-), c) as a presheaf on the source of F."""
-    D, C = F.source, F.target
-    sizes = tuple(len(C.hom(F.on_obj(d), c)) for d in D.objects)
-    restrict = []
-    for g in D.arrows:
-        a, b = D.dom[g], D.cod[g]
-        hom_b = C.hom(F.on_obj(b), c)
-        hom_a = C.hom(F.on_obj(a), c)
-        restrict.append(tuple(hom_a.index(C.compose(x, F.on_arr(g)))
-                              for x in hom_b))
-    return ps.FinPresheaf(D, sizes, tuple(restrict))
+    """Hom_C(F(-), c) as a presheaf on the source of F: y(c) restricted
+    along F."""
+    y = ps.yoneda(F.target, c)
+    return ps.FinPresheaf(F.source, tuple(y.sizes[F.on_obj(d)] for d in F.source.objects),
+                          tuple(y.restrict[F.on_arr(g)] for g in F.source.arrows))
 
 
 def comorphism_surjection(sf: SiteFunctor) -> Verdict:
@@ -1015,7 +992,7 @@ def _inclusion_relation_condition(sf: SiteFunctor) -> Verdict:
 
     def unit(c: int, e: int, x: int) -> int:
         """η(x) in a(P_c)(e), for x: F(e) -> c."""
-        return sheafified[c].unit.at(e, C.hom(F.on_obj(e), c).index(x))
+        return sheafified[c].unit.at(e, C.hom_position[x])
 
     for c in C.objects:
         for c2 in C.objects:
@@ -1061,11 +1038,8 @@ def _chi_morphism(sf: SiteFunctor, d: int) -> tuple[ps.SheafificationResult,
     D, C = F.source, F.target
     yd = ps.yoneda(D, d)
     P = _hom_presheaf(F, F.on_obj(d))
-    comps = []
-    for e in D.objects:
-        hom = C.hom(F.on_obj(e), F.on_obj(d))
-        comps.append(tuple(hom.index(F.on_arr(u)) for u in D.hom(e, d)))
-    chi0 = ps.PresheafMorphism(yd, P, tuple(comps))
+    chi0 = ps.PresheafMorphism(yd, P, tuple(
+        tuple(C.hom_position[F.on_arr(u)] for u in D.hom(e, d)) for e in D.objects))
     sh_yd = _sheafified(sf, yd)
     sh_P = _sheafified(sf, P)
     sf.sheaves[key] = sh_yd, sh_P, ps.sheafify_morphism(chi0, sh_yd, sh_P)
@@ -1076,14 +1050,7 @@ def _yoneda_sheaf_arrow(sf: SiteFunctor, g: int,
                         sh_src: ps.SheafificationResult,
                         sh_dst: ps.SheafificationResult) -> ps.PresheafMorphism:
     """a(y(g)) between sheafified representables of the source site."""
-    D = sf.F.source
-    d1, d2 = D.dom[g], D.cod[g]
-    comps = []
-    for e in D.objects:
-        hom2 = D.hom(e, d2)
-        comps.append(tuple(hom2.index(D.compose(g, u)) for u in D.hom(e, d1)))
-    y_g = ps.PresheafMorphism(ps.yoneda(D, d1), ps.yoneda(D, d2), tuple(comps))
-    return ps.sheafify_morphism(y_g, sh_src, sh_dst)
+    return ps.sheafify_morphism(ps.yoneda_arrow(sf.F.source, g), sh_src, sh_dst)
 
 
 def _inclusion_arrow_splits(sf: SiteFunctor, g: int) -> bool:
@@ -1187,9 +1154,7 @@ def _comorphism_hyperconnected(sf: SiteFunctor) -> Verdict:
 
 
 def classify_comorphism(sf: SiteFunctor) -> MorphismClassification:
-    com = is_comorphism_of_sites(sf)
-    if not com:
-        raise ValueError(f"not a comorphism of sites: {com.witness}")
+    _require(is_comorphism_of_sites(sf), "a comorphism of sites")
     props = local_property_tests(sf)
     continuous = is_continuous(sf)
 
@@ -1244,9 +1209,7 @@ class ComorphismFactorizations:
 
 
 def comorphism_factorizations(sf: SiteFunctor) -> ComorphismFactorizations:
-    com = is_comorphism_of_sites(sf)
-    if not com:
-        raise ValueError(f"not a comorphism of sites: {com.witness}")
+    _require(is_comorphism_of_sites(sf), "a comorphism of sites")
     cp = is_cover_preserving(sf)
     if not cp:
         raise ValueError(f"comorphism factorizations need cover preservation: {cp.witness}")
@@ -1334,12 +1297,8 @@ def is_locally_connected_presheaf(F: FinFunctor) -> Verdict:
 def is_locally_connected_general(sf: SiteFunctor) -> Verdict:
     """Local connectedness of C_F for a continuous comorphism, with covering
     refinements in both clauses."""
-    com = is_comorphism_of_sites(sf)
-    if not com:
-        raise ValueError(f"not a comorphism of sites: {com.witness}")
-    cont = is_continuous(sf)
-    if not cont:
-        raise ValueError(f"not continuous: {cont.witness}")
+    _require(is_comorphism_of_sites(sf), "a comorphism of sites")
+    _require(is_continuous(sf), "continuous")
     return _locally_connected(sf.F, sf.target_topology)
 
 
@@ -1370,20 +1329,15 @@ def _locally_connected(F: FinFunctor, K: GrothendieckTopology) -> Verdict:
                                    instance={"h": h, "c": c, "x": x,
                                              "b_object": (d, z, g)}, sieve=good)
 
-                for d in D.objects:
-                    lab_b = comma_b.labels(d)
-                    for ai in range(len(a_objects)):
-                        for alpha in D.hom(d, a_proj[ai]):
-                            for aj in range(len(a_objects)):
-                                for beta in D.hom(d, a_proj[aj]):
-                                    if lab_b[(xi_map[ai], alpha)] != lab_b[(xi_map[aj], beta)]:
-                                        continue
-                                    good = comma_a.sieve(d, ai, alpha, aj, beta)
-                                    if not K.is_covering(d, good):
-                                        return _no("locally-connected", clause="b",
-                                                   instance={"h": h, "c": c, "x": x,
-                                                             "alpha": alpha, "beta": beta},
-                                                   sieve=good)
+                miss = comma_a.unconnected(K, lambda d, ai, alpha, aj, beta: (
+                    comma_b.labels(d)[(xi_map[ai], alpha)]
+                    == comma_b.labels(d)[(xi_map[aj], beta)]))
+                if miss:
+                    _, _, alpha, _, beta, good = miss
+                    return _no("locally-connected", clause="b",
+                               instance={"h": h, "c": c, "x": x,
+                                         "alpha": alpha, "beta": beta},
+                               sieve=good)
     return _yes("locally-connected")
 
 
@@ -1411,8 +1365,7 @@ def comprehensive_factorization(F: FinFunctor, K: GrothendieckTopology) -> Compr
 
     def elt(c: int) -> int:
         fc = F.on_obj(c)
-        ident_idx = ps.yoneda_element(D, fc, D.identity[fc])
-        return sh.unit.at(fc, legs[c][fc][ident_idx])
+        return sh.unit.at(fc, legs[c][fc][D.hom_position[D.identity[fc]]])
 
     xi_obj = tuple(obj_index[(F.on_obj(c), elt(c))] for c in C.objects)
     xi_arr = tuple(arr_index[(F.on_arr(u), elt(C.cod[u]))] for u in C.arrows)
@@ -1428,12 +1381,8 @@ def comprehensive_factorization(F: FinFunctor, K: GrothendieckTopology) -> Compr
 def is_terminally_connected(sf: SiteFunctor) -> Verdict:
     """Terminal connectedness of the (essential) morphism induced by a
     continuous comorphism: relative cofinality wrt the target topology."""
-    com = is_comorphism_of_sites(sf)
-    if not com:
-        raise ValueError(f"not a comorphism of sites: {com.witness}")
-    cont = is_continuous(sf)
-    if not cont:
-        raise ValueError(f"not continuous: {cont.witness}")
+    _require(is_comorphism_of_sites(sf), "a comorphism of sites")
+    _require(is_continuous(sf), "continuous")
     return is_J_cofinal(sf.F, sf.target_topology)
 
 
@@ -1486,7 +1435,7 @@ def recheck_witness(sf: SiteFunctor, verdict: Verdict) -> bool:
             closure_mask(K, fc, generate_mask(D, mask_of(F.on_arr(f) for f in bits(r)))) != s
             for r in all_sieve_masks(C, c))
     if kind == "cofinal":
-        return not is_J_cofinal(F, J).holds
+        return not is_J_cofinal(F, K).holds
     checker = _POSITIVE_RUNNERS.get(kind)
     if checker is not None:
         return not checker(sf).holds
@@ -1504,7 +1453,7 @@ def _replays_morphism_of_sites(sf: SiteFunctor, w: dict) -> bool:
     clause, sieve = w["clause"], w["sieve"]
     if clause == "ii":
         d = w["object"]
-        return sieve == _clause_ii_sieve(sf, d) and not K.is_covering(d, sieve)
+        return sieve == _sieve_to_image(F, d) and not K.is_covering(d, sieve)
     inst = w["instance"]
     d = inst["d"]
     if clause == "iii":

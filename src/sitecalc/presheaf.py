@@ -79,19 +79,12 @@ def yoneda(cat: FinCategory, c: int) -> FinPresheaf:
     Built and validated once per category instance and object."""
     memo = cat.representables
     if c not in memo:
-        index = {e: {h: i for i, h in enumerate(cat.hom(e, c))} for e in cat.objects}
+        position = cat.hom_position
         sizes = tuple(len(cat.hom(e, c)) for e in cat.objects)
-        restrict = []
-        for f in cat.arrows:
-            a, b = cat.dom[f], cat.cod[f]
-            restrict.append(tuple(index[a][cat.comp[(h, f)]] for h in cat.hom(b, c)))
-        memo[c] = FinPresheaf(cat, sizes, tuple(restrict))
+        restrict = tuple(tuple(position[cat.comp[(h, f)]] for h in cat.hom(cat.cod[f], c))
+                         for f in cat.arrows)
+        memo[c] = FinPresheaf(cat, sizes, restrict)
     return memo[c]
-
-
-def yoneda_element(cat: FinCategory, c: int, h: int) -> int:
-    """Index of the arrow h in y(c)(dom h)."""
-    return cat.hom(cat.dom[h], c).index(h)
 
 
 @dataclass(frozen=True)
@@ -132,6 +125,14 @@ class PresheafMorphism:
 
 def identity_morphism(P: FinPresheaf) -> PresheafMorphism:
     return PresheafMorphism(P, P, tuple(tuple(range(n)) for n in P.sizes))
+
+
+def yoneda_arrow(cat: FinCategory, g: int) -> PresheafMorphism:
+    """y(g): y(dom g) -> y(cod g), composition with g."""
+    d1, d2 = cat.dom[g], cat.cod[g]
+    position = cat.hom_position
+    return PresheafMorphism(yoneda(cat, d1), yoneda(cat, d2), tuple(
+        tuple(position[cat.comp[(g, u)]] for u in cat.hom(e, d1)) for e in cat.objects))
 
 
 @dataclass(frozen=True)
@@ -874,17 +875,8 @@ def colimit_of_representables(F: FinFunctor) -> tuple[FinPresheaf, list[list[tup
     """colim(y∘F), via the explicit connected-component description of the
     pointwise colimit: (c, x: c -> F(a)) up to zig-zag in (c ↓ F)."""
     A, C = F.source, F.target
-    diagram = [yoneda(C, F.on_obj(a)) for a in A.objects]
-    arrows = []
-    for u in A.arrows:
-        a, b = A.dom[u], A.cod[u]
-        comps = []
-        for c in C.objects:
-            comps.append(tuple(
-                yoneda_element(C, F.on_obj(b), C.compose(F.on_arr(u), h))
-                for h in C.hom(c, F.on_obj(a))))
-        arrows.append(PresheafMorphism(diagram[a], diagram[b], tuple(comps)))
-    return colimit_presheaf(C, A, diagram, arrows)
+    return colimit_presheaf(C, A, [yoneda(C, F.on_obj(a)) for a in A.objects],
+                            [yoneda_arrow(C, F.on_arr(u)) for u in A.arrows])
 
 
 @dataclass(frozen=True)

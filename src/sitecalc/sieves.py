@@ -65,15 +65,16 @@ def multicompose_mask(cat: FinCategory, mask: int, refinements: dict[int, int]) 
     return out
 
 
-def all_sieve_masks(cat: FinCategory, c: int, guard: int = 1 << 20) -> tuple[int, ...]:
+SIEVE_GUARD = 1 << 20
+
+
+def all_sieve_masks(cat: FinCategory, c: int) -> tuple[int, ...]:
     """Every sieve on c, in ascending order; enumerated once per category
-    instance and object and kept in `cat.sieve_masks`.  More than `guard`
-    sieves raise SizeGuardError, from the memo as from the enumeration."""
+    instance and object and kept in `cat.sieve_masks`.  More than
+    `SIEVE_GUARD` sieves raise SizeGuardError and store nothing."""
     memo = cat.sieve_masks
     if c not in memo:
-        memo[c] = _enumerate_sieve_masks(cat, c, guard)
-    elif len(memo[c]) > guard:
-        raise SizeGuardError(f"more than {guard} sieves on object {c}")
+        memo[c] = _enumerate_sieve_masks(cat, c, SIEVE_GUARD)
     return memo[c]
 
 

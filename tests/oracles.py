@@ -6,7 +6,9 @@ paper's description of the arrows of Sh(C, J); the tests use them as the
 oracle for the theorem on arrows, against the sheafified presheaf morphisms
 the checkers compute with.  `enumerate_topologies` lists every topology on a
 small category by brute force, the oracle for the constructors of the
-topology module.
+topology module.  The `reference_*` site-checker bodies are the versions
+that carried their own copy of a building block the checkers now share:
+the hom-set scans, the colimit comparison and the connection loop.
 """
 
 from __future__ import annotations
@@ -14,14 +16,27 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from sitecalc.fincat import FinCategory, SizeGuardError
+from sitecalc.fincat import FinCategory, FinFunctor, SizeGuardError
+from sitecalc.morphisms import (
+    SiteFunctor,
+    Verdict,
+    _ab_categories,
+    _CommaComponents,
+    _diagram_shape,
+    _no,
+    _yes,
+    sieve_diagram,
+)
 from sitecalc.presheaf import (
     FinPresheaf,
     PresheafMorphism,
     SheafificationResult,
+    colimit_presheaf,
     elem_locally_equal,
+    is_bicovering,
     sheafify,
     sheafify_morphism,
+    yoneda,
 )
 from sitecalc.sieves import all_sieve_masks, bits, mask_of, maximal_sieve_mask, pullback_mask
 from sitecalc.topology import GrothendieckTopology, _axiom_violations
@@ -283,3 +298,167 @@ def reference_axiom_violations(cat: FinCategory, covers) -> list[dict]:
                         {"axiom": "transitivity", "object": c, "sieve": s, "via": t})
                     break
     return violations
+
+
+# ---------------------------------------------------------------------------
+# site checkers: the bodies that now share one building block each
+
+def _hom_index(cat: FinCategory, c: int, h: int) -> int:
+    """The index of the arrow h in hom(dom h, c), by a scan."""
+    return cat.hom(cat.dom[h], c).index(h)
+
+
+def reference_yoneda_arrow(cat: FinCategory, g: int) -> PresheafMorphism:
+    """y(g): y(dom g) -> y(cod g), with each composite looked up in its
+    hom-set by a scan."""
+    d1, d2 = cat.dom[g], cat.cod[g]
+    comps = []
+    for e in cat.objects:
+        hom2 = cat.hom(e, d2)
+        comps.append(tuple(hom2.index(cat.compose(g, u)) for u in cat.hom(e, d1)))
+    return PresheafMorphism(yoneda(cat, d1), yoneda(cat, d2), tuple(comps))
+
+
+def reference_hom_presheaf(F: FinFunctor, c: int) -> FinPresheaf:
+    """Hom_C(F(-), c) on the source of F, each restriction found by a scan
+    of the hom-set."""
+    D, C = F.source, F.target
+    sizes = tuple(len(C.hom(F.on_obj(d), c)) for d in D.objects)
+    restrict = []
+    for g in D.arrows:
+        a, b = D.dom[g], D.cod[g]
+        hom_b = C.hom(F.on_obj(b), c)
+        hom_a = C.hom(F.on_obj(a), c)
+        restrict.append(tuple(hom_a.index(C.compose(x, F.on_arr(g)))
+                              for x in hom_b))
+    return FinPresheaf(D, sizes, tuple(restrict))
+
+
+def reference_continuity_oracle(sf: SiteFunctor) -> bool:
+    """For each covering sieve S on c, the comparison
+    colim(y∘D^F_S) -> y(F(c)), built by hand from the sieve diagram, must
+    be K-bicovering."""
+    F, J, K = sf.F, sf.J, sf.K
+    C, D = F.source, F.target
+    for c in C.objects:
+        for s in J.covers[c]:
+            members, raw_edges = sieve_diagram(C, s)
+            shape = _diagram_shape(len(members), raw_edges, C, members)
+            diagram = [yoneda(D, F.on_obj(C.dom[f])) for f in members]
+            arrows = []
+            for (i, j, t) in raw_edges:
+                comps = []
+                for e in D.objects:
+                    comps.append(tuple(
+                        _hom_index(D, F.on_obj(C.dom[members[j]]), D.compose(F.on_arr(t), u))
+                        for u in D.hom(e, F.on_obj(C.dom[members[i]]))))
+                arrows.append(PresheafMorphism(diagram[i], diagram[j], tuple(comps)))
+            colim, legs = colimit_presheaf(D, shape, diagram, arrows)
+            target = yoneda(D, F.on_obj(c))
+            comps = [[0] * colim.sizes[e] for e in D.objects]
+            for i, f in enumerate(members):
+                for e in D.objects:
+                    for u_idx, u in enumerate(D.hom(e, F.on_obj(C.dom[f]))):
+                        comps[e][legs[i][e][u_idx]] = _hom_index(
+                            D, F.on_obj(c), D.compose(F.on_arr(f), u))
+            comparison = PresheafMorphism(colim, target, tuple(tuple(row) for row in comps))
+            if not is_bicovering(comparison, K):
+                return False
+    return True
+
+
+def reference_is_J_cofinal(F: FinFunctor, J: GrothendieckTopology) -> Verdict:
+    """Relative cofinality with both clauses as inline loops."""
+    A, C = F.source, F.target
+    vertices = [F.on_obj(a) for a in A.objects]
+    for c in C.objects:
+        good = mask_of(f for f in C.arrows_into(c)
+                       if any(C.hom(C.dom[f], v) for v in vertices))
+        if not J.is_covering(c, good):
+            return _no("cofinal", clause="i", object=c, sieve=good)
+    comma = _CommaComponents(C, vertices, [(A.dom[u], A.cod[u], F.on_arr(u)) for u in A.arrows])
+    for c in C.objects:
+        for a in A.objects:
+            for x in C.hom(c, F.on_obj(a)):
+                for b in A.objects:
+                    for x2 in C.hom(c, F.on_obj(b)):
+                        good = comma.sieve(c, a, x, b, x2)
+                        if not J.is_covering(c, good):
+                            return _no("cofinal", clause="ii",
+                                       instance={"c": c, "a": a, "x": x,
+                                                 "b": b, "x2": x2},
+                                       sieve=good)
+    return _yes("cofinal")
+
+
+def reference_cocone_is_sheaf_colimit(D: FinFunctor, vertex: int, legs,
+                                      J: GrothendieckTopology) -> Verdict:
+    """The sheaf-colimit criterion with its connection clause as an inline
+    loop; the cocone is not validated."""
+    A, C = D.source, D.target
+    for c in C.objects:
+        for y in C.hom(c, vertex):
+            good = mask_of(
+                f for f in C.arrows_into(c)
+                if any(C.compose(y, f) == C.compose(legs[a], yi)
+                       for a in A.objects
+                       for yi in C.hom(C.dom[f], D.on_obj(a))))
+            if not J.is_covering(c, good):
+                return _no("sheaf-colimit", clause="i",
+                           instance={"c": c, "y": y}, sieve=good)
+    comma = _CommaComponents(C, [D.on_obj(a) for a in A.objects],
+                             [(A.dom[u], A.cod[u], D.on_arr(u)) for u in A.arrows])
+    for c in C.objects:
+        for a in A.objects:
+            for x in C.hom(c, D.on_obj(a)):
+                for b in A.objects:
+                    for x2 in C.hom(c, D.on_obj(b)):
+                        if C.compose(legs[a], x) != C.compose(legs[b], x2):
+                            continue
+                        good = comma.sieve(c, a, x, b, x2)
+                        if not J.is_covering(c, good):
+                            return _no("sheaf-colimit", clause="ii",
+                                       instance={"c": c, "a": a, "x": x,
+                                                 "b": b, "x2": x2},
+                                       sieve=good)
+    return _yes("sheaf-colimit")
+
+
+def reference_locally_connected(F: FinFunctor, K: GrothendieckTopology) -> Verdict:
+    """The two local-connectedness clauses, clause (b) as an inline loop."""
+    C, D = F.source, F.target
+    for h in D.arrows:
+        for c in C.objects:
+            for x in D.hom(F.on_obj(c), D.cod[h]):
+                (a_objects, a_edges, a_proj,
+                 b_objects, b_edges, b_proj, xi_map) = _ab_categories(F, h, c, x)
+                comma_a = _CommaComponents(D, a_proj, a_edges)
+                comma_b = _CommaComponents(D, b_proj, b_edges)
+                for bi, (d, z, g) in enumerate(b_objects):
+                    good = 0
+                    for u in D.arrows_into(d):
+                        e = D.dom[u]
+                        lab = comma_b.labels(e)
+                        if any(lab[(bi, u)] == lab[(xi_map[ai], s)]
+                               for ai in range(len(a_objects))
+                               for s in D.hom(e, a_proj[ai])):
+                            good |= 1 << u
+                    if not K.is_covering(d, good):
+                        return _no("locally-connected", clause="a",
+                                   instance={"h": h, "c": c, "x": x,
+                                             "b_object": (d, z, g)}, sieve=good)
+                for d in D.objects:
+                    lab_b = comma_b.labels(d)
+                    for ai in range(len(a_objects)):
+                        for alpha in D.hom(d, a_proj[ai]):
+                            for aj in range(len(a_objects)):
+                                for beta in D.hom(d, a_proj[aj]):
+                                    if lab_b[(xi_map[ai], alpha)] != lab_b[(xi_map[aj], beta)]:
+                                        continue
+                                    good = comma_a.sieve(d, ai, alpha, aj, beta)
+                                    if not K.is_covering(d, good):
+                                        return _no("locally-connected", clause="b",
+                                                   instance={"h": h, "c": c, "x": x,
+                                                             "alpha": alpha, "beta": beta},
+                                                   sieve=good)
+    return _yes("locally-connected")

@@ -5,6 +5,7 @@ import time
 import pytest
 
 import sitecalc.morphisms as mor
+import sitecalc.presheaf as ps
 from sitecalc.fincat import (
     FinFunctor,
     SizeGuardError,
@@ -85,7 +86,15 @@ from conftest import (
     random_presheaf,
     random_topology,
 )
-from oracles import arrow_to_relation
+from oracles import (
+    arrow_to_relation,
+    reference_cocone_is_sheaf_colimit,
+    reference_continuity_oracle,
+    reference_hom_presheaf,
+    reference_is_J_cofinal,
+    reference_locally_connected,
+    reference_yoneda_arrow,
+)
 from test_presheaf import _reference_locally_matching_families
 
 
@@ -984,17 +993,18 @@ def test_classify_morphism_runs_each_body_once(monkeypatch, kind):
 
 def test_denseness_sequence_shares_verdicts(monkeypatch, two):
     """The checkers of the `denseness` command, called in its order on one
-    site functor, decide each memoised verdict once."""
+    site functor, decide each memoised verdict once.  The command reports
+    the weak-denseness verdict as its equivalence flag, which is the
+    verdict `classify_morphism` gives, computed no second time."""
     sf = collapse_site_functor(two)
     counts = _count_bodies(monkeypatch)
     dense, weakly = is_dense_morphism(sf), is_weakly_dense(sf)
-    cls = classify_morphism(sf)
-    assert (dense.holds, weakly.holds, cls.equivalence.holds) == (False, True, True)
-    assert cls.equivalence is weakly
-    assert counts["_check_morphism_of_sites"] == 1
-    assert counts["_check_cover_reflecting"] == 1
-    assert counts["_check_weakly_dense"] == 1
-    assert counts["_check_weakly_dense_clause_ii"] == 1
+    assert (dense.holds, weakly.holds) == (False, True)
+    once = {"_check_morphism_of_sites": 1, "_check_cover_reflecting": 1,
+            "_check_weakly_dense": 1, "_check_weakly_dense_clause_ii": 1}
+    assert counts == once
+    assert classify_morphism(sf).equivalence is is_weakly_dense(sf)
+    assert counts == once
 
 
 def test_classify_morphism_matches_cold_checkers(rng):
@@ -1672,3 +1682,135 @@ def test_inclusion_relation_condition_guards_its_arrow_enumeration():
     with pytest.raises(SizeGuardError, match=r"9\^9 candidate components at object 0"):
         mor._inclusion_relation_condition(sf)
     assert time.process_time() - start < 1.0
+
+
+# ---------------------------------------------------------------------------
+# the shared building blocks against the bodies that carried their own copy
+
+def _hom_position_corpus(rng):
+    """Random categories, the totals of random fibrations and the
+    categories of elements of random presheaves."""
+    cats = [random_category(rng) for _ in range(200)]
+    cats += [random_fibration(rng).source for _ in range(40)]
+    cats += [category_of_elements(random_presheaf(rng, random_category(rng))).category
+             for _ in range(40)]
+    return cats
+
+
+def test_hom_position_matches_hom_scan(rng):
+    """`hom_position` is each arrow's index in its hom-set, and the
+    representables and y(g) built from it are the ones built by scans."""
+    arrows = 0
+    for cat in _hom_position_corpus(rng):
+        for f in cat.arrows:
+            assert cat.hom_position[f] == cat.hom(cat.dom[f], cat.cod[f]).index(f)
+            assert ps.yoneda_arrow(cat, f) == reference_yoneda_arrow(cat, f)
+            arrows += 1
+        for c in cat.objects:
+            y = yoneda(cat, c)
+            assert y.restrict == tuple(
+                tuple(cat.hom(cat.dom[f], c).index(cat.comp[(h, f)]) for h in cat.hom(cat.cod[f], c))
+                for f in cat.arrows)
+    assert arrows > 1000
+
+
+def test_hom_presheaf_and_continuity_oracle_match_reference(rng):
+    """Hom_C(F(-), c) as y(c) restricted along F, and the continuity oracle
+    through the shared cocone comparison, against the bodies that scanned
+    hom-sets and built the comparison by hand, on 300 random site
+    functors."""
+    verdicts = collections.Counter()
+    for sf in _random_site_functors(rng, 300):
+        F = sf.F
+        for c in F.target.objects:
+            assert mor._hom_presheaf(F, c) == reference_hom_presheaf(F, c)
+        oracle = continuity_oracle(sf)
+        assert oracle == reference_continuity_oracle(sf)
+        assert oracle == is_continuous(sf).holds
+        verdicts[oracle] += 1
+    assert min(verdicts.values()) > 20 and len(verdicts) == 2
+
+
+def _cocones(cat, rng, n_diagrams):
+    """Diagrams of small shapes in cat with every cocone on them: all leg
+    choices, not only the members of a sieve."""
+    shapes = [poset_category(1, []), poset_category(2, []), poset_category(2, [(0, 1)]),
+              poset_category(3, [(0, 1), (0, 2)])]
+    for shape in shapes:
+        diagrams = all_functors(shape, cat)
+        for D in rng.sample(diagrams, min(n_diagrams, len(diagrams))):
+            for vertex in cat.objects:
+                homs = [cat.hom(D.on_obj(a), vertex) for a in shape.objects]
+                for legs in itertools.product(*homs):
+                    if all(cat.comp[(legs[shape.cod[u]], D.on_arr(u))] == legs[shape.dom[u]]
+                           for u in shape.arrows):
+                        yield D, vertex, legs
+
+
+def _clause_b_with_distinct_arrows():
+    """The vee onto two isomorphic objects under a common top, legs swapped:
+    it fails local-connectedness clause (b) at a pair alpha != beta
+    (frozen from a randomized search)."""
+    vee = validate_category(3, [(0, 0), (0, 2), (1, 1), (1, 2), (2, 2)], [0, 2, 4],
+                            {(0, 0): 0, (1, 0): 1, (2, 2): 2, (3, 2): 3,
+                             (4, 1): 1, (4, 3): 3, (4, 4): 4})
+    homs = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 2)]
+    pair = validate_category(3, homs, [0, 4, 6], {
+        (g, f): homs.index((homs[f][0], homs[g][1]))
+        for g, f in itertools.product(range(7), repeat=2) if homs[f][1] == homs[g][0]})
+    return FinFunctor(vee, pair, (1, 0, 2), (4, 5, 0, 2, 6))
+
+
+def test_connection_loops_match_reference(rng):
+    """Cofinality, sheaf colimits and local connectedness, each with its
+    connection clause on `_CommaComponents.unconnected`, give the verdicts
+    and witnesses of the inline loops they replace.  The corpus makes every
+    caller fail its connection clause: random site functors, under their
+    own and the trivial target topology, every cocone on small diagrams,
+    the functor of `test_clause_b_counterexample`, and one failing clause
+    (b) at two distinct arrows."""
+    V = poset_category(3, [(0, 2), (1, 2)])
+    distinct = _clause_b_with_distinct_arrows()
+    functors = [(FinFunctor(V, V, (0, 0, 2), (0, 1, 0, 1, 4)), trivial_topology(V)),
+                (distinct, trivial_topology(distinct.target))]
+    for sf in _random_site_functors(rng, 150):
+        functors += [(sf.F, sf.K), (sf.F, trivial_topology(sf.F.target))]
+    failures = collections.Counter()
+    for F, K in functors:
+        for name, new, old in (
+                ("cofinal", is_J_cofinal(F, K), reference_is_J_cofinal(F, K)),
+                ("locally-connected", mor._locally_connected(F, K),
+                 reference_locally_connected(F, K))):
+            assert new == old
+            failures[name, new.witness.get("clause")] += 1
+    for _ in range(40):
+        cat = random_category(rng)
+        J = random_topology(rng, cat)
+        for D, vertex, legs in _cocones(cat, rng, 3):
+            new = cocone_is_sheaf_colimit(D, vertex, legs, J)
+            assert new == reference_cocone_is_sheaf_colimit(D, vertex, legs, J)
+            assert new.holds == cocone_sheaf_colimit_oracle(D, vertex, legs, J)
+            failures["sheaf-colimit", new.witness.get("clause")] += 1
+    for name in ("cofinal", "locally-connected", "sheaf-colimit"):
+        assert failures[name, None] > 10
+    assert failures["cofinal", "ii"] > 10
+    assert failures["locally-connected", "b"] >= 2
+    instance = mor._locally_connected(distinct, trivial_topology(distinct.target)).witness["instance"]
+    assert instance["alpha"] != instance["beta"]
+    assert failures["sheaf-colimit", "ii"] > 10
+
+
+def test_cofinal_witnesses_replay_against_the_target_topology(rng):
+    """The `cofinal` command and `is_terminally_connected` decide
+    cofinality with the target topology, so their witnesses replay against
+    it, on functors between different categories."""
+    replayed = collections.Counter()
+    for sf in _random_site_functors(rng, 200):
+        if sf.F.source == sf.F.target:
+            continue
+        v = is_J_cofinal(sf.F, sf.K)
+        assert recheck_witness(sf, v)
+        replayed[v.holds] += 1
+        if is_comorphism_of_sites(sf).holds and is_continuous(sf).holds:
+            assert recheck_witness(sf, is_terminally_connected(sf))
+    assert min(replayed.values()) > 20 and len(replayed) == 2

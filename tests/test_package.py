@@ -19,7 +19,6 @@ LIBRARY_ONLY = {
     "fincat.monoid_category": "category constructor",
     "fincat.is_colimit_cocone": "decides colimit cocones in a finite category",
     "morphisms.cocone_is_sheaf_colimit": "paper criterion: a cocone sent to a colimit of sheaves",
-    "morphisms.cocone_sheaf_colimit_oracle": "independent oracle of cocone_is_sheaf_colimit",
     "morphisms.comorphism_factorizations": "paper construction: the factorizations of a "
                                            "cover-preserving comorphism",
     "morphisms.is_locally_connected_presheaf": "the presheaf-topos case of local connectedness",

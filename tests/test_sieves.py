@@ -1,11 +1,13 @@
-import dataclasses
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sitecalc.fincat import SizeGuardError, cartesian_arrows, identity_functor, poset_category
 from sitecalc.presheaf import category_of_elements, yoneda
 from sitecalc.sieves import (
+    SIEVE_GUARD,
+    _enumerate_sieve_masks,
     all_sieve_masks,
     bits,
     cartesian_part,
@@ -355,7 +357,7 @@ def test_sieve_guard_fires_where_the_counting_enumeration_does(rng):
         for c in cat.objects:
             count = len(_reference_all_sieve_masks(cat, c, 1 << 20))
             for guard in range(count + 2):
-                got = _sieves_or_message(all_sieve_masks, cat, c, guard)
+                got = _sieves_or_message(_enumerate_sieve_masks, cat, c, guard)
                 assert got == _sieves_or_message(_reference_all_sieve_masks, cat, c, guard)
                 early += isinstance(got, str) and guard < count
     assert early
@@ -364,10 +366,8 @@ def test_sieve_guard_fires_where_the_counting_enumeration_does(rng):
 def test_all_sieve_masks_is_memoized_per_category(rng):
     """The sieves of an object are enumerated once per category instance
     and kept in `cat.sieve_masks`: a second call returns the same tuple.
-    With the memo warm, every guard from 0 to one above the count gives
-    what it gives on a fresh copy of the category: the same message below
-    the count, and the memoized tuple from there on; a guard that fires
-    stores nothing."""
+    A guard that fires stores nothing: the top of the 21-leg vee has
+    2^21 + 1 sieves."""
     cats = [random_category(rng) for _ in range(40)]
     cats += [poset_category(k + 1, [(i, k) for i in range(k)]) for k in range(1, 7)]
     for cat in cats:
@@ -375,12 +375,8 @@ def test_all_sieve_masks_is_memoized_per_category(rng):
             got = all_sieve_masks(cat, c)
             assert cat.sieve_masks[c] is got
             assert all_sieve_masks(cat, c) is got
-            for guard in range(len(got) + 2):
-                fresh = dataclasses.replace(cat)
-                expected = _sieves_or_message(all_sieve_masks, fresh, c, guard)
-                warm = _sieves_or_message(all_sieve_masks, cat, c, guard)
-                assert warm == expected
-                if guard < len(got):
-                    assert isinstance(warm, str) and c not in fresh.sieve_masks
-                else:
-                    assert warm is got
+    vee = poset_category(22, [(i, 21) for i in range(21)])
+    for _ in range(2):
+        with pytest.raises(SizeGuardError, match=f"more than {SIEVE_GUARD} sieves on object 21"):
+            all_sieve_masks(vee, 21)
+        assert 21 not in vee.sieve_masks
