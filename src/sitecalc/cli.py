@@ -661,14 +661,14 @@ def _cmd_comma(doc, args, report):
         report.exit_code = 1
 
 
+# the classifiers and checkers are looked up when a command runs, so that a
+# function rebound in `morphisms` after import, such as a tracing wrapper, is called
 _COMMANDS = {
     "validate": _cmd_validate,
-    "classify-morphism": _cmd_classify(mor.classify_morphism),
-    "classify-comorphism": _cmd_classify(mor.classify_comorphism),
+    "classify-morphism": _cmd_classify(lambda sf: mor.classify_morphism(sf)),
+    "classify-comorphism": _cmd_classify(lambda sf: mor.classify_comorphism(sf)),
     "denseness": _cmd_denseness,
     "continuity": _cmd_continuity,
-    # the checkers are looked up when a command runs, so that a function
-    # rebound in `morphisms` after import, such as a tracing wrapper, is called
     "cofinal": _cmd_check("cofinal", lambda sf: mor.is_J_cofinal(sf.F, sf.K)),
     "locally-connected": _cmd_check("locally-connected",
                                     lambda sf: mor.is_locally_connected_general(sf)),

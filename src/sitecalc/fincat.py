@@ -396,7 +396,7 @@ def full_subcategory(cat: FinCategory, objects: Sequence[int]) -> tuple[FinCateg
         tuple(obj_index[cat.cod[f]] for f in arrows),
         tuple(arr_index[cat.identity[c]] for c in objects),
         {(arr_index[g], arr_index[f]): arr_index[cat.comp[(g, f)]]
-         for g in arrows for f in arrows if cat.cod[f] == cat.dom[g]},
+         for g in arrows for f in cat.arrows_into(cat.dom[g]) if f in arr_index},
     )
     inclusion = FinFunctor(sub, cat, tuple(objects), tuple(arrows))
     return sub, inclusion

@@ -9,6 +9,12 @@ genuinely different code paths: the primary locally-matching-families
 quotient, carried by the least covering sieve of each object, and the
 classical plus construction applied twice, built as a directed colimit over
 all covering sieves with a union-find quotient.
+
+The sheaf kernels work on restriction rows.  A matching family is a tuple
+of values along the ascending members of its sieve.  Each family search
+builds its constraint tables once, before it extends any family, and the
+locally matching search reads local equality off class tables: x ≡_J y
+exactly when their least locally equal elements are equal.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .fincat import FinCategory, FinFunctor, SizeGuardError, _UnionFind, validate_category
 from .sieves import all_sieve_masks, bits, mask_of, maximal_sieve_mask, pullback_mask
@@ -215,77 +221,91 @@ def is_bicovering(alpha: PresheafMorphism, J: GrothendieckTopology) -> bool:
 # ---------------------------------------------------------------------------
 # sheaf condition
 
-def strict_matching_families(P: FinPresheaf, c: int, mask: int) -> list[dict[int, int]]:
-    """Families (x_f)_{f in S} with x_{f∘z} = P(z)(x_f) exactly, in
-    ascending order of their values along the ascending members; each
-    family's keys are the members in ascending order.
+def strict_matching_families(P: FinPresheaf, c: int, mask: int) -> list[tuple[int, ...]]:
+    """Families (x_f)_{f in S} with x_{f∘z} = P(z)(x_f) exactly, as value
+    tuples along the ascending members, in lexicographic order.
 
     A sieve holding the identity of c is the maximal sieve, and its
     families are the restrictions of the elements of P(c), so they are read
     off directly; a search that assigned the identity after other members
     would try every element of P(c) for each choice of those members.
+
+    Otherwise the members are assigned in ascending order, one member at a
+    time for every partial family.  The constraints are laid out once per
+    search, as restriction rows: at each member, the earlier members whose
+    values force its value, the candidates fixed by every z with f∘z = f,
+    and the earlier members f∘z that its candidate must restrict to.
     """
     cat = P.cat
     members = sorted(bits(mask))
     if (mask >> cat.identity[c]) & 1:
-        return [dict(zip(members, fam)) for fam in
-                sorted(tuple(P.res(f, x) for f in members) for x in range(P.sizes[c]))]
+        return sorted(zip(*(P.restrict[f] for f in members)))
     position = {f: i for i, f in enumerate(members)}
-    out: list[dict[int, int]] = []
+    # at member i: (j, P(z)) with j < i and members[j]∘z = members[i], so x_i = P(z)(x_j)
+    forcing: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in members]
+    # at member i: (j, P(z)) with members[i]∘z = members[j] and j < i, so x_j = P(z)(x_i)
+    checks: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in members]
+    # at member i: P(z) for each z with members[i]∘z = members[i], which must fix x_i
+    fixing: list[list[tuple[int, ...]]] = [[] for _ in members]
+    for i, f in enumerate(members):
+        a = cat.dom[f]
+        for z in cat.arrows_into(a):
+            if z == cat.identity[a]:  # P(id) fixes every element
+                continue
+            j = position.get(cat.comp[(f, z)])
+            if j is None:
+                continue
+            if j == i:
+                fixing[i].append(P.restrict[z])
+            elif j < i:
+                checks[i].append((j, P.restrict[z]))
+            else:
+                forcing[j].append((i, P.restrict[z]))
+    families: list[tuple[int, ...]] = [()]
+    for f, forced_by, checked, fixed in zip(members, forcing, checks, fixing):
+        if not forced_by:
+            free = [x for x in range(P.sizes[cat.dom[f]]) if all(row[x] == x for row in fixed)]
+            families = [fam + (x,) for fam in families for x in free
+                        if not checked or all(fam[j] == row[x] for j, row in checked)]
+            continue
+        extended = []
+        for fam in families:
+            forced = {row[fam[j]] for j, row in forced_by}
+            if len(forced) == 1:
+                x = forced.pop()
+                if all(row[x] == x for row in fixed) and all(fam[j] == row[x] for j, row in checked):
+                    extended.append(fam + (x,))
+        families = extended
+    return families
 
-    def extend(i: int, assign: dict[int, int]):
-        if i == len(members):
-            out.append(dict(assign))
-            return
-        f = members[i]
-        forced = None
-        for g, xg in assign.items():
-            for z in cat.arrows_into(cat.dom[g]):
-                if cat.comp[(g, z)] == f:
-                    val = P.res(z, xg)
-                    if forced is not None and forced != val:
-                        return
-                    forced = val
-        candidates = [forced] if forced is not None else range(P.sizes[cat.dom[f]])
-        for x in candidates:
-            ok = True
-            for z in cat.arrows_into(cat.dom[f]):
-                fz = cat.comp[(f, z)]
-                if fz == f:
-                    if P.res(z, x) != x:
-                        ok = False
-                        break
-                elif fz in assign and position[fz] < i and assign[fz] != P.res(z, x):
-                    ok = False
-                    break
-            if ok:
-                assign[f] = x
-                extend(i + 1, assign)
-                del assign[f]
 
-    extend(0, {})
-    return out
+def _restriction_keys(P: FinPresheaf, c: int, members: Sequence[int]) -> Iterable[tuple[int, ...]]:
+    """Per element of P(c), ascending, the tuple of its restrictions along
+    the arrows `members` into c."""
+    if not members:
+        return [()] * P.sizes[c]
+    return zip(*(P.restrict[f] for f in members))
 
 
 def _by_restrictions(P: FinPresheaf, c: int, members: Sequence[int]) -> dict[tuple[int, ...], list[int]]:
     """The elements of P(c), ascending, keyed by their restrictions along
     the arrows `members` into c."""
     out: dict[tuple[int, ...], list[int]] = {}
-    for x in range(P.sizes[c]):
-        out.setdefault(tuple(P.res(f, x) for f in members), []).append(x)
+    for x, key in enumerate(_restriction_keys(P, c, members)):
+        out.setdefault(key, []).append(x)
     return out
 
 
 def _unamalgamated(P: FinPresheaf, c: int, mask: int) -> tuple[dict[int, int], list[int]] | None:
-    """The sheaf condition for one sieve on c: the first matching family
-    without exactly one amalgamation, with its amalgamations, or None when
-    every family has exactly one."""
+    """The sheaf condition for one sieve on c: the first matching family,
+    keyed by the members, without exactly one amalgamation, with its
+    amalgamations, or None when every family has exactly one."""
     members = sorted(bits(mask))
     amalgamations = _by_restrictions(P, c, members)
     for fam in strict_matching_families(P, c, mask):
-        amalg = amalgamations.get(tuple(fam[f] for f in members), [])
+        amalg = amalgamations.get(fam, [])
         if len(amalg) != 1:
-            return fam, amalg
+            return dict(zip(members, fam)), amalg
     return None
 
 
@@ -345,7 +365,10 @@ def _locally_matching_families(P: FinPresheaf, J: GrothendieckTopology,
     """Families (x_f) over `members` with x_{f∘z} ≡_J P(z)(x_f) whenever
     f∘z is a member too, as value tuples along `members`, in lexicographic
     order.  Each constraint is collected once, at the later of its two
-    members, so a candidate value is checked only against its own.
+    members, as a pair of class tables: x ≡_J y exactly when their least
+    locally equal elements are equal (`_least_locally_equal`), as J is a
+    topology.  So a candidate value is checked by two lookups per
+    constraint of its own member.
 
     When the members hold the identity of c the families are read off:
     they are the products over the members f of the classes [P(f)(x)]_J,
@@ -359,38 +382,38 @@ def _locally_matching_families(P: FinPresheaf, J: GrothendieckTopology,
     if cat.identity[c] in members:
         return _read_off_families(P, J, c, members)
     position = {f: i for i, f in enumerate(members)}
-    # at member i: (z, j) with members[j] = members[i]∘z and j ≤ i, so x_j ≡ P(z)(x_i)
-    below: list[list[tuple[int, int]]] = [[] for _ in members]
-    # at member i: (z, j) with members[j]∘z = members[i] and j < i, so x_i ≡ P(z)(x_j)
-    above: list[list[tuple[int, int]]] = [[] for _ in members]
+    least: dict[int, list[int]] = {}  # object -> its class table, built when a constraint needs it
+    # at member i: (j, u, v) with j < i, so that the constraint reads u[x_j] == v[x_i].
+    # For members[i]∘z = members[j] it is x_j ≡ P(z)(x_i), and for
+    # members[j]∘z = members[i] it is x_i ≡ P(z)(x_j); the class of P(z)(x)
+    # is read off the composite table of the classes of dom z after P(z).
+    checks: list[list[tuple[int, Sequence[int], Sequence[int]]]] = [[] for _ in members]
+    # at member i: (classes, composite) for each z with members[i]∘z = members[i]
+    fixing: list[list[tuple[Sequence[int], Sequence[int]]]] = [[] for _ in members]
     for i, f in enumerate(members):
         for z in cat.arrows_into(cat.dom[f]):
             j = position.get(cat.comp[(f, z)])
-            if j is None:
+            d = cat.dom[z]
+            # it holds along an identity, and in a set of at most one element
+            if j is None or z == cat.identity[d] or P.sizes[d] < 2:
                 continue
-            if j <= i:
-                below[i].append((z, j))
+            if d not in least:
+                least[d] = _least_locally_equal(P, J, d)
+            classes = least[d]
+            composite = [classes[y] for y in P.restrict[z]]
+            if j == i:
+                fixing[i].append((classes, composite))
+            elif j < i:
+                checks[i].append((j, classes, composite))
             else:
-                above[j].append((z, i))
-    out: list[tuple[int, ...]] = []
-
-    def extend(i: int, assign: list[int]):
-        if i == len(members):
-            out.append(tuple(assign))
-            return
-        a = cat.dom[members[i]]
-        for x in range(P.sizes[a]):
-            ok = all(elem_locally_equal(P, J, cat.dom[z], x if j == i else assign[j],
-                                        P.res(z, x)) for z, j in below[i]) \
-                and all(elem_locally_equal(P, J, a, x, P.res(z, assign[j]))
-                        for z, j in above[i])
-            if ok:
-                assign.append(x)
-                extend(i + 1, assign)
-                assign.pop()
-
-    extend(0, [])
-    return out
+                checks[j].append((i, composite, classes))
+    families: list[tuple[int, ...]] = [()]
+    for f, checked, fixed in zip(members, checks, fixing):
+        free = [x for x in range(P.sizes[cat.dom[f]])
+                if all(classes[x] == composite[x] for classes, composite in fixed)]
+        families = [fam + (x,) for fam in families for x in free
+                    if not checked or all(u[fam[j]] == v[x] for j, u, v in checked)]
+    return families
 
 
 def _read_off_families(P: FinPresheaf, J: GrothendieckTopology, c: int,
@@ -455,25 +478,20 @@ def sheafify(P: FinPresheaf, J: GrothendieckTopology) -> SheafificationResult:
         index.append(idx)
 
     sizes = tuple(len(r) for r in reps)
+    # per object, the values of its representatives at each carrier arrow
+    columns = [list(zip(*r)) or [()] * len(carrier) for r, carrier in zip(reps, carriers)]
     restrict = []
     for f in cat.arrows:
         a, b = cat.dom[f], cat.cod[f]
-        row = []
-        for fam in reps[b]:
-            restricted = tuple(
-                fam[carriers[b].index(cat.comp[(f, g)])] for g in carriers[a])
-            row.append(index[a][restricted])
-        restrict.append(tuple(row))
+        # f∘g lies in the least cover of b for g in that of a, by stability
+        slots = [carriers[b].index(cat.comp[(f, g)]) for g in carriers[a]]
+        keys = zip(*(columns[b][i] for i in slots)) if slots else [()] * sizes[b]
+        restrict.append(tuple(map(index[a].__getitem__, keys)))
     sheaf = FinPresheaf(cat, sizes, tuple(restrict))
 
-    unit_components = []
-    for c in cat.objects:
-        comp = []
-        for x in range(P.sizes[c]):
-            fam = tuple(P.res(f, x) for f in carriers[c])
-            comp.append(index[c][fam])
-        unit_components.append(tuple(comp))
-    unit = PresheafMorphism(P, sheaf, tuple(unit_components))
+    unit = PresheafMorphism(P, sheaf, tuple(
+        tuple(map(index[c].__getitem__, _restriction_keys(P, c, carriers[c])))
+        for c in cat.objects))
     return SheafificationResult(P, J, sheaf, unit, carriers, tuple(reps), tuple(index))
 
 
@@ -505,31 +523,43 @@ def plus_construction(P: FinPresheaf, J: GrothendieckTopology) -> tuple[FinPresh
     s's; these positions are computed once per pair of covers t ⊊ s, and
     once per cover s and arrow f for the pullback f*(s).  The pairs of a
     class restrict along f into one class, so each row of P⁺ is filled
-    from the first pair of each class.
+    from the first pair of each class.  The families on one cover are
+    restricted together, to each t and along each f, by zipping their value
+    columns at those positions.
     """
     cat = P.cat
     pairs: list[list[tuple[int, tuple[int, ...]]]] = []
     pair_index: list[dict[tuple[int, tuple[int, ...]], int]] = []
     position: list[dict[int, dict[int, int]]] = []
+    blocks: list[dict[int, tuple[int, list[tuple[int, ...]]]]] = []  # s -> (first pair, families)
     for c in cat.objects:
-        lst = []
+        lst: list[tuple[int, tuple[int, ...]]] = []
+        block = {}
         for s in sorted(J.covers[c]):
-            lst.extend((s, tuple(fam.values())) for fam in strict_matching_families(P, c, s))
+            fams = strict_matching_families(P, c, s)
+            block[s] = len(lst), fams
+            lst.extend((s, fam) for fam in fams)
         pairs.append(lst)
         pair_index.append({p: i for i, p in enumerate(lst)})
         position.append({s: {f: i for i, f in enumerate(bits(s))} for s in J.covers[c]})
+        blocks.append(block)
 
     classes: list[list[int]] = []
     firsts: list[list[int]] = []
     for c in cat.objects:
-        below = {s: [(t, [position[c][s][f] for f in bits(t)])
-                     for t in J.covers[c] if t & ~s == 0 and t != s]
-                 for s in J.covers[c]}
         index = pair_index[c]
         uf = _UnionFind(len(pairs[c]))
-        for i, (s, x) in enumerate(pairs[c]):
-            for t, pos in below[s]:
-                uf.union(i, index[(t, tuple(x[p] for p in pos))])
+        for s, (start, fams) in blocks[c].items():
+            if not fams:
+                continue
+            columns = list(zip(*fams))  # per member of s, the values of its families
+            for t in J.covers[c]:
+                if t & ~s or t == s:
+                    continue
+                pos = [position[c][s][f] for f in bits(t)]
+                keys = zip(*(columns[p] for p in pos)) if pos else [()] * len(fams)
+                for i, key in enumerate(keys, start):
+                    uf.union(i, index[(t, key)])
         roots: dict[int, int] = {}
         cls = []
         first = []
@@ -543,28 +573,37 @@ def plus_construction(P: FinPresheaf, J: GrothendieckTopology) -> tuple[FinPresh
         firsts.append(first)
 
     sizes = tuple(len(first) for first in firsts)
+    # per object and cover s: the classes whose first pair lies on s, and
+    # the value columns of those pairs
+    heads: list[dict[int, tuple[list[int], list[tuple[int, ...]]]]] = []
+    for c in cat.objects:
+        on_cover: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
+        for k, i in enumerate(firsts[c]):
+            s, x = pairs[c][i]
+            ks, xs = on_cover.setdefault(s, ([], []))
+            ks.append(k)
+            xs.append(x)
+        heads.append({s: (ks, list(zip(*xs))) for s, (ks, xs) in on_cover.items()})
     restrict = []
     for f in cat.arrows:
         a, b = cat.dom[f], cat.cod[f]
-        pulled = {}
-        for s in J.covers[b]:
+        row = [0] * sizes[b]
+        for s, (ks, columns) in heads[b].items():
             pb = pullback_mask(cat, s, f)
-            pulled[s] = pb, [position[b][s][cat.comp[(f, g)]] for g in bits(pb)]
-        row = []
-        for i in firsts[b]:
-            s, x = pairs[b][i]
-            pb, pos = pulled[s]
-            row.append(classes[a][pair_index[a][(pb, tuple(x[p] for p in pos))]])
+            pos = [position[b][s][cat.comp[(f, g)]] for g in bits(pb)]
+            keys = zip(*(columns[p] for p in pos)) if pos else [()] * len(ks)
+            for k, key in zip(ks, keys):
+                row[k] = classes[a][pair_index[a][(pb, key)]]
         restrict.append(tuple(row))
     plus = FinPresheaf(cat, sizes, tuple(restrict))
 
     unit_components = []
     for c in cat.objects:
         top = maximal_sieve_mask(cat, c)
-        members = list(bits(top))
+        index = pair_index[c]
         unit_components.append(tuple(
-            classes[c][pair_index[c][(top, tuple(P.res(f, x) for f in members))]]
-            for x in range(P.sizes[c])))
+            classes[c][index[(top, key)]]
+            for key in zip(*(P.restrict[f] for f in bits(top)))))
     return plus, PresheafMorphism(P, plus, tuple(unit_components))
 
 
@@ -588,7 +627,8 @@ def sheaf_comparison(P: FinPresheaf, J: GrothendieckTopology,
     each f in m_c lies in over[dom f][e·f] = {eta2(x) | eta1(x) = e·f} can
     qualify; those are looked up by their restrictions along m_c and then
     tested in full.  When there are more such keys than elements of E2(c),
-    every element is tested.
+    every element is tested.  A test reads the mask of f with v·f in
+    over[dom f][e·f] off (bit, row, image) triples laid out once per e.
     """
     cat = P.cat
     over = []
@@ -601,20 +641,21 @@ def sheaf_comparison(P: FinPresheaf, J: GrothendieckTopology,
     for c in cat.objects:
         members = sorted(bits(J.min_cover[c]))
         by_key = _by_restrictions(E2, c, members)
+        member_rows = [(E1.restrict[f], over[cat.dom[f]]) for f in members]
+        into = [(1 << f, E1.restrict[f], E2.restrict[f], over[cat.dom[f]])
+                for f in cat.arrows_into(c)]
+        covers = J.covers[c]
         comp = []
         for e in range(E1.sizes[c]):
-            options = [over[cat.dom[f]][E1.res(f, e)] for f in members]
+            options = [images[row[e]] for row, images in member_rows]
             if math.prod(len(o) for o in options) > E2.sizes[c]:
                 candidates = range(E2.sizes[c])
             else:
                 candidates = sorted(v for key in itertools.product(*options)
                                     for v in by_key.get(key, ()))
-            found = []
-            for v in candidates:
-                s = mask_of(f for f in cat.arrows_into(c)
-                            if E2.res(f, v) in over[cat.dom[f]][E1.res(f, e)])
-                if J.is_covering(c, s):
-                    found.append(v)
+            triples = [(bit, row2, images[row1[e]]) for bit, row1, row2, images in into]
+            found = [v for v in candidates
+                     if sum(bit for bit, row, image in triples if row[v] in image) in covers]
             if len(found) != 1:
                 raise ValueError(
                     f"sheaf comparison not uniquely defined at object {c}, element {e}: {found}")
@@ -762,8 +803,7 @@ def _sheafified_sieve_category(cat: FinCategory, J: GrothendieckTopology,
     for i, (c, s) in enumerate(objects):
         for j in range(len(objects)):
             hom = []
-            for fam in strict_matching_families(sheaves[j].sheaf, c, s):
-                phi = tuple(fam.values())
+            for phi in strict_matching_families(sheaves[j].sheaf, c, s):
                 hom.append((frozenset((x, y) for x, v in zip(sieve_members[i], phi)
                                       for y in preimage[j].get((cat.dom[x], v), ())), phi))
             for rel, phi in sorted(hom, key=lambda arrow: sorted(arrow[0])):
@@ -925,9 +965,10 @@ def family_locally_surjective(J: GrothendieckTopology,
         for c in cat.objects:
             images[c].update(m.components[c])
     for c in cat.objects:
+        triples = [(1 << f, target.restrict[f], images[cat.dom[f]]) for f in cat.arrows_into(c)]
+        covers = J.covers[c]
+        # the bits are distinct, so their sum is the mask of the f with y·f in the image
         for y in range(target.sizes[c]):
-            s = mask_of(f for f in cat.arrows_into(c)
-                        if target.res(f, y) in images[cat.dom[f]])
-            if not J.is_covering(c, s):
+            if sum(bit for bit, row, image in triples if row[y] in image) not in covers:
                 return False
     return True

@@ -2,6 +2,7 @@ import collections
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sitecalc.morphisms as mor
 from sitecalc import cli, sieves
 from sitecalc.cli import SiteParseError, parse, print_document, run
 
@@ -158,6 +160,21 @@ def test_run_classify_morphism():
     report = run("classify-morphism", doc, _args("F"))
     values = {e["name"]: e["value"] for e in report.entries}
     assert values["equivalence"] and values["surjection"]
+
+
+def test_classifiers_are_looked_up_when_the_command_runs(monkeypatch):
+    """`classify-morphism` and `classify-comorphism` call the classifier
+    bound in `morphisms` when they run, so a wrapper installed after import,
+    as a tracer installs one, sees the call."""
+    calls = []
+    for name in ("classify_morphism", "classify_comorphism"):
+        def wrapper(sf, name=name, original=getattr(mor, name)):
+            calls.append(name)
+            return original(sf)
+        monkeypatch.setattr(mor, name, wrapper)
+    assert main_in_process(FIXTURE, "classify-morphism", "F")[0] == 0
+    assert main_in_process(FIXTURE, "classify-comorphism", "F")[0] == 2
+    assert calls == ["classify_morphism", "classify_comorphism"]
 
 
 def test_run_classify_comorphism_precondition_is_exit_2():
@@ -388,12 +405,19 @@ def test_parse_print_round_trip_generated(text):
 # ---------------------------------------------------------------------------
 # mutated documents and argument vectors keep the exit-code contract
 
-def vee_site(k: int, m: int) -> str:
+def vee_site(k: int, m: int, seed: int | None = None) -> str:
     """The vee with legs l_i: i -> k covered by the sieve of its k legs, an
     identity functor G, and a presheaf P with m elements over each leg's
-    domain and one over the top."""
+    domain and one over the top.  With a seed, the top has m elements too
+    and each leg restricts them by a map drawn from `random.Random(seed)`,
+    so that P is neither separated nor a sheaf in general."""
     arrows = [f"i{c}: {c} -> {c}" for c in range(k + 1)] + [f"l{i}: {i} -> {k}" for i in range(k)]
     names = [a.split(":")[0] for a in arrows]
+    if seed is None:
+        top, maps = 1, [f"{i % m}" for i in range(k)]
+    else:
+        rng = random.Random(seed)
+        top, maps = m, [" ".join(str(rng.randrange(m)) for _ in range(m)) for _ in range(k)]
     return "\n".join([
         "site-format 1",
         "category V",
@@ -406,8 +430,8 @@ def vee_site(k: int, m: int) -> str:
         "  objects: " + ", ".join(f"{c} -> {c}" for c in range(k + 1)),
         "  arrows: " + ", ".join(f"{a} -> {a}" for a in names),
         "presheaf P on V",
-        "  sets: " + ", ".join(f"{c}: {m if c < k else 1}" for c in range(k + 1)),
-        *[f"  map l{i}: {i % m}" for i in range(k)],
+        "  sets: " + ", ".join(f"{c}: {m if c < k else top}" for c in range(k + 1)),
+        *[f"  map l{i}: {row}" for i, row in enumerate(maps)],
     ]) + "\n"
 
 

@@ -9,6 +9,7 @@ from sitecalc.fincat import (
     cartesian_vertical_factor,
     comma,
     connected_components,
+    full_subcategory,
     identity_functor,
     is_cartesian,
     is_colimit_cocone,
@@ -27,6 +28,7 @@ from conftest import (
     product_category,
     random_category,
     random_fibration,
+    random_presheaf,
 )
 
 
@@ -108,6 +110,29 @@ def test_table_violations_match_reference_scan(rng):
         assert got == expected
         associative += expected[0].startswith("non-associative")
     assert associative >= 5
+
+
+def test_full_subcategory_matches_reference_double_loop(rng):
+    """On random categories, fibration totals and categories of elements,
+    each with a random set of objects in a random order, the composition
+    table of the full subcategory holds the entries of the loop over every
+    pair of its arrows, in the same order."""
+    cats = [random_category(rng) for _ in range(200)]
+    cats += [random_fibration(rng).source for _ in range(40)]
+    cats += [category_of_elements(random_presheaf(rng, random_category(rng))).category
+             for _ in range(40)]
+    proper = 0
+    for cat in cats:
+        objects = rng.sample(list(cat.objects), rng.randrange(cat.n_objects + 1))
+        sub, inclusion = full_subcategory(cat, objects)
+        arrows = [f for f in cat.arrows if cat.dom[f] in objects and cat.cod[f] in objects]
+        assert inclusion.arr_map == tuple(arrows)
+        index = {f: i for i, f in enumerate(arrows)}
+        reference = [((index[g], index[f]), index[cat.comp[(g, f)]])
+                     for g in arrows for f in arrows if cat.cod[f] == cat.dom[g]]
+        assert list(sub.comp.items()) == reference
+        proper += 0 < len(objects) < cat.n_objects and len(reference) > len(objects)
+    assert proper
 
 
 def test_opposite_round_trip_random(rng):

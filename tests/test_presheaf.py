@@ -13,6 +13,7 @@ from sitecalc.fincat import (
     terminal_category,
     validate_category,
 )
+from sitecalc.cli import parse
 from sitecalc.presheaf import (
     FinPresheaf,
     PresheafMorphism,
@@ -28,6 +29,7 @@ from sitecalc.presheaf import (
     constant_presheaf,
     elem_locally_equal,
     enumerate_presheaf_morphisms,
+    family_locally_surjective,
     identity_morphism,
     is_bicovering,
     is_sheaf,
@@ -56,6 +58,7 @@ from conftest import (
     random_topology,
     z2_category,
 )
+from test_cli import vee_site
 from oracles import (
     FunctionalRelation,
     arrow_to_relation,
@@ -764,12 +767,25 @@ def test_presheaf_validation_matches_reference_loop(rng):
 # ---------------------------------------------------------------------------
 # restriction-tuple lookups against the element-by-element scans they replace
 
+def vee_sites():
+    """The shape of the `sheafify-oracle` benchmark: (category, J, P) of
+    `test_cli.vee_site` for k = 3-6 legs and m = 2, and k = 3-5 and m = 3,
+    and of one seeded variant whose presheaf is neither separated nor a
+    sheaf.  (k, m) = (6, 3) is left out: the element-by-element sheaf
+    comparison takes 16 s on its 729-element sheaf."""
+    docs = [parse(vee_site(k, m)) for k in range(3, 7) for m in (2, 3) if m ** k < 729]
+    docs.append(parse(vee_site(4, 3, seed=7)))
+    return [(doc.categories["V"].category, doc.topologies["J"].topology,
+             doc.presheaves["P"].presheaf) for doc in docs]
+
+
 def _reference_is_sheaf(P, J):
     """Amalgamations found by testing every element against each family."""
     cat = P.cat
     for c in cat.objects:
         for s in J.covers[c]:
-            for fam in strict_matching_families(P, c, s):
+            for values in strict_matching_families(P, c, s):
+                fam = dict(zip(sorted(bits(s)), values))
                 amalg = [x for x in range(P.sizes[c])
                          if all(P.res(f, x) == fam[f] for f in fam)]
                 if len(amalg) != 1:
@@ -833,6 +849,41 @@ def _reference_sheaf_comparison(P, J, E1, eta1, E2, eta2):
     return PresheafMorphism(E1, E2, tuple(components))
 
 
+def _reference_family_locally_surjective(J, morphisms, target):
+    """Each element of the target tested against every arrow and every
+    element of each source."""
+    cat = target.cat
+    for c in cat.objects:
+        for y in range(target.sizes[c]):
+            s = 0
+            for f in cat.arrows_into(c):
+                d = cat.dom[f]
+                if any(m.at(d, x) == target.res(f, y)
+                       for m in morphisms for x in range(m.source.sizes[d])):
+                    s |= 1 << f
+            if not J.is_covering(c, s):
+                return False
+    return True
+
+
+def _reference_is_bicovering(alpha, J):
+    """Every pair of elements with one image tested over every arrow, and
+    the local surjectivity scan."""
+    cat = alpha.source.cat
+    for c in cat.objects:
+        for x in range(alpha.source.sizes[c]):
+            for x2 in range(x + 1, alpha.source.sizes[c]):
+                if alpha.at(c, x) != alpha.at(c, x2):
+                    continue
+                s = 0
+                for f in cat.arrows_into(c):
+                    if alpha.source.res(f, x) == alpha.source.res(f, x2):
+                        s |= 1 << f
+                if not J.is_covering(c, s):
+                    return False
+    return _reference_family_locally_surjective(J, [alpha], alpha.target)
+
+
 def _components_or_message(compare, *args):
     try:
         return compare(*args).components
@@ -842,16 +893,21 @@ def _components_or_message(compare, *args):
 
 def test_restriction_lookups_match_reference_scans(rng):
     """On 210 random sites and presheaves (every seventh on the trivial
-    topology), `sheafify`, `is_sheaf` and `sheaf_comparison` give what the
-    element-by-element scans give: the same sheaf and representatives, the
-    same verdicts and witnesses on sheaves and non-sheaves, and the same
-    comparison or the same error, also for swapped and non-sheaf
-    presentations."""
+    topology) and on the leg-covered vees, `sheafify`, `is_sheaf`,
+    `sheaf_comparison`, `is_bicovering` and `family_locally_surjective`
+    give what the element-by-element scans give: the same sheaf and
+    representatives, the same verdicts and witnesses on sheaves and
+    non-sheaves, the same comparison or the same error, also for swapped
+    and non-sheaf presentations, and the same bicovering and surjectivity
+    verdicts, both of which occur."""
     raised = non_sheaves = 0
+    verdicts = collections.Counter()
+    sites = []
     for i in range(210):
         cat = random_category(rng)
         J = trivial_topology(cat) if i % 7 == 0 else random_topology(rng, cat)
-        P = random_presheaf(rng, cat)
+        sites.append((cat, J, random_presheaf(rng, cat)))
+    for cat, J, P in sites + vee_sites():
         sh = sheafify(P, J)
         assert (sh.sheaf.sizes, sh.sheaf.restrict, sh.unit.components, sh.families) \
             == _reference_sheafify(P, J)
@@ -867,7 +923,18 @@ def test_restriction_lookups_match_reference_scans(rng):
             assert got == _components_or_message(_reference_sheaf_comparison, P, J,
                                                  *presentations)
             raised += isinstance(got, str)
+        collapse = PresheafMorphism(P, constant_presheaf(cat, 1), tuple((0,) * n for n in P.sizes))
+        for alpha in (sh.unit, eta, ident, collapse):
+            verdict = is_bicovering(alpha, J)
+            assert verdict == _reference_is_bicovering(alpha, J)
+            verdicts["bicovering", verdict] += 1
+        for family, target in (([sh.unit], sh.sheaf), ([eta], pp), ([sh.unit, sh.unit], sh.sheaf),
+                               ([], P)):
+            verdict = family_locally_surjective(J, family, target)
+            assert verdict == _reference_family_locally_surjective(J, family, target)
+            verdicts["surjective", verdict] += 1
     assert raised and non_sheaves
+    assert len(verdicts) == 4
 
 
 def _reference_strict_matching_families(P, c, mask):
@@ -899,18 +966,23 @@ def _reference_strict_matching_families(P, c, mask):
 
 
 def test_strict_matching_families_match_reference_scan(rng):
-    """On every sieve of 150 random sites, for a random presheaf and its
-    sheafification, the lookup by restrictions yields the families of the
-    scan over every element, in the same order, also where the identity
-    sorts after other arrows of the sieve."""
+    """On every sieve of 150 random sites and of the leg-covered vees, for
+    a presheaf and its sheafification, the lookup by restrictions and the
+    search on constraint rows yield the families of the scan over every
+    element, keyed by the ascending members, in the same order, also where
+    the identity sorts after other arrows of the sieve."""
     late_identity = 0
+    sites = []
     for _ in range(150):
         cat = random_category(rng)
         P = random_presheaf(rng, cat)
-        for Q in (P, sheafify(P, random_topology(rng, cat)).sheaf):
+        sites.append((cat, random_topology(rng, cat), P))
+    for cat, J, P in sites + vee_sites():
+        for Q in (P, sheafify(P, J).sheaf):
             for c in cat.objects:
                 for s in all_sieve_masks(cat, c):
-                    assert strict_matching_families(Q, c, s) \
+                    members = sorted(bits(s))
+                    assert [dict(zip(members, fam)) for fam in strict_matching_families(Q, c, s)] \
                         == _reference_strict_matching_families(Q, c, s)
                     late_identity += cat.identity[c] in bits(s) and min(bits(s)) != cat.identity[c]
     assert late_identity
@@ -918,8 +990,8 @@ def test_strict_matching_families_match_reference_scan(rng):
     # so the families over the maximal sieve on 1 do not come in element order
     two = poset_category(2, [(0, 1)])
     swap = FinPresheaf(two, (2, 2), ((0, 1), (1, 0), (0, 1)))
-    assert strict_matching_families(swap, 1, 0b110) == [{1: 0, 2: 1}, {1: 1, 2: 0}] \
-        == _reference_strict_matching_families(swap, 1, 0b110)
+    assert strict_matching_families(swap, 1, 0b110) == [(0, 1), (1, 0)]
+    assert _reference_strict_matching_families(swap, 1, 0b110) == [{1: 0, 2: 1}, {1: 1, 2: 0}]
 
 
 # ---------------------------------------------------------------------------
@@ -934,8 +1006,8 @@ def _reference_plus_construction(P, J):
     for c in cat.objects:
         lst = []
         for s in sorted(J.covers[c]):
-            for fam in strict_matching_families(P, c, s):
-                lst.append((s, tuple(sorted(fam.items()))))
+            for values in strict_matching_families(P, c, s):
+                lst.append((s, tuple(zip(sorted(bits(s)), values))))
         pairs.append(lst)
         pair_index.append({p: i for i, p in enumerate(lst)})
 
@@ -986,13 +1058,16 @@ def _reference_plus_construction(P, J):
 
 def test_plus_construction_matches_reference_body(rng):
     """On 600 random sites and presheaves (every seventh on the trivial
-    topology), P⁺ and P⁺⁺ have the sizes, restrictions and unit of the
-    body that restricted every pair of a class."""
+    topology) and on the leg-covered vees, P⁺ and P⁺⁺ have the sizes,
+    restrictions and unit of the body that restricted every pair of a
+    class."""
     merged = 0
+    sites = []
     for i in range(600):
         cat = random_category(rng)
         J = trivial_topology(cat) if i % 7 == 0 else random_topology(rng, cat)
-        Q = random_presheaf(rng, cat)
+        sites.append((cat, J, random_presheaf(rng, cat)))
+    for cat, J, Q in sites + vee_sites():
         for _ in range(2):
             plus, unit = plus_construction(Q, J)
             ref, ref_unit = _reference_plus_construction(Q, J)
@@ -1070,18 +1145,20 @@ def _reference_locally_matching_families(P, J, members):
 
 
 def test_locally_matching_families_match_reference_search(rng):
-    """On every sieve of 150 random sites, in ascending and in descending
-    member order, for a random presheaf and for one that is empty at an
-    object, the search with constraints collected once, and the families
-    read off where the members hold the identity, are the families of the
-    search that rescanned, in the same order.  The corpus reaches
-    identity-carrying sieves where some local-equality class has more than
-    one element."""
+    """On every sieve of 150 random sites and of the leg-covered vees, in
+    ascending and in descending member order, for a presheaf and for one
+    that is empty at an object, the search on class tables, and the
+    families read off where the members hold the identity, are the
+    families of the search that rescanned, in the same order.  The corpus
+    reaches identity-carrying sieves where some local-equality class has
+    more than one element."""
     empty_member = identity_carrying = merged_classes = 0
+    sites = []
     for _ in range(150):
         cat = random_category(rng)
         J = random_topology(rng, cat)
-        P = random_presheaf(rng, cat)
+        sites.append((cat, J, random_presheaf(rng, cat)))
+    for cat, J, P in sites + vee_sites():
         # P emptied over the objects that object 0 maps to: a presheaf, as
         # those objects are closed under arrows out of them
         reach = {cat.cod[f] for f in cat.arrows_out_of(0)}
