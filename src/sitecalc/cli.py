@@ -679,22 +679,25 @@ _COMMANDS = {
 }
 
 
+# built once; each `parse_args` call fills a fresh namespace from the defaults
+_PARSER = argparse.ArgumentParser(
+    prog="sitecalc",
+    description="Finite-site computations: checkers, constructions, factorizations.")
+_PARSER.add_argument("document", help="path to a .site document")
+_PARSER.add_argument("command", choices=sorted(_COMMANDS))
+_PARSER.add_argument("name", nargs="?", default=None,
+                     help="functor/presheaf name, or subcommand for topology/factorize/comma")
+_PARSER.add_argument("args", nargs="*", help="extra arguments for the subcommand")
+_PARSER.add_argument("-J", "--source-topology", default=None)
+_PARSER.add_argument("-K", "--target-topology", default=None)
+_PARSER.add_argument("--oracle", action="store_true",
+                     help="also run the independent construction and compare")
+_PARSER.add_argument("--witness", action="store_true", help="emit witnesses")
+_PARSER.add_argument("--format", choices=["human", "machine"], default="human")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="sitecalc",
-        description="Finite-site computations: checkers, constructions, factorizations.")
-    parser.add_argument("document", help="path to a .site document")
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("name", nargs="?", default=None,
-                        help="functor/presheaf name, or subcommand for topology/factorize/comma")
-    parser.add_argument("args", nargs="*", help="extra arguments for the subcommand")
-    parser.add_argument("-J", "--source-topology", default=None)
-    parser.add_argument("-K", "--target-topology", default=None)
-    parser.add_argument("--oracle", action="store_true",
-                        help="also run the independent construction and compare")
-    parser.add_argument("--witness", action="store_true", help="emit witnesses")
-    parser.add_argument("--format", choices=["human", "machine"], default="human")
-    ns = parser.parse_args(argv)
+    ns = _PARSER.parse_args(argv)
 
     start = time.perf_counter()
     try:

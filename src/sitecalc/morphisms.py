@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .fincat import (
     FinCategory,
@@ -552,15 +552,20 @@ def _check_local_properties(sf: SiteFunctor) -> dict[str, Verdict]:
     out["J_full"] = full(False)
     out["JK_full"] = full(True)
 
-    image = F.image_objects
-    k_dense = _yes("K-dense")
-    for d in D.objects:
-        base = mask_of(u for u in D.arrows_into(d) if D.dom[u] in image)
-        if not K.is_covering(d, generate_mask(D, base)):
-            k_dense = _no("K-dense", object=d, sieve=generate_mask(D, base))
-            break
-    out["K_dense"] = k_dense
+    miss = next(_image_base_misses(sf), None)
+    out["K_dense"] = _no("K-dense", object=miss[0], sieve=miss[1]) if miss else _yes("K-dense")
     return out
+
+
+def _image_base_misses(sf: SiteFunctor) -> Iterator[tuple[int, int]]:
+    """Each object d, in order, that K does not cover by its image base,
+    the sieve generated by the arrows into d from image objects, with that
+    sieve.  Reads only F and K."""
+    D, image = sf.F.target, sf.F.image_objects
+    for d in D.objects:
+        base = generate_mask(D, mask_of(u for u in D.arrows_into(d) if D.dom[u] in image))
+        if not sf.K.is_covering(d, base):
+            yield d, base
 
 
 # ---------------------------------------------------------------------------
@@ -598,12 +603,13 @@ def _weakly_dense_clause_ii(sf: SiteFunctor) -> Verdict:
     return sf.verdict("weakly-dense-ii", _check_weakly_dense_clause_ii)
 
 
-def _realized_arrows(sf: SiteFunctor) -> Iterator[int]:
-    """Per object d, in order, the mask of the arrows g_f0 realized by
-    locally matching families of y(d) over the carriers S_min(e0) ∪ ⟨f0⟩,
-    for f0 into an image object e0.  The carriers, their members and the
-    slot of each f0 do not depend on d, so they are laid out once, and
-    carriers that coincide are searched once per d.  Reads only F and K."""
+def _realized_arrows(sf: SiteFunctor, objects: Iterable[int]) -> Iterator[int]:
+    """Per object d of `objects`, in order, the mask of the arrows g_f0
+    realized by locally matching families of y(d) over the carriers
+    S_min(e0) ∪ ⟨f0⟩, for f0 into an image object e0.  The carriers, their
+    members and the slot of each f0 do not depend on d, so they are laid
+    out once, and carriers that coincide are searched once per d.  Reads
+    only F and K."""
     F, K = sf.F, sf.K
     C, D = F.source, F.target
     base = K.min_cover
@@ -616,7 +622,7 @@ def _realized_arrows(sf: SiteFunctor) -> Iterator[int]:
                 carriers[carrier] = (e0, sorted(bits(carrier)), [])
             members, served = carriers[carrier][1:]
             served.append((members.index(f0), f0))
-    for d in D.objects:
+    for d in objects:
         realized = 0
         yd = ps.yoneda(D, d)
         for e0, members, served in carriers.values():
@@ -630,10 +636,12 @@ def _realized_arrows(sf: SiteFunctor) -> Iterator[int]:
 
 def _uncovered_by_realized(sf: SiteFunctor) -> tuple[int, int] | None:
     """The first d, with the sieve it gets, that is not covered by the
-    arrows `_realized_arrows` finds for it; None when every d is
-    covered."""
+    arrows `_realized_arrows` finds for it; None when every d is covered.
+    Only the objects that K does not cover by their image base are
+    searched (`_image_base_misses`), as the others are covered already."""
     D, K = sf.F.target, sf.K
-    for d, realized in enumerate(_realized_arrows(sf)):
+    objects = [d for d, _ in _image_base_misses(sf)]
+    for d, realized in zip(objects, _realized_arrows(sf, objects)):
         sieve = generate_mask(D, realized)
         if not K.is_covering(d, sieve):
             return d, sieve
@@ -644,7 +652,14 @@ def _check_weakly_dense_clause_ii(sf: SiteFunctor) -> Verdict:
     """Every d is covered by arrows presenting maps from sheafified images:
     the realizable g_f arrows, collected over S_min ∪ ⟨f⟩ carriers (complete
     by the restriction argument), must generate a covering sieve.  Reads
-    only F and K."""
+    only F and K.
+
+    The image base of d, the arrows into d from image objects, is among
+    the realized arrows: for f0 = id_e0 the carrier is the maximal sieve on
+    e0, over which h ↦ g∘h is a locally matching family for every
+    g: e0 -> d.  So a d that K covers by its image base (the K-dense test)
+    passes, and the family search runs only for the others; the first
+    uncovered d and its sieve are those of the search over every d."""
     miss = _uncovered_by_realized(sf)
     if miss:
         return _no("weakly-dense", clause="ii", object=miss[0], sieve=miss[1])
@@ -658,35 +673,54 @@ def _weakly_dense_clause_iii(sf: SiteFunctor) -> Verdict:
     h∘z = F(f)∘w with h in U; the values g_h∘z are collected once per
     composite h∘z.  The found arrows must J-cover x.
 
-    When U holds the identity of F(x), every g_h is locally equal to
-    g_id∘h, so f is found exactly when F(k) ≡_K g_id∘F(f) for some k, local
-    equality being an equivalence relation stable under precomposition on
-    a topology; the found arrows are then computed once per value g_id."""
+    The least cover m = K.min_cover[F(x)] decides the verdict.  A family g
+    over a cover U ⊇ m restricts to one over m with the same found arrows:
+    for a = F(f)∘w = h∘z in U, the members a∘v of m, v in the cover a*(m),
+    give g_h∘z∘v ≡_K g_{a∘v} ≡_K F(k)∘w∘v, and local equality is local.
+    So when every family over m passes, every family over every cover
+    does, and m is a cover itself.  The pass path scans m alone on each
+    object; only a failure rescans every cover in the order of `K.covers`
+    for the first failing cover and family, the witness."""
+    least = _clause_iii_scan(sf, [(m,) for m in sf.K.min_cover])
+    return least if least else _clause_iii_scan(sf, sf.K.covers)
+
+
+def _clause_iii_scan(sf: SiteFunctor, sieves: Sequence[Iterable[int]]) -> Verdict:
+    """Clause (iii) over the sieves U in `sieves[F(x)]` for each x, and the
+    coherent families g on U in search order; the first (x, y, U, g) whose
+    found arrows do not J-cover x is the witness.
+
+    When U holds the identity of F(x), U is maximal and every g_h is
+    locally equal to g_id∘h, so f is found exactly when F(k) ≡_K g_id∘F(f)
+    for some k, local equality being an equivalence relation stable under
+    precomposition on a topology.  Every g_id: F(x) -> F(y) is the value
+    of the family h ↦ g_id∘h, so the found arrows are computed once per
+    arrow of D(F(x), F(y)), and the families are searched only when some
+    g_id fails, to name the first failing family."""
     F, J, K = sf.F, sf.J, sf.K
     C, D = F.source, F.target
     for x in C.objects:
         fx = F.on_obj(x)
         id_fx = D.identity[fx]
         for y in C.objects:
-            found_by_identity_value: dict[int, int] = {}
-            for u_mask in K.covers[fx]:
+            fy = F.on_obj(y)
+            for u_mask in sieves[fx]:
                 members = sorted(bits(u_mask))
-                for g in _coherent_families(D, K, fx, members, F.on_obj(y)):
-                    if (u_mask >> id_fx) & 1:
-                        g_id = g[id_fx]
-                        if g_id not in found_by_identity_value:
-                            found_by_identity_value[g_id] = mask_of(
-                                f for f in C.arrows_into(x)
-                                if any(local_equality(K, F.on_arr(k),
-                                                      D.comp[(g_id, F.on_arr(f))])
-                                       for k in C.hom(C.dom[f], y)))
-                        ok = found_by_identity_value[g_id]
-                    else:
-                        ok = _found_through(sf, x, y, members, g)
+                by_value = None
+                if (u_mask >> id_fx) & 1:
+                    by_value = {v: mask_of(
+                        f for f in C.arrows_into(x)
+                        if any(local_equality(K, F.on_arr(k), D.comp[(v, F.on_arr(f))])
+                               for k in C.hom(C.dom[f], y)))
+                        for v in D.hom(fx, fy)}
+                    if all(J.is_covering(x, ok) for ok in by_value.values()):
+                        continue
+                for g in _coherent_families(D, K, fx, members, fy):
+                    ok = (_found_through(sf, x, y, members, g) if by_value is None
+                          else by_value[g[id_fx]])
                     if not J.is_covering(x, ok):
                         return _no("weakly-dense", clause="iii",
-                                   instance={"x": x, "y": y, "sieve": u_mask,
-                                             "family": {h: g[h] for h in members}},
+                                   instance={"x": x, "y": y, "sieve": u_mask, "family": g},
                                    found=ok)
     return _yes("weakly-dense")
 

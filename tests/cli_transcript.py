@@ -9,11 +9,12 @@ so two runs of the same code give the same entry.  The corpus is the shipped
 `two_atomic.site` and documents built by the `tests/test_cli.py` helpers:
 leg-covered vees (one with seeded restriction maps), chains, cyclic
 groups and the diamond, each with up to four presheaves and up to two
-functors.  The trivial and atomic topologies are joined by `sieve:`
+functors, and two points that fail weak denseness (`Z2_POINT_SITE` and
+`LATE_MISS_SITE`).  The trivial and atomic topologies are joined by `sieve:`
 topologies whose least covers hold composable arrows, so that the family
 searches meet forced values and local equality.  The vees with five and
-six legs run only `sheafify`: `factorize hyper-localic` takes half a
-minute on the five-leg vee.
+six legs run only `sheafify`: `factorize hyper-localic` takes over ten
+seconds on the five-leg vee.
 
 A change that means to alter an output regenerates the file with
 
@@ -39,7 +40,8 @@ from sitecalc import cli
 from sitecalc.cli import PresheafDecl, parse, print_document
 
 from conftest import random_presheaf
-from test_cli import FIXTURE, chain_site, cyclic_site, diamond_site, vee_site
+from test_cli import (FIXTURE, LATE_MISS_SITE, Z2_POINT_SITE, chain_site, cyclic_site,
+                      diamond_site, vee_site)
 
 TRANSCRIPT = Path(__file__).resolve().parent / "data" / "cli_transcript.json"
 
@@ -122,6 +124,10 @@ def corpus() -> dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]]:
         docs[f"diamond-{kind}"] = (_diamond(f"kind: {kind}"), one, ("Id", "C"))
     # the top covered by its two sides, whose composites with 0 -> 1 and 0 -> 2 agree
     docs["diamond-sides"] = (_diamond("sieve: 3 : a13 a23", 4), PRESHEAVES, ("Id", "C"))
+    # weak denseness failing at clause (iii) first at a sieve other than the
+    # least cover, and at clause (ii) after an object the image base misses
+    docs["z2-point"] = (Z2_POINT_SITE, (), ("T",))
+    docs["late-miss"] = (LATE_MISS_SITE, (), ("T",))
     return docs
 
 

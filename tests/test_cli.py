@@ -453,6 +453,65 @@ presheaf P on E
 """
 
 
+# The point of the classifying topos of Z2 as a morphism of sites T from Z2
+# (trivial topology) to the sets o = {0} and t = {0, 1} with every map
+# between them, where the two points a, b: o -> t cover t, so that its
+# sheaves are sets.  T sends r1 to the swap s.  T is cover-reflecting and
+# its image base covers every object, but the constant maps ca, cb: t -> t
+# are not locally in its image, so weak denseness fails at clause (iii).
+# The arrows are numbered so that `K.covers` lists the maximal sieve on t
+# before the least cover <a, b>, and the first failing sieve is the
+# maximal one.
+Z2_POINT_SITE = """site-format 1
+category Fin2
+  objects: 2
+  arrows: io: 0 -> 0, a: 0 -> 1, b: 0 -> 1
+  arrows: it: 1 -> 1, s: 1 -> 1, u: 1 -> 0, ca: 1 -> 1, cb: 1 -> 1
+  identities: io, it
+  compose: s . s = it, s . a = b, s . b = a, s . ca = cb, s . cb = ca
+  compose: ca . s = ca, ca . ca = ca, ca . cb = ca, ca . a = a, ca . b = a
+  compose: cb . s = cb, cb . ca = cb, cb . cb = cb, cb . a = b, cb . b = b
+  compose: u . a = io, u . b = io, u . s = u, u . ca = u, u . cb = u, a . u = ca, b . u = cb
+topology K on Fin2
+  sieve: 1 : a b
+category Z2
+  objects: 1
+  arrows: r0: 0 -> 0, r1: 0 -> 0
+  identities: r0
+  compose: r1 . r1 = r0
+topology J on Z2
+  kind: trivial
+functor T : Z2 -> Fin2
+  objects: 0 -> 1
+  arrows: r0 -> it, r1 -> s
+"""
+
+
+# The point T of the object 1 of Y, where p: 0 -> 1, q: 2 -> 0, r = p∘q
+# and <p> covers 1.  No arrow leaves 1, so the image base misses 0 and 2.
+# The family p ↦ id_0 over <p> realizes id_0, so clause (ii) of weak
+# denseness covers 0 by the family search and fails at 2, where nothing
+# is realized; the K-dense test of a dense morphism fails at 0.
+LATE_MISS_SITE = """site-format 1
+category Y
+  objects: 3
+  arrows: i0: 0 -> 0, i1: 1 -> 1, i2: 2 -> 2, p: 0 -> 1, q: 2 -> 0, r: 2 -> 1
+  identities: i0, i1, i2
+  compose: p . q = r
+topology K on Y
+  sieve: 1 : p
+category Pt
+  objects: 1
+  arrows: e: 0 -> 0
+  identities: e
+topology J on Pt
+  kind: trivial
+functor T : Pt -> Y
+  objects: 0 -> 1
+  arrows: e -> i1
+"""
+
+
 MUTATION_TOKENS = ["0", "9", "x", "->", ",", ":", "-1", ""]
 SUBCOMMANDS = {
     "topology": ["canonical", "generate", "induced", "coinduced", "fibration"],
@@ -512,6 +571,25 @@ def main_in_process(*argv):
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def test_main_keeps_no_flags_between_calls():
+    """`main` parses with one parser built at import.  The flags of a call,
+    here `--witness`, `--format machine` and a usage error, do not reach
+    the next call in the same process, which prints what a fresh process
+    prints."""
+    def plain_run():
+        code, out, err = main_in_process(FIXTURE, "denseness", "F")
+        return code, re.sub(r"\d+\.\d+s\]", "s]", out), err
+    fresh = sitecalc_cli(FIXTURE, "denseness", "F")
+    expected = (fresh.returncode, re.sub(r"\d+\.\d+s\]", "s]", fresh.stdout), fresh.stderr)
+    assert expected[0] == 0 and "weakly-dense: yes" in expected[1]
+    code, out, _ = main_in_process(FIXTURE, "denseness", "F", "--witness", "--format", "machine")
+    assert code == 0 and '"witness"' in out
+    assert plain_run() == expected
+    code, _, err = main_in_process(FIXTURE, "denseness", "F", "--format", "xml")
+    assert code == 2 and err.startswith("usage: sitecalc ")
+    assert plain_run() == expected
 
 
 @given(text=mutated_site_texts(), argv=cli_argvs())

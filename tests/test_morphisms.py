@@ -6,6 +6,7 @@ import pytest
 
 import sitecalc.morphisms as mor
 import sitecalc.presheaf as ps
+from sitecalc.cli import parse
 from sitecalc.fincat import (
     FinFunctor,
     SizeGuardError,
@@ -21,8 +22,10 @@ from sitecalc.morphisms import (
     Verdict,
     _CommaComponents,
     _ab_categories,
+    _clause_iii_scan,
     _coherent_families,
     _diagram_shape,
+    _image_base_misses,
     _principally_presented,
     _realized_arrows,
     _uncovered_by_realized,
@@ -95,6 +98,7 @@ from oracles import (
     reference_locally_connected,
     reference_yoneda_arrow,
 )
+from test_cli import LATE_MISS_SITE, Z2_POINT_SITE, vee_site
 from test_presheaf import _reference_locally_matching_families
 
 
@@ -1184,24 +1188,108 @@ def _identity_families_sharing_a_value(sf):
     return shared
 
 
+def _document_site_functor(text, name):
+    """The site functor `name` of a `.site` document, between the one
+    topology on each of its categories."""
+    doc = parse(text)
+    fd = doc.functors[name]
+    return SiteFunctor(fd.functor, doc.topology_for(fd.source, None).topology,
+                       doc.topology_for(fd.target, None).topology)
+
+
 def test_weakly_dense_clause_iii_matches_reference_scan(rng):
-    """Clause (iii) with the values g_h∘z collected per composite, and
-    with the found arrows computed once per value g_id over the sieves
-    that hold the identity, gives the verdict and witness of the scan over
-    every object and factorization, whose families come from the reference
-    search, on 300 random site functors, some of which fail it.  The corpus
-    reaches identity-carrying sieves whose families share their value at
-    the identity, where local-equality classes have more than one
+    """Clause (iii) with the values g_h∘z collected per composite, with the
+    found arrows computed once per value g_id over the sieves that hold the
+    identity, and with the pass path over the least cover of each F(x)
+    alone, gives the verdict and witness of the scan over every cover,
+    object and factorization, whose families come from the reference
+    search.  The pass over the least covers alone gives the reference
+    verdict too.  The corpus: 300 random site functors, the identities of
+    leg-covered vees, 60 random fibrations with their fibration topologies
+    and `Z2_POINT_SITE`.  It holds failures whose first failing sieve is
+    not the least cover, so that the witness comes from the rescan;
+    passes over least covers that are not maximal, where the families are
+    searched; and identity-carrying sieves whose families share their
+    value at the identity, where local-equality classes have more than one
     element."""
-    failed = shared = 0
-    for sf in _random_site_functors(rng, 300):
+    corpus = _random_site_functors(rng, 300)
+    corpus += [_document_site_functor(vee_site(k, m), "G")
+               for k, m in ((2, 2), (3, 2), (4, 2), (3, 3))]
+    for _ in range(60):
+        p = random_fibration(rng)
+        K = random_topology(rng, p.target)
+        corpus.append(SiteFunctor(p, fibration_topology(p, K), K))
+    corpus.append(_document_site_functor(Z2_POINT_SITE, "T"))
+    not_least = not_maximal = shared = 0
+    for sf in corpus:
+        F, K, D = sf.F, sf.K, sf.F.target
+        ref = _reference_weakly_dense_clause_iii(sf)
+        assert _clause_iii_scan(sf, [(m,) for m in K.min_cover]).holds == ref[0]
         v = _weakly_dense_clause_iii(sf)
-        got = (v.holds, v.witness.get("instance"), v.witness.get("found"))
-        assert got == _reference_weakly_dense_clause_iii(sf)
-        failed += not v.holds
+        assert (v.holds, v.witness.get("instance"), v.witness.get("found")) == ref
+        if ref[0]:
+            not_maximal += any(K.min_cover[F.on_obj(x)] != maximal_sieve_mask(D, F.on_obj(x))
+                               for x in F.source.objects)
+        else:
+            not_least += ref[1]["sieve"] != K.min_cover[F.on_obj(ref[1]["x"])]
         shared += _identity_families_sharing_a_value(sf)
-    assert failed
-    assert shared
+    assert not_least and not_maximal and shared
+
+
+def test_clause_iii_searches_families_once_per_pair_on_an_atomic_isomorphism(monkeypatch):
+    """On the two automorphisms of the diamond with its atomic topology,
+    which pass, clause (iii) searches the families at most once per
+    (x, y): over the least cover of F(x), and not at all where that cover
+    is maximal, whose families are read off the hom-set.  A scan over
+    every cover searches once per cover, five times over the top."""
+    D = poset_category(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    K = atomic_topology(D)
+    isos = [F for F in all_functors(D, D) if len(set(F.arr_map)) == D.n_arrows]
+    assert len(isos) == 2 and len(K.covers[3]) == 5
+    calls = []
+    coherent_families = mor._coherent_families
+
+    def counting(D, K, carrier_obj, members, d):
+        calls.append((carrier_obj, d))
+        return coherent_families(D, K, carrier_obj, members, d)
+    monkeypatch.setattr(mor, "_coherent_families", counting)
+    for F in isos:
+        calls.clear()
+        assert _weakly_dense_clause_iii(SiteFunctor(F, K, K)).holds
+        assert calls and max(collections.Counter(calls).values()) == 1
+        assert F.on_obj(0) not in {x for x, _ in calls}
+
+
+def test_clause_ii_searches_only_the_objects_off_the_image_base(rng, monkeypatch):
+    """`_realized_arrows` never runs when K covers every d by its image
+    base, as for the endofunctors of random sites onto all their objects
+    and the identities of the leg-covered vees, and runs over the objects
+    the image base misses alone otherwise: on `LATE_MISS_SITE` over 0,
+    which the search covers, and 2, where clause (ii) fails."""
+    searched = []
+    realized_arrows = mor._realized_arrows
+
+    def counting(sf, objects):
+        searched.append(list(objects))
+        yield from realized_arrows(sf, objects)
+    monkeypatch.setattr(mor, "_realized_arrows", counting)
+    onto = 0
+    for _ in range(40):
+        cat = random_category(rng)
+        top = random_topology(rng, cat)
+        for F in all_functors(cat, cat):
+            if len(set(F.obj_map)) == cat.n_objects:
+                assert _uncovered_by_realized(SiteFunctor(F, top, top)) is None
+                onto += 1
+    assert onto >= 40
+    for k, m in ((3, 2), (4, 3)):
+        assert is_weakly_dense(_document_site_functor(vee_site(k, m), "G"))
+    assert searched == []
+    sf = _document_site_functor(LATE_MISS_SITE, "T")
+    assert is_weakly_dense(sf).witness == {"kind": "weakly-dense", "holds": False,
+                                           "clause": "ii", "object": 2, "sieve": 0}
+    assert searched == [[0, 2]]
+    assert local_property_tests(sf)["K_dense"].witness["object"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1347,12 +1435,22 @@ def test_weakly_dense_clause_ii_matches_reference_carriers(rng):
     object, the arrows of the per-(d, f0) rebuild with the reference family
     search, on 300 random site functors, some of which leave an object
     uncovered, and on a carrier whose members have hom-sets of different
-    sizes into d, so that each f0 must read its own slot."""
-    uncovered = 0
+    sizes into d, so that each f0 must read its own slot.  Searching only
+    the objects that K does not cover by their image base finds the first
+    object the reference arrows leave uncovered, with its sieve; in the
+    corpus the search covers some of those objects."""
+    uncovered = searched_and_covered = 0
     for sf in _random_site_functors(rng, 300):
-        assert list(_realized_arrows(sf)) == _reference_realized_arrows(sf)
+        D, K = sf.F.target, sf.K
+        reference = _reference_realized_arrows(sf)
+        assert list(_realized_arrows(sf, D.objects)) == reference
+        sieves = [generate_mask(D, realized) for realized in reference]
+        assert _uncovered_by_realized(sf) == next(
+            ((d, sieves[d]) for d in D.objects if not K.is_covering(d, sieves[d])), None)
         uncovered += _uncovered_by_realized(sf) is not None
-    assert uncovered
+        searched_and_covered += any(K.is_covering(d, sieves[d])
+                                    for d, _ in _image_base_misses(sf))
+    assert uncovered and searched_and_covered
     # objects e0 = 0, a = 1, d = 2; u: a -> e0 (3), p, q: e0 -> d (4, 5) and
     # r = p∘u = q∘u: a -> d (6); the point of e0, trivial topologies
     arrows = [(0, 0), (1, 1), (2, 2), (1, 0), (0, 2), (0, 2), (1, 2)]
@@ -1362,7 +1460,8 @@ def test_weakly_dense_clause_ii_matches_reference_carriers(rng):
     D = validate_category(3, arrows, [0, 1, 2], comp)
     one = terminal_category()
     sf = SiteFunctor(FinFunctor(one, D, (0,), (0,)), trivial_topology(one), trivial_topology(D))
-    assert list(_realized_arrows(sf)) == _reference_realized_arrows(sf) == [0b1001, 0, 0b1110000]
+    assert list(_realized_arrows(sf, D.objects)) == _reference_realized_arrows(sf) \
+        == [0b1001, 0, 0b1110000]
 
 
 def test_closed_sieve_lifting_matches_reference_closures(rng):
