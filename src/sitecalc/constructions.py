@@ -10,6 +10,7 @@ trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .fincat import CommaCategory, FinFunctor, comma, identity_functor, is_fibration
 from .sieves import all_sieve_masks, bits, mask_of
@@ -43,16 +44,24 @@ class CommaSite:
     certificates: dict[str, bool]
 
 
-def _check_adjunction(left: FinFunctor, right: FinFunctor) -> bool:
-    """left ⊣ right via a natural bijection of hom sets (finite check)."""
+def _check_adjunction(left: FinFunctor, right: FinFunctor, unit: Sequence[int]) -> bool:
+    """left ⊣ right with unit η, η_a = unit[a]: a -> right(left(a)) (finite
+    check): η is natural, and g ↦ right(g)∘η_a is a bijection
+    B(left(a), b) -> A(a, right(b)) for all objects a of A and b of B."""
     A, B = left.source, left.target
     if right.source != B or right.target != A:
+        return False
+    if any(A.dom[unit[a]] != a or A.cod[unit[a]] != right.on_obj(left.on_obj(a))
+           for a in A.objects):
+        return False
+    if any(A.compose(right.on_arr(left.on_arr(u)), unit[A.dom[u]])
+           != A.compose(unit[A.cod[u]], u) for u in A.arrows):
         return False
     for a in A.objects:
         for b in B.objects:
             lhs = B.hom(left.on_obj(a), b)
-            rhs = A.hom(a, right.on_obj(b))
-            if len(lhs) != len(rhs):
+            transposes = {A.compose(right.on_arr(g), unit[a]) for g in lhs}
+            if not len(transposes) == len(lhs) == len(A.hom(a, right.on_obj(b))):
                 return False
     return True
 
@@ -81,6 +90,11 @@ def morphism_to_comorphism(sf: SiteFunctor) -> CommaSite:
 
     i_F = SiteFunctor(_unit_section(cc, F), J, k_tilde)
 
+    # the unit at (d, c, α) is the arrow (α, id_c) into i_F(c)
+    arr_index = {a: i for i, a in enumerate(cc.arrow_data)}
+    unit = tuple(arr_index[(i, i_F.functor.on_obj(c), alpha, F.source.identity[c])]
+                 for i, (d, c, alpha) in enumerate(cc.objects))
+
     pi_D_props = local_property_tests(pi_D)
     certificates = {
         "pi_C_comorphism": is_comorphism_of_sites(pi_C).holds,
@@ -91,7 +105,7 @@ def morphism_to_comorphism(sf: SiteFunctor) -> CommaSite:
         "pi_D_dense": pi_D_props["K_dense"].holds,
         "pi_D_cover_reflecting": is_cover_reflecting(pi_D).holds,
         "pi_D_equivalence": classify_morphism(pi_D).equivalence.holds,
-        "adjunction": _check_adjunction(cc.right_projection, i_F.functor),
+        "adjunction": _check_adjunction(cc.right_projection, i_F.functor, unit),
         "composite_is_F": i_F.functor.then(cc.left_projection).obj_map == F.obj_map
         and i_F.functor.then(cc.left_projection).arr_map == F.arr_map,
     }
@@ -133,7 +147,7 @@ def comorphism_to_morphism_comma(sf: SiteFunctor) -> CommaSite:
         "pi_D_morphism": is_morphism_of_sites(pi_D).holds,
         "pi_D_comorphism": is_comorphism_of_sites(pi_D).holds,
         "pi_D_equivalence": classify_morphism(pi_D).equivalence.holds,
-        "adjunction": _check_adjunction(j_F.functor, cc.left_projection),
+        "adjunction": _check_adjunction(j_F.functor, cc.left_projection, D.identity),
         "density_witness_arrows": density_witnesses,
         "composite_is_F": j_F.functor.then(cc.right_projection).obj_map == F.obj_map
         and j_F.functor.then(cc.right_projection).arr_map == F.arr_map,

@@ -10,9 +10,26 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 MAX_ARROWS = 1 << 16
+
+V = TypeVar("V")
+
+
+def _memo(owner: object, key: tuple, compute: Callable[[], V]) -> V:
+    """compute(), run once per `owner` instance and `key` and kept in the
+    owner's instance dict under `key`, whose first item names the memo, so
+    two memos on one owner never share a key and no key is an attribute
+    name.  A raise keeps nothing.  The value dies with its owner, and equal
+    but distinct owners share nothing.  A hit is one dict lookup."""
+    memo = owner.__dict__
+    try:
+        return memo[key]
+    except KeyError:
+        pass
+    value = memo[key] = compute()
+    return value
 
 
 class SizeGuardError(Exception):
@@ -123,18 +140,6 @@ class FinCategory:
                 mask |= 1 << self.comp[(f, z)]
             masks.append(mask)
         return tuple(masks)
-
-    @cached_property
-    def representables(self) -> dict:
-        """Object -> its representable presheaf, filled lazily by
-        `presheaf.yoneda`; it lives and dies with this instance."""
-        return {}
-
-    @cached_property
-    def sieve_masks(self) -> dict:
-        """Object -> the tuple of every sieve on it, filled lazily by
-        `sieves.all_sieve_masks`; it lives and dies with this instance."""
-        return {}
 
     @cached_property
     def composites_by_codomain(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -531,46 +536,34 @@ def is_cartesian(p: FinFunctor, phi: int) -> bool:
 
 
 def cartesian_arrows(p: FinFunctor) -> frozenset[int]:
-    cached = p.__dict__.get("_cartesian_arrows")
-    if cached is None:
-        cached = frozenset(f for f in p.source.arrows if is_cartesian(p, f))
-        p.__dict__["_cartesian_arrows"] = cached
-    return cached
+    return _memo(p, ("cartesian_arrows",), lambda: frozenset(
+        f for f in p.source.arrows if is_cartesian(p, f)))
 
 
 def vertical_arrows(p: FinFunctor) -> frozenset[int]:
-    cached = p.__dict__.get("_vertical_arrows")
-    if cached is None:
-        cached = frozenset(f for f in p.source.arrows if p.target.is_iso(p.on_arr(f)))
-        p.__dict__["_vertical_arrows"] = cached
-    return cached
+    return _memo(p, ("vertical_arrows",), lambda: frozenset(
+        f for f in p.source.arrows if p.target.is_iso(p.on_arr(f))))
 
 
 def is_fibration(p: FinFunctor) -> tuple[bool, dict | None]:
     """Street fibration: every f: d -> p(c) lifts to a cartesian arrow up to
-    an isomorphism α with f∘α = p(φ).  Returns a missing-lift witness."""
-    cached = p.__dict__.get("_is_fibration")
-    if cached is not None:
-        return cached
-    result = _is_fibration_uncached(p)
-    p.__dict__["_is_fibration"] = result
-    return result
-
-
-def _is_fibration_uncached(p: FinFunctor) -> tuple[bool, dict | None]:
-    C, D = p.source, p.target
-    cart = cartesian_arrows(p)
-    for c in C.objects:
-        for d in D.objects:
-            for f in D.hom(d, p.on_obj(c)):
-                if not any(
-                    D.compose(f, alpha) == p.on_arr(phi)
-                    for phi in cart if C.cod[phi] == c
-                    for alpha in D.hom(p.on_obj(C.dom[phi]), d)
-                    if D.is_iso(alpha)
-                ):
-                    return False, {"object": c, "arrow": f}
-    return True, None
+    an isomorphism α with f∘α = p(φ).  Returns a missing-lift witness;
+    decided once per functor instance."""
+    def decide() -> tuple[bool, dict | None]:
+        C, D = p.source, p.target
+        cart = cartesian_arrows(p)
+        for c in C.objects:
+            for d in D.objects:
+                for f in D.hom(d, p.on_obj(c)):
+                    if not any(
+                        D.compose(f, alpha) == p.on_arr(phi)
+                        for phi in cart if C.cod[phi] == c
+                        for alpha in D.hom(p.on_obj(C.dom[phi]), d)
+                        if D.is_iso(alpha)
+                    ):
+                        return False, {"object": c, "arrow": f}
+        return True, None
+    return _memo(p, ("is_fibration",), decide)
 
 
 def cartesian_vertical_factor(p: FinFunctor, u: int) -> tuple[int, int]:

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .fincat import (
     FinCategory,
     FinFunctor,
     SizeGuardError,
+    _memo,
     _UnionFind,
     full_subcategory,
     identity_functor,
@@ -33,7 +33,6 @@ from .sieves import (
     mask_of,
     maximal_sieve_mask,
     preimage_mask,
-    pullback_mask,
 )
 from .topology import (
     GrothendieckTopology,
@@ -46,8 +45,6 @@ from .topology import (
     trivial_topology,
 )
 from . import presheaf as ps
-
-V = TypeVar("V")
 
 
 @dataclass(frozen=True)
@@ -73,25 +70,6 @@ class SiteFunctor:
     @property
     def K(self) -> GrothendieckTopology:
         return self.target_topology
-
-    @cached_property
-    def verdicts(self) -> dict[str, Verdict | dict[str, Verdict]]:
-        """Checker verdicts on this site functor, each computed once by
-        `verdict`; they live and die with this instance."""
-        return {}
-
-    def verdict(self, key: str, check: Callable[[SiteFunctor], V]) -> V:
-        """check(self), computed on the first request for `key` only."""
-        if key not in self.verdicts:
-            self.verdicts[key] = check(self)
-        return self.verdicts[key]
-
-    @cached_property
-    def sheaves(self) -> dict:
-        """Sheafifications on the source site, keyed by presheaf, and the
-        arrows χ_d, each built once by `_sheafified` and `_chi_morphism`;
-        they live and die with this instance."""
-        return {}
 
 
 @dataclass(frozen=True)
@@ -131,7 +109,7 @@ def is_cover_preserving(sf: SiteFunctor) -> Verdict:
 
 
 def is_cover_reflecting(sf: SiteFunctor) -> Verdict:
-    return sf.verdict("cover-reflecting", _check_cover_reflecting)
+    return _memo(sf, ("cover-reflecting",), lambda: _check_cover_reflecting(sf))
 
 
 def _check_cover_reflecting(sf: SiteFunctor) -> Verdict:
@@ -162,7 +140,7 @@ def is_comorphism_of_sites(sf: SiteFunctor) -> Verdict:
 # morphisms of sites: the four clauses, each reduced to "this sieve covers"
 
 def is_morphism_of_sites(sf: SiteFunctor) -> Verdict:
-    return sf.verdict("morphism-of-sites", _check_morphism_of_sites)
+    return _memo(sf, ("morphism-of-sites",), lambda: _check_morphism_of_sites(sf))
 
 
 def _check_morphism_of_sites(sf: SiteFunctor) -> Verdict:
@@ -320,12 +298,10 @@ class _CommaComponents:
     def __init__(self, cat: FinCategory, vertices: Sequence[int],
                  edges: Sequence[tuple[int, int, int]]):
         self.cat, self.vertices, self.edges = cat, vertices, edges
-        self._labels: dict[int, dict[tuple[int, int], int]] = {}
 
     def labels(self, e: int) -> dict[tuple[int, int], int]:
-        if e not in self._labels:
-            self._labels[e] = comma_components(self.cat, e, self.vertices, self.edges)
-        return self._labels[e]
+        return _memo(self, ("labels", e),
+                     lambda: comma_components(self.cat, e, self.vertices, self.edges))
 
     def sieve(self, c: int, i: int, x: int, j: int, y: int) -> int:
         """The arrows f into c along which (i, x∘f) and (j, y∘f) are
@@ -505,7 +481,7 @@ def cocone_sheaf_colimit_oracle(D: FinFunctor, vertex: int, legs,
 def local_property_tests(sf: SiteFunctor) -> dict[str, Verdict]:
     """The five local verdicts, J_faithful, JK_faithful, J_full, JK_full
     and K_dense, computed once per site functor."""
-    return sf.verdict("local-properties", _check_local_properties)
+    return _memo(sf, ("local-properties",), lambda: _check_local_properties(sf))
 
 
 def _check_local_properties(sf: SiteFunctor) -> dict[str, Verdict]:
@@ -600,7 +576,7 @@ def _coherent_families(D: FinCategory, K: GrothendieckTopology,
 
 
 def _weakly_dense_clause_ii(sf: SiteFunctor) -> Verdict:
-    return sf.verdict("weakly-dense-ii", _check_weakly_dense_clause_ii)
+    return _memo(sf, ("weakly-dense-ii",), lambda: _check_weakly_dense_clause_ii(sf))
 
 
 def _realized_arrows(sf: SiteFunctor, objects: Iterable[int]) -> Iterator[int]:
@@ -749,7 +725,7 @@ def _found_through(sf: SiteFunctor, x: int, y: int, members: Sequence[int],
 def is_weakly_dense(sf: SiteFunctor) -> Verdict:
     """Weakly dense morphism of sites; equivalent to the induced geometric
     morphism being an equivalence."""
-    return sf.verdict("weakly-dense", _check_weakly_dense)
+    return _memo(sf, ("weakly-dense",), lambda: _check_weakly_dense(sf))
 
 
 def _check_weakly_dense(sf: SiteFunctor) -> Verdict:
@@ -770,33 +746,20 @@ def closed_sieve_lifting(sf: SiteFunctor) -> Verdict:
     """Every K-closed sieve on an image object is the closure of the image
     of some sieve upstairs.
 
-    A sieve s is K-closed exactly when no arrow outside it pulls it back
-    to a covering sieve, members pulling it back to the maximal sieve, so
-    only the non-members are tested.  A closed s is such a closure exactly
-    when it is the closure of the sieve t generated by the image arrows in
-    s, the image of the largest sieve r on c with F(r) ⊆ s: any r with
-    closure(F(r)) = s lies in that one, and closure is monotone.  As t ⊆ s,
-    t = s settles it at once.  A non-member f pulls s back to a sieve
-    without the identity, so it is tested only when dom f has a covering
-    sieve other than the maximal one."""
+    A closed s is such a closure exactly when it is the closure of the
+    sieve t generated by the image arrows in s, the image of the largest
+    sieve r on c with F(r) ⊆ s: any r with closure(F(r)) = s lies in that
+    one, and closure is monotone.  As t ⊆ s, t = s settles it at once."""
     F, K = sf.F, sf.K
     C, D = F.source, F.target
-    coarse_objects = [any(s != maximal_sieve_mask(D, e) for s in K.covers[e])
-                      for e in D.objects]
-    coarse = mask_of(f for f in D.arrows if coarse_objects[D.dom[f]])
-
-    def closure(e: int, s: int) -> int:
-        return s | mask_of(f for f in bits(maximal_sieve_mask(D, e) & coarse & ~s)
-                           if K.is_covering(D.dom[f], pullback_mask(D, s, f)))
-
     for c in C.objects:
         fc = F.on_obj(c)
         image = mask_of(F.on_arr(f) for f in C.arrows_into(c))
         for s in all_sieve_masks(D, fc):
-            if closure(fc, s) != s:
+            if closure_mask(K, fc, s) != s:
                 continue
             t = generate_mask(D, s & image)
-            if t != s and closure(fc, t) != s:
+            if t != s and closure_mask(K, fc, t) != s:
                 return _no("closed-sieve-lifting", object=c, sieve=s)
     return _yes("closed-sieve-lifting")
 
@@ -880,7 +843,7 @@ def classify_morphism(sf: SiteFunctor) -> MorphismClassification:
         f_r = sf
     else:
         f_r = SiteFunctor(sf.F, jf, sf.K)
-        f_r.verdicts["weakly-dense-ii"] = ii  # clause (ii) reads only F and K
+        _memo(f_r, ("weakly-dense-ii",), lambda: ii)  # clause (ii) reads only F and K
     inclusion = is_weakly_dense(f_r)
     csl = closed_sieve_lifting(sf)
     if surjection and csl:
@@ -998,7 +961,7 @@ def _hom_presheaf(F: FinFunctor, c: int) -> ps.FinPresheaf:
 def comorphism_surjection(sf: SiteFunctor) -> Verdict:
     """C_F surjection iff the target topology equals the coinduced image of
     the source topology along F."""
-    return sf.verdict("comorphism-surjection", _check_comorphism_surjection)
+    return _memo(sf, ("comorphism-surjection",), lambda: _check_comorphism_surjection(sf))
 
 
 def _check_comorphism_surjection(sf: SiteFunctor) -> Verdict:
@@ -1050,12 +1013,10 @@ def _inclusion_relation_condition(sf: SiteFunctor) -> Verdict:
 
 
 def _sheafified(sf: SiteFunctor, P: ps.FinPresheaf) -> ps.SheafificationResult:
-    """a(P) on the source site, sheafified once per presheaf (its sizes and
-    restrictions) and kept in `sf.sheaves`."""
-    key = (P.sizes, P.restrict)
-    if key not in sf.sheaves:
-        sf.sheaves[key] = ps.sheafify(P, sf.source_topology)
-    return sf.sheaves[key]
+    """a(P) on the source site, sheafified once per site functor instance
+    and presheaf (its sizes and restrictions)."""
+    return _memo(sf, ("sheafified", P.sizes, P.restrict),
+                 lambda: ps.sheafify(P, sf.source_topology))
 
 
 def _chi_morphism(sf: SiteFunctor, d: int) -> tuple[ps.SheafificationResult,
@@ -1063,21 +1024,19 @@ def _chi_morphism(sf: SiteFunctor, d: int) -> tuple[ps.SheafificationResult,
                                                    ps.PresheafMorphism]:
     """The canonical arrow χ_d: l'(d) -> a(Hom_C(F(-), F(d))), as the
     sheafification of u -> F(u), with the sheafified representable l'(d)
-    and a(Hom_C(F(-), F(d))).  Built once per object and kept in
-    `sf.sheaves`."""
-    key = ("chi", d)
-    if key in sf.sheaves:
-        return sf.sheaves[key]
-    F = sf.F
-    D, C = F.source, F.target
-    yd = ps.yoneda(D, d)
-    P = _hom_presheaf(F, F.on_obj(d))
-    chi0 = ps.PresheafMorphism(yd, P, tuple(
-        tuple(C.hom_position[F.on_arr(u)] for u in D.hom(e, d)) for e in D.objects))
-    sh_yd = _sheafified(sf, yd)
-    sh_P = _sheafified(sf, P)
-    sf.sheaves[key] = sh_yd, sh_P, ps.sheafify_morphism(chi0, sh_yd, sh_P)
-    return sf.sheaves[key]
+    and a(Hom_C(F(-), F(d))).  Built once per site functor instance and
+    object."""
+    def build():
+        F = sf.F
+        D, C = F.source, F.target
+        yd = ps.yoneda(D, d)
+        P = _hom_presheaf(F, F.on_obj(d))
+        chi0 = ps.PresheafMorphism(yd, P, tuple(
+            tuple(C.hom_position[F.on_arr(u)] for u in D.hom(e, d)) for e in D.objects))
+        sh_yd = _sheafified(sf, yd)
+        sh_P = _sheafified(sf, P)
+        return sh_yd, sh_P, ps.sheafify_morphism(chi0, sh_yd, sh_P)
+    return _memo(sf, ("chi", d), build)
 
 
 def _yoneda_sheaf_arrow(sf: SiteFunctor, g: int,

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .fincat import FinCategory, FinFunctor, SizeGuardError, _UnionFind, validate_category
+from .fincat import FinCategory, FinFunctor, SizeGuardError, _memo, _UnionFind, validate_category
 from .sieves import all_sieve_masks, bits, mask_of, maximal_sieve_mask, pullback_mask
 from .topology import GrothendieckTopology, closure_mask, induced_topology, topology_where
 
@@ -83,14 +83,13 @@ def constant_presheaf(cat: FinCategory, n: int) -> FinPresheaf:
 def yoneda(cat: FinCategory, c: int) -> FinPresheaf:
     """y(c): e -> Hom(e, c), elements indexed by position in hom(e, c).
     Built and validated once per category instance and object."""
-    memo = cat.representables
-    if c not in memo:
+    def build() -> FinPresheaf:
         position = cat.hom_position
         sizes = tuple(len(cat.hom(e, c)) for e in cat.objects)
         restrict = tuple(tuple(position[cat.comp[(h, f)]] for h in cat.hom(cat.cod[f], c))
                          for f in cat.arrows)
-        memo[c] = FinPresheaf(cat, sizes, restrict)
-    return memo[c]
+        return FinPresheaf(cat, sizes, restrict)
+    return _memo(cat, ("yoneda", c), build)
 
 
 @dataclass(frozen=True)

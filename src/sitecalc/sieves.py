@@ -12,7 +12,14 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .fincat import FinCategory, FinFunctor, SizeGuardError, cartesian_vertical_factor, vertical_arrows
+from .fincat import (
+    FinCategory,
+    FinFunctor,
+    SizeGuardError,
+    _memo,
+    cartesian_vertical_factor,
+    vertical_arrows,
+)
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -70,12 +77,9 @@ SIEVE_GUARD = 1 << 20
 
 def all_sieve_masks(cat: FinCategory, c: int) -> tuple[int, ...]:
     """Every sieve on c, in ascending order; enumerated once per category
-    instance and object and kept in `cat.sieve_masks`.  More than
-    `SIEVE_GUARD` sieves raise SizeGuardError and store nothing."""
-    memo = cat.sieve_masks
-    if c not in memo:
-        memo[c] = _enumerate_sieve_masks(cat, c, SIEVE_GUARD)
-    return memo[c]
+    instance and object.  More than `SIEVE_GUARD` sieves raise
+    SizeGuardError and keep nothing."""
+    return _memo(cat, ("all_sieve_masks", c), lambda: _enumerate_sieve_masks(cat, c, SIEVE_GUARD))
 
 
 def _enumerate_sieve_masks(cat: FinCategory, c: int, guard: int) -> tuple[int, ...]:

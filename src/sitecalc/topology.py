@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .fincat import FinCategory, FinFunctor, cartesian_arrows, is_fibration
+from .fincat import FinCategory, FinFunctor, _memo, cartesian_arrows, is_fibration
 from .sieves import (
     all_sieve_masks,
     bits,
@@ -67,10 +67,12 @@ class GrothendieckTopology:
         return tuple(out)
 
     @cached_property
-    def local_equalities(self) -> dict[tuple[int, int], bool]:
-        """Verdicts of `local_equality` on this topology, filled lazily;
-        they live and die with this instance."""
-        return {}
+    def coarse(self) -> int:
+        """The mask of the arrows whose domain has a covering sieve other
+        than the maximal one."""
+        cat = self.cat
+        return mask_of(f for f in cat.arrows
+                       if self.min_cover[cat.dom[f]] != maximal_sieve_mask(cat, cat.dom[f]))
 
     def __le__(self, other: "GrothendieckTopology") -> bool:
         return all(a <= b for a, b in zip(self.covers, other.covers))
@@ -235,18 +237,24 @@ def fibration_topology(p: FinFunctor, K: GrothendieckTopology) -> GrothendieckTo
 
 def local_equality(J: GrothendieckTopology, h: int, k: int) -> bool:
     """h ≡_J k: the arrows agree after precomposition with a covering sieve.
-    Decided once per pair and kept in `J.local_equalities`."""
-    cat = J.cat
-    if cat.dom[h] != cat.dom[k] or cat.cod[h] != cat.cod[k]:
-        raise ValueError("local equality needs parallel arrows")
-    memo = J.local_equalities
-    if (h, k) not in memo:
+    Decided once per topology instance and pair; arrows that are not
+    parallel raise ValueError and keep nothing."""
+    def decide() -> bool:
+        cat = J.cat
+        if cat.dom[h] != cat.dom[k] or cat.cod[h] != cat.cod[k]:
+            raise ValueError("local equality needs parallel arrows")
         agree = mask_of(f for f in cat.arrows_into(cat.dom[h])
                         if cat.comp[(h, f)] == cat.comp[(k, f)])
-        memo[(h, k)] = agree in J.covers[cat.dom[h]]
-    return memo[(h, k)]
+        return agree in J.covers[cat.dom[h]]
+    return _memo(J, ("local_equality", h, k), decide)
 
 
 def closure_mask(J: GrothendieckTopology, c: int, mask: int) -> int:
-    """{f | f*(S) is J-covering}; a closure operator on sieves on c."""
-    return mask_of(f for f in J.cat.arrows_into(c) if _in_closure(J.cat, J.covers, mask, f))
+    """cl(S) = {f | f*(S) is J-covering}, a closure operator on sieves on c;
+    `mask` must be a sieve.  Its members pull it back to the maximal sieve,
+    so they lie in cl(S), and a non-member f pulls it back to a sieve
+    without the identity, so f is tested only when dom f has a covering
+    sieve other than the maximal one (`J.coarse`)."""
+    cat = J.cat
+    return mask | mask_of(f for f in bits(maximal_sieve_mask(cat, c) & J.coarse & ~mask)
+                          if _in_closure(cat, J.covers, mask, f))

@@ -1,6 +1,5 @@
 """A golden transcript of the CLI: the exit code and a digest of the output
-of each command that reads sheafification or a site-functor classifier,
-on a fixed corpus of documents.
+of each command of two sweeps over a fixed corpus of documents.
 
 Each entry is one in-process `sitecalc.cli.main` call with `--format
 machine --witness`.  It records the exit code and the sha256 of stdout,
@@ -10,11 +9,19 @@ so two runs of the same code give the same entry.  The corpus is the shipped
 leg-covered vees (one with seeded restriction maps), chains, cyclic
 groups and the diamond, each with up to four presheaves and up to two
 functors, and two points that fail weak denseness (`Z2_POINT_SITE` and
-`LATE_MISS_SITE`).  The trivial and atomic topologies are joined by `sieve:`
+`LATE_MISS_SITE`), and a 21-leg vee whose sieve guard fires while
+parsing.  The trivial and atomic topologies are joined by `sieve:`
 topologies whose least covers hold composable arrows, so that the family
 searches meet forced values and local equality.  The vees with five and
-six legs run only `sheafify`: `factorize hyper-localic` takes over ten
-seconds on the five-leg vee.
+six legs run only `sheafify`, `validate` and `topology canonical`:
+`factorize hyper-localic` takes over ten seconds on the five-leg vee.
+
+The first sweep runs the commands that read sheafification or a
+site-functor classifier; the second runs `validate`, `topology canonical`
+on each category, and per functor the other topology constructions, the
+continuity, cofinality and local-connectedness checks, the surjection-
+inclusion and comprehensive factorizations and the other two comma
+constructions.  Together they meet every exit code, 0 to 3.
 
 A change that means to alter an output regenerates the file with
 
@@ -52,6 +59,23 @@ FUNCTOR_COMMANDS = [
     ("comma", "m2c"),
     ("factorize", "hyper-localic"),
 ]
+
+# the second sweep: per functor, each command and its options around the name
+SWEEP_COMMANDS = [
+    (("topology", "induced"), ()),
+    (("topology", "coinduced"), ()),
+    (("topology", "smallest-comorphism"), ()),
+    (("topology", "fibration"), ("--oracle",)),
+    (("continuity",), ("--oracle",)),
+    (("cofinal",), ()),
+    (("locally-connected",), ()),
+    (("factorize", "surj-incl"), ()),
+    (("factorize", "comprehensive"), ()),
+    (("comma", "c2m"), ()),
+    (("comma", "gen-elements"), ()),
+]
+
+CATEGORY = re.compile(r"^category (\S+)$", re.MULTILINE)
 
 PRESHEAVES = ("P", "Q", "R", "S")
 
@@ -128,17 +152,29 @@ def corpus() -> dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]]:
     # least cover, and at clause (ii) after an object the image base misses
     docs["z2-point"] = (Z2_POINT_SITE, (), ("T",))
     docs["late-miss"] = (LATE_MISS_SITE, (), ("T",))
+    # more than `SIEVE_GUARD` sieves on the top: parsing the topology exits 3
+    docs["vee21x2"] = (vee_site(21, 2), (), ())
     return docs
 
 
 def invocations():
-    """(document name, text, argv) for every entry, in transcript order."""
-    for name, (text, presheaves, functors) in corpus().items():
+    """(document name, text, argv) for every entry, in transcript order: the
+    first sweep, then the second, which adds `validate`, the canonical
+    topology of each category and `SWEEP_COMMANDS` per functor."""
+    docs = corpus()
+    for name, (text, presheaves, functors) in docs.items():
         for presheaf in presheaves:
             yield name, text, ("sheafify", presheaf, "--oracle")
         for functor in functors:
             for command in FUNCTOR_COMMANDS:
                 yield name, text, (*command, functor)
+    for name, (text, _, functors) in docs.items():
+        yield name, text, ("validate",)
+        for category in CATEGORY.findall(text):
+            yield name, text, ("topology", "canonical", category)
+        for functor in functors:
+            for command, options in SWEEP_COMMANDS:
+                yield name, text, (*command, functor, *options)
 
 
 def run_one(path: Path, argv) -> tuple[int | None, str]:

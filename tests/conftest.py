@@ -3,11 +3,13 @@ corpora of categories, topologies, fibrations and presheaves."""
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
 import pytest
 
+from sitecalc import fincat
 from sitecalc.fincat import (
     FinCategory,
     FinFunctor,
@@ -144,6 +146,25 @@ SMALL_POSETS = [
     lambda: poset_category(3, [(0, 2), (1, 2)]),
     lambda: poset_category(4, [(0, 1), (0, 2), (1, 3), (2, 3)]),
 ]
+
+
+def count_computes(monkeypatch, module) -> collections.Counter:
+    """Route the memo helper as `module` calls it through a wrapper that
+    counts every run of a value's compute, raising or not, per (id of the
+    owner instance, key).  The owners are kept alive, so no two share an
+    id."""
+    counts: collections.Counter = collections.Counter()
+    owners = []
+
+    def counted_memo(owner, key, compute):
+        def counted():
+            owners.append(owner)
+            counts[id(owner), key] += 1
+            return compute()
+        return fincat._memo(owner, key, counted)
+
+    monkeypatch.setattr(module, "_memo", counted_memo)
+    return counts
 
 
 def random_fibration(rng: random.Random) -> FinFunctor:

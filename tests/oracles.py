@@ -6,7 +6,8 @@ paper's description of the arrows of Sh(C, J); the tests use them as the
 oracle for the theorem on arrows, against the sheafified presheaf morphisms
 the checkers compute with.  `enumerate_topologies` lists every topology on a
 small category by brute force, the oracle for the constructors of the
-topology module.  The `reference_*` site-checker bodies are the versions
+topology module, and `reference_closure_mask` scans every arrow for the
+closure of a sieve.  The `reference_*` site-checker bodies are the versions
 that carried their own copy of a building block the checkers now share:
 the hom-set scans, the colimit comparison and the connection loop.
 """
@@ -298,6 +299,14 @@ def reference_axiom_violations(cat: FinCategory, covers) -> list[dict]:
                         {"axiom": "transitivity", "object": c, "sieve": s, "via": t})
                     break
     return violations
+
+
+def reference_closure_mask(J: GrothendieckTopology, c: int, mask: int) -> int:
+    """cl(S) = {f | f*(S) is J-covering}, by pulling S back along every
+    arrow into c."""
+    cat = J.cat
+    return mask_of(f for f in cat.arrows_into(c)
+                   if pullback_mask(cat, mask, f) in J.covers[cat.dom[f]])
 
 
 # ---------------------------------------------------------------------------

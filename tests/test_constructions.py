@@ -1,6 +1,7 @@
 import pytest
 
 from sitecalc.constructions import (
+    _check_adjunction,
     comorphism_to_morphism_comma,
     generalized_elements_fibration,
     generalized_elements_identities,
@@ -25,6 +26,7 @@ from sitecalc.topology import (
 
 from conftest import (
     all_functors,
+    idempotent_monoid_category,
     make_collapse_functor,
     random_category,
     random_fibration,
@@ -93,6 +95,27 @@ def test_m2c_corpus(rng):
             continue
         site = morphism_to_comorphism(sf)
         assert all(site.certificates.values()), site.certificates
+
+
+def test_adjunction_certificate_needs_a_natural_unit():
+    """On Z3, L = id and R = inversion are not adjoint, though every
+    hom-set on both sides has 3 elements, which was all the certificate
+    once compared: no candidate unit η: 0 -> 0 is natural, as
+    R(L(r))∘η = η∘r forces r^-1 = r.  The identity is adjoint to itself,
+    and as Z3 is abelian every η is a unit of that adjunction.  On the
+    monoid {1, e} with e∘e = e, η = e is natural for the identity, but
+    g ↦ g∘e sends both arrows to e, so only η = 1 is a unit."""
+    Z3 = monoid_category([[(i + j) % 3 for j in range(3)] for i in range(3)], 0)
+    inversion = FinFunctor(Z3, Z3, (0,), (0, 2, 1))
+    identity = identity_functor(Z3)
+    assert all(len(Z3.hom(identity.on_obj(a), b)) == len(Z3.hom(a, inversion.on_obj(b)))
+               for a in Z3.objects for b in Z3.objects)
+    assert not any(_check_adjunction(identity, inversion, (eta,)) for eta in Z3.arrows)
+    assert all(_check_adjunction(identity, identity, (eta,)) for eta in Z3.arrows)
+    M = idempotent_monoid_category()
+    identity = identity_functor(M)
+    assert [eta for eta in M.arrows if _check_adjunction(identity, identity, (eta,))] \
+        == [M.identity[0]]
 
 
 def test_m2c_requires_morphism(two):

@@ -1059,7 +1059,7 @@ def test_comorphism_classifiers_sheafify_each_representable_once(monkeypatch, rn
     sheafify_body = ps.sheafify
 
     def counted(P, J):
-        counts.update(d for d in P.cat.objects if P.cat.representables.get(d) is P)
+        counts.update(d for d in P.cat.objects if ps.yoneda(P.cat, d) is P)
         return sheafify_body(P, J)
 
     monkeypatch.setattr(ps, "sheafify", counted)

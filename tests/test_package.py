@@ -66,3 +66,79 @@ def test_every_definition_is_used_exported_or_listed():
     assert sorted(unused - set(LIBRARY_ONLY)) == []
     # an entry that src/ starts to use, or that is deleted, leaves the list
     assert sorted(set(LIBRARY_ONLY) - unused) == []
+
+
+# containers that a `cached_property` returning them empty would fill later
+_MUTABLE = {"dict", "list", "set", "bytearray", "defaultdict", "Counter", "OrderedDict", "deque"}
+
+
+def _is_empty_mutable(node: ast.expr | None) -> bool:
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    if isinstance(node, ast.Call) and not node.keywords:
+        name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", "")
+        return name in _MUTABLE and len(node.args) <= (name == "defaultdict")
+    return False
+
+
+def _is_cached_property(node: ast.AST) -> bool:
+    return isinstance(node, ast.FunctionDef) and any(
+        (d.id if isinstance(d, ast.Name) else getattr(d, "attr", "")) == "cached_property"
+        for d in node.decorator_list)
+
+
+def _hand_written_memos(trees: dict[str, ast.Module]) -> list[str]:
+    """`module:line` of each hand-written keyed memo: a read or write of an
+    instance `__dict__`, or a `vars` call, outside `fincat._memo`; a
+    `cached_property` that returns an empty mutable container; and an
+    attribute set to one."""
+    found = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            if module == "fincat" and getattr(top, "name", None) == "_memo":
+                continue
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "vars"
+                        or _is_cached_property(node) and any(
+                            isinstance(r, ast.Return) and _is_empty_mutable(r.value)
+                            for r in ast.walk(node))
+                        or isinstance(node, (ast.Assign, ast.AnnAssign))
+                        and _is_empty_mutable(node.value)
+                        and any(isinstance(t, ast.Attribute) for t in
+                                (node.targets if isinstance(node, ast.Assign) else [node.target]))):
+                    found.append((module, node.lineno))
+    return [f"{module}:{line}" for module, line in sorted(found)]
+
+
+def test_every_keyed_memo_goes_through_the_helper():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert _hand_written_memos(trees) == []
+
+
+def test_hand_written_memos_are_found():
+    sample = ast.parse(
+        "class A:\n"
+        "    @cached_property\n"
+        "    def seen(self):\n"
+        "        return {}\n"
+        "    @functools.cached_property\n"
+        "    def groups(self):\n"
+        "        return collections.defaultdict(list)\n"
+        "    @cached_property\n"
+        "    def table(self):\n"
+        "        return dict(zip('ab', 'cd'))\n"
+        "def get(p):\n"
+        "    return p.__dict__.get('x')\n"
+        "def put(p):\n"
+        "    vars(p)['x'] = 1\n"
+        "class B:\n"
+        "    def __init__(self):\n"
+        "        self._labels: dict = {}\n"
+        "        self.parent = list(range(3))\n")
+    assert _hand_written_memos({"fincat": sample}) \
+        == ["fincat:3", "fincat:6", "fincat:12", "fincat:14", "fincat:17"]

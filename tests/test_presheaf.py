@@ -51,6 +51,7 @@ from sitecalc.topology import (
 )
 
 from conftest import (
+    count_computes,
     idempotent_monoid_category,
     make_two,
     random_category,
@@ -677,10 +678,13 @@ def test_sheafification_decode_round_trip(rng):
 # ---------------------------------------------------------------------------
 # representables are built once per category instance
 
-def test_yoneda_is_memoised_per_category_instance(rng):
-    """A repeat call returns the same object; a twin instance of an equal
-    category builds its own, equal presheaf and shares no entries."""
+def test_yoneda_is_memoised_per_category_instance(monkeypatch, rng):
+    """A repeat call returns the same object, built once; a twin instance
+    of an equal category builds its own, equal presheaf."""
     import dataclasses
+
+    import sitecalc.presheaf as ps
+    counts = count_computes(monkeypatch, ps)
     for _ in range(15):
         cat = random_category(rng)
         twin = dataclasses.replace(cat)
@@ -690,10 +694,8 @@ def test_yoneda_is_memoised_per_category_instance(rng):
             assert yoneda(cat, c) is first
             fresh = yoneda(twin, c)
             assert fresh == first and fresh is not first and fresh.cat is twin
-        assert set(cat.representables) == set(cat.objects)
-        assert twin.representables is not cat.representables
-        assert all(twin.representables[c] is not cat.representables[c]
-                   for c in cat.objects)
+            assert yoneda(twin, c) is fresh
+            assert counts[id(cat), ("yoneda", c)] == counts[id(twin), ("yoneda", c)] == 1
 
 
 def test_invalid_presheaf_and_morphism_raise_with_a_reason(two):

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -363,20 +364,33 @@ def test_sieve_guard_fires_where_the_counting_enumeration_does(rng):
     assert early
 
 
-def test_all_sieve_masks_is_memoized_per_category(rng):
-    """The sieves of an object are enumerated once per category instance
-    and kept in `cat.sieve_masks`: a second call returns the same tuple.
-    A guard that fires stores nothing: the top of the 21-leg vee has
-    2^21 + 1 sieves."""
+def test_all_sieve_masks_is_memoized_per_category(monkeypatch, rng):
+    """The sieves of an object are enumerated once per category instance:
+    a second call returns the same tuple, and a twin instance of an equal
+    category enumerates them again.  A guard that fires keeps nothing, so
+    each call enumerates afresh and raises again: the top of the 21-leg vee
+    has 2^21 + 1 sieves."""
+    import dataclasses
+
+    import sitecalc.sieves as sieves
+    counts = collections.Counter()
+
+    def counted(cat, c, guard):
+        counts[id(cat), c] += 1
+        return _enumerate_sieve_masks(cat, c, guard)
+
+    monkeypatch.setattr(sieves, "_enumerate_sieve_masks", counted)
     cats = [random_category(rng) for _ in range(40)]
     cats += [poset_category(k + 1, [(i, k) for i in range(k)]) for k in range(1, 7)]
-    for cat in cats:
+    twins = [dataclasses.replace(cat) for cat in cats]  # alive, so no id is reused
+    for cat, twin in zip(cats, twins):
         for c in cat.objects:
             got = all_sieve_masks(cat, c)
-            assert cat.sieve_masks[c] is got
             assert all_sieve_masks(cat, c) is got
+            assert all_sieve_masks(twin, c) == got
+            assert counts[id(cat), c] == counts[id(twin), c] == 1
     vee = poset_category(22, [(i, 21) for i in range(21)])
-    for _ in range(2):
+    for calls in (1, 2):
         with pytest.raises(SizeGuardError, match=f"more than {SIEVE_GUARD} sieves on object 21"):
             all_sieve_masks(vee, 21)
-        assert 21 not in vee.sieve_masks
+        assert counts[id(vee), 21] == calls

@@ -42,6 +42,7 @@ from sitecalc.topology import (
 from sitecalc.morphisms import SiteFunctor, is_comorphism_of_sites, is_dense_morphism
 
 from conftest import (
+    count_computes,
     idempotent_monoid_category,
     indiscrete_category,
     make_collapse_functor,
@@ -53,7 +54,7 @@ from conftest import (
     random_topology,
     z2_category,
 )
-from oracles import enumerate_topologies, reference_axiom_violations
+from oracles import enumerate_topologies, reference_axiom_violations, reference_closure_mask
 
 
 def atomic_on_two(two):
@@ -596,22 +597,26 @@ def test_local_equality(two):
         local_equality(J, 0, 2)
 
 
-def test_local_equality_is_memoised_per_instance(two):
-    """A verdict is decided once and kept on the topology instance; an equal
-    topology built separately has its own memo; a non-parallel pair raises
-    on every call and is never stored."""
+def test_local_equality_is_memoised_per_instance(monkeypatch, two):
+    """A verdict is decided once per topology instance and pair; an equal
+    topology built separately decides it again; a non-parallel pair raises
+    on every call, each time deciding afresh, as nothing was kept."""
+    import sitecalc.topology as topology
+    counts = count_computes(monkeypatch, topology)
     J = atomic_topology(two)
-    assert local_equality(J, 2, 2)
-    assert J.local_equalities == {(2, 2): True}
-    J.local_equalities[(2, 2)] = "kept"
-    assert local_equality(J, 2, 2) == "kept"
+    for _ in range(3):
+        assert local_equality(J, 2, 2) is True
+    assert counts == {(id(J), ("local_equality", 2, 2)): 1}
     twin = atomic_topology(two)
-    assert twin == J and twin.local_equalities == {}
+    assert twin == J and twin is not J
     assert local_equality(twin, 2, 2) is True
+    assert counts[id(twin), ("local_equality", 2, 2)] == 1
     for _ in range(2):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="parallel"):
             local_equality(J, 0, 2)
-    assert (0, 2) not in J.local_equalities
+    assert counts[id(J), ("local_equality", 0, 2)] == 2
+    assert local_equality(J, 2, 2) is True
+    assert counts[id(J), ("local_equality", 2, 2)] == 1
 
 
 def test_topology_where_validates(rng, two):
@@ -654,6 +659,25 @@ def test_closure_is_closure_operator(rng):
                     a = closure_mask(J, c, s)
                     b = closure_mask(J, c, t)
                     assert a & ~b == 0                      # monotone
+
+
+def test_closure_mask_matches_the_scan_over_every_arrow(rng):
+    """Testing only the non-members whose domain has a covering sieve
+    other than the maximal one gives the closure the scan over every arrow
+    into c gives, on every sieve of 300 random sites; the corpus reaches
+    both kinds of non-member, tested and skipped."""
+    pairs = tested = skipped = 0
+    for _ in range(300):
+        cat = random_category(rng)
+        J = random_topology(rng, cat)
+        for c in cat.objects:
+            for s in all_sieve_masks(cat, c):
+                assert closure_mask(J, c, s) == reference_closure_mask(J, c, s)
+                outside = maximal_sieve_mask(cat, c) & ~s
+                pairs += 1
+                tested += bool(outside & J.coarse)
+                skipped += bool(outside & ~J.coarse)
+    assert pairs > 1500 and tested > 200 and skipped > 500
 
 
 def test_inclusion_topology_correspondence(rng):
