@@ -12,10 +12,8 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from . import constructions as cons
-from . import morphisms as mor
-from . import presheaf as ps
 from .fincat import CategoryError, FinCategory, FinFunctor, SizeGuardError, validate_category
 from .sieves import generate_mask, mask_of
 from .topology import (
@@ -29,6 +27,13 @@ from .topology import (
     smallest_comorphism_topology,
     trivial_topology,
 )
+
+# `presheaf`, `morphisms` and `constructions` are imported by the code that
+# runs them, so a command compiles only the layers it uses; only the type
+# annotations read them here
+if TYPE_CHECKING:
+    from . import morphisms as mor
+    from . import presheaf as ps
 
 FORMAT_VERSION = "site-format 1"
 
@@ -225,8 +230,13 @@ def _finish_category(doc: SiteDocument, section, body):
     doc.categories[name] = CategoryDecl(name, cat, arrow_names, index)
 
 
+def _canonical_topology(cat: FinCategory) -> GrothendieckTopology:
+    from .presheaf import canonical_topology
+    return canonical_topology(cat)
+
+
 _TOPOLOGY_KINDS = {"trivial": trivial_topology, "atomic": atomic_topology,
-                   "canonical": ps.canonical_topology}
+                   "canonical": _canonical_topology}
 
 
 def _finish_topology(doc: SiteDocument, section, body):
@@ -307,6 +317,7 @@ def _finish_functor(doc: SiteDocument, section, body):
 
 
 def _finish_presheaf(doc: SiteDocument, section, body):
+    from . import presheaf as ps
     _, lineno, name, on = section
     if on not in doc.categories:
         raise SiteParseError(lineno, f"unresolved category name {on!r}")
@@ -468,10 +479,11 @@ def _operand(args, what: str) -> str:
 
 
 def _site_functor(doc: SiteDocument, name, args) -> mor.SiteFunctor:
+    from .morphisms import SiteFunctor
     fd = _lookup(doc.functors, name, "functor")
     j = doc.topology_for(fd.source, args.source_topology).topology
     k = doc.topology_for(fd.target, args.target_topology).topology
-    return mor.SiteFunctor(fd.functor, j, k)
+    return SiteFunctor(fd.functor, j, k)
 
 
 def run(command: str, doc: SiteDocument, args) -> Report:
@@ -508,9 +520,10 @@ def _cmd_validate(doc: SiteDocument, args, report: Report):
 
 def _cmd_classify(classify):
     """The `classify-morphism` or `classify-comorphism` command: the five
-    flags of `classify(sf)` with their witnesses."""
+    flags of `classify(morphisms, sf)` with their witnesses."""
     def command(doc, args, report):
-        cls = classify(_site_functor(doc, args.name, args))
+        from . import morphisms as mor
+        cls = classify(mor, _site_functor(doc, args.name, args))
         for flag, verdict in (("surjection", cls.surjection), ("inclusion", cls.inclusion),
                               ("hyperconnected", cls.hyperconnected), ("localic", cls.localic),
                               ("equivalence", cls.equivalence)):
@@ -519,6 +532,7 @@ def _cmd_classify(classify):
 
 
 def _cmd_denseness(doc, args, report):
+    from . import morphisms as mor
     sf = _site_functor(doc, args.name, args)
     dense = mor.is_dense_morphism(sf)
     weakly = mor.is_weakly_dense(sf)
@@ -529,6 +543,7 @@ def _cmd_denseness(doc, args, report):
 
 
 def _cmd_continuity(doc, args, report):
+    from . import morphisms as mor
     sf = _site_functor(doc, args.name, args)
     v = mor.is_continuous(sf)
     report.add("continuous", v.holds, v.witness)
@@ -542,10 +557,11 @@ def _cmd_continuity(doc, args, report):
 
 
 def _cmd_check(name, check):
-    """A command reporting the verdict `check(sf)` under `name`; it exits 1
-    when the verdict fails."""
+    """A command reporting the verdict `check(morphisms, sf)` under `name`;
+    it exits 1 when the verdict fails."""
     def command(doc, args, report):
-        v = check(_site_functor(doc, args.name, args))
+        from . import morphisms as mor
+        v = check(mor, _site_functor(doc, args.name, args))
         report.add(name, v.holds, v.witness)
         if not v.holds:
             report.exit_code = 1
@@ -553,6 +569,7 @@ def _cmd_check(name, check):
 
 
 def _cmd_sheafify(doc, args, report):
+    from . import presheaf as ps
     pd = _lookup(doc.presheaves, args.name, "presheaf")
     j = doc.topology_for(pd.on, args.source_topology).topology
     sh = ps.sheafify(pd.presheaf, j)
@@ -578,7 +595,7 @@ def _cmd_topology(doc, args, report):
     sub = args.name
     if sub == "canonical":
         decl = _lookup(doc.categories, _operand(args, "category"), "category")
-        top = ps.canonical_topology(decl.category)
+        top = _canonical_topology(decl.category)
     elif sub == "generate":
         # parsing generated the declared topology already
         top = _lookup(doc.topologies, _operand(args, "topology"), "topology").topology
@@ -609,6 +626,7 @@ def _cmd_topology(doc, args, report):
 
 
 def _cmd_factorize(doc, args, report):
+    from . import morphisms as mor
     sub = args.name
     if sub not in ("surj-incl", "hyper-localic", "comprehensive"):
         raise SiteParseError(0, f"unknown factorization {sub!r}")
@@ -643,6 +661,7 @@ def _cmd_factorize(doc, args, report):
 
 
 def _cmd_comma(doc, args, report):
+    from . import constructions as cons
     sub = args.name
     construct = {"m2c": cons.morphism_to_comorphism,
                  "c2m": cons.comorphism_to_morphism_comma,
@@ -661,17 +680,18 @@ def _cmd_comma(doc, args, report):
         report.exit_code = 1
 
 
-# the classifiers and checkers are looked up when a command runs, so that a
-# function rebound in `morphisms` after import, such as a tracing wrapper, is called
+# the classifiers and checkers are looked up in `morphisms` when a command
+# runs, so that a function rebound there after import, such as a tracing
+# wrapper, is called
 _COMMANDS = {
     "validate": _cmd_validate,
-    "classify-morphism": _cmd_classify(lambda sf: mor.classify_morphism(sf)),
-    "classify-comorphism": _cmd_classify(lambda sf: mor.classify_comorphism(sf)),
+    "classify-morphism": _cmd_classify(lambda mor, sf: mor.classify_morphism(sf)),
+    "classify-comorphism": _cmd_classify(lambda mor, sf: mor.classify_comorphism(sf)),
     "denseness": _cmd_denseness,
     "continuity": _cmd_continuity,
-    "cofinal": _cmd_check("cofinal", lambda sf: mor.is_J_cofinal(sf.F, sf.K)),
+    "cofinal": _cmd_check("cofinal", lambda mor, sf: mor.is_J_cofinal(sf.F, sf.K)),
     "locally-connected": _cmd_check("locally-connected",
-                                    lambda sf: mor.is_locally_connected_general(sf)),
+                                    lambda mor, sf: mor.is_locally_connected_general(sf)),
     "sheafify": _cmd_sheafify,
     "topology": _cmd_topology,
     "factorize": _cmd_factorize,

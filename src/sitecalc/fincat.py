@@ -215,14 +215,19 @@ def validate_category(
             violations.append(f"identity law broken: {f}∘id_{dom[f]} != {f}")
         if comp[(identities[cod[f]], f)] != f:
             violations.append(f"identity law broken: id_{cod[f]}∘{f} != {f}")
-    # (h∘g)∘f = h∘(g∘f) for all f at once: post[x] lists x∘f over f into
-    # dom(x), so the row of h∘g is compared with h applied to the row of g
-    post = [tuple(comp[(x, f)] for f in into[dom[x]]) for x in range(n_arrows)]
+    # (h∘g)∘f = h∘(g∘f) for all f at once: row[x] lists, over f into dom(x),
+    # the position of x∘f in into[cod x], so h applied to the row of g reads
+    # row[h] at the positions in row[g] and is compared with the row of h∘g
+    slot = [0] * n_arrows
+    for arrows_into in into:
+        for i, f in enumerate(arrows_into):
+            slot[f] = i
+    row = [[slot[comp[(x, f)]] for f in into[dom[x]]] for x in range(n_arrows)]
     for h in range(n_arrows):
-        after_h = dict(zip(into[dom[h]], post[h]))
+        at_h = row[h].__getitem__
         for g in into[dom[h]]:
             hg = comp[(h, g)]
-            if post[hg] == tuple(map(after_h.__getitem__, post[g])):
+            if row[hg] == list(map(at_h, row[g])):
                 continue
             for f in into[dom[g]]:
                 if comp[(hg, f)] != comp[(h, comp[(g, f)])]:

@@ -9,8 +9,8 @@ so two runs of the same code give the same entry.  The corpus is the shipped
 leg-covered vees (one with seeded restriction maps), chains, cyclic
 groups and the diamond, each with up to four presheaves and up to two
 functors, and two points that fail weak denseness (`Z2_POINT_SITE` and
-`LATE_MISS_SITE`), and a 21-leg vee whose sieve guard fires while
-parsing.  The trivial and atomic topologies are joined by `sieve:`
+`LATE_MISS_SITE`), a 21-leg vee whose sieve guard fires while parsing,
+and a cospan whose atomic topology breaks stability twice.  The trivial and atomic topologies are joined by `sieve:`
 topologies whose least covers hold composable arrows, so that the family
 searches meet forced values and local equality.  The vees with five and
 six legs run only `sheafify`, `validate` and `topology canonical`:
@@ -78,6 +78,19 @@ SWEEP_COMMANDS = [
 CATEGORY = re.compile(r"^category (\S+)$", re.MULTILINE)
 
 PRESHEAVES = ("P", "Q", "R", "S")
+
+# The cospan 0 -> 2 <- 1 is not Ore, so its atomic topology breaks stability
+# twice and parsing exits 2 listing both.  The sieve of b (mask 1 << 3)
+# comes before that of a (mask 1 << 1) in the frozenset of covers, so a
+# scan of the covers in another order lists them the other way round.
+COSPAN_ATOMIC_SITE = """site-format 1
+category C
+  objects: 3
+  arrows: i0: 0 -> 0, a: 0 -> 2, i1: 1 -> 1, b: 1 -> 2, i2: 2 -> 2
+  identities: i0, i1, i2
+topology J on C
+  kind: atomic
+"""
 
 SECONDS = re.compile(r'"seconds": [^}]*')
 
@@ -154,6 +167,7 @@ def corpus() -> dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]]:
     docs["late-miss"] = (LATE_MISS_SITE, (), ("T",))
     # more than `SIEVE_GUARD` sieves on the top: parsing the topology exits 3
     docs["vee21x2"] = (vee_site(21, 2), (), ())
+    docs["cospan-atomic"] = (COSPAN_ATOMIC_SITE, (), ())
     return docs
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from sitecalc.fincat import (
     CategoryError,
+    FinCategory,
     FinFunctor,
     cartesian_arrows,
     cartesian_vertical_factor,
@@ -23,12 +24,16 @@ from sitecalc.fincat import (
 from sitecalc.presheaf import category_of_elements, yoneda
 
 from conftest import (
+    SMALL_POSETS,
+    idempotent_monoid_category,
     indiscrete_category,
     make_collapse_functor,
+    make_two,
     product_category,
     random_category,
     random_fibration,
     random_presheaf,
+    z2_category,
 )
 
 
@@ -110,6 +115,40 @@ def test_table_violations_match_reference_scan(rng):
         assert got == expected
         associative += expected[0].startswith("non-associative")
     assert associative >= 5
+
+
+def _violations(cat: FinCategory, comp) -> list[str]:
+    try:
+        validate_category(cat.n_objects, list(zip(cat.dom, cat.cod)), list(cat.identity), comp)
+    except CategoryError as exc:
+        return exc.violations
+    return []
+
+
+def test_associativity_rows_match_triple_loop_on_conftest_categories(rng):
+    """On the named conftest categories and on fibration totals, intact and
+    with composites replaced by parallel arrows, `validate_category` lists
+    exactly the violations of the triple loop, in the same order."""
+    cats = [make_two(), indiscrete_category(2), indiscrete_category(3), z2_category(),
+            idempotent_monoid_category(),
+            product_category(poset_category(2, [(0, 1)]), indiscrete_category(2))[0],
+            product_category(z2_category(), indiscrete_category(2))[0],
+            monoid_category([[(a + b) % 3 for b in range(3)] for a in range(3)], 0),
+            *(make() for make in SMALL_POSETS),
+            *(random_fibration(rng).source for _ in range(12))]
+    broken = 0
+    for cat in cats:
+        assert _violations(cat, cat.comp) == [] \
+            == _reference_table_violations(cat.dom, cat.cod, cat.comp)
+        swaps = [(key, h2) for key, h in sorted(cat.comp.items())
+                 if not (cat.is_identity(key[0]) or cat.is_identity(key[1]))
+                 for h2 in cat.hom(cat.dom[h], cat.cod[h]) if h2 != h]
+        for key, h2 in rng.sample(swaps, min(len(swaps), 40)):
+            comp = {**cat.comp, key: h2}
+            expected = _reference_table_violations(cat.dom, cat.cod, comp)
+            assert _violations(cat, comp) == expected
+            broken += bool(expected)
+    assert broken >= 40
 
 
 def test_full_subcategory_matches_reference_double_loop(rng):

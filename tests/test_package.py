@@ -1,12 +1,21 @@
-"""The package surface: every exported name imports, and every top-level
+"""The package surface: every exported name imports, every top-level
 definition in `src/sitecalc` is used there, exported, or a library entry
-point listed with its reason."""
+point listed with its reason, and each command loads only the modules it
+runs."""
 
 import ast
 import collections
+import importlib
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import sitecalc
+
+from test_cli import FIXTURE, vee_site
 
 SRC = pathlib.Path(sitecalc.__file__).parent
 
@@ -31,6 +40,8 @@ LIBRARY_ONLY = {
     "sieves.iso_closure": "paper presieve closure: under isomorphisms",
     "sieves.vertical_closure": "paper presieve closure: under vertical arrows of a fibration",
     "sieves.cartesian_part": "paper presieve closure: cartesian parts along a fibration",
+    "__init__.__getattr__": "PEP 562 hook: resolves an export when it is first read",
+    "__init__.__dir__": "PEP 562 hook: lists the exports before they are resolved",
 }
 
 
@@ -38,6 +49,70 @@ def test_every_exported_name_imports():
     namespace = {}
     exec("from sitecalc import *", namespace)  # a listed name that is missing raises
     assert set(sitecalc.__all__) <= set(namespace)
+    for name in sitecalc.__all__:
+        home = importlib.import_module(namespace[name].__module__)
+        assert getattr(home, name) is namespace[name] is getattr(sitecalc, name)
+
+
+def test_dir_lists_the_exports_and_unknown_names_raise():
+    assert set(sitecalc.__all__) <= set(dir(sitecalc))
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        sitecalc.nope
+
+
+BASE = {"sitecalc", "sitecalc.cli", "sitecalc.fincat", "sitecalc.sieves", "sitecalc.topology"}
+PRESHEAF_FREE = vee_site(3, 2).partition("presheaf P")[0]
+
+
+def _modules_after(statements: str) -> set[str]:
+    """The `sitecalc` modules that a fresh interpreter holds after running
+    `statements`, which must exit 0."""
+    script = statements + (
+        "\nimport sys"
+        "\nprint(*(m for m in sys.modules if m.partition('.')[0] == 'sitecalc'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    return set(out.stdout.split())
+
+
+def _main(path: pathlib.Path, *argv: str) -> str:
+    return ("import contextlib, io\n"
+            "from sitecalc.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main([{str(path)!r}, *{argv!r}])\n"
+            "if code:\n"
+            "    raise SystemExit(code)")
+
+
+@pytest.mark.parametrize("statements, loaded", [
+    ("import sitecalc", {"sitecalc"}),
+    ("import sitecalc.cli", BASE),
+], ids=["sitecalc", "sitecalc.cli"])
+def test_imports_load_no_layer(statements, loaded):
+    """`sitecalc` loads no module, and `sitecalc.cli` only what parsing
+    needs, each in a fresh interpreter; so a module-level import that pulls
+    a layer back in fails here."""
+    assert _modules_after(statements) == loaded
+
+
+@pytest.mark.parametrize("text, argv, extra", [
+    pytest.param(text, argv, extra, id=" ".join(argv)) for text, argv, extra in [
+        (PRESHEAF_FREE, ("validate",), set()),
+        (PRESHEAF_FREE, ("topology", "generate", "J"), set()),
+        (FIXTURE.read_text(), ("sheafify", "P", "--oracle"), {"presheaf"}),
+        (FIXTURE.read_text(), ("classify-morphism", "F"), {"presheaf", "morphisms"}),
+        (FIXTURE.read_text(), ("comma", "m2c", "F"), {"presheaf", "morphisms", "constructions"}),
+    ]])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, text, argv, extra):
+    """A command adds to the parser's modules only the layers it runs:
+    `validate` and `topology generate` on a document without presheaves
+    none, `sheafify` `presheaf`, the functor commands `morphisms` and
+    `comma` `constructions`."""
+    path = tmp_path / "doc.site"
+    path.write_text(text)
+    assert _modules_after(_main(path, *argv)) == BASE | {f"sitecalc.{m}" for m in extra}
 
 
 def _names_read(tree: ast.AST) -> collections.Counter:
