@@ -70,10 +70,8 @@ def _unit_section(cc: CommaCategory, F: FinFunctor) -> FinFunctor:
     """The embedding x -> (F(x), x, id) of the source of F into
     cc = (1 ↓ F), with u -> (F(u), u)."""
     A, B = F.source, F.target
-    obj_index = {o: i for i, o in enumerate(cc.objects)}
-    arr_index = {a: i for i, a in enumerate(cc.arrow_data)}
-    obj = tuple(obj_index[(F.on_obj(x), x, B.identity[F.on_obj(x)])] for x in A.objects)
-    arr = tuple(arr_index[(obj[A.dom[u]], obj[A.cod[u]], F.on_arr(u), u)] for u in A.arrows)
+    obj = tuple(cc.object_index[(F.on_obj(x), x, B.identity[F.on_obj(x)])] for x in A.objects)
+    arr = tuple(cc.arrow_index[(obj[A.dom[u]], obj[A.cod[u]], F.on_arr(u), u)] for u in A.arrows)
     return FinFunctor(A, cc.category, obj, arr)
 
 
@@ -91,8 +89,7 @@ def morphism_to_comorphism(sf: SiteFunctor) -> CommaSite:
     i_F = SiteFunctor(_unit_section(cc, F), J, k_tilde)
 
     # the unit at (d, c, α) is the arrow (α, id_c) into i_F(c)
-    arr_index = {a: i for i, a in enumerate(cc.arrow_data)}
-    unit = tuple(arr_index[(i, i_F.functor.on_obj(c), alpha, F.source.identity[c])]
+    unit = tuple(cc.arrow_index[(i, i_F.functor.on_obj(c), alpha, F.source.identity[c])]
                  for i, (d, c, alpha) in enumerate(cc.objects))
 
     pi_D_props = local_property_tests(pi_D)
@@ -126,17 +123,15 @@ def comorphism_to_morphism_comma(sf: SiteFunctor) -> CommaSite:
     pi_D = SiteFunctor(cc.left_projection, k_bar, K)
     pi_C = SiteFunctor(cc.right_projection, k_bar, J)
 
-    obj_index = {o: i for i, o in enumerate(cc.objects)}
-    arr_index = {a: i for i, a in enumerate(cc.arrow_data)}
-    j_obj = tuple(obj_index[(d, F.on_obj(d), C.identity[F.on_obj(d)])]
+    j_obj = tuple(cc.object_index[(d, F.on_obj(d), C.identity[F.on_obj(d)])]
                   for d in D.objects)
     j_arr = tuple(
-        arr_index[(j_obj[D.dom[g]], j_obj[D.cod[g]], g, F.on_arr(g))]
+        cc.arrow_index[(j_obj[D.dom[g]], j_obj[D.cod[g]], g, F.on_arr(g))]
         for g in D.arrows)
     j_F = SiteFunctor(FinFunctor(D, cc.category, j_obj, j_arr), K, k_bar)
 
     density_witnesses = all(
-        k_bar.covers_family(i, 1 << arr_index[(j_obj[d], i, g_id, alpha)])
+        k_bar.covers_family(i, 1 << cc.arrow_index[(j_obj[d], i, g_id, alpha)])
         for i, (d, c, alpha) in enumerate(cc.objects)
         for g_id in [D.identity[d]])
     certificates = {
@@ -202,7 +197,6 @@ def generalized_elements_identities(sf: SiteFunctor, site: CommaSite) -> dict[st
 
     # (i): covering sieves of M^{π}_J contain an (f_i, 1_d)-family with
     # J-covering first components
-    arr_index = {a: i for i, a in enumerate(cc.arrow_data)}
     ok_i = True
     for o in range(cc.category.n_objects):
         c, d, alpha = cc.objects[o]

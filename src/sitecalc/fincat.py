@@ -237,6 +237,31 @@ def validate_category(
     return FinCategory(n_objects, dom, cod, tuple(identities), comp)
 
 
+def derived_category(
+    n_objects: int,
+    arrows: Sequence[tuple],
+    identities: Sequence[tuple],
+    compose: Callable[[tuple, tuple], tuple],
+) -> tuple[FinCategory, dict[tuple, int]]:
+    """The category on objects 0..n_objects-1 whose arrows are the keys in
+    `arrows`, each a tuple (source, target, ...), with the key of each
+    object's identity and `compose(g, f)` on the keys of composable pairs;
+    returns it with the key -> arrow index map.  `comp` is filled in key
+    order: for each g, the f into its source in key order.  The laws are
+    not checked: a caller derives them from a lawful category."""
+    if len(arrows) > MAX_ARROWS:
+        raise SizeGuardError(f"{len(arrows)} arrows exceeds the limit {MAX_ARROWS}")
+    index = {a: i for i, a in enumerate(arrows)}
+    into: list[list[tuple[int, tuple]]] = [[] for _ in range(n_objects)]
+    for i, f in enumerate(arrows):
+        into[f[1]].append((i, f))
+    comp = {(j, i): index[compose(g, f)]
+            for j, g in enumerate(arrows) for i, f in into[g[0]]}
+    category = FinCategory(n_objects, tuple(a[0] for a in arrows), tuple(a[1] for a in arrows),
+                           tuple(index[k] for k in identities), comp)
+    return category, index
+
+
 def terminal_category() -> FinCategory:
     return validate_category(1, [(0, 0)], [0], {(0, 0): 0})
 
@@ -256,13 +281,8 @@ def poset_category(n: int, le: Sequence[tuple[int, int]]) -> FinCategory:
                 rel.add((a, c))
                 changed = True
     pairs = sorted(rel)
-    index = {p: i for i, p in enumerate(pairs)}
-    comp = {}
-    for j, (b, c) in enumerate(pairs):
-        for i, (a, b2) in enumerate(pairs):
-            if b2 == b:
-                comp[(j, i)] = index[(a, c)]
-    return validate_category(n, pairs, [index[(a, a)] for a in range(n)], comp)
+    return derived_category(n, pairs, [(a, a) for a in range(n)],
+                            lambda g, f: (f[0], g[1]))[0]
 
 
 def monoid_category(mult: Sequence[Sequence[int]], unit: int) -> FinCategory:
@@ -336,6 +356,15 @@ def identity_functor(cat: FinCategory) -> FinFunctor:
     return FinFunctor(cat, cat, tuple(cat.objects), tuple(cat.arrows))
 
 
+def corestrict(G: FinFunctor, inclusion: FinFunctor) -> FinFunctor:
+    """G through an inclusion, injective on objects and arrows, that
+    contains its image: the G' with inclusion∘G' = G."""
+    obj = {c: i for i, c in enumerate(inclusion.obj_map)}
+    arr = {f: i for i, f in enumerate(inclusion.arr_map)}
+    return FinFunctor(G.source, inclusion.source, tuple(obj[c] for c in G.obj_map),
+                      tuple(arr[f] for f in G.arr_map))
+
+
 @dataclass(frozen=True)
 class CommaCategory:
     """(F ↓ G): objects are triples (a, b, α: F(a) -> G(b)), arrows are
@@ -345,6 +374,8 @@ class CommaCategory:
     arrow_data: tuple[tuple[int, int, int, int], ...]  # (src_idx, dst_idx, u, v)
     left_projection: FinFunctor
     right_projection: FinFunctor
+    object_index: dict[tuple[int, int, int], int]
+    arrow_index: dict[tuple[int, int, int, int], int]
 
 
 def comma(F: FinFunctor, G: FinFunctor) -> CommaCategory:
@@ -352,9 +383,9 @@ def comma(F: FinFunctor, G: FinFunctor) -> CommaCategory:
         raise ValueError("comma categories need functors with a common target")
     C = F.target
     A, B = F.source, G.source
-    objects = [(a, b, alpha)
-               for a in A.objects for b in B.objects
-               for alpha in C.hom(F.on_obj(a), G.on_obj(b))]
+    objects = tuple((a, b, alpha)
+                    for a in A.objects for b in B.objects
+                    for alpha in C.hom(F.on_obj(a), G.on_obj(b)))
     # every object carries an identity arrow, so this is the arrow guard,
     # fired before any arrow is enumerated
     if len(objects) > MAX_ARROWS:
@@ -369,77 +400,40 @@ def comma(F: FinFunctor, G: FinFunctor) -> CommaCategory:
                 for alpha2 in C.hom(F.on_obj(a2), G.on_obj(b2)):
                     if C.compose(G.on_arr(v), alpha) == C.compose(alpha2, F.on_arr(u)):
                         arrow_data.append((si, obj_index[(a2, b2, alpha2)], u, v))
-    if len(arrow_data) > MAX_ARROWS:
-        raise SizeGuardError(f"comma category has {len(arrow_data)} arrows")
-    arr_index = {d: i for i, d in enumerate(arrow_data)}
-
-    dom = tuple(d[0] for d in arrow_data)
-    cod = tuple(d[1] for d in arrow_data)
-    identities = tuple(
-        arr_index[(i, i, A.identity[a], B.identity[b])]
-        for i, (a, b, _) in enumerate(objects))
-    comp_table = {}
-    for j, (s2, t2, u2, v2) in enumerate(arrow_data):
-        for i, (s1, t1, u1, v1) in enumerate(arrow_data):
-            if t1 == s2:
-                comp_table[(j, i)] = arr_index[(s1, t2, A.compose(u2, u1), B.compose(v2, v1))]
-    cat = FinCategory(len(objects), dom, cod, identities, comp_table)
-    left = FinFunctor(cat, A,
-                      tuple(o[0] for o in objects),
-                      tuple(d[2] for d in arrow_data))
-    right = FinFunctor(cat, B,
-                       tuple(o[1] for o in objects),
-                       tuple(d[3] for d in arrow_data))
-    return CommaCategory(cat, tuple(objects), tuple(arrow_data), left, right)
+    cat, arr_index = derived_category(
+        len(objects), arrow_data,
+        [(i, i, A.identity[a], B.identity[b]) for i, (a, b, _) in enumerate(objects)],
+        lambda g, f: (f[0], g[1], A.comp[(g[2], f[2])], B.comp[(g[3], f[3])]))
+    left = FinFunctor(cat, A, tuple(o[0] for o in objects), tuple(d[2] for d in arrow_data))
+    right = FinFunctor(cat, B, tuple(o[1] for o in objects), tuple(d[3] for d in arrow_data))
+    return CommaCategory(cat, objects, tuple(arrow_data), left, right, obj_index, arr_index)
 
 
 def full_subcategory(cat: FinCategory, objects: Sequence[int]) -> tuple[FinCategory, FinFunctor]:
     """The full subcategory on the given objects, with its inclusion."""
     objects = list(objects)
     obj_index = {c: i for i, c in enumerate(objects)}
-    arrows = [f for f in cat.arrows
+    arrows = [(obj_index[cat.dom[f]], obj_index[cat.cod[f]], f) for f in cat.arrows
               if cat.dom[f] in obj_index and cat.cod[f] in obj_index]
-    arr_index = {f: i for i, f in enumerate(arrows)}
-    sub = FinCategory(
-        len(objects),
-        tuple(obj_index[cat.dom[f]] for f in arrows),
-        tuple(obj_index[cat.cod[f]] for f in arrows),
-        tuple(arr_index[cat.identity[c]] for c in objects),
-        {(arr_index[g], arr_index[f]): arr_index[cat.comp[(g, f)]]
-         for g in arrows for f in cat.arrows_into(cat.dom[g]) if f in arr_index},
-    )
-    inclusion = FinFunctor(sub, cat, tuple(objects), tuple(arrows))
-    return sub, inclusion
+    sub, _ = derived_category(len(objects), arrows,
+                              [(i, i, cat.identity[c]) for i, c in enumerate(objects)],
+                              lambda g, f: (f[0], g[1], cat.comp[(g[2], f[2])]))
+    return sub, FinFunctor(sub, cat, tuple(objects), tuple(a[2] for a in arrows))
 
 
 def quotient_by_functor_congruence(F: FinFunctor) -> tuple[FinCategory, FinFunctor, FinFunctor]:
     """Quotient of the source by the hom-set congruence g ~ g' iff F(g) = F(g')
     (parallel arrows only).  Returns (quotient, projection, induced functor),
-    with the induced functor satisfying induced ∘ projection = F."""
-    cat = F.source
-    classes: dict[tuple[int, int, int], int] = {}
-    arr_class = []
-    for f in cat.arrows:
-        key = (cat.dom[f], cat.cod[f], F.on_arr(f))
-        if key not in classes:
-            classes[key] = len(classes)
-        arr_class.append(classes[key])
-    n = len(classes)
-    dom = [0] * n
-    cod = [0] * n
-    rep = [0] * n
-    for f in cat.arrows:
-        k = arr_class[f]
-        dom[k], cod[k], rep[k] = cat.dom[f], cat.cod[f], f
-    comp = {}
-    for (g, f), h in cat.comp.items():
-        comp[(arr_class[g], arr_class[f])] = arr_class[h]
-    quotient = FinCategory(cat.n_objects, tuple(dom), tuple(cod),
-                           tuple(arr_class[cat.identity[c]] for c in cat.objects),
-                           comp)
-    projection = FinFunctor(cat, quotient, tuple(cat.objects), tuple(arr_class))
-    induced = FinFunctor(quotient, F.target, F.obj_map,
-                         tuple(F.on_arr(rep[k]) for k in range(n)))
+    with the induced functor satisfying induced ∘ projection = F.  A class
+    is the key (dom, cod, F(g)), numbered in order of first occurrence."""
+    cat, D = F.source, F.target
+    arr_class = [(cat.dom[f], cat.cod[f], F.on_arr(f)) for f in cat.arrows]
+    quotient, index = derived_category(
+        cat.n_objects, list(dict.fromkeys(arr_class)),
+        [(c, c, F.on_arr(cat.identity[c])) for c in cat.objects],
+        lambda g, f: (f[0], g[1], D.comp[(g[2], f[2])]))
+    projection = FinFunctor(cat, quotient, tuple(cat.objects), tuple(map(index.get, arr_class)))
+    induced = FinFunctor(quotient, D, F.obj_map, tuple(k[2] for k in index))
     return quotient, projection, induced
 
 

@@ -22,6 +22,8 @@ from .fincat import (
     SizeGuardError,
     _memo,
     _UnionFind,
+    corestrict,
+    derived_category,
     full_subcategory,
     identity_functor,
     quotient_by_functor_congruence,
@@ -389,18 +391,8 @@ def _diagram_shape(n: int, edges: Sequence[tuple[int, int, int]],
                    cat: FinCategory, members: Sequence[int]) -> FinCategory:
     """Shape category of a sieve diagram (used only to drive colimits, where
     just the underlying graph with identities matters)."""
-    arrow_data = list(edges)
-    arr_index = {a: i for i, a in enumerate(arrow_data)}
-    dom = tuple(a[0] for a in arrow_data)
-    cod = tuple(a[1] for a in arrow_data)
-    identities = tuple(arr_index[(i, i, cat.identity[cat.dom[members[i]]])]
-                       for i in range(n))
-    comp = {}
-    for j, (s2, t2, u2) in enumerate(arrow_data):
-        for i, (s1, t1, u1) in enumerate(arrow_data):
-            if t1 == s2:
-                comp[(j, i)] = arr_index[(s1, t2, cat.comp[(u2, u1)])]
-    return FinCategory(n, dom, cod, identities, comp)
+    return derived_category(n, edges, [(i, i, cat.identity[cat.dom[members[i]]]) for i in range(n)],
+                            lambda g, f: (f[0], g[1], cat.comp[(g[2], f[2])]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -903,7 +895,7 @@ def cjs_canonical_topology(cjs: ps.CJsResult, K: GrothendieckTopology) -> Grothe
 def hyperconnected_localic_factorization(sf: SiteFunctor) -> HyperconnectedLocalicFactorization:
     _require(is_morphism_of_sites(sf), "a morphism of sites")
     F, J, K = sf.F, sf.J, sf.K
-    C, D = F.source, F.target
+    D = F.target
     cjs = ps.build_CJs(D, K)
     ctop = cjs_canonical_topology(cjs, K)
 
@@ -929,20 +921,14 @@ def hyperconnected_localic_factorization(sf: SiteFunctor) -> HyperconnectedLocal
 
     sub_objects = tuple(i for i, (d, s) in enumerate(cjs.objects)
                         if d in F.image_objects)
-    sub_cat, sub_incl = full_subcategory(cjs.category, sub_objects)
+    _, sub_incl = full_subcategory(cjs.category, sub_objects)
     sub_top = induced_topology(sub_incl, ctop)
-
-    sub_index = {o: i for i, o in enumerate(sub_objects)}
-    fs_obj = tuple(sub_index[isk_obj[F.on_obj(c)]] for c in C.objects)
-    sub_arr_index = {f: i for i, f in enumerate(
-        [a for a in cjs.category.arrows
-         if cjs.category.dom[a] in sub_index and cjs.category.cod[a] in sub_index])}
-    fs_arr = tuple(sub_arr_index[isk_arr[F.on_arr(u)]] for u in C.arrows)
-    f_s = FinFunctor(C, sub_cat, fs_obj, fs_arr)
+    isk_F = F.then(i_s_k)
+    f_s = corestrict(isk_F, sub_incl)
 
     localic_leg = SiteFunctor(f_s, J, sub_top)
     hyper_leg = SiteFunctor(sub_incl, sub_top, ctop)
-    embedding = SiteFunctor(f_s.then(sub_incl), J, ctop)
+    embedding = SiteFunctor(isk_F, J, ctop)
     return HyperconnectedLocalicFactorization(
         cjs, ctop, sub_objects, sub_top, localic_leg, hyper_leg, embedding)
 
@@ -1207,19 +1193,11 @@ def comorphism_factorizations(sf: SiteFunctor) -> ComorphismFactorizations:
     if not cp:
         raise ValueError(f"comorphism factorizations need cover preservation: {cp.witness}")
     F = sf.F
-    D, C = F.source, F.target
     K, J = sf.source_topology, sf.target_topology
 
-    image_objects = sorted(F.image_objects)
-    sub_cat, incl = full_subcategory(C, image_objects)
+    _, incl = full_subcategory(F.target, sorted(F.image_objects))
     j_prime = smallest_comorphism_topology(incl, J)
-    obj_index = {c: i for i, c in enumerate(image_objects)}
-    sub_arrows = [f for f in C.arrows
-                  if C.dom[f] in obj_index and C.cod[f] in obj_index]
-    arr_index = {f: i for i, f in enumerate(sub_arrows)}
-    f_prime = FinFunctor(D, sub_cat,
-                         tuple(obj_index[F.on_obj(d)] for d in D.objects),
-                         tuple(arr_index[F.on_arr(g)] for g in D.arrows))
+    f_prime = corestrict(F, incl)
 
     quotient, projection, induced = quotient_by_functor_congruence(F)
     L = topology_where(quotient, lambda c, s: K.is_covering(
@@ -1353,19 +1331,16 @@ def comprehensive_factorization(F: FinFunctor, K: GrothendieckTopology) -> Compr
     sh = ps.sheafify(colim, K)
     el, topology = ps.elements_topology(sh.sheaf, K)
 
-    obj_index = {o: i for i, o in enumerate(el.objects)}
-    arr_index = {a: i for i, a in enumerate(el.arrow_decode)}
-
     def elt(c: int) -> int:
         fc = F.on_obj(c)
         return sh.unit.at(fc, legs[c][fc][D.hom_position[D.identity[fc]]])
 
-    xi_obj = tuple(obj_index[(F.on_obj(c), elt(c))] for c in C.objects)
-    xi_arr = tuple(arr_index[(F.on_arr(u), elt(C.cod[u]))] for u in C.arrows)
+    xi_obj = tuple(el.object_index[(F.on_obj(c), elt(c))] for c in C.objects)
+    xi_arr = tuple(el.arrow_index.get((xi_obj[C.dom[u]], xi_obj[C.cod[u]], F.on_arr(u)))
+                   for u in C.arrows)
+    if None in xi_arr:
+        raise ValueError(f"comprehensive lift is not a functor at arrow {xi_arr.index(None)}")
     xi = FinFunctor(C, el.category, xi_obj, xi_arr)
-    for u in C.arrows:
-        if el.category.dom[xi_arr[u]] != xi_obj[C.dom[u]]:
-            raise ValueError(f"comprehensive lift is not a functor at arrow {u}")
     cof = is_J_cofinal(xi, topology)
     return ComprehensiveFactorization(sh.sheaf, el, topology, xi,
                                       el.projection, cof)

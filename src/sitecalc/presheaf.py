@@ -24,7 +24,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .fincat import FinCategory, FinFunctor, SizeGuardError, _memo, _UnionFind, validate_category
+from .fincat import (
+    FinCategory,
+    FinFunctor,
+    SizeGuardError,
+    _memo,
+    _UnionFind,
+    derived_category,
+    validate_category,
+)
 from .sieves import all_sieve_masks, bits, mask_of, maximal_sieve_mask, pullback_mask
 from .topology import GrothendieckTopology, closure_mask, induced_topology, topology_where
 
@@ -924,28 +932,26 @@ class ElementsResult:
     projection: FinFunctor
     objects: tuple[tuple[int, int], ...]  # (c, x in P(c))
     arrow_decode: tuple[tuple[int, int], ...]  # (f in base, target element x)
+    object_index: dict[tuple[int, int], int]
+    arrow_index: dict[tuple[int, int, int], int]  # (source, target, f) -> arrow
 
 
 def category_of_elements(P: FinPresheaf) -> ElementsResult:
     """∫P with its canonical projection, a discrete fibration."""
     cat = P.cat
-    objects = [(c, x) for c in cat.objects for x in range(P.sizes[c])]
+    objects = tuple((c, x) for c in cat.objects for x in range(P.sizes[c]))
     obj_index = {o: i for i, o in enumerate(objects)}
-    arrow_decode = [(f, x) for f in cat.arrows for x in range(P.sizes[cat.cod[f]])]
-    arr_index = {a: i for i, a in enumerate(arrow_decode)}
-    dom = tuple(obj_index[(cat.dom[f], P.res(f, x))] for (f, x) in arrow_decode)
-    cod = tuple(obj_index[(cat.cod[f], x)] for (f, x) in arrow_decode)
-    identities = tuple(arr_index[(cat.identity[c], x)] for (c, x) in objects)
-    comp = {}
-    for j, (f, x) in enumerate(arrow_decode):
-        for i, (g, y) in enumerate(arrow_decode):
-            if cat.cod[g] == cat.dom[f] and y == P.res(f, x):
-                comp[(j, i)] = arr_index[(cat.comp[(f, g)], x)]
-    category = FinCategory(len(objects), dom, cod, identities, comp)
+    arrow_decode = tuple((f, x) for f in cat.arrows for x in range(P.sizes[cat.cod[f]]))
+    category, arr_index = derived_category(
+        len(objects),
+        [(obj_index[(cat.dom[f], P.res(f, x))], obj_index[(cat.cod[f], x)], f)
+         for f, x in arrow_decode],
+        [(i, i, cat.identity[c]) for i, (c, _) in enumerate(objects)],
+        lambda g, f: (f[0], g[1], cat.comp[(g[2], f[2])]))
     projection = FinFunctor(category, cat,
                             tuple(o[0] for o in objects),
                             tuple(a[0] for a in arrow_decode))
-    return ElementsResult(category, projection, tuple(objects), tuple(arrow_decode))
+    return ElementsResult(category, projection, objects, arrow_decode, obj_index, arr_index)
 
 
 def elements_topology(P: FinPresheaf, J: GrothendieckTopology) -> tuple[ElementsResult, GrothendieckTopology]:

@@ -9,7 +9,11 @@ small category by brute force, the oracle for the constructors of the
 topology module, and `reference_closure_mask` scans every arrow for the
 closure of a sieve.  The `reference_*` site-checker bodies are the versions
 that carried their own copy of a building block the checkers now share:
-the hom-set scans, the colimit comparison and the connection loop.
+the hom-set scans, the colimit comparison and the connection loop.  The
+constructors of derived categories (comma, full subcategory, quotient,
+poset, elements and sieve-diagram shape) are kept here as they were before
+they shared `fincat.derived_category`, each with its own index and
+composition code.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from sitecalc.fincat import FinCategory, FinFunctor, SizeGuardError
+from sitecalc.fincat import MAX_ARROWS, FinCategory, FinFunctor, SizeGuardError, validate_category
 from sitecalc.morphisms import (
     SiteFunctor,
     Verdict,
@@ -471,3 +475,157 @@ def reference_locally_connected(F: FinFunctor, K: GrothendieckTopology) -> Verdi
                                                              "alpha": alpha, "beta": beta},
                                                    sieve=good)
     return _yes("locally-connected")
+
+
+# ---------------------------------------------------------------------------
+# derived-category constructors, each with its own index and composition
+# code; they return tuples where the library returns records, as the
+# records gained their index maps
+
+def reference_poset_category(n: int, le) -> FinCategory:
+    rel = {(a, a) for a in range(n)} | set(le)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b), (b2, c) in itertools.product(list(rel), list(rel)):
+            if b == b2 and (a, c) not in rel:
+                rel.add((a, c))
+                changed = True
+    pairs = sorted(rel)
+    index = {p: i for i, p in enumerate(pairs)}
+    comp = {}
+    for j, (b, c) in enumerate(pairs):
+        for i, (a, b2) in enumerate(pairs):
+            if b2 == b:
+                comp[(j, i)] = index[(a, c)]
+    return validate_category(n, pairs, [index[(a, a)] for a in range(n)], comp)
+
+
+def reference_comma(F: FinFunctor, G: FinFunctor):
+    """(category, objects, arrow_data, left projection, right projection)."""
+    if F.target != G.target:
+        raise ValueError("comma categories need functors with a common target")
+    C = F.target
+    A, B = F.source, G.source
+    objects = [(a, b, alpha)
+               for a in A.objects for b in B.objects
+               for alpha in C.hom(F.on_obj(a), G.on_obj(b))]
+    # every object carries an identity arrow, so this is the arrow guard,
+    # fired before any arrow is enumerated
+    if len(objects) > MAX_ARROWS:
+        raise SizeGuardError(f"comma category has {len(objects)} objects (budget {MAX_ARROWS})")
+    obj_index = {o: i for i, o in enumerate(objects)}
+
+    arrow_data = []
+    for si, (a, b, alpha) in enumerate(objects):
+        for u in A.arrows_out_of(a):
+            for v in B.arrows_out_of(b):
+                a2, b2 = A.cod[u], B.cod[v]
+                for alpha2 in C.hom(F.on_obj(a2), G.on_obj(b2)):
+                    if C.compose(G.on_arr(v), alpha) == C.compose(alpha2, F.on_arr(u)):
+                        arrow_data.append((si, obj_index[(a2, b2, alpha2)], u, v))
+    if len(arrow_data) > MAX_ARROWS:
+        raise SizeGuardError(f"comma category has {len(arrow_data)} arrows")
+    arr_index = {d: i for i, d in enumerate(arrow_data)}
+
+    dom = tuple(d[0] for d in arrow_data)
+    cod = tuple(d[1] for d in arrow_data)
+    identities = tuple(
+        arr_index[(i, i, A.identity[a], B.identity[b])]
+        for i, (a, b, _) in enumerate(objects))
+    comp_table = {}
+    for j, (s2, t2, u2, v2) in enumerate(arrow_data):
+        for i, (s1, t1, u1, v1) in enumerate(arrow_data):
+            if t1 == s2:
+                comp_table[(j, i)] = arr_index[(s1, t2, A.compose(u2, u1), B.compose(v2, v1))]
+    cat = FinCategory(len(objects), dom, cod, identities, comp_table)
+    left = FinFunctor(cat, A,
+                      tuple(o[0] for o in objects),
+                      tuple(d[2] for d in arrow_data))
+    right = FinFunctor(cat, B,
+                       tuple(o[1] for o in objects),
+                       tuple(d[3] for d in arrow_data))
+    return cat, tuple(objects), tuple(arrow_data), left, right
+
+
+def reference_full_subcategory(cat: FinCategory, objects):
+    objects = list(objects)
+    obj_index = {c: i for i, c in enumerate(objects)}
+    arrows = [f for f in cat.arrows
+              if cat.dom[f] in obj_index and cat.cod[f] in obj_index]
+    arr_index = {f: i for i, f in enumerate(arrows)}
+    sub = FinCategory(
+        len(objects),
+        tuple(obj_index[cat.dom[f]] for f in arrows),
+        tuple(obj_index[cat.cod[f]] for f in arrows),
+        tuple(arr_index[cat.identity[c]] for c in objects),
+        {(arr_index[g], arr_index[f]): arr_index[cat.comp[(g, f)]]
+         for g in arrows for f in cat.arrows_into(cat.dom[g]) if f in arr_index},
+    )
+    inclusion = FinFunctor(sub, cat, tuple(objects), tuple(arrows))
+    return sub, inclusion
+
+
+def reference_quotient_by_functor_congruence(F: FinFunctor):
+    cat = F.source
+    classes: dict[tuple[int, int, int], int] = {}
+    arr_class = []
+    for f in cat.arrows:
+        key = (cat.dom[f], cat.cod[f], F.on_arr(f))
+        if key not in classes:
+            classes[key] = len(classes)
+        arr_class.append(classes[key])
+    n = len(classes)
+    dom = [0] * n
+    cod = [0] * n
+    rep = [0] * n
+    for f in cat.arrows:
+        k = arr_class[f]
+        dom[k], cod[k], rep[k] = cat.dom[f], cat.cod[f], f
+    comp = {}
+    for (g, f), h in cat.comp.items():
+        comp[(arr_class[g], arr_class[f])] = arr_class[h]
+    quotient = FinCategory(cat.n_objects, tuple(dom), tuple(cod),
+                           tuple(arr_class[cat.identity[c]] for c in cat.objects),
+                           comp)
+    projection = FinFunctor(cat, quotient, tuple(cat.objects), tuple(arr_class))
+    induced = FinFunctor(quotient, F.target, F.obj_map,
+                         tuple(F.on_arr(rep[k]) for k in range(n)))
+    return quotient, projection, induced
+
+
+def reference_category_of_elements(P: FinPresheaf):
+    """(category, projection, objects, arrow_decode)."""
+    cat = P.cat
+    objects = [(c, x) for c in cat.objects for x in range(P.sizes[c])]
+    obj_index = {o: i for i, o in enumerate(objects)}
+    arrow_decode = [(f, x) for f in cat.arrows for x in range(P.sizes[cat.cod[f]])]
+    arr_index = {a: i for i, a in enumerate(arrow_decode)}
+    dom = tuple(obj_index[(cat.dom[f], P.res(f, x))] for (f, x) in arrow_decode)
+    cod = tuple(obj_index[(cat.cod[f], x)] for (f, x) in arrow_decode)
+    identities = tuple(arr_index[(cat.identity[c], x)] for (c, x) in objects)
+    comp = {}
+    for j, (f, x) in enumerate(arrow_decode):
+        for i, (g, y) in enumerate(arrow_decode):
+            if cat.cod[g] == cat.dom[f] and y == P.res(f, x):
+                comp[(j, i)] = arr_index[(cat.comp[(f, g)], x)]
+    category = FinCategory(len(objects), dom, cod, identities, comp)
+    projection = FinFunctor(category, cat,
+                            tuple(o[0] for o in objects),
+                            tuple(a[0] for a in arrow_decode))
+    return category, projection, tuple(objects), tuple(arrow_decode)
+
+
+def reference_diagram_shape(n: int, edges, cat: FinCategory, members) -> FinCategory:
+    arrow_data = list(edges)
+    arr_index = {a: i for i, a in enumerate(arrow_data)}
+    dom = tuple(a[0] for a in arrow_data)
+    cod = tuple(a[1] for a in arrow_data)
+    identities = tuple(arr_index[(i, i, cat.identity[cat.dom[members[i]]])]
+                       for i in range(n))
+    comp = {}
+    for j, (s2, t2, u2) in enumerate(arrow_data):
+        for i, (s1, t1, u1) in enumerate(arrow_data):
+            if t1 == s2:
+                comp[(j, i)] = arr_index[(s1, t2, cat.comp[(u2, u1)])]
+    return FinCategory(n, dom, cod, identities, comp)

@@ -1,0 +1,161 @@
+"""Derived categories: every category that a library constructor builds
+from another one through `fincat.derived_category` (comma categories in
+both directions, full subcategories, quotients by a functor congruence,
+posets, categories of elements and sieve-diagram shapes) satisfies the
+category laws, and equals what the constructor built before it shared the
+builder.  The laws are checked here rather than at construction: the
+builder derives them from a lawful category, and a run-time check would
+cost every caller a pass over all composable triples."""
+
+import pytest
+
+from sitecalc.fincat import (
+    SizeGuardError,
+    comma,
+    corestrict,
+    full_subcategory,
+    identity_functor,
+    poset_category,
+    quotient_by_functor_congruence,
+    terminal_category,
+    validate_category,
+)
+from sitecalc.morphisms import _diagram_shape, sieve_diagram
+from sitecalc.presheaf import category_of_elements, constant_presheaf
+from sitecalc.sieves import all_sieve_masks
+
+from conftest import all_functors, make_two, random_category, random_fibration, random_presheaf
+from oracles import (
+    reference_category_of_elements,
+    reference_comma,
+    reference_diagram_shape,
+    reference_full_subcategory,
+    reference_poset_category,
+    reference_quotient_by_functor_congruence,
+)
+
+
+def _indexes(objects, arrow_keys):
+    return {"object_index": {o: i for i, o in enumerate(objects)},
+            "arrow_index": {a: i for i, a in enumerate(arrow_keys)}}
+
+
+def _comma(F, G):
+    cc = comma(F, G)
+    cat, objects, arrow_data, left, right = reference_comma(F, G)
+    return ({"category": cc.category, "objects": cc.objects, "arrow_data": cc.arrow_data,
+             "left": cc.left_projection, "right": cc.right_projection,
+             "object_index": cc.object_index, "arrow_index": cc.arrow_index},
+            {"category": cat, "objects": objects, "arrow_data": arrow_data,
+             "left": left, "right": right, **_indexes(objects, arrow_data)})
+
+
+def _elements(P):
+    el = category_of_elements(P)
+    cat, projection, objects, arrow_decode = reference_category_of_elements(P)
+    keys = [(cat.dom[a], cat.cod[a], f) for a, (f, _) in enumerate(arrow_decode)]
+    return ({"category": el.category, "projection": el.projection, "objects": el.objects,
+             "arrow_decode": el.arrow_decode,
+             "object_index": el.object_index, "arrow_index": el.arrow_index},
+            {"category": cat, "projection": projection, "objects": objects,
+             "arrow_decode": arrow_decode, **_indexes(objects, keys)})
+
+
+def _full_subcategory(cat, objects):
+    sub, inclusion = full_subcategory(cat, objects)
+    ref_sub, ref_inclusion = reference_full_subcategory(cat, objects)
+    return ({"category": sub, "inclusion": inclusion},
+            {"category": ref_sub, "inclusion": ref_inclusion})
+
+
+def _quotient(F):
+    quotient, projection, induced = quotient_by_functor_congruence(F)
+    ref_quotient, ref_projection, ref_induced = reference_quotient_by_functor_congruence(F)
+    return ({"category": quotient, "projection": projection, "induced": induced},
+            {"category": ref_quotient, "projection": ref_projection, "induced": ref_induced})
+
+
+def _corpus(rng):
+    """(label, library parts, reference parts) per constructor call on the
+    conftest corpora; each side's "category" is the derived category."""
+    base = [random_category(rng) for _ in range(60)] + [make_two()]
+    pool = base + [random_fibration(rng).source for _ in range(20)]
+    pool += [category_of_elements(random_presheaf(rng, rng.choice(base))).category
+             for _ in range(20)]
+    for cat in pool:
+        ident = identity_functor(cat)
+        yield "comma (1 ↓ 1)", *_comma(ident, ident)
+        yield "elements", *_elements(random_presheaf(rng, cat))
+        objects = rng.sample(list(cat.objects), rng.randrange(cat.n_objects + 1))
+        yield "full subcategory", *_full_subcategory(cat, objects)
+    for cat in base:
+        for c in cat.objects:
+            for s in all_sieve_masks(cat, c):
+                members, edges = sieve_diagram(cat, s)
+                shape = _diagram_shape(len(members), edges, cat, members)
+                yield "sieve-diagram shape", {"category": shape}, {
+                    "category": reference_diagram_shape(len(members), edges, cat, members)}
+    for A, B in [(make_two(), rng.choice(base))] + [
+            (rng.choice(base), rng.choice(base)) for _ in range(60)]:
+        functors = all_functors(A, B)
+        if not functors:
+            continue
+        F, G = rng.choice(functors), rng.choice(functors)
+        yield "comma (1 ↓ F)", *_comma(identity_functor(B), F)
+        yield "comma (F ↓ 1)", *_comma(F, identity_functor(B))
+        yield "comma (F ↓ G)", *_comma(F, G)
+        yield "quotient", *_quotient(F)
+        yield "full subcategory on an image", *_full_subcategory(B, sorted(F.image_objects))
+    for _ in range(60):
+        n = rng.randrange(1, 6)
+        le = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n))]
+        yield "poset", {"category": poset_category(n, le)}, {
+            "category": reference_poset_category(n, le)}
+
+
+def test_derived_categories_are_lawful(rng):
+    """`validate_category` gives back each derived category of the corpus,
+    and its opposite, unchanged."""
+    labels = set()
+    for label, built, _ in _corpus(rng):
+        for cat in (built["category"], built["category"].opposite()):
+            assert validate_category(cat.n_objects, list(zip(cat.dom, cat.cod)),
+                                     cat.identity, cat.comp) == cat, label
+        labels.add(label)
+    assert len(labels) == 10
+
+
+def test_derived_categories_match_the_reference_constructors(rng):
+    """Each constructor gives what its own index and composition loops gave:
+    the category, its `comp` order, the functors out of or into it,
+    `arrow_decode` and the object and arrow index maps.  The quotient
+    numbers its composites by class, so it keeps the reference's `comp`
+    order where the source lists `comp` in order of pairs, as every
+    constructor here does; make_two lists its identity composites first."""
+    reordered = 0
+    for label, built, reference in _corpus(rng):
+        assert built == reference, label
+        order, ref_order = list(built["category"].comp), list(reference["category"].comp)
+        if label == "quotient" and ref_order != sorted(ref_order):
+            assert order == sorted(ref_order)
+            reordered += 1
+        else:
+            assert order == ref_order, label
+    assert reordered
+
+
+def test_corestrict_through_a_full_subcategory_recovers_the_functor(rng):
+    for _ in range(40):
+        A, B = random_category(rng), random_category(rng)
+        functors = all_functors(A, B)
+        if functors:
+            F = rng.choice(functors)
+            _, inclusion = full_subcategory(B, sorted(F.image_objects))
+            assert corestrict(F, inclusion).then(inclusion) == F
+
+
+def test_builder_guards_arrows_before_composing():
+    """More than 2^16 arrow keys raise before the composition table is
+    built, whichever constructor passes them."""
+    with pytest.raises(SizeGuardError, match="65537 arrows exceeds the limit 65536"):
+        category_of_elements(constant_presheaf(terminal_category(), 2**16 + 1))

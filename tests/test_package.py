@@ -217,3 +217,64 @@ def test_hand_written_memos_are_found():
         "        self.parent = list(range(3))\n")
     assert _hand_written_memos({"fincat": sample}) \
         == ["fincat:3", "fincat:6", "fincat:12", "fincat:14", "fincat:17"]
+
+
+# the only places that call the FinCategory constructor: the law check for
+# outside input, the opposite, and the builder of derived categories
+CATEGORY_CONSTRUCTORS = {"fincat.validate_category", "fincat.FinCategory.opposite",
+                         "fincat.derived_category"}
+
+
+def _direct_category_calls(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.scope:line` of each `FinCategory(...)` call outside the
+    functions of `CATEGORY_CONSTRUCTORS`, where the scope is the dotted
+    path of the enclosing classes and functions."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif (isinstance(child, ast.Call) and scope not in CATEGORY_CONSTRUCTORS
+                  and (getattr(child.func, "id", None) or getattr(child.func, "attr", None))
+                  == "FinCategory"):
+                found.append(f"{scope}:{child.lineno}")
+            visit(child, inner)
+
+    for module, tree in trees.items():
+        visit(tree, module)
+    return sorted(found)
+
+
+def test_categories_are_built_in_three_places():
+    """A derived category comes out of `derived_category`, outside input
+    goes through `validate_category`, and the opposite swaps a built
+    category's table; nothing else calls the constructor."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert _direct_category_calls(trees) == []
+
+
+def test_direct_category_calls_are_found():
+    sample = ast.parse(
+        "def validate_category(n):\n"
+        "    return FinCategory(n, (), (), (), {})\n"
+        "def derived_category(n):\n"
+        "    def table():\n"
+        "        return fincat.FinCategory(n, (), (), (), {})\n"
+        "    return table()\n"
+        "class FinCategory:\n"
+        "    def opposite(self):\n"
+        "        return FinCategory(1, (0,), (0,), (0,), {(0, 0): 0})\n"
+        "    def twin(self):\n"
+        "        return FinCategory(1, (0,), (0,), (0,), {(0, 0): 0})\n"
+        "def poset_category(n):\n"
+        "    return [FinCategory(n, (), (), (), {})]\n")
+    assert _direct_category_calls({"fincat": sample}) \
+        == ["fincat.FinCategory.twin:11", "fincat.derived_category.table:5",
+            "fincat.poset_category:13"]
+    assert _direct_category_calls({"presheaf": sample}) == [
+        "presheaf.FinCategory.opposite:9", "presheaf.FinCategory.twin:11",
+        "presheaf.derived_category.table:5", "presheaf.poset_category:13",
+        "presheaf.validate_category:2"]

@@ -26,21 +26,24 @@ def test_cold_cli_matches_golden_once_per_command(tmp_path):
     source, exits with the recorded code and prints the recorded output.
     The in-process transcript runs every entry in one interpreter, so only
     this run sees a command that needs a module an earlier entry loaded,
-    or validation that lives in an `assert`."""
+    or validation that lives in an `assert`.  Each interpreter runs under
+    its own fixed `PYTHONHASHSEED`, so interpreters whose string hashes
+    differ must print the same output."""
     first: dict[tuple[str, ...], dict] = {}
     for e in json.loads(TRANSCRIPT.read_text()):
         argv = e["argv"]
         first.setdefault(tuple(argv[:1 + (argv[0] in SUBCOMMANDS)]), e)
     texts = {name: text for name, (text, _, _) in corpus().items()}
     mismatches = []
-    for e in first.values():
+    for seed, e in enumerate(first.values(), 1):
         path = tmp_path / f"{e['document']}.site"
         path.write_text(texts[e["document"]])
         out = sitecalc_cli(path, *e["argv"], "--format", "machine", "--witness",
-                           env={"PYTHONDONTWRITEBYTECODE": "1"}, python_flags=["-O"])
+                           env={"PYTHONDONTWRITEBYTECODE": "1", "PYTHONHASHSEED": str(seed)},
+                           python_flags=["-O"])
         output = SECONDS.sub('"seconds": 0', out.stdout) + out.stderr
         if entry(e["document"], e["argv"], out.returncode, output) != e:
             mismatches.append(f"{e['document']}: {' '.join(e['argv'])} exits "
-                              f"{out.returncode}\n{output}")
+                              f"{out.returncode} at PYTHONHASHSEED={seed}\n{output}")
     assert {command[0] for command in first} == set(cli._COMMANDS)
     assert not mismatches, "\n\n".join(mismatches)
