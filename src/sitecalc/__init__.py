@@ -19,7 +19,7 @@ _EXPORTS = {name: module for module, names in {
     "topology": ("GrothendieckTopology", "TopologyError", "atomic_topology",
                  "trivial_topology", "validate_topology"),
     "presheaf": ("FinPresheaf", "PresheafMorphism", "canonical_topology", "is_sheaf",
-                 "sheafify", "yoneda"),
+                 "sheafify", "validate_presheaf", "validate_presheaf_morphism", "yoneda"),
     "morphisms": ("MorphismClassification", "SiteFunctor", "Verdict", "classify_comorphism",
                   "classify_morphism", "is_comorphism_of_sites", "is_continuous",
                   "is_dense_morphism", "is_morphism_of_sites", "is_weakly_dense"),

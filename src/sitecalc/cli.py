@@ -356,7 +356,7 @@ def _finish_presheaf(doc: SiteDocument, section, body):
         else:
             raise SiteParseError(lineno, f"presheaf {name!r} is missing 'map' for arrow {decl.arrow_names[f]}")
     try:
-        P = ps.FinPresheaf(cat, tuple(sizes), tuple(restrict))
+        P = ps.validate_presheaf(cat, sizes, restrict)
     except ValueError as exc:
         raise SiteParseError(lineno, f"invalid presheaf {name!r}: {exc}") from None
     doc.presheaves[name] = PresheafDecl(name, on, P)

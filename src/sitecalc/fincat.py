@@ -141,15 +141,6 @@ class FinCategory:
             masks.append(mask)
         return tuple(masks)
 
-    @cached_property
-    def composites_by_codomain(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """Per object b, the entries (g, f, g∘f) of `comp` with cod(g) = b,
-        in `comp` order."""
-        groups: list[list[tuple[int, int, int]]] = [[] for _ in self.objects]
-        for (g, f), h in self.comp.items():
-            groups[self.cod[g]].append((g, f, h))
-        return tuple(tuple(p) for p in groups)
-
     def opposite(self) -> "FinCategory":
         return FinCategory(
             n_objects=self.n_objects,

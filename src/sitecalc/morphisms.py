@@ -462,8 +462,7 @@ def cocone_sheaf_colimit_oracle(D: FinFunctor, vertex: int, legs,
         for e in C.objects:
             for u_idx, u in enumerate(C.hom(e, D.on_obj(a))):
                 comps[e][colim_legs[a][e][u_idx]] = position[C.compose(legs[a], u)]
-    comparison = ps.PresheafMorphism(colim, ps.yoneda(C, vertex),
-                                     tuple(tuple(row) for row in comps))
+    comparison = ps.validate_presheaf_morphism(colim, ps.yoneda(C, vertex), comps)
     return ps.is_bicovering(comparison, J)
 
 

@@ -39,48 +39,48 @@ from .topology import GrothendieckTopology, closure_mask, induced_topology, topo
 
 @dataclass(frozen=True)
 class FinPresheaf:
+    """P(c) = {0, ..., sizes[c] - 1}, restrictions as arrays.  Plain data,
+    as `FinCategory` is: outside input goes through `validate_presheaf`."""
     cat: FinCategory
     sizes: tuple[int, ...]
     restrict: tuple[tuple[int, ...], ...]  # per arrow f: P(cod f) -> P(dom f)
-
-    def __post_init__(self):
-        cat = self.cat
-        if len(self.sizes) != cat.n_objects:
-            raise ValueError(f"{len(self.sizes)} set sizes for {cat.n_objects} objects")
-        if len(self.restrict) != cat.n_arrows:
-            raise ValueError(f"{len(self.restrict)} restriction maps for {cat.n_arrows} arrows")
-        for f in cat.arrows:
-            a, b = cat.dom[f], cat.cod[f]
-            if len(self.restrict[f]) != self.sizes[b]:
-                raise ValueError(
-                    f"restriction along arrow {f} has {len(self.restrict[f])} entries, "
-                    f"expected {self.sizes[b]}, the size at its codomain {b}")
-            r = self.restrict[f]
-            if r and not (0 <= min(r) and max(r) < self.sizes[a]):
-                raise ValueError(
-                    f"restriction along arrow {f} leaves the {self.sizes[a]} elements "
-                    f"at its domain {a}")
-        for c in cat.objects:
-            i = cat.identity[c]
-            if self.restrict[i] != tuple(range(self.sizes[c])):
-                raise ValueError(f"restriction along id_{c} is not the identity")
-        # P(g∘f) = P(f)∘P(g), compared as whole tuples.  The pairs are
-        # grouped by cod(g), and a group whose set is empty has nothing to
-        # compare; a failure is named by rescanning in `comp` order.
-        restrict = self.restrict
-        if any(size and any(tuple(map(restrict[f].__getitem__, restrict[g])) != restrict[h]
-                            for g, f, h in pairs)
-               for size, pairs in zip(self.sizes, cat.composites_by_codomain)):
-            for (g, f), h in cat.comp.items():
-                rg = restrict[g]
-                if rg and tuple(map(restrict[f].__getitem__, rg)) != restrict[h]:
-                    raise ValueError(f"contravariant functoriality fails at pair ({g}, {f})")
 
     def size(self, c: int) -> int:
         return self.sizes[c]
 
     def res(self, f: int, x: int) -> int:
         return self.restrict[f][x]
+
+
+def validate_presheaf(cat: FinCategory, sizes: Sequence[int],
+                      restrict: Sequence[Sequence[int]]) -> FinPresheaf:
+    """Check the shape, the range of every restriction, the identities and
+    functoriality; return the presheaf or raise ValueError at the first."""
+    sizes, restrict = tuple(sizes), tuple(map(tuple, restrict))
+    if len(sizes) != cat.n_objects:
+        raise ValueError(f"{len(sizes)} set sizes for {cat.n_objects} objects")
+    if len(restrict) != cat.n_arrows:
+        raise ValueError(f"{len(restrict)} restriction maps for {cat.n_arrows} arrows")
+    for f in cat.arrows:
+        a, b = cat.dom[f], cat.cod[f]
+        r = restrict[f]
+        if len(r) != sizes[b]:
+            raise ValueError(
+                f"restriction along arrow {f} has {len(r)} entries, "
+                f"expected {sizes[b]}, the size at its codomain {b}")
+        if r and not (0 <= min(r) and max(r) < sizes[a]):
+            raise ValueError(
+                f"restriction along arrow {f} leaves the {sizes[a]} elements "
+                f"at its domain {a}")
+    for c in cat.objects:
+        if restrict[cat.identity[c]] != tuple(range(sizes[c])):
+            raise ValueError(f"restriction along id_{c} is not the identity")
+    # P(g∘f) = P(f)∘P(g) as whole tuples; an empty P(cod g) has nothing to compare
+    for (g, f), h in cat.comp.items():
+        rg = restrict[g]
+        if rg and tuple(map(restrict[f].__getitem__, rg)) != restrict[h]:
+            raise ValueError(f"contravariant functoriality fails at pair ({g}, {f})")
+    return FinPresheaf(cat, sizes, restrict)
 
 
 def constant_presheaf(cat: FinCategory, n: int) -> FinPresheaf:
@@ -90,7 +90,7 @@ def constant_presheaf(cat: FinCategory, n: int) -> FinPresheaf:
 
 def yoneda(cat: FinCategory, c: int) -> FinPresheaf:
     """y(c): e -> Hom(e, c), elements indexed by position in hom(e, c).
-    Built and validated once per category instance and object."""
+    Built once per category instance and object."""
     def build() -> FinPresheaf:
         position = cat.hom_position
         sizes = tuple(len(cat.hom(e, c)) for e in cat.objects)
@@ -102,25 +102,10 @@ def yoneda(cat: FinCategory, c: int) -> FinPresheaf:
 
 @dataclass(frozen=True)
 class PresheafMorphism:
+    """Plain data; outside input goes through `validate_presheaf_morphism`."""
     source: FinPresheaf
     target: FinPresheaf
     components: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        cat = self.source.cat
-        if len(self.components) != cat.n_objects:
-            raise ValueError(f"{len(self.components)} components for {cat.n_objects} objects")
-        for c in cat.objects:
-            if len(self.components[c]) != self.source.sizes[c]:
-                raise ValueError(
-                    f"component at object {c} has {len(self.components[c])} entries, "
-                    f"expected {self.source.sizes[c]}")
-        for f in cat.arrows:
-            a, b = cat.dom[f], cat.cod[f]
-            for x in range(self.source.sizes[b]):
-                if self.target.res(f, self.components[b][x]) != \
-                        self.components[a][self.source.res(f, x)]:
-                    raise ValueError(f"naturality fails at arrow {f}, element {x}")
 
     def at(self, c: int, x: int) -> int:
         return self.components[c][x]
@@ -134,6 +119,27 @@ class PresheafMorphism:
     def is_bijective(self) -> bool:
         return all(len(set(comp)) == self.target.sizes[c] == len(comp)
                    for c, comp in enumerate(self.components))
+
+
+def validate_presheaf_morphism(source: FinPresheaf, target: FinPresheaf,
+                               components: Sequence[Sequence[int]]) -> PresheafMorphism:
+    """Check each component's size and naturality; return the morphism or
+    raise ValueError at the first failure."""
+    cat = source.cat
+    components = tuple(map(tuple, components))
+    if len(components) != cat.n_objects:
+        raise ValueError(f"{len(components)} components for {cat.n_objects} objects")
+    for c in cat.objects:
+        if len(components[c]) != source.sizes[c]:
+            raise ValueError(
+                f"component at object {c} has {len(components[c])} entries, "
+                f"expected {source.sizes[c]}")
+    for f in cat.arrows:
+        a, b = cat.dom[f], cat.cod[f]
+        for x in range(source.sizes[b]):
+            if target.res(f, components[b][x]) != components[a][source.res(f, x)]:
+                raise ValueError(f"naturality fails at arrow {f}, element {x}")
+    return PresheafMorphism(source, target, components)
 
 
 def identity_morphism(P: FinPresheaf) -> PresheafMorphism:
@@ -150,16 +156,9 @@ def yoneda_arrow(cat: FinCategory, g: int) -> PresheafMorphism:
 
 @dataclass(frozen=True)
 class SubPresheaf:
+    """Members of `ambient` per object, closed under restriction by construction."""
     ambient: FinPresheaf
     members: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        cat = self.ambient.cat
-        for f in cat.arrows:
-            a, b = cat.dom[f], cat.cod[f]
-            for x in self.members[b]:
-                if self.ambient.res(f, x) not in self.members[a]:
-                    raise ValueError(f"not closed under restriction along arrow {f}")
 
     def as_presheaf(self) -> tuple[FinPresheaf, tuple[tuple[int, ...], ...]]:
         """Carrier presheaf plus the per-object element lists."""
@@ -668,7 +667,8 @@ def sheaf_comparison(P: FinPresheaf, J: GrothendieckTopology,
                     f"sheaf comparison not uniquely defined at object {c}, element {e}: {found}")
             comp.append(found[0])
         components.append(tuple(comp))
-    return PresheafMorphism(E1, E2, tuple(components))
+    # checked: its naturality is part of what the comparison asserts
+    return validate_presheaf_morphism(E1, E2, components)
 
 
 # ---------------------------------------------------------------------------

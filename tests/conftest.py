@@ -18,7 +18,13 @@ from sitecalc.fincat import (
     terminal_category,
     validate_category,
 )
-from sitecalc.presheaf import FinPresheaf, category_of_elements, yoneda
+from sitecalc.presheaf import (
+    FinPresheaf,
+    SubPresheaf,
+    category_of_elements,
+    validate_presheaf,
+    yoneda,
+)
 from sitecalc.sieves import generate_mask, mask_of
 from sitecalc.topology import GrothendieckTopology, generate_topology
 
@@ -244,7 +250,7 @@ def random_presheaf(rng: random.Random, cat: FinCategory, max_size: int = 3) -> 
         for i, p in enumerate(summands):
             row.extend(offsets[a][i] + p.res(f, x) for x in range(p.sizes[b]))
         restrict.append(tuple(row))
-    P = FinPresheaf(cat, tuple(sizes), tuple(restrict))
+    P = validate_presheaf(cat, tuple(sizes), tuple(restrict))
 
     if rng.random() < 0.5 and any(s > 1 for s in P.sizes):
         # quotient by a congruence generated by one random identification
@@ -291,12 +297,21 @@ def random_presheaf(rng: random.Random, cat: FinCategory, max_size: int = 3) -> 
             for i in range(P.sizes[b]):
                 row[labels[b][i]] = labels[a][P.res(f, i)]
             new_restrict.append(tuple(row))
-        P = FinPresheaf(cat, tuple(new_sizes), tuple(new_restrict))
+        P = validate_presheaf(cat, tuple(new_sizes), tuple(new_restrict))
 
     if max(P.sizes, default=0) > max_size:
         # too big: fall back to a representable
         P = yoneda(cat, rng.randrange(cat.n_objects))
     return P
+
+
+def is_restriction_closed(A: SubPresheaf) -> bool:
+    """The members of A are closed under the restrictions of its ambient
+    presheaf, the law that a `SubPresheaf` holds by construction."""
+    P = A.ambient
+    cat = P.cat
+    return all(P.res(f, x) in A.members[cat.dom[f]]
+               for f in cat.arrows for x in A.members[cat.cod[f]])
 
 
 def all_functors(A: FinCategory, B: FinCategory, limit: int = 4000):

@@ -41,6 +41,8 @@ from sitecalc.presheaf import (
     is_bicovering,
     sheafify,
     sheafify_morphism,
+    validate_presheaf,
+    validate_presheaf_morphism,
     yoneda,
 )
 from sitecalc.sieves import all_sieve_masks, bits, mask_of, maximal_sieve_mask, pullback_mask
@@ -61,7 +63,7 @@ def product_presheaf(P: FinPresheaf, Q: FinPresheaf) -> FinPresheaf:
             for y in range(Q.sizes[b]):
                 row.append(P.res(f, x) * Q.sizes[a] + Q.res(f, y))
         restrict.append(tuple(row))
-    return FinPresheaf(cat, sizes, tuple(restrict))
+    return validate_presheaf(cat, sizes, tuple(restrict))
 
 
 def pair_elem(Q: FinPresheaf, c: int, x: int, y: int) -> int:
@@ -184,7 +186,7 @@ def relation_presheaf(R: FunctionalRelation) -> tuple[FinPresheaf, tuple[tuple[t
         a, b = cat.dom[f], cat.cod[f]
         restrict.append(tuple(
             index[a][(P.res(f, x), Q.res(f, y))] for (x, y) in elems[b]))
-    return FinPresheaf(cat, tuple(len(e) for e in elems), tuple(restrict)), elems
+    return validate_presheaf(cat, tuple(len(e) for e in elems), tuple(restrict)), elems
 
 
 def split_product_element(shP: SheafificationResult, shQ: SheafificationResult,
@@ -208,7 +210,7 @@ def relation_to_arrow(J: GrothendieckTopology, R: FunctionalRelation,
     shPQ = sheafify(PQ, J)
     carrier, elems = relation_presheaf(R)
     shR = sheafify(carrier, J)
-    incl = PresheafMorphism(carrier, PQ, tuple(
+    incl = validate_presheaf_morphism(carrier, PQ, tuple(
         tuple(pair_elem(Q, c, x, y) for (x, y) in elems[c]) for c in cat.objects))
     a_incl = sheafify_morphism(incl, shR, shPQ)
 
@@ -224,7 +226,7 @@ def relation_to_arrow(J: GrothendieckTopology, R: FunctionalRelation,
         if len(graph[c]) != shP.sheaf.sizes[c]:
             raise ValueError(f"relation is not total as a sheaf graph at object {c}")
         components.append(tuple(graph[c][u] for u in range(shP.sheaf.sizes[c])))
-    return PresheafMorphism(shP.sheaf, shQ.sheaf, tuple(components))
+    return validate_presheaf_morphism(shP.sheaf, shQ.sheaf, tuple(components))
 
 
 def relation_is_mono(R: FunctionalRelation, J: GrothendieckTopology) -> bool:
@@ -329,7 +331,7 @@ def reference_yoneda_arrow(cat: FinCategory, g: int) -> PresheafMorphism:
     for e in cat.objects:
         hom2 = cat.hom(e, d2)
         comps.append(tuple(hom2.index(cat.compose(g, u)) for u in cat.hom(e, d1)))
-    return PresheafMorphism(yoneda(cat, d1), yoneda(cat, d2), tuple(comps))
+    return validate_presheaf_morphism(yoneda(cat, d1), yoneda(cat, d2), tuple(comps))
 
 
 def reference_hom_presheaf(F: FinFunctor, c: int) -> FinPresheaf:
@@ -344,7 +346,7 @@ def reference_hom_presheaf(F: FinFunctor, c: int) -> FinPresheaf:
         hom_a = C.hom(F.on_obj(a), c)
         restrict.append(tuple(hom_a.index(C.compose(x, F.on_arr(g)))
                               for x in hom_b))
-    return FinPresheaf(D, sizes, tuple(restrict))
+    return validate_presheaf(D, sizes, tuple(restrict))
 
 
 def reference_continuity_oracle(sf: SiteFunctor) -> bool:
@@ -365,7 +367,7 @@ def reference_continuity_oracle(sf: SiteFunctor) -> bool:
                     comps.append(tuple(
                         _hom_index(D, F.on_obj(C.dom[members[j]]), D.compose(F.on_arr(t), u))
                         for u in D.hom(e, F.on_obj(C.dom[members[i]]))))
-                arrows.append(PresheafMorphism(diagram[i], diagram[j], tuple(comps)))
+                arrows.append(validate_presheaf_morphism(diagram[i], diagram[j], tuple(comps)))
             colim, legs = colimit_presheaf(D, shape, diagram, arrows)
             target = yoneda(D, F.on_obj(c))
             comps = [[0] * colim.sizes[e] for e in D.objects]
@@ -374,7 +376,7 @@ def reference_continuity_oracle(sf: SiteFunctor) -> bool:
                     for u_idx, u in enumerate(D.hom(e, F.on_obj(C.dom[f]))):
                         comps[e][legs[i][e][u_idx]] = _hom_index(
                             D, F.on_obj(c), D.compose(F.on_arr(f), u))
-            comparison = PresheafMorphism(colim, target, tuple(tuple(row) for row in comps))
+            comparison = validate_presheaf_morphism(colim, target, comps)
             if not is_bicovering(comparison, K):
                 return False
     return True

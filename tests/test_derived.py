@@ -5,7 +5,13 @@ posets, categories of elements and sieve-diagram shapes) satisfies the
 category laws, and equals what the constructor built before it shared the
 builder.  The laws are checked here rather than at construction: the
 builder derives them from a lawful category, and a run-time check would
-cost every caller a pass over all composable triples."""
+cost every caller a pass over all composable triples.
+
+Derived presheaves likewise: every presheaf, presheaf morphism and
+subpresheaf that a construction builds from lawful data (representables,
+sheafifications on both paths with their units, colimits with their legs,
+C^s_J's sheaf arrows, χ_d and the rest) passes `validate_presheaf`,
+`validate_presheaf_morphism` or the closure test."""
 
 import pytest
 
@@ -20,11 +26,47 @@ from sitecalc.fincat import (
     terminal_category,
     validate_category,
 )
-from sitecalc.morphisms import _diagram_shape, sieve_diagram
-from sitecalc.presheaf import category_of_elements, constant_presheaf
-from sitecalc.sieves import all_sieve_masks
+from sitecalc.morphisms import (
+    SiteFunctor,
+    _chi_morphism,
+    _diagram_shape,
+    _hom_presheaf,
+    sieve_diagram,
+)
+from sitecalc.presheaf import (
+    FinPresheaf,
+    PresheafMorphism,
+    SubPresheaf,
+    build_CJs,
+    category_of_elements,
+    closure_cJ,
+    colimit_of_representables,
+    colimit_presheaf,
+    constant_presheaf,
+    enumerate_presheaf_morphisms,
+    identity_morphism,
+    plus_construction,
+    sheafify,
+    sheafify_morphism,
+    sheafify_plus_plus,
+    sieve_subpresheaf,
+    subpresheaves,
+    validate_presheaf,
+    validate_presheaf_morphism,
+    yoneda,
+    yoneda_arrow,
+)
+from sitecalc.sieves import all_sieve_masks, maximal_sieve_mask
 
-from conftest import all_functors, make_two, random_category, random_fibration, random_presheaf
+from conftest import (
+    all_functors,
+    is_restriction_closed,
+    make_two,
+    random_category,
+    random_fibration,
+    random_presheaf,
+    random_topology,
+)
 from oracles import (
     reference_category_of_elements,
     reference_comma,
@@ -159,3 +201,102 @@ def test_builder_guards_arrows_before_composing():
     built, whichever constructor passes them."""
     with pytest.raises(SizeGuardError, match="65537 arrows exceeds the limit 65536"):
         category_of_elements(constant_presheaf(terminal_category(), 2**16 + 1))
+
+
+def _colimit_legs(colim, legs, diagram):
+    """The legs of a colimit, per shape object, as morphisms into it; the
+    colimit gives them as components, so they are validated here."""
+    return [validate_presheaf_morphism(P, colim, leg) for P, leg in zip(diagram, legs)]
+
+
+def _presheaf_corpus(rng):
+    """(label, value) per presheaf, presheaf morphism and subpresheaf that a
+    construction of sitecalc builds on conftest sites and presheaves."""
+    for _ in range(80):
+        cat = random_category(rng)
+        J = random_topology(rng, cat)
+        P, Q = random_presheaf(rng, cat), random_presheaf(rng, cat, max_size=2)
+        yield "constant", constant_presheaf(cat, rng.randrange(3))
+        yield "identity", identity_morphism(P)
+        for c in cat.objects:
+            yield "yoneda", yoneda(cat, c)
+            for s in all_sieve_masks(cat, c):
+                sub = sieve_subpresheaf(cat, c, s)
+                yield "sieve", sub
+                yield "closure", closure_cJ(sub, J)
+                yield "carrier", sub.as_presheaf()[0]
+        for g in cat.arrows:
+            yield "yoneda arrow", yoneda_arrow(cat, g)
+        shP, shQ = sheafify(P, J), sheafify(Q, J)
+        for sh in (shP, shQ):
+            yield "sheaf", sh.sheaf
+            yield "sheaf unit", sh.unit
+        plus, unit = plus_construction(P, J)
+        yield "plus", plus
+        yield "plus unit", unit
+        plusplus, unit = sheafify_plus_plus(P, J)  # the second unit through `then`
+        yield "plus-plus", plusplus
+        yield "plus-plus unit", unit
+        alphas = enumerate_presheaf_morphisms(P, Q)[:4]
+        for alpha in alphas:
+            yield "enumerated", alpha
+            yield "sheafified morphism", sheafify_morphism(alpha, shP, shQ)
+            yield "composite", identity_morphism(P).then(alpha).then(shQ.unit)
+        for A in subpresheaves(Q)[:6]:
+            yield "subpresheaf", A
+            yield "closure", closure_cJ(A, J)
+            yield "carrier", A.as_presheaf()[0]
+        el = category_of_elements(P)
+        colim, legs = colimit_of_representables(el.projection)
+        yield "colimit", colim
+        for leg in _colimit_legs(colim, legs, [yoneda(cat, c) for c, _ in el.objects]):
+            yield "colimit leg", leg
+        members, edges = sieve_diagram(cat, maximal_sieve_mask(cat, 0))
+        shape = _diagram_shape(len(members), edges, cat, members)
+        diagram = [yoneda(cat, cat.dom[f]) for f in members]
+        arrows = [yoneda_arrow(cat, t) for _, _, t in edges]
+        colim, legs = colimit_presheaf(cat, shape, diagram, arrows)
+        yield "colimit", colim
+        for leg in _colimit_legs(colim, legs, diagram):
+            yield "colimit leg", leg
+        cjs = build_CJs(cat, J)
+        for sh in cjs.sheaves:
+            yield "C^s_J sheaf", sh.sheaf
+            yield "C^s_J unit", sh.unit
+        for arrow in cjs.sheaf_arrows:
+            yield "C^s_J sheaf arrow", arrow
+    for _ in range(60):
+        A, B = random_category(rng), random_category(rng)
+        functors = all_functors(A, B)
+        if not functors:
+            continue
+        sf = SiteFunctor(rng.choice(functors), random_topology(rng, A), random_topology(rng, B))
+        for c in B.objects:
+            yield "Hom(F(-), c)", _hom_presheaf(sf.F, c)
+        for d in A.objects:
+            sh_yd, sh_P, chi = _chi_morphism(sf, d)
+            yield "chi_d", chi
+            yield "sheaf", sh_P.sheaf
+            yield "sheaf unit", sh_P.unit
+
+
+def test_derived_presheaves_are_lawful(rng):
+    """The validators give back each derived presheaf and presheaf morphism
+    unchanged, with its source and target, and each derived subpresheaf is
+    closed under restriction."""
+    labels = set()
+    for label, value in _presheaf_corpus(rng):
+        if isinstance(value, SubPresheaf):
+            assert is_restriction_closed(value), label
+            value = value.ambient
+        if isinstance(value, PresheafMorphism):
+            assert validate_presheaf_morphism(value.source, value.target,
+                                              value.components) == value, label
+            presheaves = (value.source, value.target)
+        else:
+            presheaves = (value,)
+        for P in presheaves:
+            assert isinstance(P, FinPresheaf)
+            assert validate_presheaf(P.cat, P.sizes, P.restrict) == P, label
+        labels.add(label)
+    assert len(labels) == 24

@@ -57,7 +57,6 @@ from sitecalc.morphisms import (
     surjection_inclusion_factorization,
 )
 from sitecalc.presheaf import (
-    PresheafMorphism,
     _locally_matching_families,
     canonical_topology,
     category_of_elements,
@@ -66,6 +65,7 @@ from sitecalc.presheaf import (
     is_sheaf,
     sheafify,
     subpresheaves,
+    validate_presheaf_morphism,
     yoneda,
 )
 from sitecalc.sieves import all_sieve_masks, bits, generate_mask, mask_of, maximal_sieve_mask
@@ -1538,7 +1538,7 @@ def _reference_comorphism_localic(sf):
             if not is_sheaf(carrier, J)[0]:
                 continue
             index = [{x: i for i, x in enumerate(elems[e])} for e in D.objects]
-            chi_bar = PresheafMorphism(sh_yd1.sheaf, carrier, tuple(
+            chi_bar = validate_presheaf_morphism(sh_yd1.sheaf, carrier, tuple(
                 tuple(index[e][chi.at(e, x)] for x in range(sh_yd1.sheaf.sizes[e]))
                 for e in D.objects))
             for xi in enumerate_presheaf_morphisms(carrier, sh_yd.sheaf):

@@ -225,10 +225,11 @@ CATEGORY_CONSTRUCTORS = {"fincat.validate_category", "fincat.FinCategory.opposit
                          "fincat.derived_category"}
 
 
-def _direct_category_calls(trees: dict[str, ast.Module]) -> list[str]:
-    """`module.scope:line` of each `FinCategory(...)` call outside the
-    functions of `CATEGORY_CONSTRUCTORS`, where the scope is the dotted
-    path of the enclosing classes and functions."""
+def _direct_calls(trees: dict[str, ast.Module], name: str,
+                  allowed: frozenset[str] | set[str] = frozenset()) -> list[str]:
+    """`module.scope:line` of each `name(...)` call outside the scopes in
+    `allowed`, where a scope is the dotted path of the enclosing classes
+    and functions."""
     found = []
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -236,9 +237,9 @@ def _direct_category_calls(trees: dict[str, ast.Module]) -> list[str]:
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}"
-            elif (isinstance(child, ast.Call) and scope not in CATEGORY_CONSTRUCTORS
+            elif (isinstance(child, ast.Call) and scope not in allowed
                   and (getattr(child.func, "id", None) or getattr(child.func, "attr", None))
-                  == "FinCategory"):
+                  == name):
                 found.append(f"{scope}:{child.lineno}")
             visit(child, inner)
 
@@ -253,7 +254,7 @@ def test_categories_are_built_in_three_places():
     category's table; nothing else calls the constructor."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
-    assert _direct_category_calls(trees) == []
+    assert _direct_calls(trees, "FinCategory", CATEGORY_CONSTRUCTORS) == []
 
 
 def test_direct_category_calls_are_found():
@@ -271,10 +272,44 @@ def test_direct_category_calls_are_found():
         "        return FinCategory(1, (0,), (0,), (0,), {(0, 0): 0})\n"
         "def poset_category(n):\n"
         "    return [FinCategory(n, (), (), (), {})]\n")
-    assert _direct_category_calls({"fincat": sample}) \
+    assert _direct_calls({"fincat": sample}, "FinCategory", CATEGORY_CONSTRUCTORS) \
         == ["fincat.FinCategory.twin:11", "fincat.derived_category.table:5",
             "fincat.poset_category:13"]
-    assert _direct_category_calls({"presheaf": sample}) == [
+    assert _direct_calls({"presheaf": sample}, "FinCategory", CATEGORY_CONSTRUCTORS) == [
         "presheaf.FinCategory.opposite:9", "presheaf.FinCategory.twin:11",
         "presheaf.derived_category.table:5", "presheaf.poset_category:13",
         "presheaf.validate_category:2"]
+
+
+# the presheaf dataclasses hold plain data; outside input reaches them only
+# through `validate_presheaf` and `validate_presheaf_morphism`
+PRESHEAF_CLASSES = ("FinPresheaf", "PresheafMorphism", "SubPresheaf")
+TESTS = pathlib.Path(__file__).parent
+
+
+def _direct_presheaf_calls(trees: dict[str, ast.Module]) -> list[str]:
+    return [call for name in PRESHEAF_CLASSES for call in _direct_calls(trees, name)]
+
+
+def test_outside_presheaf_data_is_validated():
+    """The parser and the tests, which build presheaves, morphisms and
+    subpresheaves from their own data, call none of the three constructors;
+    the constructions in src/ are lawful by construction and call them."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in [SRC / "cli.py", *sorted(TESTS.glob("*.py"))]}
+    assert _direct_presheaf_calls(trees) == []
+
+
+def test_direct_presheaf_calls_are_found():
+    sample = ast.parse(
+        "def parse(cat):\n"
+        "    return ps.FinPresheaf(cat, (), ())\n"
+        "def arrow(P):\n"
+        "    return [PresheafMorphism(P, P, ())]\n"
+        "class Case:\n"
+        "    def full(self, P):\n"
+        "        return SubPresheaf(P, ())\n"
+        "def checked(cat, P):\n"
+        "    return validate_presheaf(cat, (), ()), validate_presheaf_morphism(P, P, ())\n")
+    assert _direct_presheaf_calls({"cli": sample}) == ["cli.parse:2", "cli.arrow:4",
+                                                       "cli.Case.full:7"]

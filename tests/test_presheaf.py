@@ -15,9 +15,6 @@ from sitecalc.fincat import (
 )
 from sitecalc.cli import parse
 from sitecalc.presheaf import (
-    FinPresheaf,
-    PresheafMorphism,
-    SubPresheaf,
     _locally_matching_families,
     build_CJ,
     build_CJs,
@@ -41,6 +38,8 @@ from sitecalc.presheaf import (
     sieve_subpresheaf,
     strict_matching_families,
     subpresheaves,
+    validate_presheaf,
+    validate_presheaf_morphism,
     yoneda,
 )
 from sitecalc.sieves import all_sieve_masks, bits, mask_of, maximal_sieve_mask, pullback_mask
@@ -53,6 +52,7 @@ from sitecalc.topology import (
 from conftest import (
     count_computes,
     idempotent_monoid_category,
+    is_restriction_closed,
     make_two,
     random_category,
     random_presheaf,
@@ -104,7 +104,10 @@ def test_constant_presheaf_on_disconnected_cover_site():
 def test_closure_cJ(two, rng):
     J = atomic_topology(two)
     E = yoneda(two, 1)
-    full = SubPresheaf(E, tuple(frozenset(range(E.sizes[c])) for c in two.objects))
+    full = sieve_subpresheaf(two, 1, maximal_sieve_mask(two, 1))
+    assert full.ambient == E
+    assert full.members == tuple(frozenset(range(E.sizes[c])) for c in two.objects)
+    assert is_restriction_closed(full)
     assert closure_cJ(full, J).members == full.members
     for _ in range(15):
         cat = random_category(rng)
@@ -133,7 +136,7 @@ def test_covering_sieve_inclusion_is_bicovering(rng):
             sub = sieve_subpresheaf(cat, c, s)
             carrier, elems = sub.as_presheaf()
             Y = yoneda(cat, c)
-            incl = PresheafMorphism(carrier, Y, tuple(
+            incl = validate_presheaf_morphism(carrier, Y, tuple(
                 tuple(elems[e]) for e in cat.objects))
             assert is_bicovering(incl, J)
 
@@ -337,7 +340,7 @@ def test_covering_sieve_inclusion_relation_is_epi(rng):
             sub = sieve_subpresheaf(cat, c, s)
             carrier, elems = sub.as_presheaf()
             Y = yoneda(cat, c)
-            incl = PresheafMorphism(carrier, Y, tuple(tuple(e) for e in elems))
+            incl = validate_presheaf_morphism(carrier, Y, tuple(tuple(e) for e in elems))
             R = graph_relation(incl, J)
             assert relation_is_epi(R, J)
 
@@ -467,7 +470,7 @@ def test_density_colimit_over_elements(rng):
             for e in cat.objects:
                 for u_idx, u in enumerate(cat.hom(e, c)):
                     comps[e][legs[i][e][u_idx]] = P.res(u, x)
-        comparison = PresheafMorphism(colim, P, tuple(tuple(r) for r in comps))
+        comparison = validate_presheaf_morphism(colim, P, tuple(tuple(r) for r in comps))
         assert comparison.is_bijective()
 
 
@@ -498,8 +501,7 @@ def test_closed_subpresheaf_subobject_count(rng):
             if closure_cJ(A, J).members != A.members:
                 continue
             carrier, elems = A.as_presheaf()
-            incl = PresheafMorphism(carrier, sh.sheaf,
-                                    tuple(tuple(e) for e in elems))
+            incl = validate_presheaf_morphism(carrier, sh.sheaf, elems)
             R = graph_relation(incl, J)
             assert relation_is_mono(R, J)
 
@@ -700,21 +702,25 @@ def test_yoneda_is_memoised_per_category_instance(monkeypatch, rng):
 
 def test_invalid_presheaf_and_morphism_raise_with_a_reason(two):
     with pytest.raises(ValueError, match="restriction along arrow 2 has 1 entries"):
-        FinPresheaf(two, (2, 2), ((0, 1), (0, 1), (0,)))
+        validate_presheaf(two, (2, 2), ((0, 1), (0, 1), (0,)))
     with pytest.raises(ValueError, match="restriction along arrow 2 leaves"):
-        FinPresheaf(two, (1, 1), ((0,), (0,), (1,)))
+        validate_presheaf(two, (1, 1), ((0,), (0,), (1,)))
     with pytest.raises(ValueError, match="set sizes"):
-        FinPresheaf(two, (1,), ((0,), (0,), (0,)))
+        validate_presheaf(two, (1,), ((0,), (0,), (0,)))
     with pytest.raises(ValueError, match="restriction maps"):
-        FinPresheaf(two, (1, 1), ((0,), (0,)))
+        validate_presheaf(two, (1, 1), ((0,), (0,)))
     Y = yoneda(two, 1)
     with pytest.raises(ValueError, match="component at object 0 has 0 entries"):
-        PresheafMorphism(Y, Y, ((), (0,)))
+        validate_presheaf_morphism(Y, Y, ((), (0,)))
+    C2 = constant_presheaf(two, 2)
+    with pytest.raises(ValueError, match="naturality fails at arrow 2, element 0"):
+        validate_presheaf_morphism(C2, C2, ((0, 1), (1, 0)))
+    assert validate_presheaf_morphism(C2, C2, [[1, 0], [1, 0]]).components == ((1, 0), (1, 0))
 
 
 def _reference_presheaf_violation(cat, sizes, restrict):
     """The message of the element-by-element validation, or None: the body
-    FinPresheaf ran before it compared whole restriction tuples."""
+    the presheaf validation ran before it compared whole restriction tuples."""
     if len(sizes) != cat.n_objects:
         return f"{len(sizes)} set sizes for {cat.n_objects} objects"
     if len(restrict) != cat.n_arrows:
@@ -757,7 +763,7 @@ def test_presheaf_validation_matches_reference_loop(rng):
                         restrict[f] = row[:x] + (v,) + row[x + 1:]
                         expected = _reference_presheaf_violation(cat, P.sizes, tuple(restrict))
                         try:
-                            FinPresheaf(cat, P.sizes, tuple(restrict))
+                            validate_presheaf(cat, P.sizes, tuple(restrict))
                             got = None
                         except ValueError as exc:
                             got = str(exc)
@@ -848,7 +854,7 @@ def _reference_sheaf_comparison(P, J, E1, eta1, E2, eta2):
                     f"sheaf comparison not uniquely defined at object {c}, element {e}: {found}")
             comp.append(found[0])
         components.append(tuple(comp))
-    return PresheafMorphism(E1, E2, tuple(components))
+    return validate_presheaf_morphism(E1, E2, tuple(components))
 
 
 def _reference_family_locally_surjective(J, morphisms, target):
@@ -925,7 +931,8 @@ def test_restriction_lookups_match_reference_scans(rng):
             assert got == _components_or_message(_reference_sheaf_comparison, P, J,
                                                  *presentations)
             raised += isinstance(got, str)
-        collapse = PresheafMorphism(P, constant_presheaf(cat, 1), tuple((0,) * n for n in P.sizes))
+        collapse = validate_presheaf_morphism(P, constant_presheaf(cat, 1),
+                                              [(0,) * n for n in P.sizes])
         for alpha in (sh.unit, eta, ident, collapse):
             verdict = is_bicovering(alpha, J)
             assert verdict == _reference_is_bicovering(alpha, J)
@@ -991,7 +998,7 @@ def test_strict_matching_families_match_reference_scan(rng):
     # arrow 1 is 0 -> 1 and sorts before id_1 = 2; P(1) swaps the two elements,
     # so the families over the maximal sieve on 1 do not come in element order
     two = poset_category(2, [(0, 1)])
-    swap = FinPresheaf(two, (2, 2), ((0, 1), (1, 0), (0, 1)))
+    swap = validate_presheaf(two, (2, 2), ((0, 1), (1, 0), (0, 1)))
     assert strict_matching_families(swap, 1, 0b110) == [(0, 1), (1, 0)]
     assert _reference_strict_matching_families(swap, 1, 0b110) == [{1: 0, 2: 1}, {1: 1, 2: 0}]
 
@@ -1045,7 +1052,7 @@ def _reference_plus_construction(P, J):
                 (g, fam[cat.comp[(f, g)]]) for g in bits(pb)))
             row[classes[b][i]] = classes[a][pair_index[a][(pb, restricted)]]
         restrict.append(tuple(row))
-    plus = FinPresheaf(cat, sizes, tuple(restrict))
+    plus = validate_presheaf(cat, sizes, tuple(restrict))
 
     unit_components = []
     for c in cat.objects:
@@ -1055,7 +1062,7 @@ def _reference_plus_construction(P, J):
             fam = tuple(sorted((f, P.res(f, x)) for f in bits(top)))
             comp.append(classes[c][pair_index[c][(top, fam)]])
         unit_components.append(tuple(comp))
-    return plus, PresheafMorphism(P, plus, tuple(unit_components))
+    return plus, validate_presheaf_morphism(P, plus, tuple(unit_components))
 
 
 def test_plus_construction_matches_reference_body(rng):
@@ -1090,10 +1097,10 @@ def test_plus_construction_pulls_each_cover_back_once_per_arrow(monkeypatch):
     cat = poset_category(k + 1, [(i, k) for i in range(k)])
     legs = mask_of(f for f in cat.arrows_into(k) if not cat.is_identity(f))
     J = generate_topology(cat, [(k, legs)])
-    P = FinPresheaf(cat, (2,) * k + (1,),
-                    tuple((0,) if cat.cod[f] == k and not cat.is_identity(f)
-                          else tuple(range(2 if cat.dom[f] < k else 1))
-                          for f in cat.arrows))
+    P = validate_presheaf(cat, (2,) * k + (1,),
+                          [(0,) if cat.cod[f] == k and not cat.is_identity(f)
+                           else tuple(range(2 if cat.dom[f] < k else 1))
+                           for f in cat.arrows])
     calls = []
 
     def counted(*args):
@@ -1164,8 +1171,8 @@ def test_locally_matching_families_match_reference_search(rng):
         # P emptied over the objects that object 0 maps to: a presheaf, as
         # those objects are closed under arrows out of them
         reach = {cat.cod[f] for f in cat.arrows_out_of(0)}
-        E = FinPresheaf(cat, tuple(0 if c in reach else P.sizes[c] for c in cat.objects),
-                        tuple(() if cat.cod[f] in reach else P.restrict[f] for f in cat.arrows))
+        E = validate_presheaf(cat, [0 if c in reach else P.sizes[c] for c in cat.objects],
+                              [() if cat.cod[f] in reach else P.restrict[f] for f in cat.arrows])
         for Q in (P, E):
             for c in cat.objects:
                 for s in all_sieve_masks(cat, c):
