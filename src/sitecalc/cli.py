@@ -205,10 +205,10 @@ def _finish_category(doc: SiteDocument, section, body):
             raise SiteParseError(arrow_lines[f], f"arrow {arrow_names[f]!r} has endpoints "
                                                  f"({a}, {b}) outside [0, {n_objects})")
 
-    comp: dict[tuple[int, int], int] = {}
+    composition: dict[tuple[int, int], int] = {}
     for f, (a, b) in enumerate(arrow_ends):
-        comp[(f, ids[a])] = f
-        comp[(ids[b], f)] = f
+        composition[(f, ids[a])] = f
+        composition[(ids[b], f)] = f
     for ln, entry in composes:
         try:
             left, result = entry.split("=")
@@ -218,11 +218,11 @@ def _finish_category(doc: SiteDocument, section, body):
             val = index[result]
         except (ValueError, KeyError):
             raise SiteParseError(ln, f"dangling or malformed composite {entry!r}") from None
-        if key in comp and comp[key] != val:
+        if key in composition and composition[key] != val:
             raise SiteParseError(ln, f"conflicting composite {entry!r}")
-        comp[key] = val
+        composition[key] = val
     try:
-        cat = validate_category(n_objects, arrow_ends, ids, comp)
+        cat = validate_category(n_objects, arrow_ends, ids, composition)
     except CategoryError as exc:
         raise SiteParseError(lineno, f"invalid category {name!r}: {exc}") from None
     if name in doc.categories:
@@ -374,11 +374,10 @@ def print_document(doc: SiteDocument) -> str:
             f"{decl.arrow_names[f]}: {cat.dom[f]} -> {cat.cod[f]}" for f in cat.arrows))
         out.append("  identities: " + ", ".join(
             decl.arrow_names[cat.identity[c]] for c in cat.objects))
-        entries = []
-        for (g, f), h in sorted(cat.comp.items()):
-            if cat.is_identity(g) or cat.is_identity(f):
-                continue
-            entries.append(f"{decl.arrow_names[g]} . {decl.arrow_names[f]} = {decl.arrow_names[h]}")
+        entries = [f"{decl.arrow_names[g]} . {decl.arrow_names[f]} = {decl.arrow_names[h]}"
+                   for g, row in enumerate(cat.composites)
+                   for f, h in zip(cat.arrows_into(cat.dom[g]), row)
+                   if not (cat.is_identity(g) or cat.is_identity(f))]
         if entries:
             out.append("  compose: " + ", ".join(entries))
         out.append("")

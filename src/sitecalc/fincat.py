@@ -1,8 +1,8 @@
 """Finite categories, functors, comma categories and fibration machinery.
 
 Objects and arrows are dense small integers.  A category stores its full
-composition table, so every downstream decision procedure is a finite loop
-of table lookups.  Everything is immutable after construction.
+composition table as one row per arrow g, the composites g∘f along
+`arrows_into(dom g)`.  Everything is immutable after construction.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class FinCategory:
     dom: tuple[int, ...]
     cod: tuple[int, ...]
     identity: tuple[int, ...]
-    comp: Mapping[tuple[int, int], int]  # (g, f) -> g∘f, keyed on composable pairs
+    composites: tuple[tuple[int, ...], ...]  # [g][i]: g∘f for the i-th f in arrows_into(dom g)
 
     @property
     def n_arrows(self) -> int:
@@ -66,10 +66,14 @@ class FinCategory:
 
     def compose(self, g: int, f: int) -> int:
         """g∘f, defined when cod(f) = dom(g)."""
-        try:
-            return self.comp[(g, f)]
-        except KeyError:
-            raise ValueError(f"arrows {g} and {f} are not composable") from None
+        if self.cod[f] != self.dom[g]:
+            raise ValueError(f"arrows {g} and {f} are not composable")
+        return self.composites[g][self.into_position[f]]
+
+    @property
+    def comp(self) -> dict[tuple[int, int], int]:  # rebuilt per read, for perfbench/spans.py
+        return {(g, f): h for g, row in enumerate(self.composites)
+                for f, h in zip(self._into[self.dom[g]], row)}
 
     def is_identity(self, f: int) -> bool:
         return self.identity[self.dom[f]] == f
@@ -87,6 +91,12 @@ class FinCategory:
         for f in self.arrows:
             buckets[self.dom[f]].append(f)
         return tuple(tuple(b) for b in buckets)
+
+    @cached_property
+    def into_position(self) -> tuple[int, ...]:
+        """Per arrow f, its index in arrows_into(cod f): its column in the rows."""
+        counters = [itertools.count() for _ in self.objects]
+        return tuple([next(counters[c]) for c in self.cod])
 
     def arrows_into(self, c: int) -> tuple[int, ...]:
         return self._into[c]
@@ -109,23 +119,15 @@ class FinCategory:
     def hom_position(self) -> tuple[int, ...]:
         """Per arrow f, its index in hom(dom f, cod f): the element of the
         representable y(cod f) at dom f that f is."""
-        position = [0] * self.n_arrows
-        for arrows in self._hom.values():
-            for i, f in enumerate(arrows):
-                position[f] = i
-        return tuple(position)
+        counters = {ends: itertools.count() for ends in self._hom}
+        return tuple([next(counters[ends]) for ends in zip(self.dom, self.cod)])
 
     @cached_property
     def isomorphisms(self) -> frozenset[int]:
-        isos = set()
-        for f in self.arrows:
-            a, b = self.dom[f], self.cod[f]
-            for g in self.hom(b, a):
-                if (self.comp[(g, f)] == self.identity[a]
-                        and self.comp[(f, g)] == self.identity[b]):
-                    isos.add(f)
-                    break
-        return frozenset(isos)
+        ids = self.identity
+        return frozenset(f for f in self.arrows if any(
+            self.compose(g, f) == ids[self.dom[f]] and self.compose(f, g) == ids[self.cod[f]]
+            for g in self.hom(self.cod[f], self.dom[f])))
 
     def is_iso(self, f: int) -> bool:
         return f in self.isomorphisms
@@ -134,10 +136,10 @@ class FinCategory:
     def principal_sieves(self) -> tuple[int, ...]:
         """Per arrow f, the bitmask of ⟨f⟩ = {f∘z | z composable}."""
         masks = []
-        for f in self.arrows:
-            mask = 1 << f
-            for z in self._into[self.dom[f]]:
-                mask |= 1 << self.comp[(f, z)]
+        for row in self.composites:  # the row of f holds f∘id = f
+            mask = 0
+            for h in row:
+                mask |= 1 << h
             masks.append(mask)
         return tuple(masks)
 
@@ -147,7 +149,8 @@ class FinCategory:
             dom=self.cod,
             cod=self.dom,
             identity=self.identity,
-            comp={(g, f): h for (f, g), h in self.comp.items()},
+            composites=tuple(tuple(self.compose(f, g) for f in self._out_of[self.cod[g]])
+                             for g in self.arrows),  # the row of g: f∘g along f out of cod g
         )
 
 
@@ -193,39 +196,33 @@ def validate_category(
     into: list[list[int]] = [[] for _ in range(n_objects)]  # per object, ascending
     for f in range(n_arrows):
         into[cod[f]].append(f)
-    for g in range(n_arrows):
-        for f in into[dom[g]]:
-            if (g, f) not in composition:
-                violations.append(f"missing composite for composable pair ({g}, {f})")
+    composites = tuple([tuple([composition.get((g, f)) for f in into[dom[g]]])
+                        for g in range(n_arrows)])
+    for g, entries in enumerate(composites):
+        if None in entries:
+            violations.extend(f"missing composite for composable pair ({g}, {f})"
+                              for f, h in zip(into[dom[g]], entries) if h is None)
     if violations:
         raise CategoryError(violations)
 
-    comp = dict(composition)
     for f in range(n_arrows):
-        if comp[(f, identities[dom[f]])] != f:
+        if composition[(f, identities[dom[f]])] != f:
             violations.append(f"identity law broken: {f}∘id_{dom[f]} != {f}")
-        if comp[(identities[cod[f]], f)] != f:
+        if composition[(identities[cod[f]], f)] != f:
             violations.append(f"identity law broken: id_{cod[f]}∘{f} != {f}")
-    # (h∘g)∘f = h∘(g∘f) for all f at once: row[x] lists, over f into dom(x),
-    # the position of x∘f in into[cod x], so h applied to the row of g reads
-    # row[h] at the positions in row[g] and is compared with the row of h∘g
-    slot = [0] * n_arrows
-    for arrows_into in into:
-        for i, f in enumerate(arrows_into):
-            slot[f] = i
-    row = [[slot[comp[(x, f)]] for f in into[dom[x]]] for x in range(n_arrows)]
+    # (h∘g)∘f = h∘(g∘f) for all f at once: h applied to the row of g, the
+    # x∘f along the f into dom(x), is compared with the row of h∘g
     for h in range(n_arrows):
-        at_h = row[h].__getitem__
-        for g in into[dom[h]]:
-            hg = comp[(h, g)]
-            if row[hg] == list(map(at_h, row[g])):
+        at_h = dict(zip(into[dom[h]], composites[h])).__getitem__
+        for g, hg in zip(into[dom[h]], composites[h]):
+            if composites[hg] == tuple(map(at_h, composites[g])):
                 continue
             for f in into[dom[g]]:
-                if comp[(hg, f)] != comp[(h, comp[(g, f)])]:
+                if composition[(hg, f)] != composition[(h, composition[(g, f)])]:
                     violations.append(f"non-associative triple ({h}, {g}, {f})")
     if violations:
         raise CategoryError(violations)
-    return FinCategory(n_objects, dom, cod, tuple(identities), comp)
+    return FinCategory(n_objects, dom, cod, tuple(identities), composites)
 
 
 def derived_category(
@@ -237,19 +234,18 @@ def derived_category(
     """The category on objects 0..n_objects-1 whose arrows are the keys in
     `arrows`, each a tuple (source, target, ...), with the key of each
     object's identity and `compose(g, f)` on the keys of composable pairs;
-    returns it with the key -> arrow index map.  `comp` is filled in key
-    order: for each g, the f into its source in key order.  The laws are
+    returns it with the key -> arrow index map.  The row of g lists
+    `compose(g, f)` over the f into its source in key order.  The laws are
     not checked: a caller derives them from a lawful category."""
     if len(arrows) > MAX_ARROWS:
         raise SizeGuardError(f"{len(arrows)} arrows exceeds the limit {MAX_ARROWS}")
     index = {a: i for i, a in enumerate(arrows)}
-    into: list[list[tuple[int, tuple]]] = [[] for _ in range(n_objects)]
-    for i, f in enumerate(arrows):
-        into[f[1]].append((i, f))
-    comp = {(j, i): index[compose(g, f)]
-            for j, g in enumerate(arrows) for i, f in into[g[0]]}
+    into: list[list[tuple]] = [[] for _ in range(n_objects)]
+    for f in arrows:
+        into[f[1]].append(f)
+    composites = tuple(tuple(index[compose(g, f)] for f in into[g[0]]) for g in arrows)
     category = FinCategory(n_objects, tuple(a[0] for a in arrows), tuple(a[1] for a in arrows),
-                           tuple(index[k] for k in identities), comp)
+                           tuple(index[k] for k in identities), composites)
     return category, index
 
 
@@ -279,8 +275,8 @@ def poset_category(n: int, le: Sequence[tuple[int, int]]) -> FinCategory:
 def monoid_category(mult: Sequence[Sequence[int]], unit: int) -> FinCategory:
     """One-object category from a finite monoid multiplication table."""
     n = len(mult)
-    comp = {(g, f): mult[g][f] for g in range(n) for f in range(n)}
-    return validate_category(1, [(0, 0)] * n, [unit], comp)
+    return validate_category(1, [(0, 0)] * n, [unit],
+                             {(g, f): mult[g][f] for g in range(n) for f in range(n)})
 
 
 @dataclass(frozen=True)
@@ -302,9 +298,11 @@ class FinFunctor:
         for c in src.objects:
             if self.arr_map[src.identity[c]] != tgt.identity[self.obj_map[c]]:
                 bad.append(f"functor breaks identity at object {c}")
-        for (g, f), h in src.comp.items():
-            if tgt.compose(self.arr_map[g], self.arr_map[f]) != self.arr_map[h]:
-                bad.append(f"functor breaks composition at pair ({g}, {f})")
+        for g, row in enumerate(src.composites):
+            for f, h in zip(src.arrows_into(src.dom[g]), row):
+                Fg, Ff = self.arr_map[g], self.arr_map[f]
+                if tgt.cod[Ff] != tgt.dom[Fg] or tgt.compose(Fg, Ff) != self.arr_map[h]:
+                    bad.append(f"functor breaks composition at pair ({g}, {f})")
         if bad:
             raise CategoryError(bad)
 
@@ -394,7 +392,7 @@ def comma(F: FinFunctor, G: FinFunctor) -> CommaCategory:
     cat, arr_index = derived_category(
         len(objects), arrow_data,
         [(i, i, A.identity[a], B.identity[b]) for i, (a, b, _) in enumerate(objects)],
-        lambda g, f: (f[0], g[1], A.comp[(g[2], f[2])], B.comp[(g[3], f[3])]))
+        lambda g, f: (f[0], g[1], A.compose(g[2], f[2]), B.compose(g[3], f[3])))
     left = FinFunctor(cat, A, tuple(o[0] for o in objects), tuple(d[2] for d in arrow_data))
     right = FinFunctor(cat, B, tuple(o[1] for o in objects), tuple(d[3] for d in arrow_data))
     return CommaCategory(cat, objects, tuple(arrow_data), left, right, obj_index, arr_index)
@@ -408,7 +406,7 @@ def full_subcategory(cat: FinCategory, objects: Sequence[int]) -> tuple[FinCateg
               if cat.dom[f] in obj_index and cat.cod[f] in obj_index]
     sub, _ = derived_category(len(objects), arrows,
                               [(i, i, cat.identity[c]) for i, c in enumerate(objects)],
-                              lambda g, f: (f[0], g[1], cat.comp[(g[2], f[2])]))
+                              lambda g, f: (f[0], g[1], cat.compose(g[2], f[2])))
     return sub, FinFunctor(sub, cat, tuple(objects), tuple(a[2] for a in arrows))
 
 
@@ -422,7 +420,7 @@ def quotient_by_functor_congruence(F: FinFunctor) -> tuple[FinCategory, FinFunct
     quotient, index = derived_category(
         cat.n_objects, list(dict.fromkeys(arr_class)),
         [(c, c, F.on_arr(cat.identity[c])) for c in cat.objects],
-        lambda g, f: (f[0], g[1], D.comp[(g[2], f[2])]))
+        lambda g, f: (f[0], g[1], D.compose(g[2], f[2])))
     projection = FinFunctor(cat, quotient, tuple(cat.objects), tuple(map(index.get, arr_class)))
     induced = FinFunctor(quotient, D, F.obj_map, tuple(k[2] for k in index))
     return quotient, projection, induced

@@ -156,7 +156,7 @@ def _check_morphism_of_sites(sf: SiteFunctor) -> Verdict:
     realized every gp is good."""
     F, J, K = sf.F, sf.J, sf.K
     C, D = F.source, F.target
-    comp = D.comp
+    rows = D.composites
 
     cp = is_cover_preserving(sf)
     if not cp:
@@ -171,11 +171,10 @@ def _check_morphism_of_sites(sf: SiteFunctor) -> Verdict:
     # per object c: arrow u into F(c) -> the cones (cc, h) with u = F(f)∘h, f: cc -> c
     cones: list[dict[int, set[tuple[int, int]]]] = [{} for _ in C.objects]
     for cc in C.objects:
-        hs = D.arrows_into(F.on_obj(cc))
         for f in C.arrows_out_of(cc):
             Ff, through = F.on_arr(f), cones[C.cod[f]]
-            for h in hs:
-                through.setdefault(comp[(Ff, h)], set()).add((cc, h))
+            for h, Ffh in zip(D.arrows_into(F.on_obj(cc)), rows[Ff]):
+                through.setdefault(Ffh, set()).add((cc, h))
     no_cones: frozenset[tuple[int, int]] = frozenset()
     tops = [maximal_sieve_mask(D, d) for d in D.objects]
     for c1, c2 in itertools.product(C.objects, repeat=2):
@@ -188,9 +187,9 @@ def _check_morphism_of_sites(sf: SiteFunctor) -> Verdict:
                         good = tops[d]
                     else:
                         good = mask_of(
-                            gp for gp in D.arrows_into(d)
-                            if not cones1.get(comp[(g1, gp)], no_cones).isdisjoint(
-                                cones2.get(comp[(g2, gp)], no_cones)))
+                            gp for gp, g1gp, g2gp in zip(D.arrows_into(d), rows[g1], rows[g2])
+                            if not cones1.get(g1gp, no_cones).isdisjoint(
+                                cones2.get(g2gp, no_cones)))
                     if not K.is_covering(d, good):
                         return _no("morphism-of-sites", clause="iii",
                                    instance={"d": d, "g1": g1, "g2": g2}, sieve=good)
@@ -203,18 +202,17 @@ def _check_morphism_of_sites(sf: SiteFunctor) -> Verdict:
                 realized = None
                 for d in D.objects:
                     for g in D.hom(d, F.on_obj(c1)):
-                        if comp[(F.on_arr(f1), g)] != comp[(F.on_arr(f2), g)]:
+                        if D.compose(F.on_arr(f1), g) != D.compose(F.on_arr(f2), g):
                             continue
                         if realized is None:
-                            realized = {comp[(F.on_arr(k), h)]
-                                        for cc in C.objects for k in C.hom(cc, c1)
-                                        if C.comp[(f1, k)] == C.comp[(f2, k)]
-                                        for h in D.arrows_into(F.on_obj(cc))}
+                            realized = {Fkh for cc in C.objects for k in C.hom(cc, c1)
+                                        if C.compose(f1, k) == C.compose(f2, k)
+                                        for Fkh in rows[F.on_arr(k)]}
                         if g in realized:
                             good = tops[d]
                         else:
-                            good = mask_of(gp for gp in D.arrows_into(d)
-                                           if comp[(g, gp)] in realized)
+                            good = mask_of(gp for gp, ggp in zip(D.arrows_into(d), rows[g])
+                                           if ggp in realized)
                         if not K.is_covering(d, good):
                             return _no("morphism-of-sites", clause="iv",
                                        instance={"f1": f1, "f2": f2, "g": g, "d": d},
@@ -274,7 +272,7 @@ def sieve_diagram(cat: FinCategory, mask: int) -> tuple[list[int], list[tuple[in
     edges = [(pos[f], pos[g], t)
              for f in members for g in members
              for t in cat.hom(cat.dom[f], cat.dom[g])
-             if cat.comp[(g, t)] == f]
+             if cat.compose(g, t) == f]
     return members, edges
 
 
@@ -392,7 +390,7 @@ def _diagram_shape(n: int, edges: Sequence[tuple[int, int, int]],
     """Shape category of a sieve diagram (used only to drive colimits, where
     just the underlying graph with identities matters)."""
     return derived_category(n, edges, [(i, i, cat.identity[cat.dom[members[i]]]) for i in range(n)],
-                            lambda g, f: (f[0], g[1], cat.comp[(g[2], f[2])]))[0]
+                            lambda g, f: (f[0], g[1], cat.compose(g[2], f[2])))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +443,7 @@ def cocone_is_sheaf_colimit(D: FinFunctor, vertex: int, legs,
     comma = _CommaComponents(C, [D.on_obj(a) for a in A.objects],
                              [(A.dom[u], A.cod[u], D.on_arr(u)) for u in A.arrows])
     miss = comma.unconnected(J, lambda c, a, x, b, x2:
-                             C.comp[(legs[a], x)] == C.comp[(legs[b], x2)])
+                             C.compose(legs[a], x) == C.compose(legs[b], x2))
     if miss:
         return _no("sheaf-colimit", clause="ii", **_connection_witness(*miss))
     return _yes("sheaf-colimit")
@@ -677,7 +675,7 @@ def _clause_iii_scan(sf: SiteFunctor, sieves: Sequence[Iterable[int]]) -> Verdic
                 if (u_mask >> id_fx) & 1:
                     by_value = {v: mask_of(
                         f for f in C.arrows_into(x)
-                        if any(local_equality(K, F.on_arr(k), D.comp[(v, F.on_arr(f))])
+                        if any(local_equality(K, F.on_arr(k), D.compose(v, F.on_arr(f)))
                                for k in C.hom(C.dom[f], y)))
                         for v in D.hom(fx, fy)}
                     if all(J.is_covering(x, ok) for ok in by_value.values()):
@@ -700,14 +698,14 @@ def _found_through(sf: SiteFunctor, x: int, y: int, members: Sequence[int],
     C, D = F.source, F.target
     through: dict[int, set[int]] = {}
     for h in members:
-        for z in D.arrows_into(D.dom[h]):
-            through.setdefault(D.comp[(h, z)], set()).add(D.comp[(g[h], z)])
+        for hz, ghz in zip(D.composites[h], D.composites[g[h]]):
+            through.setdefault(hz, set()).add(ghz)
     ok = 0
     for f in C.arrows_into(x):
         dom_f, Ff = C.dom[f], F.on_arr(f)
-        ws = D.arrows_into(F.on_obj(dom_f))
-        if any(all(local_equality(K, v, D.comp[(F.on_arr(k), w)])
-                   for w in ws for v in through.get(D.comp[(Ff, w)], ()))
+        if any(all(local_equality(K, v, Fkw)
+                   for Fkw, Ffw in zip(D.composites[F.on_arr(k)], D.composites[Ff])
+                   for v in through.get(Ffw, ()))
                for k in C.hom(dom_f, y)):
             ok |= 1 << f
     return ok
@@ -769,15 +767,15 @@ def _principally_presented(sf: SiteFunctor) -> list[int]:
     for e0 in {F.on_obj(c) for c in F.source.objects}:
         for f0 in D.arrows_into(e0):
             by_composite: dict[int, list[int]] = {}
-            for u in D.arrows_into(D.dom[f0]):
-                by_composite.setdefault(D.comp[(f0, u)], []).append(u)
+            for u, f0u in zip(D.arrows_into(D.dom[f0]), D.composites[f0]):
+                by_composite.setdefault(f0u, []).append(u)
             equalized[f0] = [(us[0], u) for us in by_composite.values() for u in us[1:]]
     presented = []
     for d in D.objects:
         realized = 0
         for f0, pairs in equalized.items():
             for h in D.hom(D.dom[f0], d):
-                if all(local_equality(K, D.comp[(h, u)], D.comp[(h, u2)]) for u, u2 in pairs):
+                if all(local_equality(K, D.compose(h, u), D.compose(h, u2)) for u, u2 in pairs):
                     realized |= 1 << h
         presented.append(realized)
     return presented
@@ -908,8 +906,8 @@ def hyperconnected_localic_factorization(sf: SiteFunctor) -> HyperconnectedLocal
             (x, y) for x in bits(s) for y in bits(s2)
             if D.dom[x] == D.dom[y]
             and K.is_covering(D.dom[x], mask_of(
-                h for h in D.arrows_into(D.dom[x])
-                if D.comp[(y, h)] == D.comp[(D.comp[(g, x)], h)])))
+                h for h, yh, gxh in zip(D.arrows_into(D.dom[x]), D.composites[y],
+                                        D.composites[D.compose(g, x)]) if yh == gxh)))
         return arr_index[(src, dst, rel)]
 
     # the canonical embedding i^s_K: D -> D^s_K on maximal sieves
@@ -1435,7 +1433,7 @@ def _replays_morphism_of_sites(sf: SiteFunctor, w: dict) -> bool:
         c1 = C.dom[f1]
         if (f1 == f2 or (C.dom[f2], C.cod[f2]) != (c1, C.cod[f1])
                 or (D.dom[g], D.cod[g]) != (d, F.on_obj(c1))
-                or D.comp[(F.on_arr(f1), g)] != D.comp[(F.on_arr(f2), g)]):
+                or D.compose(F.on_arr(f1), g) != D.compose(F.on_arr(f2), g)):
             return False
         found = _cone_sieve_iv(sf, f1, f2, g) == sieve
     return found and not K.is_covering(d, sieve)

@@ -76,10 +76,10 @@ def validate_presheaf(cat: FinCategory, sizes: Sequence[int],
         if restrict[cat.identity[c]] != tuple(range(sizes[c])):
             raise ValueError(f"restriction along id_{c} is not the identity")
     # P(g∘f) = P(f)∘P(g) as whole tuples; an empty P(cod g) has nothing to compare
-    for (g, f), h in cat.comp.items():
-        rg = restrict[g]
-        if rg and tuple(map(restrict[f].__getitem__, rg)) != restrict[h]:
-            raise ValueError(f"contravariant functoriality fails at pair ({g}, {f})")
+    for g, row in enumerate(cat.composites):
+        for f, h in zip(cat.arrows_into(cat.dom[g]), row):
+            if restrict[g] and tuple(map(restrict[f].__getitem__, restrict[g])) != restrict[h]:
+                raise ValueError(f"contravariant functoriality fails at pair ({g}, {f})")
     return FinPresheaf(cat, sizes, restrict)
 
 
@@ -94,9 +94,12 @@ def yoneda(cat: FinCategory, c: int) -> FinPresheaf:
     def build() -> FinPresheaf:
         position = cat.hom_position
         sizes = tuple(len(cat.hom(e, c)) for e in cat.objects)
-        restrict = tuple(tuple(position[cat.comp[(h, f)]] for h in cat.hom(cat.cod[f], c))
-                         for f in cat.arrows)
-        return FinPresheaf(cat, sizes, restrict)
+        restrict = [()] * cat.n_arrows  # along f into e: column f of the rows of hom(e, c)
+        for e in cat.objects:
+            columns = zip(*map(cat.composites.__getitem__, cat.hom(e, c)))
+            for f, column in zip(cat.arrows_into(e), columns):
+                restrict[f] = tuple(map(position.__getitem__, column))
+        return FinPresheaf(cat, sizes, tuple(restrict))
     return _memo(cat, ("yoneda", c), build)
 
 
@@ -150,8 +153,9 @@ def yoneda_arrow(cat: FinCategory, g: int) -> PresheafMorphism:
     """y(g): y(dom g) -> y(cod g), composition with g."""
     d1, d2 = cat.dom[g], cat.cod[g]
     position = cat.hom_position
+    row = dict(zip(cat.arrows_into(d1), cat.composites[g]))
     return PresheafMorphism(yoneda(cat, d1), yoneda(cat, d2), tuple(
-        tuple(position[cat.comp[(g, u)]] for u in cat.hom(e, d1)) for e in cat.objects))
+        tuple(position[row[u]] for u in cat.hom(e, d1)) for e in cat.objects))
 
 
 @dataclass(frozen=True)
@@ -255,10 +259,10 @@ def strict_matching_families(P: FinPresheaf, c: int, mask: int) -> list[tuple[in
     fixing: list[list[tuple[int, ...]]] = [[] for _ in members]
     for i, f in enumerate(members):
         a = cat.dom[f]
-        for z in cat.arrows_into(a):
+        for z, fz in zip(cat.arrows_into(a), cat.composites[f]):
             if z == cat.identity[a]:  # P(id) fixes every element
                 continue
-            j = position.get(cat.comp[(f, z)])
+            j = position.get(fz)
             if j is None:
                 continue
             if j == i:
@@ -397,8 +401,8 @@ def _locally_matching_families(P: FinPresheaf, J: GrothendieckTopology,
     # at member i: (classes, composite) for each z with members[i]∘z = members[i]
     fixing: list[list[tuple[Sequence[int], Sequence[int]]]] = [[] for _ in members]
     for i, f in enumerate(members):
-        for z in cat.arrows_into(cat.dom[f]):
-            j = position.get(cat.comp[(f, z)])
+        for z, fz in zip(cat.arrows_into(cat.dom[f]), cat.composites[f]):
+            j = position.get(fz)
             d = cat.dom[z]
             # it holds along an identity, and in a set of at most one element
             if j is None or z == cat.identity[d] or P.sizes[d] < 2:
@@ -490,7 +494,7 @@ def sheafify(P: FinPresheaf, J: GrothendieckTopology) -> SheafificationResult:
     for f in cat.arrows:
         a, b = cat.dom[f], cat.cod[f]
         # f∘g lies in the least cover of b for g in that of a, by stability
-        slots = [carriers[b].index(cat.comp[(f, g)]) for g in carriers[a]]
+        slots = [carriers[b].index(cat.compose(f, g)) for g in carriers[a]]
         keys = zip(*(columns[b][i] for i in slots)) if slots else [()] * sizes[b]
         restrict.append(tuple(map(index[a].__getitem__, keys)))
     sheaf = FinPresheaf(cat, sizes, tuple(restrict))
@@ -596,7 +600,7 @@ def plus_construction(P: FinPresheaf, J: GrothendieckTopology) -> tuple[FinPresh
         row = [0] * sizes[b]
         for s, (ks, columns) in heads[b].items():
             pb = pullback_mask(cat, s, f)
-            pos = [position[b][s][cat.comp[(f, g)]] for g in bits(pb)]
+            pos = [position[b][s][cat.compose(f, g)] for g in bits(pb)]
             keys = zip(*(columns[p] for p in pos)) if pos else [()] * len(ks)
             for k, key in zip(ks, keys):
                 row[k] = classes[a][pair_index[a][(pb, key)]]
@@ -836,15 +840,15 @@ def _sheafified_sieve_category(cat: FinCategory, J: GrothendieckTopology,
     into: list[list[int]] = [[] for _ in objects]
     for a, (_, j, _) in enumerate(arrow_decode):
         into[j].append(a)
-    comp = {}
+    composition = {}
     for b, (j, k, _) in enumerate(arrow_decode):
         ext = extensions[b]
         for a in into[j]:
             i = arrow_decode[a][0]
             phi = tuple(ext[cat.dom[x]][v] for x, v in zip(sieve_members[i], families[a]))
-            comp[(b, a)] = arr_index[(i, k, phi)]
+            composition[(b, a)] = arr_index[(i, k, phi)]
     category = validate_category(
-        len(objects), [(i, j) for i, j, _ in arrow_decode], identities, comp)
+        len(objects), [(i, j) for i, j, _ in arrow_decode], identities, composition)
     return category, tuple(arrow_decode), tuple(sheaves), extensions
 
 
@@ -947,7 +951,7 @@ def category_of_elements(P: FinPresheaf) -> ElementsResult:
         [(obj_index[(cat.dom[f], P.res(f, x))], obj_index[(cat.cod[f], x)], f)
          for f, x in arrow_decode],
         [(i, i, cat.identity[c]) for i, (c, _) in enumerate(objects)],
-        lambda g, f: (f[0], g[1], cat.comp[(g[2], f[2])]))
+        lambda g, f: (f[0], g[1], cat.compose(g[2], f[2])))
     projection = FinFunctor(category, cat,
                             tuple(o[0] for o in objects),
                             tuple(a[0] for a in arrow_decode))

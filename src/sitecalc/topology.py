@@ -243,8 +243,8 @@ def local_equality(J: GrothendieckTopology, h: int, k: int) -> bool:
         cat = J.cat
         if cat.dom[h] != cat.dom[k] or cat.cod[h] != cat.cod[k]:
             raise ValueError("local equality needs parallel arrows")
-        agree = mask_of(f for f in cat.arrows_into(cat.dom[h])
-                        if cat.comp[(h, f)] == cat.comp[(k, f)])
+        agree = mask_of(f for f, hf, kf in zip(cat.arrows_into(cat.dom[h]), cat.composites[h],
+                                               cat.composites[k]) if hf == kf)
         return agree in J.covers[cat.dom[h]]
     return _memo(J, ("local_equality", h, k), decide)
 

@@ -28,6 +28,8 @@ from sitecalc.presheaf import (
 from sitecalc.sieves import generate_mask, mask_of
 from sitecalc.topology import GrothendieckTopology, generate_topology
 
+from oracles import category_from_table
+
 
 # ---------------------------------------------------------------------------
 # named small categories
@@ -73,8 +75,8 @@ def product_category(A: FinCategory, B: FinCategory) -> tuple[FinCategory, FinFu
     for j, (f2, g2) in enumerate(arrs):
         for i, (f1, g1) in enumerate(arrs):
             if A.cod[f1] == A.dom[f2] and B.cod[g1] == B.dom[g2]:
-                comp[(j, i)] = aidx[(A.comp[(f2, f1)], B.comp[(g2, g1)])]
-    cat = FinCategory(len(objs), dom, cod, identities, comp)
+                comp[(j, i)] = aidx[(A.compose(f2, f1), B.compose(g2, g1))]
+    cat = category_from_table(len(objs), dom, cod, identities, comp)
     proj = FinFunctor(cat, A, tuple(o[0] for o in objs), tuple(a[0] for a in arrs))
     return cat, proj
 
@@ -115,11 +117,11 @@ def grothendieck_total(base: FinCategory, fibers: list[FinCategory],
             if t1 != s2:
                 continue
             b = objs[s1][0]
-            gf = base.comp[(g, f)]
+            gf = base.compose(g, f)
             # Φ_f(ψ) ∘ φ in fiber(b)
             psi_mapped = phi(f)[1][psi]
-            comp[(j, i)] = aidx[(s1, t2, gf, fibers[b].comp[(psi_mapped, phi_a)])]
-    cat = FinCategory(len(objs), dom, cod, identities, comp)
+            comp[(j, i)] = aidx[(s1, t2, gf, fibers[b].compose(psi_mapped, phi_a))]
+    cat = category_from_table(len(objs), dom, cod, identities, comp)
     proj = FinFunctor(cat, base, tuple(o[0] for o in objs), tuple(a[2] for a in arrs))
     return cat, proj
 
@@ -337,8 +339,9 @@ def all_functors(A: FinCategory, B: FinCategory, limit: int = 4000):
             raise RuntimeError("functor enumeration too large")
         for arr_map in itertools.product(*arr_choices):
             ok = all(
-                arr_map[h] == B.comp[(arr_map[g], arr_map[f])]
-                for (g, f), h in A.comp.items())
+                arr_map[h] == B.compose(arr_map[g], arr_map[f])
+                for g, row in enumerate(A.composites)
+                for f, h in zip(A.arrows_into(A.dom[g]), row))
             if ok:
                 out.append(FinFunctor(A, B, obj_map, tuple(arr_map)))
     return out

@@ -13,7 +13,8 @@ the hom-set scans, the colimit comparison and the connection loop.  The
 constructors of derived categories (comma, full subcategory, quotient,
 poset, elements and sieve-diagram shape) are kept here as they were before
 they shared `fincat.derived_category`, each with its own index and
-composition code.
+composition code; `category_from_table` turns their pair mappings into the
+rows a category stores.
 """
 
 from __future__ import annotations
@@ -480,6 +481,26 @@ def reference_locally_connected(F: FinFunctor, K: GrothendieckTopology) -> Verdi
 
 
 # ---------------------------------------------------------------------------
+# the pair mapping (g, f) -> g∘f, which outside input and these constructors
+# give, and the per-arrow rows a FinCategory stores
+
+def category_from_table(n_objects: int, dom, cod, identities, table) -> FinCategory:
+    """The FinCategory with the composites of `table`, a mapping
+    (g, f) -> g∘f over every composable pair; the laws are not checked."""
+    into: list[list[int]] = [[] for _ in range(n_objects)]
+    for f, c in enumerate(cod):
+        into[c].append(f)
+    return FinCategory(n_objects, tuple(dom), tuple(cod), tuple(identities),
+                       tuple(tuple(table[(g, f)] for f in into[a]) for g, a in enumerate(dom)))
+
+
+def composition_table(cat: FinCategory) -> dict[tuple[int, int], int]:
+    """(g, f) -> g∘f, read off the rows, g ascending and then f."""
+    return {(g, f): h for g, row in enumerate(cat.composites)
+            for f, h in zip(cat.arrows_into(cat.dom[g]), row)}
+
+
+# ---------------------------------------------------------------------------
 # derived-category constructors, each with its own index and composition
 # code; they return tuples where the library returns records, as the
 # records gained their index maps
@@ -540,7 +561,7 @@ def reference_comma(F: FinFunctor, G: FinFunctor):
         for i, (s1, t1, u1, v1) in enumerate(arrow_data):
             if t1 == s2:
                 comp_table[(j, i)] = arr_index[(s1, t2, A.compose(u2, u1), B.compose(v2, v1))]
-    cat = FinCategory(len(objects), dom, cod, identities, comp_table)
+    cat = category_from_table(len(objects), dom, cod, identities, comp_table)
     left = FinFunctor(cat, A,
                       tuple(o[0] for o in objects),
                       tuple(d[2] for d in arrow_data))
@@ -556,12 +577,12 @@ def reference_full_subcategory(cat: FinCategory, objects):
     arrows = [f for f in cat.arrows
               if cat.dom[f] in obj_index and cat.cod[f] in obj_index]
     arr_index = {f: i for i, f in enumerate(arrows)}
-    sub = FinCategory(
+    sub = category_from_table(
         len(objects),
         tuple(obj_index[cat.dom[f]] for f in arrows),
         tuple(obj_index[cat.cod[f]] for f in arrows),
         tuple(arr_index[cat.identity[c]] for c in objects),
-        {(arr_index[g], arr_index[f]): arr_index[cat.comp[(g, f)]]
+        {(arr_index[g], arr_index[f]): arr_index[cat.compose(g, f)]
          for g in arrows for f in cat.arrows_into(cat.dom[g]) if f in arr_index},
     )
     inclusion = FinFunctor(sub, cat, tuple(objects), tuple(arrows))
@@ -585,11 +606,10 @@ def reference_quotient_by_functor_congruence(F: FinFunctor):
         k = arr_class[f]
         dom[k], cod[k], rep[k] = cat.dom[f], cat.cod[f], f
     comp = {}
-    for (g, f), h in cat.comp.items():
+    for (g, f), h in composition_table(cat).items():
         comp[(arr_class[g], arr_class[f])] = arr_class[h]
-    quotient = FinCategory(cat.n_objects, tuple(dom), tuple(cod),
-                           tuple(arr_class[cat.identity[c]] for c in cat.objects),
-                           comp)
+    quotient = category_from_table(cat.n_objects, dom, cod,
+                                   [arr_class[cat.identity[c]] for c in cat.objects], comp)
     projection = FinFunctor(cat, quotient, tuple(cat.objects), tuple(arr_class))
     induced = FinFunctor(quotient, F.target, F.obj_map,
                          tuple(F.on_arr(rep[k]) for k in range(n)))
@@ -610,8 +630,8 @@ def reference_category_of_elements(P: FinPresheaf):
     for j, (f, x) in enumerate(arrow_decode):
         for i, (g, y) in enumerate(arrow_decode):
             if cat.cod[g] == cat.dom[f] and y == P.res(f, x):
-                comp[(j, i)] = arr_index[(cat.comp[(f, g)], x)]
-    category = FinCategory(len(objects), dom, cod, identities, comp)
+                comp[(j, i)] = arr_index[(cat.compose(f, g), x)]
+    category = category_from_table(len(objects), dom, cod, identities, comp)
     projection = FinFunctor(category, cat,
                             tuple(o[0] for o in objects),
                             tuple(a[0] for a in arrow_decode))
@@ -629,5 +649,5 @@ def reference_diagram_shape(n: int, edges, cat: FinCategory, members) -> FinCate
     for j, (s2, t2, u2) in enumerate(arrow_data):
         for i, (s1, t1, u1) in enumerate(arrow_data):
             if t1 == s2:
-                comp[(j, i)] = arr_index[(s1, t2, cat.comp[(u2, u1)])]
-    return FinCategory(n, dom, cod, identities, comp)
+                comp[(j, i)] = arr_index[(s1, t2, cat.compose(u2, u1))]
+    return category_from_table(n, dom, cod, identities, comp)

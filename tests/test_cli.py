@@ -946,3 +946,32 @@ def test_category_associativity_survives_optimize(tmp_path):
     assert "Traceback" not in out.stderr
     assert ("invalid category 'M': non-associative triple (2, 1, 2); "
             "non-associative triple (2, 2, 2)") in out.stderr
+
+
+@pytest.mark.parametrize("python_flags", [(), ("-O",)])
+def test_functor_breaking_dom_cod_is_invalid_input(tmp_path, python_flags):
+    """F: A -> B with v ↦ q: 0 -> 1 where F(v) must run 1 -> 1 breaks
+    dom/cod, so the image of (v, i1) and of (v, u) does not compose in B:
+    invalid input (exit 2, listing every violation) with no traceback."""
+    doc_path = tmp_path / "bad_functor.site"
+    doc_path.write_text("\n".join([
+        "site-format 1",
+        "category A",
+        "  objects: 3",
+        "  arrows: i0: 0 -> 0, i1: 1 -> 1, i2: 2 -> 2, u: 0 -> 1, v: 1 -> 2, w: 0 -> 2",
+        "  identities: i0, i1, i2",
+        "  compose: v . u = w",
+        "category B",
+        "  objects: 2",
+        "  arrows: j0: 0 -> 0, j1: 1 -> 1, p: 0 -> 1, q: 0 -> 1",
+        "  identities: j0, j1",
+        "functor F : A -> B",
+        "  objects: 0 -> 0, 1 -> 1, 2 -> 1",
+        "  arrows: i0 -> j0, i1 -> j1, i2 -> j1, u -> p, v -> q, w -> p",
+    ]) + "\n")
+    out = sitecalc_cli(doc_path, "validate", python_flags=python_flags)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert ("invalid functor 'F': functor breaks dom/cod at arrow 4; "
+            "functor breaks composition at pair (4, 1); "
+            "functor breaks composition at pair (4, 3)") in out.stderr

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sitecalc.cli import parse
 from sitecalc.fincat import (
     CategoryError,
     FinCategory,
@@ -35,6 +36,7 @@ from conftest import (
     random_presheaf,
     z2_category,
 )
+from oracles import composition_table
 
 
 def test_terminal_category_valid():
@@ -96,7 +98,7 @@ def test_table_violations_match_reference_scan(rng):
     associative = 0
     for _ in range(120):
         cat = rng.choice(monoids) if rng.random() < 0.3 else random_category(rng)
-        comp = dict(cat.comp)
+        comp = composition_table(cat)
         swaps = [(key, h2) for key, h in sorted(comp.items())
                  if not (cat.is_identity(key[0]) or cat.is_identity(key[1]))
                  for h2 in cat.hom(cat.dom[h], cat.cod[h]) if h2 != h]
@@ -138,13 +140,14 @@ def test_associativity_rows_match_triple_loop_on_conftest_categories(rng):
             *(random_fibration(rng).source for _ in range(12))]
     broken = 0
     for cat in cats:
-        assert _violations(cat, cat.comp) == [] \
-            == _reference_table_violations(cat.dom, cat.cod, cat.comp)
-        swaps = [(key, h2) for key, h in sorted(cat.comp.items())
+        table = composition_table(cat)
+        assert _violations(cat, table) == [] \
+            == _reference_table_violations(cat.dom, cat.cod, table)
+        swaps = [(key, h2) for key, h in sorted(table.items())
                  if not (cat.is_identity(key[0]) or cat.is_identity(key[1]))
                  for h2 in cat.hom(cat.dom[h], cat.cod[h]) if h2 != h]
         for key, h2 in rng.sample(swaps, min(len(swaps), 40)):
-            comp = {**cat.comp, key: h2}
+            comp = {**table, key: h2}
             expected = _reference_table_violations(cat.dom, cat.cod, comp)
             assert _violations(cat, comp) == expected
             broken += bool(expected)
@@ -167,11 +170,37 @@ def test_full_subcategory_matches_reference_double_loop(rng):
         arrows = [f for f in cat.arrows if cat.dom[f] in objects and cat.cod[f] in objects]
         assert inclusion.arr_map == tuple(arrows)
         index = {f: i for i, f in enumerate(arrows)}
-        reference = [((index[g], index[f]), index[cat.comp[(g, f)]])
+        reference = [((index[g], index[f]), index[cat.compose(g, f)])
                      for g in arrows for f in arrows if cat.cod[f] == cat.dom[g]]
-        assert list(sub.comp.items()) == reference
+        assert list(composition_table(sub).items()) == reference
         proper += 0 < len(objects) < cat.n_objects and len(reference) > len(objects)
     assert proper
+
+
+def test_compose_rejects_pairs_that_do_not_compose(two):
+    """`compose` raises ValueError on every pair with cod f != dom g, where
+    a bare row lookup would read some arrow or fail with IndexError, and
+    reads the rows on every composable pair; on a parsed, a derived
+    (comma) and an opposite category."""
+    parsed = parse("\n".join([
+        "site-format 1",
+        "category T",
+        "  objects: 3",
+        "  arrows: i0: 0 -> 0, i1: 1 -> 1, i2: 2 -> 2, u: 0 -> 1, v: 1 -> 2, w: 0 -> 2",
+        "  identities: i0, i1, i2",
+        "  compose: v . u = w",
+    ]) + "\n").categories["T"].category
+    derived = comma(identity_functor(two), make_collapse_functor(two)).category
+    for cat in (parsed, derived, parsed.opposite()):
+        table = composition_table(cat)
+        for g in cat.arrows:
+            for f in cat.arrows:
+                if (g, f) in table:
+                    assert cat.compose(g, f) == table[(g, f)]
+                else:
+                    with pytest.raises(ValueError, match="not composable"):
+                        cat.compose(g, f)
+        assert len(table) < cat.n_arrows ** 2
 
 
 def test_opposite_round_trip_random(rng):
@@ -185,7 +214,7 @@ def test_opposite_validates(rng):
         cat = random_category(rng)
         op = cat.opposite()
         rebuilt = validate_category(
-            op.n_objects, list(zip(op.dom, op.cod)), list(op.identity), dict(op.comp))
+            op.n_objects, list(zip(op.dom, op.cod)), list(op.identity), composition_table(op))
         assert rebuilt == op
 
 
@@ -219,7 +248,7 @@ def test_comma_projections_are_functors(rng):
         # FinFunctor validates on construction; re-validate the comma category itself
         validate_category(cc.category.n_objects,
                           list(zip(cc.category.dom, cc.category.cod)),
-                          list(cc.category.identity), dict(cc.category.comp))
+                          list(cc.category.identity), composition_table(cc.category))
 
 
 def _reachability_components(cat):

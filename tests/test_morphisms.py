@@ -1101,6 +1101,28 @@ def _random_site_functors(rng, n):
     return out
 
 
+def test_flag_lattice_on_both_classifiers(rng):
+    """Sh(F) is an equivalence exactly when it is a surjection and an
+    inclusion, and exactly when it is hyperconnected and localic, as both
+    factorization systems are orthogonal.  `equivalence` is decided by a
+    route of its own (weak denseness on the morphism side), so the two
+    meets are checked against it on each classifier, over 300 random site
+    functors."""
+    seen = {"morphism": set(), "comorphism": set()}
+    for sf in _random_site_functors(rng, 300):
+        for side, applies, classify in (("morphism", is_morphism_of_sites, classify_morphism),
+                                        ("comorphism", is_comorphism_of_sites,
+                                         classify_comorphism)):
+            if not applies(sf):
+                continue
+            flags = classify(sf).flags()
+            equivalence = flags["equivalence"]
+            assert (flags["surjection"] and flags["inclusion"]) == equivalence, (side, flags)
+            assert (flags["hyperconnected"] and flags["localic"]) == equivalence, (side, flags)
+            seen[side].add(equivalence)
+    assert seen == {"morphism": {False, True}, "comorphism": {False, True}}
+
+
 def _searched_principal_presentations(sf):
     """The arrows presented by the locally matching families of y(d) over
     each ⟨f0⟩, f0 into an image object, found by the family search."""
@@ -1808,7 +1830,7 @@ def test_hom_position_matches_hom_scan(rng):
         for c in cat.objects:
             y = yoneda(cat, c)
             assert y.restrict == tuple(
-                tuple(cat.hom(cat.dom[f], c).index(cat.comp[(h, f)]) for h in cat.hom(cat.cod[f], c))
+                tuple(cat.hom(cat.dom[f], c).index(cat.compose(h, f)) for h in cat.hom(cat.cod[f], c))
                 for f in cat.arrows)
     assert arrows > 1000
 
@@ -1841,7 +1863,7 @@ def _cocones(cat, rng, n_diagrams):
             for vertex in cat.objects:
                 homs = [cat.hom(D.on_obj(a), vertex) for a in shape.objects]
                 for legs in itertools.product(*homs):
-                    if all(cat.comp[(legs[shape.cod[u]], D.on_arr(u))] == legs[shape.dom[u]]
+                    if all(cat.compose(legs[shape.cod[u]], D.on_arr(u)) == legs[shape.dom[u]]
                            for u in shape.arrows):
                         yield D, vertex, legs
 

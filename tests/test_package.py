@@ -313,3 +313,29 @@ def test_direct_presheaf_calls_are_found():
         "    return validate_presheaf(cat, (), ()), validate_presheaf_morphism(P, P, ())\n")
     assert _direct_presheaf_calls({"cli": sample}) == ["cli.parse:2", "cli.arrow:4",
                                                        "cli.Case.full:7"]
+
+
+# a category stores its composites as rows; one pair is read through `compose`
+def _comp_reads(trees: dict[str, ast.Module]) -> list[str]:
+    """`module:line` of each read of a `.comp` attribute."""
+    return sorted(f"{module}:{node.lineno}" for module, tree in trees.items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "comp")
+
+
+def test_composites_are_read_through_compose_or_the_rows():
+    """No module of the package or of the tests reads the pair mapping: a
+    stale read on an untested path would surface only as a traceback."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))]}
+    assert _comp_reads(trees) == []
+
+
+def test_comp_reads_are_found():
+    sample = ast.parse(
+        "def pair(cat):\n"
+        "    return cat.comp[(1, 0)]\n"
+        "def table(cat, comp):\n"
+        "    entries = dict(cat.category.comp)\n"
+        "    return cat.compose(1, 0), cat.composites[1], comp[(1, 0)], entries\n")
+    assert _comp_reads({"morphisms": sample}) == ["morphisms:2", "morphisms:4"]

@@ -64,6 +64,7 @@ from oracles import (
     FunctionalRelation,
     arrow_to_relation,
     compose_relations,
+    composition_table,
     graph_relation,
     identity_relation,
     relation_is_epi,
@@ -736,7 +737,7 @@ def _reference_presheaf_violation(cat, sizes, restrict):
     for c in cat.objects:
         if restrict[cat.identity[c]] != tuple(range(sizes[c])):
             return f"restriction along id_{c} is not the identity"
-    for (g, f), h in cat.comp.items():
+    for (g, f), h in composition_table(cat).items():
         rf, rg, rh = restrict[f], restrict[g], restrict[h]
         if any(rf[rg[x]] != rh[x] for x in range(sizes[cat.cod[g]])):
             return f"contravariant functoriality fails at pair ({g}, {f})"
@@ -822,7 +823,7 @@ def _reference_sheafify(P, J):
         reps.append(tuple(classes))
         index.append(idx)
     restrict = tuple(
-        tuple(index[cat.dom[f]][tuple(fam[carriers[cat.cod[f]].index(cat.comp[(f, g)])]
+        tuple(index[cat.dom[f]][tuple(fam[carriers[cat.cod[f]].index(cat.compose(f, g))]
                                       for g in carriers[cat.dom[f]])]
               for fam in reps[cat.cod[f]])
         for f in cat.arrows)
@@ -959,12 +960,12 @@ def _reference_strict_matching_families(P, c, mask):
             return
         f = members[i]
         forced = {P.res(z, xg) for g, xg in assign.items()
-                  for z in cat.arrows_into(cat.dom[g]) if cat.comp[(g, z)] == f}
+                  for z in cat.arrows_into(cat.dom[g]) if cat.compose(g, z) == f}
         if len(forced) > 1:
             return
         for x in forced or range(P.sizes[cat.dom[f]]):
-            if all(P.res(z, x) == x if cat.comp[(f, z)] == f
-                   else assign.get(cat.comp[(f, z)], P.res(z, x)) == P.res(z, x)
+            if all(P.res(z, x) == x if cat.compose(f, z) == f
+                   else assign.get(cat.compose(f, z), P.res(z, x)) == P.res(z, x)
                    for z in cat.arrows_into(cat.dom[f])):
                 assign[f] = x
                 extend(i + 1, assign)
@@ -1049,7 +1050,7 @@ def _reference_plus_construction(P, J):
             fam = dict(fam_items)
             pb = pullback_mask(cat, s, f)
             restricted = tuple(sorted(
-                (g, fam[cat.comp[(f, g)]]) for g in bits(pb)))
+                (g, fam[cat.compose(f, g)]) for g in bits(pb)))
             row[classes[b][i]] = classes[a][pair_index[a][(pb, restricted)]]
         restrict.append(tuple(row))
     plus = validate_presheaf(cat, sizes, tuple(restrict))
@@ -1136,14 +1137,14 @@ def _reference_locally_matching_families(P, J, members):
         f = members[i]
         for x in range(P.sizes[cat.dom[f]]):
             ok = all(elem_locally_equal(P, J, cat.dom[z], x, P.res(z, x))
-                     if cat.comp[(f, z)] == f
-                     else position.get(cat.comp[(f, z)], i) >= i
+                     if cat.compose(f, z) == f
+                     else position.get(cat.compose(f, z), i) >= i
                      or elem_locally_equal(P, J, cat.dom[z],
-                                           assign[position[cat.comp[(f, z)]]], P.res(z, x))
+                                           assign[position[cat.compose(f, z)]], P.res(z, x))
                      for z in cat.arrows_into(cat.dom[f]))
             ok = ok and all(elem_locally_equal(P, J, cat.dom[f], x, P.res(z, assign[j]))
                             for j in range(i) for z in cat.arrows_into(cat.dom[members[j]])
-                            if cat.comp[(members[j], z)] == f)
+                            if cat.compose(members[j], z) == f)
             if ok:
                 assign.append(x)
                 extend(i + 1, assign)
@@ -1206,7 +1207,7 @@ def _reference_is_CJ_relation(cat, J, c, d, rel):
     # (i) precomposition closure
     for (f, g) in rel:
         for k in cat.arrows_into(cat.dom[f]):
-            if (cat.comp[(f, k)], cat.comp[(g, k)]) not in rel:
+            if (cat.compose(f, k), cat.compose(g, k)) not in rel:
                 return False
     # (ii) J-closedness
     for e in cat.objects:
@@ -1215,7 +1216,7 @@ def _reference_is_CJ_relation(cat, J, c, d, rel):
                 if (x, y) in rel:
                     continue
                 s = mask_of(h for h in cat.arrows_into(e)
-                            if (cat.comp[(x, h)], cat.comp[(y, h)]) in rel)
+                            if (cat.compose(x, h), cat.compose(y, h)) in rel)
                 if J.is_covering(e, s):
                     return False
     # (iii) local single-valuedness
@@ -1224,14 +1225,14 @@ def _reference_is_CJ_relation(cat, J, c, d, rel):
             if x == x2:
                 e = cat.dom[x]
                 s = mask_of(h for h in cat.arrows_into(e)
-                            if cat.comp[(y, h)] == cat.comp[(y2, h)])
+                            if cat.compose(y, h) == cat.compose(y2, h))
                 if not J.is_covering(e, s):
                     return False
     # (iv) local totality
     for e in cat.objects:
         for x in cat.hom(e, c):
             s = mask_of(h for h in cat.arrows_into(e)
-                        if any((cat.comp[(x, h)], y) in rel
+                        if any((cat.compose(x, h), y) in rel
                                for y in cat.hom(cat.dom[h], d)))
             if not J.is_covering(e, s):
                 return False
@@ -1246,7 +1247,7 @@ def _reference_compose_CJ(cat, J, S, R, c, d, a):
             for z in cat.hom(e, a):
                 s = mask_of(
                     h for h in cat.arrows_into(e)
-                    if any((cat.comp[(x, h)], y) in R and (y, cat.comp[(z, h)]) in S
+                    if any((cat.compose(x, h), y) in R and (y, cat.compose(z, h)) in S
                            for y in cat.hom(cat.dom[h], d)))
                 if J.is_covering(e, s):
                     out.add((x, z))
@@ -1283,7 +1284,7 @@ def _reference_build_CJ(cat, J):
             for f in cat.hom(e, c) for g in cat.hom(e, c)
             if J.is_covering(e, mask_of(
                 h for h in cat.arrows_into(e)
-                if cat.comp[(f, h)] == cat.comp[(g, h)])))
+                if cat.compose(f, h) == cat.compose(g, h))))
         identities.append(arr_index[(c, c, ident)])
     comp = {}
     for j, (d2, a, S) in enumerate(arrow_decode):
@@ -1300,7 +1301,7 @@ def _reference_is_CJs_relation(cat, J, S, T, c, d, rel):
         if not ((S >> x) & 1 and (T >> y) & 1):
             return False
         for k in cat.arrows_into(cat.dom[x]):
-            if (cat.comp[(x, k)], cat.comp[(y, k)]) not in rel:
+            if (cat.compose(x, k), cat.compose(y, k)) not in rel:
                 return False
     for x in bits(S):
         for y in bits(T):
@@ -1308,7 +1309,7 @@ def _reference_is_CJs_relation(cat, J, S, T, c, d, rel):
                 continue
             e = cat.dom[x]
             s = mask_of(h for h in cat.arrows_into(e)
-                        if (cat.comp[(x, h)], cat.comp[(y, h)]) in rel)
+                        if (cat.compose(x, h), cat.compose(y, h)) in rel)
             if J.is_covering(e, s):
                 return False
     for (x, y) in rel:
@@ -1316,13 +1317,13 @@ def _reference_is_CJs_relation(cat, J, S, T, c, d, rel):
             if x == x2:
                 e = cat.dom[x]
                 s = mask_of(h for h in cat.arrows_into(e)
-                            if cat.comp[(y, h)] == cat.comp[(y2, h)])
+                            if cat.compose(y, h) == cat.compose(y2, h))
                 if not J.is_covering(e, s):
                     return False
     for x in bits(S):
         e = cat.dom[x]
         s = mask_of(h for h in cat.arrows_into(e)
-                    if any((cat.comp[(x, h)], y) in rel
+                    if any((cat.compose(x, h), y) in rel
                            for y in cat.hom(cat.dom[h], d) if (T >> y) & 1))
         if not J.is_covering(e, s):
             return False
@@ -1360,7 +1361,7 @@ def _reference_build_CJs(cat, J):
             if cat.dom[x] == cat.dom[y]
             and J.is_covering(cat.dom[x], mask_of(
                 h for h in cat.arrows_into(cat.dom[x])
-                if cat.comp[(x, h)] == cat.comp[(y, h)])))
+                if cat.compose(x, h) == cat.compose(y, h))))
         identities.append(arr_index[(i, i, ident)])
     comp = {}
     for b, (j2, k, S2) in enumerate(arrow_decode):
@@ -1373,8 +1374,8 @@ def _reference_build_CJs(cat, J):
                             continue
                         s = mask_of(
                             h for h in cat.arrows_into(cat.dom[x])
-                            if any((cat.comp[(x, h)], y) in R
-                                   and (y, cat.comp[(z, h)]) in S2
+                            if any((cat.compose(x, h), y) in R
+                                   and (y, cat.compose(z, h)) in S2
                                    for y in bits(objects[j][1])
                                    if cat.dom[y] == cat.dom[h]))
                         if J.is_covering(cat.dom[x], s):
@@ -1403,7 +1404,7 @@ def _reference_sheaf_arrow(cjs, J, a):
 
 
 def _category_tables(cat):
-    return cat.dom, cat.cod, cat.identity, dict(cat.comp)
+    return cat.dom, cat.cod, cat.identity, cat.composites
 
 
 def _assert_CJ_and_CJs_match_reference(cat, J):

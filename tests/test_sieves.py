@@ -76,7 +76,7 @@ def test_generate_factor_through_oracle(rng):
         expected = 0
         for h in cat.arrows_into(c):
             for f in bits(p):
-                if any(cat.comp[(f, z)] == h
+                if any(cat.compose(f, z) == h
                        for z in cat.hom(cat.dom[h], cat.dom[f])):
                     expected |= 1 << h
                     break
@@ -98,7 +98,7 @@ def test_pullback_membership_oracle(rng):
             pb = pullback_mask(cat, s, f)
             assert is_sieve_mask(cat, cat.dom[f], pb)
             for g in cat.arrows_into(cat.dom[f]):
-                assert (pb >> g) & 1 == (s >> cat.comp[(f, g)]) & 1
+                assert (pb >> g) & 1 == (s >> cat.compose(f, g)) & 1
 
 
 def test_pullback_commutes_with_intersection(rng):
@@ -131,7 +131,7 @@ def test_multicompose_brute_force(rng):
         c, s = random_sieve(rng, cat)
         refinements = {f: random_sieve_on(rng, cat, cat.dom[f]) for f in bits(s)}
         result = multicompose_mask(cat, s, refinements)
-        expected = mask_of(cat.comp[(f, h)]
+        expected = mask_of(cat.compose(f, h)
                            for f in bits(s) for h in bits(refinements[f]))
         assert result == expected
         # and the brute-force set is already a sieve
@@ -254,7 +254,7 @@ def fibration_presieve_identities(p, rng):
                 gen_img = generate_mask(base, img(P_cart))
                 rhs_mask = mask_of(
                     g for g in base.arrows_into(base.dom[pf])
-                    if (gen_img >> base.comp[(pf, g)]) & 1)
+                    if (gen_img >> base.compose(pf, g)) & 1)
                 assert lhs == rhs_mask, "identity (vi)"
                 # (vii): pullbacks contain the cartesian images of their members
                 if pb:
@@ -276,7 +276,7 @@ def test_sieve_masks_are_downclosed_after_generate(seed):
     s = generate_mask(cat, p)
     for f in bits(s):
         for z in cat.arrows_into(cat.dom[f]):
-            assert (s >> cat.comp[(f, z)]) & 1
+            assert (s >> cat.compose(f, z)) & 1
 
 
 def test_pullback_of_generated_sieve_brute_force(rng):
@@ -289,9 +289,9 @@ def test_pullback_of_generated_sieve_brute_force(rng):
             pb = pullback_mask(cat, gen, f)
             expected = mask_of(
                 g for g in cat.arrows_into(cat.dom[f])
-                if any(cat.comp[(f, g)] == cat.comp[(m, z)]
+                if any(cat.compose(f, g) == cat.compose(m, z)
                        for m in bits(p)
-                       for z in cat.hom(cat.dom[cat.comp[(f, g)]], cat.dom[m])))
+                       for z in cat.hom(cat.dom[cat.compose(f, g)], cat.dom[m])))
             assert pb == expected
 
 
@@ -304,7 +304,7 @@ def test_pullback_along_composite(seed):
     c, s = random_sieve(rng, cat)
     for g in cat.arrows_into(c):
         for f in cat.arrows_into(cat.dom[g]):
-            gf = cat.comp[(g, f)]
+            gf = cat.compose(g, f)
             assert pullback_mask(cat, s, gf) == pullback_mask(cat, pullback_mask(cat, s, g), f)
 
 

@@ -339,7 +339,7 @@ def _is_effective_epi(cat, c, mask):
         homs = cat.hom(c, e)
         seen = set()
         for h in homs:
-            key = tuple(cat.comp[(h, f)] for f in members)
+            key = tuple(cat.compose(h, f) for f in members)
             if key in seen:
                 return False  # restriction not injective
             seen.add(key)
@@ -361,30 +361,30 @@ def _count_arrow_cocones(cat, c, members, e):
         # u_f may be forced by an earlier assignment via f = g∘z
         for g, ug in assign.items():
             for z in cat.arrows_into(cat.dom[g]):
-                if cat.comp[(g, z)] == f:
-                    val = cat.comp[(ug, z)]
+                if cat.compose(g, z) == f:
+                    val = cat.compose(ug, z)
                     if forced is not None and forced != val:
                         return 0
                     forced = val
         candidates = [forced] if forced is not None else cat.hom(cat.dom[f], e)
         total = 0
         for u in candidates:
-            ok = all(cat.comp[(u, z)] == u
+            ok = all(cat.compose(u, z) == u
                      for z in cat.arrows_into(cat.dom[f])
-                     if cat.comp[(f, z)] == f)
+                     if cat.compose(f, z) == f)
             for g, ug in assign.items():
                 if not ok:
                     break
                 for z in cat.arrows_into(cat.dom[f]):
-                    if cat.comp[(f, z)] == g and cat.comp[(u, z)] != ug:
+                    if cat.compose(f, z) == g and cat.compose(u, z) != ug:
                         ok = False
                         break
                 if not ok:
                     break
                 for z in cat.arrows_into(cat.dom[f]):
                     for w in cat.arrows_into(cat.dom[g]):
-                        if cat.dom[z] == cat.dom[w] and cat.comp[(f, z)] == cat.comp[(g, w)]:
-                            if cat.comp[(u, z)] != cat.comp[(ug, w)]:
+                        if cat.dom[z] == cat.dom[w] and cat.compose(f, z) == cat.compose(g, w):
+                            if cat.compose(u, z) != cat.compose(ug, w):
                                 ok = False
                                 break
                     if not ok:
