@@ -93,6 +93,7 @@ def morphism_to_comorphism(sf: SiteFunctor) -> CommaSite:
                  for i, (d, c, alpha) in enumerate(cc.objects))
 
     pi_D_props = local_property_tests(pi_D)
+    composite = i_F.functor.then(cc.left_projection)
     certificates = {
         "pi_C_comorphism": is_comorphism_of_sites(pi_C).holds,
         "i_F_morphism": is_morphism_of_sites(i_F).holds,
@@ -103,8 +104,7 @@ def morphism_to_comorphism(sf: SiteFunctor) -> CommaSite:
         "pi_D_cover_reflecting": is_cover_reflecting(pi_D).holds,
         "pi_D_equivalence": classify_morphism(pi_D).equivalence.holds,
         "adjunction": _check_adjunction(cc.right_projection, i_F.functor, unit),
-        "composite_is_F": i_F.functor.then(cc.left_projection).obj_map == F.obj_map
-        and i_F.functor.then(cc.left_projection).arr_map == F.arr_map,
+        "composite_is_F": composite.obj_map == F.obj_map and composite.arr_map == F.arr_map,
     }
     return CommaSite(cc, k_tilde, {"to_source": pi_C, "to_target": pi_D},
                      i_F, certificates)
@@ -134,6 +134,7 @@ def comorphism_to_morphism_comma(sf: SiteFunctor) -> CommaSite:
         k_bar.covers_family(i, 1 << cc.arrow_index[(j_obj[d], i, g_id, alpha)])
         for i, (d, c, alpha) in enumerate(cc.objects)
         for g_id in [D.identity[d]])
+    composite = j_F.functor.then(cc.right_projection)
     certificates = {
         "pi_C_comorphism": is_comorphism_of_sites(pi_C).holds,
         "j_F_full_faithful": j_F.functor.is_full() and j_F.functor.is_faithful(),
@@ -144,8 +145,7 @@ def comorphism_to_morphism_comma(sf: SiteFunctor) -> CommaSite:
         "pi_D_equivalence": classify_morphism(pi_D).equivalence.holds,
         "adjunction": _check_adjunction(j_F.functor, cc.left_projection, D.identity),
         "density_witness_arrows": density_witnesses,
-        "composite_is_F": j_F.functor.then(cc.right_projection).obj_map == F.obj_map
-        and j_F.functor.then(cc.right_projection).arr_map == F.arr_map,
+        "composite_is_F": composite.obj_map == F.obj_map and composite.arr_map == F.arr_map,
     }
     return CommaSite(cc, k_bar, {"to_source": pi_D, "to_target": pi_C},
                      j_F, certificates)

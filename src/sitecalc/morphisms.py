@@ -468,58 +468,42 @@ def cocone_sheaf_colimit_oracle(D: FinFunctor, vertex: int, legs,
 # local faithfulness / fullness / denseness
 
 def local_property_tests(sf: SiteFunctor) -> dict[str, Verdict]:
-    """The five local verdicts, J_faithful, JK_faithful, J_full, JK_full
-    and K_dense, computed once per site functor."""
+    """The three local verdicts, computed once per site functor:
+    J_faithful (parallel h, k with F(h) = F(k) are J-locally equal),
+    J_full (for each g: F(x) -> F(y), the arrows f into x with g∘F(f) the
+    image of an arrow dom f -> y form a J-covering sieve) and K_dense
+    (K covers each object of the target by its image base)."""
     return _memo(sf, ("local-properties",), lambda: _check_local_properties(sf))
 
 
 def _check_local_properties(sf: SiteFunctor) -> dict[str, Verdict]:
-    F, J, K = sf.F, sf.J, sf.K
+    F, J = sf.F, sf.J
     C, D = F.source, F.target
-    out: dict[str, Verdict] = {}
 
-    def faithful(local_target: bool) -> Verdict:
-        kind = "JK-faithful" if local_target else "J-faithful"
+    def faithful() -> Verdict:
         for a in C.objects:
             for b in C.objects:
                 for h in C.hom(a, b):
                     for k in C.hom(a, b):
-                        if h == k:
-                            continue
-                        if local_target:
-                            eq = local_equality(K, F.on_arr(h), F.on_arr(k))
-                        else:
-                            eq = F.on_arr(h) == F.on_arr(k)
-                        if eq and not local_equality(J, h, k):
-                            return _no(kind, instance={"h": h, "k": k})
-        return _yes(kind)
+                        if h != k and F.on_arr(h) == F.on_arr(k) and not local_equality(J, h, k):
+                            return _no("J-faithful", instance={"h": h, "k": k})
+        return _yes("J-faithful")
 
-    def full(local_target: bool) -> Verdict:
-        kind = "JK-full" if local_target else "J-full"
+    def full() -> Verdict:
+        images = {(a, y): {F.on_arr(k) for k in C.hom(a, y)}
+                  for a in C.objects for y in C.objects}
         for x in C.objects:
             for y in C.objects:
                 for g in D.hom(F.on_obj(x), F.on_obj(y)):
-                    good = 0
-                    for f in C.arrows_into(x):
-                        gf = D.compose(g, F.on_arr(f))
-                        hit = any(
-                            (local_equality(K, gf, F.on_arr(k))
-                             if local_target else gf == F.on_arr(k))
-                            for k in C.hom(C.dom[f], y))
-                        if hit:
-                            good |= 1 << f
+                    good = mask_of(f for f in C.arrows_into(x)
+                                   if D.compose(g, F.on_arr(f)) in images[C.dom[f], y])
                     if not J.is_covering(x, good):
-                        return _no(kind, instance={"x": x, "y": y, "g": g}, sieve=good)
-        return _yes(kind)
-
-    out["J_faithful"] = faithful(False)
-    out["JK_faithful"] = faithful(True)
-    out["J_full"] = full(False)
-    out["JK_full"] = full(True)
+                        return _no("J-full", instance={"x": x, "y": y, "g": g}, sieve=good)
+        return _yes("J-full")
 
     miss = next(_image_base_misses(sf), None)
-    out["K_dense"] = _no("K-dense", object=miss[0], sieve=miss[1]) if miss else _yes("K-dense")
-    return out
+    return {"J_faithful": faithful(), "J_full": full(),
+            "K_dense": _no("K-dense", object=miss[0], sieve=miss[1]) if miss else _yes("K-dense")}
 
 
 def _image_base_misses(sf: SiteFunctor) -> Iterator[tuple[int, int]]:

@@ -202,9 +202,11 @@ def join_topologies(j1: GrothendieckTopology, j2: GrothendieckTopology) -> Groth
 def induced_topology(F: FinFunctor, K: GrothendieckTopology) -> GrothendieckTopology:
     """J_F on the source: sieves whose image generates a K-covering sieve.
     Validates the axioms; failure signals that F is not a morphism of sites
-    from any topology on its source."""
-    return topology_where(F.source, lambda c, s: K.covers_family(
-        F.on_obj(c), mask_of(F.on_arr(f) for f in bits(s))))
+    from any topology on its source.  Built once per functor instance and
+    value of K (an equal K on the target finds it); a TopologyError keeps
+    nothing."""
+    return _memo(F, ("induced_topology", K), lambda: topology_where(
+        F.source, lambda c, s: K.covers_family(F.on_obj(c), mask_of(F.on_arr(f) for f in bits(s)))))
 
 
 def coinduced_topology(F: FinFunctor, J: GrothendieckTopology) -> GrothendieckTopology:

@@ -18,6 +18,7 @@ from sitecalc.fincat import (
     terminal_category,
     validate_category,
 )
+from sitecalc.morphisms import SiteFunctor
 from sitecalc.presheaf import (
     FinPresheaf,
     SubPresheaf,
@@ -347,11 +348,28 @@ def all_functors(A: FinCategory, B: FinCategory, limit: int = 4000):
     return out
 
 
+def random_site_functors(rng: random.Random, n: int) -> list[SiteFunctor]:
+    """Random functors between random sites, morphisms of sites or not."""
+    out = []
+    while len(out) < n:
+        src, tgt = random_category(rng), random_category(rng)
+        try:
+            fs = all_functors(src, tgt)
+        except RuntimeError:
+            continue
+        for F in rng.sample(fs, min(2, len(fs))):
+            out.append(SiteFunctor(F, random_topology(rng, src), random_topology(rng, tgt)))
+    return out
+
+
 @pytest.fixture
 def two() -> FinCategory:
     return make_two()
 
 
+RNG_SEED = 20260809
+
+
 @pytest.fixture
 def rng() -> random.Random:
-    return random.Random(20260809)
+    return random.Random(RNG_SEED)

@@ -9,12 +9,14 @@ small category by brute force, the oracle for the constructors of the
 topology module, and `reference_closure_mask` scans every arrow for the
 closure of a sieve.  The `reference_*` site-checker bodies are the versions
 that carried their own copy of a building block the checkers now share:
-the hom-set scans, the colimit comparison and the connection loop.  The
-constructors of derived categories (comma, full subcategory, quotient,
-poset, elements and sieve-diagram shape) are kept here as they were before
-they shared `fincat.derived_category`, each with its own index and
-composition code; `category_from_table` turns their pair mappings into the
-rows a category stores.
+the hom-set scans, the colimit comparison and the connection loop;
+`reference_j_faithful` and `reference_j_full` scan every parallel pair
+and every arrow of a hom-set where `morphisms.local_property_tests` reads
+images off a set.  The constructors of derived categories (comma, full
+subcategory, quotient, poset, elements and sieve-diagram shape) are kept
+here as they were before they shared `fincat.derived_category`, each with
+its own index and composition code; `category_from_table` turns their pair
+mappings into the rows a category stores.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from sitecalc.presheaf import (
     yoneda,
 )
 from sitecalc.sieves import all_sieve_masks, bits, mask_of, maximal_sieve_mask, pullback_mask
-from sitecalc.topology import GrothendieckTopology, _axiom_violations
+from sitecalc.topology import GrothendieckTopology, _axiom_violations, local_equality
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +440,39 @@ def reference_cocone_is_sheaf_colimit(D: FinFunctor, vertex: int, legs,
                                                  "b": b, "x2": x2},
                                        sieve=good)
     return _yes("sheaf-colimit")
+
+
+def reference_j_faithful(sf: SiteFunctor) -> Verdict:
+    """J-faithfulness by the scan of every ordered pair of distinct parallel
+    arrows."""
+    F, J = sf.F, sf.J
+    C = F.source
+    for a in C.objects:
+        for b in C.objects:
+            for h in C.hom(a, b):
+                for k in C.hom(a, b):
+                    if h == k:
+                        continue
+                    if F.on_arr(h) == F.on_arr(k) and not local_equality(J, h, k):
+                        return _no("J-faithful", instance={"h": h, "k": k})
+    return _yes("J-faithful")
+
+
+def reference_j_full(sf: SiteFunctor) -> Verdict:
+    """J-fullness with the image test as a scan of every k: dom f -> y."""
+    F, J = sf.F, sf.J
+    C, D = F.source, F.target
+    for x in C.objects:
+        for y in C.objects:
+            for g in D.hom(F.on_obj(x), F.on_obj(y)):
+                good = 0
+                for f in C.arrows_into(x):
+                    gf = D.compose(g, F.on_arr(f))
+                    if any(gf == F.on_arr(k) for k in C.hom(C.dom[f], y)):
+                        good |= 1 << f
+                if not J.is_covering(x, good):
+                    return _no("J-full", instance={"x": x, "y": y, "g": g}, sieve=good)
+    return _yes("J-full")
 
 
 def reference_locally_connected(F: FinFunctor, K: GrothendieckTopology) -> Verdict:

@@ -1,5 +1,10 @@
+import collections
+import random
+
 import pytest
 
+import sitecalc.morphisms as morphisms
+import sitecalc.topology as topology
 from sitecalc.constructions import (
     _check_adjunction,
     comorphism_to_morphism_comma,
@@ -15,7 +20,14 @@ from sitecalc.fincat import (
     monoid_category,
     validate_category,
 )
-from sitecalc.morphisms import SiteFunctor, is_comorphism_of_sites, is_morphism_of_sites
+from sitecalc.morphisms import (
+    SiteFunctor,
+    classify_comorphism,
+    classify_morphism,
+    is_comorphism_of_sites,
+    is_morphism_of_sites,
+    local_property_tests,
+)
 from sitecalc.topology import (
     atomic_topology,
     coinduced_topology,
@@ -25,13 +37,16 @@ from sitecalc.topology import (
 )
 
 from conftest import (
+    RNG_SEED,
     all_functors,
     idempotent_monoid_category,
     make_collapse_functor,
     random_category,
     random_fibration,
+    random_site_functors,
     random_topology,
 )
+from oracles import reference_j_faithful, reference_j_full
 
 
 def morphism_corpus(rng, n=8):
@@ -205,3 +220,78 @@ def test_embedding_topology_round_trip(rng):
         if checked >= 3:
             break
     assert checked >= 1
+
+
+def test_comma_topology_is_built_once(monkeypatch, rng, two):
+    """Each comma construction enumerates and validates its comma topology
+    once: `classify_morphism(π_D)` finds K̃ (K̄ for c2m) in the memo of
+    `induced_topology` instead of building it again."""
+    morphisms_in = [SiteFunctor(make_collapse_functor(two), atomic_topology(two),
+                                atomic_topology(two)), *morphism_corpus(rng)]
+    comorphisms_in = comorphism_corpus(rng)
+    built = []
+    where = topology.topology_where
+
+    def counted(cat, covers):
+        built.append(cat)
+        return where(cat, covers)
+
+    for module in (topology, morphisms):
+        monkeypatch.setattr(module, "topology_where", counted)
+    for construct, corpus in ((morphism_to_comorphism, morphisms_in),
+                              (comorphism_to_morphism_comma, comorphisms_in)):
+        assert len(corpus) >= 5
+        for sf in corpus:
+            built.clear()
+            site = construct(sf)
+            assert len(built) == 1 and built[0] is site.comma.category
+            assert all(site.certificates.values()), site.certificates
+
+
+@pytest.fixture(scope="module")
+def m2c_corpus():
+    """The 300 random site functors of `test_flag_lattice_on_both_classifiers`,
+    each with its m2c comma site if it is a morphism of sites (else None)."""
+    return [(sf, morphism_to_comorphism(sf) if is_morphism_of_sites(sf) else None)
+            for sf in random_site_functors(random.Random(RNG_SEED), 300)]
+
+
+def test_dual_adjunction_through_comma_sites(m2c_corpus):
+    """A morphism of sites F and the comorphism π_C out of its m2c comma
+    site induce the same geometric morphism, and so do a comorphism and the
+    comorphism π_C out of its c2m comma site.  The morphism-side classifier
+    and the comorphism-side one share no body, so their flags must agree.
+    c2m runs on the first 150 functors only: classifying its comma
+    comorphisms enumerates their subpresheaves, about 25 ms a case."""
+    patterns = {"m2c": collections.Counter(), "c2m": collections.Counter()}
+    for i, (sf, m2c) in enumerate(m2c_corpus):
+        if m2c is not None:
+            assert all(m2c.certificates.values()), m2c.certificates
+            flags = classify_morphism(sf).flags()
+            del flags["essential_surjective_closed_image"]
+            assert classify_comorphism(m2c.projections["to_source"]).flags() == flags, sf
+            patterns["m2c"][tuple(flags.values())] += 1
+        if i < 150 and is_comorphism_of_sites(sf):
+            c2m = comorphism_to_morphism_comma(sf)
+            assert all(c2m.certificates.values()), c2m.certificates
+            flags = classify_comorphism(sf).flags()
+            assert classify_comorphism(c2m.projections["to_target"]).flags() == flags, sf
+            patterns["c2m"][tuple(flags.values())] += 1
+    assert sum(patterns["m2c"].values()) >= 100 and sum(patterns["c2m"].values()) >= 100
+    assert all(len(c) >= 4 for c in patterns.values())
+
+
+def test_local_verdicts_match_the_strict_scans(m2c_corpus):
+    """J_faithful and J_full, verdict and witness, equal the scans of every
+    parallel pair and of every arrow of a hom-set (`tests/oracles.py`), on
+    the 300 site functors and on π_D and i_F of each m2c comma site."""
+    seen = collections.Counter()
+    for sf, m2c in m2c_corpus:
+        for case in (sf,) if m2c is None else (sf, m2c.projections["to_target"], m2c.embedding):
+            props = local_property_tests(case)
+            assert list(props) == ["J_faithful", "J_full", "K_dense"]
+            assert props["J_faithful"] == reference_j_faithful(case)
+            assert props["J_full"] == reference_j_full(case)
+            seen["J_faithful", props["J_faithful"].holds] += 1
+            seen["J_full", props["J_full"].holds] += 1
+    assert len(seen) == 4

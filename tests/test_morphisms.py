@@ -87,6 +87,7 @@ from conftest import (
     random_category,
     random_fibration,
     random_presheaf,
+    random_site_functors,
     random_topology,
 )
 from oracles import (
@@ -1087,20 +1088,6 @@ def test_comorphism_classifiers_sheafify_each_representable_once(monkeypatch, rn
 # ---------------------------------------------------------------------------
 # the localic criterion and weak denseness clause (iii) against their searches
 
-def _random_site_functors(rng, n):
-    """Random functors between random sites, morphisms of sites or not."""
-    out = []
-    while len(out) < n:
-        src, tgt = random_category(rng), random_category(rng)
-        try:
-            fs = all_functors(src, tgt)
-        except RuntimeError:
-            continue
-        for F in rng.sample(fs, min(2, len(fs))):
-            out.append(SiteFunctor(F, random_topology(rng, src), random_topology(rng, tgt)))
-    return out
-
-
 def test_flag_lattice_on_both_classifiers(rng):
     """Sh(F) is an equivalence exactly when it is a surjection and an
     inclusion, and exactly when it is hyperconnected and localic, as both
@@ -1109,7 +1096,7 @@ def test_flag_lattice_on_both_classifiers(rng):
     meets are checked against it on each classifier, over 300 random site
     functors."""
     seen = {"morphism": set(), "comorphism": set()}
-    for sf in _random_site_functors(rng, 300):
+    for sf in random_site_functors(rng, 300):
         for side, applies, classify in (("morphism", is_morphism_of_sites, classify_morphism),
                                         ("comorphism", is_comorphism_of_sites,
                                          classify_comorphism)):
@@ -1144,7 +1131,7 @@ def test_principal_presentations_match_family_search(rng):
     """The closed form for families over principal sieves presents the
     arrows the search finds, on 300 random site functors and on one where
     it must drop an arrow h that fails to equalize what f0 equalizes."""
-    for sf in _random_site_functors(rng, 300):
+    for sf in random_site_functors(rng, 300):
         assert _principally_presented(sf) == _searched_principal_presentations(sf)
     # objects d = 0, e = 1; s: d -> d idempotent and p: d -> e with p∘s = p.
     # The point of e presents only s at d: id_d does not equalize (id_d, s).
@@ -1234,7 +1221,7 @@ def test_weakly_dense_clause_iii_matches_reference_scan(rng):
     searched; and identity-carrying sieves whose families share their
     value at the identity, where local-equality classes have more than one
     element."""
-    corpus = _random_site_functors(rng, 300)
+    corpus = random_site_functors(rng, 300)
     corpus += [_document_site_functor(vee_site(k, m), "G")
                for k, m in ((2, 2), (3, 2), (4, 2), (3, 3))]
     for _ in range(60):
@@ -1439,7 +1426,7 @@ def test_morphism_of_sites_matches_reference_scans(rng):
     generated topologies, which fail at each of the four clauses, and on a
     clause (iv) failure where some composites are realized but not g."""
     clauses = collections.Counter()
-    for sf in _random_site_functors(rng, 600):
+    for sf in random_site_functors(rng, 600):
         v = is_morphism_of_sites(sf)
         assert v.witness == _reference_morphism_of_sites(sf)
         clauses[v.witness.get("clause")] += 1
@@ -1462,7 +1449,7 @@ def test_weakly_dense_clause_ii_matches_reference_carriers(rng):
     object the reference arrows leave uncovered, with its sieve; in the
     corpus the search covers some of those objects."""
     uncovered = searched_and_covered = 0
-    for sf in _random_site_functors(rng, 300):
+    for sf in random_site_functors(rng, 300):
         D, K = sf.F.target, sf.K
         reference = _reference_realized_arrows(sf)
         assert list(_realized_arrows(sf, D.objects)) == reference
@@ -1492,7 +1479,7 @@ def test_closed_sieve_lifting_matches_reference_closures(rng):
     witness of the full closures against every image, on 600 random site
     functors, some failing."""
     failed = 0
-    for sf in _random_site_functors(rng, 600):
+    for sf in random_site_functors(rng, 600):
         v = closed_sieve_lifting(sf)
         assert v.witness == _reference_closed_sieve_lifting(sf)
         failed += not v.holds
@@ -1505,7 +1492,7 @@ def test_morphism_of_sites_witnesses_replay_independently(monkeypatch, rng):
     instance is rejected."""
     import sitecalc.morphisms as mor
     witnesses = [(sf, is_morphism_of_sites(sf).witness)
-                 for sf in _random_site_functors(rng, 600)]
+                 for sf in random_site_functors(rng, 600)]
     witnesses = [(sf, w) for sf, w in witnesses if w.get("clause") in ("ii", "iii", "iv")]
 
     def no_checker(sf):
@@ -1637,7 +1624,7 @@ def _comorphism_corpora(rng):
     """Random comorphisms, fibrations with their fibration topologies, and
     the four legs of the factorizations of the cover-preserving random
     ones."""
-    randoms = [sf for sf in _random_site_functors(rng, 240) if is_comorphism_of_sites(sf).holds]
+    randoms = [sf for sf in random_site_functors(rng, 240) if is_comorphism_of_sites(sf).holds]
     fibrations = []
     for _ in range(60):
         p = random_fibration(rng)
@@ -1734,7 +1721,7 @@ def test_classify_comorphism_runs_each_shared_body_once(monkeypatch, rng):
             return _body(*args)
         monkeypatch.setattr(mor, name, counted)
     reached = collections.Counter()
-    comorphisms = [sf for sf in _random_site_functors(rng, 80) if is_comorphism_of_sites(sf).holds]
+    comorphisms = [sf for sf in random_site_functors(rng, 80) if is_comorphism_of_sites(sf).holds]
     for sf in comorphisms + [_localic_without_faithfulness()]:
         counts.clear()
         cls = classify_comorphism(sf)
@@ -1841,7 +1828,7 @@ def test_hom_presheaf_and_continuity_oracle_match_reference(rng):
     hom-sets and built the comparison by hand, on 300 random site
     functors."""
     verdicts = collections.Counter()
-    for sf in _random_site_functors(rng, 300):
+    for sf in random_site_functors(rng, 300):
         F = sf.F
         for c in F.target.objects:
             assert mor._hom_presheaf(F, c) == reference_hom_presheaf(F, c)
@@ -1894,7 +1881,7 @@ def test_connection_loops_match_reference(rng):
     distinct = _clause_b_with_distinct_arrows()
     functors = [(FinFunctor(V, V, (0, 0, 2), (0, 1, 0, 1, 4)), trivial_topology(V)),
                 (distinct, trivial_topology(distinct.target))]
-    for sf in _random_site_functors(rng, 150):
+    for sf in random_site_functors(rng, 150):
         functors += [(sf.F, sf.K), (sf.F, trivial_topology(sf.F.target))]
     failures = collections.Counter()
     for F, K in functors:
@@ -1926,7 +1913,7 @@ def test_cofinal_witnesses_replay_against_the_target_topology(rng):
     cofinality with the target topology, so their witnesses replay against
     it, on functors between different categories."""
     replayed = collections.Counter()
-    for sf in _random_site_functors(rng, 200):
+    for sf in random_site_functors(rng, 200):
         if sf.F.source == sf.F.target:
             continue
         v = is_J_cofinal(sf.F, sf.K)

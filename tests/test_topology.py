@@ -619,6 +619,32 @@ def test_local_equality_is_memoised_per_instance(monkeypatch, two):
     assert counts[id(J), ("local_equality", 2, 2)] == 1
 
 
+def test_induced_topology_is_memoised_per_functor_and_topology_value(monkeypatch, two):
+    """J_F is built once per functor instance and value of K: an equal but
+    distinct K finds it, an equal functor built separately shares nothing,
+    and a TopologyError keeps nothing, so each call decides afresh."""
+    import sitecalc.topology as topology
+    counts = count_computes(monkeypatch, topology)
+    one = terminal_category()
+    const = FinFunctor(two, one, (0, 0), (0, 0, 0))
+    K, K2 = trivial_topology(one), trivial_topology(one)
+    assert K2 == K and K2 is not K
+    J = induced_topology(const, K)
+    assert induced_topology(const, K2) is J
+    assert counts == {(id(const), ("induced_topology", K)): 1}
+    twin = FinFunctor(two, one, (0, 0), (0, 0, 0))
+    assert twin == const and induced_topology(twin, K) is not J
+    assert induced_topology(twin, K) == J
+    assert counts[id(twin), ("induced_topology", K)] == 1
+    cospan = poset_category(3, [(0, 2), (1, 2)])
+    const2 = FinFunctor(cospan, one, (0, 0, 0), (0,) * cospan.n_arrows)
+    for _ in range(2):
+        with pytest.raises(TopologyError):
+            induced_topology(const2, K)
+    assert counts[id(const2), ("induced_topology", K)] == 2
+    assert ("induced_topology", K) not in const2.__dict__
+
+
 def test_topology_where_validates(rng, two):
     """The condition s == maximal gives the trivial topology; a condition
     that breaks an axiom raises TopologyError instead of being stored."""
