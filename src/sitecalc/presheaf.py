@@ -676,7 +676,7 @@ def sheaf_comparison(P: FinPresheaf, J: GrothendieckTopology,
 
 
 # ---------------------------------------------------------------------------
-# natural transformations and subpresheaves, by enumeration
+# natural transformations, by enumeration
 
 def enumerate_presheaf_morphisms(P: FinPresheaf, Q: FinPresheaf) -> list[PresheafMorphism]:
     """All natural transformations P -> Q, by backtracking over objects.
@@ -720,29 +720,6 @@ def enumerate_presheaf_morphisms(P: FinPresheaf, Q: FinPresheaf) -> list[Preshea
 
     extend(0, {})
     return out
-
-
-def subpresheaves(P: FinPresheaf) -> list[SubPresheaf]:
-    """All subpresheaves (restriction-closed element selections)."""
-    cat = P.cat
-    out = []
-    choices = [list(_subsets(range(P.sizes[c]))) for c in cat.objects]
-    for combo in itertools.product(*choices):
-        ok = True
-        for f in cat.arrows:
-            a, b = cat.dom[f], cat.cod[f]
-            if any(P.res(f, x) not in combo[a] for x in combo[b]):
-                ok = False
-                break
-        if ok:
-            out.append(SubPresheaf(P, tuple(frozenset(m) for m in combo)))
-    return out
-
-
-def _subsets(xs):
-    xs = list(xs)
-    for k in range(len(xs) + 1):
-        yield from (frozenset(c) for c in itertools.combinations(xs, k))
 
 
 # ---------------------------------------------------------------------------

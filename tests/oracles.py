@@ -7,7 +7,9 @@ oracle for the theorem on arrows, against the sheafified presheaf morphisms
 the checkers compute with.  `enumerate_topologies` lists every topology on a
 small category by brute force, the oracle for the constructors of the
 topology module, and `reference_closure_mask` scans every arrow for the
-closure of a sieve.  The `reference_*` site-checker bodies are the versions
+closure of a sieve.  `subpresheaves` lists every subpresheaf, the search
+that the reference bodies of the comorphism checks run and that the
+checkers replace.  The `reference_*` site-checker bodies are the versions
 that carried their own copy of a building block the checkers now share:
 the hom-set scans, the colimit comparison and the connection loop;
 `reference_j_faithful` and `reference_j_full` scan every parallel pair
@@ -39,6 +41,7 @@ from sitecalc.presheaf import (
     FinPresheaf,
     PresheafMorphism,
     SheafificationResult,
+    SubPresheaf,
     colimit_presheaf,
     elem_locally_equal,
     is_bicovering,
@@ -254,6 +257,34 @@ def relation_is_epi(R: FunctionalRelation, J: GrothendieckTopology) -> bool:
             if not J.is_covering(c, s):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# subpresheaves, by enumeration
+
+def subpresheaves(P: FinPresheaf) -> list[SubPresheaf]:
+    """All subpresheaves (restriction-closed element selections), in the
+    order of their members per object, (size, sorted members), the first
+    object most significant."""
+    cat = P.cat
+    out = []
+    choices = [list(_subsets(range(P.sizes[c]))) for c in cat.objects]
+    for combo in itertools.product(*choices):
+        ok = True
+        for f in cat.arrows:
+            a, b = cat.dom[f], cat.cod[f]
+            if any(P.res(f, x) not in combo[a] for x in combo[b]):
+                ok = False
+                break
+        if ok:
+            out.append(SubPresheaf(P, tuple(frozenset(m) for m in combo)))
+    return out
+
+
+def _subsets(xs):
+    xs = list(xs)
+    for k in range(len(xs) + 1):
+        yield from (frozenset(c) for c in itertools.combinations(xs, k))
 
 
 # ---------------------------------------------------------------------------

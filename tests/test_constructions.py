@@ -260,18 +260,17 @@ def test_dual_adjunction_through_comma_sites(m2c_corpus):
     """A morphism of sites F and the comorphism π_C out of its m2c comma
     site induce the same geometric morphism, and so do a comorphism and the
     comorphism π_C out of its c2m comma site.  The morphism-side classifier
-    and the comorphism-side one share no body, so their flags must agree.
-    c2m runs on the first 150 functors only: classifying its comma
-    comorphisms enumerates their subpresheaves, about 25 ms a case."""
+    and the comorphism-side one share no body, so their flags must agree,
+    on each of the 300 site functors, on both sides."""
     patterns = {"m2c": collections.Counter(), "c2m": collections.Counter()}
-    for i, (sf, m2c) in enumerate(m2c_corpus):
+    for sf, m2c in m2c_corpus:
         if m2c is not None:
             assert all(m2c.certificates.values()), m2c.certificates
             flags = classify_morphism(sf).flags()
             del flags["essential_surjective_closed_image"]
             assert classify_comorphism(m2c.projections["to_source"]).flags() == flags, sf
             patterns["m2c"][tuple(flags.values())] += 1
-        if i < 150 and is_comorphism_of_sites(sf):
+        if is_comorphism_of_sites(sf):
             c2m = comorphism_to_morphism_comma(sf)
             assert all(c2m.certificates.values()), c2m.certificates
             flags = classify_comorphism(sf).flags()

@@ -50,7 +50,6 @@ from sitecalc.presheaf import (
     sheafify_morphism,
     sheafify_plus_plus,
     sieve_subpresheaf,
-    subpresheaves,
     validate_presheaf,
     validate_presheaf_morphism,
     yoneda,
@@ -75,6 +74,7 @@ from oracles import (
     reference_full_subcategory,
     reference_poset_category,
     reference_quotient_by_functor_congruence,
+    subpresheaves,
 )
 
 

@@ -7,6 +7,7 @@ import pytest
 import sitecalc.morphisms as mor
 import sitecalc.presheaf as ps
 from sitecalc.cli import parse
+from sitecalc.constructions import morphism_to_comorphism
 from sitecalc.fincat import (
     FinFunctor,
     SizeGuardError,
@@ -64,7 +65,6 @@ from sitecalc.presheaf import (
     enumerate_presheaf_morphisms,
     is_sheaf,
     sheafify,
-    subpresheaves,
     validate_presheaf_morphism,
     yoneda,
 )
@@ -92,12 +92,14 @@ from conftest import (
 )
 from oracles import (
     arrow_to_relation,
+    reference_closure_mask,
     reference_cocone_is_sheaf_colimit,
     reference_continuity_oracle,
     reference_hom_presheaf,
     reference_is_J_cofinal,
     reference_locally_connected,
     reference_yoneda_arrow,
+    subpresheaves,
 )
 from test_cli import LATE_MISS_SITE, Z2_POINT_SITE, vee_site
 from test_presheaf import _reference_locally_matching_families
@@ -1486,6 +1488,47 @@ def test_closed_sieve_lifting_matches_reference_closures(rng):
     assert failed
 
 
+def test_closed_sieve_lifting_reports_the_least_failing_sieve():
+    """The point of e0 = 0 in objects 0..3 with g: 1 -> 0, h: 2 -> 0,
+    k: 3 -> 1 and g∘k: 3 -> 0, trivial topologies: every sieve on 0 is
+    closed, and every non-empty one without the identity fails.  The first
+    failing arrow into 0, g, has cl⟨g⟩ = {g, g∘k}, but the least failing
+    mask is ⟨h⟩, and that is the witness the scan of every sieve reports."""
+    arrows = [(0, 0), (1, 1), (2, 2), (3, 3), (1, 0), (2, 0), (3, 1), (3, 0)]
+    comp = {(4, 6): 7}
+    for f, (a, b) in enumerate(arrows):
+        comp[(b, f)] = comp[(f, a)] = f
+    D = validate_category(4, arrows, [0, 1, 2, 3], comp)
+    one = terminal_category()
+    sf = SiteFunctor(FinFunctor(one, D, (0,), (0,)), trivial_topology(one), trivial_topology(D))
+    assert closed_sieve_lifting(sf).witness == _reference_closed_sieve_lifting(sf) == {
+        "kind": "closed-sieve-lifting", "holds": False, "object": 0, "sieve": 1 << 5}
+
+
+def test_liftable_closed_sieves_are_closed_under_joins(rng):
+    """The lemma behind `closed_sieve_lifting`, checked without it on 300
+    random site functors and the projections π_D of the m2c comma sites of
+    the morphisms of sites among them: the closures of the images of the
+    sieves on c, which are the liftable closed sieves on F(c), hold the
+    closure of the union of any two of them.  The projections supply the
+    incomparable pairs."""
+    randoms = random_site_functors(rng, 300)
+    projections = [morphism_to_comorphism(sf).projections["to_target"]
+                   for sf in randoms if is_morphism_of_sites(sf)]
+    incomparable = 0
+    for sf in randoms + projections:
+        F, K = sf.F, sf.K
+        for c in F.source.objects:
+            fc = F.on_obj(c)
+            liftable = {reference_closure_mask(K, fc, generate_mask(
+                F.target, mask_of(F.on_arr(f) for f in bits(r))))
+                for r in all_sieve_masks(F.source, c)}
+            for s, t in itertools.combinations(liftable, 2):
+                assert reference_closure_mask(K, fc, s | t) in liftable
+                incomparable += s | t not in (s, t)
+    assert incomparable
+
+
 def test_morphism_of_sites_witnesses_replay_independently(monkeypatch, rng):
     """Clause (ii)-(iv) counterexamples replay from their recorded
     instance by the direct scans, without the checker; a tampered sieve or
@@ -1564,29 +1607,40 @@ def _reference_comorphism_localic(sf):
     return {"kind": "comorphism-localic", "holds": True}
 
 
+def _reference_induced(sf, c, s):
+    """The family of Hom_C(F(-), c) induced by the sieve s on c."""
+    F = sf.F
+    D, C = F.source, F.target
+    J = sf.source_topology
+    return tuple(frozenset(
+        xi for xi, x in enumerate(C.hom(F.on_obj(d), c))
+        if J.is_covering(d, mask_of(t for t in D.arrows_into(d)
+                                    if (s >> C.compose(x, F.on_arr(t))) & 1)))
+        for d in D.objects)
+
+
+def _reference_uninduced_families(sf, c):
+    """The closed families of image arrows into c that no sieve on c
+    induces, in the order of `subpresheaves`."""
+    F = sf.F
+    P = mor._hom_presheaf(F, c)
+    closed = [A.members for A in subpresheaves(P)
+              if closure_cJ(A, sf.source_topology).members == A.members]
+    induced_by_some_sieve = {_reference_induced(sf, c, s) for s in all_sieve_masks(F.target, c)}
+    return [members for members in closed if members not in induced_by_some_sieve]
+
+
 def _reference_comorphism_hyperconnected(sf):
     """Every closed family of image arrows into c tried against every sieve
     on c."""
     surj = mor.comorphism_surjection(sf)
     if not surj:
         return {"kind": "comorphism-hyperconnected", "holds": False, "witness": surj.witness}
-    F = sf.F
-    D, C = F.source, F.target
-    J = sf.source_topology
-    for c in C.objects:
-        P = mor._hom_presheaf(F, c)
-        closed = [A.members for A in subpresheaves(P) if closure_cJ(A, J).members == A.members]
-        induced_by_some_sieve = {
-            tuple(frozenset(
-                xi for xi, x in enumerate(C.hom(F.on_obj(d), c))
-                if J.is_covering(d, mask_of(t for t in D.arrows_into(d)
-                                            if (s >> C.compose(x, F.on_arr(t))) & 1)))
-                for d in D.objects)
-            for s in all_sieve_masks(C, c)}
-        for members in closed:
-            if members not in induced_by_some_sieve:
-                return {"kind": "comorphism-hyperconnected", "holds": False, "object": c,
-                        "family": [sorted(m) for m in members]}
+    for c in sf.F.target.objects:
+        uninduced = _reference_uninduced_families(sf, c)
+        if uninduced:
+            return {"kind": "comorphism-hyperconnected", "holds": False, "object": c,
+                    "family": [sorted(m) for m in uninduced[0]]}
     return {"kind": "comorphism-hyperconnected", "holds": True}
 
 
@@ -1709,6 +1763,87 @@ def test_localic_comorphism_that_is_not_J_faithful():
     assert classify_comorphism(sf).localic.holds
 
 
+def _closure_of(P, J, members):
+    """c_J of a selection of elements of P, by its definition."""
+    D = P.cat
+    return tuple(frozenset(
+        x for x in range(P.sizes[d])
+        if J.is_covering(d, mask_of(t for t in D.arrows_into(d)
+                                    if P.res(t, x) in members[D.dom[t]])))
+        for d in D.objects)
+
+
+def test_sieve_induced_families_are_closed_under_joins(rng):
+    """The lemma behind `_comorphism_hyperconnected`, checked without it on
+    the comorphism corpora: for sieves s and r on c, the family induced by
+    s ∪ r is the closure of the union of the families induced by s and r,
+    so the induced families hold the join of any two of them."""
+    incomparable = 0
+    for sfs in _comorphism_corpora(rng).values():
+        for sf in sfs:
+            for c in sf.F.target.objects:
+                P = reference_hom_presheaf(sf.F, c)
+                by_family = {}
+                for s in all_sieve_masks(sf.F.target, c):
+                    by_family.setdefault(_reference_induced(sf, c, s), s)
+                for (A, s), (B, r) in itertools.combinations(by_family.items(), 2):
+                    join = _closure_of(P, sf.source_topology,
+                                       tuple(a | b for a, b in zip(A, B)))
+                    assert _reference_induced(sf, c, s | r) == join
+                    incomparable += join not in (A, B)
+    assert incomparable
+
+
+def test_comorphism_hyperconnected_witnesses_replay_independently(monkeypatch, rng):
+    """A closed family that no sieve induces replays from its record, with
+    the checker patched to raise: it is c_J-closed, and no sieve on c
+    induces it.  With one element added or removed, or moved to another
+    object, it replays exactly when the reference search lists it as
+    closed and not induced there, and the full family, which the maximal
+    sieve induces, never does.  A failed surjection replays too."""
+    cases = [(sf, mor._comorphism_hyperconnected(SiteFunctor(sf.F, sf.J, sf.K)).witness)
+             for sfs in _comorphism_corpora(rng).values() for sf in sfs]
+
+    def no_checker(sf):
+        raise AssertionError("the replay re-ran the checker")
+    monkeypatch.setattr(mor, "_comorphism_hyperconnected", no_checker)
+    monkeypatch.setitem(mor._POSITIVE_RUNNERS, "comorphism-hyperconnected", no_checker)
+
+    replayed = collections.Counter()
+    for sf, w in cases:
+        if w["holds"]:
+            continue
+        assert recheck_witness(sf, Verdict(False, w))
+        if "witness" in w:
+            replayed["not a surjection"] += 1
+            continue
+        replayed["family"] += 1
+        F, c = sf.F, w["object"]
+
+        def replays(**fields):
+            return recheck_witness(sf, Verdict(False, {**w, **fields}))
+
+        uninduced = _reference_uninduced_families(sf, c)
+        sizes = reference_hom_presheaf(F, c).sizes
+        assert not replays(family=[list(range(n)) for n in sizes])
+        for d in F.source.objects:
+            for x in range(sizes[d]):
+                family = [sorted(set(m) ^ {x}) if e == d else m
+                          for e, m in enumerate(w["family"])]
+                expected = tuple(map(frozenset, family)) in uninduced
+                assert replays(family=family) == expected
+                replayed["toggle rejected"] += not expected
+        for other in F.target.objects:
+            if other != c:
+                expected = tuple(map(frozenset, w["family"])) in \
+                    _reference_uninduced_families(sf, other)
+                assert replays(object=other) == expected
+                replayed["object rejected"] += not expected
+        assert not replays(object=F.target.n_objects)
+    assert all(replayed[k] for k in ("not a surjection", "family", "toggle rejected",
+                                     "object rejected")), replayed
+
+
 def test_classify_comorphism_runs_each_shared_body_once(monkeypatch, rng):
     """One classification builds the coinduced topology once and decides
     the five local verdicts once, although the localic check reads them and
@@ -1790,6 +1925,23 @@ def test_inclusion_relation_condition_guards_its_arrow_enumeration():
     with pytest.raises(SizeGuardError, match=r"9\^9 candidate components at object 0"):
         mor._inclusion_relation_condition(sf)
     assert time.process_time() - start < 1.0
+
+
+def test_quotient_z34_to_z17_classifies_from_single_elements():
+    """The quotient Z34 -> Z17 with trivial topologies: Hom(F(0), 0) has 17
+    elements, so the closed families to decide are subsets of 2^17, and the
+    hyperconnected check tests the closures of the 17 single elements.  F
+    is a surjection and hyperconnected, not an inclusion, not localic and
+    no equivalence."""
+    z34, z17 = (monoid_category([[(i + j) % n for j in range(n)] for i in range(n)], 0)
+                for n in (34, 17))
+    F = FinFunctor(z34, z17, (0,), tuple(i % 17 for i in range(34)))
+    sf = SiteFunctor(F, trivial_topology(z34), trivial_topology(z17))
+    start = time.process_time()
+    cls = classify_comorphism(sf)
+    assert time.process_time() - start < 5.0
+    assert cls.flags() == {"surjection": True, "inclusion": False, "hyperconnected": True,
+                           "localic": False, "equivalence": False}
 
 
 # ---------------------------------------------------------------------------

@@ -285,16 +285,22 @@ def test_direct_category_calls_are_found():
 # through `validate_presheaf` and `validate_presheaf_morphism`
 PRESHEAF_CLASSES = ("FinPresheaf", "PresheafMorphism", "SubPresheaf")
 TESTS = pathlib.Path(__file__).parent
+# the reference enumeration of subpresheaves, which builds only the
+# selections it has found restriction-closed
+PRESHEAF_CONSTRUCTIONS = {"oracles.subpresheaves"}
 
 
 def _direct_presheaf_calls(trees: dict[str, ast.Module]) -> list[str]:
-    return [call for name in PRESHEAF_CLASSES for call in _direct_calls(trees, name)]
+    return [call for name in PRESHEAF_CLASSES
+            for call in _direct_calls(trees, name, PRESHEAF_CONSTRUCTIONS)]
 
 
 def test_outside_presheaf_data_is_validated():
     """The parser and the tests, which build presheaves, morphisms and
     subpresheaves from their own data, call none of the three constructors;
-    the constructions in src/ are lawful by construction and call them."""
+    the constructions in src/ are lawful by construction and call them, and
+    so does the reference enumeration of subpresheaves, whose output
+    `tests/test_derived.py` re-validates."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in [SRC / "cli.py", *sorted(TESTS.glob("*.py"))]}
     assert _direct_presheaf_calls(trees) == []
@@ -313,6 +319,55 @@ def test_direct_presheaf_calls_are_found():
         "    return validate_presheaf(cat, (), ()), validate_presheaf_morphism(P, P, ())\n")
     assert _direct_presheaf_calls({"cli": sample}) == ["cli.parse:2", "cli.arrow:4",
                                                        "cli.Case.full:7"]
+    assert _direct_presheaf_calls({"oracles": ast.parse(
+        "def subpresheaves(P):\n"
+        "    return [SubPresheaf(P, ())]\n"
+        "def subsets(P):\n"
+        "    return [SubPresheaf(P, ())]\n")}) == ["oracles.subsets:4"]
+
+
+# the hyperconnected checks test the closures of single elements: nothing in
+# src/ enumerates subpresheaves, and closed sieve lifting walks no lattice
+ENUMERATIONS = {"subpresheaves", "_subsets"}
+LIFTING = "morphisms.closed_sieve_lifting"
+
+
+def _definitions(trees: dict[str, ast.Module], names: set[str]) -> list[str]:
+    """`module:line` of each function or class named in `names`, at any depth."""
+    return sorted(f"{module}:{node.lineno}" for module, tree in trees.items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and node.name in names)
+
+
+def _lifting_sieve_walks(trees: dict[str, ast.Module]) -> list[str]:
+    return [call for call in _direct_calls(trees, "all_sieve_masks")
+            if f"{call.partition(':')[0]}.".startswith(f"{LIFTING}.")]
+
+
+def test_closed_families_are_not_enumerated():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert _definitions(trees, ENUMERATIONS) == []
+    assert _lifting_sieve_walks(trees) == []
+
+
+def test_closed_family_enumerations_are_found():
+    sample = ast.parse(
+        "def subpresheaves(P):\n"
+        "    return list(_subsets(P))\n"
+        "class Lattice:\n"
+        "    def _subsets(self):\n"
+        "        return []\n"
+        "def closed_sieve_lifting(sf):\n"
+        "    def walk(c):\n"
+        "        return sieves.all_sieve_masks(sf.F.target, c)\n"
+        "    return [s for c in sf.F.source.objects for s in all_sieve_masks(sf.K.cat, c)]\n"
+        "def closed_sieve_lifting_reference(sf):\n"
+        "    return all_sieve_masks(sf.K.cat, 0)\n")
+    assert _definitions({"morphisms": sample}, ENUMERATIONS) == ["morphisms:1", "morphisms:4"]
+    assert _lifting_sieve_walks({"morphisms": sample}) == [
+        "morphisms.closed_sieve_lifting.walk:8", "morphisms.closed_sieve_lifting:9"]
 
 
 # a category stores its composites as rows; one pair is read through `compose`

@@ -37,7 +37,6 @@ from sitecalc.presheaf import (
     sheafify_plus_plus,
     sieve_subpresheaf,
     strict_matching_families,
-    subpresheaves,
     validate_presheaf,
     validate_presheaf_morphism,
     yoneda,
@@ -70,6 +69,7 @@ from oracles import (
     relation_is_epi,
     relation_is_mono,
     relation_to_arrow,
+    subpresheaves,
     validate_functional_relation,
 )
 
