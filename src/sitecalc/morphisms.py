@@ -31,9 +31,11 @@ from .sieves import (
     all_sieve_masks,
     bits,
     generate_mask,
+    is_sieve_mask,
     mask_of,
     maximal_sieve_mask,
     preimage_mask,
+    pullback_mask,
 )
 from .topology import (
     GrothendieckTopology,
@@ -336,7 +338,10 @@ class _CommaComponents:
 
 def is_continuous(sf: SiteFunctor) -> Verdict:
     """Finitary continuity criterion: cover-preserving, plus local connection
-    of every commuting square over the image diagram of a covering sieve."""
+    of every commuting square over the image diagram of a covering sieve.
+    A sieve that holds id_c is skipped: each member f has an edge f to
+    id_c, so for F(f)∘w = F(g)∘z both ends connect to (id_c, F(f)∘w∘u)
+    along every u; the sieve found is maximal, and it covers."""
     F, J, K = sf.F, sf.J, sf.K
     C, D = F.source, F.target
     cp = is_cover_preserving(sf)
@@ -345,6 +350,8 @@ def is_continuous(sf: SiteFunctor) -> Verdict:
                    object=cp.witness["object"], sieve=cp.witness["sieve"])
     for c in C.objects:
         for s in J.covers[c]:
+            if (s >> C.identity[c]) & 1:
+                continue
             members, raw_edges = sieve_diagram(C, s)
             vertices = [F.on_obj(C.dom[f]) for f in members]
             comma = _CommaComponents(D, vertices,
@@ -944,43 +951,6 @@ def _check_comorphism_surjection(sf: SiteFunctor) -> Verdict:
     raise AssertionError("unreachable")
 
 
-def _inclusion_relation_condition(sf: SiteFunctor) -> Verdict:
-    """For every sheaf arrow ξ: a(P_c) -> a(P_c2) between sheafified
-    image-hom presheaves P_c = Hom_C(F(-), c), the arrows f: z -> c paired
-    with some g: z -> c2 such that ξ(η(f∘x)) = η(g∘x) for every
-    x: F(e) -> z generate a sieve whose pullback along each x: F(e) -> c
-    covers e.  These are the pairs related by the functional relation of
-    ξ, read off ξ and the units directly."""
-    F = sf.F
-    src_top = sf.source_topology
-    D, C = F.source, F.target
-    sheafified = [_sheafified(sf, _hom_presheaf(F, c)) for c in C.objects]
-
-    def unit(c: int, e: int, x: int) -> int:
-        """η(x) in a(P_c)(e), for x: F(e) -> c."""
-        return sheafified[c].unit.at(e, C.hom_position[x])
-
-    for c in C.objects:
-        for c2 in C.objects:
-            for xi in ps.enumerate_presheaf_morphisms(sheafified[c].sheaf, sheafified[c2].sheaf):
-                paired = mask_of(
-                    f for z in C.objects for f in C.hom(z, c)
-                    if any(all(xi.at(e, unit(c, e, C.compose(f, x))) == unit(c2, e, C.compose(g, x))
-                               for e in D.objects for x in C.hom(F.on_obj(e), z))
-                           for g in C.hom(z, c2)))
-                gen = generate_mask(C, paired)
-                for e in D.objects:
-                    for x in C.hom(F.on_obj(e), c):
-                        t_mask = mask_of(
-                            t for t in D.arrows_into(e)
-                            if (gen >> C.compose(x, F.on_arr(t))) & 1)
-                        if not src_top.is_covering(e, t_mask):
-                            return _no("comorphism-inclusion",
-                                       clause="relation-family",
-                                       instance={"c": c, "c2": c2, "e": e, "x": x})
-    return _yes("comorphism-inclusion-relations")
-
-
 def _sheafified(sf: SiteFunctor, P: ps.FinPresheaf) -> ps.SheafificationResult:
     """a(P) on the source site, sheafified once per site functor instance
     and presheaf (its sizes and restrictions)."""
@@ -1015,35 +985,28 @@ def _yoneda_sheaf_arrow(sf: SiteFunctor, g: int,
     return ps.sheafify_morphism(ps.yoneda_arrow(sf.F.source, g), sh_src, sh_dst)
 
 
-def _inclusion_arrow_splits(sf: SiteFunctor, g: int) -> bool:
-    """Is there a relation (equivalently sheaf arrow a(P_{F(d')}) -> l'(d))
-    splitting χ_{d'} over g: d' -> d."""
-    D = sf.F.source
-    d1, d = D.dom[g], D.cod[g]
-    sh_yd1, sh_P, chi = _chi_morphism(sf, d1)
-    sh_yd = _chi_morphism(sf, d)[0]
-    target_arrow = _yoneda_sheaf_arrow(sf, g, sh_yd1, sh_yd)
-    for xi in ps.enumerate_presheaf_morphisms(sh_P.sheaf, sh_yd.sheaf):
-        if chi.then(xi).components == target_arrow.components:
-            return True
-    return False
-
-
 def _comorphism_inclusion_general(sf: SiteFunctor) -> Verdict:
-    rel = _inclusion_relation_condition(sf)
-    if not rel:
-        return rel
-    F = sf.F
-    D = F.source
-    src_top = sf.source_topology
-    for d in D.objects:
-        ok = mask_of(g for g in D.arrows_into(d) if _inclusion_arrow_splits(sf, g))
-        if not src_top.is_covering(d, generate_mask(D, ok)):
-            return _no("comorphism-inclusion", clause="local-splitting", object=d)
+    """C_F is an inclusion exactly when every closed family is induced and
+    C_F is localic.  F is a comorphism, so the target topology lies in the
+    coinduced topology T, and C_F is s: Sh(source site) -> Sh(target, T),
+    a surjection as T is its own coinduced topology, then an inclusion.
+    (surjection, inclusion) is orthogonal, so C_F is an inclusion exactly
+    when s is an equivalence: by the (hyperconnected, localic) system, when
+    s is localic and, being a surjection, has its closed families induced.
+    Neither half reads the target topology, so each decides s as it
+    decides F.  A failure records the failing half's witness."""
+    for half in (_closed_families_induced, _comorphism_localic_general):
+        verdict = half(sf)
+        if not verdict:
+            return _no("comorphism-inclusion", witness=verdict.witness)
     return _yes("comorphism-inclusion")
 
 
 def _comorphism_localic_general(sf: SiteFunctor) -> Verdict:
+    return _memo(sf, ("comorphism-localic",), lambda: _check_comorphism_localic(sf))
+
+
+def _check_comorphism_localic(sf: SiteFunctor) -> Verdict:
     """Localic criterion: the arrows g: d' -> d for which a(y(g)) factors,
     through χ_{d'}, over a subsheaf of a(P_{F(d')}) must cover every d.
 
@@ -1074,9 +1037,21 @@ def _comorphism_localic_general(sf: SiteFunctor) -> Verdict:
 
 
 def _comorphism_hyperconnected(sf: SiteFunctor) -> Verdict:
-    """Surjection condition plus: every functorial source-closed family A of
-    arrows F(d) -> c (a closed subpresheaf of the hom presheaf) is induced
-    by some sieve on c.
+    """Surjection condition plus `_closed_families_induced`."""
+    surj = comorphism_surjection(sf)
+    if not surj:
+        return _no("comorphism-hyperconnected", witness=surj.witness)
+    return _closed_families_induced(sf)
+
+
+def _closed_families_induced(sf: SiteFunctor) -> Verdict:
+    return _memo(sf, ("closed-families",), lambda: _check_closed_families(sf))
+
+
+def _check_closed_families(sf: SiteFunctor) -> Verdict:
+    """Every functorial source-closed family A of arrows F(d) -> c (a
+    closed subpresheaf of the hom presheaf) is induced by some sieve on c.
+    Reads only F and the source topology.
 
     One candidate decides each A: s*(A), the largest sieve whose principal
     sieves miss every arrow outside A.  A sieve s that induces A has its
@@ -1089,9 +1064,6 @@ def _comorphism_hyperconnected(sf: SiteFunctor) -> Verdict:
     order of A's members per object, (size, sorted members), the first
     object most significant, which extends inclusion.  So the first
     failing closed family is the first failing A_x; only those are tested."""
-    surj = comorphism_surjection(sf)
-    if not surj:
-        return _no("comorphism-hyperconnected", witness=surj.witness)
     F = sf.F
     D, C = F.source, F.target
     src_top = sf.source_topology
@@ -1400,6 +1372,29 @@ def recheck_witness(sf: SiteFunctor, verdict: Verdict) -> bool:
         return c in D.objects and len(members) == len(C.objects) and \
             ps.closure_cJ(ps.SubPresheaf(_hom_presheaf(F, c), members), J).members == members \
             and all(_induced_family(F, J, c, s) != members for s in all_sieve_masks(D, c))
+    if kind == "comorphism-surjection":
+        c, s = w["object"], w["sieve"]
+        return c in D.objects and is_sieve_mask(D, c, s) and (s in K.covers[c]) != all(
+            J.is_covering(e, preimage_mask(F, pullback_mask(D, s, xi), e))
+            for e in C.objects for xi in D.hom(F.on_obj(e), c))
+    if kind == "comorphism-inclusion":
+        # a failed surjection says nothing of inclusion; a failed K-full or
+        # K-faithful test decides it for a continuous F only
+        inner = w.get("witness", {})
+        if inner.get("kind") in ("J-full", "J-faithful"):
+            return is_continuous(sf).holds and recheck_witness(sf, Verdict(False, inner))
+        return inner.get("kind") in ("comorphism-hyperconnected", "comorphism-localic") \
+            and "witness" not in inner and recheck_witness(sf, Verdict(False, inner))
+    if kind == "J-faithful":
+        h, k = w["instance"]["h"], w["instance"]["k"]
+        return h in C.arrows and k in C.hom(C.dom[h], C.cod[h]) and h != k \
+            and F.on_arr(h) == F.on_arr(k) and not local_equality(J, h, k)
+    if kind == "J-full":
+        x, y, g = (w["instance"][key] for key in "xyg")
+        return x in C.objects and y in C.objects and g in D.hom(F.on_obj(x), F.on_obj(y)) \
+            and not J.is_covering(x, w["sieve"]) and w["sieve"] == mask_of(
+                f for f in C.arrows_into(x)
+                if any(D.compose(g, F.on_arr(f)) == F.on_arr(k) for k in C.hom(C.dom[f], y)))
     if kind == "cofinal":
         return not is_J_cofinal(F, K).holds
     checker = _POSITIVE_RUNNERS.get(kind)
@@ -1451,6 +1446,7 @@ _POSITIVE_RUNNERS: dict[str, Callable[[SiteFunctor], Verdict]] = {
     "closed-sieve-lifting": closed_sieve_lifting,
     "localic": _localic_condition,
     "comorphism-surjection": comorphism_surjection,
+    "comorphism-inclusion": _comorphism_inclusion_general,
     "comorphism-hyperconnected": _comorphism_hyperconnected,
     "comorphism-localic": _comorphism_localic_general,
 }

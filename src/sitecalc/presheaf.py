@@ -27,7 +27,6 @@ from typing import Iterable, Sequence
 from .fincat import (
     FinCategory,
     FinFunctor,
-    SizeGuardError,
     _memo,
     _UnionFind,
     derived_category,
@@ -673,53 +672,6 @@ def sheaf_comparison(P: FinPresheaf, J: GrothendieckTopology,
         components.append(tuple(comp))
     # checked: its naturality is part of what the comparison asserts
     return validate_presheaf_morphism(E1, E2, components)
-
-
-# ---------------------------------------------------------------------------
-# natural transformations, by enumeration
-
-def enumerate_presheaf_morphisms(P: FinPresheaf, Q: FinPresheaf) -> list[PresheafMorphism]:
-    """All natural transformations P -> Q, by backtracking over objects.
-    Before it tries the |Q(c)|^|P(c)| candidate components at an object c,
-    it raises SizeGuardError if they number more than 2^20."""
-    cat = P.cat
-    objs = list(cat.objects)
-    out = []
-
-    def extend(i: int, comps: dict[int, tuple[int, ...]]):
-        if i == len(objs):
-            out.append(PresheafMorphism(P, Q, tuple(comps[c] for c in objs)))
-            return
-        c = objs[i]
-        if Q.sizes[c] ** P.sizes[c] > 1 << 20:
-            raise SizeGuardError(f"{Q.sizes[c]}^{P.sizes[c]} candidate components "
-                                 f"at object {c} exceed 2^20")
-        for comp in itertools.product(range(Q.sizes[c]), repeat=P.sizes[c]):
-            ok = True
-            for f in cat.arrows:
-                a, b = cat.dom[f], cat.cod[f]
-                if b == c and a in comps:
-                    if any(Q.res(f, comp[x]) != comps[a][P.res(f, x)]
-                           for x in range(P.sizes[b])):
-                        ok = False
-                        break
-                elif a == c and b in comps:
-                    if any(Q.res(f, comps[b][x]) != comp[P.res(f, x)]
-                           for x in range(P.sizes[b])):
-                        ok = False
-                        break
-                elif a == c and b == c:
-                    if any(Q.res(f, comp[x]) != comp[P.res(f, x)]
-                           for x in range(P.sizes[b])):
-                        ok = False
-                        break
-            if ok:
-                comps[c] = comp
-                extend(i + 1, comps)
-                del comps[c]
-
-    extend(0, {})
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,13 @@ oracle for the theorem on arrows, against the sheafified presheaf morphisms
 the checkers compute with.  `enumerate_topologies` lists every topology on a
 small category by brute force, the oracle for the constructors of the
 topology module, and `reference_closure_mask` scans every arrow for the
-closure of a sieve.  `subpresheaves` lists every subpresheaf, the search
+closure of a sieve.  `subpresheaves` lists every subpresheaf and
+`enumerate_presheaf_morphisms` every natural transformation, the searches
 that the reference bodies of the comorphism checks run and that the
-checkers replace.  The `reference_*` site-checker bodies are the versions
-that carried their own copy of a building block the checkers now share:
+checkers replace; `reference_comorphism_inclusion` is the inclusion check
+by its relation and local-splitting clauses, through every sheaf arrow.
+The other `reference_*` site-checker bodies are the versions that
+carried their own copy of a building block the checkers now share:
 the hom-set scans, the colimit comparison and the connection loop;
 `reference_j_faithful` and `reference_j_full` scan every parallel pair
 and every arrow of a hom-set where `morphisms.local_property_tests` reads
@@ -31,10 +34,14 @@ from sitecalc.morphisms import (
     SiteFunctor,
     Verdict,
     _ab_categories,
+    _chi_morphism,
     _CommaComponents,
     _diagram_shape,
+    _hom_presheaf,
     _no,
+    _sheafified,
     _yes,
+    _yoneda_sheaf_arrow,
     sieve_diagram,
 )
 from sitecalc.presheaf import (
@@ -51,7 +58,14 @@ from sitecalc.presheaf import (
     validate_presheaf_morphism,
     yoneda,
 )
-from sitecalc.sieves import all_sieve_masks, bits, mask_of, maximal_sieve_mask, pullback_mask
+from sitecalc.sieves import (
+    all_sieve_masks,
+    bits,
+    generate_mask,
+    mask_of,
+    maximal_sieve_mask,
+    pullback_mask,
+)
 from sitecalc.topology import GrothendieckTopology, _axiom_violations, local_equality
 
 
@@ -285,6 +299,55 @@ def _subsets(xs):
     xs = list(xs)
     for k in range(len(xs) + 1):
         yield from (frozenset(c) for c in itertools.combinations(xs, k))
+
+
+# ---------------------------------------------------------------------------
+# natural transformations, by enumeration
+
+def enumerate_presheaf_morphisms(P: FinPresheaf, Q: FinPresheaf) -> list[PresheafMorphism]:
+    """All natural transformations P -> Q, by backtracking over objects.
+    Before it tries the |Q(c)|^|P(c)| candidate components at an object c,
+    it raises SizeGuardError if they number more than 2^20.  Each one found
+    is built by `validate_presheaf_morphism`, as the tests build presheaf
+    data."""
+    cat = P.cat
+    objs = list(cat.objects)
+    out = []
+
+    def extend(i: int, comps: dict[int, tuple[int, ...]]):
+        if i == len(objs):
+            out.append(validate_presheaf_morphism(P, Q, tuple(comps[c] for c in objs)))
+            return
+        c = objs[i]
+        if Q.sizes[c] ** P.sizes[c] > 1 << 20:
+            raise SizeGuardError(f"{Q.sizes[c]}^{P.sizes[c]} candidate components "
+                                 f"at object {c} exceed 2^20")
+        for comp in itertools.product(range(Q.sizes[c]), repeat=P.sizes[c]):
+            ok = True
+            for f in cat.arrows:
+                a, b = cat.dom[f], cat.cod[f]
+                if b == c and a in comps:
+                    if any(Q.res(f, comp[x]) != comps[a][P.res(f, x)]
+                           for x in range(P.sizes[b])):
+                        ok = False
+                        break
+                elif a == c and b in comps:
+                    if any(Q.res(f, comps[b][x]) != comp[P.res(f, x)]
+                           for x in range(P.sizes[b])):
+                        ok = False
+                        break
+                elif a == c and b == c:
+                    if any(Q.res(f, comp[x]) != comp[P.res(f, x)]
+                           for x in range(P.sizes[b])):
+                        ok = False
+                        break
+            if ok:
+                comps[c] = comp
+                extend(i + 1, comps)
+                del comps[c]
+
+    extend(0, {})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +607,57 @@ def reference_locally_connected(F: FinFunctor, K: GrothendieckTopology) -> Verdi
                                                              "alpha": alpha, "beta": beta},
                                                    sieve=good)
     return _yes("locally-connected")
+
+
+def reference_comorphism_inclusion(sf: SiteFunctor) -> Verdict:
+    """Inclusion by the two clauses that enumerate sheaf arrows.  Relation
+    clause: for every sheaf arrow ξ: a(P_c) -> a(P_c2) between sheafified
+    image-hom presheaves P_c = Hom_C(F(-), c), the arrows f: z -> c paired
+    with some g: z -> c2 such that ξ(η(f∘x)) = η(g∘x) for every
+    x: F(e) -> z generate a sieve whose pullback along each x: F(e) -> c
+    covers e.  Local splitting: the arrows g: d' -> d for which some sheaf
+    arrow a(P_{F(d')}) -> l'(d) splits χ_{d'} over g must cover every d."""
+    F = sf.F
+    src_top = sf.source_topology
+    D, C = F.source, F.target
+    sheafified = [_sheafified(sf, _hom_presheaf(F, c)) for c in C.objects]
+
+    def unit(c: int, e: int, x: int) -> int:
+        """η(x) in a(P_c)(e), for x: F(e) -> c."""
+        return sheafified[c].unit.at(e, C.hom_position[x])
+
+    for c in C.objects:
+        for c2 in C.objects:
+            for xi in enumerate_presheaf_morphisms(sheafified[c].sheaf, sheafified[c2].sheaf):
+                paired = mask_of(
+                    f for z in C.objects for f in C.hom(z, c)
+                    if any(all(xi.at(e, unit(c, e, C.compose(f, x))) == unit(c2, e, C.compose(g, x))
+                               for e in D.objects for x in C.hom(F.on_obj(e), z))
+                           for g in C.hom(z, c2)))
+                gen = generate_mask(C, paired)
+                for e in D.objects:
+                    for x in C.hom(F.on_obj(e), c):
+                        t_mask = mask_of(
+                            t for t in D.arrows_into(e)
+                            if (gen >> C.compose(x, F.on_arr(t))) & 1)
+                        if not src_top.is_covering(e, t_mask):
+                            return _no("comorphism-inclusion",
+                                       clause="relation-family",
+                                       instance={"c": c, "c2": c2, "e": e, "x": x})
+
+    def splits(g: int) -> bool:
+        d1, d = D.dom[g], D.cod[g]
+        sh_yd1, sh_P, chi = _chi_morphism(sf, d1)
+        sh_yd = _chi_morphism(sf, d)[0]
+        target_arrow = _yoneda_sheaf_arrow(sf, g, sh_yd1, sh_yd)
+        return any(chi.then(xi).components == target_arrow.components
+                   for xi in enumerate_presheaf_morphisms(sh_P.sheaf, sh_yd.sheaf))
+
+    for d in D.objects:
+        ok = mask_of(g for g in D.arrows_into(d) if splits(g))
+        if not src_top.is_covering(d, generate_mask(D, ok)):
+            return _no("comorphism-inclusion", clause="local-splitting", object=d)
+    return _yes("comorphism-inclusion")
 
 
 # ---------------------------------------------------------------------------

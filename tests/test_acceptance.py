@@ -44,7 +44,6 @@ from sitecalc.presheaf import (
     build_CJ,
     canonical_topology,
     category_of_elements,
-    enumerate_presheaf_morphisms,
     is_bicovering,
     is_sheaf,
     is_subcanonical,
@@ -75,6 +74,7 @@ from conftest import (
 from oracles import (
     arrow_to_relation,
     compose_relations,
+    enumerate_presheaf_morphisms,
     graph_relation,
     relation_to_arrow,
 )

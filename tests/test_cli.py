@@ -717,12 +717,13 @@ def test_topology_generate_enumerates_each_object_once(tmp_path, monkeypatch):
     assert set(counts.values()) == {1}
 
 
-def test_classify_comorphism_guards_the_general_inclusion_check(tmp_path):
+def test_classify_comorphism_decides_the_general_inclusion_check(tmp_path):
     """F sends the objects 0, 1 of a discrete category to the top and to
     the source of eight parallel arrows a1..a8 of a cospan.  It is a
     comorphism that is neither continuous nor full, so the general
-    inclusion check runs; its sheaf arrows have 8^8 candidate components
-    at object 1, which trips the guard: exit 3 with a report."""
+    inclusion check runs.  It enumerates no sheaf arrow, whose 8^8
+    candidate components at object 1 would exceed 2^20, and answers
+    within a second: an inclusion and localic, and nothing else."""
     path = tmp_path / "parallel.site"
     path.write_text("\n".join([
         "site-format 1",
@@ -746,12 +747,12 @@ def test_classify_comorphism_guards_the_general_inclusion_check(tmp_path):
     start = time.process_time()
     code, out, err = main_in_process(path, "classify-comorphism", "F", "--format", "machine")
     assert time.process_time() - start < 1.0
-    assert code == 3
-    assert "Traceback" not in err
+    assert code == 0
     records = [json.loads(line) for line in out.splitlines()]
-    assert (records[0]["name"], records[0]["value"]) == \
-        ("resource-guard", "8^8 candidate components at object 1 exceed 2^20")
-    assert (records[-1]["record"], records[-1]["exit"]) == ("status", 3)
+    assert {r["name"]: r["value"] for r in records if r["record"] == "result"} == {
+        "surjection": False, "inclusion": True, "hyperconnected": False,
+        "localic": True, "equivalence": False}
+    assert (records[-1]["record"], records[-1]["exit"]) == ("status", 0)
 
 
 def test_size_guard_while_parsing_is_exit_3(tmp_path):

@@ -43,7 +43,6 @@ from sitecalc.presheaf import (
     colimit_of_representables,
     colimit_presheaf,
     constant_presheaf,
-    enumerate_presheaf_morphisms,
     identity_morphism,
     plus_construction,
     sheafify,
@@ -68,6 +67,7 @@ from conftest import (
 )
 from oracles import (
     composition_table,
+    enumerate_presheaf_morphisms,
     reference_category_of_elements,
     reference_comma,
     reference_diagram_shape,

@@ -62,7 +62,6 @@ from sitecalc.presheaf import (
     canonical_topology,
     category_of_elements,
     closure_cJ,
-    enumerate_presheaf_morphisms,
     is_sheaf,
     sheafify,
     validate_presheaf_morphism,
@@ -72,6 +71,7 @@ from sitecalc.sieves import all_sieve_masks, bits, generate_mask, mask_of, maxim
 from sitecalc.topology import (
     atomic_topology,
     closure_mask,
+    coinduced_topology,
     fibration_topology,
     generate_topology,
     local_equality,
@@ -91,12 +91,13 @@ from conftest import (
     random_topology,
 )
 from oracles import (
-    arrow_to_relation,
+    enumerate_presheaf_morphisms,
     reference_closure_mask,
     reference_cocone_is_sheaf_colimit,
     reference_continuity_oracle,
     reference_hom_presheaf,
     reference_is_J_cofinal,
+    reference_comorphism_inclusion,
     reference_locally_connected,
     reference_yoneda_arrow,
     subpresheaves,
@@ -211,6 +212,21 @@ def test_continuity_checker_matches_oracle(rng):
         F = rng.choice(fs)
         sf = SiteFunctor(F, random_topology(rng, cat), random_topology(rng, tgt))
         assert is_continuous(sf).holds == continuity_oracle(sf)
+
+
+def test_continuity_skips_the_sieves_that_hold_the_identity(monkeypatch, rng):
+    """A covering sieve that holds id_c yields no failure, as every square
+    connects through id_c.  When the source topology is trivial only
+    maximal sieves cover, so `is_continuous` builds no sieve diagram, and
+    it agrees with the oracle, which builds them all."""
+    sfs = [SiteFunctor(sf.F, trivial_topology(sf.F.source), sf.K)
+           for sf in random_site_functors(rng, 150)]
+    expected = [continuity_oracle(sf) for sf in sfs]
+
+    def no_diagram(cat, mask):
+        raise AssertionError("a sieve diagram was built")
+    monkeypatch.setattr(mor, "sieve_diagram", no_diagram)
+    assert [is_continuous(sf).holds for sf in sfs] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -1052,8 +1068,9 @@ def test_classify_morphism_matches_cold_checkers(rng):
 
 
 def test_comorphism_classifiers_sheafify_each_representable_once(monkeypatch, rng):
-    """The general inclusion and localic bodies sheafify each representable
-    y(d) once per call, not once more for every arrow into d."""
+    """The general inclusion and localic bodies, each on a site functor of
+    its own, sheafify each representable y(d) once per call, not once more
+    for every arrow into d."""
     import collections
 
     import sitecalc.morphisms as mor
@@ -1081,7 +1098,7 @@ def test_comorphism_classifiers_sheafify_each_representable_once(monkeypatch, rn
             continue
         for body in (mor._comorphism_inclusion_general, mor._comorphism_localic_general):
             counts.clear()
-            body(sf)
+            body(SiteFunctor(sf.F, sf.J, sf.K))
             assert set(counts.values()) <= {1}
             reached += any(len(src.arrows_into(d)) > 1 for d in counts)
     assert reached >= 5
@@ -1644,36 +1661,6 @@ def _reference_comorphism_hyperconnected(sf):
     return {"kind": "comorphism-hyperconnected", "holds": True}
 
 
-def _reference_inclusion_relation_condition(sf):
-    """The relation clause with every sheaf arrow turned into its
-    functional relation, the hom presheaves sheafified once per pair."""
-    F = sf.F
-    J = sf.source_topology
-    D, C = F.source, F.target
-    for c in C.objects:
-        for c2 in C.objects:
-            shP = sheafify(mor._hom_presheaf(F, c), J)
-            shQ = sheafify(mor._hom_presheaf(F, c2), J)
-            for xi in enumerate_presheaf_morphisms(shP.sheaf, shQ.sheaf):
-                R = arrow_to_relation(shP, shQ, xi)
-                paired = mask_of(
-                    f for z in C.objects for f in C.hom(z, c)
-                    if any(all((C.hom(F.on_obj(e), c).index(C.compose(f, x)),
-                                C.hom(F.on_obj(e), c2).index(C.compose(g, x))) in R.pairs[e]
-                               for e in D.objects for x in C.hom(F.on_obj(e), z))
-                           for g in C.hom(z, c2)))
-                gen = generate_mask(C, paired)
-                for e in D.objects:
-                    for x in C.hom(F.on_obj(e), c):
-                        if not J.is_covering(e, mask_of(
-                                t for t in D.arrows_into(e)
-                                if (gen >> C.compose(x, F.on_arr(t))) & 1)):
-                            return {"kind": "comorphism-inclusion", "holds": False,
-                                    "clause": "relation-family",
-                                    "instance": {"c": c, "c2": c2, "e": e, "x": x}}
-    return {"kind": "comorphism-inclusion-relations", "holds": True}
-
-
 def _comorphism_corpora(rng):
     """Random comorphisms, fibrations with their fibration topologies, and
     the four legs of the factorizations of the cover-preserving random
@@ -1702,18 +1689,18 @@ def _branch(name, witness):
 
 
 def test_comorphism_classifiers_match_reference_searches(rng):
-    """The localic check from the kernel of χ, the hyperconnected check
-    from the one candidate sieve s*(A) and the relation clause read off
-    the sheaf arrows give the verdicts and witnesses of the searches they
-    replace, on random comorphisms, fibration topologies and factorization
-    legs; each corpus reaches both answers of every body and both routes
+    """The localic check from the kernel of χ and the hyperconnected check
+    from the one candidate sieve s*(A) give the verdicts and witnesses of
+    the searches they replace, and the general inclusion body, closed
+    families and localic, the verdict of the search through every sheaf
+    arrow, on random comorphisms, fibration topologies and factorization
+    legs.  Each corpus reaches both answers of every body and both routes
     of the localic and hyperconnected checks, save a localic pass without
-    the J-faithful shortcut (see the hand-built case below)."""
+    the J-faithful shortcut (see the hand-built case below), and the
+    inclusion failures name both halves."""
     bodies = {"localic": (mor._comorphism_localic_general, _reference_comorphism_localic),
               "hyperconnected": (mor._comorphism_hyperconnected,
-                                 _reference_comorphism_hyperconnected),
-              "relation": (mor._inclusion_relation_condition,
-                           _reference_inclusion_relation_condition)}
+                                 _reference_comorphism_hyperconnected)}
     branches = collections.Counter()
     for corpus, sfs in _comorphism_corpora(rng).items():
         for sf in sfs:
@@ -1721,14 +1708,22 @@ def test_comorphism_classifiers_match_reference_searches(rng):
                 witness = body(SiteFunctor(sf.F, sf.J, sf.K)).witness
                 assert witness == reference(SiteFunctor(sf.F, sf.J, sf.K))
                 branches[corpus, name, _branch(name, witness)] += 1
+            inclusion = mor._comorphism_inclusion_general(SiteFunctor(sf.F, sf.J, sf.K))
+            assert inclusion.holds == \
+                reference_comorphism_inclusion(SiteFunctor(sf.F, sf.J, sf.K)).holds
+            branches[corpus, "inclusion", inclusion.holds] += 1
+            if not inclusion.holds:
+                branches["inclusion fails by", inclusion.witness["witness"]["kind"]] += 1
     for corpus in ("random", "leg"):
         for name, branch in [("localic", "shortcut"), ("localic", False),
                              ("hyperconnected", "not a surjection"),
                              ("hyperconnected", True), ("hyperconnected", False),
-                             ("relation", True), ("relation", False)]:
+                             ("inclusion", True), ("inclusion", False)]:
             assert branches[corpus, name, branch], (corpus, name, branch)
     assert branches["fibration", "hyperconnected", False]
     assert branches["fibration", "localic", False]
+    assert branches["inclusion fails by", "comorphism-hyperconnected"]
+    assert branches["inclusion fails by", "comorphism-localic"]
 
 
 def _localic_without_faithfulness():
@@ -1844,13 +1839,109 @@ def test_comorphism_hyperconnected_witnesses_replay_independently(monkeypatch, r
                                      "object rejected")), replayed
 
 
+def test_comorphism_surjection_witnesses_replay_independently(monkeypatch, rng):
+    """A failed surjection replays from its record, with the checker and
+    `coinduced_topology` patched to raise: the recorded sieve on c lies in
+    exactly one of the target topology's covers and the sieves that every
+    ξ: F(e) -> c pulls back to a preimage covering e.  With bit 0 of the
+    sieve toggled, the object set to 99 or the sieve set to -5, it replays
+    exactly when the coinduced topology says it should."""
+    cases = []
+    for sfs in _comorphism_corpora(rng).values():
+        for sf in sfs:
+            w = mor.comorphism_surjection(SiteFunctor(sf.F, sf.J, sf.K)).witness
+            if not w["holds"]:
+                cases.append((sf, w, coinduced_topology(sf.F, sf.J)))
+
+    def raises(*args):
+        raise AssertionError("the replay re-ran the checker")
+    for name in ("comorphism_surjection", "_check_comorphism_surjection", "coinduced_topology"):
+        monkeypatch.setattr(mor, name, raises)
+    monkeypatch.setitem(mor._POSITIVE_RUNNERS, "comorphism-surjection", raises)
+
+    assert cases
+    for sf, w, coinduced in cases:
+        D = sf.F.target
+        assert recheck_witness(sf, Verdict(False, w))
+        for fields in ({"sieve": w["sieve"] ^ 1}, {"object": 99}, {"sieve": -5}):
+            c, s = fields.get("object", w["object"]), fields.get("sieve", w["sieve"])
+            expected = c in D.objects and s in all_sieve_masks(D, c) and \
+                (s in sf.K.covers[c]) != (s in coinduced.covers[c])
+            assert recheck_witness(sf, Verdict(False, {**w, **fields})) == expected
+
+
+def test_comorphism_inclusion_witnesses_replay_independently(monkeypatch, rng):
+    """A failed inclusion replays its nested witness with the inclusion,
+    closed-family and hyperconnected checkers patched to raise: a closed
+    family that no sieve induces replays directly, and a localic failure
+    re-runs the localic check.  A K-faithful or K-full failure replays
+    directly, with the local-property checker patched to raise too, and
+    decides inclusion only for a continuous comorphism.  Changing one field
+    (the nested kind, the family's object, k to h, bit 0 of the K-full
+    sieve) makes a record fail to replay.  A pass re-runs the general
+    check, so a pass recorded for a failure does not replay."""
+    failures, locals_ = [], []
+    reached = collections.Counter()
+    for sfs in _comorphism_corpora(rng).values():
+        for sf in sfs:
+            routed = classify_comorphism(SiteFunctor(sf.F, sf.J, sf.K)).inclusion
+            general = mor._comorphism_inclusion_general(SiteFunctor(sf.F, sf.J, sf.K))
+            forged = Verdict(True, {"kind": "comorphism-inclusion", "holds": True})
+            assert recheck_witness(sf, forged) == general.holds == routed.holds
+            failures += [(sf, v.witness) for v in (routed, general) if not v.holds]
+            props = local_property_tests(SiteFunctor(sf.F, sf.J, sf.K))
+            continuous = is_continuous(sf).holds
+            for name in ("J_full", "J_faithful"):
+                if not props[name]:
+                    locals_.append((sf, props[name].witness, continuous))
+
+    def raises(*args):
+        raise AssertionError("the replay re-ran a checker")
+    for name in ("_comorphism_inclusion_general", "_closed_families_induced",
+                 "_check_closed_families", "_comorphism_hyperconnected"):
+        monkeypatch.setattr(mor, name, raises)
+    for kind in ("comorphism-inclusion", "comorphism-hyperconnected"):
+        monkeypatch.setitem(mor._POSITIVE_RUNNERS, kind, raises)
+
+    for sf, w in failures:
+        inner = w["witness"]
+        with monkeypatch.context() as m:
+            if inner["kind"] in ("J-full", "J-faithful"):
+                m.setattr(mor, "_check_local_properties", raises)
+
+            def replays(**fields):
+                return recheck_witness(sf, Verdict(False, {**w, "witness": {**inner, **fields}}))
+            assert replays()
+            assert not replays(kind="comorphism-surjection")
+            if inner["kind"] == "comorphism-hyperconnected":
+                assert not replays(object=sf.F.target.n_objects)
+            elif inner["kind"] == "J-faithful":
+                assert not replays(instance={**inner["instance"], "k": inner["instance"]["h"]})
+            elif inner["kind"] == "J-full":
+                assert not replays(sieve=inner["sieve"] ^ 1)
+        reached[inner["kind"]] += 1
+
+    monkeypatch.setattr(mor, "_check_local_properties", raises)
+    for sf, w, continuous in locals_:
+        assert recheck_witness(sf, Verdict(False, w))
+        wrapped = {"kind": "comorphism-inclusion", "holds": False, "witness": w}
+        assert recheck_witness(sf, Verdict(False, wrapped)) == continuous
+        reached[w["kind"], continuous] += 1
+    assert all(reached[key] for key in ("comorphism-hyperconnected", "comorphism-localic",
+                                        "J-full", "J-faithful", ("J-full", False))), reached
+
+
 def test_classify_comorphism_runs_each_shared_body_once(monkeypatch, rng):
-    """One classification builds the coinduced topology once and decides
-    the five local verdicts once, although the localic check reads them and
-    the hyperconnected check reads the surjection verdict, on random
-    comorphisms and the hand-built one."""
+    """One classification builds the coinduced topology once, decides the
+    three local verdicts once and runs the localic body once, although the
+    localic check reads the local verdicts, the hyperconnected check reads
+    the surjection verdict and the general inclusion check runs the
+    localic body.  The closed-family body runs once when the general
+    inclusion check or a surjection reads it, and not at all otherwise, on
+    random comorphisms and the hand-built one."""
     counts = collections.Counter()
-    for name in ("_check_local_properties", "coinduced_topology"):
+    for name in ("_check_local_properties", "coinduced_topology", "_check_comorphism_localic",
+                 "_check_closed_families", "_comorphism_inclusion_general"):
         def counted(*args, _name=name, _body=getattr(mor, name)):
             counts[_name] += 1
             return _body(*args)
@@ -1860,14 +1951,23 @@ def test_classify_comorphism_runs_each_shared_body_once(monkeypatch, rng):
     for sf in comorphisms + [_localic_without_faithfulness()]:
         counts.clear()
         cls = classify_comorphism(sf)
-        assert counts == {"_check_local_properties": 1, "coinduced_topology": 1}
+        general = counts["_comorphism_inclusion_general"]
+        assert general <= 1
+        assert [counts[name] for name in ("_check_local_properties", "coinduced_topology",
+                                          "_check_comorphism_localic")] == [1, 1, 1]
+        assert counts["_check_closed_families"] == (cls.surjection.holds or general)
         reached["general localic"] += "via" not in cls.localic.witness
         reached["closed families"] += cls.surjection.holds
-    assert reached["general localic"] and reached["closed families"]
+        reached["both read the closed families"] += cls.surjection.holds and general
+        reached["general inclusion reads localic"] += general and (
+            cls.inclusion.holds or cls.inclusion.witness["witness"]["kind"] == "comorphism-localic")
+    assert all(reached[key] for key in ("general localic", "closed families",
+                                        "both read the closed families",
+                                        "general inclusion reads localic")), reached
 
 
 def _parallel_arrow_cospan(k):
-    """The functor of `test_classify_comorphism_guards_the_general_inclusion_check`
+    """The functor of `test_classify_comorphism_decides_the_general_inclusion_check`
     with k parallel arrows: the discrete site on 0, 1, where the empty sieve
     covers 0, into the cospan 0 -> 2 <- 1 with arrows a1..ak: 0 -> 2 and
     b: 1 -> 2, where the empty sieve covers 1; F(0) = 2 and F(1) = 0."""
@@ -1883,17 +1983,18 @@ def _parallel_arrow_cospan(k):
 
 def test_classify_comorphism_sheafifies_each_presheaf_once(monkeypatch, rng):
     """One classification sheafifies each distinct presheaf (sizes and
-    restrictions) once, although the relation clause, the local-splitting
-    clause and the localic check all read a(Hom_C(F(-), c)) and the
-    sheafified representables; on the parallel-arrow cospans the verdicts
-    and witnesses equal the reference searches."""
+    restrictions) once, although the localic body reads the sheafified
+    y(d) for every arrow into or out of d, and the general inclusion check
+    runs that body too; on the parallel-arrow cospans the flags, the
+    general inclusion verdict and the localic and hyperconnected witnesses
+    equal the reference searches."""
     counts = collections.Counter()
 
     def counted(P, J, _body=mor.ps.sheafify):
         counts[P.sizes, P.restrict] += 1
         return _body(P, J)
     monkeypatch.setattr(mor.ps, "sheafify", counted)
-    cospans = [_parallel_arrow_cospan(k) for k in (2, 3, 4)]
+    cospans = [_parallel_arrow_cospan(k) for k in range(1, 6)]
     corpora = [sf for sfs in _comorphism_corpora(rng).values() for sf in sfs]
     reached = 0
     for sf in cospans + corpora:
@@ -1902,10 +2003,12 @@ def test_classify_comorphism_sheafifies_each_presheaf_once(monkeypatch, rng):
         assert set(counts.values()) <= {1}, counts
         reached += len(counts) > 1
         if sf in cospans:
+            assert cls.flags() == {"surjection": False, "inclusion": True,
+                                   "hyperconnected": False, "localic": True,
+                                   "equivalence": False}
             assert cls.inclusion.witness == {"kind": "comorphism-inclusion", "holds": True}
-            fresh = SiteFunctor(sf.F, sf.J, sf.K)
-            assert mor._inclusion_relation_condition(fresh).witness == \
-                _reference_inclusion_relation_condition(SiteFunctor(sf.F, sf.J, sf.K))
+            assert reference_comorphism_inclusion(SiteFunctor(sf.F, sf.J, sf.K)).witness == \
+                cls.inclusion.witness
             assert cls.localic.witness == \
                 _reference_comorphism_localic(SiteFunctor(sf.F, sf.J, sf.K))
             assert cls.hyperconnected.witness == \
@@ -1915,15 +2018,23 @@ def test_classify_comorphism_sheafifies_each_presheaf_once(monkeypatch, rng):
 
 def test_inclusion_relation_condition_guards_its_arrow_enumeration():
     """The quotient Z18 -> Z9 with trivial topologies: every sheafified hom
-    presheaf has 9 elements, so the 9^9 candidate components of a sheaf
-    arrow between two of them trip the 2^20 guard before any is tried."""
+    presheaf has 9 elements, so in the reference inclusion search the 9^9
+    candidate components of a sheaf arrow between two of them trip the
+    2^20 guard of `enumerate_presheaf_morphisms` before any is tried.  The
+    general inclusion check enumerates no sheaf arrow: F is not localic,
+    and that is its witness."""
     z18, z9 = (monoid_category([[(i + j) % n for j in range(n)] for i in range(n)], 0)
                for n in (18, 9))
     F = FinFunctor(z18, z9, (0,), tuple(i % 9 for i in range(18)))
     sf = SiteFunctor(F, trivial_topology(z18), trivial_topology(z9))
     start = time.process_time()
     with pytest.raises(SizeGuardError, match=r"9\^9 candidate components at object 0"):
-        mor._inclusion_relation_condition(sf)
+        reference_comorphism_inclusion(sf)
+    assert time.process_time() - start < 1.0
+    start = time.process_time()
+    assert mor._comorphism_inclusion_general(SiteFunctor(F, sf.J, sf.K)).witness == {
+        "kind": "comorphism-inclusion", "holds": False,
+        "witness": {"kind": "comorphism-localic", "holds": False, "object": 0}}
     assert time.process_time() - start < 1.0
 
 

@@ -328,7 +328,8 @@ def test_direct_presheaf_calls_are_found():
 
 # the hyperconnected checks test the closures of single elements: nothing in
 # src/ enumerates subpresheaves, and closed sieve lifting walks no lattice
-ENUMERATIONS = {"subpresheaves", "_subsets"}
+ENUMERATIONS = {"subpresheaves", "_subsets", "enumerate_presheaf_morphisms",
+                "_inclusion_relation_condition", "_inclusion_arrow_splits"}
 LIFTING = "morphisms.closed_sieve_lifting"
 
 
@@ -364,8 +365,18 @@ def test_closed_family_enumerations_are_found():
         "        return sieves.all_sieve_masks(sf.F.target, c)\n"
         "    return [s for c in sf.F.source.objects for s in all_sieve_masks(sf.K.cat, c)]\n"
         "def closed_sieve_lifting_reference(sf):\n"
-        "    return all_sieve_masks(sf.K.cat, 0)\n")
-    assert _definitions({"morphisms": sample}, ENUMERATIONS) == ["morphisms:1", "morphisms:4"]
+        "    return all_sieve_masks(sf.K.cat, 0)\n"
+        "def _comorphism_inclusion_general(sf):\n"
+        "    def _inclusion_arrow_splits(g):\n"
+        "        return enumerate_presheaf_morphisms(sf, g)\n"
+        "    return _inclusion_relation_condition(sf)\n"
+        "def _inclusion_relation_condition(sf):\n"
+        "    return []\n"
+        "class Arrows:\n"
+        "    def enumerate_presheaf_morphisms(self, P, Q):\n"
+        "        return []\n")
+    assert _definitions({"morphisms": sample}, ENUMERATIONS) == [
+        "morphisms:1", "morphisms:13", "morphisms:16", "morphisms:19", "morphisms:4"]
     assert _lifting_sieve_walks({"morphisms": sample}) == [
         "morphisms.closed_sieve_lifting.walk:8", "morphisms.closed_sieve_lifting:9"]
 

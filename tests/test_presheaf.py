@@ -25,7 +25,6 @@ from sitecalc.presheaf import (
     colimit_of_representables,
     constant_presheaf,
     elem_locally_equal,
-    enumerate_presheaf_morphisms,
     family_locally_surjective,
     identity_morphism,
     is_bicovering,
@@ -64,6 +63,7 @@ from oracles import (
     arrow_to_relation,
     compose_relations,
     composition_table,
+    enumerate_presheaf_morphisms,
     graph_relation,
     identity_relation,
     relation_is_epi,
