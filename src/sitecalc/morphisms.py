@@ -43,6 +43,7 @@ from .topology import (
     coinduced_topology,
     induced_topology,
     local_equality,
+    omitting_sieves,
     smallest_comorphism_topology,
     topology_where,
     trivial_topology,
@@ -101,14 +102,31 @@ def _require(verdict: Verdict, what: str) -> None:
 # ---------------------------------------------------------------------------
 # cover preservation / reflection / lifting
 
+def _image(F: FinFunctor, mask: int) -> int:
+    """The presieve F(S) of the images of the members of S."""
+    return mask_of(F.on_arr(f) for f in bits(mask))
+
+
 def is_cover_preserving(sf: SiteFunctor) -> Verdict:
+    """K covers ⟨F(S)⟩ for every J-cover S on c.  That test grows with S,
+    so it holds on every cover iff it holds at the least cover m_c (L1):
+    a pass tests one sieve per object, and only a failure walks the covers
+    for the first failing one."""
+    F, J, K = sf.F, sf.J, sf.K
+    if all(K.covers_family(F.on_obj(c), _image(F, J.min_cover[c])) for c in F.source.objects):
+        return _yes("cover-preserving")
+    return _uncovered_image(sf)
+
+
+def _uncovered_image(sf: SiteFunctor) -> Verdict:
+    """The failure rescan of `is_cover_preserving`: the first cover, in the
+    order of `J.covers`, whose image K does not cover."""
     F, J, K = sf.F, sf.J, sf.K
     for c in F.source.objects:
         for s in J.covers[c]:
-            image = mask_of(F.on_arr(f) for f in bits(s))
-            if not K.covers_family(F.on_obj(c), image):
+            if not K.covers_family(F.on_obj(c), _image(F, s)):
                 return _no("cover-preserving", object=c, sieve=s)
-    return _yes("cover-preserving")
+    raise AssertionError("a least cover fails, and it covers")
 
 
 def is_cover_reflecting(sf: SiteFunctor) -> Verdict:
@@ -116,27 +134,52 @@ def is_cover_reflecting(sf: SiteFunctor) -> Verdict:
 
 
 def _check_cover_reflecting(sf: SiteFunctor) -> Verdict:
+    """K covers ⟨F(S)⟩ for no J-non-cover S on c.  That test grows with S,
+    and every non-cover lies in one of the non-covers `omitting_sieves`
+    (L3), so a pass tests those alone; only a failure walks every sieve
+    for the first failing one."""
+    F, J, K = sf.F, sf.J, sf.K
+    if not any(K.covers_family(F.on_obj(c), _image(F, s))
+               for c in F.source.objects for s in omitting_sieves(J, c)):
+        return _yes("cover-reflecting")
+    return _covered_image(sf)
+
+
+def _covered_image(sf: SiteFunctor) -> Verdict:
+    """The failure rescan of `_check_cover_reflecting`: the first sieve, in
+    the order of `all_sieve_masks`, that J does not cover and whose image K
+    covers."""
     F, J, K = sf.F, sf.J, sf.K
     for c in F.source.objects:
         for s in all_sieve_masks(F.source, c):
-            if s in J.covers[c]:
-                continue
-            image = mask_of(F.on_arr(f) for f in bits(s))
-            if K.covers_family(F.on_obj(c), image):
+            if not J.is_covering(c, s) and K.covers_family(F.on_obj(c), _image(F, s)):
                 return _no("cover-reflecting", object=c, sieve=s)
-    return _yes("cover-reflecting")
+    raise AssertionError("a non-cover's image covers, and the sieves hold it")
 
 
 def is_comorphism_of_sites(sf: SiteFunctor) -> Verdict:
     """Covering-lifting property: the full preimage of every covering sieve
-    on an image object must cover (any lift R sits inside the preimage)."""
+    on an image object must cover (any lift R sits inside the preimage).
+    The preimage grows with the sieve, so this holds for every K-cover on
+    F(d) iff it holds at the least one (L1); only a failure walks the
+    covers for the first failing one."""
+    F, J, K = sf.F, sf.J, sf.K
+    if all(J.is_covering(d, preimage_mask(F, K.min_cover[F.on_obj(d)], d))
+           for d in F.source.objects):
+        return _yes("covering-lifting")
+    return _unlifted_cover(sf)
+
+
+def _unlifted_cover(sf: SiteFunctor) -> Verdict:
+    """The failure rescan of `is_comorphism_of_sites`: the first K-cover, in
+    the order of `K.covers`, whose preimage does not cover."""
     F, J, K = sf.F, sf.J, sf.K
     for d in F.source.objects:
         for s in K.covers[F.on_obj(d)]:
             lifted = preimage_mask(F, s, d)
             if not J.is_covering(d, lifted):
                 return _no("covering-lifting", object=d, sieve=s, preimage=lifted)
-    return _yes("covering-lifting")
+    raise AssertionError("a least cover fails, and it covers")
 
 
 # ---------------------------------------------------------------------------
@@ -1449,4 +1492,7 @@ _POSITIVE_RUNNERS: dict[str, Callable[[SiteFunctor], Verdict]] = {
     "comorphism-inclusion": _comorphism_inclusion_general,
     "comorphism-hyperconnected": _comorphism_hyperconnected,
     "comorphism-localic": _comorphism_localic_general,
+    "J-full": lambda sf: local_property_tests(sf)["J_full"],
+    "J-faithful": lambda sf: local_property_tests(sf)["J_faithful"],
+    "K-dense": lambda sf: local_property_tests(sf)["K_dense"],
 }

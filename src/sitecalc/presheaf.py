@@ -8,7 +8,9 @@ tests as their oracle.  Sheafification is computed twice, by two
 genuinely different code paths: the primary locally-matching-families
 quotient, carried by the least covering sieve of each object, and the
 classical plus construction applied twice, built as a directed colimit over
-all covering sieves with a union-find quotient.
+all covering sieves with a union-find quotient.  `sheaf_comparison`, which
+compares the two, first validates both units as natural transformations
+out of the presheaf: its test at the least covers rests on that.
 
 The sheaf kernels work on restriction rows.  A matching family is a tuple
 of values along the ascending members of its sieve.  Each family search
@@ -125,22 +127,33 @@ class PresheafMorphism:
 
 def validate_presheaf_morphism(source: FinPresheaf, target: FinPresheaf,
                                components: Sequence[Sequence[int]]) -> PresheafMorphism:
-    """Check each component's size and naturality; return the morphism or
-    raise ValueError at the first failure."""
+    """Check each component's size and range, then naturality along each
+    arrow as a comparison of whole rows; return the morphism or raise
+    ValueError at the first failure, naming its object or arrow and its
+    element."""
     cat = source.cat
     components = tuple(map(tuple, components))
     if len(components) != cat.n_objects:
         raise ValueError(f"{len(components)} components for {cat.n_objects} objects")
     for c in cat.objects:
-        if len(components[c]) != source.sizes[c]:
+        comp, n = components[c], target.sizes[c]
+        if len(comp) != source.sizes[c]:
             raise ValueError(
-                f"component at object {c} has {len(components[c])} entries, "
+                f"component at object {c} has {len(comp)} entries, "
                 f"expected {source.sizes[c]}")
+        if comp and not (0 <= min(comp) and max(comp) < n):
+            x = next(x for x, v in enumerate(comp) if not 0 <= v < n)
+            raise ValueError(
+                f"component at object {c} sends element {x} to {comp[x]}, "
+                f"outside the {n} elements of the target there")
+    # target(f)∘α_b = α_a∘source(f) as whole rows
     for f in cat.arrows:
         a, b = cat.dom[f], cat.cod[f]
-        for x in range(source.sizes[b]):
-            if target.res(f, components[b][x]) != components[a][source.res(f, x)]:
-                raise ValueError(f"naturality fails at arrow {f}, element {x}")
+        pushed = tuple(map(target.restrict[f].__getitem__, components[b]))
+        pulled = tuple(map(components[a].__getitem__, source.restrict[f]))
+        if pushed != pulled:
+            x = next(x for x, (u, v) in enumerate(zip(pushed, pulled)) if u != v)
+            raise ValueError(f"naturality fails at arrow {f}, element {x}")
     return PresheafMorphism(source, target, components)
 
 
@@ -200,11 +213,12 @@ def closure_cJ(A: SubPresheaf, J: GrothendieckTopology) -> SubPresheaf:
 
 
 def elem_locally_equal(P: FinPresheaf, J: GrothendieckTopology, c: int, x: int, y: int) -> bool:
+    """x ≡_J y: x and y agree on a J-covering sieve.  Their agreement set
+    {f | x·f = y·f} is a sieve, as x·f = y·f gives x·(f∘g) = y·(f∘g), so
+    it covers iff it holds each generator of the least cover (L0)."""
     if x == y:
         return True
-    cat = P.cat
-    agree = mask_of(f for f in cat.arrows_into(c) if P.res(f, x) == P.res(f, y))
-    return J.is_covering(c, agree)
+    return all(P.restrict[g][x] == P.restrict[g][y] for g in J.min_cover_generators[c])
 
 
 def is_locally_injective(alpha: PresheafMorphism, J: GrothendieckTopology) -> bool:
@@ -320,15 +334,31 @@ def _unamalgamated(P: FinPresheaf, c: int, mask: int) -> tuple[dict[int, int], l
 
 def is_sheaf(P: FinPresheaf, J: GrothendieckTopology) -> tuple[bool, dict | None]:
     """Unique amalgamation of every matching family over every covering
-    sieve; returns a failing (sieve, family) witness otherwise."""
+    sieve; returns a failing (sieve, family) witness otherwise, the first
+    in the order of `J.covers`.
+
+    P is a J-sheaf iff it is a sheaf for each least cover m_c (L2), so a
+    pass tests only those.  Separatedness passes to every larger sieve.  A
+    matching family (s_g) on a cover S ⊇ m_c restricts to one on m_c, which
+    amalgamates to some x; for g in S, x·g and s_g agree on g*(m_c), which
+    holds m_dom g by stability, so they are equal, as P is separated for
+    m_dom g.  Only a failure walks every cover, to name its witness."""
+    if all(_unamalgamated(P, c, J.min_cover[c]) is None for c in P.cat.objects):
+        return True, None
+    return False, _unamalgamated_cover(P, J)
+
+
+def _unamalgamated_cover(P: FinPresheaf, J: GrothendieckTopology) -> dict:
+    """The failure rescan of `is_sheaf`: the first covering sieve, in the
+    order of `J.covers`, with a matching family without exactly one
+    amalgamation, as its witness."""
     for c in P.cat.objects:
         for s in J.covers[c]:
             failure = _unamalgamated(P, c, s)
             if failure is not None:
                 fam, amalg = failure
-                return False, {"object": c, "sieve": s, "family": fam,
-                               "amalgamations": amalg}
-    return True, None
+                return {"object": c, "sieve": s, "family": fam, "amalgamations": amalg}
+    raise AssertionError("a least cover fails, and it covers")
 
 
 def canonical_topology(cat: FinCategory) -> GrothendieckTopology:
@@ -629,16 +659,21 @@ def sheaf_comparison(P: FinPresheaf, J: GrothendieckTopology,
     the same presheaf (units must be J-bicovering with sheaf targets).
 
     phi(e) is the unique v with {f | some x has eta1(x) = e·f and
-    eta2(x) = v·f} covering; raises if existence or uniqueness fails.
+    eta2(x) = v·f} covering; raises if existence or uniqueness fails, and
+    raises ValueError, from `validate_presheaf_morphism`, when a unit is
+    not a natural transformation out of P.
 
-    A covering sieve contains the least covering sieve m_c, which is the
-    intersection of the covers of c.  So only the v whose restriction along
-    each f in m_c lies in over[dom f][e·f] = {eta2(x) | eta1(x) = e·f} can
-    qualify; those are looked up by their restrictions along m_c and then
-    tested in full.  When there are more such keys than elements of E2(c),
-    every element is tested.  A test reads the mask of f with v·f in
-    over[dom f][e·f] off (bit, row, image) triples laid out once per e.
+    With natural units that set of f is a sieve: eta1(x) = e·f and
+    eta2(x) = v·f give eta1(x·g) = e·(f∘g) and eta2(x·g) = v·(f∘g).  So it
+    covers iff it holds each member of the least cover m_c, or each
+    generator of m_c (L0).  Those v are the ones whose restriction along
+    each f in m_c lies in over[dom f][e·f] = {eta2(x) | eta1(x) = e·f},
+    and they are looked up by their restrictions along m_c.  When there
+    are more such keys than elements of E2(c), every element is tested at
+    the generators instead.
     """
+    validate_presheaf_morphism(P, E1, eta1.components)
+    validate_presheaf_morphism(P, E2, eta2.components)
     cat = P.cat
     over = []
     for d in cat.objects:
@@ -650,21 +685,20 @@ def sheaf_comparison(P: FinPresheaf, J: GrothendieckTopology,
     for c in cat.objects:
         members = sorted(bits(J.min_cover[c]))
         by_key = _by_restrictions(E2, c, members)
-        member_rows = [(E1.restrict[f], over[cat.dom[f]]) for f in members]
-        into = [(1 << f, E1.restrict[f], E2.restrict[f], over[cat.dom[f]])
-                for f in cat.arrows_into(c)]
-        covers = J.covers[c]
+        # per e, the sets over[dom f][e·f] along the members f of m_c
+        options_of = zip(*(map(over[cat.dom[f]].__getitem__, E1.restrict[f])
+                           for f in members)) if members else [()] * E1.sizes[c]
+        generator_rows = [(E1.restrict[g], E2.restrict[g], over[cat.dom[g]])
+                          for g in J.min_cover_generators[c]]
         comp = []
-        for e in range(E1.sizes[c]):
-            options = [images[row[e]] for row, images in member_rows]
-            if math.prod(len(o) for o in options) > E2.sizes[c]:
-                candidates = range(E2.sizes[c])
+        for e, options in enumerate(options_of):
+            if math.prod(map(len, options)) > E2.sizes[c]:
+                tests = [(row2, images[row1[e]]) for row1, row2, images in generator_rows]
+                found = [v for v in range(E2.sizes[c])
+                         if all(row[v] in image for row, image in tests)]
             else:
-                candidates = sorted(v for key in itertools.product(*options)
-                                    for v in by_key.get(key, ()))
-            triples = [(bit, row2, images[row1[e]]) for bit, row1, row2, images in into]
-            found = [v for v in candidates
-                     if sum(bit for bit, row, image in triples if row[v] in image) in covers]
+                found = sorted(v for key in itertools.product(*options)
+                               for v in by_key.get(key, ()))
             if len(found) != 1:
                 raise ValueError(
                     f"sheaf comparison not uniquely defined at object {c}, element {e}: {found}")

@@ -67,6 +67,31 @@ class GrothendieckTopology:
         return tuple(out)
 
     @cached_property
+    def min_cover_generators(self) -> tuple[tuple[int, ...], ...]:
+        """Per object c, arrows whose principal sieves have union m_c, the
+        least cover.  As the covers are the sieves that contain m_c, a sieve
+        S covers iff it contains each of them (L0): S ⊇ m_c gives that, and
+        conversely ⟨g⟩ ⊆ S for each g in S, so the union m_c lies in S.
+
+        Taken greedily: the members of m_c with the largest principal sieve
+        first, the identity before a tie and otherwise the lower arrow id,
+        each skipped when a taken ⟨g⟩ holds it.  On the trivial topology
+        this is (id_c,)."""
+        cat = self.cat
+        out = []
+        for c in cat.objects:
+            identity = cat.identity[c]
+            taken: list[int] = []
+            inside = 0  # the union of the taken principal sieves
+            for g in sorted(bits(self.min_cover[c]), key=lambda g: (
+                    -cat.principal_sieves[g].bit_count(), g != identity, g)):
+                if not (inside >> g) & 1:
+                    taken.append(g)
+                    inside |= cat.principal_sieves[g]
+            out.append(tuple(taken))
+        return tuple(out)
+
+    @cached_property
     def coarse(self) -> int:
         """The mask of the arrows whose domain has a covering sieve other
         than the maximal one."""
@@ -249,6 +274,22 @@ def local_equality(J: GrothendieckTopology, h: int, k: int) -> bool:
                                                cat.composites[k]) if hf == kf)
         return agree in J.covers[cat.dom[h]]
     return _memo(J, ("local_equality", h, k), decide)
+
+
+def omitting_sieves(J: GrothendieckTopology, c: int) -> tuple[int, ...]:
+    """The distinct sieves S_g = {h into c | g ∉ ⟨h⟩}, for g among the
+    generators of the least cover m_c, in their order.  None covers, and
+    every non-cover on c lies in one of them (L3).
+
+    S_f is a sieve, as ⟨h∘k⟩ ⊆ ⟨h⟩, and the largest one that omits f; for
+    f in m_c it omits a member of m_c, so it does not cover.  A sieve S
+    that does not cover misses some f in m_c, and as a sieve it then holds
+    no h with f ∈ ⟨h⟩: S ⊆ S_f.  If f ∈ ⟨g⟩, then S_f ⊆ S_g, since g ∈ ⟨h⟩
+    gives f ∈ ⟨h⟩; each f in m_c lies in ⟨g⟩ for a generator g."""
+    cat = J.cat
+    return tuple(dict.fromkeys(
+        mask_of(h for h in cat.arrows_into(c) if not (cat.principal_sieves[h] >> g) & 1)
+        for g in J.min_cover_generators[c]))
 
 
 def closure_mask(J: GrothendieckTopology, c: int, mask: int) -> int:

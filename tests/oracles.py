@@ -7,7 +7,12 @@ oracle for the theorem on arrows, against the sheafified presheaf morphisms
 the checkers compute with.  `enumerate_topologies` lists every topology on a
 small category by brute force, the oracle for the constructors of the
 topology module, and `reference_closure_mask` scans every arrow for the
-closure of a sieve.  `subpresheaves` lists every subpresheaf and
+closure of a sieve.  `reference_is_sheaf`, `reference_sheaf_comparison`,
+`reference_elem_locally_equal`, `reference_cover_preserving`,
+`reference_cover_reflecting` and `reference_covering_lifting` are the
+checks over covering sieves as they walked every cover, every sieve or
+every arrow into c, where the checkers read the least covers.
+`subpresheaves` lists every subpresheaf and
 `enumerate_presheaf_morphisms` every natural transformation, the searches
 that the reference bodies of the comorphism checks run and that the
 checkers replace; `reference_comorphism_inclusion` is the inclusion check
@@ -27,6 +32,7 @@ mappings into the rows a category stores.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from sitecalc.fincat import MAX_ARROWS, FinCategory, FinFunctor, SizeGuardError, validate_category
@@ -49,6 +55,8 @@ from sitecalc.presheaf import (
     PresheafMorphism,
     SheafificationResult,
     SubPresheaf,
+    _by_restrictions,
+    _unamalgamated,
     colimit_presheaf,
     elem_locally_equal,
     is_bicovering,
@@ -64,6 +72,7 @@ from sitecalc.sieves import (
     generate_mask,
     mask_of,
     maximal_sieve_mask,
+    preimage_mask,
     pullback_mask,
 )
 from sitecalc.topology import GrothendieckTopology, _axiom_violations, local_equality
@@ -410,6 +419,110 @@ def reference_closure_mask(J: GrothendieckTopology, c: int, mask: int) -> int:
     cat = J.cat
     return mask_of(f for f in cat.arrows_into(c)
                    if pullback_mask(cat, mask, f) in J.covers[cat.dom[f]])
+
+
+# ---------------------------------------------------------------------------
+# checks over covering sieves: the bodies that walked every cover or sieve
+# where the checkers now read the least covers
+
+def reference_is_sheaf(P: FinPresheaf, J: GrothendieckTopology) -> tuple[bool, dict | None]:
+    """The sheaf condition on every covering sieve, in the order of
+    `J.covers`."""
+    for c in P.cat.objects:
+        for s in J.covers[c]:
+            failure = _unamalgamated(P, c, s)
+            if failure is not None:
+                fam, amalg = failure
+                return False, {"object": c, "sieve": s, "family": fam,
+                               "amalgamations": amalg}
+    return True, None
+
+
+def reference_sheaf_comparison(P: FinPresheaf, J: GrothendieckTopology,
+                               E1: FinPresheaf, eta1: PresheafMorphism,
+                               E2: FinPresheaf, eta2: PresheafMorphism) -> PresheafMorphism:
+    """The comparison E1 -> E2 with each candidate's agreement set, over
+    every arrow into c, tested against every cover; the units are not
+    validated."""
+    cat = P.cat
+    over = []
+    for d in cat.objects:
+        images: list[set[int]] = [set() for _ in range(E1.sizes[d])]
+        for x in range(P.sizes[d]):
+            images[eta1.at(d, x)].add(eta2.at(d, x))
+        over.append(images)
+    components = []
+    for c in cat.objects:
+        members = sorted(bits(J.min_cover[c]))
+        by_key = _by_restrictions(E2, c, members)
+        member_rows = [(E1.restrict[f], over[cat.dom[f]]) for f in members]
+        into = [(1 << f, E1.restrict[f], E2.restrict[f], over[cat.dom[f]])
+                for f in cat.arrows_into(c)]
+        covers = J.covers[c]
+        comp = []
+        for e in range(E1.sizes[c]):
+            options = [images[row[e]] for row, images in member_rows]
+            if math.prod(len(o) for o in options) > E2.sizes[c]:
+                candidates = range(E2.sizes[c])
+            else:
+                candidates = sorted(v for key in itertools.product(*options)
+                                    for v in by_key.get(key, ()))
+            triples = [(bit, row2, images[row1[e]]) for bit, row1, row2, images in into]
+            found = [v for v in candidates
+                     if sum(bit for bit, row, image in triples if row[v] in image) in covers]
+            if len(found) != 1:
+                raise ValueError(
+                    f"sheaf comparison not uniquely defined at object {c}, element {e}: {found}")
+            comp.append(found[0])
+        components.append(tuple(comp))
+    return validate_presheaf_morphism(E1, E2, components)
+
+
+def reference_elem_locally_equal(P: FinPresheaf, J: GrothendieckTopology,
+                                 c: int, x: int, y: int) -> bool:
+    """x ≡_J y: the agreement set over every arrow into c covers."""
+    if x == y:
+        return True
+    cat = P.cat
+    agree = mask_of(f for f in cat.arrows_into(c) if P.res(f, x) == P.res(f, y))
+    return J.is_covering(c, agree)
+
+
+def reference_cover_preserving(sf: SiteFunctor) -> Verdict:
+    """Every cover, in the order of `J.covers`, against its image."""
+    F, J, K = sf.F, sf.J, sf.K
+    for c in F.source.objects:
+        for s in J.covers[c]:
+            image = mask_of(F.on_arr(f) for f in bits(s))
+            if not K.covers_family(F.on_obj(c), image):
+                return _no("cover-preserving", object=c, sieve=s)
+    return _yes("cover-preserving")
+
+
+def reference_cover_reflecting(sf: SiteFunctor) -> Verdict:
+    """Every non-cover, in the order of `all_sieve_masks`, against its
+    image."""
+    F, J, K = sf.F, sf.J, sf.K
+    for c in F.source.objects:
+        for s in all_sieve_masks(F.source, c):
+            if s in J.covers[c]:
+                continue
+            image = mask_of(F.on_arr(f) for f in bits(s))
+            if K.covers_family(F.on_obj(c), image):
+                return _no("cover-reflecting", object=c, sieve=s)
+    return _yes("cover-reflecting")
+
+
+def reference_covering_lifting(sf: SiteFunctor) -> Verdict:
+    """Every K-cover on an image object, in the order of `K.covers`,
+    against its preimage."""
+    F, J, K = sf.F, sf.J, sf.K
+    for d in F.source.objects:
+        for s in K.covers[F.on_obj(d)]:
+            lifted = preimage_mask(F, s, d)
+            if not J.is_covering(d, lifted):
+                return _no("covering-lifting", object=d, sieve=s, preimage=lifted)
+    return _yes("covering-lifting")
 
 
 # ---------------------------------------------------------------------------

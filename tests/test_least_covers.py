@@ -1,0 +1,321 @@
+"""Checks quantified over covering sieves decide a pass at the least covers.
+
+A topology's covers are the sieves that contain its least cover m_c, so a
+sieve covers iff it holds each generator of m_c (L0); a test that grows
+with the sieve holds on every cover iff it holds at m_c (L1); a presheaf is
+a sheaf iff it is one for each m_c (L2); and every non-cover lies in one of
+the sieves S_g = {h | g ∉ ⟨h⟩}, g a generator of m_c, none of which covers
+(L3).  The checkers read only these on a pass and walk the covers or the
+sieve lattice only on a failure, to name the first witness the walk finds.
+These tests hold them to the walks they replace, kept in `oracles.py`, and
+run them with every such walk patched to raise.
+"""
+
+import collections
+import itertools
+import random
+
+import pytest
+
+import sitecalc.constructions as constructions
+import sitecalc.morphisms as morphisms
+import sitecalc.presheaf as presheaf
+from sitecalc.constructions import (
+    _covers_exactly,
+    generalized_elements_fibration,
+    generalized_elements_identities,
+)
+from sitecalc.fincat import identity_functor, poset_category
+from sitecalc.morphisms import (
+    SiteFunctor,
+    is_comorphism_of_sites,
+    is_cover_preserving,
+    is_cover_reflecting,
+    is_morphism_of_sites,
+)
+from sitecalc.presheaf import (
+    constant_presheaf,
+    elem_locally_equal,
+    identity_morphism,
+    is_sheaf,
+    sheaf_comparison,
+    sheafify,
+    sheafify_plus_plus,
+    validate_presheaf,
+)
+from sitecalc.sieves import all_sieve_masks, bits, mask_of
+from sitecalc.topology import (
+    GrothendieckTopology,
+    generate_topology,
+    omitting_sieves,
+    trivial_topology,
+    validate_topology,
+)
+
+from conftest import (
+    RNG_SEED,
+    make_two,
+    random_category,
+    random_presheaf,
+    random_site_functors,
+    random_topology,
+)
+from oracles import (
+    reference_cover_preserving,
+    reference_cover_reflecting,
+    reference_covering_lifting,
+    reference_elem_locally_equal,
+    reference_is_sheaf,
+    reference_sheaf_comparison,
+)
+from test_presheaf import _components_or_message
+
+
+def _sites(n: int) -> list:
+    """(category, J, P) for random presheaves over random topologies, every
+    seventh on the trivial topology."""
+    rng = random.Random(RNG_SEED)
+    out = []
+    for i in range(n):
+        cat = random_category(rng)
+        J = trivial_topology(cat) if i % 7 == 0 else random_topology(rng, cat)
+        out.append((cat, J, random_presheaf(rng, cat)))
+    return out
+
+
+def test_generators_and_omitting_sieves_bound_the_covers():
+    """L0 and L3 on every sieve of the random topologies: a sieve covers
+    iff it holds each generator, the generators are irredundant and the
+    trivial topology's are the identities; no S_g covers, each non-cover
+    lies in one, and each S_g is listed once."""
+    non_covers = 0
+    for cat, J, _ in _sites(150):
+        for c in cat.objects:
+            gens = J.min_cover_generators[c]
+            assert mask_of(gens) & ~J.min_cover[c] == 0
+            assert all(g == h or not (cat.principal_sieves[h] >> g) & 1
+                       for g in gens for h in gens)
+            bounds = omitting_sieves(J, c)
+            assert len(set(bounds)) == len(bounds)
+            assert not any(J.is_covering(c, s) for s in bounds)
+            for s in all_sieve_masks(cat, c):
+                assert J.is_covering(c, s) == all((s >> g) & 1 for g in gens)
+                if not J.is_covering(c, s):
+                    non_covers += 1
+                    assert any(s & ~bound == 0 for bound in bounds)
+        assert trivial_topology(cat).min_cover_generators == tuple(
+            (cat.identity[c],) for c in cat.objects)
+    assert non_covers
+
+
+def test_site_checks_match_the_reference_walks():
+    """On the 300 random site functors, cover preservation, cover
+    reflection and covering lifting give the verdicts and first witnesses
+    of the walks over every cover or sieve, each verdict both ways; and a
+    test that grows with the sieve matches the covers exactly
+    (`_covers_exactly`) iff a scan of every sieve finds no difference."""
+    seen = collections.Counter()
+    for sf in random_site_functors(random.Random(RNG_SEED), 300):
+        F, J, K = sf.F, sf.J, sf.K
+        for name, check, reference in (
+                ("preserving", is_cover_preserving, reference_cover_preserving),
+                ("reflecting", is_cover_reflecting, reference_cover_reflecting),
+                ("lifting", is_comorphism_of_sites, reference_covering_lifting)):
+            verdict = check(SiteFunctor(F, J, K))
+            assert verdict == reference(sf)
+            seen[name, verdict.holds] += 1
+
+        def image_covers(c, s):
+            return K.covers_family(F.on_obj(c), mask_of(F.on_arr(f) for f in bits(s)))
+        for c in F.source.objects:
+            exact = all(J.is_covering(c, s) == image_covers(c, s)
+                        for s in all_sieve_masks(F.source, c))
+            assert _covers_exactly(J, c, image_covers) == exact
+            seen["exact", exact] += 1
+    assert len(seen) == 8, seen
+
+
+def test_sheaf_checks_match_the_reference_walks():
+    """On random presheaves over random topologies: `is_sheaf` on the
+    presheaf, its sheafification and its plus-plus sheaf, the comparison
+    of each pair of presentations and local equality of every pair of
+    elements give what the walks over every cover or arrow give."""
+    seen = collections.Counter()
+    for cat, J, P in _sites(150):
+        sh = sheafify(P, J)
+        pp, eta = sheafify_plus_plus(P, J)
+        for Q in (P, sh.sheaf, pp):
+            verdict = is_sheaf(Q, J)
+            assert verdict == reference_is_sheaf(Q, J)
+            seen["sheaf", verdict[0]] += 1
+        ident = identity_morphism(P)
+        for presentations in ((pp, eta, sh.sheaf, sh.unit), (sh.sheaf, sh.unit, pp, eta),
+                              (P, ident, sh.sheaf, sh.unit), (sh.sheaf, sh.unit, P, ident)):
+            got = _components_or_message(sheaf_comparison, P, J, *presentations)
+            assert got == _components_or_message(reference_sheaf_comparison, P, J,
+                                                 *presentations)
+            seen["comparison", isinstance(got, str)] += 1
+        for c in cat.objects:
+            for x in range(P.sizes[c]):
+                for y in range(P.sizes[c]):
+                    equal = elem_locally_equal(P, J, c, x, y)
+                    assert equal == reference_elem_locally_equal(P, J, c, x, y)
+                    seen["local", equal] += 1
+    assert len(seen) == 6, seen
+
+
+def _vee_with_late_least_cover():
+    """The vee a -> t <- b with J generated by the sieve {a -> t}, and its
+    covers on t listed with the two-leg sieve S first: the least cover m_t
+    is not the first cover the walk meets."""
+    cat = poset_category(3, [(0, 2), (1, 2)])
+    t = 2
+    generated = generate_topology(cat, [(t, mask_of(f for f in cat.arrows_into(t)
+                                                    if cat.dom[f] == 0))])
+    both_legs = mask_of(f for f in cat.arrows_into(t) if f != cat.identity[t])
+    covers = list(generated.covers)
+    # the walk meets the covers in the order of the set's table, which
+    # depends on the order they were added in
+    covers[t] = next(order for order in itertools.permutations(covers[t])
+                     if next(iter(frozenset(order))) == both_legs)
+    J = validate_topology(cat, covers)
+    assert next(iter(J.covers[t])) == both_legs != J.min_cover[t]
+    return cat, J, t, both_legs
+
+
+def test_first_failing_cover_need_not_be_the_least():
+    """Where the walk meets a failing cover before m_t, `is_sheaf` and
+    cover preservation name that cover, as the walks do: P with two
+    elements over t and one elsewhere has two amalgamations of the family
+    on each cover without id_t, and the identity into the topology that
+    agrees with J off t and covers only the maximal sieve on t maps no
+    such cover to a cover."""
+    cat, J, t, both_legs = _vee_with_late_least_cover()
+    sizes = [2 if c == t else 1 for c in cat.objects]
+    P = validate_presheaf(cat, sizes, [
+        tuple(range(2)) if f == cat.identity[t] else (0,) * sizes[cat.cod[f]]
+        for f in cat.arrows])
+    verdict = is_sheaf(P, J)
+    assert verdict == reference_is_sheaf(P, J)
+    assert verdict[1]["object"] == t and verdict[1]["sieve"] == both_legs
+
+    K = generate_topology(cat, [(c, J.min_cover[c]) for c in cat.objects if c != t])
+    assert K.min_cover[t] == mask_of(cat.arrows_into(t))
+    sf = SiteFunctor(identity_functor(cat), J, K)
+    verdict = is_cover_preserving(sf)
+    assert verdict == reference_cover_preserving(sf)
+    assert verdict.witness == {"kind": "cover-preserving", "holds": False,
+                               "object": t, "sieve": both_legs}
+
+
+def test_sheaf_comparison_validates_its_units():
+    """A unit that is natural out of another presheaf, not out of P, is
+    refused, where the comparison without that check returns an arrow:
+    the identity of the swap presheaf Q, as a unit out of the constant
+    presheaf with the same sets."""
+    two = make_two()
+    J = trivial_topology(two)
+    P = constant_presheaf(two, 2)
+    Q = validate_presheaf(two, (2, 2), ((0, 1), (0, 1), (1, 0)))
+    unit = identity_morphism(Q)
+    assert reference_sheaf_comparison(P, J, Q, unit, Q, unit).components == ((0, 1), (0, 1))
+    with pytest.raises(ValueError, match="naturality fails at arrow 2, element 0"):
+        sheaf_comparison(P, J, Q, unit, Q, unit)
+
+
+# ---------------------------------------------------------------------------
+# every walk patched to raise
+
+class _Walked(Exception):
+    pass
+
+
+class _Unwalkable(frozenset):
+    """A family of covers that answers membership but cannot be walked."""
+
+    def __iter__(self):
+        raise _Walked("the covers were walked")
+
+
+def _unwalkable(J: GrothendieckTopology) -> GrothendieckTopology:
+    """J with covers that raise when walked, and its least covers and
+    their generators, which a walk computes, already in place."""
+    out = GrothendieckTopology(J.cat, tuple(_Unwalkable(s) for s in J.covers))
+    out.__dict__.update(min_cover=J.min_cover, min_cover_generators=J.min_cover_generators)
+    return out
+
+
+def _enumerated(*args):
+    raise _Walked("the sieves were enumerated")
+
+
+@pytest.fixture
+def no_walks(monkeypatch):
+    for module in (morphisms, presheaf, constructions):
+        monkeypatch.setattr(module, "all_sieve_masks", _enumerated, raising=False)
+
+
+def _passes_or_walks(check, *args):
+    """The check's result, or "walked" when it walked the covers or the
+    sieves."""
+    try:
+        return check(*args)
+    except _Walked:
+        return "walked"
+
+
+def test_passing_checks_read_only_the_least_covers(no_walks):
+    """With the sieve lattice and the covers unwalkable, every passing
+    check named in the lemmas still returns its verdict, and every failing
+    one with a witness reaches the walk."""
+    seen = collections.Counter()
+    for sf in random_site_functors(random.Random(RNG_SEED), 300):
+        unwalkable = SiteFunctor(sf.F, _unwalkable(sf.J), _unwalkable(sf.K))
+        for name, check, reference in (
+                ("preserving", is_cover_preserving, reference_cover_preserving),
+                ("reflecting", is_cover_reflecting, reference_cover_reflecting),
+                ("lifting", is_comorphism_of_sites, reference_covering_lifting)):
+            expected = reference(sf)
+            got = _passes_or_walks(check, unwalkable)
+            assert got == (expected if expected else "walked")
+            seen[name, expected.holds] += 1
+        preserving = reference_cover_preserving(sf).holds
+        expected = is_morphism_of_sites(SiteFunctor(sf.F, sf.J, sf.K))
+        assert _passes_or_walks(is_morphism_of_sites, unwalkable) == \
+            (expected if preserving else "walked")
+    assert len(seen) == 6, seen
+
+    for cat, J, P in _sites(60):
+        sh = sheafify(P, J)
+        pp, eta = sheafify_plus_plus(P, J)
+        unwalkable = _unwalkable(J)
+        for Q in (P, sh.sheaf, pp):
+            expected = reference_is_sheaf(Q, J)
+            assert _passes_or_walks(is_sheaf, Q, unwalkable) == \
+                (expected if expected[0] else "walked")
+            seen["sheaf", expected[0]] += 1
+        assert sheaf_comparison(P, unwalkable, pp, eta, sh.sheaf, sh.unit).components \
+            == sheaf_comparison(P, J, pp, eta, sh.sheaf, sh.unit).components
+        assert all(elem_locally_equal(P, unwalkable, c, x, y)
+                   == reference_elem_locally_equal(P, J, c, x, y)
+                   for c in cat.objects for x in range(P.sizes[c]) for y in range(P.sizes[c]))
+    assert seen["sheaf", True] and seen["sheaf", False], seen
+
+
+def test_generalized_elements_identities_walk_no_sieves(monkeypatch):
+    """The two identities that compare a topology with a test on sieves
+    give the same answers with the sieve lattice and the covers of the
+    input topology unwalkable."""
+    rng = random.Random(RNG_SEED)
+    cases = []
+    for _ in range(3):
+        cat = random_category(rng)
+        J = random_topology(rng, cat)
+        sf = SiteFunctor(identity_functor(cat), J, J)
+        site = generalized_elements_fibration(sf)
+        cases.append((sf, site, generalized_elements_identities(sf, site)))
+    monkeypatch.setattr(constructions, "all_sieve_masks", _enumerated, raising=False)
+    for sf, site, expected in cases:
+        unwalkable = SiteFunctor(sf.F, _unwalkable(sf.J), _unwalkable(sf.K))
+        assert generalized_elements_identities(unwalkable, site) == expected
+        assert all(expected.values()), expected

@@ -1931,6 +1931,22 @@ def test_comorphism_inclusion_witnesses_replay_independently(monkeypatch, rng):
                                         "J-full", "J-faithful", ("J-full", False))), reached
 
 
+def test_forged_local_property_passes_replay_only_when_they_hold(rng):
+    """A pass of J-full, J-faithful or K-dense replays through the local
+    property tests of the fresh site functor that the replay builds: on
+    the 300 random site functors a forged pass of each kind replays
+    exactly when the property holds, and each kind occurs both ways."""
+    seen = collections.Counter()
+    for sf in random_site_functors(rng, 300):
+        props = local_property_tests(SiteFunctor(sf.F, sf.J, sf.K))
+        for kind, name in (("J-full", "J_full"), ("J-faithful", "J_faithful"),
+                           ("K-dense", "K_dense")):
+            forged = Verdict(True, {"kind": kind, "holds": True})
+            assert recheck_witness(sf, forged) == props[name].holds
+            seen[kind, props[name].holds] += 1
+    assert len(seen) == 6, seen
+
+
 def test_classify_comorphism_runs_each_shared_body_once(monkeypatch, rng):
     """One classification builds the coinduced topology once, decides the
     three local verdicts once and runs the localic body once, although the

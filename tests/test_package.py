@@ -405,3 +405,73 @@ def test_comp_reads_are_found():
         "    entries = dict(cat.category.comp)\n"
         "    return cat.compose(1, 0), cat.composites[1], comp[(1, 0)], entries\n")
     assert _comp_reads({"morphisms": sample}) == ["morphisms:2", "morphisms:4"]
+
+
+# checks over covering sieves read the least covers on a pass: a loop over a
+# topology's covers or over the sieve lattice sits in a failure rescan, which
+# names the first witness, or in a construction that needs every sieve
+SIEVE_WALKS = {
+    "presheaf._unamalgamated_cover", "morphisms._uncovered_image",
+    "morphisms._covered_image", "morphisms._unlifted_cover",  # failure rescans
+    "presheaf.plus_construction",  # the oracle's colimit over every cover
+    "presheaf.closed_sieves",  # the objects of C^s_J
+    "morphisms.is_continuous",  # its loop order fixes its witnesses
+    "morphisms.continuity_oracle",  # the independent route over every cover
+    "morphisms.recheck_witness",  # replays read the definitions
+}
+
+
+def _sieve_walks(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.scope:line` of each loop or comprehension over a `.covers[...]`
+    subscript or an `all_sieve_masks(...)` call outside `SIEVE_WALKS`."""
+    def walks(node: ast.expr) -> bool:
+        return any(isinstance(n, ast.Subscript) and isinstance(n.value, ast.Attribute)
+                   and n.value.attr == "covers"
+                   or isinstance(n, ast.Call) and (getattr(n.func, "id", None)
+                                                   or getattr(n.func, "attr", None))
+                   == "all_sieve_masks"
+                   for n in ast.walk(node))
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif (isinstance(child, (ast.For, ast.AsyncFor, ast.comprehension))
+                  and scope not in SIEVE_WALKS and walks(child.iter)):
+                found.append(f"{scope}:{child.iter.lineno}")
+            visit(child, inner)
+
+    for module, tree in trees.items():
+        visit(tree, module)
+    return sorted(found)
+
+
+def test_pass_paths_walk_no_covers_or_sieves():
+    trees = {module: ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+             for module in ("presheaf", "morphisms", "constructions")}
+    assert _sieve_walks(trees) == []
+
+
+def test_cover_walks_are_found():
+    sample = ast.parse(
+        "def is_sheaf(P, J):\n"
+        "    for c in P.cat.objects:\n"
+        "        for s in J.covers[c]:\n"
+        "            pass\n"
+        "def plus_construction(P, J):\n"
+        "    return [s for s in sorted(J.covers[0])]\n"
+        "def closed_sieves(cat, J, c):\n"
+        "    def walk():\n"
+        "        return {s: 1 for s in all_sieve_masks(cat, c)}\n"
+        "    return walk()\n"
+        "def _check_cover_reflecting(sf):\n"
+        "    return any(s for c in sf.F.source.objects\n"
+        "               for s in sieves.all_sieve_masks(sf.F.source, c))\n"
+        "def is_cover_preserving(sf):\n"
+        "    covers = sf.J.covers[0]\n"
+        "    return all(s in covers for s in bits(sf.J.min_cover[0]))\n")
+    assert _sieve_walks({"presheaf": sample}) == [
+        "presheaf._check_cover_reflecting:13", "presheaf.closed_sieves.walk:9",
+        "presheaf.is_sheaf:3"]

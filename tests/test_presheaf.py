@@ -716,6 +716,11 @@ def test_invalid_presheaf_and_morphism_raise_with_a_reason(two):
     C2 = constant_presheaf(two, 2)
     with pytest.raises(ValueError, match="naturality fails at arrow 2, element 0"):
         validate_presheaf_morphism(C2, C2, ((0, 1), (1, 0)))
+    # a value outside the target, too large or negative, is named before naturality
+    with pytest.raises(ValueError, match="object 0 sends element 0 to 5, outside the 2 elements"):
+        validate_presheaf_morphism(C2, C2, ((5, 0), (0, 1)))
+    with pytest.raises(ValueError, match="object 1 sends element 1 to -1, outside the 2 elements"):
+        validate_presheaf_morphism(C2, C2, ((0, 1), (0, -1)))
     assert validate_presheaf_morphism(C2, C2, [[1, 0], [1, 0]]).components == ((1, 0), (1, 0))
 
 
