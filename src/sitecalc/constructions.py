@@ -185,11 +185,9 @@ def generalized_elements_fibration(sf: SiteFunctor) -> CommaSite:
 
 def _covers_exactly(J: GrothendieckTopology, c: int, covers: Callable[[int, int], bool]) -> bool:
     """Whether the sieves s on c with covers(c, s) are exactly the J-covers,
-    for a test that grows with s.  The J-covers are the sieves that contain
-    the least cover m_c, so the test holds on all of them iff it holds at
-    m_c (L1); every non-cover lies in one of the non-covers
-    `omitting_sieves` (L3), so it fails on all of them iff it fails on
-    those."""
+    for a test that grows with s: it holds at m_c (L1) and fails on the
+    non-covers of `omitting_sieves` (L3), as the two cover quantifiers of
+    `GrothendieckTopology` test."""
     return covers(c, J.min_cover[c]) and not any(covers(c, s) for s in omitting_sieves(J, c))
 
 
@@ -233,9 +231,9 @@ def generalized_elements_identities(sf: SiteFunctor, site: CommaSite) -> dict[st
         i_prime.on_obj(e), _image(i_prime, t))) for d in D.objects)
 
     return {
-        "fibration_topology_matches": fib_pi.covers == m_pi.covers,
+        "fibration_topology_matches": fib_pi == m_pi,
         "covering_by_base_families": ok_i,
-        "smallest_topology_via_embedding": m_via_embedding.covers == m_F.covers,
-        "coinduced_equals_join_with_rigid": coinduced_mF.covers == joined.covers,
+        "smallest_topology_via_embedding": m_via_embedding == m_F,
+        "coinduced_equals_join_with_rigid": coinduced_mF == joined,
         "embedding_detects_covering": ok_detect,
     }

@@ -43,7 +43,6 @@ from .topology import (
     coinduced_topology,
     induced_topology,
     local_equality,
-    omitting_sieves,
     smallest_comorphism_topology,
     topology_where,
     trivial_topology,
@@ -93,6 +92,15 @@ def _no(kind: str, **data) -> Verdict:
     return Verdict(False, {"kind": kind, "holds": False, **data})
 
 
+def _conjunction(kind: str, *parts: Verdict, **data) -> Verdict:
+    """A pass, recording `data`, when every part holds; otherwise a
+    failure that records the first failing part's witness."""
+    for part in parts:
+        if not part:
+            return _no(kind, witness=part.witness)
+    return _yes(kind, **data)
+
+
 def _require(verdict: Verdict, what: str) -> None:
     """A failed precondition: ValueError("not <what>: <witness>")."""
     if not verdict:
@@ -108,25 +116,14 @@ def _image(F: FinFunctor, mask: int) -> int:
 
 
 def is_cover_preserving(sf: SiteFunctor) -> Verdict:
-    """K covers ⟨F(S)⟩ for every J-cover S on c.  That test grows with S,
-    so it holds on every cover iff it holds at the least cover m_c (L1):
-    a pass tests one sieve per object, and only a failure walks the covers
-    for the first failing one."""
-    F, J, K = sf.F, sf.J, sf.K
-    if all(K.covers_family(F.on_obj(c), _image(F, J.min_cover[c])) for c in F.source.objects):
-        return _yes("cover-preserving")
-    return _uncovered_image(sf)
-
-
-def _uncovered_image(sf: SiteFunctor) -> Verdict:
-    """The failure rescan of `is_cover_preserving`: the first cover, in the
-    order of `J.covers`, whose image K does not cover."""
+    """K covers ⟨F(S)⟩ for every J-cover S on c, a test that grows with S
+    (L1 at `GrothendieckTopology.first_failing_cover`)."""
     F, J, K = sf.F, sf.J, sf.K
     for c in F.source.objects:
-        for s in J.covers[c]:
-            if not K.covers_family(F.on_obj(c), _image(F, s)):
-                return _no("cover-preserving", object=c, sieve=s)
-    raise AssertionError("a least cover fails, and it covers")
+        s = J.first_failing_cover(c, lambda s: K.covers_family(F.on_obj(c), _image(F, s)))
+        if s is not None:
+            return _no("cover-preserving", object=c, sieve=s)
+    return _yes("cover-preserving")
 
 
 def is_cover_reflecting(sf: SiteFunctor) -> Verdict:
@@ -134,52 +131,28 @@ def is_cover_reflecting(sf: SiteFunctor) -> Verdict:
 
 
 def _check_cover_reflecting(sf: SiteFunctor) -> Verdict:
-    """K covers ⟨F(S)⟩ for no J-non-cover S on c.  That test grows with S,
-    and every non-cover lies in one of the non-covers `omitting_sieves`
-    (L3), so a pass tests those alone; only a failure walks every sieve
-    for the first failing one."""
-    F, J, K = sf.F, sf.J, sf.K
-    if not any(K.covers_family(F.on_obj(c), _image(F, s))
-               for c in F.source.objects for s in omitting_sieves(J, c)):
-        return _yes("cover-reflecting")
-    return _covered_image(sf)
-
-
-def _covered_image(sf: SiteFunctor) -> Verdict:
-    """The failure rescan of `_check_cover_reflecting`: the first sieve, in
-    the order of `all_sieve_masks`, that J does not cover and whose image K
-    covers."""
+    """K covers ⟨F(S)⟩ for no J-non-cover S on c, a test that grows with S
+    (L3 at `GrothendieckTopology.first_passing_non_cover`)."""
     F, J, K = sf.F, sf.J, sf.K
     for c in F.source.objects:
-        for s in all_sieve_masks(F.source, c):
-            if not J.is_covering(c, s) and K.covers_family(F.on_obj(c), _image(F, s)):
-                return _no("cover-reflecting", object=c, sieve=s)
-    raise AssertionError("a non-cover's image covers, and the sieves hold it")
+        s = J.first_passing_non_cover(c, lambda s: K.covers_family(F.on_obj(c), _image(F, s)))
+        if s is not None:
+            return _no("cover-reflecting", object=c, sieve=s)
+    return _yes("cover-reflecting")
 
 
 def is_comorphism_of_sites(sf: SiteFunctor) -> Verdict:
     """Covering-lifting property: the full preimage of every covering sieve
     on an image object must cover (any lift R sits inside the preimage).
-    The preimage grows with the sieve, so this holds for every K-cover on
-    F(d) iff it holds at the least one (L1); only a failure walks the
-    covers for the first failing one."""
-    F, J, K = sf.F, sf.J, sf.K
-    if all(J.is_covering(d, preimage_mask(F, K.min_cover[F.on_obj(d)], d))
-           for d in F.source.objects):
-        return _yes("covering-lifting")
-    return _unlifted_cover(sf)
-
-
-def _unlifted_cover(sf: SiteFunctor) -> Verdict:
-    """The failure rescan of `is_comorphism_of_sites`: the first K-cover, in
-    the order of `K.covers`, whose preimage does not cover."""
+    The preimage grows with the sieve (L1 at
+    `GrothendieckTopology.first_failing_cover`)."""
     F, J, K = sf.F, sf.J, sf.K
     for d in F.source.objects:
-        for s in K.covers[F.on_obj(d)]:
-            lifted = preimage_mask(F, s, d)
-            if not J.is_covering(d, lifted):
-                return _no("covering-lifting", object=d, sieve=s, preimage=lifted)
-    raise AssertionError("a least cover fails, and it covers")
+        s = K.first_failing_cover(F.on_obj(d),
+                                  lambda s: J.is_covering(d, preimage_mask(F, s, d)))
+        if s is not None:
+            return _no("covering-lifting", object=d, sieve=s, preimage=preimage_mask(F, s, d))
+    return _yes("covering-lifting")
 
 
 # ---------------------------------------------------------------------------
@@ -669,24 +642,32 @@ def _weakly_dense_clause_iii(sf: SiteFunctor) -> Verdict:
     coherent families g over U.  An arrow f into x is found when some
     k: dom f -> y has g_h∘z ≡_K F(k)∘w for every w into F(dom f) and every
     h∘z = F(f)∘w with h in U; the values g_h∘z are collected once per
-    composite h∘z.  The found arrows must J-cover x.
+    composite h∘z.  The found arrows must J-cover x.  The witness is the
+    first (x, y, U, g), U in the order of `K.covers`.
 
-    The least cover m = K.min_cover[F(x)] decides the verdict.  A family g
-    over a cover U ⊇ m restricts to one over m with the same found arrows:
-    for a = F(f)∘w = h∘z in U, the members a∘v of m, v in the cover a*(m),
-    give g_h∘z∘v ≡_K g_{a∘v} ≡_K F(k)∘w∘v, and local equality is local.
-    So when every family over m passes, every family over every cover
-    does, and m is a cover itself.  The pass path scans m alone on each
-    object; only a failure rescans every cover in the order of `K.covers`
-    for the first failing cover and family, the witness."""
-    least = _clause_iii_scan(sf, [(m,) for m in sf.K.min_cover])
-    return least if least else _clause_iii_scan(sf, sf.K.covers)
+    A family g over a cover U ⊇ m, m = K.min_cover[F(x)], restricts to one
+    over m with the same found arrows: for a = F(f)∘w = h∘z in U, the
+    members a∘v of m, v in the cover a*(m), give g_h∘z∘v ≡_K g_{a∘v} ≡_K
+    F(k)∘w∘v, and local equality is local.  So when every family over m
+    passes, every family over every cover does, as
+    `GrothendieckTopology.first_failing_cover` asks."""
+    F, K = sf.F, sf.K
+    for x in F.source.objects:
+        for y in F.source.objects:
+            u = K.first_failing_cover(F.on_obj(x),
+                                      lambda u: _clause_iii_failure(sf, x, y, u) is None)
+            if u is not None:
+                g, found = _clause_iii_failure(sf, x, y, u)
+                return _no("weakly-dense", clause="iii",
+                           instance={"x": x, "y": y, "sieve": u, "family": g}, found=found)
+    return _yes("weakly-dense")
 
 
-def _clause_iii_scan(sf: SiteFunctor, sieves: Sequence[Iterable[int]]) -> Verdict:
-    """Clause (iii) over the sieves U in `sieves[F(x)]` for each x, and the
-    coherent families g on U in search order; the first (x, y, U, g) whose
-    found arrows do not J-cover x is the witness.
+def _clause_iii_failure(sf: SiteFunctor, x: int, y: int,
+                        u_mask: int) -> tuple[dict[int, int], int] | None:
+    """Clause (iii) for (x, y) over the sieve U = u_mask on F(x): the first
+    coherent family g on U, in search order, whose found arrows do not
+    J-cover x, with those arrows; None when every family passes.
 
     When U holds the identity of F(x), U is maximal and every g_h is
     locally equal to g_id∘h, so f is found exactly when F(k) ≡_K g_id∘F(f)
@@ -697,30 +678,24 @@ def _clause_iii_scan(sf: SiteFunctor, sieves: Sequence[Iterable[int]]) -> Verdic
     g_id fails, to name the first failing family."""
     F, J, K = sf.F, sf.J, sf.K
     C, D = F.source, F.target
-    for x in C.objects:
-        fx = F.on_obj(x)
-        id_fx = D.identity[fx]
-        for y in C.objects:
-            fy = F.on_obj(y)
-            for u_mask in sieves[fx]:
-                members = sorted(bits(u_mask))
-                by_value = None
-                if (u_mask >> id_fx) & 1:
-                    by_value = {v: mask_of(
-                        f for f in C.arrows_into(x)
-                        if any(local_equality(K, F.on_arr(k), D.compose(v, F.on_arr(f)))
-                               for k in C.hom(C.dom[f], y)))
-                        for v in D.hom(fx, fy)}
-                    if all(J.is_covering(x, ok) for ok in by_value.values()):
-                        continue
-                for g in _coherent_families(D, K, fx, members, fy):
-                    ok = (_found_through(sf, x, y, members, g) if by_value is None
-                          else by_value[g[id_fx]])
-                    if not J.is_covering(x, ok):
-                        return _no("weakly-dense", clause="iii",
-                                   instance={"x": x, "y": y, "sieve": u_mask, "family": g},
-                                   found=ok)
-    return _yes("weakly-dense")
+    fx, fy = F.on_obj(x), F.on_obj(y)
+    id_fx = D.identity[fx]
+    by_value = None
+    if (u_mask >> id_fx) & 1:
+        by_value = {v: mask_of(
+            f for f in C.arrows_into(x)
+            if any(local_equality(K, F.on_arr(k), D.compose(v, F.on_arr(f)))
+                   for k in C.hom(C.dom[f], y)))
+            for v in D.hom(fx, fy)}
+        if all(J.is_covering(x, ok) for ok in by_value.values()):
+            return None
+    members = sorted(bits(u_mask))
+    for g in _coherent_families(D, K, fx, members, fy):
+        ok = (_found_through(sf, x, y, members, g) if by_value is None
+              else by_value[g[id_fx]])
+        if not J.is_covering(x, ok):
+            return g, ok
+    return None
 
 
 def _found_through(sf: SiteFunctor, x: int, y: int, members: Sequence[int],
@@ -864,25 +839,17 @@ def classify_morphism(sf: SiteFunctor) -> MorphismClassification:
     surjection = is_cover_reflecting(sf)
     jf = induced_topology(sf.F, sf.K)
     ii = _weakly_dense_clause_ii(sf)
-    if jf.covers == sf.J.covers:
+    if jf == sf.J:
         f_r = sf
     else:
         f_r = SiteFunctor(sf.F, jf, sf.K)
         _memo(f_r, ("weakly-dense-ii",), lambda: ii)  # clause (ii) reads only F and K
     inclusion = is_weakly_dense(f_r)
     csl = closed_sieve_lifting(sf)
-    if surjection and csl:
-        hyperconnected = _yes("hyperconnected")
-    else:
-        bad = surjection if not surjection else csl
-        hyperconnected = _no("hyperconnected", witness=bad.witness)
+    hyperconnected = _conjunction("hyperconnected", surjection, csl)
     localic = _localic_condition(sf)
     equivalence = is_weakly_dense(sf)
-    if csl and ii:
-        essential = _yes("essential-surjective-closed-image")
-    else:
-        bad = csl if not csl else ii
-        essential = _no("essential-surjective-closed-image", witness=bad.witness)
+    essential = _conjunction("essential-surjective-closed-image", csl, ii)
     return MorphismClassification(surjection, inclusion, hyperconnected,
                                   localic, equivalence, essential)
 
@@ -985,7 +952,7 @@ def comorphism_surjection(sf: SiteFunctor) -> Verdict:
 
 def _check_comorphism_surjection(sf: SiteFunctor) -> Verdict:
     coind = coinduced_topology(sf.F, sf.source_topology)
-    if coind.covers == sf.target_topology.covers:
+    if coind == sf.target_topology:
         return _yes("comorphism-surjection")
     for c in sf.F.target.objects:
         diff = sf.target_topology.covers[c] ^ coind.covers[c]
@@ -1155,27 +1122,21 @@ def classify_comorphism(sf: SiteFunctor) -> MorphismClassification:
 
     localic = _comorphism_localic_general(sf)
     hyperconnected = _comorphism_hyperconnected(sf)
-
-    # the bimorphism criterion without K-faithfulness is unsound (see the
-    # decisions ledger); continuous comorphisms, bimorphisms included, are
-    # decided by the full-faithful-dense criterion
-    if continuous:
-        if props["J_full"] and props["J_faithful"] and props["K_dense"]:
-            equivalence = _yes("comorphism-equivalence",
-                               via="continuous K-full K-faithful J-dense")
-        else:
-            bad = next(props[k] for k in ("J_full", "J_faithful", "K_dense")
-                       if not props[k])
-            equivalence = _no("comorphism-equivalence", witness=bad.witness)
-    else:
-        if hyperconnected and localic:
-            equivalence = _yes("comorphism-equivalence", via="hyperconnected and localic")
-        else:
-            bad = hyperconnected if not hyperconnected else localic
-            equivalence = _no("comorphism-equivalence", witness=bad.witness)
-
+    equivalence = _comorphism_equivalence(sf, continuous.holds)
     return MorphismClassification(surjection, inclusion, hyperconnected,
                                   localic, equivalence)
+
+
+def _comorphism_equivalence(sf: SiteFunctor, continuous: bool) -> Verdict:
+    """C_F is an equivalence: full-faithful-dense for a continuous F (the
+    bimorphism criterion without K-faithfulness is unsound, see the
+    decisions ledger), otherwise hyperconnected and localic."""
+    if continuous:
+        props = local_property_tests(sf)
+        return _conjunction("comorphism-equivalence", props["J_full"], props["J_faithful"],
+                            props["K_dense"], via="continuous K-full K-faithful J-dense")
+    return _conjunction("comorphism-equivalence", _comorphism_hyperconnected(sf),
+                        _comorphism_localic_general(sf), via="hyperconnected and localic")
 
 
 # ---------------------------------------------------------------------------
@@ -1368,8 +1329,10 @@ def recheck_witness(sf: SiteFunctor, verdict: Verdict) -> bool:
 
     Counterexample witnesses are re-verified directly from the recorded
     quantifier instance (the morphism-of-sites clauses by the direct scans
-    that the checker replaces with look-ups); positive certificates are
-    replayed by re-running the corresponding checker.
+    that the checker replaces with look-ups, a composite flag by the part
+    it records); an object out of range or a mask that is not a sieve on
+    it replays False.  Positive certificates are replayed by re-running
+    the corresponding checker, or those of a composite flag's parts.
     """
     w = verdict.witness
     kind = w["kind"]
@@ -1379,35 +1342,43 @@ def recheck_witness(sf: SiteFunctor, verdict: Verdict) -> bool:
     if verdict.holds:
         runner = _POSITIVE_RUNNERS.get(kind)
         return runner is None or runner(sf).holds
-    if kind == "cover-preserving":
+    if kind in ("cover-preserving", "cover-reflecting") or \
+            kind == "morphism-of-sites" and w["clause"] == "i":
         c, s = w["object"], w["sieve"]
-        image = mask_of(F.on_arr(f) for f in bits(s))
-        return J.is_covering(c, s) and not K.covers_family(F.on_obj(c), image)
-    if kind == "cover-reflecting":
-        c, s = w["object"], w["sieve"]
-        image = mask_of(F.on_arr(f) for f in bits(s))
-        return (not J.is_covering(c, s)) and K.covers_family(F.on_obj(c), image)
+        if not (c in C.objects and is_sieve_mask(C, c, s)):
+            return False
+        covered = K.covers_family(F.on_obj(c), _image(F, s))
+        if kind == "cover-reflecting":
+            return not J.is_covering(c, s) and covered
+        return J.is_covering(c, s) and not covered
     if kind == "covering-lifting":
         d, s = w["object"], w["sieve"]
-        return K.is_covering(F.on_obj(d), s) and \
-            not J.is_covering(d, preimage_mask(F, s, d))
+        return d in C.objects and is_sieve_mask(D, F.on_obj(d), s) and \
+            K.is_covering(F.on_obj(d), s) and not J.is_covering(d, preimage_mask(F, s, d))
     if kind == "morphism-of-sites":
-        if w["clause"] == "i":
-            image = mask_of(F.on_arr(f) for f in bits(w["sieve"]))
-            return J.is_covering(w["object"], w["sieve"]) and \
-                not K.covers_family(F.on_obj(w["object"]), image)
         return _replays_morphism_of_sites(sf, w)
-    if kind in ("dense", "weakly-dense"):
-        return not is_dense_morphism(sf).holds if kind == "dense" \
-            else not is_weakly_dense(sf).holds
+    if kind in _PARTS:
+        # a failed K-full, K-faithful or J-dense test decides a comorphism's
+        # flag for a continuous F only; a failed surjection, nested in the
+        # hyperconnected witness, says nothing of inclusion
+        inner = w.get("witness", {})
+        if (inner.get("kind"), inner.get("clause")) not in _PARTS[kind] or \
+                kind == "comorphism-inclusion" and "witness" in inner:
+            return False
+        if inner["kind"] in ("J-full", "J-faithful", "K-dense") and not is_continuous(sf).holds:
+            return False
+        return recheck_witness(sf, Verdict(False, inner))
+    # these two re-run their check, once the object they record is in range
+    if kind == "weakly-dense" and w.get("clause") == "ii":
+        return w["object"] in D.objects and not _weakly_dense_clause_ii(sf).holds
+    if kind == "comorphism-localic":
+        return w["object"] in C.objects and not _comorphism_localic_general(sf).holds
     if kind == "closed-sieve-lifting":
         c, s = w["object"], w["sieve"]
-        fc = F.on_obj(c)
-        if closure_mask(K, fc, s) != s:
-            return False
-        return all(
-            closure_mask(K, fc, generate_mask(D, mask_of(F.on_arr(f) for f in bits(r)))) != s
-            for r in all_sieve_masks(C, c))
+        return c in C.objects and is_sieve_mask(D, F.on_obj(c), s) \
+            and closure_mask(K, F.on_obj(c), s) == s \
+            and all(closure_mask(K, F.on_obj(c), generate_mask(D, _image(F, r))) != s
+                    for r in all_sieve_masks(C, c))
     if kind == "comorphism-hyperconnected":
         if "witness" in w:
             return recheck_witness(sf, Verdict(False, w["witness"]))
@@ -1417,17 +1388,9 @@ def recheck_witness(sf: SiteFunctor, verdict: Verdict) -> bool:
             and all(_induced_family(F, J, c, s) != members for s in all_sieve_masks(D, c))
     if kind == "comorphism-surjection":
         c, s = w["object"], w["sieve"]
-        return c in D.objects and is_sieve_mask(D, c, s) and (s in K.covers[c]) != all(
+        return c in D.objects and is_sieve_mask(D, c, s) and K.is_covering(c, s) != all(
             J.is_covering(e, preimage_mask(F, pullback_mask(D, s, xi), e))
             for e in C.objects for xi in D.hom(F.on_obj(e), c))
-    if kind == "comorphism-inclusion":
-        # a failed surjection says nothing of inclusion; a failed K-full or
-        # K-faithful test decides it for a continuous F only
-        inner = w.get("witness", {})
-        if inner.get("kind") in ("J-full", "J-faithful"):
-            return is_continuous(sf).holds and recheck_witness(sf, Verdict(False, inner))
-        return inner.get("kind") in ("comorphism-hyperconnected", "comorphism-localic") \
-            and "witness" not in inner and recheck_witness(sf, Verdict(False, inner))
     if kind == "J-faithful":
         h, k = w["instance"]["h"], w["instance"]["k"]
         return h in C.arrows and k in C.hom(C.dom[h], C.cod[h]) and h != k \
@@ -1438,6 +1401,8 @@ def recheck_witness(sf: SiteFunctor, verdict: Verdict) -> bool:
             and not J.is_covering(x, w["sieve"]) and w["sieve"] == mask_of(
                 f for f in C.arrows_into(x)
                 if any(D.compose(g, F.on_arr(f)) == F.on_arr(k) for k in C.hom(C.dom[f], y)))
+    if kind == "K-dense":
+        return (w["object"], w["sieve"]) in _image_base_misses(sf)
     if kind == "cofinal":
         return not is_J_cofinal(F, K).holds
     checker = _POSITIVE_RUNNERS.get(kind)
@@ -1455,27 +1420,39 @@ def _replays_morphism_of_sites(sf: SiteFunctor, w: dict) -> bool:
     F, K = sf.F, sf.K
     C, D = F.source, F.target
     clause, sieve = w["clause"], w["sieve"]
+    d = w["object"] if clause == "ii" else w["instance"]["d"]
+    if not (d in D.objects and is_sieve_mask(D, d, sieve)):
+        return False
     if clause == "ii":
-        d = w["object"]
         return sieve == _sieve_to_image(F, d) and not K.is_covering(d, sieve)
     inst = w["instance"]
-    d = inst["d"]
     if clause == "iii":
         g1, g2 = inst["g1"], inst["g2"]
-        if not D.dom[g1] == D.dom[g2] == d:
+        if not (g1 in D.arrows and g2 in D.arrows and D.dom[g1] == D.dom[g2] == d):
             return False
         found = any(_cone_sieve_iii(sf, c1, c2, g1, g2) == sieve
                     for c1 in C.objects if F.on_obj(c1) == D.cod[g1]
                     for c2 in C.objects if F.on_obj(c2) == D.cod[g2])
     else:
         f1, f2, g = inst["f1"], inst["f2"], inst["g"]
-        c1 = C.dom[f1]
-        if (f1 == f2 or (C.dom[f2], C.cod[f2]) != (c1, C.cod[f1])
-                or (D.dom[g], D.cod[g]) != (d, F.on_obj(c1))
+        if (not (f1 in C.arrows and f2 in C.arrows and g in D.arrows) or f1 == f2
+                or (C.dom[f2], C.cod[f2]) != (C.dom[f1], C.cod[f1])
+                or (D.dom[g], D.cod[g]) != (d, F.on_obj(C.dom[f1]))
                 or D.compose(F.on_arr(f1), g) != D.compose(F.on_arr(f2), g)):
             return False
         found = _cone_sieve_iv(sf, f1, f2, g) == sieve
     return found and not K.is_covering(d, sieve)
+
+
+# the parts, by (kind, clause), whose failure a failed composite flag records
+_PARTS: dict[str, set[tuple[str, str | None]]] = {
+    "hyperconnected": {("cover-reflecting", None), ("closed-sieve-lifting", None)},
+    "essential-surjective-closed-image": {("closed-sieve-lifting", None), ("weakly-dense", "ii")},
+    "comorphism-inclusion": {("comorphism-hyperconnected", None), ("comorphism-localic", None),
+                             ("J-full", None), ("J-faithful", None)},
+    "comorphism-equivalence": {("comorphism-hyperconnected", None), ("comorphism-localic", None),
+                               ("J-full", None), ("J-faithful", None), ("K-dense", None)},
+}
 
 
 _POSITIVE_RUNNERS: dict[str, Callable[[SiteFunctor], Verdict]] = {
@@ -1495,4 +1472,10 @@ _POSITIVE_RUNNERS: dict[str, Callable[[SiteFunctor], Verdict]] = {
     "J-full": lambda sf: local_property_tests(sf)["J_full"],
     "J-faithful": lambda sf: local_property_tests(sf)["J_faithful"],
     "K-dense": lambda sf: local_property_tests(sf)["K_dense"],
+    "hyperconnected": lambda sf: _conjunction(
+        "hyperconnected", is_cover_reflecting(sf), closed_sieve_lifting(sf)),
+    "essential-surjective-closed-image": lambda sf: _conjunction(
+        "essential-surjective-closed-image", closed_sieve_lifting(sf),
+        _weakly_dense_clause_ii(sf)),
+    "comorphism-equivalence": lambda sf: _comorphism_equivalence(sf, is_continuous(sf).holds),
 }

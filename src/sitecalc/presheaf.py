@@ -335,30 +335,14 @@ def _unamalgamated(P: FinPresheaf, c: int, mask: int) -> tuple[dict[int, int], l
 def is_sheaf(P: FinPresheaf, J: GrothendieckTopology) -> tuple[bool, dict | None]:
     """Unique amalgamation of every matching family over every covering
     sieve; returns a failing (sieve, family) witness otherwise, the first
-    in the order of `J.covers`.
-
-    P is a J-sheaf iff it is a sheaf for each least cover m_c (L2), so a
-    pass tests only those.  Separatedness passes to every larger sieve.  A
-    matching family (s_g) on a cover S ⊇ m_c restricts to one on m_c, which
-    amalgamates to some x; for g in S, x·g and s_g agree on g*(m_c), which
-    holds m_dom g by stability, so they are equal, as P is separated for
-    m_dom g.  Only a failure walks every cover, to name its witness."""
-    if all(_unamalgamated(P, c, J.min_cover[c]) is None for c in P.cat.objects):
-        return True, None
-    return False, _unamalgamated_cover(P, J)
-
-
-def _unamalgamated_cover(P: FinPresheaf, J: GrothendieckTopology) -> dict:
-    """The failure rescan of `is_sheaf`: the first covering sieve, in the
-    order of `J.covers`, with a matching family without exactly one
-    amalgamation, as its witness."""
+    in the order of `J.covers`.  P is a J-sheaf iff it is a sheaf for each
+    least cover m_c (L2 at `GrothendieckTopology.first_failing_cover`)."""
     for c in P.cat.objects:
-        for s in J.covers[c]:
-            failure = _unamalgamated(P, c, s)
-            if failure is not None:
-                fam, amalg = failure
-                return {"object": c, "sieve": s, "family": fam, "amalgamations": amalg}
-    raise AssertionError("a least cover fails, and it covers")
+        s = J.first_failing_cover(c, lambda s: _unamalgamated(P, c, s) is None)
+        if s is not None:
+            fam, amalg = _unamalgamated(P, c, s)
+            return False, {"object": c, "sieve": s, "family": fam, "amalgamations": amalg}
+    return True, None
 
 
 def canonical_topology(cat: FinCategory) -> GrothendieckTopology:
@@ -938,9 +922,8 @@ def family_locally_surjective(J: GrothendieckTopology,
             images[c].update(m.components[c])
     for c in cat.objects:
         triples = [(1 << f, target.restrict[f], images[cat.dom[f]]) for f in cat.arrows_into(c)]
-        covers = J.covers[c]
         # the bits are distinct, so their sum is the mask of the f with y·f in the image
         for y in range(target.sizes[c]):
-            if sum(bit for bit, row, image in triples if row[y] in image) not in covers:
+            if not J.is_covering(c, sum(bit for bit, row, image in triples if row[y] in image)):
                 return False
     return True

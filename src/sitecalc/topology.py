@@ -14,6 +14,12 @@ maximal, and a non-covering S breaks transitivity when some cover lies
 inside cl(S).  Each member of cl(S) is decided at most once, however many
 covers are tested against it.  The sieves of each object are enumerated
 once per category instance (`sieves.all_sieve_masks`).
+
+Checks over the covers or the non-covers of an object walk them only on a
+failure, through `GrothendieckTopology.first_failing_cover` and
+`first_passing_non_cover`, which state the lemmas.  `validate_topology`
+stores each family in ascending insertion order, so the walk order depends
+only on the topology's value.
 """
 
 from __future__ import annotations
@@ -99,6 +105,39 @@ class GrothendieckTopology:
         return mask_of(f for f in cat.arrows
                        if self.min_cover[cat.dom[f]] != maximal_sieve_mask(cat, cat.dom[f]))
 
+    def first_failing_cover(self, c: int, test: Callable[[int], bool]) -> int | None:
+        """None when test(m_c) holds; otherwise the first cover s on c, in
+        the order of `covers[c]`, with not test(s).  The caller's test must
+        pass on every cover once it passes at m_c:
+        - L1: a test that grows with the sieve does, as the covers are the
+          sieves that contain m_c;
+        - L2: so does the sheaf condition for a presheaf P.  Separatedness
+          passes to larger sieves.  A matching family (s_g) on a cover
+          S ⊇ m_c restricts to m_c and amalgamates there to some x; for g in
+          S, x·g and s_g agree on g*(m_c) ⊇ m_dom g, so they are equal.
+        A caller that stops at its first failing object names the first
+        (object, cover) of a walk over every cover: each earlier object
+        passes at m_c, so on every cover."""
+        if test(self.min_cover[c]):
+            return None
+        return next(s for s in self.covers[c] if not test(s))
+
+    def first_passing_non_cover(self, c: int, test: Callable[[int], bool]) -> int | None:
+        """None when test fails on each sieve of `omitting_sieves`; otherwise
+        the first non-cover s on c, in the order of `all_sieve_masks`, with
+        test(s).  The caller's test must grow with the sieve, and each
+        non-cover lies in one of those (L3).
+        L3: S_f = {h into c | f ∉ ⟨h⟩} is a sieve, as ⟨h∘k⟩ ⊆ ⟨h⟩, and the
+        largest one that omits f; for f in m_c it omits a member of m_c, so
+        it does not cover.  A sieve S that does not cover misses some f in
+        m_c, and as a sieve it then holds no h with f ∈ ⟨h⟩: S ⊆ S_f.  If
+        f ∈ ⟨g⟩, then S_f ⊆ S_g, since g ∈ ⟨h⟩ gives f ∈ ⟨h⟩; each f in m_c
+        lies in ⟨g⟩ for a generator g of m_c."""
+        if not any(test(s) for s in omitting_sieves(self, c)):
+            return None
+        return next(s for s in all_sieve_masks(self.cat, c)
+                    if not self.is_covering(c, s) and test(s))
+
     def __le__(self, other: "GrothendieckTopology") -> bool:
         return all(a <= b for a, b in zip(self.covers, other.covers))
 
@@ -146,7 +185,8 @@ def _axiom_violations(cat: FinCategory, covers) -> list[dict]:
 
 def validate_topology(cat: FinCategory, covers) -> GrothendieckTopology:
     """Check the three axioms; return the topology or raise TopologyError
-    reporting every violation with witnesses."""
+    reporting every violation with witnesses.  Each family is stored in
+    ascending insertion order, which fixes its walk order by its value."""
     covers = tuple(frozenset(f) for f in covers)
     if len(covers) != cat.n_objects:
         raise ValueError("need one family of sieves per object")
@@ -157,7 +197,7 @@ def validate_topology(cat: FinCategory, covers) -> GrothendieckTopology:
     violations = _axiom_violations(cat, covers)
     if violations:
         raise TopologyError(violations)
-    return GrothendieckTopology(cat, covers)
+    return GrothendieckTopology(cat, tuple(frozenset(sorted(f)) for f in covers))
 
 
 def topology_where(cat: FinCategory,
@@ -272,20 +312,15 @@ def local_equality(J: GrothendieckTopology, h: int, k: int) -> bool:
             raise ValueError("local equality needs parallel arrows")
         agree = mask_of(f for f, hf, kf in zip(cat.arrows_into(cat.dom[h]), cat.composites[h],
                                                cat.composites[k]) if hf == kf)
-        return agree in J.covers[cat.dom[h]]
+        return J.is_covering(cat.dom[h], agree)
     return _memo(J, ("local_equality", h, k), decide)
 
 
 def omitting_sieves(J: GrothendieckTopology, c: int) -> tuple[int, ...]:
     """The distinct sieves S_g = {h into c | g ∉ ⟨h⟩}, for g among the
     generators of the least cover m_c, in their order.  None covers, and
-    every non-cover on c lies in one of them (L3).
-
-    S_f is a sieve, as ⟨h∘k⟩ ⊆ ⟨h⟩, and the largest one that omits f; for
-    f in m_c it omits a member of m_c, so it does not cover.  A sieve S
-    that does not cover misses some f in m_c, and as a sieve it then holds
-    no h with f ∈ ⟨h⟩: S ⊆ S_f.  If f ∈ ⟨g⟩, then S_f ⊆ S_g, since g ∈ ⟨h⟩
-    gives f ∈ ⟨h⟩; each f in m_c lies in ⟨g⟩ for a generator g."""
+    every non-cover on c lies in one of them (L3, proved at
+    `GrothendieckTopology.first_passing_non_cover`)."""
     cat = J.cat
     return tuple(dict.fromkeys(
         mask_of(h for h in cat.arrows_into(c) if not (cat.principal_sieves[h] >> g) & 1)

@@ -20,6 +20,7 @@ import pytest
 import sitecalc.constructions as constructions
 import sitecalc.morphisms as morphisms
 import sitecalc.presheaf as presheaf
+import sitecalc.topology as topology
 from sitecalc.constructions import (
     _covers_exactly,
     generalized_elements_fibration,
@@ -165,47 +166,71 @@ def test_sheaf_checks_match_the_reference_walks():
 
 
 def _vee_with_late_least_cover():
-    """The vee a -> t <- b with J generated by the sieve {a -> t}, and its
-    covers on t listed with the two-leg sieve S first: the least cover m_t
-    is not the first cover the walk meets."""
-    cat = poset_category(3, [(0, 2), (1, 2)])
-    t = 2
-    generated = generate_topology(cat, [(t, mask_of(f for f in cat.arrows_into(t)
-                                                    if cat.dom[f] == 0))])
-    both_legs = mask_of(f for f in cat.arrows_into(t) if f != cat.identity[t])
-    covers = list(generated.covers)
-    # the walk meets the covers in the order of the set's table, which
-    # depends on the order they were added in
-    covers[t] = next(order for order in itertools.permutations(covers[t])
-                     if next(iter(frozenset(order))) == both_legs)
-    J = validate_topology(cat, covers)
-    assert next(iter(J.covers[t])) == both_legs != J.min_cover[t]
-    return cat, J, t, both_legs
+    """The vee with four legs i -> t, and J generated by the sieve of legs
+    0 and 1: its covers on t are listed with the sieve of all four legs
+    first and the least cover m_t third, so m_t is not the first cover the
+    walk meets."""
+    cat = poset_category(5, [(i, 4) for i in range(4)])
+    t = 4
+    J = generate_topology(cat, [(t, mask_of(f for f in cat.arrows_into(t) if cat.dom[f] < 2))])
+    legs = mask_of(f for f in cat.arrows_into(t) if f != cat.identity[t])
+    assert list(J.covers[t]) == [170, 426, 10, 42, 138]
+    assert legs == 170 and J.min_cover[t] == 10
+    return cat, J, t, legs
 
 
-def test_first_failing_cover_need_not_be_the_least():
-    """Where the walk meets a failing cover before m_t, `is_sheaf` and
-    cover preservation name that cover, as the walks do: P with two
-    elements over t and one elsewhere has two amalgamations of the family
-    on each cover without id_t, and the identity into the topology that
-    agrees with J off t and covers only the maximal sieve on t maps no
-    such cover to a cover."""
-    cat, J, t, both_legs = _vee_with_late_least_cover()
+def _split_over(cat, J, t):
+    """P with two elements over t and one elsewhere, which has two
+    amalgamations of the family on each cover without id_t; and the
+    identity into the topology that agrees with J off t and covers only
+    the maximal sieve on t, which maps no such cover to a cover."""
     sizes = [2 if c == t else 1 for c in cat.objects]
     P = validate_presheaf(cat, sizes, [
         tuple(range(2)) if f == cat.identity[t] else (0,) * sizes[cat.cod[f]]
         for f in cat.arrows])
-    verdict = is_sheaf(P, J)
-    assert verdict == reference_is_sheaf(P, J)
-    assert verdict[1]["object"] == t and verdict[1]["sieve"] == both_legs
-
     K = generate_topology(cat, [(c, J.min_cover[c]) for c in cat.objects if c != t])
     assert K.min_cover[t] == mask_of(cat.arrows_into(t))
-    sf = SiteFunctor(identity_functor(cat), J, K)
+    return P, SiteFunctor(identity_functor(cat), J, K)
+
+
+def test_first_failing_cover_need_not_be_the_least():
+    """Where the walk meets a failing cover before m_t, `is_sheaf` and
+    cover preservation name that cover, as the walks do."""
+    cat, J, t, legs = _vee_with_late_least_cover()
+    P, sf = _split_over(cat, J, t)
+    verdict = is_sheaf(P, J)
+    assert verdict == reference_is_sheaf(P, J)
+    assert verdict[1]["object"] == t and verdict[1]["sieve"] == legs
+
     verdict = is_cover_preserving(sf)
     assert verdict == reference_cover_preserving(sf)
     assert verdict.witness == {"kind": "cover-preserving", "holds": False,
-                               "object": t, "sieve": both_legs}
+                               "object": t, "sieve": legs}
+
+
+def test_cover_walks_follow_the_topology_not_its_construction():
+    """On the two-leg vee with J generated by one leg, the three covers on
+    t given in each of their six orders validate to one listing, and
+    `is_sheaf` and cover preservation name one witness, the least cover
+    (sieve 2), whatever the order."""
+    cat = poset_category(3, [(0, 2), (1, 2)])
+    t = 2
+    generated = generate_topology(cat, [(t, mask_of(f for f in cat.arrows_into(t)
+                                                    if cat.dom[f] == 0))])
+    listings, sheaf_sieves, preserving_sieves = set(), set(), set()
+    orders = list(itertools.permutations(generated.covers[t]))
+    assert len(orders) == 6
+    for order in orders:
+        covers = list(generated.covers)
+        covers[t] = order
+        J = validate_topology(cat, covers)
+        assert J == generated
+        listings.add(tuple(J.covers[t]))
+        P, sf = _split_over(cat, J, t)
+        sheaf_sieves.add(is_sheaf(P, J)[1]["sieve"])
+        preserving_sieves.add(is_cover_preserving(sf).witness["sieve"])
+    assert len(listings) == 1
+    assert sheaf_sieves == preserving_sieves == {2} == {generated.min_cover[t]}
 
 
 def test_sheaf_comparison_validates_its_units():
@@ -249,9 +274,9 @@ def _enumerated(*args):
     raise _Walked("the sieves were enumerated")
 
 
-@pytest.fixture
-def no_walks(monkeypatch):
-    for module in (morphisms, presheaf, constructions):
+def _patch_walks(monkeypatch):
+    """Patch `all_sieve_masks` to raise wherever a check can reach it."""
+    for module in (morphisms, presheaf, constructions, topology):
         monkeypatch.setattr(module, "all_sieve_masks", _enumerated, raising=False)
 
 
@@ -264,12 +289,16 @@ def _passes_or_walks(check, *args):
         return "walked"
 
 
-def test_passing_checks_read_only_the_least_covers(no_walks):
+def test_passing_checks_read_only_the_least_covers(monkeypatch):
     """With the sieve lattice and the covers unwalkable, every passing
     check named in the lemmas still returns its verdict, and every failing
-    one with a witness reaches the walk."""
+    one with a witness reaches the walk.  The corpora are built first, as
+    building a topology enumerates the sieves."""
+    site_functors = random_site_functors(random.Random(RNG_SEED), 300)
+    sites = [(cat, J, P, sheafify(P, J), sheafify_plus_plus(P, J)) for cat, J, P in _sites(60)]
+    _patch_walks(monkeypatch)
     seen = collections.Counter()
-    for sf in random_site_functors(random.Random(RNG_SEED), 300):
+    for sf in site_functors:
         unwalkable = SiteFunctor(sf.F, _unwalkable(sf.J), _unwalkable(sf.K))
         for name, check, reference in (
                 ("preserving", is_cover_preserving, reference_cover_preserving),
@@ -285,9 +314,7 @@ def test_passing_checks_read_only_the_least_covers(no_walks):
             (expected if preserving else "walked")
     assert len(seen) == 6, seen
 
-    for cat, J, P in _sites(60):
-        sh = sheafify(P, J)
-        pp, eta = sheafify_plus_plus(P, J)
+    for cat, J, P, sh, (pp, eta) in sites:
         unwalkable = _unwalkable(J)
         for Q in (P, sh.sheaf, pp):
             expected = reference_is_sheaf(Q, J)

@@ -23,7 +23,7 @@ from sitecalc.morphisms import (
     Verdict,
     _CommaComponents,
     _ab_categories,
-    _clause_iii_scan,
+    _clause_iii_failure,
     _coherent_families,
     _diagram_shape,
     _image_base_misses,
@@ -67,7 +67,14 @@ from sitecalc.presheaf import (
     validate_presheaf_morphism,
     yoneda,
 )
-from sitecalc.sieves import all_sieve_masks, bits, generate_mask, mask_of, maximal_sieve_mask
+from sitecalc.sieves import (
+    all_sieve_masks,
+    bits,
+    generate_mask,
+    is_sieve_mask,
+    mask_of,
+    maximal_sieve_mask,
+)
 from sitecalc.topology import (
     atomic_topology,
     closure_mask,
@@ -1252,7 +1259,8 @@ def test_weakly_dense_clause_iii_matches_reference_scan(rng):
     for sf in corpus:
         F, K, D = sf.F, sf.K, sf.F.target
         ref = _reference_weakly_dense_clause_iii(sf)
-        assert _clause_iii_scan(sf, [(m,) for m in K.min_cover]).holds == ref[0]
+        assert all(_clause_iii_failure(sf, x, y, K.min_cover[F.on_obj(x)]) is None
+                   for x in F.source.objects for y in F.source.objects) == ref[0]
         v = _weakly_dense_clause_iii(sf)
         assert (v.holds, v.witness.get("instance"), v.witness.get("found")) == ref
         if ref[0]:
@@ -1945,6 +1953,126 @@ def test_forged_local_property_passes_replay_only_when_they_hold(rng):
             assert recheck_witness(sf, forged) == props[name].holds
             seen[kind, props[name].holds] += 1
     assert len(seen) == 6, seen
+
+
+def _relocated(w, obj):
+    """The sieve-level record w with the object it names set to obj."""
+    if "instance" in w:
+        return {**w, "instance": {**w["instance"], "d": obj}}
+    return {**w, "object": obj}
+
+
+def _sieve_home(sf, w):
+    """The category whose objects the record w names, and the category and
+    object its sieve lives on."""
+    F = sf.F
+    if "instance" in w:
+        return F.target, F.target, w["instance"]["d"]
+    if w.get("clause") == "ii":
+        return F.target, F.target, w["object"]
+    if w["kind"] in ("covering-lifting", "closed-sieve-lifting"):
+        return F.source, F.target, F.on_obj(w["object"])
+    return F.source, F.source, w["object"]
+
+
+def test_out_of_range_or_non_sieve_records_replay_false(rng):
+    """Each failure of cover preservation, cover reflection, covering
+    lifting, the four morphism-of-sites clauses and closed-sieve lifting on
+    the 300 random site functors replays.  With its object set to the
+    number of objects, its sieve set to -5, or its sieve set to a mask that
+    is not a sieve on its object, it replays False and does not raise.  The
+    mask is the identity alone where another arrow goes into the object,
+    and an arrow the category does not have otherwise."""
+    seen = collections.Counter()
+    for sf in random_site_functors(rng, 300):
+        fresh = SiteFunctor(sf.F, sf.J, sf.K)
+        for v in (is_cover_preserving(fresh), is_cover_reflecting(fresh),
+                  is_comorphism_of_sites(fresh), is_morphism_of_sites(fresh),
+                  closed_sieve_lifting(fresh)):
+            if v.holds:
+                continue
+            w = v.witness
+            named, cat, c = _sieve_home(sf, w)
+            identity = 1 << cat.identity[c]
+            non_sieve = identity if not is_sieve_mask(cat, c, identity) else 1 << cat.n_arrows
+            assert recheck_witness(sf, v)
+            for forged in (_relocated(w, named.n_objects), {**w, "sieve": -5},
+                           {**w, "sieve": non_sieve}):
+                assert not recheck_witness(sf, Verdict(False, forged))
+            seen[w["kind"], w.get("clause")] += 1
+            seen["identity alone"] += non_sieve == identity
+    assert len(seen) == 9 and seen["identity alone"], seen
+
+
+def test_every_classifier_flag_replays_through_its_parts(rng):
+    """On the 300 random site functors every flag of both classifiers
+    replays, except the 52 passing morphism-side inclusions: they are
+    decided on the induced topology J_F, which their record does not name.
+    A forged pass of a composite flag (morphism-side hyperconnected,
+    essential surjection with closed image, comorphism equivalence)
+    replays exactly when the flag holds.  Each failing part of a composite,
+    recorded in it, replays, and not with its kind swapped for one that is
+    not a part or its object out of range; a failed K-full, K-faithful or
+    J-dense test decides a comorphism's equivalence only when F is
+    continuous."""
+    unreplayed, seen = collections.Counter(), collections.Counter()
+    for sf in random_site_functors(rng, 300):
+        F = sf.F
+        out_of_range = max(F.source.n_objects, F.target.n_objects)
+        for side, gate, classify in (("morphism", is_morphism_of_sites, classify_morphism),
+                                     ("comorphism", is_comorphism_of_sites, classify_comorphism)):
+            fresh = SiteFunctor(F, sf.J, sf.K)
+            if not gate(fresh):
+                continue
+            cls = classify(fresh)
+            for name in cls.flags():
+                v = getattr(cls, name)
+                if not recheck_witness(sf, v):
+                    unreplayed[side, name, v.holds] += 1
+                kind = v.witness["kind"]
+                if kind in mor._PARTS:
+                    forged = Verdict(True, {"kind": kind, "holds": True})
+                    assert recheck_witness(sf, forged) == v.holds
+                    seen[kind, v.holds] += 1
+            if side == "morphism":
+                csl, ii = closed_sieve_lifting(fresh), mor._weakly_dense_clause_ii(fresh)
+                parts = {"hyperconnected": (cls.surjection, csl),
+                         "essential-surjective-closed-image": (csl, ii)}
+                continuous = True
+            else:
+                props = local_property_tests(fresh)
+                parts = {"comorphism-equivalence": (cls.hyperconnected, cls.localic,
+                                                    *props.values())}
+                continuous = is_continuous(sf).holds
+            for kind, verdicts in parts.items():
+                for part in verdicts:
+                    if part.holds:
+                        continue
+                    inner = part.witness
+                    local = inner["kind"] in ("J-full", "J-faithful", "K-dense")
+
+                    def replays(**fields):
+                        return recheck_witness(sf, Verdict(False, {
+                            "kind": kind, "holds": False, "witness": {**inner, **fields}}))
+                    assert replays() == (continuous or not local)
+                    assert not replays(kind="comorphism-surjection")
+                    if "object" in inner:
+                        assert not replays(object=out_of_range)
+                    seen[kind, inner["kind"], continuous or not local] += 1
+    assert unreplayed == {("morphism", "inclusion", True): 52}, unreplayed
+    assert all(seen[key] for key in (
+        ("hyperconnected", True), ("hyperconnected", False),
+        ("essential-surjective-closed-image", True),
+        ("essential-surjective-closed-image", False),
+        ("comorphism-equivalence", True), ("comorphism-equivalence", False),
+        ("hyperconnected", "cover-reflecting", True),
+        ("hyperconnected", "closed-sieve-lifting", True),
+        ("essential-surjective-closed-image", "weakly-dense", True),
+        ("comorphism-equivalence", "comorphism-hyperconnected", True),
+        ("comorphism-equivalence", "comorphism-localic", True),
+        ("comorphism-equivalence", "J-full", True), ("comorphism-equivalence", "J-full", False),
+        ("comorphism-equivalence", "J-faithful", True),
+        ("comorphism-equivalence", "K-dense", True))), seen
 
 
 def test_classify_comorphism_runs_each_shared_body_once(monkeypatch, rng):

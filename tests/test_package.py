@@ -407,12 +407,11 @@ def test_comp_reads_are_found():
     assert _comp_reads({"morphisms": sample}) == ["morphisms:2", "morphisms:4"]
 
 
-# checks over covering sieves read the least covers on a pass: a loop over a
-# topology's covers or over the sieve lattice sits in a failure rescan, which
-# names the first witness, or in a construction that needs every sieve
+# checks over covering sieves read the least covers on a pass, and walk the
+# covers or the sieve lattice on a failure only through the two quantifiers
+# of `topology.GrothendieckTopology`; a loop over a topology's covers or over
+# the sieve lattice sits in a construction that needs every sieve
 SIEVE_WALKS = {
-    "presheaf._unamalgamated_cover", "morphisms._uncovered_image",
-    "morphisms._covered_image", "morphisms._unlifted_cover",  # failure rescans
     "presheaf.plus_construction",  # the oracle's colimit over every cover
     "presheaf.closed_sieves",  # the objects of C^s_J
     "morphisms.is_continuous",  # its loop order fixes its witnesses
@@ -475,3 +474,58 @@ def test_cover_walks_are_found():
     assert _sieve_walks({"presheaf": sample}) == [
         "presheaf._check_cover_reflecting:13", "presheaf.closed_sieves.walk:9",
         "presheaf.is_sheaf:3"]
+
+
+# outside `topology`, a sieve's membership is asked through `is_covering` and
+# two topologies are compared with `==`; the covers are read only where every
+# cover is needed or a listing is printed
+COVERS_READERS = {
+    "presheaf.plus_construction",  # the oracle's colimit over every cover
+    "morphisms.is_continuous",  # its loop order fixes its witnesses
+    "morphisms.continuity_oracle",  # the independent route over every cover
+    "morphisms._check_comorphism_surjection",  # its first-difference witness
+    "cli._cmd_topology", "cli._cmd_factorize",  # the printed listings
+}
+
+
+def _covers_reads(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.scope:line` of each read of a `.covers` attribute outside
+    `COVERS_READERS`."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif (isinstance(child, ast.Attribute) and child.attr == "covers"
+                  and scope not in COVERS_READERS):
+                found.append(f"{scope}:{child.lineno}")
+            visit(child, inner)
+
+    for module, tree in trees.items():
+        visit(tree, module)
+    return sorted(found)
+
+
+def test_covers_are_read_only_where_every_cover_is_needed():
+    trees = {module: ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+             for module in ("presheaf", "morphisms", "constructions", "cli")}
+    assert _covers_reads(trees) == []
+
+
+def test_covers_reads_are_found():
+    sample = ast.parse(
+        "def is_sheaf(P, J):\n"
+        "    return [s for s in J.covers[0]]\n"
+        "def classify(sf, jf):\n"
+        "    return jf.covers == sf.J.covers\n"
+        "def plus_construction(P, J):\n"
+        "    def walk():\n"
+        "        return J.covers[0]\n"
+        "    return sorted(J.covers[0]), walk()\n"
+        "def is_cover_preserving(sf):\n"
+        "    return sf.J.is_covering(0, 1) and sf.K.covers_family(0, 1)\n")
+    assert _covers_reads({"presheaf": sample}) == [
+        "presheaf.classify:4", "presheaf.classify:4", "presheaf.is_sheaf:2",
+        "presheaf.plus_construction.walk:7"]
