@@ -133,6 +133,14 @@ class FinCategory:
         return f in self.isomorphisms
 
     @cached_property
+    def maximal_sieves(self) -> tuple[int, ...]:
+        """Per object c, the bitmask of the maximal sieve: every arrow into c."""
+        masks = [0] * self.n_objects
+        for f, c in enumerate(self.cod):
+            masks[c] |= 1 << f
+        return tuple(masks)
+
+    @cached_property
     def principal_sieves(self) -> tuple[int, ...]:
         """Per arrow f, the bitmask of ⟨f⟩ = {f∘z | z composable}."""
         masks = []

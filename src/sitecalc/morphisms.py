@@ -1368,9 +1368,11 @@ def recheck_witness(sf: SiteFunctor, verdict: Verdict) -> bool:
         if inner["kind"] in ("J-full", "J-faithful", "K-dense") and not is_continuous(sf).holds:
             return False
         return recheck_witness(sf, Verdict(False, inner))
-    # these two re-run their check, once the object they record is in range
     if kind == "weakly-dense" and w.get("clause") == "ii":
-        return w["object"] in D.objects and not _weakly_dense_clause_ii(sf).holds
+        d, s = w["object"], w["sieve"]
+        return d in D.objects and s == generate_mask(D, next(_realized_arrows(sf, [d]))) \
+            and not K.is_covering(d, s)
+    # this one re-runs its check, once the object it records is in range
     if kind == "comorphism-localic":
         return w["object"] in C.objects and not _comorphism_localic_general(sf).holds
     if kind == "closed-sieve-lifting":

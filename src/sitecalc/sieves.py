@@ -6,6 +6,13 @@ module are single integer operations.  A sieve is a presieve closed under
 precomposition (`is_sieve_mask`); `generate_mask` is the coercion from
 presieves to sieves.  The masks carry no codomain: each function that needs
 it takes the object.
+
+The sieves on c are the unions of principal sieves, enumerated one arrow
+at a time: {0} is closed under S ↦ S ∪ ⟨f⟩ for each f into c in turn.
+The maximal sieve of each object is kept on the category
+(`FinCategory.maximal_sieves`).  A sieve pulls back along each of its
+members to the maximal sieve on the member's domain, which topology
+validation uses to skip those members (`topology._axiom_violations`).
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ def mask_of(arrows: Iterable[int]) -> int:
 
 
 def maximal_sieve_mask(cat: FinCategory, c: int) -> int:
-    return mask_of(cat.arrows_into(c))
+    return cat.maximal_sieves[c]
 
 
 def generate_mask(cat: FinCategory, mask: int) -> int:
@@ -49,7 +56,7 @@ def generate_mask(cat: FinCategory, mask: int) -> int:
 
 
 def is_sieve_mask(cat: FinCategory, c: int, mask: int) -> bool:
-    if mask & ~maximal_sieve_mask(cat, c):
+    if mask & ~cat.maximal_sieves[c]:
         return False
     return generate_mask(cat, mask) == mask
 
@@ -85,14 +92,20 @@ def all_sieve_masks(cat: FinCategory, c: int) -> tuple[int, ...]:
 
 
 def _enumerate_sieve_masks(cat: FinCategory, c: int, guard: int) -> tuple[int, ...]:
-    """Every sieve on c, enumerated as unions of principal sieves.
+    """Every sieve on c, enumerated as unions of principal sieves: {0} is
+    closed under S ↦ S ∪ ⟨f⟩ one arrow f at a time, so after the arrows
+    f1, …, fk it holds the unions of the subsets of ⟨f1⟩, …, ⟨fk⟩.  The
+    set only grows, so it passes the guard after some arrow exactly when
+    the count does; an arrow at most doubles it, so it never holds more
+    than twice the guard.  Each arrow's unions are listed before they are
+    added, as a list holds them in less memory than a second set.
 
     The guard fires before the enumeration when it can: the unions of w
     pairwise incomparable principal sieves are 2^w distinct sieves, so an
     antichain of them, taken greedily from the smallest, bounds the count
     from below.  With n arrows into c there are at most 2^n sieves, so the
     antichain is sought only when 2^n passes the guard."""
-    top = maximal_sieve_mask(cat, c)
+    top = cat.maximal_sieves[c]
     if 1 << top.bit_count() > guard:
         antichain: list[tuple[int, int]] = []  # (f, ⟨f⟩)
         for f in sorted(bits(top), key=lambda f: cat.principal_sieves[f].bit_count()):
@@ -102,16 +115,11 @@ def _enumerate_sieve_masks(cat: FinCategory, c: int, guard: int) -> tuple[int, .
                 if 1 << len(antichain) > guard:
                     raise SizeGuardError(f"more than {guard} sieves on object {c}")
     seen = {0}
-    frontier = [0]
-    while frontier:
-        s = frontier.pop()
-        for f in bits(top & ~s):
-            s2 = s | cat.principal_sieves[f]
-            if s2 not in seen:
-                if len(seen) >= guard:
-                    raise SizeGuardError(f"more than {guard} sieves on object {c}")
-                seen.add(s2)
-                frontier.append(s2)
+    for f in bits(top):
+        p = cat.principal_sieves[f]
+        seen.update([s | p for s in seen])
+        if len(seen) > guard:
+            raise SizeGuardError(f"more than {guard} sieves on object {c}")
     return tuple(sorted(seen))
 
 

@@ -7,13 +7,18 @@ on each object, so generation is a descending fixpoint on those least
 sieves.  A topology defined by a condition on sieves (atomic, rigid,
 induced, coinduced, fibration, generated, and the ones built in the other
 modules) is built by `topology_where`, which enumerates the sieves, keeps
-those meeting the condition and validates the result.  Validation reads
+those meeting the condition and checks the axioms on the result; its
+masks are sieves by construction, so only `validate_topology`, for
+families from outside, checks that each mask is a sieve.  Validation reads
 the axioms off the closure cl(S) = {f | f*(S) covers} of each sieve, the
 same predicate as `closure_mask`: a cover S is stable when cl(S) is
 maximal, and a non-covering S breaks transitivity when some cover lies
-inside cl(S).  Each member of cl(S) is decided at most once, however many
-covers are tested against it.  The sieves of each object are enumerated
-once per category instance (`sieves.all_sieve_masks`).
+inside cl(S).  What a sieve gives is not derived again: S pulls back
+along its own members to maximal sieves and along the identity to
+itself, so those arrows are placed in or out of cl(S) without a
+pullback.  Each other member of cl(S) is decided at most once, however
+many covers are tested against it.  The sieves of each object are
+enumerated once per category instance (`sieves.all_sieve_masks`).
 
 Checks over the covers or the non-covers of an object walk them only on a
 failure, through `GrothendieckTopology.first_failing_cover` and
@@ -35,7 +40,6 @@ from .sieves import (
     generate_mask,
     is_sieve_mask,
     mask_of,
-    maximal_sieve_mask,
     multicompose_mask,
     preimage_mask,
     pullback_mask,
@@ -66,7 +70,7 @@ class GrothendieckTopology:
         finite intersection)."""
         out = []
         for c in self.cat.objects:
-            m = maximal_sieve_mask(self.cat, c)
+            m = self.cat.maximal_sieves[c]
             for s in self.covers[c]:
                 m &= s
             out.append(m)
@@ -103,7 +107,7 @@ class GrothendieckTopology:
         than the maximal one."""
         cat = self.cat
         return mask_of(f for f in cat.arrows
-                       if self.min_cover[cat.dom[f]] != maximal_sieve_mask(cat, cat.dom[f]))
+                       if self.min_cover[cat.dom[f]] != cat.maximal_sieves[cat.dom[f]])
 
     def first_failing_cover(self, c: int, test: Callable[[int], bool]) -> int | None:
         """None when test(m_c) holds; otherwise the first cover s on c, in
@@ -151,24 +155,34 @@ def _axiom_violations(cat: FinCategory, covers) -> list[dict]:
     """Every violated axiom instance, in the order maximality, stability,
     transitivity, each by object.  A cover S is stable when its closure
     cl(S) is maximal; a non-covering S breaks transitivity via the first
-    cover T ⊆ cl(S).  Each member of cl(S) is decided at most once, and only
-    when a cover asks for it: the arrows found outside cl(S) rule out every
-    later cover holding one of them with a single mask test."""
+    cover T ⊆ cl(S).  Nothing a sieve gives is derived again: S pulls back
+    along each of its members f to the maximal sieve on dom f, so where
+    that one covers f lies in cl(S), and along id_c to S itself, so id_c
+    lies in cl(S) exactly when S covers.  Stability thus skips the members
+    and the identity, and the search for T starts with those members
+    inside cl(S) and the identity outside it.  Each other member of cl(S)
+    is decided at most once, and only when a cover asks for it: the arrows
+    found outside cl(S) rule out every later cover holding one of them
+    with a single mask test."""
     violations = []
     for c in cat.objects:
-        if maximal_sieve_mask(cat, c) not in covers[c]:
+        if cat.maximal_sieves[c] not in covers[c]:
             violations.append({"axiom": "maximality", "object": c})
+    # the arrows whose domain has its maximal sieve covering
+    held = mask_of(f for f, d in enumerate(cat.dom) if cat.maximal_sieves[d] in covers[d])
     for c in cat.objects:
+        rest = cat.maximal_sieves[c] & ~(1 << cat.identity[c])
         for s in covers[c]:
-            for f in cat.arrows_into(c):
-                if not _in_closure(cat, covers, s, f):
+            for f in bits(rest & ~(s & held)):
+                pullback = pullback_mask(cat, s, f)
+                if pullback not in covers[cat.dom[f]]:
                     violations.append({"axiom": "stability", "object": c, "sieve": s, "arrow": f,
-                                       "pullback": pullback_mask(cat, s, f)})
+                                       "pullback": pullback})
     for c in cat.objects:
         for s in all_sieve_masks(cat, c):
             if s in covers[c]:
                 continue
-            inside = outside = 0  # arrows found in cl(S) and outside it
+            inside, outside = s & held, 1 << cat.identity[c]  # arrows found in cl(S) and outside it
             for t in covers[c]:
                 if t & outside:
                     continue
@@ -184,9 +198,10 @@ def _axiom_violations(cat: FinCategory, covers) -> list[dict]:
 
 
 def validate_topology(cat: FinCategory, covers) -> GrothendieckTopology:
-    """Check the three axioms; return the topology or raise TopologyError
-    reporting every violation with witnesses.  Each family is stored in
-    ascending insertion order, which fixes its walk order by its value."""
+    """Check that each mask is a sieve, then the three axioms; return the
+    topology or raise TopologyError reporting every violation with
+    witnesses.  Each family is stored in ascending insertion order, which
+    fixes its walk order by its value."""
     covers = tuple(frozenset(f) for f in covers)
     if len(covers) != cat.n_objects:
         raise ValueError("need one family of sieves per object")
@@ -203,16 +218,21 @@ def validate_topology(cat: FinCategory, covers) -> GrothendieckTopology:
 def topology_where(cat: FinCategory,
                    covers: Callable[[int, int], bool]) -> GrothendieckTopology:
     """The topology whose covering sieves on c are the sieves s with
-    covers(c, s).  The result is validated: a condition that breaks an
-    axiom raises TopologyError."""
-    return validate_topology(cat, [
-        frozenset(s for s in all_sieve_masks(cat, c) if covers(c, s))
-        for c in cat.objects])
+    covers(c, s).  The result is checked against the axioms: a condition
+    that breaks one raises TopologyError.  Its masks come from
+    `all_sieve_masks`, so they are sieves, and each family is built in
+    ascending order."""
+    families = tuple(frozenset(s for s in all_sieve_masks(cat, c) if covers(c, s))
+                     for c in cat.objects)
+    violations = _axiom_violations(cat, families)
+    if violations:
+        raise TopologyError(violations)
+    return GrothendieckTopology(cat, families)
 
 
 def trivial_topology(cat: FinCategory) -> GrothendieckTopology:
     return GrothendieckTopology(
-        cat, tuple(frozenset({maximal_sieve_mask(cat, c)}) for c in cat.objects))
+        cat, tuple(frozenset({cat.maximal_sieves[c]}) for c in cat.objects))
 
 
 def atomic_topology(cat: FinCategory) -> GrothendieckTopology:
@@ -237,7 +257,7 @@ def generate_topology(cat: FinCategory, base) -> GrothendieckTopology:
     the base sieves on c and shrinks until m_d ⊆ f*(m_c) for every
     f: d -> c (stability) and m_c = {g∘h | g ∈ m_c, h ∈ m_dom(g)}
     (transitivity); the covering sieves are those containing m_c."""
-    m = [maximal_sieve_mask(cat, c) for c in cat.objects]
+    m = list(cat.maximal_sieves)
     for c, mask in base:
         if not is_sieve_mask(cat, c, mask):
             raise ValueError(f"base mask {mask:#x} on object {c} is not a sieve")
@@ -334,5 +354,5 @@ def closure_mask(J: GrothendieckTopology, c: int, mask: int) -> int:
     without the identity, so f is tested only when dom f has a covering
     sieve other than the maximal one (`J.coarse`)."""
     cat = J.cat
-    return mask | mask_of(f for f in bits(maximal_sieve_mask(cat, c) & J.coarse & ~mask)
+    return mask | mask_of(f for f in bits(cat.maximal_sieves[c] & J.coarse & ~mask)
                           if _in_closure(cat, J.covers, mask, f))

@@ -1590,6 +1590,50 @@ def test_morphism_of_sites_witnesses_replay_independently(monkeypatch, rng):
     assert all(replayed[c] for c in ("ii", "iii", "iv"))
 
 
+def test_weakly_dense_clause_ii_witnesses_replay_at_their_object(monkeypatch, rng):
+    """A failed clause (ii) record of weak denseness, alone or nested in
+    `essential-surjective-closed-image`, replays by recomputing the sieve
+    at the object it names, without re-running the clause.  On the
+    morphisms of sites among the 300 random site functors, each of the 22
+    failures replays, and not with one arrow of its sieve toggled.  A copy
+    with the object moved to another d replays exactly when the reference
+    search also leaves d with the recorded sieve and K does not cover it:
+    35 copies replay False, and 20 replay True, each a counterexample in
+    its own right with the empty sieve."""
+    failures = []
+    for sf in random_site_functors(rng, 300):
+        fresh = SiteFunctor(sf.F, sf.J, sf.K)
+        if is_morphism_of_sites(fresh) and not mor._weakly_dense_clause_ii(fresh).holds:
+            failures.append((sf, mor._weakly_dense_clause_ii(fresh).witness))
+
+    def no_clause(sf):
+        raise AssertionError("the replay re-ran clause (ii)")
+    monkeypatch.setattr(mor, "_check_weakly_dense_clause_ii", no_clause)
+
+    def replays(sf, w):
+        alone = recheck_witness(sf, Verdict(False, w))
+        nested = recheck_witness(sf, Verdict(False, {
+            "kind": "essential-surjective-closed-image", "holds": False, "witness": w}))
+        assert alone == nested
+        return alone
+
+    moved = collections.Counter()
+    for sf, w in failures:
+        D, K = sf.F.target, sf.K
+        assert replays(sf, w)
+        for f in D.arrows_into(w["object"]):
+            assert not replays(sf, {**w, "sieve": w["sieve"] ^ (1 << f)})
+        realized = _reference_realized_arrows(sf)
+        for d in D.objects:
+            if d != w["object"]:
+                counterexample = generate_mask(D, realized[d]) == w["sieve"] \
+                    and not K.is_covering(d, w["sieve"])
+                assert replays(sf, {**w, "object": d}) == counterexample
+                assert w["sieve"] == 0 or not counterexample
+                moved[counterexample] += 1
+    assert len(failures) == 22 and moved == {False: 35, True: 20}, moved
+
+
 # ---------------------------------------------------------------------------
 # comorphism classifiers against the searches they replace
 

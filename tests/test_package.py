@@ -529,3 +529,58 @@ def test_covers_reads_are_found():
     assert _covers_reads({"presheaf": sample}) == [
         "presheaf.classify:4", "presheaf.classify:4", "presheaf.is_sheaf:2",
         "presheaf.plus_construction.walk:7"]
+
+
+# the maximal sieve of each object is kept on its category
+# (`FinCategory.maximal_sieves`); nothing outside the class rebuilds it
+def _rebuilt_maximal_sieves(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.scope:line` of each `mask_of(<x>.arrows_into(...))` whose
+    only argument is the bare listing, outside `fincat.FinCategory`."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif (isinstance(child, ast.Call)
+                  and (getattr(child.func, "id", None) or getattr(child.func, "attr", None))
+                  == "mask_of"
+                  and len(child.args) == 1 and not child.keywords
+                  and isinstance(child.args[0], ast.Call)
+                  and isinstance(child.args[0].func, ast.Attribute)
+                  and child.args[0].func.attr == "arrows_into"
+                  and not f"{scope}.".startswith("fincat.FinCategory.")):
+                found.append(f"{scope}:{child.lineno}")
+            visit(child, inner)
+
+    for module, tree in trees.items():
+        visit(tree, module)
+    return sorted(found)
+
+
+def test_maximal_sieves_are_read_not_rebuilt():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert _rebuilt_maximal_sieves(trees) == []
+
+
+def test_rebuilt_maximal_sieves_are_found():
+    sample = ast.parse(
+        "def maximal_sieve_mask(cat, c):\n"
+        "    return mask_of(cat.arrows_into(c))\n"
+        "def tops(D):\n"
+        "    return [sieves.mask_of(D.arrows_into(d)) for d in D.objects]\n"
+        "def legs(cat, c):\n"
+        "    return mask_of(f for f in cat.arrows_into(c) if not cat.is_identity(f))\n"
+        "class FinCategory:\n"
+        "    def maximal_sieves(self):\n"
+        "        return tuple(mask_of(self.arrows_into(c)) for c in self.objects)\n"
+        "class Site:\n"
+        "    def top(self, c):\n"
+        "        return mask_of(self.cat.arrows_into(c))\n")
+    assert _rebuilt_maximal_sieves({"fincat": sample}) == [
+        "fincat.Site.top:12", "fincat.maximal_sieve_mask:2", "fincat.tops:4"]
+    assert _rebuilt_maximal_sieves({"sieves": sample}) == [
+        "sieves.FinCategory.maximal_sieves:9", "sieves.Site.top:12",
+        "sieves.maximal_sieve_mask:2", "sieves.tops:4"]

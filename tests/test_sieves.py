@@ -23,7 +23,15 @@ from sitecalc.sieves import (
     vertical_closure,
 )
 
-from conftest import make_collapse_functor, make_two, random_category, random_fibration
+from conftest import (
+    RNG_SEED,
+    make_collapse_functor,
+    make_two,
+    random_category,
+    random_fibration,
+)
+from oracles import reference_sieve_masks
+from test_derived import _corpus
 
 
 def random_presieve(rng, cat):
@@ -362,6 +370,49 @@ def test_sieve_guard_fires_where_the_counting_enumeration_does(rng):
                 assert got == _sieves_or_message(_reference_all_sieve_masks, cat, c, guard)
                 early += isinstance(got, str) and guard < count
     assert early
+
+
+def test_sieve_enumeration_matches_the_unions_of_every_subset(rng):
+    """On every object of 150 random categories and of the derived
+    categories of `test_derived_categories_are_lawful` and their
+    opposites, the sieves are the unions of every subset of principal
+    sieves; with the guard at their count they come back, and one below it
+    raises."""
+    cats = [random_category(rng) for _ in range(150)]
+    for _, built, _ in _corpus(random.Random(RNG_SEED)):
+        cats += [built["category"], built["category"].opposite()]
+    counts = collections.Counter()
+    for cat in cats:
+        for c in cat.objects:
+            expected = reference_sieve_masks(cat, c)
+            assert all_sieve_masks(cat, c) == expected
+            assert _enumerate_sieve_masks(cat, c, len(expected)) == expected
+            with pytest.raises(SizeGuardError, match=f"more than {len(expected) - 1} sieves"):
+                _enumerate_sieve_masks(cat, c, len(expected) - 1)
+            counts[len(expected)] += 1
+    assert max(counts) > 1000, counts
+
+
+def test_sieve_guard_fires_on_the_21_leg_vee_before_enumerating(monkeypatch):
+    """The antichain of the 21 legs raises the guard on the top of the
+    21-leg vee after one walk over the arrows into it, the pre-check's; on
+    the 3-leg vee, whose 3 legs pass the pre-check, the enumeration walks
+    them again."""
+    import sitecalc.sieves as sieves
+    walked = []
+
+    def recorded(mask):
+        walked.append(mask)
+        return bits(mask)
+    monkeypatch.setattr(sieves, "bits", recorded)
+    vee = poset_category(22, [(i, 21) for i in range(21)])
+    with pytest.raises(SizeGuardError, match=f"more than {SIEVE_GUARD} sieves on object 21"):
+        _enumerate_sieve_masks(vee, 21, SIEVE_GUARD)
+    assert walked == [vee.maximal_sieves[21]]
+    walked.clear()
+    vee = poset_category(4, [(i, 3) for i in range(3)])
+    assert len(_enumerate_sieve_masks(vee, 3, 9)) == 9
+    assert walked == [vee.maximal_sieves[3]] * 2
 
 
 def test_all_sieve_masks_is_memoized_per_category(monkeypatch, rng):

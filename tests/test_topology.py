@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import sitecalc.topology as topology
 from sitecalc.fincat import (
     FinFunctor,
     full_subcategory,
@@ -54,7 +55,12 @@ from conftest import (
     random_topology,
     z2_category,
 )
-from oracles import enumerate_topologies, reference_axiom_violations, reference_closure_mask
+from oracles import (
+    brute_force_axiom_violations,
+    enumerate_topologies,
+    reference_axiom_violations,
+    reference_closure_mask,
+)
 
 
 def atomic_on_two(two):
@@ -84,22 +90,47 @@ def test_stability_violation_witnessed(two):
                for v in exc.value.violations)
 
 
-def _assert_violations_match_reference(cat, covers, kinds):
-    """The violations of `validate_topology` equal the reference scan's,
-    in order; the axioms seen are added to kinds."""
+def _violations_without_derived_pullbacks(monkeypatch, cat, covers):
+    """`_axiom_violations(cat, covers)`, with the `pullback_mask` of the
+    topology module failing when asked along an identity, or along a
+    member of the sieve whose domain has its maximal sieve covering: the
+    pullback there is the sieve itself or that maximal sieve."""
+    def guarded(category, mask, f):
+        d = cat.dom[f]
+        assert not cat.is_identity(f), (mask, f)
+        assert not ((mask >> f) & 1 and cat.maximal_sieves[d] in covers[d]), (mask, f)
+        return pullback_mask(category, mask, f)
+    with monkeypatch.context() as patched:
+        patched.setattr(topology, "pullback_mask", guarded)
+        return _axiom_violations(cat, covers)
+
+
+def _assert_violations_match_reference(monkeypatch, cat, covers, kinds):
+    """The violations of `validate_topology` equal, in order, those of the
+    validation body before it skipped members and identities, and those
+    of the scan that pulls back along every arrow; validation asks for no
+    pullback that a sieve gives.  The axioms seen are added to kinds, and
+    "member skipped" when a cover has a member off the identities whose
+    domain has its maximal sieve covering."""
     covers = tuple(frozenset(f) for f in covers)
     expected = reference_axiom_violations(cat, covers)
-    assert _axiom_violations(cat, covers) == expected
+    assert brute_force_axiom_violations(cat, covers) == expected
+    assert _violations_without_derived_pullbacks(monkeypatch, cat, covers) == expected
     if expected:
         with pytest.raises(TopologyError) as exc:
             validate_topology(cat, covers)
         assert exc.value.violations == expected
     kinds.update(v["axiom"] for v in expected)
+    if any((s >> f) & 1 and cat.maximal_sieves[cat.dom[f]] in covers[cat.dom[f]]
+           for c in cat.objects for s in covers[c] for f in cat.arrows_into(c)
+           if not cat.is_identity(f)):
+        kinds["member skipped"] += 1
 
 
 def _perturbations(rng, cat, covers):
     """The covers, then the covers with one of them dropped at a random
-    object, then with one non-covering sieve added there."""
+    object, then with one non-covering sieve added there, then without the
+    maximal sieve there."""
     out = [covers]
     c = rng.randrange(cat.n_objects)
     dropped = list(covers)
@@ -110,6 +141,9 @@ def _perturbations(rng, cat, covers):
         added = list(covers)
         added[c] = covers[c] | {rng.choice(rest)}
         out.append(added)
+    no_maximal = list(covers)
+    no_maximal[c] = covers[c] - {cat.maximal_sieves[c]}
+    out.append(no_maximal)
     return out
 
 
@@ -122,7 +156,7 @@ def _arbitrary_family(rng, cat):
     return families
 
 
-def test_axiom_violations_match_reference_on_random_sites():
+def test_axiom_violations_match_reference_on_random_sites(monkeypatch):
     """Random conftest categories carrying a random topology and its
     one-sieve perturbations, and carrying arbitrary sieve families."""
     rng = random.Random(17)
@@ -130,13 +164,14 @@ def test_axiom_violations_match_reference_on_random_sites():
     for _ in range(300):
         cat = random_category(rng)
         for covers in _perturbations(rng, cat, random_topology(rng, cat).covers):
-            _assert_violations_match_reference(cat, covers, kinds)
+            _assert_violations_match_reference(monkeypatch, cat, covers, kinds)
         for _ in range(3):
-            _assert_violations_match_reference(cat, _arbitrary_family(rng, cat), kinds)
-    assert set(kinds) == {"maximality", "stability", "transitivity"}
+            _assert_violations_match_reference(monkeypatch, cat, _arbitrary_family(rng, cat),
+                                               kinds)
+    assert set(kinds) == {"maximality", "stability", "transitivity", "member skipped"}
 
 
-def test_axiom_violations_match_reference_on_named_shapes():
+def test_axiom_violations_match_reference_on_named_shapes(monkeypatch):
     """Vees with 3 to 8 legs carrying the topology generated by their first
     j legs, for each j; chains 3–5, Z4 and the indiscrete category on 3
     objects carrying random generated topologies; each also with its
@@ -154,8 +189,8 @@ def test_axiom_violations_match_reference_on_named_shapes():
             sites.append((cat, generate_topology(cat, _random_base(rng, cat)).covers))
     for cat, covers in sites:
         for family in _perturbations(rng, cat, covers) + [_arbitrary_family(rng, cat)]:
-            _assert_violations_match_reference(cat, family, kinds)
-    assert set(kinds) == {"maximality", "stability", "transitivity"}
+            _assert_violations_match_reference(monkeypatch, cat, family, kinds)
+    assert set(kinds) == {"maximality", "stability", "transitivity", "member skipped"}
 
 
 def test_generate_empty_base_is_trivial(rng):
