@@ -28,11 +28,11 @@ from .morphisms import (
     SiteFunctor,
     _image,
     _require,
-    classify_morphism,
     is_comorphism_of_sites,
     is_cover_reflecting,
     is_dense_morphism,
     is_morphism_of_sites,
+    is_weakly_dense,
     local_property_tests,
 )
 
@@ -104,7 +104,7 @@ def morphism_to_comorphism(sf: SiteFunctor) -> CommaSite:
         "pi_D_full": pi_D_props["J_full"].holds,
         "pi_D_dense": pi_D_props["K_dense"].holds,
         "pi_D_cover_reflecting": is_cover_reflecting(pi_D).holds,
-        "pi_D_equivalence": classify_morphism(pi_D).equivalence.holds,
+        "pi_D_equivalence": is_weakly_dense(pi_D).holds,
         "adjunction": _check_adjunction(cc.right_projection, i_F.functor, unit),
         "composite_is_F": composite.obj_map == F.obj_map and composite.arr_map == F.arr_map,
     }
@@ -144,7 +144,7 @@ def comorphism_to_morphism_comma(sf: SiteFunctor) -> CommaSite:
         "j_F_dense_morphism": is_dense_morphism(j_F).holds,
         "pi_D_morphism": is_morphism_of_sites(pi_D).holds,
         "pi_D_comorphism": is_comorphism_of_sites(pi_D).holds,
-        "pi_D_equivalence": classify_morphism(pi_D).equivalence.holds,
+        "pi_D_equivalence": is_weakly_dense(pi_D).holds,
         "adjunction": _check_adjunction(j_F.functor, cc.left_projection, D.identity),
         "density_witness_arrows": density_witnesses,
         "composite_is_F": composite.obj_map == F.obj_map and composite.arr_map == F.arr_map,
@@ -176,7 +176,7 @@ def generalized_elements_fibration(sf: SiteFunctor) -> CommaSite:
         "i_F_full_faithful": i_prime.is_full() and i_prime.is_faithful(),
         "i_F_comorphism": is_comorphism_of_sites(i_prime_sf).holds,
         "i_F_dense_morphism": is_dense_morphism(i_prime_sf).holds,
-        "i_F_equivalence": classify_morphism(i_prime_sf).equivalence.holds,
+        "i_F_equivalence": is_weakly_dense(i_prime_sf).holds,
         "pi_C_split_fibration": fib,
     }
     return CommaSite(cc, k_coinduced, {"to_source": pi_D, "to_target": pi_C},

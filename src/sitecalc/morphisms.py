@@ -8,6 +8,12 @@ All "there exists a covering family such that" searches iterate over stored
 sieves; where a clause quantifies over arbitrary families of sieves, a
 restriction argument (see the decisions ledger) collapses the search to
 least-covering or principal sieves without losing completeness.
+
+Clause (iii) of weak denseness reads the families over the least cover of
+each image object, and what each finds, from one table per topology and
+pair of image objects (`_clause_iii_tables`), so pairs of objects over
+the same image pair share it; local equality is read off the topology's
+per-arrow keys.
 """
 
 from __future__ import annotations
@@ -640,26 +646,35 @@ def _check_weakly_dense_clause_ii(sf: SiteFunctor) -> Verdict:
 def _weakly_dense_clause_iii(sf: SiteFunctor) -> Verdict:
     """Clause (iii), exhaustive over covering sieves U on images and
     coherent families g over U.  An arrow f into x is found when some
-    k: dom f -> y has g_h∘z ≡_K F(k)∘w for every w into F(dom f) and every
-    h∘z = F(f)∘w with h in U; the values g_h∘z are collected once per
-    composite h∘z.  The found arrows must J-cover x.  The witness is the
-    first (x, y, U, g), U in the order of `K.covers`.
+    k: dom f -> y has g·F(f) ≡_K F(k) (`_restrictions`).  The found arrows
+    must J-cover x.  The witness is the first (x, y, U, g), U in the order
+    of `K.covers`.
 
     A family g over a cover U ⊇ m, m = K.min_cover[F(x)], restricts to one
     over m with the same found arrows: for a = F(f)∘w = h∘z in U, the
     members a∘v of m, v in the cover a*(m), give g_h∘z∘v ≡_K g_{a∘v} ≡_K
     F(k)∘w∘v, and local equality is local.  So when every family over m
     passes, every family over every cover does, as
-    `GrothendieckTopology.first_failing_cover` asks."""
-    F, K = sf.F, sf.K
-    for x in F.source.objects:
-        for y in F.source.objects:
-            u = K.first_failing_cover(F.on_obj(x),
-                                      lambda u: _clause_iii_failure(sf, x, y, u) is None)
-            if u is not None:
-                g, found = _clause_iii_failure(sf, x, y, u)
-                return _no("weakly-dense", clause="iii",
-                           instance={"x": x, "y": y, "sieve": u, "family": g}, found=found)
+    `GrothendieckTopology.first_failing_cover` asks.
+
+    The families over m and what each finds at every arrow into F(x)
+    depend only on K, F(x) and F(y), so the pass over m reads one table per
+    (K, F(x), F(y)) (`_clause_iii_tables`), however many pairs (x, y) lie
+    over it.  Only a failing pair walks the covers, to name its first
+    (U, g)."""
+    F, J, K = sf.F, sf.J, sf.K
+    C = F.source
+    images = _image_homs(F)
+    for x in C.objects:
+        fx = F.on_obj(x)
+        for y in C.objects:
+            tables = _clause_iii_tables(K, fx, F.on_obj(y))
+            if all(J.is_covering(x, ok) for ok in _found_arrows(F, x, images[y], tables)):
+                continue
+            u = K.first_failing_cover(fx, lambda u: _clause_iii_failure(sf, x, y, u) is None)
+            g, found = _clause_iii_failure(sf, x, y, u)
+            return _no("weakly-dense", clause="iii",
+                       instance={"x": x, "y": y, "sieve": u, "family": g}, found=found)
     return _yes("weakly-dense")
 
 
@@ -667,56 +682,101 @@ def _clause_iii_failure(sf: SiteFunctor, x: int, y: int,
                         u_mask: int) -> tuple[dict[int, int], int] | None:
     """Clause (iii) for (x, y) over the sieve U = u_mask on F(x): the first
     coherent family g on U, in search order, whose found arrows do not
-    J-cover x, with those arrows; None when every family passes.
-
-    When U holds the identity of F(x), U is maximal and every g_h is
-    locally equal to g_id∘h, so f is found exactly when F(k) ≡_K g_id∘F(f)
-    for some k, local equality being an equivalence relation stable under
-    precomposition on a topology.  Every g_id: F(x) -> F(y) is the value
-    of the family h ↦ g_id∘h, so the found arrows are computed once per
-    arrow of D(F(x), F(y)), and the families are searched only when some
-    g_id fails, to name the first failing family."""
+    J-cover x, with those arrows; None when every family passes.  When U
+    holds the identity, the families are searched only when one of
+    `_value_families` fails, as they find what those find."""
     F, J, K = sf.F, sf.J, sf.K
-    C, D = F.source, F.target
     fx, fy = F.on_obj(x), F.on_obj(y)
-    id_fx = D.identity[fx]
-    by_value = None
-    if (u_mask >> id_fx) & 1:
-        by_value = {v: mask_of(
-            f for f in C.arrows_into(x)
-            if any(local_equality(K, F.on_arr(k), D.compose(v, F.on_arr(f)))
-                   for k in C.hom(C.dom[f], y)))
-            for v in D.hom(fx, fy)}
-        if all(J.is_covering(x, ok) for ok in by_value.values()):
-            return None
-    members = sorted(bits(u_mask))
-    for g in _coherent_families(D, K, fx, members, fy):
-        ok = (_found_through(sf, x, y, members, g) if by_value is None
-              else by_value[g[id_fx]])
-        if not J.is_covering(x, ok):
-            return g, ok
-    return None
+    images = _image_homs(F)[y]
+
+    def found(families: Iterable[dict[int, int]]) -> Iterator[int]:
+        return _found_arrows(F, x, images, (_restrictions(K, fx, g, fy) for g in families))
+    if (u_mask >> F.target.identity[fx]) & 1 and all(
+            J.is_covering(x, ok) for ok in found(_value_families(F.target, fx, fy))):
+        return None
+    families = _coherent_families(F.target, K, fx, sorted(bits(u_mask)), fy)
+    return next(((g, ok) for g, ok in zip(families, found(families))
+                 if not J.is_covering(x, ok)), None)
 
 
-def _found_through(sf: SiteFunctor, x: int, y: int, members: Sequence[int],
-                   g: dict[int, int]) -> int:
-    """The arrows f into x found for the coherent family g over `members`,
-    with the values g_h∘z collected once per composite h∘z."""
-    F, K = sf.F, sf.K
+def _clause_iii_tables(K: GrothendieckTopology, e: int, e2: int) -> tuple[tuple[int, ...], ...]:
+    """The distinct `_restrictions` of the coherent families into e2 over
+    m = K.min_cover[e], built once per topology instance and pair (e, e2).
+    When m holds id_e the families are not searched: they have the
+    restrictions of `_value_families`."""
+    def build() -> tuple[tuple[int, ...], ...]:
+        D = K.cat
+        m = K.min_cover[e]
+        families = (_value_families(D, e, e2) if (m >> D.identity[e]) & 1
+                    else _coherent_families(D, K, e, sorted(bits(m)), e2))
+        return tuple(dict.fromkeys(_restrictions(K, e, g, e2) for g in families))
+    return _memo(K, ("clause-iii-tables", e, e2), build)
+
+
+def _value_families(D: FinCategory, e: int, e2: int) -> list[dict[int, int]]:
+    """The families h ↦ v∘h over the maximal sieve on e, one per
+    v: e -> e2.  A coherent family g over the maximal sieve has
+    g_h ≡_K g_id∘h, so it has the `_restrictions` of the one for g_id."""
+    return [dict(zip(D.arrows_into(e), D.composites[v])) for v in D.hom(e, e2)]
+
+
+def _restrictions(K: GrothendieckTopology, e: int, g: dict[int, int],
+                  e2: int) -> tuple[int, ...]:
+    """R_g(φ) for a coherent family g into e2 over the members of a sieve U
+    on e, per arrow φ into e in the order of `arrows_into(e)`: the mask of
+    the ψ: dom φ -> e2 with g·φ ≡_K ψ, that is ψ∘w ≡_K g_{φ∘w} for every
+    w with φ∘w in U, read as equal `K.arrow_keys`.
+
+    This is the test of the definition, ψ∘w ≡_K g_h∘z for every h in U and
+    z with h∘z = φ∘w.  A sieve holds h∘z whenever it holds h, and
+    coherence gives g_h∘z ≡_K g_{h∘z}, so each such value is locally equal
+    to g_{φ∘w}, and a φ∘w outside U has none.  For φ in U the test at
+    w = id_{dom φ} implies the others: ψ ≡_K g_φ gives
+    ψ∘w ≡_K g_φ∘w ≡_K g_{φ∘w}."""
+    D = K.cat
+    key = K.arrow_keys
+    out = []
+    for phi in D.arrows_into(e):
+        r = 0
+        if phi in g:
+            k = key[g[phi]]
+            for psi in D.hom(D.dom[phi], e2):
+                if key[psi] == k:
+                    r |= 1 << psi
+        else:
+            asked = [(i, key[g[a]]) for i, a in enumerate(D.composites[phi]) if a in g]
+            for psi in D.hom(D.dom[phi], e2):
+                row = D.composites[psi]
+                if all(key[row[i]] == k for i, k in asked):
+                    r |= 1 << psi
+        out.append(r)
+    return tuple(out)
+
+
+def _image_homs(F: FinFunctor) -> list[list[int]]:
+    """Per pair of source objects y, a, the mask of F(C(a, y)) at [y][a]."""
+    C = F.source
+    images = [[0] * C.n_objects for _ in C.objects]
+    for k, (a, y) in enumerate(zip(C.dom, C.cod)):
+        images[y][a] |= 1 << F.on_arr(k)
+    return images
+
+
+def _found_arrows(F: FinFunctor, x: int, images: Sequence[int],
+                  restrictions: Iterable[tuple[int, ...]]) -> Iterator[int]:
+    """Per `_restrictions` R on F(x) into F(y), in order, the mask of the
+    arrows f into x found by it: those with F(k) in R(F(f)) for some
+    k: dom f -> y, the images of which are `images[dom f]`
+    (`_image_homs(F)[y]`)."""
     C, D = F.source, F.target
-    through: dict[int, set[int]] = {}
-    for h in members:
-        for hz, ghz in zip(D.composites[h], D.composites[g[h]]):
-            through.setdefault(hz, set()).add(ghz)
-    ok = 0
-    for f in C.arrows_into(x):
-        dom_f, Ff = C.dom[f], F.on_arr(f)
-        if any(all(local_equality(K, v, Fkw)
-                   for Fkw, Ffw in zip(D.composites[F.on_arr(k)], D.composites[Ff])
-                   for v in through.get(Ffw, ()))
-               for k in C.hom(dom_f, y)):
-            ok |= 1 << f
-    return ok
+    slots = [(1 << f, D.into_position[F.on_arr(f)], images[C.dom[f]])
+             for f in C.arrows_into(x)]
+    for r in restrictions:
+        ok = 0
+        for bit, i, homs in slots:
+            if r[i] & homs:
+                ok |= bit
+        yield ok
 
 
 def is_weakly_dense(sf: SiteFunctor) -> Verdict:

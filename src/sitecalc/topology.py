@@ -20,6 +20,12 @@ pullback.  Each other member of cl(S) is decided at most once, however
 many covers are tested against it.  The sieves of each object are
 enumerated once per category instance (`sieves.all_sieve_masks`).
 
+Local equality of parallel arrows is a comparison of per-arrow keys
+(`GrothendieckTopology.arrow_keys`): the composites of an arrow with the
+generators of the least cover on its domain.  The generation fixpoint
+pulls m_c back only along the arrows outside m_c as it stands at the
+call, as m_c pulls back along its own members to maximal sieves.
+
 Checks over the covers or the non-covers of an object walk them only on a
 failure, through `GrothendieckTopology.first_failing_cover` and
 `first_passing_non_cover`, which state the lemmas.  `validate_topology`
@@ -91,6 +97,9 @@ class GrothendieckTopology:
         out = []
         for c in cat.objects:
             identity = cat.identity[c]
+            if (self.min_cover[c] >> identity) & 1:  # ⟨id_c⟩ holds every arrow into c
+                out.append((identity,))
+                continue
             taken: list[int] = []
             inside = 0  # the union of the taken principal sieves
             for g in sorted(bits(self.min_cover[c]), key=lambda g: (
@@ -100,6 +109,17 @@ class GrothendieckTopology:
                     inside |= cat.principal_sieves[g]
             out.append(tuple(taken))
         return tuple(out)
+
+    @cached_property
+    def arrow_keys(self) -> tuple[tuple[int, ...], ...]:
+        """Per arrow h, the composites h∘g with the generators g of the
+        least cover on dom h, in their order.  Two parallel arrows h, k are
+        locally equal exactly when their keys are equal: their agreement
+        set {f | h∘f = k∘f} is a sieve, as h∘f = k∘f gives h∘f∘z = k∘f∘z,
+        so it covers iff it holds each generator (L0)."""
+        cat = self.cat
+        columns = [[cat.into_position[g] for g in gens] for gens in self.min_cover_generators]
+        return tuple(tuple([row[i] for i in columns[d]]) for row, d in zip(cat.composites, cat.dom))
 
     @cached_property
     def coarse(self) -> int:
@@ -256,7 +276,10 @@ def generate_topology(cat: FinCategory, base) -> GrothendieckTopology:
     pairs.  Its least covering sieve m_c on c starts as the intersection of
     the base sieves on c and shrinks until m_d ⊆ f*(m_c) for every
     f: d -> c (stability) and m_c = {g∘h | g ∈ m_c, h ∈ m_dom(g)}
-    (transitivity); the covering sieves are those containing m_c."""
+    (transitivity); the covering sieves are those containing m_c.  An f
+    in m_c pulls m_c back to the maximal sieve, so it is skipped, tested
+    against m_c at its turn: an endomorphism of c can shrink m_c in
+    mid-pass."""
     m = list(cat.maximal_sieves)
     for c, mask in base:
         if not is_sieve_mask(cat, c, mask):
@@ -267,6 +290,8 @@ def generate_topology(cat: FinCategory, base) -> GrothendieckTopology:
         changed = False
         for c in cat.objects:
             for f in cat.arrows_into(c):
+                if (m[c] >> f) & 1:
+                    continue
                 d = cat.dom[f]
                 pb = m[d] & pullback_mask(cat, m[c], f)
                 if pb != m[d]:
@@ -323,17 +348,13 @@ def fibration_topology(p: FinFunctor, K: GrothendieckTopology) -> GrothendieckTo
 
 
 def local_equality(J: GrothendieckTopology, h: int, k: int) -> bool:
-    """h ≡_J k: the arrows agree after precomposition with a covering sieve.
-    Decided once per topology instance and pair; arrows that are not
-    parallel raise ValueError and keep nothing."""
-    def decide() -> bool:
-        cat = J.cat
-        if cat.dom[h] != cat.dom[k] or cat.cod[h] != cat.cod[k]:
-            raise ValueError("local equality needs parallel arrows")
-        agree = mask_of(f for f, hf, kf in zip(cat.arrows_into(cat.dom[h]), cat.composites[h],
-                                               cat.composites[k]) if hf == kf)
-        return J.is_covering(cat.dom[h], agree)
-    return _memo(J, ("local_equality", h, k), decide)
+    """h ≡_J k: the arrows agree after precomposition with a covering
+    sieve, which holds exactly when their `arrow_keys` are equal.  Arrows
+    that are not parallel raise ValueError."""
+    cat = J.cat
+    if cat.dom[h] != cat.dom[k] or cat.cod[h] != cat.cod[k]:
+        raise ValueError("local equality needs parallel arrows")
+    return J.arrow_keys[h] == J.arrow_keys[k]
 
 
 def omitting_sieves(J: GrothendieckTopology, c: int) -> tuple[int, ...]:

@@ -12,7 +12,10 @@ violated axioms of a family of sieves: `brute_force_axiom_violations`
 pulls back along every arrow, and `reference_axiom_violations` is the
 validation body as it was before it skipped the members of a sieve and
 the identity.  `reference_closure_mask` scans every arrow for the closure
-of a sieve.  `reference_is_sheaf`, `reference_sheaf_comparison`,
+of a sieve.  `reference_local_equality` decides local equality by the
+agreement sieve over every arrow, where the topology compares per-arrow
+keys, and `reference_fixpoint_topology` is the generation fixpoint as it
+was before it skipped the members of each least cover.  `reference_is_sheaf`, `reference_sheaf_comparison`,
 `reference_elem_locally_equal`, `reference_cover_preserving`,
 `reference_cover_reflecting` and `reference_covering_lifting` are the
 checks over covering sieves as they walked every cover, every sieve or
@@ -77,10 +80,11 @@ from sitecalc.sieves import (
     generate_mask,
     mask_of,
     maximal_sieve_mask,
+    multicompose_mask,
     preimage_mask,
     pullback_mask,
 )
-from sitecalc.topology import GrothendieckTopology, _axiom_violations, local_equality
+from sitecalc.topology import GrothendieckTopology, _axiom_violations, topology_where
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +485,42 @@ def reference_closure_mask(J: GrothendieckTopology, c: int, mask: int) -> int:
                    if pullback_mask(cat, mask, f) in J.covers[cat.dom[f]])
 
 
+def reference_local_equality(J: GrothendieckTopology, h: int, k: int) -> bool:
+    """h ≡_J k: the agreement sieve {f | h∘f = k∘f}, over every arrow into
+    dom h, covers.  Arrows that are not parallel raise ValueError."""
+    cat = J.cat
+    if cat.dom[h] != cat.dom[k] or cat.cod[h] != cat.cod[k]:
+        raise ValueError("local equality needs parallel arrows")
+    agree = mask_of(f for f, hf, kf in zip(cat.arrows_into(cat.dom[h]), cat.composites[h],
+                                           cat.composites[k]) if hf == kf)
+    return J.is_covering(cat.dom[h], agree)
+
+
+def reference_fixpoint_topology(cat: FinCategory, base) -> GrothendieckTopology:
+    """The least topology over the base pairs by the descending fixpoint on
+    the least covers as it ran before it skipped the members of m_c: m_c
+    pulled back along every arrow into c, then composed with the least
+    covers of the domains of its members."""
+    m = list(cat.maximal_sieves)
+    for c, mask in base:
+        m[c] &= mask
+    changed = True
+    while changed:
+        changed = False
+        for c in cat.objects:
+            for f in cat.arrows_into(c):
+                d = cat.dom[f]
+                pb = m[d] & pullback_mask(cat, m[c], f)
+                if pb != m[d]:
+                    m[d] = pb
+                    changed = True
+            composed = multicompose_mask(cat, m[c], {g: m[cat.dom[g]] for g in bits(m[c])})
+            if composed != m[c]:
+                m[c] = composed
+                changed = True
+    return topology_where(cat, lambda c, s: s & m[c] == m[c])
+
+
 # ---------------------------------------------------------------------------
 # checks over covering sieves: the bodies that walked every cover or sieve
 # where the checkers now read the least covers
@@ -720,7 +760,7 @@ def reference_j_faithful(sf: SiteFunctor) -> Verdict:
                 for k in C.hom(a, b):
                     if h == k:
                         continue
-                    if F.on_arr(h) == F.on_arr(k) and not local_equality(J, h, k):
+                    if F.on_arr(h) == F.on_arr(k) and not reference_local_equality(J, h, k):
                         return _no("J-faithful", instance={"h": h, "k": k})
     return _yes("J-faithful")
 

@@ -81,7 +81,6 @@ from sitecalc.topology import (
     coinduced_topology,
     fibration_topology,
     generate_topology,
-    local_equality,
     smallest_comorphism_topology,
     trivial_topology,
 )
@@ -105,6 +104,7 @@ from oracles import (
     reference_hom_presheaf,
     reference_is_J_cofinal,
     reference_comorphism_inclusion,
+    reference_local_equality,
     reference_locally_connected,
     reference_yoneda_arrow,
     subpresheaves,
@@ -1192,8 +1192,8 @@ def _reference_weakly_dense_clause_iii(sf):
                 for g in _reference_coherent_families(D, K, fx, members, fy):
                     ok = 0
                     for f in C.arrows_into(x):
-                        if any(all(local_equality(K, D.compose(g[h], z),
-                                                  D.compose(F.on_arr(k), w))
+                        if any(all(reference_local_equality(K, D.compose(g[h], z),
+                                                            D.compose(F.on_arr(k), w))
                                    for h in members for e in D.objects
                                    for w in D.hom(e, F.on_obj(C.dom[f]))
                                    for z in D.hom(e, D.dom[h])
@@ -1232,31 +1232,42 @@ def _document_site_functor(text, name):
                        doc.topology_for(fd.target, None).topology)
 
 
-def test_weakly_dense_clause_iii_matches_reference_scan(rng):
-    """Clause (iii) with the values g_h∘z collected per composite, with the
-    found arrows computed once per value g_id over the sieves that hold the
-    identity, and with the pass path over the least cover of each F(x)
-    alone, gives the verdict and witness of the scan over every cover,
-    object and factorization, whose families come from the reference
-    search.  The pass over the least covers alone gives the reference
-    verdict too.  The corpus: 300 random site functors, the identities of
-    leg-covered vees, 60 random fibrations with their fibration topologies
-    and `Z2_POINT_SITE`.  It holds failures whose first failing sieve is
-    not the least cover, so that the witness comes from the rescan;
-    passes over least covers that are not maximal, where the families are
-    searched; and identity-carrying sieves whose families share their
-    value at the identity, where local-equality classes have more than one
-    element."""
-    corpus = random_site_functors(rng, 300)
-    corpus += [_document_site_functor(vee_site(k, m), "G")
-               for k, m in ((2, 2), (3, 2), (4, 2), (3, 3))]
+def _clause_iii_corpus(rng):
+    """300 random site functors, the identities of leg-covered vees, 60
+    random fibrations with their fibration topologies, `Z2_POINT_SITE`,
+    and the projections π_D of the m2c comma sites of the morphisms of
+    sites among the random site functors.  Over a projection many pairs
+    (x, y) share their image pair (F(x), F(y))."""
+    randoms = random_site_functors(rng, 300)
+    corpus = randoms + [_document_site_functor(vee_site(k, m), "G")
+                        for k, m in ((2, 2), (3, 2), (4, 2), (3, 3))]
     for _ in range(60):
         p = random_fibration(rng)
         K = random_topology(rng, p.target)
         corpus.append(SiteFunctor(p, fibration_topology(p, K), K))
     corpus.append(_document_site_functor(Z2_POINT_SITE, "T"))
+    corpus += [morphism_to_comorphism(sf).projections["to_target"]
+               for sf in randoms if is_morphism_of_sites(sf)]
+    return corpus
+
+
+def test_weakly_dense_clause_iii_matches_reference_scan(rng):
+    """Clause (iii) with the pass path read off one table per image pair
+    and the witness from the walk over the covers of a failing pair gives
+    the verdict and witness of the scan over every cover, object and
+    factorization, whose families come from the reference search and
+    whose local equality is the agreement-sieve scan.  The pass over the
+    least covers alone gives the reference verdict too.  The corpus
+    (`_clause_iii_corpus`) holds failures whose first failing sieve is not
+    the least cover, so that the witness comes from the rescan; passes
+    over least covers that are not maximal, where the families are
+    searched; identity-carrying sieves whose families share their value
+    at the identity, where local-equality classes have more than one
+    element; and passes and failures over projections whose pairs share
+    their image pair."""
     not_least = not_maximal = shared = 0
-    for sf in corpus:
+    shared_pairs = collections.Counter()
+    for sf in _clause_iii_corpus(rng):
         F, K, D = sf.F, sf.K, sf.F.target
         ref = _reference_weakly_dense_clause_iii(sf)
         assert all(_clause_iii_failure(sf, x, y, K.min_cover[F.on_obj(x)]) is None
@@ -1269,15 +1280,45 @@ def test_weakly_dense_clause_iii_matches_reference_scan(rng):
         else:
             not_least += ref[1]["sieve"] != K.min_cover[F.on_obj(ref[1]["x"])]
         shared += _identity_families_sharing_a_value(sf)
+        if len(set(F.obj_map)) < F.source.n_objects:
+            shared_pairs[ref[0]] += 1
     assert not_least and not_maximal and shared
+    assert shared_pairs[True] and shared_pairs[False]
+
+
+def test_clause_iii_passes_without_walking_the_covers(rng, monkeypatch):
+    """With `_clause_iii_failure` patched to raise, every clause (iii) of
+    the corpus (`_clause_iii_corpus`) that the reference scan passes still
+    passes, read off the tables alone, and every one it fails reaches the
+    patch."""
+    failures = []
+
+    def no_walk(sf, x, y, u_mask):
+        failures.append((x, y))
+        raise LookupError("the walk over the covers ran")
+    monkeypatch.setattr(mor, "_clause_iii_failure", no_walk)
+    outcomes = collections.Counter()
+    for sf in _clause_iii_corpus(rng):
+        passes = _reference_weakly_dense_clause_iii(sf)[0]
+        if passes:
+            assert _weakly_dense_clause_iii(sf).holds
+        else:
+            with pytest.raises(LookupError, match="walk"):
+                _weakly_dense_clause_iii(sf)
+        outcomes[passes] += 1
+    assert outcomes[True] and outcomes[False] and len(failures) == outcomes[False]
 
 
 def test_clause_iii_searches_families_once_per_pair_on_an_atomic_isomorphism(monkeypatch):
-    """On the two automorphisms of the diamond with its atomic topology,
-    which pass, clause (iii) searches the families at most once per
-    (x, y): over the least cover of F(x), and not at all where that cover
-    is maximal, whose families are read off the hom-set.  A scan over
-    every cover searches once per cover, five times over the top."""
+    """Clause (iii) searches the families at most once per (topology, F(x),
+    F(y)): over the least cover of F(x), and not at all where that cover is
+    maximal, whose families are read off the hom-set.  On the two
+    automorphisms of the diamond with its atomic topology, which pass and
+    share the topology, the second searches nothing.  On the m2c comma
+    site of the atomic 4-chain, whose projection π_D sends 10 objects onto
+    4, the construction searches at most 16 times, once per pair of image
+    objects.  A scan over every cover of every pair searches once per
+    cover, five times over the top of the diamond."""
     D = poset_category(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     K = atomic_topology(D)
     isos = [F for F in all_functors(D, D) if len(set(F.arr_map)) == D.n_arrows]
@@ -1286,14 +1327,25 @@ def test_clause_iii_searches_families_once_per_pair_on_an_atomic_isomorphism(mon
     coherent_families = mor._coherent_families
 
     def counting(D, K, carrier_obj, members, d):
-        calls.append((carrier_obj, d))
+        calls.append((id(K), carrier_obj, d))
         return coherent_families(D, K, carrier_obj, members, d)
     monkeypatch.setattr(mor, "_coherent_families", counting)
+    searched = []
     for F in isos:
-        calls.clear()
+        before = len(calls)
         assert _weakly_dense_clause_iii(SiteFunctor(F, K, K)).holds
-        assert calls and max(collections.Counter(calls).values()) == 1
-        assert F.on_obj(0) not in {x for x, _ in calls}
+        searched.append(len(calls) - before)
+    assert searched[0] and not searched[1]
+    assert max(collections.Counter(calls).values()) == 1
+    assert K.min_cover[0] == D.maximal_sieves[0] and 0 not in {c for _, c, _ in calls}
+
+    calls.clear()
+    chain = poset_category(4, [(0, 1), (1, 2), (2, 3)])
+    K = atomic_topology(chain)
+    site = morphism_to_comorphism(SiteFunctor(identity_functor(chain), K, K))
+    pi_D = site.projections["to_target"]
+    assert site.certificates["pi_D_equivalence"] and pi_D.F.source.n_objects == 10
+    assert 0 < len(calls) <= 16 and max(collections.Counter(calls).values()) == 1
 
 
 def test_clause_ii_searches_only_the_objects_off_the_image_base(rng, monkeypatch):

@@ -219,6 +219,59 @@ def test_hand_written_memos_are_found():
         == ["fincat:3", "fincat:6", "fincat:12", "fincat:14", "fincat:17"]
 
 
+# the name of every keyed memo in `src/`, the first item of its key; adding
+# or dropping a memo is an edit here
+MEMO_NAMES = {
+    "all_sieve_masks", "cartesian_arrows", "chi", "clause-iii-tables", "closed-families",
+    "comorphism-localic", "comorphism-surjection", "cover-reflecting", "induced_topology",
+    "is_fibration", "labels", "local-properties", "morphism-of-sites", "sheafified",
+    "vertical_arrows", "weakly-dense", "weakly-dense-ii", "yoneda",
+}
+
+
+def _memo_names(trees: dict[str, ast.Module]) -> set[str]:
+    """The first key item of each `_memo(owner, (name, ...), ...)` call,
+    bare or as an attribute; a key that is not a tuple opening with a
+    string literal gives `module:line?`."""
+    names = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+                    == "_memo"):
+                key = node.args[1] if len(node.args) > 1 else None
+                if (isinstance(key, ast.Tuple) and key.elts
+                        and isinstance(key.elts[0], ast.Constant)
+                        and isinstance(key.elts[0].value, str)):
+                    names.add(key.elts[0].value)
+                else:
+                    names.add(f"{module}:{node.lineno}?")
+    return names
+
+
+def test_memo_names_are_listed():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert _memo_names(trees) == MEMO_NAMES
+
+
+def test_memo_names_are_found():
+    sample = ast.parse(
+        "def yoneda(cat, c):\n"
+        "    return _memo(cat, ('yoneda', c), lambda: c)\n"
+        "def labels(self, e):\n"
+        "    def build():\n"
+        "        return fincat._memo(self, ('labels', e, 1), list)\n"
+        "    return build()\n"
+        "def keyed(cat, key):\n"
+        "    return _memo(cat, key, list)\n"
+        "def numbered(cat):\n"
+        "    return _memo(cat, (1, 'x'), list)\n"
+        "def other(cat):\n"
+        "    return memo(cat, ('other',), list), _memo_names(cat, ('nested',))\n")
+    assert _memo_names({"fincat": sample}) == {"yoneda", "labels", "fincat:8?", "fincat:10?"}
+
+
 # the only places that call the FinCategory constructor: the law check for
 # outside input, the opposite, and the builder of derived categories
 CATEGORY_CONSTRUCTORS = {"fincat.validate_category", "fincat.FinCategory.opposite",

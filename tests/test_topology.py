@@ -11,6 +11,7 @@ from sitecalc.fincat import (
     monoid_category,
     poset_category,
     terminal_category,
+    validate_category,
 )
 from sitecalc.presheaf import canonical_topology, elements_topology, is_sheaf, is_subcanonical, yoneda
 from sitecalc.sieves import (
@@ -24,6 +25,7 @@ from sitecalc.sieves import (
     pullback_mask,
 )
 from sitecalc.topology import (
+    GrothendieckTopology,
     TopologyError,
     _axiom_violations,
     atomic_topology,
@@ -60,6 +62,8 @@ from oracles import (
     enumerate_topologies,
     reference_axiom_violations,
     reference_closure_mask,
+    reference_fixpoint_topology,
+    reference_local_equality,
 )
 
 
@@ -335,6 +339,40 @@ def test_generation_matches_reference_on_random_sites():
         _assert_generation_matches_reference(rng, cat, [identity_functor(cat)])
         p = random_fibration(rng)
         _assert_generation_matches_reference(rng, p.source, [p])
+
+
+def test_generation_skips_the_members_of_the_least_covers(monkeypatch):
+    """The fixpoint of `generate_topology` pulls m_c back along no member
+    of m_c as it stands at the call, which an endomorphism can shrink in
+    mid-pass, and builds the topology of the fixpoint that pulls back along
+    every arrow (`oracles.reference_fixpoint_topology`).  On every named
+    shape and on 300 random conftest categories, with random bases; the
+    corpus holds members that the reference pulls back along."""
+    rng = random.Random(29)
+    calls = []
+    made = skipped = 0
+
+    def recording(cat, mask, f):
+        calls.append((mask, f))
+        return pullback_mask(cat, mask, f)
+
+    def stop_recording(cat, covers):
+        monkeypatch.setattr(topology, "pullback_mask", pullback_mask)
+        return topology_where(cat, covers)
+    monkeypatch.setattr(topology, "topology_where", stop_recording)
+    cats = [make()[0] for make in GENERATION_SHAPES.values()]
+    cats += [random_category(rng) for _ in range(300)]
+    for cat in cats:
+        for _ in range(3):
+            base = _random_base(rng, cat)
+            calls.clear()
+            monkeypatch.setattr(topology, "pullback_mask", recording)
+            J = generate_topology(cat, base)
+            assert not any((mask >> f) & 1 for mask, f in calls)
+            assert J == reference_fixpoint_topology(cat, base)
+            made += len(calls)
+            skipped += any(J.min_cover[c] != 0 for c in cat.objects)
+    assert made and skipped
 
 
 def test_trivial_on_terminal():
@@ -632,26 +670,72 @@ def test_local_equality(two):
         local_equality(J, 0, 2)
 
 
+def _arrows_equal_on_one_leg():
+    """Legs u: 0 -> 2 and v: 1 -> 2 and two arrows h, k: 2 -> 3 with
+    h∘u = k∘u and h∘v ≠ k∘v, as arrows 4, 5, 6 and 7."""
+    arrows = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (1, 2), (2, 3), (2, 3), (0, 3), (1, 3),
+              (1, 3)]
+    identities = [0, 1, 2, 3]
+    comp = {}
+    for f, (a, b) in enumerate(arrows):
+        comp[(identities[b], f)] = comp[(f, identities[a])] = f
+    comp[(6, 4)] = comp[(7, 4)] = 8
+    comp[(6, 5)], comp[(7, 5)] = 9, 10
+    return validate_category(4, arrows, identities, comp)
+
+
 def test_local_equality_is_memoised_per_instance(monkeypatch, two):
-    """A verdict is decided once per topology instance and pair; an equal
-    topology built separately decides it again; a non-parallel pair raises
-    on every call, each time deciding afresh, as nothing was kept."""
-    import sitecalc.topology as topology
-    counts = count_computes(monkeypatch, topology)
+    """Local equality compares the per-arrow keys of the topology, built
+    once per topology instance; an equal topology built separately builds
+    its own, and a non-parallel pair raises on every call without building
+    them.  On every parallel pair it equals the agreement-sieve scan of
+    `oracles.reference_local_equality`, both ways, and each non-parallel
+    pair raises there too: on 200 random conftest sites, and on arrows
+    that agree on one of two generators of a least cover
+    (`_arrows_equal_on_one_leg`), covered by both legs or by one."""
+    built = collections.Counter()
+    keys = GrothendieckTopology.__dict__["arrow_keys"]
+    build = keys.func
+
+    def counting(J):
+        built[id(J)] += 1
+        return build(J)
+    monkeypatch.setattr(keys, "func", counting)
     J = atomic_topology(two)
-    for _ in range(3):
-        assert local_equality(J, 2, 2) is True
-    assert counts == {(id(J), ("local_equality", 2, 2)): 1}
-    twin = atomic_topology(two)
-    assert twin == J and twin is not J
-    assert local_equality(twin, 2, 2) is True
-    assert counts[id(twin), ("local_equality", 2, 2)] == 1
     for _ in range(2):
         with pytest.raises(ValueError, match="parallel"):
             local_equality(J, 0, 2)
-    assert counts[id(J), ("local_equality", 0, 2)] == 2
-    assert local_equality(J, 2, 2) is True
-    assert counts[id(J), ("local_equality", 2, 2)] == 1
+    assert not built
+    for _ in range(3):
+        assert local_equality(J, 2, 2) is True
+    assert built == {id(J): 1}
+    twin = atomic_topology(two)
+    assert twin == J and twin is not J
+    assert local_equality(twin, 2, 2) is True
+    assert built == {id(J): 1, id(twin): 1}
+
+    rng = random.Random(23)
+    sites = []
+    for _ in range(200):
+        cat = random_category(rng)
+        sites.append(random_topology(rng, cat))
+    legs = _arrows_equal_on_one_leg()
+    sites += [generate_topology(legs, [(2, mask)]) for mask in (0b110000, 0b10000)]
+    assert [local_equality(J, 6, 7) for J in sites[-2:]] == [False, True]
+    outcomes = collections.Counter()
+    for J in sites:
+        cat = J.cat
+        for h in cat.arrows:
+            for k in cat.arrows:
+                if (cat.dom[h], cat.cod[h]) == (cat.dom[k], cat.cod[k]):
+                    equal = local_equality(J, h, k)
+                    assert equal == reference_local_equality(J, h, k)
+                    outcomes[h == k, equal] += 1
+                else:
+                    for decide in (local_equality, reference_local_equality):
+                        with pytest.raises(ValueError, match="parallel"):
+                            decide(J, h, k)
+    assert set(outcomes) == {(True, True), (False, True), (False, False)}
 
 
 def test_induced_topology_is_memoised_per_functor_and_topology_value(monkeypatch, two):
