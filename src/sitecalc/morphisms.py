@@ -13,11 +13,16 @@ Clause (iii) of weak denseness reads the families over the least cover of
 each image object, and what each finds, from one table per topology and
 pair of image objects (`_clause_iii_tables`), so pairs of objects over
 the same image pair share it; local equality is read off the topology's
-per-arrow keys.
+per-arrow keys.  J-fullness and clause (iii) find their arrows through
+one kernel (`_found_arrows`), whose slots are built once per object.
+Clause (iii) of a morphism of sites keeps one bitmask of cone apexes per
+arrow into each image (`_cone_masks`) and lays out the spans into each
+pair of image objects once, so a realized instance is one `&`.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -170,52 +175,63 @@ def is_morphism_of_sites(sf: SiteFunctor) -> Verdict:
 
 def _check_morphism_of_sites(sf: SiteFunctor) -> Verdict:
     """Clauses (iii) and (iv) collect what the cones realize once, then
-    look each gp up instead of scanning for a cone.  For (iii), gp is good
-    for (g1, g2) exactly when g1∘gp = F(f1)∘h and g2∘gp = F(f2)∘h for one
-    cone (cc, h), so the cones through each arrow into each F(c) are
-    collected once.  For (iv), gp is good for g exactly when g∘gp is a
-    realized composite F(k)∘h with f1∘k = f2∘k.  What the cones realize
-    is closed under precomposition, so when the instance itself is
-    realized every gp is good."""
+    look each gp up instead of scanning for a cone.  What the cones
+    realize is closed under precomposition, so when the instance itself is
+    realized every gp is good, and the maximal sieve covers.
+
+    For (iii), gp is good for (g1, g2) exactly when g1∘gp = F(f1)∘h and
+    g2∘gp = F(f2)∘h for one cone (cc, h).  So per object c and arrow u
+    into F(c), the apexes (cc, h) with u = F(f)∘h, f: cc -> c, are one
+    bitmask (`_cone_masks`), and a span is realized when the masks at its
+    two legs meet.  The spans (d, g1, g2) into each pair of image objects
+    are laid out when the pair is first met, and kept only where pairs
+    (c1, c2) share them: an injective functor keeps none.
+    For (iv), gp is good for g exactly when g∘gp lies in the sieve of the
+    realized composites F(k)∘h with f1∘k = f2∘k: g pulls it back."""
     F, J, K = sf.F, sf.J, sf.K
     C, D = F.source, F.target
-    rows = D.composites
+    rows, column = D.composites, D.into_position
 
     cp = is_cover_preserving(sf)
     if not cp:
         return _no("morphism-of-sites", clause="i",
                    object=cp.witness["object"], sieve=cp.witness["sieve"])
 
-    for d in D.objects:
-        good = _sieve_to_image(F, d)
+    for d, good in enumerate(_sieves_to_image(F)):
         if not K.is_covering(d, good):
             return _no("morphism-of-sites", clause="ii", object=d, sieve=good)
 
-    # per object c: arrow u into F(c) -> the cones (cc, h) with u = F(f)∘h, f: cc -> c
-    cones: list[dict[int, set[tuple[int, int]]]] = [{} for _ in C.objects]
-    for cc in C.objects:
-        for f in C.arrows_out_of(cc):
-            Ff, through = F.on_arr(f), cones[C.cod[f]]
-            for h, Ffh in zip(D.arrows_into(F.on_obj(cc)), rows[Ff]):
-                through.setdefault(Ffh, set()).add((cc, h))
-    no_cones: frozenset[tuple[int, int]] = frozenset()
-    tops = [maximal_sieve_mask(D, d) for d in D.objects]
+    cones = _cone_masks(F)
+    # per image object e: per d, ascending, the arrows g: d -> e with their columns
+    legs: dict[int, dict[int, list[tuple[int, int]]]] = {}
+    for e in F.image_objects:
+        by_dom: dict[int, list[tuple[int, int]]] = {}
+        for p, g in enumerate(D.arrows_into(e)):
+            by_dom.setdefault(D.dom[g], []).append((g, p))
+        legs[e] = dict(sorted(by_dom.items()))
+    # the spans into each pair of image objects, kept where pairs (c1, c2) share it
+    spans: dict[tuple[int, int], list[tuple[int, int, int, int, int]]] = {}
+    fibres = collections.Counter(F.obj_map)
     for c1, c2 in itertools.product(C.objects, repeat=2):
-        cones1, cones2 = cones[c1], cones[c2]
-        e1, e2 = F.on_obj(c1), F.on_obj(c2)
-        for d in D.objects:
-            for g1 in D.hom(d, e1):
-                for g2 in D.hom(d, e2):
-                    if not cones1.get(g1, no_cones).isdisjoint(cones2.get(g2, no_cones)):
-                        good = tops[d]
-                    else:
-                        good = mask_of(
-                            gp for gp, g1gp, g2gp in zip(D.arrows_into(d), rows[g1], rows[g2])
-                            if not cones1.get(g1gp, no_cones).isdisjoint(
-                                cones2.get(g2gp, no_cones)))
-                    if not K.is_covering(d, good):
-                        return _no("morphism-of-sites", clause="iii",
-                                   instance={"d": d, "g1": g1, "g2": g2}, sieve=good)
+        ends = F.on_obj(c1), F.on_obj(c2)
+        laid = spans.get(ends)
+        if laid is None:
+            legs2 = legs[ends[1]]
+            laid = [(d, g1, p1, g2, p2) for d, legs1 in legs[ends[0]].items()
+                    if d in legs2 for g1, p1 in legs1 for g2, p2 in legs2[d]]
+            if fibres[ends[0]] * fibres[ends[1]] > 1:
+                spans[ends] = laid
+        at1, at2 = cones[c1], cones[c2]
+        for d, g1, p1, g2, p2 in laid:
+            if at1[p1] & at2[p2]:
+                continue
+            good = 0
+            for gp, u1, u2 in zip(D.arrows_into(d), rows[g1], rows[g2]):
+                if at1[column[u1]] & at2[column[u2]]:
+                    good |= 1 << gp
+            if not K.is_covering(d, good):
+                return _no("morphism-of-sites", clause="iii",
+                           instance={"d": d, "g1": g1, "g2": g2}, sieve=good)
 
     for c1, c2 in itertools.product(C.objects, repeat=2):
         for f1 in C.hom(c1, c2):
@@ -228,14 +244,13 @@ def _check_morphism_of_sites(sf: SiteFunctor) -> Verdict:
                         if D.compose(F.on_arr(f1), g) != D.compose(F.on_arr(f2), g):
                             continue
                         if realized is None:
-                            realized = {Fkh for cc in C.objects for k in C.hom(cc, c1)
-                                        if C.compose(f1, k) == C.compose(f2, k)
-                                        for Fkh in rows[F.on_arr(k)]}
-                        if g in realized:
-                            good = tops[d]
-                        else:
-                            good = mask_of(gp for gp, ggp in zip(D.arrows_into(d), rows[g])
-                                           if ggp in realized)
+                            realized = mask_of(F.on_arr(k) for cc in C.objects
+                                               for k in C.hom(cc, c1)
+                                               if C.compose(f1, k) == C.compose(f2, k))
+                            realized = generate_mask(D, realized)
+                        if (realized >> g) & 1:
+                            continue
+                        good = pullback_mask(D, realized, g)
                         if not K.is_covering(d, good):
                             return _no("morphism-of-sites", clause="iv",
                                        instance={"f1": f1, "f2": f2, "g": g, "d": d},
@@ -243,12 +258,37 @@ def _check_morphism_of_sites(sf: SiteFunctor) -> Verdict:
     return _yes("morphism-of-sites")
 
 
-def _sieve_to_image(F: FinFunctor, d: int) -> int:
-    """The arrows into d whose domain maps to some image object F(c): the
-    sieve of morphism-of-sites clause (ii) and of cofinality clause (i)."""
+def _cone_masks(F: FinFunctor) -> list[list[int]]:
+    """Per object c of the source, per column p of `arrows_into(F(c))`,
+    the bitmask of the cone apexes (cc, h), h into F(cc), with
+    F(f)∘h the p-th arrow into F(c) for some f: cc -> c.  Apex (cc, h) is
+    bit i + n, for h the i-th arrow into F(cc) and n the arrows into the
+    images of the objects before cc."""
+    C, D = F.source, F.target
+    column = D.into_position
+    cones = [[0] * len(D.arrows_into(F.on_obj(c))) for c in C.objects]
+    offset = 0
+    for cc in C.objects:
+        for f in C.arrows_out_of(cc):
+            through = cones[C.cod[f]]
+            for i, Ffh in enumerate(D.composites[F.on_arr(f)]):
+                through[column[Ffh]] |= 1 << (offset + i)
+        offset += len(D.arrows_into(F.on_obj(cc)))
+    return cones
+
+
+def _sieves_to_image(F: FinFunctor) -> list[int]:
+    """Per object d of the target, the arrows into d whose domain maps to
+    some image object F(c): the sieve of morphism-of-sites clause (ii) and
+    of cofinality clause (i).  The objects with an arrow to an image
+    object are found once, as the domains of the arrows into one."""
     D = F.target
-    return mask_of(g for g in D.arrows_into(d)
-                   if any(D.hom(D.dom[g], F.on_obj(c)) for c in F.source.objects))
+    reach = {D.dom[u] for e in F.image_objects for u in D.arrows_into(e)}
+    sieves = [0] * D.n_objects
+    for g, (a, d) in enumerate(zip(D.dom, D.cod)):
+        if a in reach:
+            sieves[d] |= 1 << g
+    return sieves
 
 
 def _cone_sieve_iii(sf: SiteFunctor, c1: int, c2: int, g1: int, g2: int) -> int:
@@ -428,8 +468,7 @@ def is_J_cofinal(F: FinFunctor, J: GrothendieckTopology) -> Verdict:
     """The two clauses of J-cofinality: local existence of factorizations and
     local connection of pairs, via components of (c ↓ F)."""
     A, C = F.source, F.target
-    for c in C.objects:
-        good = _sieve_to_image(F, c)
+    for c, good in enumerate(_sieves_to_image(F)):
         if not J.is_covering(c, good):
             return _no("cofinal", clause="i", object=c, sieve=good)
     comma = _CommaComponents(C, [F.on_obj(a) for a in A.objects],
@@ -518,13 +557,21 @@ def _check_local_properties(sf: SiteFunctor) -> dict[str, Verdict]:
         return _yes("J-faithful")
 
     def full() -> Verdict:
-        images = {(a, y): {F.on_arr(k) for k in C.hom(a, y)}
-                  for a in C.objects for y in C.objects}
+        # g finds f when F(k) = g∘F(f) for some k: the test of `_found_arrows`
+        # with the single-valued rows R(φ) = {g∘φ}
+        images, rows = _image_homs(F), {}
+
+        def row(g: int) -> list[int]:
+            if g not in rows:
+                rows[g] = [1 << u for u in D.composites[g]]
+            return rows[g]
         for x in C.objects:
+            fx, slots = F.on_obj(x), _found_slots(F, x)
             for y in C.objects:
-                for g in D.hom(F.on_obj(x), F.on_obj(y)):
-                    good = mask_of(f for f in C.arrows_into(x)
-                                   if D.compose(g, F.on_arr(f)) in images[C.dom[f], y])
+                gs = D.hom(fx, F.on_obj(y))
+                if not gs:
+                    continue
+                for g, good in zip(gs, _found_arrows(slots, images[y], map(row, gs))):
                     if not J.is_covering(x, good):
                         return _no("J-full", instance={"x": x, "y": y, "g": g}, sieve=good)
         return _yes("J-full")
@@ -666,13 +713,22 @@ def _weakly_dense_clause_iii(sf: SiteFunctor) -> Verdict:
     C = F.source
     images = _image_homs(F)
     for x in C.objects:
-        fx = F.on_obj(x)
+        fx, slots = F.on_obj(x), _found_slots(F, x)
         for y in C.objects:
             tables = _clause_iii_tables(K, fx, F.on_obj(y))
-            if all(J.is_covering(x, ok) for ok in _found_arrows(F, x, images[y], tables)):
+            if all(J.is_covering(x, ok) for ok in _found_arrows(slots, images[y], tables)):
                 continue
-            u = K.first_failing_cover(fx, lambda u: _clause_iii_failure(sf, x, y, u) is None)
-            g, found = _clause_iii_failure(sf, x, y, u)
+            # the tables fail at m, so the walk does not search m again; each
+            # cover it tests is searched once, the one it returns included
+            m, failures = K.min_cover[fx], {}
+
+            def passes(u: int) -> bool:
+                if u == m:
+                    return False
+                failures[u] = _clause_iii_failure(sf, x, y, u)
+                return failures[u] is None
+            u = K.first_failing_cover(fx, passes)
+            g, found = failures.get(u) or _clause_iii_failure(sf, x, y, u)
             return _no("weakly-dense", clause="iii",
                        instance={"x": x, "y": y, "sieve": u, "family": g}, found=found)
     return _yes("weakly-dense")
@@ -687,10 +743,10 @@ def _clause_iii_failure(sf: SiteFunctor, x: int, y: int,
     `_value_families` fails, as they find what those find."""
     F, J, K = sf.F, sf.J, sf.K
     fx, fy = F.on_obj(x), F.on_obj(y)
-    images = _image_homs(F)[y]
+    slots, images = _found_slots(F, x), _image_homs(F)[y]
 
     def found(families: Iterable[dict[int, int]]) -> Iterator[int]:
-        return _found_arrows(F, x, images, (_restrictions(K, fx, g, fy) for g in families))
+        return _found_arrows(slots, images, (_restrictions(K, fx, g, fy) for g in families))
     if (u_mask >> F.target.identity[fx]) & 1 and all(
             J.is_covering(x, ok) for ok in found(_value_families(F.target, fx, fy))):
         return None
@@ -762,19 +818,26 @@ def _image_homs(F: FinFunctor) -> list[list[int]]:
     return images
 
 
-def _found_arrows(F: FinFunctor, x: int, images: Sequence[int],
-                  restrictions: Iterable[tuple[int, ...]]) -> Iterator[int]:
-    """Per `_restrictions` R on F(x) into F(y), in order, the mask of the
-    arrows f into x found by it: those with F(k) in R(F(f)) for some
-    k: dom f -> y, the images of which are `images[dom f]`
-    (`_image_homs(F)[y]`)."""
+def _found_slots(F: FinFunctor, x: int) -> list[tuple[int, int, int]]:
+    """The slots of `_found_arrows` at x: per arrow f into x, (1 << f, the
+    column of F(f) among the arrows into F(x), dom f)."""
     C, D = F.source, F.target
-    slots = [(1 << f, D.into_position[F.on_arr(f)], images[C.dom[f]])
-             for f in C.arrows_into(x)]
+    return [(1 << f, D.into_position[F.on_arr(f)], C.dom[f]) for f in C.arrows_into(x)]
+
+
+def _found_arrows(slots: Sequence[tuple[int, int, int]], images: Sequence[int],
+                  restrictions: Iterable[Sequence[int]]) -> Iterator[int]:
+    """Per row R of masks over the arrows into F(x), one per column of
+    `arrows_into(F(x))`, in order, the mask of the arrows f into x it
+    finds: those with F(k) in R(F(f)) for some k: dom f -> y, the images
+    of which are `images[dom f]` (`_image_homs(F)[y]`).  `slots` are
+    `_found_slots(F, x)`.  Clause (iii) of weak denseness passes the
+    `_restrictions` of its families; J-fullness of g: F(x) -> F(y) passes
+    R(φ) = {g∘φ}, which finds the f with g∘F(f) in F(C(dom f, y))."""
     for r in restrictions:
         ok = 0
-        for bit, i, homs in slots:
-            if r[i] & homs:
+        for bit, i, a in slots:
+            if r[i] & images[a]:
                 ok |= bit
         yield ok
 
@@ -1389,10 +1452,12 @@ def recheck_witness(sf: SiteFunctor, verdict: Verdict) -> bool:
 
     Counterexample witnesses are re-verified directly from the recorded
     quantifier instance (the morphism-of-sites clauses by the direct scans
-    that the checker replaces with look-ups, a composite flag by the part
-    it records); an object out of range or a mask that is not a sieve on
-    it replays False.  Positive certificates are replayed by re-running
-    the corresponding checker, or those of a composite flag's parts.
+    that the checker replaces with look-ups, weak-denseness clause (iii)
+    by the definition at its recorded family, a composite flag and
+    weak-denseness clause (i) by the part they record); an object out of
+    range or a mask that is not a sieve on it replays False.  Positive
+    certificates are replayed by re-running the corresponding checker, or
+    those of a composite flag's parts.
     """
     w = verdict.witness
     kind = w["kind"]
@@ -1428,6 +1493,12 @@ def recheck_witness(sf: SiteFunctor, verdict: Verdict) -> bool:
         if inner["kind"] in ("J-full", "J-faithful", "K-dense") and not is_continuous(sf).holds:
             return False
         return recheck_witness(sf, Verdict(False, inner))
+    if kind == "weakly-dense" and w.get("clause") == "i":
+        inner = w.get("witness", {})
+        return inner.get("kind") == "cover-reflecting" \
+            and recheck_witness(sf, Verdict(False, inner))
+    if kind == "weakly-dense" and w.get("clause") == "iii":
+        return _replays_weakly_dense_clause_iii(sf, w)
     if kind == "weakly-dense" and w.get("clause") == "ii":
         d, s = w["object"], w["sieve"]
         return d in D.objects and s == generate_mask(D, next(_realized_arrows(sf, [d]))) \
@@ -1486,7 +1557,7 @@ def _replays_morphism_of_sites(sf: SiteFunctor, w: dict) -> bool:
     if not (d in D.objects and is_sieve_mask(D, d, sieve)):
         return False
     if clause == "ii":
-        return sieve == _sieve_to_image(F, d) and not K.is_covering(d, sieve)
+        return sieve == _sieves_to_image(F)[d] and not K.is_covering(d, sieve)
     inst = w["instance"]
     if clause == "iii":
         g1, g2 = inst["g1"], inst["g2"]
@@ -1504,6 +1575,35 @@ def _replays_morphism_of_sites(sf: SiteFunctor, w: dict) -> bool:
             return False
         found = _cone_sieve_iv(sf, f1, f2, g) == sieve
     return found and not K.is_covering(d, sieve)
+
+
+def _replays_weakly_dense_clause_iii(sf: SiteFunctor, w: dict) -> bool:
+    """Clause (iii) of weak denseness from its record alone: U must be a
+    K-cover of F(x) and g a coherent family over U into F(y), with
+    g_{h∘z} ≡_K g_h∘z for each member h and z into dom h.  `found` must be
+    the arrows f into x for which some k: dom f -> y has
+    F(k)∘v ≡_K g_{F(f)∘v} at every v with F(f)∘v in U, and it must not
+    J-cover x.  Local equality compares `arrow_keys`; no family is
+    searched and no table is read."""
+    F, J, K = sf.F, sf.J, sf.K
+    C, D = F.source, F.target
+    x, y, u, g = (w["instance"][key] for key in ("x", "y", "sieve", "family"))
+    if not (x in C.objects and y in C.objects and isinstance(g, dict)):
+        return False
+    fx, fy = F.on_obj(x), F.on_obj(y)
+    if not (is_sieve_mask(D, fx, u) and K.is_covering(fx, u) and set(g) == set(bits(u))
+            and all(g[h] in D.hom(D.dom[h], fy) for h in g)):
+        return False
+    if not all(local_equality(K, g[hz], D.compose(g[h], z))
+               for h in g for z, hz in zip(D.arrows_into(D.dom[h]), D.composites[h])):
+        return False
+    found = mask_of(
+        f for f in C.arrows_into(x)
+        if any(all(local_equality(K, D.compose(F.on_arr(k), v), g[fv])
+                   for v, fv in zip(D.arrows_into(F.on_obj(C.dom[f])), D.composites[F.on_arr(f)])
+                   if (u >> fv) & 1)
+               for k in C.hom(C.dom[f], y)))
+    return w["found"] == found and not J.is_covering(x, found)
 
 
 # the parts, by (kind, clause), whose failure a failed composite flag records

@@ -6,13 +6,15 @@ machine --witness`.  It records the exit code and the sha256 of stdout,
 followed by stderr, with the `seconds` field of the status record masked,
 so two runs of the same code give the same entry.  The corpus is the shipped
 `two_atomic.site` and documents built by the `tests/test_cli.py` helpers:
-leg-covered vees (one with seeded restriction maps), chains, cyclic
-groups and the diamond, each with up to four presheaves and up to two
-functors, and two points that fail weak denseness (`Z2_POINT_SITE` and
-`LATE_MISS_SITE`), a 21-leg vee whose sieve guard fires while parsing,
-and a cospan whose atomic topology breaks stability twice.  The trivial and atomic topologies are joined by `sieve:`
-topologies whose least covers hold composable arrows, so that the family
-searches meet forced values and local equality.  The vees with five and
+leg-covered vees (one with seeded restriction maps), chains (among them
+the atomic 4-chain and the trivial 5-chain, whose comma sites the
+benchmark's `classify` workload builds), cyclic groups and the diamond,
+each with up to four presheaves and up to two functors, and two points
+that fail weak denseness (`Z2_POINT_SITE` and `LATE_MISS_SITE`), a 21-leg
+vee whose sieve guard fires while parsing, and a cospan whose atomic
+topology breaks stability twice.  The trivial and atomic topologies are
+joined by `sieve:` topologies whose least covers hold composable arrows,
+so that the family searches meet forced values and local equality.  The vees with five and
 six legs run only `sheafify`, `validate` and `topology canonical`:
 `factorize hyper-localic` takes over ten seconds on the five-leg vee.
 
@@ -151,7 +153,7 @@ def corpus() -> dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]]:
     for k, m in ((3, 2), (4, 2), (3, 3), (5, 2), (6, 2)):
         docs[f"vee{k}x{m}"] = (vee_site(k, m), one, ("G",) if k < 5 else ())
     docs["vee4x3-seed7"] = (vee_site(4, 3, seed=7), one, ("G",))
-    for n, kind in ((3, "trivial"), (4, "trivial"), (3, "atomic")):
+    for n, kind in ((3, "trivial"), (4, "trivial"), (3, "atomic"), (4, "atomic"), (5, "trivial")):
         docs[f"chain{n}-{kind}"] = (_chain(n, f"kind: {kind}"), one, ("Id", "C"))
     # the 4-chain with 3 covered by the sieve of 1 -> 3, which holds 0 -> 3 = (1 -> 3)∘(0 -> 1)
     docs["chain4-sieve"] = (_chain(4, "sieve: 3 : a1_3", 4), PRESHEAVES, ("Id", "C"))

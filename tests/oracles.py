@@ -30,8 +30,10 @@ carried their own copy of a building block the checkers now share:
 the hom-set scans, the colimit comparison and the connection loop;
 `reference_j_faithful` and `reference_j_full` scan every parallel pair
 and every arrow of a hom-set where `morphisms.local_property_tests` reads
-images off a set.  The constructors of derived categories (comma, full
-subcategory, quotient, poset, elements and sieve-diagram shape) are kept
+images off masks, and `reference_morphism_of_sites` scans every cone for
+each arrow where the checker reads cone bitmasks.  The constructors of
+derived categories (comma, full subcategory, quotient, poset, elements and
+sieve-diagram shape) are kept
 here as they were before they shared `fincat.derived_category`, each with
 its own index and composition code; `category_from_table` turns their pair
 mappings into the rows a category stores.
@@ -56,6 +58,7 @@ from sitecalc.morphisms import (
     _sheafified,
     _yes,
     _yoneda_sheaf_arrow,
+    is_cover_preserving,
     sieve_diagram,
 )
 from sitecalc.presheaf import (
@@ -747,6 +750,70 @@ def reference_cocone_is_sheaf_colimit(D: FinFunctor, vertex: int, legs,
                                                  "b": b, "x2": x2},
                                        sieve=good)
     return _yes("sheaf-colimit")
+
+
+def reference_morphism_of_sites(sf: SiteFunctor) -> dict:
+    """The witness of the morphism-of-sites check, clauses (i)-(iv), with a
+    scan over every cone for each gp where the checker reads cone bitmasks
+    and realized sieves."""
+    F, K = sf.F, sf.K
+    C, D = F.source, F.target
+    cp = is_cover_preserving(sf)
+    if not cp:
+        return {"kind": "morphism-of-sites", "holds": False, "clause": "i",
+                "object": cp.witness["object"], "sieve": cp.witness["sieve"]}
+    for d in D.objects:
+        good = mask_of(
+            g for g in D.arrows_into(d)
+            if any(D.hom(D.dom[g], F.on_obj(c1)) for c1 in C.objects))
+        if not K.is_covering(d, good):
+            return {"kind": "morphism-of-sites", "holds": False, "clause": "ii",
+                    "object": d, "sieve": good}
+    for c1, c2 in itertools.product(C.objects, repeat=2):
+        for d in D.objects:
+            for g1 in D.hom(d, F.on_obj(c1)):
+                for g2 in D.hom(d, F.on_obj(c2)):
+                    good = 0
+                    for gp in D.arrows_into(d):
+                        e = D.dom[gp]
+                        if any(
+                            D.compose(F.on_arr(f1), h) == D.compose(g1, gp)
+                            and D.compose(F.on_arr(f2), h) == D.compose(g2, gp)
+                            for cc in C.objects
+                            for h in D.hom(e, F.on_obj(cc))
+                            for f1 in C.hom(cc, c1)
+                            for f2 in C.hom(cc, c2)
+                        ):
+                            good |= 1 << gp
+                    if not K.is_covering(d, good):
+                        return {"kind": "morphism-of-sites", "holds": False, "clause": "iii",
+                                "instance": {"d": d, "g1": g1, "g2": g2}, "sieve": good}
+    for c1, c2 in itertools.product(C.objects, repeat=2):
+        for f1 in C.hom(c1, c2):
+            for f2 in C.hom(c1, c2):
+                if f1 == f2:
+                    continue
+                for d in D.objects:
+                    for g in D.hom(d, F.on_obj(c1)):
+                        if D.compose(F.on_arr(f1), g) != D.compose(F.on_arr(f2), g):
+                            continue
+                        good = 0
+                        for gp in D.arrows_into(d):
+                            e = D.dom[gp]
+                            if any(
+                                D.compose(F.on_arr(k), h) == D.compose(g, gp)
+                                for cc in C.objects
+                                for k in C.hom(cc, c1)
+                                if C.compose(f1, k) == C.compose(f2, k)
+                                for h in D.hom(e, F.on_obj(cc))
+                            ):
+                                good |= 1 << gp
+                        if not K.is_covering(d, good):
+                            return {"kind": "morphism-of-sites", "holds": False,
+                                    "clause": "iv",
+                                    "instance": {"f1": f1, "f2": f2, "g": g, "d": d},
+                                    "sieve": good}
+    return {"kind": "morphism-of-sites", "holds": True}
 
 
 def reference_j_faithful(sf: SiteFunctor) -> Verdict:

@@ -46,7 +46,7 @@ from conftest import (
     random_site_functors,
     random_topology,
 )
-from oracles import reference_j_faithful, reference_j_full
+from oracles import reference_j_faithful, reference_j_full, reference_morphism_of_sites
 
 
 def morphism_corpus(rng, n=8):
@@ -278,6 +278,25 @@ def test_dual_adjunction_through_comma_sites(m2c_corpus):
             patterns["c2m"][tuple(flags.values())] += 1
     assert sum(patterns["m2c"].values()) >= 100 and sum(patterns["c2m"].values()) >= 100
     assert all(len(c) >= 4 for c in patterns.values())
+
+
+def test_morphism_of_sites_matches_reference_on_comma_sites(m2c_corpus):
+    """`is_morphism_of_sites` gives the verdict and witness of the scan over
+    every cone (`oracles.reference_morphism_of_sites`) on π_C, π_D and i_F
+    of each m2c comma site.  The projections send several objects onto
+    one, so pairs (c1, c2) share their pair of image objects and the spans
+    laid out for it; among them are passes and clause (iii) failures of
+    π_C.  i_F is injective on objects, so its pairs never share."""
+    seen = collections.Counter()
+    for sf, m2c in m2c_corpus:
+        if m2c is None:
+            continue
+        for case in (*m2c.projections.values(), m2c.embedding):
+            case = SiteFunctor(case.F, case.J, case.K)
+            v = is_morphism_of_sites(case)
+            assert v.witness == reference_morphism_of_sites(case)
+            seen[v.witness.get("clause"), len(set(case.F.obj_map)) < case.F.source.n_objects] += 1
+    assert seen[None, True] and seen["iii", True] and seen[None, False], seen
 
 
 def test_local_verdicts_match_the_strict_scans(m2c_corpus):

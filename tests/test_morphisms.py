@@ -106,6 +106,7 @@ from oracles import (
     reference_comorphism_inclusion,
     reference_local_equality,
     reference_locally_connected,
+    reference_morphism_of_sites,
     reference_yoneda_arrow,
     subpresheaves,
 )
@@ -1190,20 +1191,52 @@ def _reference_weakly_dense_clause_iii(sf):
             for u_mask in K.covers[fx]:
                 members = sorted(bits(u_mask))
                 for g in _reference_coherent_families(D, K, fx, members, fy):
-                    ok = 0
-                    for f in C.arrows_into(x):
-                        if any(all(reference_local_equality(K, D.compose(g[h], z),
-                                                            D.compose(F.on_arr(k), w))
-                                   for h in members for e in D.objects
-                                   for w in D.hom(e, F.on_obj(C.dom[f]))
-                                   for z in D.hom(e, D.dom[h])
-                                   if D.compose(F.on_arr(f), w) == D.compose(h, z))
-                               for k in C.hom(C.dom[f], y)):
-                            ok |= 1 << f
+                    ok = _reference_found(sf, x, y, g)
                     if not J.is_covering(x, ok):
                         return False, {"x": x, "y": y, "sieve": u_mask,
                                        "family": {h: g[h] for h in members}}, ok
     return True, None, None
+
+
+def _reference_found(sf, x, y, g):
+    """The arrows f into x that the coherent family g into F(y) finds, by
+    the definition: some k: dom f -> y has g_h∘z ≡_K F(k)∘w for every
+    member h of g and every w: e -> F(dom f) and z: e -> dom h with
+    F(f)∘w = h∘z, local equality read off the agreement sieve."""
+    F, K = sf.F, sf.K
+    C, D = F.source, F.target
+    ok = 0
+    for f in C.arrows_into(x):
+        if any(all(reference_local_equality(K, D.compose(g[h], z), D.compose(F.on_arr(k), w))
+                   for h in g for e in D.objects
+                   for w in D.hom(e, F.on_obj(C.dom[f]))
+                   for z in D.hom(e, D.dom[h])
+                   if D.compose(F.on_arr(f), w) == D.compose(h, z))
+               for k in C.hom(C.dom[f], y)):
+            ok |= 1 << f
+    return ok
+
+
+def _reference_clause_iii_counterexample(sf, instance, found):
+    """Whether a clause (iii) record is a counterexample by the definition:
+    its sieve a K-cover of F(x), its family coherent into F(y) there by the
+    agreement-sieve local equality at every z into each member's domain,
+    `found` the arrows `_reference_found` gives, not a J-cover of x."""
+    F, J, K = sf.F, sf.J, sf.K
+    C, D = F.source, F.target
+    x, y, u, g = instance["x"], instance["y"], instance["sieve"], instance["family"]
+    if x not in C.objects or y not in C.objects:
+        return False
+    fx, fy = F.on_obj(x), F.on_obj(y)
+    members = sorted(bits(u))
+    if u not in K.covers[fx] or sorted(g) != members \
+            or any(g[h] not in D.hom(D.dom[h], fy) for h in members):
+        return False
+    if not all(reference_local_equality(K, D.compose(g[h], z), g[D.compose(h, z)])
+               for h in members for e in D.objects for z in D.hom(e, D.dom[h])):
+        return False
+    ok = _reference_found(sf, x, y, g)
+    return found == ok and not J.is_covering(x, ok)
 
 
 def _identity_families_sharing_a_value(sf):
@@ -1348,6 +1381,123 @@ def test_clause_iii_searches_families_once_per_pair_on_an_atomic_isomorphism(mon
     assert 0 < len(calls) <= 16 and max(collections.Counter(calls).values()) == 1
 
 
+def test_failing_clause_iii_searches_each_cover_once(rng, monkeypatch):
+    """A failing clause (iii) searches each cover of F(x) at most once for
+    its failing pair (x, y): the walk keeps the family and found arrows
+    of each cover it tests, and it does not test the least cover m, which
+    the table has failed.  So a search repeats only where the first
+    failing cover is m and m does not hold the identity, which the table
+    searched too.  Counted by (topology, object, members, target) over the
+    132 failing clauses of the 300 random site functors: 170 searches, 22
+    of them repeats."""
+    calls = []
+    coherent_families = mor._coherent_families
+
+    def counting(D, K, carrier_obj, members, d):
+        calls.append((id(K), carrier_obj, tuple(members), d))
+        return coherent_families(D, K, carrier_obj, members, d)
+    monkeypatch.setattr(mor, "_coherent_families", counting)
+    failing = searches = repeats = 0
+    for sf in random_site_functors(rng, 300):
+        calls.clear()
+        v = _weakly_dense_clause_iii(sf)
+        if v.holds:
+            continue
+        F, K, inst = sf.F, sf.K, v.witness["instance"]
+        fx = F.on_obj(inst["x"])
+        m = K.min_cover[fx]
+        counts = collections.Counter(calls)
+        again = [key for key, n in counts.items() if n > 1]
+        assert max(counts.values(), default=0) <= 2
+        assert again in ([], [(id(K), fx, tuple(bits(m)), F.on_obj(inst["y"]))])
+        assert not again or inst["sieve"] == m
+        failing, searches, repeats = failing + 1, searches + len(calls), repeats + len(again)
+    assert (failing, searches, repeats) == (132, 170, 22)
+
+
+def test_j_fullness_and_clause_iii_share_the_found_arrow_kernel(rng, monkeypatch):
+    """J-fullness and clause (iii) of weak denseness read the arrows an
+    arrow g: F(x) -> F(y), or a family into F(y), finds through one
+    kernel, `_found_arrows`.  Patched to raise, it is reached by both on
+    every site functor of the corpus (`_clause_iii_corpus`), each of which
+    has g = id_F(x) to test at x = y, and by neither on one with an empty
+    source, which passes both."""
+    corpus = [SiteFunctor(sf.F, sf.J, sf.K) for sf in _clause_iii_corpus(rng)]
+
+    def no_kernel(*args):
+        raise LookupError("the found-arrow kernel ran")
+    monkeypatch.setattr(mor, "_found_arrows", no_kernel)
+    for sf in corpus:
+        assert sf.F.source.n_objects
+        with pytest.raises(LookupError, match="kernel"):
+            local_property_tests(sf)
+        with pytest.raises(LookupError, match="kernel"):
+            _weakly_dense_clause_iii(sf)
+    assert len(corpus) >= 400
+    empty = validate_category(0, [], [], {})
+    point = terminal_category()
+    sf = SiteFunctor(FinFunctor(empty, point, (), ()), trivial_topology(empty),
+                     trivial_topology(point))
+    assert local_property_tests(sf)["J_full"].holds and _weakly_dense_clause_iii(sf).holds
+
+
+def test_weakly_dense_clause_iii_witnesses_replay_from_their_record(rng, monkeypatch):
+    """A failed clause (iii) of weak denseness replays from its record,
+    with the clause, its tables, the family search and `is_weakly_dense`
+    patched to raise: on each failure of the corpus (`_clause_iii_corpus`).
+    A copy with one family value moved within its hom-set, one found arrow
+    toggled or y moved replays exactly when the definition, with local
+    equality by the agreement sieve and the found arrows over every
+    factorization, makes it a counterexample; copies of both kinds occur.
+    A failed clause (i) replays its nested cover-reflecting record, and
+    not with that record's object moved off its sieve."""
+    failures, clause_i = [], []
+    for sf in _clause_iii_corpus(rng):
+        v = _weakly_dense_clause_iii(sf)
+        if not v.holds:
+            failures.append((SiteFunctor(sf.F, sf.J, sf.K), v.witness))
+    for sf in random_site_functors(rng, 300):
+        if is_morphism_of_sites(sf) and is_weakly_dense(sf).witness.get("clause") == "i":
+            clause_i.append((SiteFunctor(sf.F, sf.J, sf.K), is_weakly_dense(sf).witness))
+
+    def raises(*args):
+        raise AssertionError("the replay re-ran a checker")
+    for name in ("_weakly_dense_clause_iii", "_clause_iii_tables", "_coherent_families",
+                 "_clause_iii_failure", "is_weakly_dense", "is_cover_reflecting"):
+        monkeypatch.setattr(mor, name, raises)
+
+    def replays(sf, instance, found):
+        return recheck_witness(sf, Verdict(False, {
+            "kind": "weakly-dense", "holds": False, "clause": "iii",
+            "instance": instance, "found": found}))
+    copies = collections.Counter()
+    for sf, w in failures:
+        F, D = sf.F, sf.F.target
+        inst, found = w["instance"], w["found"]
+        assert replays(sf, inst, found)
+        mutants = [({**inst, "y": y}, found) for y in F.source.objects if y != inst["y"]]
+        mutants += [(inst, found ^ (1 << f)) for f in F.source.arrows_into(inst["x"])]
+        fy = F.on_obj(inst["y"])
+        mutants += [({**inst, "family": {**inst["family"], h: v}}, found)
+                     for h, value in inst["family"].items()
+                     for v in D.hom(D.dom[h], fy) if v != value]
+        for instance, f in mutants:
+            counterexample = _reference_clause_iii_counterexample(sf, instance, f)
+            assert replays(sf, instance, f) == counterexample
+            copies[counterexample] += 1
+    assert len(failures) >= 100 and copies[True] and copies[False], copies
+    for sf, w in clause_i:
+        assert recheck_witness(sf, Verdict(False, w))
+        inner = w["witness"]
+        moved = [c for c in sf.F.source.objects
+                 if not is_sieve_mask(sf.F.source, c, inner["sieve"])]
+        assert not any(recheck_witness(sf, Verdict(False, {
+            **w, "witness": {**inner, "object": c}})) for c in moved)
+        assert not recheck_witness(sf, Verdict(False, {**w, "witness": {
+            **inner, "kind": "cover-preserving"}}))
+    assert clause_i
+
+
 def test_clause_ii_searches_only_the_objects_off_the_image_base(rng, monkeypatch):
     """`_realized_arrows` never runs when K covers every d by its image
     base, as for the endofunctors of random sites onto all their objects
@@ -1383,68 +1533,6 @@ def test_clause_ii_searches_only_the_objects_off_the_image_base(rng, monkeypatch
 # ---------------------------------------------------------------------------
 # morphism-of-sites clauses, clause (ii) of weak denseness and closed sieve
 # lifting against the scans they replace
-
-def _reference_morphism_of_sites(sf):
-    """Clauses (i)-(iv) with a scan over every cone for each gp."""
-    F, K = sf.F, sf.K
-    C, D = F.source, F.target
-    cp = is_cover_preserving(sf)
-    if not cp:
-        return {"kind": "morphism-of-sites", "holds": False, "clause": "i",
-                "object": cp.witness["object"], "sieve": cp.witness["sieve"]}
-    for d in D.objects:
-        good = mask_of(
-            g for g in D.arrows_into(d)
-            if any(D.hom(D.dom[g], F.on_obj(c1)) for c1 in C.objects))
-        if not K.is_covering(d, good):
-            return {"kind": "morphism-of-sites", "holds": False, "clause": "ii",
-                    "object": d, "sieve": good}
-    for c1, c2 in itertools.product(C.objects, repeat=2):
-        for d in D.objects:
-            for g1 in D.hom(d, F.on_obj(c1)):
-                for g2 in D.hom(d, F.on_obj(c2)):
-                    good = 0
-                    for gp in D.arrows_into(d):
-                        e = D.dom[gp]
-                        if any(
-                            D.compose(F.on_arr(f1), h) == D.compose(g1, gp)
-                            and D.compose(F.on_arr(f2), h) == D.compose(g2, gp)
-                            for cc in C.objects
-                            for h in D.hom(e, F.on_obj(cc))
-                            for f1 in C.hom(cc, c1)
-                            for f2 in C.hom(cc, c2)
-                        ):
-                            good |= 1 << gp
-                    if not K.is_covering(d, good):
-                        return {"kind": "morphism-of-sites", "holds": False, "clause": "iii",
-                                "instance": {"d": d, "g1": g1, "g2": g2}, "sieve": good}
-    for c1, c2 in itertools.product(C.objects, repeat=2):
-        for f1 in C.hom(c1, c2):
-            for f2 in C.hom(c1, c2):
-                if f1 == f2:
-                    continue
-                for d in D.objects:
-                    for g in D.hom(d, F.on_obj(c1)):
-                        if D.compose(F.on_arr(f1), g) != D.compose(F.on_arr(f2), g):
-                            continue
-                        good = 0
-                        for gp in D.arrows_into(d):
-                            e = D.dom[gp]
-                            if any(
-                                D.compose(F.on_arr(k), h) == D.compose(g, gp)
-                                for cc in C.objects
-                                for k in C.hom(cc, c1)
-                                if C.compose(f1, k) == C.compose(f2, k)
-                                for h in D.hom(e, F.on_obj(cc))
-                            ):
-                                good |= 1 << gp
-                        if not K.is_covering(d, good):
-                            return {"kind": "morphism-of-sites", "holds": False,
-                                    "clause": "iv",
-                                    "instance": {"f1": f1, "f2": f2, "g": g, "d": d},
-                                    "sieve": good}
-    return {"kind": "morphism-of-sites", "holds": True}
-
 
 def _reference_realized_arrows(sf):
     """Per object d, the arrows realized for clause (ii) of weak denseness,
@@ -1499,22 +1587,48 @@ def _equalizer_off_the_image():
     return SiteFunctor(incl, trivial_topology(C), trivial_topology(D))
 
 
+def _equalizer_realized_after_t():
+    """`_equalizer_off_the_image` with an object 4 and t: 4 -> 3,
+    s: 4 -> 0 where g∘t = k∘s.  Clause (iv) does not realize g, but g∘t
+    is realized, so (f1, f2, g) fails with the sieve ⟨t⟩ on 3, not the
+    empty one."""
+    # arrows: identities 0-4, k 5, f1 6, f2 7, m 8 = f1∘k, g 9, n 10 = f1∘g,
+    # t 11, s 12, 13 = g∘t = k∘s, 14 = m∘s = n∘t
+    arrows = [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (0, 1), (1, 2), (1, 2), (0, 2),
+              (3, 1), (3, 2), (4, 3), (4, 0), (4, 1), (4, 2)]
+    comp = {(6, 5): 8, (7, 5): 8, (6, 9): 10, (7, 9): 10, (9, 11): 13, (5, 12): 13,
+            (6, 13): 14, (7, 13): 14, (8, 12): 14, (10, 11): 14}
+    for f, (a, b) in enumerate(arrows):
+        comp[(b, f)] = comp[(f, a)] = f
+    D = validate_category(5, arrows, [0, 1, 2, 3, 4], comp)
+    C, incl = full_subcategory(D, [0, 1, 2])
+    return SiteFunctor(incl, trivial_topology(C), trivial_topology(D))
+
+
 def test_morphism_of_sites_matches_reference_scans(rng):
     """Looking gp up among what the cones realize gives the verdict and
     witness of the scan over every cone, on 600 random site functors with
-    generated topologies, which fail at each of the four clauses, and on a
-    clause (iv) failure where some composites are realized but not g."""
+    generated topologies, which fail at each of the four clauses, and on
+    two clause (iv) failures where some composites are realized but not g:
+    one where g pulls the realized sieve back to the empty sieve, and one
+    where it pulls it back to ⟨t⟩."""
     clauses = collections.Counter()
     for sf in random_site_functors(rng, 600):
         v = is_morphism_of_sites(sf)
-        assert v.witness == _reference_morphism_of_sites(sf)
+        assert v.witness == reference_morphism_of_sites(sf)
         clauses[v.witness.get("clause")] += 1
     assert all(clauses[c] for c in ("i", "ii", "iii", "iv", None))
     sf = _equalizer_off_the_image()
     v = is_morphism_of_sites(sf)
-    assert v.witness == _reference_morphism_of_sites(sf) == {
+    assert v.witness == reference_morphism_of_sites(sf) == {
         "kind": "morphism-of-sites", "holds": False, "clause": "iv",
         "instance": {"f1": 4, "f2": 5, "g": 8, "d": 3}, "sieve": 0}
+    assert recheck_witness(sf, v)
+    sf = _equalizer_realized_after_t()
+    v = is_morphism_of_sites(sf)
+    assert v.witness == reference_morphism_of_sites(sf) == {
+        "kind": "morphism-of-sites", "holds": False, "clause": "iv",
+        "instance": {"f1": 4, "f2": 5, "g": 9, "d": 3}, "sieve": 1 << 11}
     assert recheck_witness(sf, v)
 
 
