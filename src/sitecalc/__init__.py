@@ -15,7 +15,8 @@ import importlib
 # exported name -> the module that defines it
 _EXPORTS = {name: module for module, names in {
     "fincat": ("CategoryError", "CommaCategory", "FinCategory", "FinFunctor", "SizeGuardError",
-               "comma", "connected_components", "identity_functor", "validate_category"),
+               "comma", "connected_components", "identity_functor", "validate_category",
+               "validate_functor"),
     "topology": ("GrothendieckTopology", "TopologyError", "atomic_topology",
                  "trivial_topology", "validate_topology"),
     "presheaf": ("FinPresheaf", "PresheafMorphism", "canonical_topology", "is_sheaf",

@@ -14,7 +14,8 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .fincat import CategoryError, FinCategory, FinFunctor, SizeGuardError, validate_category
+from .fincat import (CategoryError, FinCategory, FinFunctor, SizeGuardError, validate_category,
+                     validate_functor)
 from .sieves import generate_mask, mask_of
 from .topology import (
     GrothendieckTopology,
@@ -310,7 +311,7 @@ def _finish_functor(doc: SiteDocument, section, body):
     if None in obj_map or None in arr_map:
         raise SiteParseError(lineno, f"functor {name!r} is missing assignments")
     try:
-        fun = FinFunctor(A.category, B.category, tuple(obj_map), tuple(arr_map))
+        fun = validate_functor(A.category, B.category, obj_map, arr_map)
     except CategoryError as exc:
         raise SiteParseError(lineno, f"invalid functor {name!r}: {exc}") from None
     doc.functors[name] = FunctorDecl(name, src, tgt, fun)

@@ -3,6 +3,9 @@
 Objects and arrows are dense small integers.  A category stores its full
 composition table as one row per arrow g, the composites g∘f along
 `arrows_into(dom g)`.  Everything is immutable after construction.
+Categories and functors are plain data: outside input goes through
+`validate_category` and `validate_functor`, and constructions build
+directly.
 """
 
 from __future__ import annotations
@@ -289,30 +292,12 @@ def monoid_category(mult: Sequence[Sequence[int]], unit: int) -> FinCategory:
 
 @dataclass(frozen=True)
 class FinFunctor:
+    """Plain data, as `FinCategory` is: outside input goes through
+    `validate_functor`."""
     source: FinCategory
     target: FinCategory
     obj_map: tuple[int, ...]
     arr_map: tuple[int, ...]
-
-    def __post_init__(self):
-        src, tgt = self.source, self.target
-        if len(self.obj_map) != src.n_objects or len(self.arr_map) != src.n_arrows:
-            raise CategoryError(["functor maps have wrong length"])
-        bad = []
-        for f in src.arrows:
-            ff = self.arr_map[f]
-            if tgt.dom[ff] != self.obj_map[src.dom[f]] or tgt.cod[ff] != self.obj_map[src.cod[f]]:
-                bad.append(f"functor breaks dom/cod at arrow {f}")
-        for c in src.objects:
-            if self.arr_map[src.identity[c]] != tgt.identity[self.obj_map[c]]:
-                bad.append(f"functor breaks identity at object {c}")
-        for g, row in enumerate(src.composites):
-            for f, h in zip(src.arrows_into(src.dom[g]), row):
-                Fg, Ff = self.arr_map[g], self.arr_map[f]
-                if tgt.cod[Ff] != tgt.dom[Fg] or tgt.compose(Fg, Ff) != self.arr_map[h]:
-                    bad.append(f"functor breaks composition at pair ({g}, {f})")
-        if bad:
-            raise CategoryError(bad)
 
     def on_obj(self, c: int) -> int:
         return self.obj_map[c]
@@ -332,6 +317,20 @@ class FinFunctor:
     def image_objects(self) -> frozenset[int]:
         return frozenset(self.obj_map)
 
+    @cached_property
+    def image_sieves(self) -> tuple[int, ...]:
+        """Per source arrow f, the mask of the principal sieve ⟨F f⟩."""
+        return tuple([self.target.principal_sieves[g] for g in self.arr_map])
+
+    def image_sieve(self, mask: int) -> int:
+        """The sieve generated by F(S), S given as `mask`: the union of `image_sieves`."""
+        out, sieves = 0, self.image_sieves
+        while mask:
+            low = mask & -mask
+            out |= sieves[low.bit_length() - 1]
+            mask ^= low
+        return out
+
     def is_full(self) -> bool:
         for a in self.source.objects:
             for b in self.source.objects:
@@ -347,6 +346,32 @@ class FinFunctor:
                 if len({self.arr_map[f] for f in hom}) != len(hom):
                     return False
         return True
+
+
+def validate_functor(source: FinCategory, target: FinCategory, obj_map: Sequence[int],
+                     arr_map: Sequence[int]) -> FinFunctor:
+    """Check that the maps send dom/cod, identities and composites of the
+    source to those of the target; return the functor or raise
+    CategoryError listing every broken instance."""
+    obj_map, arr_map = tuple(obj_map), tuple(arr_map)
+    if len(obj_map) != source.n_objects or len(arr_map) != source.n_arrows:
+        raise CategoryError(["functor maps have wrong length"])
+    bad = []
+    for f in source.arrows:
+        ff = arr_map[f]
+        if target.dom[ff] != obj_map[source.dom[f]] or target.cod[ff] != obj_map[source.cod[f]]:
+            bad.append(f"functor breaks dom/cod at arrow {f}")
+    for c in source.objects:
+        if arr_map[source.identity[c]] != target.identity[obj_map[c]]:
+            bad.append(f"functor breaks identity at object {c}")
+    for g, row in enumerate(source.composites):
+        for f, h in zip(source.arrows_into(source.dom[g]), row):
+            Fg, Ff = arr_map[g], arr_map[f]
+            if target.cod[Ff] != target.dom[Fg] or target.compose(Fg, Ff) != arr_map[h]:
+                bad.append(f"functor breaks composition at pair ({g}, {f})")
+    if bad:
+        raise CategoryError(bad)
+    return FinFunctor(source, target, obj_map, arr_map)
 
 
 def identity_functor(cat: FinCategory) -> FinFunctor:
@@ -389,18 +414,22 @@ def comma(F: FinFunctor, G: FinFunctor) -> CommaCategory:
         raise SizeGuardError(f"comma category has {len(objects)} objects (budget {MAX_ARROWS})")
     obj_index = {o: i for i, o in enumerate(objects)}
 
+    # G(v)∘α = α2∘F(u), read off the rows of G(v) and α2
+    rows, pos = C.composites, C.into_position
     arrow_data = []
     for si, (a, b, alpha) in enumerate(objects):
         for u in A.arrows_out_of(a):
+            a2, at_Fu = A.cod[u], pos[F.arr_map[u]]
             for v in B.arrows_out_of(b):
-                a2, b2 = A.cod[u], B.cod[v]
-                for alpha2 in C.hom(F.on_obj(a2), G.on_obj(b2)):
-                    if C.compose(G.on_arr(v), alpha) == C.compose(alpha2, F.on_arr(u)):
+                b2, Gv_alpha = B.cod[v], rows[G.arr_map[v]][pos[alpha]]
+                for alpha2 in C.hom(F.obj_map[a2], G.obj_map[b2]):
+                    if Gv_alpha == rows[alpha2][at_Fu]:
                         arrow_data.append((si, obj_index[(a2, b2, alpha2)], u, v))
+    a_rows, a_pos, b_rows, b_pos = A.composites, A.into_position, B.composites, B.into_position
     cat, arr_index = derived_category(
         len(objects), arrow_data,
         [(i, i, A.identity[a], B.identity[b]) for i, (a, b, _) in enumerate(objects)],
-        lambda g, f: (f[0], g[1], A.compose(g[2], f[2]), B.compose(g[3], f[3])))
+        lambda g, f: (f[0], g[1], a_rows[g[2]][a_pos[f[2]]], b_rows[g[3]][b_pos[f[3]]]))
     left = FinFunctor(cat, A, tuple(o[0] for o in objects), tuple(d[2] for d in arrow_data))
     right = FinFunctor(cat, B, tuple(o[1] for o in objects), tuple(d[3] for d in arrow_data))
     return CommaCategory(cat, objects, tuple(arrow_data), left, right, obj_index, arr_index)

@@ -50,6 +50,7 @@ from .sieves import (
 )
 from .topology import (
     GrothendieckTopology,
+    TopologyError,
     closure_mask,
     coinduced_topology,
     induced_topology,
@@ -131,7 +132,7 @@ def is_cover_preserving(sf: SiteFunctor) -> Verdict:
     (L1 at `GrothendieckTopology.first_failing_cover`)."""
     F, J, K = sf.F, sf.J, sf.K
     for c in F.source.objects:
-        s = J.first_failing_cover(c, lambda s: K.covers_family(F.on_obj(c), _image(F, s)))
+        s = J.first_failing_cover(c, lambda s: K.is_covering(F.on_obj(c), F.image_sieve(s)))
         if s is not None:
             return _no("cover-preserving", object=c, sieve=s)
     return _yes("cover-preserving")
@@ -146,7 +147,7 @@ def _check_cover_reflecting(sf: SiteFunctor) -> Verdict:
     (L3 at `GrothendieckTopology.first_passing_non_cover`)."""
     F, J, K = sf.F, sf.J, sf.K
     for c in F.source.objects:
-        s = J.first_passing_non_cover(c, lambda s: K.covers_family(F.on_obj(c), _image(F, s)))
+        s = J.first_passing_non_cover(c, lambda s: K.is_covering(F.on_obj(c), F.image_sieve(s)))
         if s is not None:
             return _no("cover-reflecting", object=c, sieve=s)
     return _yes("cover-reflecting")
@@ -963,11 +964,12 @@ def classify_morphism(sf: SiteFunctor) -> MorphismClassification:
     jf = induced_topology(sf.F, sf.K)
     ii = _weakly_dense_clause_ii(sf)
     if jf == sf.J:
-        f_r = sf
+        inclusion = is_weakly_dense(sf)
     else:
         f_r = SiteFunctor(sf.F, jf, sf.K)
         _memo(f_r, ("weakly-dense-ii",), lambda: ii)  # clause (ii) reads only F and K
-    inclusion = is_weakly_dense(f_r)
+        v = is_weakly_dense(f_r)  # the record names J_F, so a replay reads (F, J_F, K)
+        inclusion = Verdict(v.holds, {**v.witness, "source_topology": "induced"})
     csl = closed_sieve_lifting(sf)
     hyperconnected = _conjunction("hyperconnected", surjection, csl)
     localic = _localic_condition(sf)
@@ -1457,12 +1459,18 @@ def recheck_witness(sf: SiteFunctor, verdict: Verdict) -> bool:
     weak-denseness clause (i) by the part they record); an object out of
     range or a mask that is not a sieve on it replays False.  Positive
     certificates are replayed by re-running the corresponding checker, or
-    those of a composite flag's parts.
+    those of a composite flag's parts.  A record whose `source_topology`
+    is "induced" was decided, and replays, on (F, J_F, K).
     """
     w = verdict.witness
     kind = w["kind"]
     F, J, K = sf.F, sf.source_topology, sf.target_topology
     C, D = F.source, F.target
+    if w.get("source_topology") == "induced":  # decided on J_F, as an inclusion flag may be
+        try:
+            J = induced_topology(F, K)
+        except TopologyError:
+            return False
     sf = SiteFunctor(F, J, K)  # re-run the checkers, not the verdicts kept on sf
     if verdict.holds:
         runner = _POSITIVE_RUNNERS.get(kind)

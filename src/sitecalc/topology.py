@@ -316,7 +316,7 @@ def induced_topology(F: FinFunctor, K: GrothendieckTopology) -> GrothendieckTopo
     value of K (an equal K on the target finds it); a TopologyError keeps
     nothing."""
     return _memo(F, ("induced_topology", K), lambda: topology_where(
-        F.source, lambda c, s: K.covers_family(F.on_obj(c), mask_of(F.on_arr(f) for f in bits(s)))))
+        F.source, lambda c, s: K.is_covering(F.obj_map[c], F.image_sieve(s))))
 
 
 def coinduced_topology(F: FinFunctor, J: GrothendieckTopology) -> GrothendieckTopology:
@@ -343,8 +343,8 @@ def fibration_topology(p: FinFunctor, K: GrothendieckTopology) -> GrothendieckTo
     if not ok:
         raise ValueError(f"not a fibration: no cartesian lift at {witness}")
     cart = mask_of(cartesian_arrows(p))
-    return topology_where(p.source, lambda c, s: K.covers_family(
-        p.on_obj(c), mask_of(p.on_arr(f) for f in bits(s & cart))))
+    return topology_where(p.source, lambda c, s: K.is_covering(
+        p.obj_map[c], p.image_sieve(s & cart)))
 
 
 def local_equality(J: GrothendieckTopology, h: int, k: int) -> bool:

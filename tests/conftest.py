@@ -17,6 +17,7 @@ from sitecalc.fincat import (
     poset_category,
     terminal_category,
     validate_category,
+    validate_functor,
 )
 from sitecalc.morphisms import SiteFunctor
 from sitecalc.presheaf import (
@@ -42,7 +43,7 @@ def make_two() -> FinCategory:
 
 
 def make_collapse_functor(two: FinCategory) -> FinFunctor:
-    return FinFunctor(two, two, (1, 1), (1, 1, 1))
+    return validate_functor(two, two, (1, 1), (1, 1, 1))
 
 
 def indiscrete_category(n: int) -> FinCategory:
@@ -78,7 +79,7 @@ def product_category(A: FinCategory, B: FinCategory) -> tuple[FinCategory, FinFu
             if A.cod[f1] == A.dom[f2] and B.cod[g1] == B.dom[g2]:
                 comp[(j, i)] = aidx[(A.compose(f2, f1), B.compose(g2, g1))]
     cat = category_from_table(len(objs), dom, cod, identities, comp)
-    proj = FinFunctor(cat, A, tuple(o[0] for o in objs), tuple(a[0] for a in arrs))
+    proj = validate_functor(cat, A, tuple(o[0] for o in objs), tuple(a[0] for a in arrs))
     return cat, proj
 
 
@@ -123,7 +124,7 @@ def grothendieck_total(base: FinCategory, fibers: list[FinCategory],
             psi_mapped = phi(f)[1][psi]
             comp[(j, i)] = aidx[(s1, t2, gf, fibers[b].compose(psi_mapped, phi_a))]
     cat = category_from_table(len(objs), dom, cod, identities, comp)
-    proj = FinFunctor(cat, base, tuple(o[0] for o in objs), tuple(a[2] for a in arrs))
+    proj = validate_functor(cat, base, tuple(o[0] for o in objs), tuple(a[2] for a in arrs))
     return cat, proj
 
 
@@ -141,7 +142,7 @@ def _monotone_maps(src: FinCategory, dst: FinCategory):
         if not ok:
             continue
         try:
-            yield FinFunctor(src, dst, tuple(obj_map), tuple(arr_map))
+            yield validate_functor(src, dst, tuple(obj_map), tuple(arr_map))
         except Exception:
             continue
 
@@ -344,7 +345,7 @@ def all_functors(A: FinCategory, B: FinCategory, limit: int = 4000):
                 for g, row in enumerate(A.composites)
                 for f, h in zip(A.arrows_into(A.dom[g]), row))
             if ok:
-                out.append(FinFunctor(A, B, obj_map, tuple(arr_map)))
+                out.append(validate_functor(A, B, obj_map, tuple(arr_map)))
     return out
 
 

@@ -45,7 +45,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from sitecalc.fincat import MAX_ARROWS, FinCategory, FinFunctor, SizeGuardError, validate_category
+from sitecalc.fincat import (MAX_ARROWS, FinCategory, FinFunctor, SizeGuardError,
+                            validate_category, validate_functor)
 from sitecalc.morphisms import (
     SiteFunctor,
     Verdict,
@@ -1022,12 +1023,12 @@ def reference_comma(F: FinFunctor, G: FinFunctor):
             if t1 == s2:
                 comp_table[(j, i)] = arr_index[(s1, t2, A.compose(u2, u1), B.compose(v2, v1))]
     cat = category_from_table(len(objects), dom, cod, identities, comp_table)
-    left = FinFunctor(cat, A,
-                      tuple(o[0] for o in objects),
-                      tuple(d[2] for d in arrow_data))
-    right = FinFunctor(cat, B,
-                       tuple(o[1] for o in objects),
-                       tuple(d[3] for d in arrow_data))
+    left = validate_functor(cat, A,
+                            tuple(o[0] for o in objects),
+                            tuple(d[2] for d in arrow_data))
+    right = validate_functor(cat, B,
+                             tuple(o[1] for o in objects),
+                             tuple(d[3] for d in arrow_data))
     return cat, tuple(objects), tuple(arrow_data), left, right
 
 
@@ -1045,7 +1046,7 @@ def reference_full_subcategory(cat: FinCategory, objects):
         {(arr_index[g], arr_index[f]): arr_index[cat.compose(g, f)]
          for g in arrows for f in cat.arrows_into(cat.dom[g]) if f in arr_index},
     )
-    inclusion = FinFunctor(sub, cat, tuple(objects), tuple(arrows))
+    inclusion = validate_functor(sub, cat, tuple(objects), tuple(arrows))
     return sub, inclusion
 
 
@@ -1070,9 +1071,9 @@ def reference_quotient_by_functor_congruence(F: FinFunctor):
         comp[(arr_class[g], arr_class[f])] = arr_class[h]
     quotient = category_from_table(cat.n_objects, dom, cod,
                                    [arr_class[cat.identity[c]] for c in cat.objects], comp)
-    projection = FinFunctor(cat, quotient, tuple(cat.objects), tuple(arr_class))
-    induced = FinFunctor(quotient, F.target, F.obj_map,
-                         tuple(F.on_arr(rep[k]) for k in range(n)))
+    projection = validate_functor(cat, quotient, tuple(cat.objects), tuple(arr_class))
+    induced = validate_functor(quotient, F.target, F.obj_map,
+                               tuple(F.on_arr(rep[k]) for k in range(n)))
     return quotient, projection, induced
 
 
@@ -1092,9 +1093,9 @@ def reference_category_of_elements(P: FinPresheaf):
             if cat.cod[g] == cat.dom[f] and y == P.res(f, x):
                 comp[(j, i)] = arr_index[(cat.compose(f, g), x)]
     category = category_from_table(len(objects), dom, cod, identities, comp)
-    projection = FinFunctor(category, cat,
-                            tuple(o[0] for o in objects),
-                            tuple(a[0] for a in arrow_decode))
+    projection = validate_functor(category, cat,
+                                  tuple(o[0] for o in objects),
+                                  tuple(a[0] for a in arrow_decode))
     return category, projection, tuple(objects), tuple(arrow_decode)
 
 

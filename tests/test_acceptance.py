@@ -11,10 +11,10 @@ import time
 import pytest
 
 from sitecalc.fincat import (
-    FinFunctor,
     identity_functor,
     monoid_category,
     poset_category,
+    validate_functor,
 )
 from sitecalc.morphisms import (
     SiteFunctor,
@@ -339,7 +339,7 @@ def test_acceptance_08_bimorphism_biconditional_as_specified():
     corpus = _bimorphism_corpus(25, SEED + 9)
     M = monoid_category([[0, 1], [1, 1]], 0)
     ind = indiscrete_category(2)
-    F = FinFunctor(M, ind, (0,), (ind.identity[0], ind.identity[0]))
+    F = validate_functor(M, ind, (0,), (ind.identity[0], ind.identity[0]))
     corpus.append(SiteFunctor(F, trivial_topology(M), trivial_topology(ind)))
     discrepancies = []
     for sf in corpus:
@@ -360,7 +360,7 @@ def test_acceptance_08_corrected_biconditional():
     corpus = _bimorphism_corpus(25, SEED + 9)
     M = monoid_category([[0, 1], [1, 1]], 0)
     ind = indiscrete_category(2)
-    F = FinFunctor(M, ind, (0,), (ind.identity[0], ind.identity[0]))
+    F = validate_functor(M, ind, (0,), (ind.identity[0], ind.identity[0]))
     corpus.append(SiteFunctor(F, trivial_topology(M), trivial_topology(ind)))
     for sf in corpus:
         props = local_property_tests(sf)
@@ -423,7 +423,7 @@ def test_acceptance_10_locally_connected():
     V = poset_category(3, [(0, 2), (1, 2)])
     counterexamples = [
         (make_collapse_functor(two), "a"),
-        (FinFunctor(V, V, (0, 0, 2), (0, 1, 0, 1, 4)), "b"),
+        (validate_functor(V, V, (0, 0, 2), (0, 1, 0, 1, 4)), "b"),
     ]
     for F, clause in counterexamples:
         v = is_locally_connected_presheaf(F)

@@ -955,7 +955,16 @@ def test_functor_breaking_dom_cod_is_invalid_input(tmp_path, python_flags):
     dom/cod, so the image of (v, i1) and of (v, u) does not compose in B:
     invalid input (exit 2, listing every violation) with no traceback."""
     doc_path = tmp_path / "bad_functor.site"
-    doc_path.write_text("\n".join([
+    doc_path.write_text(LAW_BREAKING_FUNCTORS["dom/cod"][0])
+    out = sitecalc_cli(doc_path, "validate", python_flags=python_flags)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert LAW_BREAKING_FUNCTORS["dom/cod"][1] in out.stderr
+
+
+# per functor law, a document whose functor F breaks it, and the message
+LAW_BREAKING_FUNCTORS = {
+    "dom/cod": ("\n".join([
         "site-format 1",
         "category A",
         "  objects: 3",
@@ -969,10 +978,55 @@ def test_functor_breaking_dom_cod_is_invalid_input(tmp_path, python_flags):
         "functor F : A -> B",
         "  objects: 0 -> 0, 1 -> 1, 2 -> 1",
         "  arrows: i0 -> j0, i1 -> j1, i2 -> j1, u -> p, v -> q, w -> p",
-    ]) + "\n")
-    out = sitecalc_cli(doc_path, "validate", python_flags=python_flags)
+    ]) + "\n", "invalid functor 'F': functor breaks dom/cod at arrow 4; "
+                "functor breaks composition at pair (4, 1); "
+                "functor breaks composition at pair (4, 3)"),
+    # the monoid {1, e} with e∘e = e, and Z_2
+    **{law: ("\n".join([
+        "site-format 1",
+        "category M",
+        "  objects: 1",
+        "  arrows: i: 0 -> 0, e: 0 -> 0",
+        "  identities: i",
+        "  compose: e . e = e",
+        "category Z",
+        "  objects: 1",
+        "  arrows: i: 0 -> 0, r: 0 -> 0",
+        "  identities: i",
+        "  compose: r . r = i",
+        *functor,
+    ]) + "\n", message) for law, functor, message in [
+        ("identity", ["functor F : M -> M", "  objects: 0 -> 0", "  arrows: i -> e, e -> e"],
+         "invalid functor 'F': functor breaks identity at object 0\n"),
+        ("composition", ["functor F : Z -> M", "  objects: 0 -> 0", "  arrows: i -> i, r -> e"],
+         "invalid functor 'F': functor breaks composition at pair (1, 1)\n")]},
+}
+
+
+@pytest.mark.parametrize("argv", [("validate",), ("classify-morphism", "F"),
+                                  ("comma", "m2c", "F")])
+@pytest.mark.parametrize("law", sorted(LAW_BREAKING_FUNCTORS))
+def test_functor_breaking_a_law_is_invalid_input(tmp_path, law, argv):
+    """Whichever command reads the document, a functor that breaks
+    dom/cod, an identity or a composite is invalid input: exit 2 with
+    every violation listed, no traceback."""
+    text, message = LAW_BREAKING_FUNCTORS[law]
+    doc_path = tmp_path / "bad_functor.site"
+    doc_path.write_text(text)
+    code, out, err = main_in_process(doc_path, *argv)
+    assert code == 2
+    assert "Traceback" not in out + err
+    assert message in err
+
+
+def test_functor_identity_check_survives_optimize(tmp_path):
+    """The identity check, which the dom/cod document above does not meet,
+    does not live in an `assert` either: `comma m2c` under `python -O`
+    still exits 2 with the message."""
+    text, message = LAW_BREAKING_FUNCTORS["identity"]
+    doc_path = tmp_path / "bad_functor.site"
+    doc_path.write_text(text)
+    out = sitecalc_cli(doc_path, "comma", "m2c", "F", python_flags=["-O"])
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
-    assert ("invalid functor 'F': functor breaks dom/cod at arrow 4; "
-            "functor breaks composition at pair (4, 1); "
-            "functor breaks composition at pair (4, 3)") in out.stderr
+    assert message in out.stderr

@@ -13,12 +13,12 @@ from sitecalc.constructions import (
     morphism_to_comorphism,
 )
 from sitecalc.fincat import (
-    FinFunctor,
     SizeGuardError,
     comma,
     identity_functor,
     monoid_category,
     validate_category,
+    validate_functor,
 )
 from sitecalc.morphisms import (
     SiteFunctor,
@@ -121,7 +121,7 @@ def test_adjunction_certificate_needs_a_natural_unit():
     monoid {1, e} with e∘e = e, η = e is natural for the identity, but
     g ↦ g∘e sends both arrows to e, so only η = 1 is a unit."""
     Z3 = monoid_category([[(i + j) % 3 for j in range(3)] for i in range(3)], 0)
-    inversion = FinFunctor(Z3, Z3, (0,), (0, 2, 1))
+    inversion = validate_functor(Z3, Z3, (0,), (0, 2, 1))
     identity = identity_functor(Z3)
     assert all(len(Z3.hom(identity.on_obj(a), b)) == len(Z3.hom(a, inversion.on_obj(b)))
                for a in Z3.objects for b in Z3.objects)
@@ -146,7 +146,7 @@ def test_m2c_object_budget():
     discrete = validate_category(n, [(c, c) for c in range(n)], range(n),
                                  {(c, c): c for c in range(n)})
     Z16 = monoid_category([[(i + j) % 16 for j in range(16)] for i in range(16)], 0)
-    F = FinFunctor(discrete, Z16, (0,) * n, (0,) * n)
+    F = validate_functor(discrete, Z16, (0,) * n, (0,) * n)
     with pytest.raises(SizeGuardError, match="65552 objects"):
         comma(F, identity_functor(Z16))
 

@@ -11,10 +11,25 @@ Derived presheaves likewise: every presheaf, presheaf morphism and
 subpresheaf that a construction builds from lawful data (representables,
 sheafifications on both paths with their units, colimits with their legs,
 C^s_J's sheaf arrows, χ_d and the rest) passes `validate_presheaf`,
-`validate_presheaf_morphism` or the closure test."""
+`validate_presheaf_morphism` or the closure test.
+
+Derived functors likewise: every functor a construction builds without
+`validate_functor` (comma projections, composites, corestrictions,
+inclusions, quotient functors, unit sections, j_F, i^s_K, the comprehensive
+lift, elements projections and the continuity oracle's image diagrams)
+passes it."""
+
+import ast
+import sys
 
 import pytest
 
+from sitecalc import constructions, fincat, morphisms, presheaf
+from sitecalc.constructions import (
+    comorphism_to_morphism_comma,
+    generalized_elements_fibration,
+    morphism_to_comorphism,
+)
 from sitecalc.fincat import (
     SizeGuardError,
     comma,
@@ -25,12 +40,18 @@ from sitecalc.fincat import (
     quotient_by_functor_congruence,
     terminal_category,
     validate_category,
+    validate_functor,
 )
 from sitecalc.morphisms import (
     SiteFunctor,
     _chi_morphism,
     _diagram_shape,
     _hom_presheaf,
+    comprehensive_factorization,
+    continuity_oracle,
+    hyperconnected_localic_factorization,
+    is_comorphism_of_sites,
+    is_morphism_of_sites,
     sieve_diagram,
 )
 from sitecalc.presheaf import (
@@ -63,6 +84,7 @@ from conftest import (
     random_category,
     random_fibration,
     random_presheaf,
+    random_site_functors,
     random_topology,
 )
 from oracles import (
@@ -76,6 +98,7 @@ from oracles import (
     reference_quotient_by_functor_congruence,
     subpresheaves,
 )
+from test_package import SRC, _direct_calls
 
 
 def _indexes(objects, arrow_keys):
@@ -290,3 +313,62 @@ def test_derived_presheaves_are_lawful(rng):
             assert validate_presheaf(P.cat, P.sizes, P.restrict) == P, label
         labels.add(label)
     assert len(labels) == 24
+
+
+def _functor_builders() -> dict[str, set[str]]:
+    """Per module of src/, the functions that call the `FinFunctor`
+    constructor themselves, `validate_functor` aside."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    out: dict[str, set[str]] = {}
+    for call in _direct_calls(trees, "FinFunctor"):
+        scope = call.partition(":")[0]
+        out.setdefault(scope.partition(".")[0], set()).add(scope.rsplit(".", 1)[1])
+    out["fincat"].discard("validate_functor")
+    return out
+
+
+def _derived_functors(rng, monkeypatch) -> list[tuple[str, fincat.FinFunctor]]:
+    """(building function, functor) for each functor that a construction
+    builds directly, over the category corpus and 40 random site functors:
+    their comma sites in the direction each admits, the two factorizations
+    through C^s_K and ∫F_K, and the continuity oracle.  The constructor is
+    wrapped in each module that calls it, so nothing is missed that these
+    inputs reach."""
+    built = []
+    real = fincat.FinFunctor
+
+    def record(*fields):
+        F, name = real(*fields), sys._getframe(1).f_code.co_name
+        if name != "validate_functor":  # the corpus's own maps, checked as they enter
+            built.append((name, F))
+        return F
+
+    for module in (fincat, morphisms, constructions, presheaf):
+        monkeypatch.setattr(module, "FinFunctor", record)
+    for _ in _corpus(rng):
+        pass
+    for i, sf in enumerate(random_site_functors(rng, 40)):
+        if is_morphism_of_sites(sf):
+            morphism_to_comorphism(sf)
+            if i < 12:
+                hyperconnected_localic_factorization(sf)
+        if is_comorphism_of_sites(sf):
+            comorphism_to_morphism_comma(sf)
+            generalized_elements_fibration(sf)
+        comprehensive_factorization(sf.F, sf.K)
+        continuity_oracle(sf)
+    monkeypatch.undo()
+    return built
+
+
+def test_derived_functors_are_lawful(rng, monkeypatch):
+    """`validate_functor` gives back each derived functor unchanged, and
+    the corpus reaches every function of src/ that builds one directly."""
+    builders = _functor_builders()
+    seen = set()
+    for name, F in _derived_functors(rng, monkeypatch):
+        assert validate_functor(F.source, F.target, F.obj_map, F.arr_map) == F, name
+        seen.add(name)
+    assert seen == set().union(*builders.values())
+    assert sorted(builders) == ["constructions", "fincat", "morphisms", "presheaf"]

@@ -6,7 +6,6 @@ from sitecalc.cli import parse
 from sitecalc.fincat import (
     CategoryError,
     FinCategory,
-    FinFunctor,
     cartesian_arrows,
     cartesian_vertical_factor,
     comma,
@@ -20,6 +19,7 @@ from sitecalc.fincat import (
     poset_category,
     terminal_category,
     validate_category,
+    validate_functor,
     vertical_arrows,
 )
 from sitecalc.presheaf import category_of_elements, yoneda
@@ -241,11 +241,33 @@ def test_comma_object_count_oracle(two):
     assert sorted(cc2.objects) == sorted(_brute_force_comma_objects(F, identity_functor(two)))
 
 
+@pytest.mark.parametrize("case, violations", [
+    ("dom/cod", ["functor breaks dom/cod at arrow 2",
+                 "functor breaks composition at pair (1, 2)"]),
+    ("identity", ["functor breaks identity at object 0"]),
+    ("composition", ["functor breaks composition at pair (1, 1)"]),
+    ("length", ["functor maps have wrong length"]),
+])
+def test_validate_functor_lists_every_broken_law(case, violations):
+    """u: 0 -> 1 sent to id_0 breaks dom/cod, and so the composite id_1∘u;
+    the constant map onto the idempotent e of {1, e} breaks the identity
+    only; Z_2 -> {1, e} with r ↦ e breaks r∘r = 1 only."""
+    two, monoid, z2 = make_two(), idempotent_monoid_category(), z2_category()
+    args = {"dom/cod": (two, two, (0, 1), (0, 1, 0)),
+            "identity": (monoid, monoid, (0,), (1, 1)),
+            "composition": (z2, monoid, (0,), (0, 1)),
+            "length": (two, two, (0,), (0, 1, 2))}[case]
+    with pytest.raises(CategoryError) as exc:
+        validate_functor(*args)
+    assert exc.value.violations == violations
+
+
 def test_comma_projections_are_functors(rng):
     for _ in range(5):
         cat = random_category(rng)
         cc = comma(identity_functor(cat), identity_functor(cat))
-        # FinFunctor validates on construction; re-validate the comma category itself
+        for p in (cc.left_projection, cc.right_projection):
+            assert validate_functor(p.source, p.target, p.obj_map, p.arr_map) == p
         validate_category(cc.category.n_objects,
                           list(zip(cc.category.dom, cc.category.cod)),
                           list(cc.category.identity), composition_table(cc.category))
@@ -290,7 +312,7 @@ def test_components_invariant_under_opposite(rng):
 def test_colimit_constant_diagram(two):
     one = terminal_category()
     for c in two.objects:
-        D = FinFunctor(one, two, (c,), (two.identity[c],))
+        D = validate_functor(one, two, (c,), (two.identity[c],))
         ok, _ = is_colimit_cocone(D, c, {0: two.identity[c]})
         assert ok
 
@@ -298,7 +320,7 @@ def test_colimit_constant_diagram(two):
 def test_colimit_fails_in_two(two):
     # diagram {0}, vertex 1, leg u: mediation fails at d = 0
     one = terminal_category()
-    D = FinFunctor(one, two, (0,), (two.identity[0],))
+    D = validate_functor(one, two, (0,), (two.identity[0],))
     ok, witness = is_colimit_cocone(D, 1, {0: 2})
     assert not ok
     assert witness["object"] == 0
@@ -314,12 +336,12 @@ def test_colimit_pushout_square():
     sarr = {(a, b): next(f for f in span.arrows if span.dom[f] == a and span.cod[f] == b)
             for a in range(3) for b in range(3)
             if any(span.dom[f] == a and span.cod[f] == b for f in span.arrows)}
-    D = FinFunctor(span, cat, (0, 1, 2),
-                   tuple(arr[(0, 0)] if f == sarr[(0, 0)] else
-                         arr[(1, 1)] if f == sarr[(1, 1)] else
-                         arr[(2, 2)] if f == sarr[(2, 2)] else
-                         arr[(0, 1)] if f == sarr[(0, 1)] else arr[(0, 2)]
-                         for f in span.arrows))
+    D = validate_functor(span, cat, (0, 1, 2),
+                         tuple(arr[(0, 0)] if f == sarr[(0, 0)] else
+                               arr[(1, 1)] if f == sarr[(1, 1)] else
+                               arr[(2, 2)] if f == sarr[(2, 2)] else
+                               arr[(0, 1)] if f == sarr[(0, 1)] else arr[(0, 2)]
+                               for f in span.arrows))
     legs = {0: arr[(0, 3)], 1: arr[(1, 3)], 2: arr[(2, 3)]}
     ok, _ = is_colimit_cocone(D, 3, legs)
     assert ok
@@ -412,7 +434,7 @@ def test_cartesian_fails_with_two_fillers(two):
         2, [(0, 0), (1, 1), (0, 0), (0, 1)], [0, 1],
         {(0, 0): 0, (1, 1): 1, (2, 0): 2, (0, 2): 2, (2, 2): 2,
          (3, 0): 3, (1, 3): 3, (3, 2): 3})
-    p = FinFunctor(C, two, (0, 1), (0, 1, 0, 2))
+    p = validate_functor(C, two, (0, 1), (0, 1, 0, 2))
     assert not is_cartesian(p, 3)
     fillers = [chi for chi in C.hom(0, 0)
                if C.compose(3, chi) == 3 and p.on_arr(chi) == 0]

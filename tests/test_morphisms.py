@@ -9,7 +9,6 @@ import sitecalc.presheaf as ps
 from sitecalc.cli import parse
 from sitecalc.constructions import morphism_to_comorphism
 from sitecalc.fincat import (
-    FinFunctor,
     SizeGuardError,
     full_subcategory,
     identity_functor,
@@ -17,6 +16,7 @@ from sitecalc.fincat import (
     poset_category,
     terminal_category,
     validate_category,
+    validate_functor,
 )
 from sitecalc.morphisms import (
     SiteFunctor,
@@ -76,11 +76,13 @@ from sitecalc.sieves import (
     maximal_sieve_mask,
 )
 from sitecalc.topology import (
+    TopologyError,
     atomic_topology,
     closure_mask,
     coinduced_topology,
     fibration_topology,
     generate_topology,
+    induced_topology,
     smallest_comorphism_topology,
     trivial_topology,
 )
@@ -166,7 +168,7 @@ def test_cover_preserving_reflecting_examples(two):
     assert is_cover_reflecting(sf).holds
     # constant functor to the point reflects nothing from a trivial source
     one = terminal_category()
-    const = FinFunctor(two, one, (0, 0), (0, 0, 0))
+    const = validate_functor(two, one, (0, 0), (0, 0, 0))
     sf2 = SiteFunctor(const, trivial_topology(two), trivial_topology(one))
     v = is_cover_reflecting(sf2)
     assert not v.holds
@@ -201,7 +203,7 @@ def test_cover_preserving_non_continuous_comorphism():
     the bottom."""
     D = diamond()
     two = make_two()
-    F = FinFunctor(D, two, (0, 1, 1, 1), (0, 2, 2, 2, 1, 1, 1, 1, 1))
+    F = validate_functor(D, two, (0, 1, 1, 1), (0, 2, 2, 2, 1, 1, 1, 1, 1))
     sf = SiteFunctor(F, canonical_topology(D), canonical_topology(two))
     assert is_comorphism_of_sites(sf).holds
     assert is_cover_preserving(sf).holds
@@ -280,7 +282,7 @@ def test_trivial_topology_cofinal_is_classical(rng):
 def test_dense_subcategory_inclusion_cofinal(two):
     J = atomic_topology(two)
     one = terminal_category()
-    inc = FinFunctor(one, two, (0,), (0,))
+    inc = validate_functor(one, two, (0,), (0,))
     assert is_J_cofinal(inc, J).holds
 
 
@@ -291,13 +293,13 @@ def test_cocone_sheaf_colimit(two, rng):
         J = random_topology(rng, cat)
         c = rng.randrange(cat.n_objects)
         one = terminal_category()
-        D = FinFunctor(one, cat, (c,), (cat.identity[c],))
+        D = validate_functor(one, cat, (c,), (cat.identity[c],))
         v = cocone_is_sheaf_colimit(D, c, {0: cat.identity[c]}, J)
         assert v.holds
         assert cocone_sheaf_colimit_oracle(D, c, {0: cat.identity[c]}, J)
     # broken cocone: precondition error
     one = terminal_category()
-    D = FinFunctor(one, two, (0,), (two.identity[0],))
+    D = validate_functor(one, two, (0,), (two.identity[0],))
     with pytest.raises(ValueError):
         cocone_is_sheaf_colimit(D, 1, {0: two.identity[1]}, atomic_topology(two))
 
@@ -344,7 +346,8 @@ def _sieve_cocone(cat, c, mask):
     with vertex c."""
     members, edges = sieve_diagram(cat, mask)
     shape = _diagram_shape(len(members), edges, cat, members)
-    D = FinFunctor(shape, cat, tuple(cat.dom[f] for f in members), tuple(t for _, _, t in edges))
+    D = validate_functor(shape, cat, tuple(cat.dom[f] for f in members),
+                         tuple(t for _, _, t in edges))
     return D, dict(enumerate(members))
 
 
@@ -583,13 +586,13 @@ def test_functor_to_point_hyperconnected(two):
     one = terminal_category()
     # discrete source: not full onto the point, hence not hyperconnected
     disc = poset_category(2, [])
-    const = FinFunctor(disc, one, (0, 0), (0, 0))
+    const = validate_functor(disc, one, (0, 0), (0, 0))
     sf = SiteFunctor(const, trivial_topology(disc), trivial_topology(one))
     assert is_comorphism_of_sites(sf).holds
     assert not classify_comorphism(sf).hyperconnected.holds
     # indiscrete source: full with every object a retract: hyperconnected
     ind = indiscrete_category(2)
-    const2 = FinFunctor(ind, one, (0, 0), (0,) * ind.n_arrows)
+    const2 = validate_functor(ind, one, (0, 0), (0,) * ind.n_arrows)
     sf2 = SiteFunctor(const2, trivial_topology(ind), trivial_topology(one))
     assert classify_comorphism(sf2).hyperconnected.holds
 
@@ -634,7 +637,7 @@ def test_bimorphism_kfull_jdense_counterexample():
     from sitecalc.fincat import monoid_category
     M = monoid_category([[0, 1], [1, 1]], 0)
     ind = indiscrete_category(2)
-    F = FinFunctor(M, ind, (0,), (ind.identity[0], ind.identity[0]))
+    F = validate_functor(M, ind, (0,), (ind.identity[0], ind.identity[0]))
     sf = SiteFunctor(F, trivial_topology(M), trivial_topology(ind))
     assert is_morphism_of_sites(sf).holds
     assert is_comorphism_of_sites(sf).holds
@@ -743,7 +746,7 @@ def test_clause_b_counterexample():
     frozen; the witness is validated by the component oracle built into the
     checker itself."""
     V = poset_category(3, [(0, 2), (1, 2)])
-    F = FinFunctor(V, V, (0, 0, 2), (0, 1, 0, 1, 4))
+    F = validate_functor(V, V, (0, 0, 2), (0, 1, 0, 1, 4))
     v = is_locally_connected_presheaf(F)
     assert not v.holds and v.witness["clause"] == "b"
 
@@ -832,7 +835,7 @@ def test_comprehensive_projection_with_multi_element_sheaf_not_cofinal():
     leg is not terminally connected (a cofinality counterexample)."""
     disc = poset_category(2, [])
     one = terminal_category()
-    F = FinFunctor(disc, one, (0, 0), (0, 0))
+    F = validate_functor(disc, one, (0, 0), (0, 0))
     K = trivial_topology(one)
     fact = comprehensive_factorization(F, K)
     assert max(fact.sheaf.sizes) >= 2
@@ -890,12 +893,12 @@ def test_colimit_cocone_is_sheaf_colimit_for_canonical_topology():
                          if span.dom[f] == a and span.cod[f] == b)
             for a in range(3) for b in range(3)
             if any(span.dom[f] == a and span.cod[f] == b for f in span.arrows)}
-    D = FinFunctor(span, cat, (0, 1, 2),
-                   tuple(arr[(0, 0)] if f == sarr[(0, 0)] else
-                         arr[(1, 1)] if f == sarr[(1, 1)] else
-                         arr[(2, 2)] if f == sarr[(2, 2)] else
-                         arr[(0, 1)] if f == sarr[(0, 1)] else arr[(0, 2)]
-                         for f in span.arrows))
+    D = validate_functor(span, cat, (0, 1, 2),
+                         tuple(arr[(0, 0)] if f == sarr[(0, 0)] else
+                               arr[(1, 1)] if f == sarr[(1, 1)] else
+                               arr[(2, 2)] if f == sarr[(2, 2)] else
+                               arr[(0, 1)] if f == sarr[(0, 1)] else arr[(0, 2)]
+                               for f in span.arrows))
     legs = {0: arr[(0, 3)], 1: arr[(1, 3)], 2: arr[(2, 3)]}
     from sitecalc.fincat import is_colimit_cocone
     ok, _ = is_colimit_cocone(D, 3, legs)
@@ -973,7 +976,7 @@ def test_locally_connected_general_discriminates():
     upstream (frozen from a randomized search)."""
     from sitecalc.fincat import monoid_category
     M = monoid_category([[0, 1], [1, 1]], 0)
-    F = FinFunctor(M, M, (0,), (0, 0))
+    F = validate_functor(M, M, (0,), (0, 0))
     K = validate_or_generate(M, [2, 3])
     L = trivial_topology(M)
     sf = SiteFunctor(F, K, L)
@@ -1060,7 +1063,11 @@ def test_classify_morphism_matches_cold_checkers(rng):
         csl = closed_sieve_lifting(cold())
         ii = _weakly_dense_clause_ii(cold())
         assert cls.surjection == surjection
-        assert cls.inclusion == is_weakly_dense(cold(jf))
+        inclusion = is_weakly_dense(cold(jf))
+        if jf != J:  # the record names the topology it was decided on
+            inclusion = Verdict(inclusion.holds, {**inclusion.witness,
+                                                  "source_topology": "induced"})
+        assert cls.inclusion == inclusion
         assert cls.localic == _localic_condition(cold())
         assert cls.equivalence == is_weakly_dense(cold())
         assert cls.hyperconnected.holds == (surjection.holds and csl.holds)
@@ -1166,7 +1173,7 @@ def test_principal_presentations_match_family_search(rng):
                           {(0, 0): 0, (0, 2): 2, (2, 0): 2, (2, 2): 2,
                            (3, 0): 3, (3, 2): 3, (1, 1): 1, (1, 3): 3})
     one = terminal_category()
-    sf = SiteFunctor(FinFunctor(one, D, (1,), (1,)), trivial_topology(one),
+    sf = SiteFunctor(validate_functor(one, D, (1,), (1,)), trivial_topology(one),
                      trivial_topology(D))
     assert _principally_presented(sf) == _searched_principal_presentations(sf) == [0b100, 0b1010]
     assert not classify_morphism(sf).localic.holds
@@ -1436,7 +1443,7 @@ def test_j_fullness_and_clause_iii_share_the_found_arrow_kernel(rng, monkeypatch
     assert len(corpus) >= 400
     empty = validate_category(0, [], [], {})
     point = terminal_category()
-    sf = SiteFunctor(FinFunctor(empty, point, (), ()), trivial_topology(empty),
+    sf = SiteFunctor(validate_functor(empty, point, (), ()), trivial_topology(empty),
                      trivial_topology(point))
     assert local_property_tests(sf)["J_full"].holds and _weakly_dense_clause_iii(sf).holds
 
@@ -1661,7 +1668,8 @@ def test_weakly_dense_clause_ii_matches_reference_carriers(rng):
         comp[(b, f)] = comp[(f, a)] = f
     D = validate_category(3, arrows, [0, 1, 2], comp)
     one = terminal_category()
-    sf = SiteFunctor(FinFunctor(one, D, (0,), (0,)), trivial_topology(one), trivial_topology(D))
+    sf = SiteFunctor(validate_functor(one, D, (0,), (0,)), trivial_topology(one),
+                     trivial_topology(D))
     assert list(_realized_arrows(sf, D.objects)) == _reference_realized_arrows(sf) \
         == [0b1001, 0, 0b1110000]
 
@@ -1691,7 +1699,8 @@ def test_closed_sieve_lifting_reports_the_least_failing_sieve():
         comp[(b, f)] = comp[(f, a)] = f
     D = validate_category(4, arrows, [0, 1, 2, 3], comp)
     one = terminal_category()
-    sf = SiteFunctor(FinFunctor(one, D, (0,), (0,)), trivial_topology(one), trivial_topology(D))
+    sf = SiteFunctor(validate_functor(one, D, (0,), (0,)), trivial_topology(one),
+                     trivial_topology(D))
     assert closed_sieve_lifting(sf).witness == _reference_closed_sieve_lifting(sf) == {
         "kind": "closed-sieve-lifting", "holds": False, "object": 0, "sieve": 1 << 5}
 
@@ -1959,7 +1968,7 @@ def _localic_without_faithfulness():
     arrows = [(0, 0), (1, 1), (2, 2), (3, 3), (1, 0), (2, 0), (3, 1), (3, 2)]
     D = category(arrows + [(3, 0), (3, 0)], {(4, 6): 8, (5, 7): 9})
     C = category(arrows + [(3, 0)], {(4, 6): 8, (5, 7): 8})
-    F = FinFunctor(D, C, (0, 1, 2, 3), tuple(range(9)) + (8,))
+    F = validate_functor(D, C, (0, 1, 2, 3), tuple(range(9)) + (8,))
     J = generate_topology(D, [(0, mask_of([4, 5, 8, 9]))])
     return SiteFunctor(F, J, trivial_topology(C))
 
@@ -2216,8 +2225,7 @@ def test_out_of_range_or_non_sieve_records_replay_false(rng):
 
 def test_every_classifier_flag_replays_through_its_parts(rng):
     """On the 300 random site functors every flag of both classifiers
-    replays, except the 52 passing morphism-side inclusions: they are
-    decided on the induced topology J_F, which their record does not name.
+    replays, the morphism-side inclusions decided on J_F among them.
     A forged pass of a composite flag (morphism-side hyperconnected,
     essential surjection with closed image, comorphism equivalence)
     replays exactly when the flag holds.  Each failing part of a composite,
@@ -2269,7 +2277,7 @@ def test_every_classifier_flag_replays_through_its_parts(rng):
                     if "object" in inner:
                         assert not replays(object=out_of_range)
                     seen[kind, inner["kind"], continuous or not local] += 1
-    assert unreplayed == {("morphism", "inclusion", True): 52}, unreplayed
+    assert not unreplayed, unreplayed
     assert all(seen[key] for key in (
         ("hyperconnected", True), ("hyperconnected", False),
         ("essential-surjective-closed-image", True),
@@ -2283,6 +2291,39 @@ def test_every_classifier_flag_replays_through_its_parts(rng):
         ("comorphism-equivalence", "J-full", True), ("comorphism-equivalence", "J-full", False),
         ("comorphism-equivalence", "J-faithful", True),
         ("comorphism-equivalence", "K-dense", True))), seen
+
+
+def test_inclusion_flags_replay_on_the_induced_topology(rng):
+    """The morphism-side inclusion is weak denseness on (F, J_F, K).  Where
+    J_F differs from J its record says so, and it replays on J_F: each of
+    the 52 passes on the 300 random site functors, and each failure with
+    the clause it records (here clause (ii), as F is cover-reflecting for
+    J_F).  Without the mark a pass replays on J and is rejected; with it, a
+    forged pass on a functor along which K induces no topology replays
+    False."""
+    seen = collections.Counter()
+    forged = Verdict(True, {"kind": "weakly-dense", "holds": True,
+                            "source_topology": "induced"})
+    for sf in random_site_functors(rng, 300):
+        fresh = SiteFunctor(sf.F, sf.J, sf.K)
+        if not is_morphism_of_sites(fresh):
+            try:
+                induced_topology(sf.F, sf.K)
+            except TopologyError:
+                assert not recheck_witness(sf, forged)
+                seen["no J_F"] += 1
+            continue
+        v = classify_morphism(fresh).inclusion
+        on_jf = induced_topology(sf.F, sf.K) != sf.J
+        assert (v.witness.get("source_topology") == "induced") == on_jf
+        assert recheck_witness(sf, v)
+        if not on_jf:
+            continue
+        bare = {k: x for k, x in v.witness.items() if k != "source_topology"}
+        if v.holds:
+            assert not recheck_witness(sf, Verdict(True, bare))
+        seen[v.holds, v.witness.get("clause")] += 1
+    assert seen[True, None] == 52 and seen["no J_F"] and len(seen) > 2, seen
 
 
 def test_classify_comorphism_runs_each_shared_body_once(monkeypatch, rng):
@@ -2331,7 +2372,7 @@ def _parallel_arrow_cospan(k):
     for f, (a, b) in enumerate(arrows):
         comp[(f, a)] = comp[(b, f)] = f
     C = validate_category(3, arrows, [0, 1, 2], comp)
-    F = FinFunctor(D, C, (2, 0), (2, 0))
+    F = validate_functor(D, C, (2, 0), (2, 0))
     return SiteFunctor(F, generate_topology(D, [(0, 0)]), generate_topology(C, [(1, 0)]))
 
 
@@ -2379,7 +2420,7 @@ def test_inclusion_relation_condition_guards_its_arrow_enumeration():
     and that is its witness."""
     z18, z9 = (monoid_category([[(i + j) % n for j in range(n)] for i in range(n)], 0)
                for n in (18, 9))
-    F = FinFunctor(z18, z9, (0,), tuple(i % 9 for i in range(18)))
+    F = validate_functor(z18, z9, (0,), tuple(i % 9 for i in range(18)))
     sf = SiteFunctor(F, trivial_topology(z18), trivial_topology(z9))
     start = time.process_time()
     with pytest.raises(SizeGuardError, match=r"9\^9 candidate components at object 0"):
@@ -2400,7 +2441,7 @@ def test_quotient_z34_to_z17_classifies_from_single_elements():
     no equivalence."""
     z34, z17 = (monoid_category([[(i + j) % n for j in range(n)] for i in range(n)], 0)
                 for n in (34, 17))
-    F = FinFunctor(z34, z17, (0,), tuple(i % 17 for i in range(34)))
+    F = validate_functor(z34, z17, (0,), tuple(i % 17 for i in range(34)))
     sf = SiteFunctor(F, trivial_topology(z34), trivial_topology(z17))
     start = time.process_time()
     cls = classify_comorphism(sf)
@@ -2483,7 +2524,7 @@ def _clause_b_with_distinct_arrows():
     pair = validate_category(3, homs, [0, 4, 6], {
         (g, f): homs.index((homs[f][0], homs[g][1]))
         for g, f in itertools.product(range(7), repeat=2) if homs[f][1] == homs[g][0]})
-    return FinFunctor(vee, pair, (1, 0, 2), (4, 5, 0, 2, 6))
+    return validate_functor(vee, pair, (1, 0, 2), (4, 5, 0, 2, 6))
 
 
 def test_connection_loops_match_reference(rng):
@@ -2496,7 +2537,7 @@ def test_connection_loops_match_reference(rng):
     (b) at two distinct arrows."""
     V = poset_category(3, [(0, 2), (1, 2)])
     distinct = _clause_b_with_distinct_arrows()
-    functors = [(FinFunctor(V, V, (0, 0, 2), (0, 1, 0, 1, 4)), trivial_topology(V)),
+    functors = [(validate_functor(V, V, (0, 0, 2), (0, 1, 0, 1, 4)), trivial_topology(V)),
                 (distinct, trivial_topology(distinct.target))]
     for sf in random_site_functors(rng, 150):
         functors += [(sf.F, sf.K), (sf.F, trivial_topology(sf.F.target))]

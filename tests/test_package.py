@@ -379,6 +379,33 @@ def test_direct_presheaf_calls_are_found():
         "    return [SubPresheaf(P, ())]\n")}) == ["oracles.subsets:4"]
 
 
+# a functor is plain data; outside input reaches it only through
+# `validate_functor`, the one helper that builds a `FinFunctor` and checks it
+def test_outside_functor_data_is_validated():
+    """The parser and the tests, which build functors from their own maps,
+    call `validate_functor`, never the constructor; the constructions in
+    src/ are functors by construction and call it, and
+    `tests/test_derived.py` re-validates what they build."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in [SRC / "cli.py", *sorted(TESTS.glob("*.py"))]}
+    assert _direct_calls(trees, "FinFunctor") == []
+
+
+def test_direct_functor_calls_are_found():
+    sample = ast.parse(
+        "def parse(A, B):\n"
+        "    return FinFunctor(A, B, (), ())\n"
+        "class Case:\n"
+        "    def collapse(self, A):\n"
+        "        return [fincat.FinFunctor(A, A, (0,), (0,))]\n"
+        "def checked(A, B):\n"
+        "    return validate_functor(A, B, (), ()), fincat.validate_functor(A, B, (), ())\n"
+        "def typed(F: FinFunctor) -> FinFunctor:\n"
+        "    return F\n")
+    assert _direct_calls({"cli": sample}, "FinFunctor") == ["cli.Case.collapse:5",
+                                                            "cli.parse:2"]
+
+
 # the hyperconnected checks test the closures of single elements: nothing in
 # src/ enumerates subpresheaves, and closed sieve lifting walks no lattice
 ENUMERATIONS = {"subpresheaves", "_subsets", "enumerate_presheaf_morphisms",

@@ -5,13 +5,13 @@ import pytest
 
 from sitecalc import presheaf, sieves
 from sitecalc.fincat import (
-    FinFunctor,
     SizeGuardError,
     _UnionFind,
     monoid_category,
     poset_category,
     terminal_category,
     validate_category,
+    validate_functor,
 )
 from sitecalc.cli import parse
 from sitecalc.presheaf import (
@@ -444,7 +444,7 @@ def test_colimit_single_object(rng):
         cat = random_category(rng)
         c = rng.randrange(cat.n_objects)
         one = terminal_category()
-        F = FinFunctor(one, cat, (c,), (cat.identity[c],))
+        F = validate_functor(one, cat, (c,), (cat.identity[c],))
         colim, legs = colimit_of_representables(F)
         Y = yoneda(cat, c)
         assert colim.sizes == Y.sizes

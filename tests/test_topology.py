@@ -5,13 +5,13 @@ import pytest
 
 import sitecalc.topology as topology
 from sitecalc.fincat import (
-    FinFunctor,
     full_subcategory,
     identity_functor,
     monoid_category,
     poset_category,
     terminal_category,
     validate_category,
+    validate_functor,
 )
 from sitecalc.presheaf import canonical_topology, elements_topology, is_sheaf, is_subcanonical, yoneda
 from sitecalc.sieves import (
@@ -393,7 +393,7 @@ def test_atomic_undefined_raises():
 
 def test_rigid_topology_on_two(two):
     one = terminal_category()
-    inc = FinFunctor(one, two, (0,), (0,))
+    inc = validate_functor(one, two, (0,), (0,))
     R = rigid_topology(inc)
     # covers(1): every sieve containing u; covers(0): sieves containing id0
     assert R.covers[1] == frozenset({1 << 2, 0b110})
@@ -583,7 +583,7 @@ def test_coinduced_vacuous_object():
     # target object with no arrows from the image: every sieve covers it
     one = terminal_category()
     cospan = poset_category(2, [])
-    inc = FinFunctor(one, cospan, (0,), (cospan.identity[0],))
+    inc = validate_functor(one, cospan, (0,), (cospan.identity[0],))
     J = coinduced_topology(inc, trivial_topology(one))
     assert J.covers[1] == frozenset(all_sieve_masks(cospan, 1))
 
@@ -597,7 +597,7 @@ def test_coinduced_certificate(rng):
         functors = []
         for c in tgt.objects:
             # constant functors always exist
-            functors.append(FinFunctor(
+            functors.append(validate_functor(
                 cat, tgt, (c,) * cat.n_objects,
                 tuple(tgt.identity[c] for _ in cat.arrows)))
         F = rng.choice(functors)
@@ -745,18 +745,18 @@ def test_induced_topology_is_memoised_per_functor_and_topology_value(monkeypatch
     import sitecalc.topology as topology
     counts = count_computes(monkeypatch, topology)
     one = terminal_category()
-    const = FinFunctor(two, one, (0, 0), (0, 0, 0))
+    const = validate_functor(two, one, (0, 0), (0, 0, 0))
     K, K2 = trivial_topology(one), trivial_topology(one)
     assert K2 == K and K2 is not K
     J = induced_topology(const, K)
     assert induced_topology(const, K2) is J
     assert counts == {(id(const), ("induced_topology", K)): 1}
-    twin = FinFunctor(two, one, (0, 0), (0, 0, 0))
+    twin = validate_functor(two, one, (0, 0), (0, 0, 0))
     assert twin == const and induced_topology(twin, K) is not J
     assert induced_topology(twin, K) == J
     assert counts[id(twin), ("induced_topology", K)] == 1
     cospan = poset_category(3, [(0, 2), (1, 2)])
-    const2 = FinFunctor(cospan, one, (0, 0, 0), (0,) * cospan.n_arrows)
+    const2 = validate_functor(cospan, one, (0, 0, 0), (0,) * cospan.n_arrows)
     for _ in range(2):
         with pytest.raises(TopologyError):
             induced_topology(const2, K)
@@ -849,7 +849,7 @@ def test_dense_morphism_recovers_target_topology(two):
     """Coinducing the induced topology along a dense morphism recovers K."""
     J = atomic_topology(two)
     one = terminal_category()
-    inc = FinFunctor(one, two, (0,), (0,))
+    inc = validate_functor(one, two, (0,), (0,))
     ji = induced_topology(inc, J)
     sf = SiteFunctor(inc, ji, J)
     assert is_dense_morphism(sf).holds
@@ -866,12 +866,12 @@ def test_induced_constant_functor_examples(two):
     """Induced topology of a constant functor to a trivially-covered point:
     the nonempty sieves, when they form a topology, else a reported failure."""
     one = terminal_category()
-    const = FinFunctor(two, one, (0, 0), (0, 0, 0))
+    const = validate_functor(two, one, (0, 0), (0, 0, 0))
     J = induced_topology(const, trivial_topology(one))
     assert J.covers == atomic_topology(two).covers  # nonempty sieves on 2
 
     cospan = poset_category(3, [(0, 2), (1, 2)])
-    const2 = FinFunctor(cospan, one, (0, 0, 0), (0,) * cospan.n_arrows)
+    const2 = validate_functor(cospan, one, (0, 0, 0), (0,) * cospan.n_arrows)
     with pytest.raises(TopologyError):
         induced_topology(const2, trivial_topology(one))
 
