@@ -399,40 +399,56 @@ class _CommaComponents:
         return None
 
 
+def _unconnected_square(sf: SiteFunctor, c: int, s: int) -> tuple[dict, int] | None:
+    """The first commuting square F(f)∘w = F(g)∘z over the image diagram of
+    the sieve s on c, f and g its members, whose ends (f, w) and (g, z) are
+    not connected on a K-cover of d = dom w, with the sieve on which they
+    are; None when every square connects.  A sieve that holds id_c gives
+    None: each member f has an edge f to id_c, so both ends connect to
+    (id_c, F(f)∘w∘u) along every u, and the sieve found is maximal."""
+    F, K = sf.F, sf.K
+    C, D = F.source, F.target
+    if (s >> C.identity[c]) & 1:
+        return None
+    members, raw_edges = sieve_diagram(C, s)
+    vertices = [F.on_obj(C.dom[f]) for f in members]
+    comma = _CommaComponents(D, vertices, [(i, j, F.on_arr(t)) for (i, j, t) in raw_edges])
+    for i1, f in enumerate(members):
+        for i2, g in enumerate(members):
+            for d in D.objects:
+                for w in D.hom(d, vertices[i1]):
+                    for z in D.hom(d, vertices[i2]):
+                        if D.compose(F.on_arr(f), w) != D.compose(F.on_arr(g), z):
+                            continue
+                        good = comma.sieve(d, i1, w, i2, z)
+                        if not K.is_covering(d, good):
+                            return {"f": f, "g": g, "d": d, "w": w, "z": z}, good
+    return None
+
+
 def is_continuous(sf: SiteFunctor) -> Verdict:
     """Finitary continuity criterion: cover-preserving, plus local connection
-    of every commuting square over the image diagram of a covering sieve.
-    A sieve that holds id_c is skipped: each member f has an edge f to
-    id_c, so for F(f)∘w = F(g)∘z both ends connect to (id_c, F(f)∘w∘u)
-    along every u; the sieve found is maximal, and it covers."""
-    F, J, K = sf.F, sf.J, sf.K
-    C, D = F.source, F.target
+    of every commuting square over the image diagram of a covering sieve
+    (`_unconnected_square`), decided at m_c through `first_failing_cover`.
+
+    L4: for a cover-preserving F, the squares over every cover connect iff
+    those over m_c do.  Take a cover S ⊇ m_c, members f, g of S and
+    F(f)∘w = F(g)∘z out of d.  F(f*(m_c)) generates a K-cover; pulled
+    back along w, it is a K-cover of d on whose members u, w∘u = F(h)∘w'
+    with f∘h in m_c, and (f, w∘u) joins (f∘h, w') by the edge h.  Likewise
+    for g; on the intersection of the two covers the m_c test connects
+    (f∘h, w') and (g∘h', z') locally, so by transitivity of K the ends
+    connect on a K-cover of d."""
     cp = is_cover_preserving(sf)
     if not cp:
         return _no("continuous", clause="cover-preserving",
                    object=cp.witness["object"], sieve=cp.witness["sieve"])
-    for c in C.objects:
-        for s in J.covers[c]:
-            if (s >> C.identity[c]) & 1:
-                continue
-            members, raw_edges = sieve_diagram(C, s)
-            vertices = [F.on_obj(C.dom[f]) for f in members]
-            comma = _CommaComponents(D, vertices,
-                                     [(i, j, F.on_arr(t)) for (i, j, t) in raw_edges])
-            for i1, f in enumerate(members):
-                for i2, g in enumerate(members):
-                    for d in D.objects:
-                        for w in D.hom(d, vertices[i1]):
-                            for z in D.hom(d, vertices[i2]):
-                                if D.compose(F.on_arr(f), w) != D.compose(F.on_arr(g), z):
-                                    continue
-                                good = comma.sieve(d, i1, w, i2, z)
-                                if not K.is_covering(d, good):
-                                    return _no("continuous", clause="connection",
-                                               object=c, sieve=s,
-                                               instance={"f": f, "g": g, "d": d,
-                                                         "w": w, "z": z},
-                                               found=good)
+    for c in sf.F.source.objects:
+        s = sf.J.first_failing_cover(c, lambda s: _unconnected_square(sf, c, s) is None)
+        if s is not None:
+            instance, good = _unconnected_square(sf, c, s)
+            return _no("continuous", clause="connection", object=c, sieve=s,
+                       instance=instance, found=good)
     return _yes("continuous")
 
 
@@ -1150,25 +1166,27 @@ def _check_comorphism_localic(sf: SiteFunctor) -> Verdict:
     it is forced by its values on the dense image.  So g passes exactly
     when χ_{d'}(x) = χ_{d'}(x') implies a(y(g))(x) = a(y(g))(x') at every
     object."""
-    F = sf.F
-    D = F.source
-    src_top = sf.source_topology
     if local_property_tests(sf)["J_faithful"]:
         return _yes("comorphism-localic", via="K-faithful")
+    for d in sf.F.source.objects:
+        s = _localic_sieve(sf, d)
+        if not sf.source_topology.is_covering(d, s):
+            return _no("comorphism-localic", object=d, sieve=s)
+    return _yes("comorphism-localic")
+
+
+def _localic_sieve(sf: SiteFunctor, d: int) -> int:
+    """The sieve on d generated by the arrows g into d that pass the
+    localic criterion (`_check_comorphism_localic`)."""
+    D = sf.F.source
 
     def arrow_ok(g: int) -> bool:
-        d1, d = D.dom[g], D.cod[g]
-        sh_yd1, _, chi = _chi_morphism(sf, d1)
-        sh_yd = _chi_morphism(sf, d)[0]
-        y_g = _yoneda_sheaf_arrow(sf, g, sh_yd1, sh_yd)
+        sh_yd1, _, chi = _chi_morphism(sf, D.dom[g])
+        y_g = _yoneda_sheaf_arrow(sf, g, sh_yd1, _chi_morphism(sf, d)[0])
         return all(len(set(zip(chi.components[e], y_g.components[e])))
                    == len(set(chi.components[e])) for e in D.objects)
 
-    for d in D.objects:
-        ok = mask_of(g for g in D.arrows_into(d) if arrow_ok(g))
-        if not src_top.is_covering(d, generate_mask(D, ok)):
-            return _no("comorphism-localic", object=d)
-    return _yes("comorphism-localic")
+    return generate_mask(D, mask_of(g for g in D.arrows_into(d) if arrow_ok(g)))
 
 
 def _comorphism_hyperconnected(sf: SiteFunctor) -> Verdict:
@@ -1455,8 +1473,9 @@ def recheck_witness(sf: SiteFunctor, verdict: Verdict) -> bool:
     Counterexample witnesses are re-verified directly from the recorded
     quantifier instance (the morphism-of-sites clauses by the direct scans
     that the checker replaces with look-ups, weak-denseness clause (iii)
-    by the definition at its recorded family, a composite flag and
-    weak-denseness clause (i) by the part they record); an object out of
+    by the definition at its recorded family, a failed localic comorphism
+    by the sieve of passing arrows at its recorded object, a composite flag
+    and weak-denseness clause (i) by the part they record); an object out of
     range or a mask that is not a sieve on it replays False.  Positive
     certificates are replayed by re-running the corresponding checker, or
     those of a composite flag's parts.  A record whose `source_topology`
@@ -1511,9 +1530,9 @@ def recheck_witness(sf: SiteFunctor, verdict: Verdict) -> bool:
         d, s = w["object"], w["sieve"]
         return d in D.objects and s == generate_mask(D, next(_realized_arrows(sf, [d]))) \
             and not K.is_covering(d, s)
-    # this one re-runs its check, once the object it records is in range
     if kind == "comorphism-localic":
-        return w["object"] in C.objects and not _comorphism_localic_general(sf).holds
+        d, s = w["object"], w["sieve"]
+        return d in C.objects and s == _localic_sieve(sf, d) and not J.is_covering(d, s)
     if kind == "closed-sieve-lifting":
         c, s = w["object"], w["sieve"]
         return c in C.objects and is_sieve_mask(D, F.on_obj(c), s) \

@@ -7,9 +7,10 @@ J-functional relations, which describe the same arrows, are kept in the
 tests as their oracle.  Sheafification is computed twice, by two
 genuinely different code paths: the primary locally-matching-families
 quotient, carried by the least covering sieve of each object, and the
-classical plus construction applied twice, built as a directed colimit over
-all covering sieves with a union-find quotient.  `sheaf_comparison`, which
-compares the two, first validates both units as natural transformations
+classical plus construction applied twice: its colimit over the covers
+is read at the least cover, terminal in that diagram, as the matching
+families there, and it computes no local equality.  `sheaf_comparison`,
+which compares the two, first validates both units as natural transformations
 out of the presheaf: its test at the least covers rests on that.
 
 The sheaf kernels work on restriction rows.  A matching family is a tuple
@@ -534,100 +535,35 @@ def sheafify_morphism(alpha: PresheafMorphism, shP: SheafificationResult,
 
 
 # ---------------------------------------------------------------------------
-# independent oracle: the plus construction, applied twice
+# independent oracle: the plus construction, applied twice, read at the
+# least cover; the colimit over every cover is kept in the tests
 
 def plus_construction(P: FinPresheaf, J: GrothendieckTopology) -> tuple[FinPresheaf, PresheafMorphism]:
-    """P⁺(c): matching families over covering sieves, glued along restriction
-    to smaller covering sieves (a filtered colimit, realized by union-find).
+    """P⁺(c) = Match(m_c, P), in the order of `strict_matching_families`.
 
-    A pair (s, x) is a covering sieve s on c with a matching family x,
-    given by its values along the ascending members of s.  Restricting x
-    to a sieve t picks the values at the positions of t's members among
-    s's; these positions are computed once per pair of covers t ⊊ s, and
-    once per cover s and arrow f for the pullback f*(s).  The pairs of a
-    class restrict along f into one class, so each row of P⁺ is filled
-    from the first pair of each class.  The families on one cover are
-    restricted together, to each t and along each f, by zipping their value
-    columns at those positions.
+    P⁺(c) is the colimit of Match(S, P) over the covers S of c, ordered by
+    reverse inclusion.  m_c lies inside every cover, so it is terminal in
+    that diagram, and each pair (S, x) is glued to its restriction to m_c
+    alone.  Restriction along f: d -> c reads x at f∘g for g in m_d, as
+    f*(m_c) ⊇ m_d, by zipping value columns; the unit sends x to its
+    restrictions along m_c.
     """
     cat = P.cat
-    pairs: list[list[tuple[int, tuple[int, ...]]]] = []
-    pair_index: list[dict[tuple[int, tuple[int, ...]], int]] = []
-    position: list[dict[int, dict[int, int]]] = []
-    blocks: list[dict[int, tuple[int, list[tuple[int, ...]]]]] = []  # s -> (first pair, families)
-    for c in cat.objects:
-        lst: list[tuple[int, tuple[int, ...]]] = []
-        block = {}
-        for s in sorted(J.covers[c]):
-            fams = strict_matching_families(P, c, s)
-            block[s] = len(lst), fams
-            lst.extend((s, fam) for fam in fams)
-        pairs.append(lst)
-        pair_index.append({p: i for i, p in enumerate(lst)})
-        position.append({s: {f: i for i, f in enumerate(bits(s))} for s in J.covers[c]})
-        blocks.append(block)
-
-    classes: list[list[int]] = []
-    firsts: list[list[int]] = []
-    for c in cat.objects:
-        index = pair_index[c]
-        uf = _UnionFind(len(pairs[c]))
-        for s, (start, fams) in blocks[c].items():
-            if not fams:
-                continue
-            columns = list(zip(*fams))  # per member of s, the values of its families
-            for t in J.covers[c]:
-                if t & ~s or t == s:
-                    continue
-                pos = [position[c][s][f] for f in bits(t)]
-                keys = zip(*(columns[p] for p in pos)) if pos else [()] * len(fams)
-                for i, key in enumerate(keys, start):
-                    uf.union(i, index[(t, key)])
-        roots: dict[int, int] = {}
-        cls = []
-        first = []
-        for i in range(len(pairs[c])):
-            r = uf.find(i)
-            if r not in roots:
-                roots[r] = len(roots)
-                first.append(i)
-            cls.append(roots[r])
-        classes.append(cls)
-        firsts.append(first)
-
-    sizes = tuple(len(first) for first in firsts)
-    # per object and cover s: the classes whose first pair lies on s, and
-    # the value columns of those pairs
-    heads: list[dict[int, tuple[list[int], list[tuple[int, ...]]]]] = []
-    for c in cat.objects:
-        on_cover: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
-        for k, i in enumerate(firsts[c]):
-            s, x = pairs[c][i]
-            ks, xs = on_cover.setdefault(s, ([], []))
-            ks.append(k)
-            xs.append(x)
-        heads.append({s: (ks, list(zip(*xs))) for s, (ks, xs) in on_cover.items()})
+    carriers = [sorted(bits(J.min_cover[c])) for c in cat.objects]
+    families = [strict_matching_families(P, c, J.min_cover[c]) for c in cat.objects]
+    index = [{fam: i for i, fam in enumerate(fams)} for fams in families]
+    sizes = tuple(map(len, families))
+    columns = [list(zip(*fams)) or [()] * len(carrier) for fams, carrier in zip(families, carriers)]
     restrict = []
     for f in cat.arrows:
         a, b = cat.dom[f], cat.cod[f]
-        row = [0] * sizes[b]
-        for s, (ks, columns) in heads[b].items():
-            pb = pullback_mask(cat, s, f)
-            pos = [position[b][s][cat.compose(f, g)] for g in bits(pb)]
-            keys = zip(*(columns[p] for p in pos)) if pos else [()] * len(ks)
-            for k, key in zip(ks, keys):
-                row[k] = classes[a][pair_index[a][(pb, key)]]
-        restrict.append(tuple(row))
+        slots = [carriers[b].index(cat.compose(f, g)) for g in carriers[a]]
+        keys = zip(*(columns[b][i] for i in slots)) if slots else [()] * sizes[b]
+        restrict.append(tuple(map(index[a].__getitem__, keys)))
     plus = FinPresheaf(cat, sizes, tuple(restrict))
-
-    unit_components = []
-    for c in cat.objects:
-        top = maximal_sieve_mask(cat, c)
-        index = pair_index[c]
-        unit_components.append(tuple(
-            classes[c][index[(top, key)]]
-            for key in zip(*(P.restrict[f] for f in bits(top)))))
-    return plus, PresheafMorphism(P, plus, tuple(unit_components))
+    return plus, PresheafMorphism(P, plus, tuple(
+        tuple(map(index[c].__getitem__, _restriction_keys(P, c, carriers[c])))
+        for c in cat.objects))
 
 
 def sheafify_plus_plus(P: FinPresheaf, J: GrothendieckTopology) -> tuple[FinPresheaf, PresheafMorphism]:

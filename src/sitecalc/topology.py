@@ -138,7 +138,9 @@ class GrothendieckTopology:
         - L2: so does the sheaf condition for a presheaf P.  Separatedness
           passes to larger sieves.  A matching family (s_g) on a cover
           S ⊇ m_c restricts to m_c and amalgamates there to some x; for g in
-          S, x·g and s_g agree on g*(m_c) ⊇ m_dom g, so they are equal.
+          S, x·g and s_g agree on g*(m_c) ⊇ m_dom g, so they are equal;
+        - L4: so does the connection test of continuity for a
+          cover-preserving functor (proved at `morphisms.is_continuous`).
         A caller that stops at its first failing object names the first
         (object, cover) of a walk over every cover: each earlier object
         passes at m_c, so on every cover."""

@@ -17,9 +17,10 @@ agreement sieve over every arrow, where the topology compares per-arrow
 keys, and `reference_fixpoint_topology` is the generation fixpoint as it
 was before it skipped the members of each least cover.  `reference_is_sheaf`, `reference_sheaf_comparison`,
 `reference_elem_locally_equal`, `reference_cover_preserving`,
-`reference_cover_reflecting` and `reference_covering_lifting` are the
-checks over covering sieves as they walked every cover, every sieve or
-every arrow into c, where the checkers read the least covers.
+`reference_cover_reflecting`, `reference_covering_lifting` and
+`reference_is_continuous` are the checks over covering sieves as they
+walked every cover, every sieve or every arrow into c, where the checkers
+read the least covers.
 `subpresheaves` lists every subpresheaf and
 `enumerate_presheaf_morphisms` every natural transformation, the searches
 that the reference bodies of the comorphism checks run and that the
@@ -627,6 +628,41 @@ def reference_covering_lifting(sf: SiteFunctor) -> Verdict:
             if not J.is_covering(d, lifted):
                 return _no("covering-lifting", object=d, sieve=s, preimage=lifted)
     return _yes("covering-lifting")
+
+
+def reference_is_continuous(sf: SiteFunctor) -> Verdict:
+    """Cover preservation, then every commuting square over the image
+    diagram of every cover, in the order of `J.covers`, skipping the covers
+    that hold the identity."""
+    F, J, K = sf.F, sf.J, sf.K
+    C, D = F.source, F.target
+    cp = is_cover_preserving(sf)
+    if not cp:
+        return _no("continuous", clause="cover-preserving",
+                   object=cp.witness["object"], sieve=cp.witness["sieve"])
+    for c in C.objects:
+        for s in J.covers[c]:
+            if (s >> C.identity[c]) & 1:
+                continue
+            members, raw_edges = sieve_diagram(C, s)
+            vertices = [F.on_obj(C.dom[f]) for f in members]
+            comma = _CommaComponents(D, vertices,
+                                     [(i, j, F.on_arr(t)) for (i, j, t) in raw_edges])
+            for i1, f in enumerate(members):
+                for i2, g in enumerate(members):
+                    for d in D.objects:
+                        for w in D.hom(d, vertices[i1]):
+                            for z in D.hom(d, vertices[i2]):
+                                if D.compose(F.on_arr(f), w) != D.compose(F.on_arr(g), z):
+                                    continue
+                                good = comma.sieve(d, i1, w, i2, z)
+                                if not K.is_covering(d, good):
+                                    return _no("continuous", clause="connection",
+                                               object=c, sieve=s,
+                                               instance={"f": f, "g": g, "d": d,
+                                                         "w": w, "z": z},
+                                               found=good)
+    return _yes("continuous")
 
 
 # ---------------------------------------------------------------------------

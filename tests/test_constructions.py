@@ -22,11 +22,13 @@ from sitecalc.fincat import (
 )
 from sitecalc.morphisms import (
     SiteFunctor,
+    Verdict,
     classify_comorphism,
     classify_morphism,
     is_comorphism_of_sites,
     is_morphism_of_sites,
     local_property_tests,
+    recheck_witness,
 )
 from sitecalc.topology import (
     atomic_topology,
@@ -278,6 +280,52 @@ def test_dual_adjunction_through_comma_sites(m2c_corpus):
             patterns["c2m"][tuple(flags.values())] += 1
     assert sum(patterns["m2c"].values()) >= 100 and sum(patterns["c2m"].values()) >= 100
     assert all(len(c) >= 4 for c in patterns.values())
+
+
+def test_comorphism_localic_witnesses_replay_at_their_object(m2c_corpus, monkeypatch):
+    """A failed localic record of a comorphism names its object and the
+    non-covering sieve that the passing arrows generate there, and replays
+    by recomputing that sieve at that object alone, with the localic check
+    patched to raise.  On the c2m comma comorphisms of the corpus, 33 of
+    the 47 failures sit on sources with more than one object.  Each
+    failure replays, and not with one arrow of its sieve toggled or its
+    object out of range.  A copy with the object moved to another d
+    replays exactly when d has the recorded sieve and J does not cover it:
+    11 copies replay False, where re-running the check accepted every
+    copy, and 29 replay True, each a counterexample in its own right."""
+    failures = []
+    for sf, _ in m2c_corpus:
+        if is_comorphism_of_sites(sf):
+            pi = comorphism_to_morphism_comma(sf).projections["to_target"]
+            pi = SiteFunctor(pi.F, pi.J, pi.K)
+            v = morphisms._comorphism_localic_general(pi)
+            if not v.holds:
+                sieves = [morphisms._localic_sieve(pi, d) for d in pi.F.source.objects]
+                failures.append((pi, v.witness, sieves))
+
+    def no_check(sf):
+        raise AssertionError("the replay re-ran the localic check")
+    monkeypatch.setattr(morphisms, "_check_comorphism_localic", no_check)
+    monkeypatch.setattr(morphisms, "_comorphism_localic_general", no_check)
+
+    def replays(sf, w, **fields):
+        return recheck_witness(sf, Verdict(False, {**w, **fields}))
+
+    moved = collections.Counter()
+    for sf, w, sieves in failures:
+        C, J = sf.F.source, sf.J
+        assert w["sieve"] == sieves[w["object"]] and not J.is_covering(w["object"], w["sieve"])
+        assert replays(sf, w)
+        assert not replays(sf, w, object=C.n_objects)
+        for f in C.arrows_into(w["object"]):
+            assert not replays(sf, w, sieve=w["sieve"] ^ (1 << f))
+        for d in C.objects:
+            if d != w["object"]:
+                counterexample = sieves[d] == w["sieve"] and not J.is_covering(d, w["sieve"])
+                assert replays(sf, w, object=d) == counterexample
+                moved[counterexample] += 1
+    assert len(failures) == 47 and moved == {False: 11, True: 29}, (len(failures), moved)
+    assert sum(sf.F.source.n_objects > 1 for sf, _, _ in failures) == 33
 
 
 def test_morphism_of_sites_matches_reference_on_comma_sites(m2c_corpus):

@@ -105,6 +105,7 @@ from oracles import (
     reference_continuity_oracle,
     reference_hom_presheaf,
     reference_is_J_cofinal,
+    reference_is_continuous,
     reference_comorphism_inclusion,
     reference_local_equality,
     reference_locally_connected,
@@ -222,6 +223,26 @@ def test_continuity_checker_matches_oracle(rng):
         F = rng.choice(fs)
         sf = SiteFunctor(F, random_topology(rng, cat), random_topology(rng, tgt))
         assert is_continuous(sf).holds == continuity_oracle(sf)
+
+
+def test_continuity_failures_name_the_reference_witness(rng):
+    """Random functors between random categories, canonical topologies on
+    both sides: the checker, which walks the covers only when the least
+    cover fails, gives the verdict and witness of the walk over every cover,
+    on a corpus with at least 25 failures of the connection clause."""
+    clauses = collections.Counter()
+    while clauses["connection"] < 25:
+        src, tgt = random_category(rng), random_category(rng)
+        try:
+            fs = all_functors(src, tgt)
+        except RuntimeError:
+            continue
+        J, K = canonical_topology(src), canonical_topology(tgt)
+        for F in fs:
+            v = is_continuous(SiteFunctor(F, J, K))
+            assert v == reference_is_continuous(SiteFunctor(F, J, K))
+            clauses[v.witness.get("clause", "pass")] += 1
+    assert clauses["pass"] and clauses["cover-preserving"], clauses
 
 
 def test_continuity_skips_the_sieves_that_hold_the_identity(monkeypatch, rng):
@@ -1845,9 +1866,9 @@ def _reference_comorphism_localic(sf):
     if local_property_tests(sf)["J_faithful"]:
         return {"kind": "comorphism-localic", "holds": True, "via": "K-faithful"}
     for d in D.objects:
-        ok = mask_of(g for g in D.arrows_into(d) if arrow_ok(g))
-        if not J.is_covering(d, generate_mask(D, ok)):
-            return {"kind": "comorphism-localic", "holds": False, "object": d}
+        s = generate_mask(D, mask_of(g for g in D.arrows_into(d) if arrow_ok(g)))
+        if not J.is_covering(d, s):
+            return {"kind": "comorphism-localic", "holds": False, "object": d, "sieve": s}
     return {"kind": "comorphism-localic", "holds": True}
 
 
@@ -2099,9 +2120,9 @@ def test_comorphism_surjection_witnesses_replay_independently(monkeypatch, rng):
 
 def test_comorphism_inclusion_witnesses_replay_independently(monkeypatch, rng):
     """A failed inclusion replays its nested witness with the inclusion,
-    closed-family and hyperconnected checkers patched to raise: a closed
-    family that no sieve induces replays directly, and a localic failure
-    re-runs the localic check.  A K-faithful or K-full failure replays
+    closed-family, hyperconnected and localic checkers patched to raise: a
+    closed family that no sieve induces replays directly, and a localic
+    failure by the sieve it records.  A K-faithful or K-full failure replays
     directly, with the local-property checker patched to raise too, and
     decides inclusion only for a continuous comorphism.  Changing one field
     (the nested kind, the family's object, k to h, bit 0 of the K-full
@@ -2125,7 +2146,8 @@ def test_comorphism_inclusion_witnesses_replay_independently(monkeypatch, rng):
     def raises(*args):
         raise AssertionError("the replay re-ran a checker")
     for name in ("_comorphism_inclusion_general", "_closed_families_induced",
-                 "_check_closed_families", "_comorphism_hyperconnected"):
+                 "_check_closed_families", "_comorphism_hyperconnected",
+                 "_comorphism_localic_general", "_check_comorphism_localic"):
         monkeypatch.setattr(mor, name, raises)
     for kind in ("comorphism-inclusion", "comorphism-hyperconnected"):
         monkeypatch.setitem(mor._POSITIVE_RUNNERS, kind, raises)
@@ -2429,7 +2451,7 @@ def test_inclusion_relation_condition_guards_its_arrow_enumeration():
     start = time.process_time()
     assert mor._comorphism_inclusion_general(SiteFunctor(F, sf.J, sf.K)).witness == {
         "kind": "comorphism-inclusion", "holds": False,
-        "witness": {"kind": "comorphism-localic", "holds": False, "object": 0}}
+        "witness": {"kind": "comorphism-localic", "holds": False, "object": 0, "sieve": 0}}
     assert time.process_time() - start < 1.0
 
 

@@ -492,9 +492,7 @@ def test_comp_reads_are_found():
 # of `topology.GrothendieckTopology`; a loop over a topology's covers or over
 # the sieve lattice sits in a construction that needs every sieve
 SIEVE_WALKS = {
-    "presheaf.plus_construction",  # the oracle's colimit over every cover
     "presheaf.closed_sieves",  # the objects of C^s_J
-    "morphisms.is_continuous",  # its loop order fixes its witnesses
     "morphisms.continuity_oracle",  # the independent route over every cover
     "morphisms.recheck_witness",  # replays read the definitions
 }
@@ -539,8 +537,8 @@ def test_cover_walks_are_found():
         "    for c in P.cat.objects:\n"
         "        for s in J.covers[c]:\n"
         "            pass\n"
-        "def plus_construction(P, J):\n"
-        "    return [s for s in sorted(J.covers[0])]\n"
+        "def continuity_oracle(sf):\n"
+        "    return [s for s in sorted(sf.J.covers[0])]\n"
         "def closed_sieves(cat, J, c):\n"
         "    def walk():\n"
         "        return {s: 1 for s in all_sieve_masks(cat, c)}\n"
@@ -551,17 +549,15 @@ def test_cover_walks_are_found():
         "def is_cover_preserving(sf):\n"
         "    covers = sf.J.covers[0]\n"
         "    return all(s in covers for s in bits(sf.J.min_cover[0]))\n")
-    assert _sieve_walks({"presheaf": sample}) == [
-        "presheaf._check_cover_reflecting:13", "presheaf.closed_sieves.walk:9",
-        "presheaf.is_sheaf:3"]
+    assert _sieve_walks({"morphisms": sample}) == [
+        "morphisms._check_cover_reflecting:13", "morphisms.closed_sieves.walk:9",
+        "morphisms.is_sheaf:3"]
 
 
 # outside `topology`, a sieve's membership is asked through `is_covering` and
 # two topologies are compared with `==`; the covers are read only where every
 # cover is needed or a listing is printed
 COVERS_READERS = {
-    "presheaf.plus_construction",  # the oracle's colimit over every cover
-    "morphisms.is_continuous",  # its loop order fixes its witnesses
     "morphisms.continuity_oracle",  # the independent route over every cover
     "morphisms._check_comorphism_surjection",  # its first-difference witness
     "cli._cmd_topology", "cli._cmd_factorize",  # the printed listings
@@ -600,15 +596,15 @@ def test_covers_reads_are_found():
         "    return [s for s in J.covers[0]]\n"
         "def classify(sf, jf):\n"
         "    return jf.covers == sf.J.covers\n"
-        "def plus_construction(P, J):\n"
+        "def continuity_oracle(sf):\n"
         "    def walk():\n"
-        "        return J.covers[0]\n"
-        "    return sorted(J.covers[0]), walk()\n"
+        "        return sf.J.covers[0]\n"
+        "    return sorted(sf.J.covers[0]), walk()\n"
         "def is_cover_preserving(sf):\n"
         "    return sf.J.is_covering(0, 1) and sf.K.covers_family(0, 1)\n")
-    assert _covers_reads({"presheaf": sample}) == [
-        "presheaf.classify:4", "presheaf.classify:4", "presheaf.is_sheaf:2",
-        "presheaf.plus_construction.walk:7"]
+    assert _covers_reads({"morphisms": sample}) == [
+        "morphisms.classify:4", "morphisms.classify:4",
+        "morphisms.continuity_oracle.walk:7", "morphisms.is_sheaf:2"]
 
 
 # the maximal sieve of each object is kept on its category

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from sitecalc import presheaf, sieves
+import sitecalc.morphisms as mor
 from sitecalc.fincat import (
     SizeGuardError,
     _UnionFind,
@@ -14,6 +14,7 @@ from sitecalc.fincat import (
     validate_functor,
 )
 from sitecalc.cli import parse
+from sitecalc.morphisms import is_continuous, sieve_diagram
 from sitecalc.presheaf import (
     _locally_matching_families,
     build_CJ,
@@ -42,6 +43,7 @@ from sitecalc.presheaf import (
 )
 from sitecalc.sieves import all_sieve_masks, bits, mask_of, maximal_sieve_mask, pullback_mask
 from sitecalc.topology import (
+    GrothendieckTopology,
     atomic_topology,
     generate_topology,
     trivial_topology,
@@ -54,6 +56,7 @@ from conftest import (
     make_two,
     random_category,
     random_presheaf,
+    random_site_functors,
     random_topology,
     z2_category,
 )
@@ -1094,35 +1097,64 @@ def test_plus_construction_matches_reference_body(rng):
     assert merged
 
 
-def test_plus_construction_pulls_each_cover_back_once_per_arrow(monkeypatch):
-    """On the vee with four legs covered by its legs sieve, and two elements
-    over each leg, one plus construction calls `pullback_mask` at most once
-    per covering sieve and arrow into its object; restricting every pair
-    along every arrow called it once per pair and arrow."""
-    k = 4
-    cat = poset_category(k + 1, [(i, k) for i in range(k)])
-    legs = mask_of(f for f in cat.arrows_into(k) if not cat.is_identity(f))
-    J = generate_topology(cat, [(k, legs)])
-    P = validate_presheaf(cat, (2,) * k + (1,),
-                          [(0,) if cat.cod[f] == k and not cat.is_identity(f)
-                           else tuple(range(2 if cat.dom[f] < k else 1))
-                           for f in cat.arrows])
-    calls = []
+class _UnreadableCovers(tuple):
+    """Per-object covers that raise when any of them is read."""
 
-    def counted(*args):
-        calls.append(args)
-        return sieves.pullback_mask(*args)
+    def __getitem__(self, c):
+        raise AssertionError("the covers were read")
 
-    bound = sum(len(J.covers[c]) * len(cat.arrows_into(c)) for c in cat.objects)
-    per_pair = sum(len(strict_matching_families(P, c, s)) * len(cat.arrows_into(c))
-                   for c in cat.objects for s in J.covers[c])
-    monkeypatch.setattr(presheaf, "pullback_mask", counted)
-    plus, unit = plus_construction(P, J)
-    assert len(calls) <= bound < per_pair
-    monkeypatch.setitem(globals(), "pullback_mask", counted)
-    calls.clear()
-    assert _reference_plus_construction(P, J)[0] == plus
-    assert len(calls) == per_pair
+    def __iter__(self):
+        raise AssertionError("the covers were read")
+
+
+def _cover_blind(J):
+    """J with its least covers primed and its covers unreadable."""
+    blind = GrothendieckTopology(J.cat, _UnreadableCovers())
+    blind.__dict__["min_cover"] = J.min_cover
+    return blind
+
+
+def test_plus_construction_and_continuity_read_only_the_least_covers(monkeypatch, rng):
+    """P⁺ and P⁺⁺ are built from the least covers alone: with the covers
+    unreadable they still equal the colimit over every cover, sizes,
+    restrictions and units.  On every passing continuity check of the
+    corpus, the sieve diagrams built are those of the least covers that do
+    not hold the identity, one per object, in object order."""
+    sites = []
+    for i in range(60):
+        cat = random_category(rng)
+        J = trivial_topology(cat) if i % 7 == 0 else random_topology(rng, cat)
+        sites.append((cat, J, random_presheaf(rng, cat)))
+    for cat, J, P in sites + vee_sites():
+        blind = _cover_blind(J)
+        ref, ref_unit = _reference_plus_construction(P, J)
+        ref2, ref_unit2 = _reference_plus_construction(ref, J)
+        plus, unit = plus_construction(P, blind)
+        pp, eta = sheafify_plus_plus(P, blind)
+        assert (plus.sizes, plus.restrict, unit.components) \
+            == (ref.sizes, ref.restrict, ref_unit.components)
+        assert (pp.sizes, pp.restrict, eta.components) \
+            == (ref2.sizes, ref2.restrict, ref_unit.then(ref_unit2).components)
+
+    diagrams = []
+
+    def recorded(cat, mask):
+        diagrams.append(mask)
+        return sieve_diagram(cat, mask)
+    monkeypatch.setattr(mor, "sieve_diagram", recorded)
+    passed = beyond = 0
+    for sf in random_site_functors(rng, 300):
+        diagrams.clear()
+        if not is_continuous(sf).holds:
+            continue
+        C, J = sf.F.source, sf.J
+        least = [J.min_cover[c] for c in C.objects if not (J.min_cover[c] >> C.identity[c]) & 1]
+        assert diagrams == least
+        passed += 1
+        # a walk over every cover would build the diagram of another sieve
+        beyond += any(s != J.min_cover[c] and not (s >> C.identity[c]) & 1
+                      for c in C.objects for s in J.covers[c])
+    assert passed and beyond, (passed, beyond)
 
 
 # ---------------------------------------------------------------------------
