@@ -154,6 +154,14 @@ class FinCategory:
             masks.append(mask)
         return tuple(masks)
 
+    @cached_property
+    def omitting_sieves(self) -> tuple[int, ...]:
+        """Per arrow f, the bitmask of S_f = {h into cod f | f ∉ ⟨h⟩}, the
+        largest sieve on cod f that omits f: the arrows into cod f that f
+        does not factor through."""
+        return tuple(sum(1 << h for h in self._into[c] if not (self.principal_sieves[h] >> f) & 1)
+                     for f, c in enumerate(self.cod))
+
     def opposite(self) -> "FinCategory":
         return FinCategory(
             n_objects=self.n_objects,

@@ -1478,7 +1478,9 @@ def recheck_witness(sf: SiteFunctor, verdict: Verdict) -> bool:
     and weak-denseness clause (i) by the part they record); an object out of
     range or a mask that is not a sieve on it replays False.  Positive
     certificates are replayed by re-running the corresponding checker, or
-    those of a composite flag's parts.  A record whose `source_topology`
+    those of a composite flag's parts; a kind without a checker to re-run
+    (a sheaf-colimit verdict, which names no site functor) raises
+    ValueError, pass or failure.  A record whose `source_topology`
     is "induced" was decided, and replays, on (F, J_F, K).
     """
     w = verdict.witness
@@ -1492,8 +1494,9 @@ def recheck_witness(sf: SiteFunctor, verdict: Verdict) -> bool:
             return False
     sf = SiteFunctor(F, J, K)  # re-run the checkers, not the verdicts kept on sf
     if verdict.holds:
-        runner = _POSITIVE_RUNNERS.get(kind)
-        return runner is None or runner(sf).holds
+        if kind not in _POSITIVE_RUNNERS:
+            raise ValueError(f"no re-checker for witness kind {kind!r}")
+        return _POSITIVE_RUNNERS[kind](sf).holds
     if kind in ("cover-preserving", "cover-reflecting") or \
             kind == "morphism-of-sites" and w["clause"] == "i":
         c, s = w["object"], w["sieve"]
@@ -1563,8 +1566,6 @@ def recheck_witness(sf: SiteFunctor, verdict: Verdict) -> bool:
                 if any(D.compose(g, F.on_arr(f)) == F.on_arr(k) for k in C.hom(C.dom[f], y)))
     if kind == "K-dense":
         return (w["object"], w["sieve"]) in _image_base_misses(sf)
-    if kind == "cofinal":
-        return not is_J_cofinal(F, K).holds
     checker = _POSITIVE_RUNNERS.get(kind)
     if checker is not None:
         return not checker(sf).holds
@@ -1667,4 +1668,7 @@ _POSITIVE_RUNNERS: dict[str, Callable[[SiteFunctor], Verdict]] = {
         "essential-surjective-closed-image", closed_sieve_lifting(sf),
         _weakly_dense_clause_ii(sf)),
     "comorphism-equivalence": lambda sf: _comorphism_equivalence(sf, is_continuous(sf).holds),
+    "cofinal": lambda sf: is_J_cofinal(sf.F, sf.K),
+    "weakly-dense-ii": _weakly_dense_clause_ii,
+    "locally-connected": lambda sf: _locally_connected(sf.F, sf.K),
 }

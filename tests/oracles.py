@@ -6,7 +6,9 @@ paper's description of the arrows of Sh(C, J); the tests use them as the
 oracle for the theorem on arrows, against the sheafified presheaf morphisms
 the checkers compute with.  `enumerate_topologies` lists every topology on a
 small category by brute force, the oracle for the constructors of the
-topology module.  `reference_sieve_masks` lists the sieves on an object as
+topology module, and `reference_topology_where` builds a topology from a
+condition by testing every sieve, where the constructor reads one sieve
+per arrow.  `reference_sieve_masks` lists the sieves on an object as
 the unions of every subset of principal sieves.  Two bodies give the
 violated axioms of a family of sieves: `brute_force_axiom_violations`
 pulls back along every arrow, and `reference_axiom_violations` is the
@@ -89,7 +91,7 @@ from sitecalc.sieves import (
     preimage_mask,
     pullback_mask,
 )
-from sitecalc.topology import GrothendieckTopology, _axiom_violations, topology_where
+from sitecalc.topology import GrothendieckTopology, TopologyError, _axiom_violations, topology_where
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +412,22 @@ def enumerate_topologies(cat: FinCategory) -> list[GrothendieckTopology]:
                 if all(t in fam for s in fam for t in sieves if s & ~t == 0):
                     families.append(frozenset(fam))
         per_object.append(families)
-    out = []
-    for combo in itertools.product(*per_object):
-        if not _axiom_violations(cat, combo):
-            out.append(GrothendieckTopology(cat, tuple(combo)))
-    return out
+    return [topology_where(cat, lambda c, s, combo=combo: s in combo[c])
+            for combo in itertools.product(*per_object) if not _axiom_violations(cat, combo)]
+
+
+def reference_topology_where(cat: FinCategory, covers) -> tuple[frozenset[int], ...]:
+    """The covering sieves on each object c of the topology whose covers are
+    the sieves s with covers(c, s), as `topology_where` found them before it
+    read the least covers: every sieve tested, each family built in
+    ascending order, and the axioms checked on the families.  A condition
+    that breaks an axiom raises TopologyError listing every violation."""
+    families = tuple(frozenset(s for s in all_sieve_masks(cat, c) if covers(c, s))
+                     for c in cat.objects)
+    violations = _axiom_violations(cat, families)
+    if violations:
+        raise TopologyError(violations)
+    return families
 
 
 def brute_force_axiom_violations(cat: FinCategory, covers) -> list[dict]:

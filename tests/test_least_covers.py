@@ -8,11 +8,16 @@ the sieves S_g = {h | g ∉ ⟨h⟩}, g a generator of m_c, none of which covers
 (L3).  The checkers read only these on a pass and walk the covers or the
 sieve lattice only on a failure, to name the first witness the walk finds.
 These tests hold them to the walks they replace, kept in `oracles.py`, and
-run them with every such walk patched to raise.
+run them with every such walk patched to raise.  A topology defined by a
+condition on sieves is built from its least covers too, with one call of
+the condition per arrow and per object: the last tests hold
+`topology_where` to the scan over every sieve it replaces.
 """
 
 import collections
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -21,14 +26,16 @@ import sitecalc.constructions as constructions
 import sitecalc.morphisms as morphisms
 import sitecalc.presheaf as presheaf
 import sitecalc.topology as topology
+from sitecalc.cli import parse
 from sitecalc.constructions import (
     _covers_exactly,
     generalized_elements_fibration,
     generalized_elements_identities,
 )
-from sitecalc.fincat import identity_functor, poset_category
+from sitecalc.fincat import comma, full_subcategory, identity_functor, poset_category
 from sitecalc.morphisms import (
     SiteFunctor,
+    hyperconnected_localic_factorization,
     is_comorphism_of_sites,
     is_cover_preserving,
     is_cover_reflecting,
@@ -41,22 +48,33 @@ from sitecalc.presheaf import (
     is_sheaf,
     sheaf_comparison,
     sheafify,
+    canonical_topology,
+    elements_topology,
     sheafify_plus_plus,
     validate_presheaf,
 )
 from sitecalc.sieves import all_sieve_masks, bits, mask_of
 from sitecalc.topology import (
     GrothendieckTopology,
+    TopologyError,
+    atomic_topology,
+    coinduced_topology,
+    fibration_topology,
     generate_topology,
+    induced_topology,
     omitting_sieves,
+    rigid_topology,
+    topology_where,
     trivial_topology,
     validate_topology,
 )
 
+from cli_transcript import COSPAN_ATOMIC_SITE
 from conftest import (
     RNG_SEED,
     make_two,
     random_category,
+    random_fibration,
     random_presheaf,
     random_site_functors,
     random_topology,
@@ -68,8 +86,11 @@ from oracles import (
     reference_elem_locally_equal,
     reference_is_sheaf,
     reference_sheaf_comparison,
+    reference_topology_where,
 )
+from test_cli import chain_site
 from test_presheaf import _components_or_message
+from test_topology import chain_category, cyclic_category, diamond_category, vee_category
 
 
 def _sites(n: int) -> list:
@@ -256,17 +277,17 @@ class _Walked(Exception):
 
 
 class _Unwalkable(frozenset):
-    """A family of covers that answers membership but cannot be walked."""
+    """A family of covers that cannot be walked."""
 
     def __iter__(self):
         raise _Walked("the covers were walked")
 
 
 def _unwalkable(J: GrothendieckTopology) -> GrothendieckTopology:
-    """J with covers that raise when walked, and its least covers and
-    their generators, which a walk computes, already in place."""
-    out = GrothendieckTopology(J.cat, tuple(_Unwalkable(s) for s in J.covers))
-    out.__dict__.update(min_cover=J.min_cover, min_cover_generators=J.min_cover_generators)
+    """J with covers that raise when walked.  A topology stores only its
+    least covers and membership reads them, so no check asks the family."""
+    out = GrothendieckTopology(J.cat, J.min_cover)
+    out.__dict__["covers"] = tuple(_Unwalkable() for _ in J.min_cover)
     return out
 
 
@@ -292,10 +313,13 @@ def _passes_or_walks(check, *args):
 def test_passing_checks_read_only_the_least_covers(monkeypatch):
     """With the sieve lattice and the covers unwalkable, every passing
     check named in the lemmas still returns its verdict, and every failing
-    one with a witness reaches the walk.  The corpora are built first, as
-    building a topology enumerates the sieves."""
+    one with a witness reaches the walk.  The corpora and the listings of
+    their covers, which the references walk, are built first, as building
+    either enumerates the sieves."""
     site_functors = random_site_functors(random.Random(RNG_SEED), 300)
     sites = [(cat, J, P, sheafify(P, J), sheafify_plus_plus(P, J)) for cat, J, P in _sites(60)]
+    for J in [*(t for sf in site_functors for t in (sf.J, sf.K)), *(s[1] for s in sites)]:
+        assert len(J.covers) == J.cat.n_objects
     _patch_walks(monkeypatch)
     seen = collections.Counter()
     for sf in site_functors:
@@ -346,3 +370,111 @@ def test_generalized_elements_identities_walk_no_sieves(monkeypatch):
         unwalkable = SiteFunctor(sf.F, _unwalkable(sf.J), _unwalkable(sf.K))
         assert generalized_elements_identities(unwalkable, site) == expected
         assert all(expected.values()), expected
+
+
+# ---------------------------------------------------------------------------
+# predicate topologies from their least covers
+
+def _raises(*args):
+    raise AssertionError("the sieves were scanned")
+
+
+def _predicate_topologies(rng):
+    """(kind, category, condition) of every `topology_where` call made while
+    building the induced, coinduced, atomic, rigid, fibration, canonical,
+    elements and C^s_K topologies of random sites, of the named shapes and
+    of the cospan whose atomic topology breaks stability twice."""
+    calls, kind = [], None
+
+    def recorded(cat, covers, _where=topology.topology_where):
+        calls.append((kind, cat, covers))
+        return _where(cat, covers)
+
+    cospan = parse(COSPAN_ATOMIC_SITE.partition("topology")[0]).categories["C"].category
+    cats = [random_category(rng) for _ in range(40)] + [
+        vee_category(4), chain_category(4), cyclic_category(4), diamond_category(), cospan]
+    site_functors = random_site_functors(rng, 150)
+    builds = {
+        "induced": [lambda sf=sf: induced_topology(sf.F, sf.K) for sf in site_functors],
+        "coinduced": [lambda sf=sf: coinduced_topology(sf.F, sf.J) for sf in site_functors],
+        "atomic": [lambda cat=cat: atomic_topology(cat) for cat in cats],
+        "rigid": [lambda cat=cat, objs=objs: rigid_topology(full_subcategory(cat, objs)[1])
+                  for cat in cats[:20] for objs in ([0], list(cat.objects)[1:])],
+        "fibration": [lambda p=p: fibration_topology(p, random_topology(rng, p.target))
+                      for p in (random_fibration(rng) for _ in range(20))],
+        "canonical": [lambda cat=cat: canonical_topology(cat) for cat in cats],
+        "elements": [lambda cat=cat: elements_topology(random_presheaf(rng, cat),
+                                                       random_topology(rng, cat))
+                     for cat in cats[:20]],
+        "C^s_K": [lambda sf=sf: hyperconnected_localic_factorization(sf)
+                  for sf in site_functors[:40] if is_morphism_of_sites(sf)][:8],
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (topology, morphisms, presheaf):
+            mp.setattr(module, "topology_where", recorded)
+        for kind, thunks in builds.items():
+            for build in thunks:
+                try:
+                    build()
+                except TopologyError:
+                    pass
+    return calls
+
+
+def test_predicate_topologies_equal_the_reference_scan(monkeypatch):
+    """Every topology built from a condition on sieves has the covers of
+    the scan over every sieve, or raises its violations in its order, the
+    cospan's two stability failures among them.  With the sieve
+    enumeration and the axiom scan patched to raise, each passing one is
+    still built, with the intersection of the reference covers as its
+    least covers."""
+    calls = _predicate_topologies(random.Random(RNG_SEED))
+    expected = []
+    for _, cat, covers in calls:
+        try:
+            expected.append(reference_topology_where(cat, covers))
+        except TopologyError as exc:
+            expected.append(exc.violations)
+    with monkeypatch.context() as mp:
+        mp.setattr(topology, "all_sieve_masks", _raises)
+        mp.setattr(topology, "_axiom_violations", _raises)
+        built = [topology_where(cat, covers) if isinstance(want, tuple) else None
+                 for (_, cat, covers), want in zip(calls, expected)]
+    seen = collections.Counter()
+    for (kind, cat, covers), want, J in zip(calls, expected, built):
+        if J is None:
+            with pytest.raises(TopologyError) as exc:
+                topology_where(cat, covers)
+            assert exc.value.violations == want, kind
+        else:
+            assert J.covers == want, kind
+            assert J.min_cover == tuple(functools.reduce(operator.and_, fam) for fam in want)
+        seen[kind, J is not None] += 1
+    assert {kind for kind, _ in seen} == {"induced", "coinduced", "atomic", "rigid", "fibration",
+                                          "canonical", "elements", "C^s_K"}, seen
+    assert seen["induced", False] and seen["atomic", False], seen
+    cospan = parse(COSPAN_ATOMIC_SITE.partition("topology")[0]).categories["C"].category
+    assert {tuple(v["sieve"] for v in want) for (kind, cat, _), want in zip(calls, expected)
+            if kind == "atomic" and cat == cospan} == {(1 << 3, 1 << 1)}
+
+
+def test_a_passing_condition_is_asked_once_per_arrow_and_object(monkeypatch):
+    """The induced topology of the m2c comma of the 12-chain, (1 ↓ Id) with
+    the trivial topology lifted along its left projection, calls its
+    condition at most once per arrow and once per object."""
+    doc = parse(chain_site(12))
+    F, K = doc.functors["Id"].functor, doc.topologies["J"].topology
+    projection = comma(identity_functor(F.target), F).left_projection
+    calls = 0
+
+    def counted(cat, covers, _where=topology.topology_where):
+        def condition(c, s):
+            nonlocal calls
+            calls += 1
+            return covers(c, s)
+        return _where(cat, condition)
+
+    monkeypatch.setattr(topology, "topology_where", counted)
+    induced_topology(projection, K)
+    cat = projection.source
+    assert cat.n_objects == 78 and 0 < calls <= cat.n_arrows + cat.n_objects

@@ -2196,6 +2196,29 @@ def test_forged_local_property_passes_replay_only_when_they_hold(rng):
     assert len(seen) == 6, seen
 
 
+def test_forged_cofinal_clause_ii_and_local_connection_passes_are_rejected(rng):
+    """A pass of relative cofinality, of weak-denseness clause (ii) or of
+    local connectedness replays by re-running its check on (F, K): on the
+    300 random site functors a forged pass of each kind replays exactly
+    when the reference (or, for clause (ii), the check on a fresh site
+    functor) holds, and each kind is forged where it fails.  A sheaf-colimit
+    verdict names a cocone, not a site functor, so its replay raises."""
+    seen = collections.Counter()
+    for sf in random_site_functors(rng, 300):
+        for kind, holds in (
+                ("cofinal", reference_is_J_cofinal(sf.F, sf.K).holds),
+                ("weakly-dense-ii",
+                 mor._check_weakly_dense_clause_ii(SiteFunctor(sf.F, sf.J, sf.K)).holds),
+                ("locally-connected", reference_locally_connected(sf.F, sf.K).holds)):
+            forged = Verdict(True, {"kind": kind, "holds": True})
+            assert recheck_witness(sf, forged) == holds, kind
+            seen[kind, holds] += 1
+        with pytest.raises(ValueError, match="sheaf-colimit"):
+            recheck_witness(sf, Verdict(True, {"kind": "sheaf-colimit", "holds": True}))
+    assert all(seen[kind, False] for kind in ("cofinal", "weakly-dense-ii",
+                                              "locally-connected")), seen
+
+
 def _relocated(w, obj):
     """The sieve-level record w with the object it names set to obj."""
     if "instance" in w:

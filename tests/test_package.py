@@ -334,6 +334,31 @@ def test_direct_category_calls_are_found():
         "presheaf.validate_category:2"]
 
 
+# a topology stores only its least covers, which it trusts as a category
+# trusts its rows: each constructor in `topology` builds m as a topology's
+def _topology_calls(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.scope:line` of each `GrothendieckTopology(...)` call outside
+    the `topology` module."""
+    return _direct_calls({module: tree for module, tree in trees.items() if module != "topology"},
+                         "GrothendieckTopology")
+
+
+def test_topologies_are_built_in_the_topology_module():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert _topology_calls(trees) == []
+
+
+def test_direct_topology_calls_are_found():
+    sample = ast.parse(
+        "def lift(cat, m):\n"
+        "    return GrothendieckTopology(cat, m)\n"
+        "def typed(J: GrothendieckTopology) -> GrothendieckTopology:\n"
+        "    return [topology.GrothendieckTopology(J.cat, J.min_cover)]\n")
+    assert _topology_calls({"morphisms": sample, "topology": sample}) == [
+        "morphisms.lift:2", "morphisms.typed:4"]
+
+
 # the presheaf dataclasses hold plain data; outside input reaches them only
 # through `validate_presheaf` and `validate_presheaf_morphism`
 PRESHEAF_CLASSES = ("FinPresheaf", "PresheafMorphism", "SubPresheaf")

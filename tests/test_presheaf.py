@@ -1108,9 +1108,9 @@ class _UnreadableCovers(tuple):
 
 
 def _cover_blind(J):
-    """J with its least covers primed and its covers unreadable."""
-    blind = GrothendieckTopology(J.cat, _UnreadableCovers())
-    blind.__dict__["min_cover"] = J.min_cover
+    """J with its covers unreadable."""
+    blind = GrothendieckTopology(J.cat, J.min_cover)
+    blind.__dict__["covers"] = _UnreadableCovers()
     return blind
 
 
