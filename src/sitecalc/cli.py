@@ -29,9 +29,9 @@ from .topology import (
     trivial_topology,
 )
 
-# `presheaf`, `morphisms` and `constructions` are imported by the code that
-# runs them, so a command compiles only the layers it uses; only the type
-# annotations read them here
+# `presheaf`, `morphisms`, `factorizations` and `constructions` are imported
+# by the code that runs them, so a command compiles only the layers it uses;
+# only the type annotations read them here
 if TYPE_CHECKING:
     from . import morphisms as mor
     from . import presheaf as ps
@@ -626,13 +626,14 @@ def _cmd_topology(doc, args, report):
 
 
 def _cmd_factorize(doc, args, report):
+    from . import factorizations as fac
     from . import morphisms as mor
     sub = args.name
     if sub not in ("surj-incl", "hyper-localic", "comprehensive"):
         raise SiteParseError(0, f"unknown factorization {sub!r}")
     sf = _site_functor(doc, _operand(args, "functor"), args)
     if sub == "surj-incl":
-        fact = mor.surjection_inclusion_factorization(sf)
+        fact = fac.surjection_inclusion_factorization(sf)
         report.add("induced-topology",
                    [sorted(fact.induced.covers[c]) for c in sf.functor.source.objects])
         reflecting = mor.is_cover_reflecting(fact.surjection_leg).holds
@@ -642,7 +643,7 @@ def _cmd_factorize(doc, args, report):
         if not (reflecting and incl.inclusion.holds):
             report.exit_code = 1
     elif sub == "hyper-localic":
-        fact = mor.hyperconnected_localic_factorization(sf)
+        fact = fac.hyperconnected_localic_factorization(sf)
         hyper = mor.classify_morphism(fact.hyperconnected_leg)
         loc = mor.classify_morphism(fact.localic_leg)
         report.add("hyperconnected-leg", hyper.hyperconnected.holds)
@@ -650,7 +651,7 @@ def _cmd_factorize(doc, args, report):
         if not (hyper.hyperconnected.holds and loc.localic.holds):
             report.exit_code = 1
     else:
-        fact = mor.comprehensive_factorization(sf.functor, sf.K)
+        fact = fac.comprehensive_factorization(sf.functor, sf.K)
         report.add("sheaf-sizes", list(fact.sheaf.sizes))
         report.add("lift-cofinal", fact.cofinality.holds, fact.cofinality.witness)
         recomposed = fact.lift.then(fact.projection)
@@ -680,9 +681,15 @@ def _cmd_comma(doc, args, report):
         report.exit_code = 1
 
 
-# the classifiers and checkers are looked up in `morphisms` when a command
-# runs, so that a function rebound there after import, such as a tracing
-# wrapper, is called
+def _locally_connected(mor, sf):
+    """The `locally-connected` check, which lives in `factorizations`."""
+    from . import factorizations as fac
+    return fac.is_locally_connected_general(sf)
+
+
+# the classifiers and checkers are looked up in `morphisms` (or
+# `factorizations`) when a command runs, so that a function rebound there
+# after import, such as a tracing wrapper, is called
 _COMMANDS = {
     "validate": _cmd_validate,
     "classify-morphism": _cmd_classify(lambda mor, sf: mor.classify_morphism(sf)),
@@ -690,8 +697,7 @@ _COMMANDS = {
     "denseness": _cmd_denseness,
     "continuity": _cmd_continuity,
     "cofinal": _cmd_check("cofinal", lambda mor, sf: mor.is_J_cofinal(sf.F, sf.K)),
-    "locally-connected": _cmd_check("locally-connected",
-                                    lambda mor, sf: mor.is_locally_connected_general(sf)),
+    "locally-connected": _cmd_check("locally-connected", _locally_connected),
     "sheafify": _cmd_sheafify,
     "topology": _cmd_topology,
     "factorize": _cmd_factorize,

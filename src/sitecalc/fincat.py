@@ -81,6 +81,13 @@ class FinCategory:
     def is_identity(self, f: int) -> bool:
         return self.identity[self.dom[f]] == f
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:  # once per instance: it reads every composition row
+        return hash((self.n_objects, self.dom, self.cod, self.identity, self.composites))
+
     @cached_property
     def _into(self) -> tuple[tuple[int, ...], ...]:
         buckets: list[list[int]] = [[] for _ in self.objects]

@@ -1,6 +1,7 @@
 """Functor-level decision procedures: morphisms and comorphisms of sites,
-continuity, cofinality, the denseness ladder, property classifiers for the
-induced geometric morphisms, and the three factorizations.
+continuity, cofinality, the denseness ladder and the property classifiers
+for the induced geometric morphisms.  The factorizations and the witness
+replay are modules of their own, `factorizations` and `replay`.
 
 Every verdict carries a replayable witness: counterexamples name the
 quantifier instance that fails, positive answers record what was checked.
@@ -27,38 +28,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .fincat import (
-    FinCategory,
-    FinFunctor,
-    _memo,
-    _UnionFind,
-    corestrict,
-    derived_category,
-    full_subcategory,
-    identity_functor,
-    quotient_by_functor_congruence,
-)
-from .sieves import (
-    all_sieve_masks,
-    bits,
-    generate_mask,
-    is_sieve_mask,
-    mask_of,
-    maximal_sieve_mask,
-    preimage_mask,
-    pullback_mask,
-)
-from .topology import (
-    GrothendieckTopology,
-    TopologyError,
-    closure_mask,
-    coinduced_topology,
-    induced_topology,
-    local_equality,
-    smallest_comorphism_topology,
-    topology_where,
-    trivial_topology,
-)
+from .fincat import FinCategory, FinFunctor, _memo, _UnionFind, derived_category
+from .sieves import bits, generate_mask, mask_of, preimage_mask, pullback_mask
+from .topology import (GrothendieckTopology, closure_mask, coinduced_topology, induced_topology,
+                       local_equality)
 from . import presheaf as ps
 
 
@@ -290,38 +263,6 @@ def _sieves_to_image(F: FinFunctor) -> list[int]:
         if a in reach:
             sieves[d] |= 1 << g
     return sieves
-
-
-def _cone_sieve_iii(sf: SiteFunctor, c1: int, c2: int, g1: int, g2: int) -> int:
-    """Clause (iii) by the direct cone scan: the arrows gp into dom g1 with
-    g1∘gp = F(f1)∘h and g2∘gp = F(f2)∘h for some f1: cc -> c1,
-    f2: cc -> c2 and h: dom gp -> F(cc)."""
-    F = sf.F
-    C, D = F.source, F.target
-    return mask_of(
-        gp for gp in D.arrows_into(D.dom[g1])
-        if any(D.compose(F.on_arr(f1), h) == D.compose(g1, gp)
-               and D.compose(F.on_arr(f2), h) == D.compose(g2, gp)
-               for cc in C.objects
-               for h in D.hom(D.dom[gp], F.on_obj(cc))
-               for f1 in C.hom(cc, c1)
-               for f2 in C.hom(cc, c2)))
-
-
-def _cone_sieve_iv(sf: SiteFunctor, f1: int, f2: int, g: int) -> int:
-    """Clause (iv) by the direct cone scan: the arrows gp into dom g with
-    g∘gp = F(k)∘h for some k: cc -> dom f1 with f1∘k = f2∘k and
-    h: dom gp -> F(cc)."""
-    F = sf.F
-    C, D = F.source, F.target
-    c1 = C.dom[f1]
-    return mask_of(
-        gp for gp in D.arrows_into(D.dom[g])
-        if any(D.compose(F.on_arr(k), h) == D.compose(g, gp)
-               for cc in C.objects
-               for k in C.hom(cc, c1)
-               if C.compose(f1, k) == C.compose(f2, k)
-               for h in D.hom(D.dom[gp], F.on_obj(cc))))
 
 
 # ---------------------------------------------------------------------------
@@ -995,85 +936,6 @@ def classify_morphism(sf: SiteFunctor) -> MorphismClassification:
                                   localic, equivalence, essential)
 
 
-@dataclass(frozen=True)
-class SurjectionInclusionFactorization:
-    induced: GrothendieckTopology          # J_F on the source
-    surjection_leg: SiteFunctor            # F: (C, J_F) -> (D, K)
-    inclusion_leg: SiteFunctor             # id: (C, J) -> (C, J_F)
-
-
-def surjection_inclusion_factorization(sf: SiteFunctor) -> SurjectionInclusionFactorization:
-    _require(is_morphism_of_sites(sf), "a morphism of sites")
-    jf = induced_topology(sf.F, sf.K)
-    return SurjectionInclusionFactorization(
-        jf,
-        SiteFunctor(sf.F, jf, sf.K),
-        SiteFunctor(identity_functor(sf.F.source), sf.J, jf),
-    )
-
-
-# ---------------------------------------------------------------------------
-# hyperconnected-localic factorization through C^s_K
-
-@dataclass(frozen=True)
-class HyperconnectedLocalicFactorization:
-    cjs: ps.CJsResult                       # D^s_K with its data
-    cjs_topology: GrothendieckTopology      # C^s_K
-    sub_objects: tuple[int, ...]            # indices of D^s_F inside D^s_K
-    sub_topology: GrothendieckTopology      # C^s_K restricted to D^s_F
-    localic_leg: SiteFunctor                # F_s: (C, J) -> (D^s_F, ·)
-    hyperconnected_leg: SiteFunctor         # i^s_F: (D^s_F, ·) -> (D^s_K, C^s_K)
-    embedding: SiteFunctor                  # i^s_K∘F = i^s_F ∘ F_s: (C, J) -> (D^s_K, C^s_K)
-
-
-def cjs_canonical_topology(cjs: ps.CJsResult, K: GrothendieckTopology) -> GrothendieckTopology:
-    """C^s_K: a sieve covers (d, S) iff the corresponding sheaf arrows are
-    jointly locally surjective onto a_K(S)."""
-    return topology_where(cjs.category, lambda i, sigma: ps.family_locally_surjective(
-        K, [cjs.sheaf_arrows[a] for a in bits(sigma)], cjs.sheaves[i].sheaf))
-
-
-def hyperconnected_localic_factorization(sf: SiteFunctor) -> HyperconnectedLocalicFactorization:
-    _require(is_morphism_of_sites(sf), "a morphism of sites")
-    F, J, K = sf.F, sf.J, sf.K
-    D = F.target
-    cjs = ps.build_CJs(D, K)
-    ctop = cjs_canonical_topology(cjs, K)
-
-    obj_index = {o: i for i, o in enumerate(cjs.objects)}
-    arr_index = {t: a for a, t in enumerate(cjs.arrow_decode)}
-
-    def graph_rel(g: int, src: int, dst: int) -> int:
-        """Arrow of D^s_K induced by g: d -> d' between maximal-sieve objects."""
-        (d, s), (d2, s2) = cjs.objects[src], cjs.objects[dst]
-        rel = frozenset(
-            (x, y) for x in bits(s) for y in bits(s2)
-            if D.dom[x] == D.dom[y]
-            and K.is_covering(D.dom[x], mask_of(
-                h for h, yh, gxh in zip(D.arrows_into(D.dom[x]), D.composites[y],
-                                        D.composites[D.compose(g, x)]) if yh == gxh)))
-        return arr_index[(src, dst, rel)]
-
-    # the canonical embedding i^s_K: D -> D^s_K on maximal sieves
-    isk_obj = tuple(obj_index[(d, maximal_sieve_mask(D, d))] for d in D.objects)
-    isk_arr = tuple(graph_rel(g, isk_obj[D.dom[g]], isk_obj[D.cod[g]])
-                    for g in D.arrows)
-    i_s_k = FinFunctor(D, cjs.category, isk_obj, isk_arr)
-
-    sub_objects = tuple(i for i, (d, s) in enumerate(cjs.objects)
-                        if d in F.image_objects)
-    _, sub_incl = full_subcategory(cjs.category, sub_objects)
-    sub_top = induced_topology(sub_incl, ctop)
-    isk_F = F.then(i_s_k)
-    f_s = corestrict(isk_F, sub_incl)
-
-    localic_leg = SiteFunctor(f_s, J, sub_top)
-    hyper_leg = SiteFunctor(sub_incl, sub_top, ctop)
-    embedding = SiteFunctor(isk_F, J, ctop)
-    return HyperconnectedLocalicFactorization(
-        cjs, ctop, sub_objects, sub_top, localic_leg, hyper_leg, embedding)
-
-
 # ---------------------------------------------------------------------------
 # comorphism-side classifiers
 
@@ -1280,395 +1142,3 @@ def _comorphism_equivalence(sf: SiteFunctor, continuous: bool) -> Verdict:
                             props["K_dense"], via="continuous K-full K-faithful J-dense")
     return _conjunction("comorphism-equivalence", _comorphism_hyperconnected(sf),
                         _comorphism_localic_general(sf), via="hyperconnected and localic")
-
-
-# ---------------------------------------------------------------------------
-# comorphism-side factorizations (for cover-preserving comorphisms)
-
-@dataclass(frozen=True)
-class ComorphismFactorizations:
-    # surjection-inclusion: F = i ∘ F' through the full image subcategory
-    image_topology: GrothendieckTopology
-    surjection_leg: SiteFunctor          # F': (D, K) -> (C', M^i_J)
-    inclusion_leg: SiteFunctor           # i: (C', M^i_J) -> (C, J)
-    # hyperconnected-localic: F = F~ ∘ π through the functor-congruence quotient
-    quotient_topology: GrothendieckTopology
-    hyperconnected_leg: SiteFunctor      # π: (D, K) -> (E, L)
-    localic_leg: SiteFunctor             # F~: (E, L) -> (C, J)
-
-
-def comorphism_factorizations(sf: SiteFunctor) -> ComorphismFactorizations:
-    _require(is_comorphism_of_sites(sf), "a comorphism of sites")
-    cp = is_cover_preserving(sf)
-    if not cp:
-        raise ValueError(f"comorphism factorizations need cover preservation: {cp.witness}")
-    F = sf.F
-    K, J = sf.source_topology, sf.target_topology
-
-    _, incl = full_subcategory(F.target, sorted(F.image_objects))
-    j_prime = smallest_comorphism_topology(incl, J)
-    f_prime = corestrict(F, incl)
-
-    quotient, projection, induced = quotient_by_functor_congruence(F)
-    L = topology_where(quotient, lambda c, s: K.is_covering(
-        c, preimage_mask(projection, s, c)))
-
-    return ComorphismFactorizations(
-        j_prime,
-        SiteFunctor(f_prime, K, j_prime),
-        SiteFunctor(incl, j_prime, J),
-        L,
-        SiteFunctor(projection, K, L),
-        SiteFunctor(induced, L, J),
-    )
-
-
-# ---------------------------------------------------------------------------
-# locally connected morphisms
-
-def _ab_categories(F: FinFunctor, h: int, c: int, x: int):
-    """The two elements-style categories attached to (h: d0 -> d1, c, x),
-    their projections to the target, and the comparison functor between them.
-
-    Returns (A objects, A edges, a-projection objects;
-             B objects, B edges, b-projection objects; xi object map)."""
-    C, D = F.source, F.target
-    d0, d1 = D.dom[h], D.cod[h]
-
-    a_objects = [(cp, y, f)
-                 for cp in C.objects
-                 for f in C.hom(cp, c)
-                 for y in D.hom(F.on_obj(cp), d0)
-                 if D.compose(x, F.on_arr(f)) == D.compose(h, y)]
-    a_index = {o: i for i, o in enumerate(a_objects)}
-    a_edges = []
-    for i, (c1, y1, f1) in enumerate(a_objects):
-        for j, (c2, y2, f2) in enumerate(a_objects):
-            for t in C.hom(c1, c2):
-                if C.compose(f2, t) == f1 and \
-                        D.compose(y2, F.on_arr(t)) == y1:
-                    a_edges.append((i, j, F.on_arr(t)))
-    a_proj = [F.on_obj(o[0]) for o in a_objects]
-
-    b_objects = [(d, z, g)
-                 for d in D.objects
-                 for g in D.hom(d, F.on_obj(c))
-                 for z in D.hom(d, d0)
-                 if D.compose(x, g) == D.compose(h, z)]
-    b_index = {o: i for i, o in enumerate(b_objects)}
-    b_edges = []
-    for i, (e1, z1, g1) in enumerate(b_objects):
-        for j, (e2, z2, g2) in enumerate(b_objects):
-            for s in D.hom(e1, e2):
-                if D.compose(g2, s) == g1 and D.compose(z2, s) == z1:
-                    b_edges.append((i, j, s))
-    b_proj = [o[0] for o in b_objects]
-
-    xi_map = [b_index[(F.on_obj(cp), y, F.on_arr(f))] for (cp, y, f) in a_objects]
-    return a_objects, a_edges, a_proj, b_objects, b_edges, b_proj, xi_map
-
-
-def is_locally_connected_presheaf(F: FinFunctor) -> Verdict:
-    """Local connectedness of the presheaf-topos morphism induced by F: the
-    trivial-topology instance of `is_locally_connected_general`, where every
-    functor is a continuous comorphism."""
-    return _locally_connected(F, trivial_topology(F.target))
-
-
-def is_locally_connected_general(sf: SiteFunctor) -> Verdict:
-    """Local connectedness of C_F for a continuous comorphism, with covering
-    refinements in both clauses."""
-    _require(is_comorphism_of_sites(sf), "a comorphism of sites")
-    _require(is_continuous(sf), "continuous")
-    return _locally_connected(sf.F, sf.target_topology)
-
-
-def _locally_connected(F: FinFunctor, K: GrothendieckTopology) -> Verdict:
-    """The two comparison conditions over the elements categories attached
-    to every (h, c, x), each required to hold on a K-covering sieve."""
-    C, D = F.source, F.target
-    for h in D.arrows:
-        for c in C.objects:
-            for x in D.hom(F.on_obj(c), D.cod[h]):
-                (a_objects, a_edges, a_proj,
-                 b_objects, b_edges, b_proj, xi_map) = _ab_categories(F, h, c, x)
-                comma_a = _CommaComponents(D, a_proj, a_edges)
-                comma_b = _CommaComponents(D, b_proj, b_edges)
-                for bi, (d, z, g) in enumerate(b_objects):
-                    good = 0
-                    for u in D.arrows_into(d):
-                        e = D.dom[u]
-                        lab = comma_b.labels(e)
-                        if any(
-                            lab[(bi, u)] == lab[(xi_map[ai], s)]
-                            for ai in range(len(a_objects))
-                            for s in D.hom(e, a_proj[ai])
-                        ):
-                            good |= 1 << u
-                    if not K.is_covering(d, good):
-                        return _no("locally-connected", clause="a",
-                                   instance={"h": h, "c": c, "x": x,
-                                             "b_object": (d, z, g)}, sieve=good)
-
-                miss = comma_a.unconnected(K, lambda d, ai, alpha, aj, beta: (
-                    comma_b.labels(d)[(xi_map[ai], alpha)]
-                    == comma_b.labels(d)[(xi_map[aj], beta)]))
-                if miss:
-                    _, _, alpha, _, beta, good = miss
-                    return _no("locally-connected", clause="b",
-                               instance={"h": h, "c": c, "x": x,
-                                         "alpha": alpha, "beta": beta},
-                               sieve=good)
-    return _yes("locally-connected")
-
-
-# ---------------------------------------------------------------------------
-# comprehensive factorization and terminal connectedness
-
-@dataclass(frozen=True)
-class ComprehensiveFactorization:
-    sheaf: ps.FinPresheaf                  # F_K = a_K(colim y∘F)
-    elements: ps.ElementsResult            # ∫F_K with its projection to D
-    topology: GrothendieckTopology         # M^{π}_K on ∫F_K
-    lift: FinFunctor                       # ξ: C -> ∫F_K
-    projection: FinFunctor                 # π: ∫F_K -> D
-    cofinality: Verdict                    # ξ is M^{π}_K-cofinal
-
-
-def comprehensive_factorization(F: FinFunctor, K: GrothendieckTopology) -> ComprehensiveFactorization:
-    C, D = F.source, F.target
-    colim, legs = ps.colimit_of_representables(F)
-    sh = ps.sheafify(colim, K)
-    el, topology = ps.elements_topology(sh.sheaf, K)
-
-    def elt(c: int) -> int:
-        fc = F.on_obj(c)
-        return sh.unit.at(fc, legs[c][fc][D.hom_position[D.identity[fc]]])
-
-    xi_obj = tuple(el.object_index[(F.on_obj(c), elt(c))] for c in C.objects)
-    xi_arr = tuple(el.arrow_index.get((xi_obj[C.dom[u]], xi_obj[C.cod[u]], F.on_arr(u)))
-                   for u in C.arrows)
-    if None in xi_arr:
-        raise ValueError(f"comprehensive lift is not a functor at arrow {xi_arr.index(None)}")
-    xi = FinFunctor(C, el.category, xi_obj, xi_arr)
-    cof = is_J_cofinal(xi, topology)
-    return ComprehensiveFactorization(sh.sheaf, el, topology, xi,
-                                      el.projection, cof)
-
-
-def is_terminally_connected(sf: SiteFunctor) -> Verdict:
-    """Terminal connectedness of the (essential) morphism induced by a
-    continuous comorphism: relative cofinality wrt the target topology."""
-    _require(is_comorphism_of_sites(sf), "a comorphism of sites")
-    _require(is_continuous(sf), "continuous")
-    return is_J_cofinal(sf.F, sf.target_topology)
-
-
-# ---------------------------------------------------------------------------
-# witness replay
-
-def recheck_witness(sf: SiteFunctor, verdict: Verdict) -> bool:
-    """Replay a verdict's witness against the definitions.
-
-    Counterexample witnesses are re-verified directly from the recorded
-    quantifier instance (the morphism-of-sites clauses by the direct scans
-    that the checker replaces with look-ups, weak-denseness clause (iii)
-    by the definition at its recorded family, a failed localic comorphism
-    by the sieve of passing arrows at its recorded object, a composite flag
-    and weak-denseness clause (i) by the part they record); an object out of
-    range or a mask that is not a sieve on it replays False.  Positive
-    certificates are replayed by re-running the corresponding checker, or
-    those of a composite flag's parts; a kind without a checker to re-run
-    (a sheaf-colimit verdict, which names no site functor) raises
-    ValueError, pass or failure.  A record whose `source_topology`
-    is "induced" was decided, and replays, on (F, J_F, K).
-    """
-    w = verdict.witness
-    kind = w["kind"]
-    F, J, K = sf.F, sf.source_topology, sf.target_topology
-    C, D = F.source, F.target
-    if w.get("source_topology") == "induced":  # decided on J_F, as an inclusion flag may be
-        try:
-            J = induced_topology(F, K)
-        except TopologyError:
-            return False
-    sf = SiteFunctor(F, J, K)  # re-run the checkers, not the verdicts kept on sf
-    if verdict.holds:
-        if kind not in _POSITIVE_RUNNERS:
-            raise ValueError(f"no re-checker for witness kind {kind!r}")
-        return _POSITIVE_RUNNERS[kind](sf).holds
-    if kind in ("cover-preserving", "cover-reflecting") or \
-            kind == "morphism-of-sites" and w["clause"] == "i":
-        c, s = w["object"], w["sieve"]
-        if not (c in C.objects and is_sieve_mask(C, c, s)):
-            return False
-        covered = K.covers_family(F.on_obj(c), _image(F, s))
-        if kind == "cover-reflecting":
-            return not J.is_covering(c, s) and covered
-        return J.is_covering(c, s) and not covered
-    if kind == "covering-lifting":
-        d, s = w["object"], w["sieve"]
-        return d in C.objects and is_sieve_mask(D, F.on_obj(d), s) and \
-            K.is_covering(F.on_obj(d), s) and not J.is_covering(d, preimage_mask(F, s, d))
-    if kind == "morphism-of-sites":
-        return _replays_morphism_of_sites(sf, w)
-    if kind in _PARTS:
-        # a failed K-full, K-faithful or J-dense test decides a comorphism's
-        # flag for a continuous F only; a failed surjection, nested in the
-        # hyperconnected witness, says nothing of inclusion
-        inner = w.get("witness", {})
-        if (inner.get("kind"), inner.get("clause")) not in _PARTS[kind] or \
-                kind == "comorphism-inclusion" and "witness" in inner:
-            return False
-        if inner["kind"] in ("J-full", "J-faithful", "K-dense") and not is_continuous(sf).holds:
-            return False
-        return recheck_witness(sf, Verdict(False, inner))
-    if kind == "weakly-dense" and w.get("clause") == "i":
-        inner = w.get("witness", {})
-        return inner.get("kind") == "cover-reflecting" \
-            and recheck_witness(sf, Verdict(False, inner))
-    if kind == "weakly-dense" and w.get("clause") == "iii":
-        return _replays_weakly_dense_clause_iii(sf, w)
-    if kind == "weakly-dense" and w.get("clause") == "ii":
-        d, s = w["object"], w["sieve"]
-        return d in D.objects and s == generate_mask(D, next(_realized_arrows(sf, [d]))) \
-            and not K.is_covering(d, s)
-    if kind == "comorphism-localic":
-        d, s = w["object"], w["sieve"]
-        return d in C.objects and s == _localic_sieve(sf, d) and not J.is_covering(d, s)
-    if kind == "closed-sieve-lifting":
-        c, s = w["object"], w["sieve"]
-        return c in C.objects and is_sieve_mask(D, F.on_obj(c), s) \
-            and closure_mask(K, F.on_obj(c), s) == s \
-            and all(closure_mask(K, F.on_obj(c), generate_mask(D, _image(F, r))) != s
-                    for r in all_sieve_masks(C, c))
-    if kind == "comorphism-hyperconnected":
-        if "witness" in w:
-            return recheck_witness(sf, Verdict(False, w["witness"]))
-        c, members = w["object"], tuple(frozenset(m) for m in w["family"])
-        return c in D.objects and len(members) == len(C.objects) and \
-            ps.closure_cJ(ps.SubPresheaf(_hom_presheaf(F, c), members), J).members == members \
-            and all(_induced_family(F, J, c, s) != members for s in all_sieve_masks(D, c))
-    if kind == "comorphism-surjection":
-        c, s = w["object"], w["sieve"]
-        return c in D.objects and is_sieve_mask(D, c, s) and K.is_covering(c, s) != all(
-            J.is_covering(e, preimage_mask(F, pullback_mask(D, s, xi), e))
-            for e in C.objects for xi in D.hom(F.on_obj(e), c))
-    if kind == "J-faithful":
-        h, k = w["instance"]["h"], w["instance"]["k"]
-        return h in C.arrows and k in C.hom(C.dom[h], C.cod[h]) and h != k \
-            and F.on_arr(h) == F.on_arr(k) and not local_equality(J, h, k)
-    if kind == "J-full":
-        x, y, g = (w["instance"][key] for key in "xyg")
-        return x in C.objects and y in C.objects and g in D.hom(F.on_obj(x), F.on_obj(y)) \
-            and not J.is_covering(x, w["sieve"]) and w["sieve"] == mask_of(
-                f for f in C.arrows_into(x)
-                if any(D.compose(g, F.on_arr(f)) == F.on_arr(k) for k in C.hom(C.dom[f], y)))
-    if kind == "K-dense":
-        return (w["object"], w["sieve"]) in _image_base_misses(sf)
-    checker = _POSITIVE_RUNNERS.get(kind)
-    if checker is not None:
-        return not checker(sf).holds
-    raise ValueError(f"no re-checker for witness kind {kind!r}")
-
-
-def _replays_morphism_of_sites(sf: SiteFunctor, w: dict) -> bool:
-    """Clauses (ii)-(iv): recompute the sieve of the recorded instance by
-    the direct scans, not the realized values the checker looks up, and
-    require that it is the recorded sieve and does not cover.  Clause (iii)
-    records g1: d -> F(c1) and g2: d -> F(c2) but not c1 and c2, so every
-    pair of objects over their codomains is tried."""
-    F, K = sf.F, sf.K
-    C, D = F.source, F.target
-    clause, sieve = w["clause"], w["sieve"]
-    d = w["object"] if clause == "ii" else w["instance"]["d"]
-    if not (d in D.objects and is_sieve_mask(D, d, sieve)):
-        return False
-    if clause == "ii":
-        return sieve == _sieves_to_image(F)[d] and not K.is_covering(d, sieve)
-    inst = w["instance"]
-    if clause == "iii":
-        g1, g2 = inst["g1"], inst["g2"]
-        if not (g1 in D.arrows and g2 in D.arrows and D.dom[g1] == D.dom[g2] == d):
-            return False
-        found = any(_cone_sieve_iii(sf, c1, c2, g1, g2) == sieve
-                    for c1 in C.objects if F.on_obj(c1) == D.cod[g1]
-                    for c2 in C.objects if F.on_obj(c2) == D.cod[g2])
-    else:
-        f1, f2, g = inst["f1"], inst["f2"], inst["g"]
-        if (not (f1 in C.arrows and f2 in C.arrows and g in D.arrows) or f1 == f2
-                or (C.dom[f2], C.cod[f2]) != (C.dom[f1], C.cod[f1])
-                or (D.dom[g], D.cod[g]) != (d, F.on_obj(C.dom[f1]))
-                or D.compose(F.on_arr(f1), g) != D.compose(F.on_arr(f2), g)):
-            return False
-        found = _cone_sieve_iv(sf, f1, f2, g) == sieve
-    return found and not K.is_covering(d, sieve)
-
-
-def _replays_weakly_dense_clause_iii(sf: SiteFunctor, w: dict) -> bool:
-    """Clause (iii) of weak denseness from its record alone: U must be a
-    K-cover of F(x) and g a coherent family over U into F(y), with
-    g_{h∘z} ≡_K g_h∘z for each member h and z into dom h.  `found` must be
-    the arrows f into x for which some k: dom f -> y has
-    F(k)∘v ≡_K g_{F(f)∘v} at every v with F(f)∘v in U, and it must not
-    J-cover x.  Local equality compares `arrow_keys`; no family is
-    searched and no table is read."""
-    F, J, K = sf.F, sf.J, sf.K
-    C, D = F.source, F.target
-    x, y, u, g = (w["instance"][key] for key in ("x", "y", "sieve", "family"))
-    if not (x in C.objects and y in C.objects and isinstance(g, dict)):
-        return False
-    fx, fy = F.on_obj(x), F.on_obj(y)
-    if not (is_sieve_mask(D, fx, u) and K.is_covering(fx, u) and set(g) == set(bits(u))
-            and all(g[h] in D.hom(D.dom[h], fy) for h in g)):
-        return False
-    if not all(local_equality(K, g[hz], D.compose(g[h], z))
-               for h in g for z, hz in zip(D.arrows_into(D.dom[h]), D.composites[h])):
-        return False
-    found = mask_of(
-        f for f in C.arrows_into(x)
-        if any(all(local_equality(K, D.compose(F.on_arr(k), v), g[fv])
-                   for v, fv in zip(D.arrows_into(F.on_obj(C.dom[f])), D.composites[F.on_arr(f)])
-                   if (u >> fv) & 1)
-               for k in C.hom(C.dom[f], y)))
-    return w["found"] == found and not J.is_covering(x, found)
-
-
-# the parts, by (kind, clause), whose failure a failed composite flag records
-_PARTS: dict[str, set[tuple[str, str | None]]] = {
-    "hyperconnected": {("cover-reflecting", None), ("closed-sieve-lifting", None)},
-    "essential-surjective-closed-image": {("closed-sieve-lifting", None), ("weakly-dense", "ii")},
-    "comorphism-inclusion": {("comorphism-hyperconnected", None), ("comorphism-localic", None),
-                             ("J-full", None), ("J-faithful", None)},
-    "comorphism-equivalence": {("comorphism-hyperconnected", None), ("comorphism-localic", None),
-                               ("J-full", None), ("J-faithful", None), ("K-dense", None)},
-}
-
-
-_POSITIVE_RUNNERS: dict[str, Callable[[SiteFunctor], Verdict]] = {
-    "cover-preserving": is_cover_preserving,
-    "cover-reflecting": is_cover_reflecting,
-    "covering-lifting": is_comorphism_of_sites,
-    "morphism-of-sites": is_morphism_of_sites,
-    "continuous": is_continuous,
-    "dense": is_dense_morphism,
-    "weakly-dense": is_weakly_dense,
-    "closed-sieve-lifting": closed_sieve_lifting,
-    "localic": _localic_condition,
-    "comorphism-surjection": comorphism_surjection,
-    "comorphism-inclusion": _comorphism_inclusion_general,
-    "comorphism-hyperconnected": _comorphism_hyperconnected,
-    "comorphism-localic": _comorphism_localic_general,
-    "J-full": lambda sf: local_property_tests(sf)["J_full"],
-    "J-faithful": lambda sf: local_property_tests(sf)["J_faithful"],
-    "K-dense": lambda sf: local_property_tests(sf)["K_dense"],
-    "hyperconnected": lambda sf: _conjunction(
-        "hyperconnected", is_cover_reflecting(sf), closed_sieve_lifting(sf)),
-    "essential-surjective-closed-image": lambda sf: _conjunction(
-        "essential-surjective-closed-image", closed_sieve_lifting(sf),
-        _weakly_dense_clause_ii(sf)),
-    "comorphism-equivalence": lambda sf: _comorphism_equivalence(sf, is_continuous(sf).holds),
-    "cofinal": lambda sf: is_J_cofinal(sf.F, sf.K),
-    "weakly-dense-ii": _weakly_dense_clause_ii,
-    "locally-connected": lambda sf: _locally_connected(sf.F, sf.K),
-}

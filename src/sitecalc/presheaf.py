@@ -18,6 +18,9 @@ of values along the ascending members of its sieve.  Each family search
 builds its constraint tables once, before it extends any family, and the
 locally matching search reads local equality off class tables: x ≡_J y
 exactly when their least locally equal elements are equal.
+
+The sites built from sheaves, C_J, C^s_J and the category of elements
+∫P, serve only the factorizations and are in `factorizations`.
 """
 
 from __future__ import annotations
@@ -27,16 +30,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .fincat import (
-    FinCategory,
-    FinFunctor,
-    _memo,
-    _UnionFind,
-    derived_category,
-    validate_category,
-)
-from .sieves import all_sieve_masks, bits, mask_of, maximal_sieve_mask, pullback_mask
-from .topology import GrothendieckTopology, closure_mask, induced_topology, topology_where
+from .fincat import FinCategory, FinFunctor, _memo, _UnionFind
+from .sieves import bits, mask_of, pullback_mask
+from .topology import GrothendieckTopology, topology_where
 
 
 @dataclass(frozen=True)
@@ -629,134 +625,7 @@ def sheaf_comparison(P: FinPresheaf, J: GrothendieckTopology,
 
 
 # ---------------------------------------------------------------------------
-# the categories C_J and C_J^s
-
-@dataclass(frozen=True)
-class CJResult:
-    site_cat: FinCategory
-    topology: GrothendieckTopology
-    category: FinCategory
-    homs: tuple  # per (c, d): tuple of relations, each a frozenset of (f, g) arrow pairs
-    arrow_decode: tuple  # per arrow of `category`: (c, d, relation)
-
-
-@dataclass(frozen=True)
-class CJsResult:
-    site_cat: FinCategory
-    topology: GrothendieckTopology
-    category: FinCategory
-    objects: tuple[tuple[int, int], ...]      # (object, closed sieve mask)
-    arrow_decode: tuple  # per arrow: (src_idx, dst_idx, relation frozenset)
-    sheaves: tuple[SheafificationResult, ...]   # per object (c, S): a_J(S)
-    sheaf_arrows: tuple[PresheafMorphism, ...]  # per arrow (c, S) -> (d, T): a_J(S) -> a_J(T)
-
-
-def closed_sieves(cat: FinCategory, J: GrothendieckTopology, c: int) -> list[int]:
-    return [s for s in all_sieve_masks(cat, c) if closure_mask(J, c, s) == s]
-
-
-def _sheafified_sieve_category(cat: FinCategory, J: GrothendieckTopology,
-                               objects: Sequence[tuple[int, int]]):
-    """The category on `objects`, pairs (c, S) of an object and a sieve on
-    it, whose arrows (c, S) -> (d, T) are the sheaf arrows a_J(S) -> a_J(T).
-
-    Such an arrow is fixed by its restriction along the unit of S, a
-    matching family for S in the sheaf a_J(T), so a hom-set is one
-    `strict_matching_families` call.  The identity is the unit family
-    x ↦ η_S(x).  ψ∘φ applies to φ's values the extension of ψ along the
-    unit: each carrier family of a_J(T), pushed through ψ, is a matching
-    family of the sheaf a_J(U), and its amalgamation is the image.
-
-    An arrow is recorded as the relation of the arrow pairs (x, y), x in S
-    and y in T with one domain, such that φ(x) = η_T(y); each hom-set is
-    listed in the order of its sorted relations.  Returns the category,
-    the arrows as (source, target, relation), the sheafified sieves and,
-    per arrow, the components of its sheaf arrow.
-    """
-    members = []      # per object, per e: the arrows of S from e, ascending
-    sheaves = []
-    for c, s in objects:
-        members.append(tuple(tuple(h for h in cat.hom(e, c) if (s >> h) & 1)
-                             for e in cat.objects))
-        carrier, _ = sieve_subpresheaf(cat, c, s).as_presheaf()
-        sheaves.append(sheafify(carrier, J))
-    # per object, η_S(x) for each arrow x of S, and the arrows of S keyed
-    # by their domain e and unit value v in a_J(S)(e)
-    unit = [{h: sh.unit.at(e, k) for e in cat.objects for k, h in enumerate(mem[e])}
-            for mem, sh in zip(members, sheaves)]
-    preimage: list[dict[tuple[int, int], list[int]]] = []
-    for u in unit:
-        over: dict[tuple[int, int], list[int]] = {}
-        for h, v in u.items():
-            over.setdefault((cat.dom[h], v), []).append(h)
-        preimage.append(over)
-
-    sieve_members = [sorted(bits(s)) for _, s in objects]
-    arrow_decode = []
-    families = []
-    for i, (c, s) in enumerate(objects):
-        for j in range(len(objects)):
-            hom = []
-            for phi in strict_matching_families(sheaves[j].sheaf, c, s):
-                hom.append((frozenset((x, y) for x, v in zip(sieve_members[i], phi)
-                                      for y in preimage[j].get((cat.dom[x], v), ())), phi))
-            for rel, phi in sorted(hom, key=lambda arrow: sorted(arrow[0])):
-                arrow_decode.append((i, j, rel))
-                families.append(phi)
-    arr_index = {(i, j, phi): a for a, ((i, j, _), phi) in enumerate(zip(arrow_decode, families))}
-    identities = [arr_index[(i, i, tuple(unit[i][x] for x in sieve_members[i]))]
-                  for i in range(len(objects))]
-
-    amalgamations = [[{key: xs[0] for key, xs in
-                       _by_restrictions(sh.sheaf, e, sh.carrier[e]).items()}
-                      for e in cat.objects] for sh in sheaves]
-    extensions = []
-    for (j, k, _), psi in zip(arrow_decode, families):
-        sh = sheaves[j]
-        at = dict(zip(sieve_members[j], psi))
-        extensions.append(tuple(
-            tuple(amalgamations[k][e][tuple(at[members[j][cat.dom[g]][m]]
-                                            for g, m in zip(sh.carrier[e], fam))]
-                  for fam in sh.families[e])
-            for e in cat.objects))
-
-    into: list[list[int]] = [[] for _ in objects]
-    for a, (_, j, _) in enumerate(arrow_decode):
-        into[j].append(a)
-    composition = {}
-    for b, (j, k, _) in enumerate(arrow_decode):
-        ext = extensions[b]
-        for a in into[j]:
-            i = arrow_decode[a][0]
-            phi = tuple(ext[cat.dom[x]][v] for x, v in zip(sieve_members[i], families[a]))
-            composition[(b, a)] = arr_index[(i, k, phi)]
-    category = validate_category(
-        len(objects), [(i, j) for i, j, _ in arrow_decode], identities, composition)
-    return category, tuple(arrow_decode), tuple(sheaves), extensions
-
-
-def build_CJ(cat: FinCategory, J: GrothendieckTopology) -> CJResult:
-    """The category C_J: same objects, arrows c -> d the sheaf arrows
-    a_J(y c) -> a_J(y d), recorded as relations on arrow pairs; the case of
-    `build_CJs` where every sieve is maximal."""
-    objects = [(c, maximal_sieve_mask(cat, c)) for c in cat.objects]
-    category, arrow_decode, _, _ = _sheafified_sieve_category(cat, J, objects)
-    homs = tuple(tuple(rel for (i, j, rel) in arrow_decode if (i, j) == (c, d))
-                 for c in cat.objects for d in cat.objects)
-    return CJResult(cat, J, category, homs, arrow_decode)
-
-
-def build_CJs(cat: FinCategory, J: GrothendieckTopology) -> CJsResult:
-    """The category C_J^s on pairs (c, J-closed sieve on c)."""
-    objects = tuple((c, s) for c in cat.objects for s in closed_sieves(cat, J, c))
-    category, arrow_decode, sheaves, extensions = _sheafified_sieve_category(cat, J, objects)
-    sheaf_arrows = tuple(PresheafMorphism(sheaves[j].sheaf, sheaves[k].sheaf, ext)
-                         for (j, k, _), ext in zip(arrow_decode, extensions))
-    return CJsResult(cat, J, category, objects, arrow_decode, sheaves, sheaf_arrows)
-
-
-# ---------------------------------------------------------------------------
-# colimits and categories of elements
+# colimits
 
 def colimit_presheaf(cat: FinCategory, shape: FinCategory, diagram: Sequence[FinPresheaf],
                      arrows: Sequence[PresheafMorphism]) -> tuple[FinPresheaf, list[list[tuple[int, ...]]]]:
@@ -811,40 +680,6 @@ def colimit_of_representables(F: FinFunctor) -> tuple[FinPresheaf, list[list[tup
     A, C = F.source, F.target
     return colimit_presheaf(C, A, [yoneda(C, F.on_obj(a)) for a in A.objects],
                             [yoneda_arrow(C, F.on_arr(u)) for u in A.arrows])
-
-
-@dataclass(frozen=True)
-class ElementsResult:
-    category: FinCategory
-    projection: FinFunctor
-    objects: tuple[tuple[int, int], ...]  # (c, x in P(c))
-    arrow_decode: tuple[tuple[int, int], ...]  # (f in base, target element x)
-    object_index: dict[tuple[int, int], int]
-    arrow_index: dict[tuple[int, int, int], int]  # (source, target, f) -> arrow
-
-
-def category_of_elements(P: FinPresheaf) -> ElementsResult:
-    """∫P with its canonical projection, a discrete fibration."""
-    cat = P.cat
-    objects = tuple((c, x) for c in cat.objects for x in range(P.sizes[c]))
-    obj_index = {o: i for i, o in enumerate(objects)}
-    arrow_decode = tuple((f, x) for f in cat.arrows for x in range(P.sizes[cat.cod[f]]))
-    category, arr_index = derived_category(
-        len(objects),
-        [(obj_index[(cat.dom[f], P.res(f, x))], obj_index[(cat.cod[f], x)], f)
-         for f, x in arrow_decode],
-        [(i, i, cat.identity[c]) for i, (c, _) in enumerate(objects)],
-        lambda g, f: (f[0], g[1], cat.compose(g[2], f[2])))
-    projection = FinFunctor(category, cat,
-                            tuple(o[0] for o in objects),
-                            tuple(a[0] for a in arrow_decode))
-    return ElementsResult(category, projection, objects, arrow_decode, obj_index, arr_index)
-
-
-def elements_topology(P: FinPresheaf, J: GrothendieckTopology) -> tuple[ElementsResult, GrothendieckTopology]:
-    """J_P on ∫P: sieves sent by the projection to J-covering families."""
-    el = category_of_elements(P)
-    return el, induced_topology(el.projection, J)
 
 
 def family_locally_surjective(J: GrothendieckTopology,

@@ -77,6 +77,13 @@ class GrothendieckTopology:
         """A family of arrows is covering when the sieve it generates is."""
         return self.is_covering(c, generate_mask(self.cat, mask))
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:  # once per instance, as the category's
+        return hash((self.cat, self.min_cover))
+
     @cached_property
     def covers(self) -> tuple[frozenset[int], ...]:
         """Per object c, every covering sieve: the sieves of

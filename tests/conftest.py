@@ -10,6 +10,7 @@ import random
 import pytest
 
 from sitecalc import fincat
+from sitecalc.factorizations import category_of_elements
 from sitecalc.fincat import (
     FinCategory,
     FinFunctor,
@@ -23,7 +24,6 @@ from sitecalc.morphisms import SiteFunctor
 from sitecalc.presheaf import (
     FinPresheaf,
     SubPresheaf,
-    category_of_elements,
     validate_presheaf,
     yoneda,
 )
@@ -175,6 +175,19 @@ def count_computes(monkeypatch, module) -> collections.Counter:
 
     monkeypatch.setattr(module, "_memo", counted_memo)
     return counts
+
+
+def forbid(monkeypatch, names, value) -> None:
+    """Rebind each of `names` to `value` in every module of `morphisms` and
+    `replay` that binds it: `replay` imports the checkers it may call by
+    name, so a patch on `morphisms` alone would leave its bindings intact.
+    A name that neither module binds raises."""
+    from sitecalc import morphisms, replay
+    for name in names:
+        homes = [module for module in (morphisms, replay) if hasattr(module, name)]
+        assert homes, name
+        for module in homes:
+            monkeypatch.setattr(module, name, value)
 
 
 def random_fibration(rng: random.Random) -> FinFunctor:

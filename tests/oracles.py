@@ -48,12 +48,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from sitecalc.factorizations import _ab_categories
 from sitecalc.fincat import (MAX_ARROWS, FinCategory, FinFunctor, SizeGuardError,
                             validate_category, validate_functor)
 from sitecalc.morphisms import (
     SiteFunctor,
     Verdict,
-    _ab_categories,
     _chi_morphism,
     _CommaComponents,
     _diagram_shape,

@@ -20,19 +20,13 @@ from sitecalc.morphisms import (
     SiteFunctor,
     classify_comorphism,
     classify_morphism,
-    comorphism_factorizations,
-    comprehensive_factorization,
-    hyperconnected_localic_factorization,
     is_comorphism_of_sites,
     is_cover_preserving,
     is_cover_reflecting,
     is_dense_morphism,
-    is_locally_connected_presheaf,
     is_morphism_of_sites,
-    is_terminally_connected,
     is_weakly_dense,
     local_property_tests,
-    surjection_inclusion_factorization,
 )
 from sitecalc.constructions import (
     comorphism_to_morphism_comma,
@@ -40,10 +34,18 @@ from sitecalc.constructions import (
     generalized_elements_identities,
     morphism_to_comorphism,
 )
-from sitecalc.presheaf import (
+from sitecalc.factorizations import (
     build_CJ,
-    canonical_topology,
     category_of_elements,
+    comorphism_factorizations,
+    comprehensive_factorization,
+    hyperconnected_localic_factorization,
+    is_locally_connected_presheaf,
+    is_terminally_connected,
+    surjection_inclusion_factorization,
+)
+from sitecalc.presheaf import (
+    canonical_topology,
     is_bicovering,
     is_sheaf,
     is_subcanonical,

@@ -350,7 +350,8 @@ def test_machine_witness_replays():
     from sitecalc.morphisms import (
         SiteFunctor, Verdict, is_comorphism_of_sites, is_cover_preserving,
         is_cover_reflecting, is_dense_morphism, is_morphism_of_sites,
-        is_weakly_dense, recheck_witness)
+        is_weakly_dense)
+    from sitecalc.replay import recheck_witness
     doc = load_fixture()
     fd = doc.functors["F"]
     J = doc.topologies["Jat"].topology

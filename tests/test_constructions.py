@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import sitecalc.factorizations as factorizations
 import sitecalc.morphisms as morphisms
 import sitecalc.topology as topology
 from sitecalc.constructions import (
@@ -28,8 +29,8 @@ from sitecalc.morphisms import (
     is_comorphism_of_sites,
     is_morphism_of_sites,
     local_property_tests,
-    recheck_witness,
 )
+from sitecalc.replay import recheck_witness
 from sitecalc.topology import (
     atomic_topology,
     coinduced_topology,
@@ -41,6 +42,7 @@ from sitecalc.topology import (
 from conftest import (
     RNG_SEED,
     all_functors,
+    forbid,
     idempotent_monoid_category,
     make_collapse_functor,
     random_category,
@@ -238,7 +240,7 @@ def test_comma_topology_is_built_once(monkeypatch, rng, two):
         built.append(cat)
         return where(cat, covers)
 
-    for module in (topology, morphisms):
+    for module in (topology, factorizations):
         monkeypatch.setattr(module, "topology_where", counted)
     for construct, corpus in ((morphism_to_comorphism, morphisms_in),
                               (comorphism_to_morphism_comma, comorphisms_in)):
@@ -305,8 +307,7 @@ def test_comorphism_localic_witnesses_replay_at_their_object(m2c_corpus, monkeyp
 
     def no_check(sf):
         raise AssertionError("the replay re-ran the localic check")
-    monkeypatch.setattr(morphisms, "_check_comorphism_localic", no_check)
-    monkeypatch.setattr(morphisms, "_comorphism_localic_general", no_check)
+    forbid(monkeypatch, ("_check_comorphism_localic", "_comorphism_localic_general"), no_check)
 
     def replays(sf, w, **fields):
         return recheck_witness(sf, Verdict(False, {**w, **fields}))

@@ -24,11 +24,17 @@ import sys
 
 import pytest
 
-from sitecalc import constructions, fincat, morphisms, presheaf
+from sitecalc import constructions, factorizations, fincat, morphisms
 from sitecalc.constructions import (
     comorphism_to_morphism_comma,
     generalized_elements_fibration,
     morphism_to_comorphism,
+)
+from sitecalc.factorizations import (
+    build_CJs,
+    category_of_elements,
+    comprehensive_factorization,
+    hyperconnected_localic_factorization,
 )
 from sitecalc.fincat import (
     SizeGuardError,
@@ -47,9 +53,7 @@ from sitecalc.morphisms import (
     _chi_morphism,
     _diagram_shape,
     _hom_presheaf,
-    comprehensive_factorization,
     continuity_oracle,
-    hyperconnected_localic_factorization,
     is_comorphism_of_sites,
     is_morphism_of_sites,
     sieve_diagram,
@@ -58,8 +62,6 @@ from sitecalc.presheaf import (
     FinPresheaf,
     PresheafMorphism,
     SubPresheaf,
-    build_CJs,
-    category_of_elements,
     closure_cJ,
     colimit_of_representables,
     colimit_presheaf,
@@ -344,7 +346,7 @@ def _derived_functors(rng, monkeypatch) -> list[tuple[str, fincat.FinFunctor]]:
             built.append((name, F))
         return F
 
-    for module in (fincat, morphisms, constructions, presheaf):
+    for module in (fincat, morphisms, factorizations, constructions):
         monkeypatch.setattr(module, "FinFunctor", record)
     for _ in _corpus(rng):
         pass
@@ -371,4 +373,4 @@ def test_derived_functors_are_lawful(rng, monkeypatch):
         assert validate_functor(F.source, F.target, F.obj_map, F.arr_map) == F, name
         seen.add(name)
     assert seen == set().union(*builders.values())
-    assert sorted(builders) == ["constructions", "fincat", "morphisms", "presheaf"]
+    assert sorted(builders) == ["constructions", "factorizations", "fincat", "morphisms"]

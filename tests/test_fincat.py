@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sitecalc.cli import parse
+from sitecalc.factorizations import category_of_elements
 from sitecalc.fincat import (
     CategoryError,
     FinCategory,
@@ -22,7 +23,7 @@ from sitecalc.fincat import (
     validate_functor,
     vertical_arrows,
 )
-from sitecalc.presheaf import category_of_elements, yoneda
+from sitecalc.presheaf import yoneda
 
 from conftest import (
     SMALL_POSETS,

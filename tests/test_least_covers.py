@@ -23,8 +23,10 @@ import random
 import pytest
 
 import sitecalc.constructions as constructions
+import sitecalc.factorizations as factorizations
 import sitecalc.morphisms as morphisms
 import sitecalc.presheaf as presheaf
+import sitecalc.replay as replay
 import sitecalc.topology as topology
 from sitecalc.cli import parse
 from sitecalc.constructions import (
@@ -32,10 +34,10 @@ from sitecalc.constructions import (
     generalized_elements_fibration,
     generalized_elements_identities,
 )
+from sitecalc.factorizations import elements_topology, hyperconnected_localic_factorization
 from sitecalc.fincat import comma, full_subcategory, identity_functor, poset_category
 from sitecalc.morphisms import (
     SiteFunctor,
-    hyperconnected_localic_factorization,
     is_comorphism_of_sites,
     is_cover_preserving,
     is_cover_reflecting,
@@ -49,7 +51,6 @@ from sitecalc.presheaf import (
     sheaf_comparison,
     sheafify,
     canonical_topology,
-    elements_topology,
     sheafify_plus_plus,
     validate_presheaf,
 )
@@ -297,7 +298,7 @@ def _enumerated(*args):
 
 def _patch_walks(monkeypatch):
     """Patch `all_sieve_masks` to raise wherever a check can reach it."""
-    for module in (morphisms, presheaf, constructions, topology):
+    for module in (morphisms, presheaf, factorizations, replay, constructions, topology):
         monkeypatch.setattr(module, "all_sieve_masks", _enumerated, raising=False)
 
 
@@ -410,7 +411,7 @@ def _predicate_topologies(rng):
                   for sf in site_functors[:40] if is_morphism_of_sites(sf)][:8],
     }
     with pytest.MonkeyPatch.context() as mp:
-        for module in (topology, morphisms, presheaf):
+        for module in (topology, factorizations, presheaf):
             mp.setattr(module, "topology_where", recorded)
         for kind, thunks in builds.items():
             for build in thunks:

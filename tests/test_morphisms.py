@@ -4,10 +4,23 @@ import time
 
 import pytest
 
+import sitecalc.factorizations as fac
 import sitecalc.morphisms as mor
 import sitecalc.presheaf as ps
+import sitecalc.replay as replay
 from sitecalc.cli import parse
 from sitecalc.constructions import morphism_to_comorphism
+from sitecalc.factorizations import (
+    _ab_categories,
+    category_of_elements,
+    comorphism_factorizations,
+    comprehensive_factorization,
+    hyperconnected_localic_factorization,
+    is_locally_connected_general,
+    is_locally_connected_presheaf,
+    is_terminally_connected,
+    surjection_inclusion_factorization,
+)
 from sitecalc.fincat import (
     SizeGuardError,
     full_subcategory,
@@ -22,7 +35,6 @@ from sitecalc.morphisms import (
     SiteFunctor,
     Verdict,
     _CommaComponents,
-    _ab_categories,
     _clause_iii_failure,
     _coherent_families,
     _diagram_shape,
@@ -37,36 +49,28 @@ from sitecalc.morphisms import (
     cocone_is_sheaf_colimit,
     cocone_sheaf_colimit_oracle,
     comma_components,
-    comorphism_factorizations,
-    comprehensive_factorization,
     continuity_oracle,
-    hyperconnected_localic_factorization,
     is_comorphism_of_sites,
     is_continuous,
     is_cover_preserving,
     is_cover_reflecting,
     is_dense_morphism,
     is_J_cofinal,
-    is_locally_connected_general,
-    is_locally_connected_presheaf,
     is_morphism_of_sites,
-    is_terminally_connected,
     is_weakly_dense,
     local_property_tests,
-    recheck_witness,
     sieve_diagram,
-    surjection_inclusion_factorization,
 )
 from sitecalc.presheaf import (
     _locally_matching_families,
     canonical_topology,
-    category_of_elements,
     closure_cJ,
     is_sheaf,
     sheafify,
     validate_presheaf_morphism,
     yoneda,
 )
+from sitecalc.replay import recheck_witness
 from sitecalc.sieves import (
     all_sieve_masks,
     bits,
@@ -89,6 +93,7 @@ from sitecalc.topology import (
 
 from conftest import (
     all_functors,
+    forbid,
     indiscrete_category,
     make_collapse_functor,
     make_two,
@@ -934,7 +939,8 @@ def test_witness_replay_sweep(rng):
     re-checker, positive or negative."""
     from sitecalc.morphisms import (
         closed_sieve_lifting, is_comorphism_of_sites, is_cover_preserving,
-        is_cover_reflecting, recheck_witness)
+        is_cover_reflecting)
+    from sitecalc.replay import recheck_witness
     checkers = [is_morphism_of_sites, is_comorphism_of_sites,
                 is_cover_preserving, is_cover_reflecting, closed_sieve_lifting]
     swept = 0
@@ -1490,9 +1496,8 @@ def test_weakly_dense_clause_iii_witnesses_replay_from_their_record(rng, monkeyp
 
     def raises(*args):
         raise AssertionError("the replay re-ran a checker")
-    for name in ("_weakly_dense_clause_iii", "_clause_iii_tables", "_coherent_families",
-                 "_clause_iii_failure", "is_weakly_dense", "is_cover_reflecting"):
-        monkeypatch.setattr(mor, name, raises)
+    forbid(monkeypatch, ("_weakly_dense_clause_iii", "_clause_iii_tables", "_coherent_families",
+                         "_clause_iii_failure", "is_weakly_dense", "is_cover_reflecting"), raises)
 
     def replays(sf, instance, found):
         return recheck_witness(sf, Verdict(False, {
@@ -1761,7 +1766,7 @@ def test_morphism_of_sites_witnesses_replay_independently(monkeypatch, rng):
 
     def no_checker(sf):
         raise AssertionError("the replay re-ran the checker")
-    monkeypatch.setattr(mor, "_check_morphism_of_sites", no_checker)
+    forbid(monkeypatch, ("_check_morphism_of_sites", "is_morphism_of_sites"), no_checker)
 
     def replays(sf, w):
         return recheck_witness(sf, Verdict(False, w))
@@ -1804,7 +1809,7 @@ def test_weakly_dense_clause_ii_witnesses_replay_at_their_object(monkeypatch, rn
 
     def no_clause(sf):
         raise AssertionError("the replay re-ran clause (ii)")
-    monkeypatch.setattr(mor, "_check_weakly_dense_clause_ii", no_clause)
+    forbid(monkeypatch, ("_check_weakly_dense_clause_ii", "_weakly_dense_clause_ii"), no_clause)
 
     def replays(sf, w):
         alone = recheck_witness(sf, Verdict(False, w))
@@ -2049,8 +2054,8 @@ def test_comorphism_hyperconnected_witnesses_replay_independently(monkeypatch, r
 
     def no_checker(sf):
         raise AssertionError("the replay re-ran the checker")
-    monkeypatch.setattr(mor, "_comorphism_hyperconnected", no_checker)
-    monkeypatch.setitem(mor._POSITIVE_RUNNERS, "comorphism-hyperconnected", no_checker)
+    forbid(monkeypatch, ("_comorphism_hyperconnected", "_check_closed_families"), no_checker)
+    monkeypatch.setitem(replay._POSITIVE_RUNNERS, "comorphism-hyperconnected", no_checker)
 
     replayed = collections.Counter()
     for sf, w in cases:
@@ -2103,9 +2108,9 @@ def test_comorphism_surjection_witnesses_replay_independently(monkeypatch, rng):
 
     def raises(*args):
         raise AssertionError("the replay re-ran the checker")
-    for name in ("comorphism_surjection", "_check_comorphism_surjection", "coinduced_topology"):
-        monkeypatch.setattr(mor, name, raises)
-    monkeypatch.setitem(mor._POSITIVE_RUNNERS, "comorphism-surjection", raises)
+    forbid(monkeypatch, ("comorphism_surjection", "_check_comorphism_surjection",
+                         "coinduced_topology"), raises)
+    monkeypatch.setitem(replay._POSITIVE_RUNNERS, "comorphism-surjection", raises)
 
     assert cases
     for sf, w, coinduced in cases:
@@ -2145,18 +2150,17 @@ def test_comorphism_inclusion_witnesses_replay_independently(monkeypatch, rng):
 
     def raises(*args):
         raise AssertionError("the replay re-ran a checker")
-    for name in ("_comorphism_inclusion_general", "_closed_families_induced",
-                 "_check_closed_families", "_comorphism_hyperconnected",
-                 "_comorphism_localic_general", "_check_comorphism_localic"):
-        monkeypatch.setattr(mor, name, raises)
+    forbid(monkeypatch, ("_comorphism_inclusion_general", "_closed_families_induced",
+                         "_check_closed_families", "_comorphism_hyperconnected",
+                         "_comorphism_localic_general", "_check_comorphism_localic"), raises)
     for kind in ("comorphism-inclusion", "comorphism-hyperconnected"):
-        monkeypatch.setitem(mor._POSITIVE_RUNNERS, kind, raises)
+        monkeypatch.setitem(replay._POSITIVE_RUNNERS, kind, raises)
 
     for sf, w in failures:
         inner = w["witness"]
         with monkeypatch.context() as m:
             if inner["kind"] in ("J-full", "J-faithful"):
-                m.setattr(mor, "_check_local_properties", raises)
+                forbid(m, ("_check_local_properties", "local_property_tests"), raises)
 
             def replays(**fields):
                 return recheck_witness(sf, Verdict(False, {**w, "witness": {**inner, **fields}}))
@@ -2170,7 +2174,7 @@ def test_comorphism_inclusion_witnesses_replay_independently(monkeypatch, rng):
                 assert not replays(sieve=inner["sieve"] ^ 1)
         reached[inner["kind"]] += 1
 
-    monkeypatch.setattr(mor, "_check_local_properties", raises)
+    forbid(monkeypatch, ("_check_local_properties", "local_property_tests"), raises)
     for sf, w, continuous in locals_:
         assert recheck_witness(sf, Verdict(False, w))
         wrapped = {"kind": "comorphism-inclusion", "holds": False, "witness": w}
@@ -2293,7 +2297,7 @@ def test_every_classifier_flag_replays_through_its_parts(rng):
                 if not recheck_witness(sf, v):
                     unreplayed[side, name, v.holds] += 1
                 kind = v.witness["kind"]
-                if kind in mor._PARTS:
+                if kind in replay._PARTS:
                     forged = Verdict(True, {"kind": kind, "holds": True})
                     assert recheck_witness(sf, forged) == v.holds
                     seen[kind, v.holds] += 1
@@ -2590,7 +2594,7 @@ def test_connection_loops_match_reference(rng):
     for F, K in functors:
         for name, new, old in (
                 ("cofinal", is_J_cofinal(F, K), reference_is_J_cofinal(F, K)),
-                ("locally-connected", mor._locally_connected(F, K),
+                ("locally-connected", fac._locally_connected(F, K),
                  reference_locally_connected(F, K))):
             assert new == old
             failures[name, new.witness.get("clause")] += 1
@@ -2606,7 +2610,7 @@ def test_connection_loops_match_reference(rng):
         assert failures[name, None] > 10
     assert failures["cofinal", "ii"] > 10
     assert failures["locally-connected", "b"] >= 2
-    instance = mor._locally_connected(distinct, trivial_topology(distinct.target)).witness["instance"]
+    instance = fac._locally_connected(distinct, trivial_topology(distinct.target)).witness["instance"]
     assert instance["alpha"] != instance["beta"]
     assert failures["sheaf-colimit", "ii"] > 10
 

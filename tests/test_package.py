@@ -15,7 +15,7 @@ import pytest
 
 import sitecalc
 
-from test_cli import FIXTURE, vee_site
+from test_cli import FIXTURE, chain_site, vee_site
 
 SRC = pathlib.Path(sitecalc.__file__).parent
 
@@ -28,15 +28,16 @@ LIBRARY_ONLY = {
     "fincat.monoid_category": "category constructor",
     "fincat.is_colimit_cocone": "decides colimit cocones in a finite category",
     "morphisms.cocone_is_sheaf_colimit": "paper criterion: a cocone sent to a colimit of sheaves",
-    "morphisms.comorphism_factorizations": "paper construction: the factorizations of a "
-                                           "cover-preserving comorphism",
-    "morphisms.is_locally_connected_presheaf": "the presheaf-topos case of local connectedness",
-    "morphisms.is_terminally_connected": "paper criterion: terminal connectedness",
-    "morphisms.recheck_witness": "replays a witness against the definitions",
+    "factorizations.comorphism_factorizations": "paper construction: the factorizations of a "
+                                                "cover-preserving comorphism",
+    "factorizations.is_locally_connected_presheaf": "the presheaf-topos case of local "
+                                                    "connectedness",
+    "factorizations.is_terminally_connected": "paper criterion: terminal connectedness",
+    "replay.recheck_witness": "replays a witness against the definitions",
     "presheaf.constant_presheaf": "presheaf constructor",
     "presheaf.identity_morphism": "presheaf-morphism constructor",
     "presheaf.is_subcanonical": "paper criterion: every representable is a sheaf",
-    "presheaf.build_CJ": "the paper's category C_J",
+    "factorizations.build_CJ": "the paper's category C_J",
     "sieves.iso_closure": "paper presieve closure: under isomorphisms",
     "sieves.vertical_closure": "paper presieve closure: under vertical arrows of a fibration",
     "sieves.cartesian_part": "paper presieve closure: cartesian parts along a fibration",
@@ -62,6 +63,9 @@ def test_dir_lists_the_exports_and_unknown_names_raise():
 
 BASE = {"sitecalc", "sitecalc.cli", "sitecalc.fincat", "sitecalc.sieves", "sitecalc.topology"}
 PRESHEAF_FREE = vee_site(3, 2).partition("presheaf P")[0]
+# the identity of the 3-chain with its trivial topology passes every functor command
+CHAIN = chain_site(3)
+FUNCTOR = {"presheaf", "morphisms"}
 
 
 def _modules_after(statements: str) -> set[str]:
@@ -102,14 +106,25 @@ def test_imports_load_no_layer(statements, loaded):
         (PRESHEAF_FREE, ("validate",), set()),
         (PRESHEAF_FREE, ("topology", "generate", "J"), set()),
         (FIXTURE.read_text(), ("sheafify", "P", "--oracle"), {"presheaf"}),
-        (FIXTURE.read_text(), ("classify-morphism", "F"), {"presheaf", "morphisms"}),
-        (FIXTURE.read_text(), ("comma", "m2c", "F"), {"presheaf", "morphisms", "constructions"}),
+        (FIXTURE.read_text(), ("classify-morphism", "F"), FUNCTOR),
+        (CHAIN, ("classify-comorphism", "Id"), FUNCTOR),
+        (CHAIN, ("denseness", "Id"), FUNCTOR),
+        (CHAIN, ("continuity", "Id"), FUNCTOR),
+        (CHAIN, ("cofinal", "Id"), FUNCTOR),
+        (CHAIN, ("locally-connected", "Id"), FUNCTOR | {"factorizations"}),
+        (CHAIN, ("factorize", "surj-incl", "Id"), FUNCTOR | {"factorizations"}),
+        (CHAIN, ("factorize", "hyper-localic", "Id"), FUNCTOR | {"factorizations"}),
+        (CHAIN, ("factorize", "comprehensive", "Id"), FUNCTOR | {"factorizations"}),
+        (FIXTURE.read_text(), ("comma", "m2c", "F"), FUNCTOR | {"constructions"}),
     ]])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, text, argv, extra):
     """A command adds to the parser's modules only the layers it runs:
     `validate` and `topology generate` on a document without presheaves
-    none, `sheafify` `presheaf`, the functor commands `morphisms` and
-    `comma` `constructions`."""
+    none, `sheafify` `presheaf`, the functor commands `morphisms`, the
+    factorizations and local connectedness `factorizations` too, and
+    `comma` `constructions`.  No command loads `replay`, and a module-level
+    import that pulls `factorizations` or `replay` into `morphisms` or
+    `presheaf` fails here."""
     path = tmp_path / "doc.site"
     path.write_text(text)
     assert _modules_after(_main(path, *argv)) == BASE | {f"sitecalc.{m}" for m in extra}
@@ -517,9 +532,9 @@ def test_comp_reads_are_found():
 # of `topology.GrothendieckTopology`; a loop over a topology's covers or over
 # the sieve lattice sits in a construction that needs every sieve
 SIEVE_WALKS = {
-    "presheaf.closed_sieves",  # the objects of C^s_J
+    "factorizations.closed_sieves",  # the objects of C^s_J
     "morphisms.continuity_oracle",  # the independent route over every cover
-    "morphisms.recheck_witness",  # replays read the definitions
+    "replay.recheck_witness",  # replays read the definitions
 }
 
 
@@ -550,9 +565,21 @@ def _sieve_walks(trees: dict[str, ast.Module]) -> list[str]:
     return sorted(found)
 
 
+# the modules whose checks and constructions read the least covers, and
+# the others, each with why the check does not read it
+SIEVE_WALK_MODULES = ("presheaf", "morphisms", "constructions", "factorizations", "replay")
+NOT_SIEVE_WALK_MODULES = {
+    "topology": "defines the covers, their listing and the two quantifiers that walk them",
+    "sieves": "enumerates the sieve lattice",
+    "fincat": "categories and functors, below sieves",
+    "cli": "parses documents and prints listings",
+    "__init__": "the export table",
+}
+
+
 def test_pass_paths_walk_no_covers_or_sieves():
     trees = {module: ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
-             for module in ("presheaf", "morphisms", "constructions")}
+             for module in SIEVE_WALK_MODULES}
     assert _sieve_walks(trees) == []
 
 
@@ -609,10 +636,32 @@ def _covers_reads(trees: dict[str, ast.Module]) -> list[str]:
     return sorted(found)
 
 
+COVERS_MODULES = ("presheaf", "morphisms", "constructions", "factorizations", "replay", "cli")
+NOT_COVERS_MODULES = {
+    "topology": "defines the covers and their listing",
+    "sieves": "sieves as masks, with no topology",
+    "fincat": "categories and functors, with no topology",
+    "__init__": "the export table",
+}
+
+
 def test_covers_are_read_only_where_every_cover_is_needed():
     trees = {module: ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
-             for module in ("presheaf", "morphisms", "constructions", "cli")}
+             for module in COVERS_MODULES}
     assert _covers_reads(trees) == []
+
+
+@pytest.mark.parametrize("read, excluded", [
+    (SIEVE_WALK_MODULES, NOT_SIEVE_WALK_MODULES),
+    (COVERS_MODULES, NOT_COVERS_MODULES),
+], ids=["sieve walks", "covers reads"])
+def test_the_cover_checks_read_every_module_or_say_why_not(read, excluded):
+    """A module added to src/sitecalc, or one split off another, is read by
+    each of the two checks or named in its exclusions with the reason; a
+    module in both, or one that is gone, fails too."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    assert not set(read) & set(excluded)
+    assert sorted(set(read) | set(excluded)) == sorted(modules)
 
 
 def test_covers_reads_are_found():
@@ -685,3 +734,88 @@ def test_rebuilt_maximal_sieves_are_found():
     assert _rebuilt_maximal_sieves({"sieves": sample}) == [
         "sieves.FinCategory.maximal_sieves:9", "sieves.Site.top:12",
         "sieves.maximal_sieve_mask:2", "sieves.tops:4"]
+
+
+# every verdict kind replays: a failure in a branch of `replay.recheck_witness`
+# or through its table of checkers, a pass through the table; the one kind
+# whose record names a cocone, not a site functor, raises
+UNREPLAYED_KINDS = {"sheaf-colimit"}
+_VERDICTS = ("_yes", "_no", "_conjunction")
+
+
+def _verdict_kinds(trees: dict[str, ast.Module]) -> set[str]:
+    """The kind literal of each `_yes`, `_no` or `_conjunction` call, bare
+    or as an attribute, outside the definitions of those three; a kind that
+    is not a string literal gives `module.scope:line?`."""
+    kinds = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if child.name in _VERDICTS:
+                    continue
+                inner = f"{scope}.{child.name}"
+            elif (isinstance(child, ast.Call)
+                  and (getattr(child.func, "id", None) or getattr(child.func, "attr", None))
+                  in _VERDICTS):
+                kind = child.args[0] if child.args else None
+                kinds.add(kind.value if isinstance(kind, ast.Constant)
+                          and isinstance(kind.value, str) else f"{scope}:{child.lineno}?")
+            visit(child, inner)
+
+    for module, tree in trees.items():
+        visit(tree, module)
+    return kinds
+
+
+def _replayed_kinds(tree: ast.Module) -> set[str]:
+    """The kinds that a replay module handles: the keys of its
+    `_POSITIVE_RUNNERS` and `_PARTS` tables and each string compared with
+    the name `kind`."""
+    handled = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if (any(getattr(target, "id", None) in ("_POSITIVE_RUNNERS", "_PARTS")
+                    for target in targets) and isinstance(node.value, ast.Dict)):
+                handled |= {key.value for key in node.value.keys
+                            if isinstance(key, ast.Constant)}
+        elif isinstance(node, ast.Compare) and getattr(node.left, "id", None) == "kind":
+            handled |= {n.value for comparator in node.comparators for n in ast.walk(comparator)
+                        if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return handled
+
+
+def test_every_verdict_kind_replays():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert sorted(_verdict_kinds(trees) - _replayed_kinds(trees["replay"])) \
+        == sorted(UNREPLAYED_KINDS)
+
+
+def test_unreplayed_kinds_are_found():
+    checkers = ast.parse(
+        "def _no(kind, **data):\n"
+        "    return Verdict(False, {'kind': kind, **data})\n"
+        "def _conjunction(kind, *parts):\n"
+        "    return _no(kind, witness=parts[0].witness)\n"
+        "def is_cofinal(sf):\n"
+        "    return _yes('cofinal') if sf else _no('cofinal', clause='i')\n"
+        "def is_tidy(sf):\n"
+        "    return morphisms._no('tidy', object=0)\n"
+        "def is_neat(sf, name):\n"
+        "    def inner():\n"
+        "        return _yes(name)\n"
+        "    return _conjunction('hyperconnected', inner(), _yes('localic'))\n")
+    replay = ast.parse(
+        "_PARTS: dict = {'hyperconnected': set()}\n"
+        "_POSITIVE_RUNNERS = {'cofinal': is_cofinal}\n"
+        "def recheck_witness(sf, verdict):\n"
+        "    kind = verdict.witness['kind']\n"
+        "    if kind in ('localic', 'dense'):\n"
+        "        return True\n"
+        "    if verdict.witness.get('inner') == 'tidy':\n"
+        "        return False\n")
+    assert sorted(_verdict_kinds({"morphisms": checkers}) - _replayed_kinds(replay)) == [
+        "morphisms.is_neat.inner:11?", "tidy"]

@@ -14,14 +14,16 @@ from sitecalc.fincat import (
     validate_functor,
 )
 from sitecalc.cli import parse
+from sitecalc.factorizations import (
+    build_CJ,
+    build_CJs,
+    category_of_elements,
+    closed_sieves,
+)
 from sitecalc.morphisms import is_continuous, sieve_diagram
 from sitecalc.presheaf import (
     _locally_matching_families,
-    build_CJ,
-    build_CJs,
     canonical_topology,
-    category_of_elements,
-    closed_sieves,
     closure_cJ,
     colimit_of_representables,
     constant_presheaf,

@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sitecalc.factorizations import category_of_elements
 from sitecalc.fincat import SizeGuardError, cartesian_arrows, identity_functor, poset_category
-from sitecalc.presheaf import category_of_elements, yoneda
+from sitecalc.presheaf import yoneda
 from sitecalc.sieves import (
     SIEVE_GUARD,
     _enumerate_sieve_masks,

@@ -1,10 +1,13 @@
 import collections
+import dataclasses
 import random
 
 import pytest
 
 import sitecalc.topology as topology
+from sitecalc.factorizations import elements_topology
 from sitecalc.fincat import (
+    FinCategory,
     full_subcategory,
     identity_functor,
     monoid_category,
@@ -13,7 +16,7 @@ from sitecalc.fincat import (
     validate_category,
     validate_functor,
 )
-from sitecalc.presheaf import canonical_topology, elements_topology, is_sheaf, is_subcanonical, yoneda
+from sitecalc.presheaf import canonical_topology, is_sheaf, is_subcanonical, yoneda
 from sitecalc.sieves import (
     all_sieve_masks,
     bits,
@@ -682,6 +685,42 @@ def _arrows_equal_on_one_leg():
     comp[(6, 4)] = comp[(7, 4)] = 8
     comp[(6, 5)], comp[(7, 5)] = 9, 10
     return validate_category(4, arrows, identities, comp)
+
+
+class _CountedRow(tuple):
+    """A composition row that counts how often it is hashed."""
+    hashed = 0
+
+    def __hash__(self):
+        _CountedRow.hashed += 1
+        return tuple.__hash__(self)
+
+
+def test_hashes_are_taken_once_per_instance(monkeypatch, rng):
+    """A category's hash reads each composition row once per instance, and
+    a topology's hash reads its category's once; a category or topology
+    equal to it but built apart still hashes equal.  On 20 random conftest
+    sites."""
+    category_hashes = []
+    real = FinCategory.__hash__
+    monkeypatch.setattr(FinCategory, "__hash__",
+                        lambda cat: category_hashes.append(cat) or real(cat))
+    for _ in range(20):
+        cat = random_category(rng)
+        J = random_topology(rng, cat)
+        counted = dataclasses.replace(cat, composites=tuple(map(_CountedRow, cat.composites)))
+        _CountedRow.hashed = 0
+        first = hash(counted)
+        assert _CountedRow.hashed == len(cat.composites)
+        assert hash(counted) == first and _CountedRow.hashed == len(cat.composites)
+        assert counted == cat and counted is not cat and hash(cat) == first
+
+        twin = dataclasses.replace(J, cat=counted)
+        category_hashes.clear()
+        first = hash(twin)
+        assert category_hashes == [counted]
+        assert hash(twin) == first and category_hashes == [counted]
+        assert twin == J and twin is not J and hash(J) == first
 
 
 def test_local_equality_is_memoised_per_instance(monkeypatch, two):
