@@ -1101,13 +1101,14 @@ def _check_closed_families(sf: SiteFunctor) -> Verdict:
 def _induced_family(F: FinFunctor, J: GrothendieckTopology, c: int,
                     s: int) -> tuple[frozenset[int], ...]:
     """The family of Hom_C(F(-), c) induced by the sieve s on c: per d, the
-    positions of the x: F(d) -> c along which s pulls back to a J-cover."""
-    D, C = F.source, F.target
+    positions of the x: F(d) -> c along which s pulls back to a J-cover.
+    As s is a sieve, so is {t | x∘F(t) in s}, and it covers iff it holds
+    each generator of the least cover m_d (L0)."""
+    C = F.target
     return tuple(
         frozenset(xi for xi, x in enumerate(C.hom(F.on_obj(d), c))
-                  if J.is_covering(d, mask_of(t for t in D.arrows_into(d)
-                                              if (s >> C.compose(x, F.on_arr(t))) & 1)))
-        for d in D.objects)
+                  if all((s >> C.compose(x, F.on_arr(g))) & 1 for g in gens))
+        for d, gens in enumerate(J.min_cover_generators))
 
 
 def classify_comorphism(sf: SiteFunctor) -> MorphismClassification:

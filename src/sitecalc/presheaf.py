@@ -17,7 +17,12 @@ The sheaf kernels work on restriction rows.  A matching family is a tuple
 of values along the ascending members of its sieve.  Each family search
 builds its constraint tables once, before it extends any family, and the
 locally matching search reads local equality off class tables: x ≡_J y
-exactly when their least locally equal elements are equal.
+exactly when their least locally equal elements are equal.  The key of an
+element x of P(c) is its tuple of restrictions along the generators of
+the least cover m_c: a sieve covers iff it holds each generator (L0), so
+local equality is equality of keys, and local injectivity, local
+surjectivity and the closure c_J read the generators' rows whole, with no
+loop over pairs of elements.
 
 The sites built from sheaves, C_J, C^s_J and the category of elements
 ∫P, serve only the factorizations and are in `factorizations`.
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .fincat import FinCategory, FinFunctor, _memo, _UnionFind
-from .sieves import bits, mask_of, pullback_mask
+from .sieves import bits, pullback_mask
 from .topology import GrothendieckTopology, topology_where
 
 
@@ -194,39 +199,35 @@ def sieve_subpresheaf(cat: FinCategory, c: int, mask: int) -> SubPresheaf:
 
 
 def closure_cJ(A: SubPresheaf, J: GrothendieckTopology) -> SubPresheaf:
-    """c_J(A)(c) = {x in E(c) | {f | E(f)(x) in A(dom f)} is J-covering}."""
+    """c_J(A)(c) = {x in E(c) | {f | E(f)(x) in A(dom f)} is J-covering}.
+    As A is a subpresheaf, x·f in A gives x·(f∘g) in A, so that set is a
+    sieve; it covers iff it holds each generator g of m_c (L0), that is
+    iff x·g lies in A(dom g) for each g."""
     E = A.ambient
-    cat = E.cat
-    members = []
-    for c in cat.objects:
-        good = set()
-        for x in range(E.sizes[c]):
-            s = mask_of(f for f in cat.arrows_into(c)
-                        if E.res(f, x) in A.members[cat.dom[f]])
-            if J.is_covering(c, s):
-                good.add(x)
-        members.append(frozenset(good))
-    return SubPresheaf(E, tuple(members))
+    dom = E.cat.dom
+    return SubPresheaf(E, tuple(
+        frozenset(x for x in range(n) if all(E.restrict[g][x] in A.members[dom[g]] for g in gens))
+        for n, gens in zip(E.sizes, J.min_cover_generators)))
 
 
-def elem_locally_equal(P: FinPresheaf, J: GrothendieckTopology, c: int, x: int, y: int) -> bool:
-    """x ≡_J y: x and y agree on a J-covering sieve.  Their agreement set
-    {f | x·f = y·f} is a sieve, as x·f = y·f gives x·(f∘g) = y·(f∘g), so
-    it covers iff it holds each generator of the least cover (L0)."""
-    if x == y:
-        return True
-    return all(P.restrict[g][x] == P.restrict[g][y] for g in J.min_cover_generators[c])
+def _element_keys(P: FinPresheaf, J: GrothendieckTopology, c: int) -> Iterable[tuple[int, ...]]:
+    """Per element x of P(c), ascending, its key: its restrictions along
+    the generators of the least cover m_c.  x ≡_J y, x and y agree on a
+    J-covering sieve, iff their keys are equal.  Their agreement set
+    {f | x·f = y·f} is a sieve, as x·f = y·f gives x·(f∘g) = y·(f∘g), so it
+    covers iff it holds each generator of m_c (L0)."""
+    return _restriction_keys(P, c, J.min_cover_generators[c])
 
 
 def is_locally_injective(alpha: PresheafMorphism, J: GrothendieckTopology) -> bool:
+    """Elements with one image are locally equal: per object c where alpha
+    is not injective, the pairs (alpha(x), key of x) are no more than the
+    images alpha(x), as each image has one key (`_element_keys`)."""
     F = alpha.source
-    cat = F.cat
-    for c in cat.objects:
-        for x in range(F.sizes[c]):
-            for x2 in range(x + 1, F.sizes[c]):
-                if alpha.at(c, x) == alpha.at(c, x2):
-                    if not elem_locally_equal(F, J, c, x, x2):
-                        return False
+    for c, comp in enumerate(alpha.components):
+        images = len(set(comp))
+        if images < len(comp) and images < len(set(zip(comp, _element_keys(F, J, c)))):
+            return False
     return True
 
 
@@ -447,24 +448,16 @@ def _read_off_families(P: FinPresheaf, J: GrothendieckTopology, c: int,
     for d, reps in least.items():
         for y, r in enumerate(reps):
             classes[d].setdefault(r, []).append(y)
-    keys = {tuple(least[cat.dom[f]][P.res(f, x)] for f in members) for x in range(P.sizes[c])}
+    keys = set(zip(*(map(least[cat.dom[f]].__getitem__, P.restrict[f]) for f in members)))
     return sorted(fam for key in keys for fam in itertools.product(
         *(classes[cat.dom[f]][r] for f, r in zip(members, key))))
 
 
 def _least_locally_equal(P: FinPresheaf, J: GrothendieckTopology, c: int) -> list[int]:
     """For each x in P(c), the least element locally equal to x: the first
-    element of its class, as local equality is an equivalence relation on
-    a topology (the agreement sieve of x and z contains the intersection
-    of those of x, y and y, z)."""
-    least: list[int] = []
-    firsts: list[int] = []
-    for x in range(P.sizes[c]):
-        r = next((y for y in firsts if elem_locally_equal(P, J, c, x, y)), x)
-        if r == x:
-            firsts.append(x)
-        least.append(r)
-    return least
+    element with its key (`_element_keys`), found in one dict pass."""
+    first: dict[tuple[int, ...], int] = {}
+    return list(map(first.setdefault, _element_keys(P, J, c), range(P.sizes[c])))
 
 
 def sheafify(P: FinPresheaf, J: GrothendieckTopology) -> SheafificationResult:
@@ -472,9 +465,10 @@ def sheafify(P: FinPresheaf, J: GrothendieckTopology) -> SheafificationResult:
     object, modulo componentwise local equality.  J must be a topology: then
     local equality is an equivalence relation, so two families are
     identified exactly when their components have the same least locally
-    equal elements, and each class is found by that tuple.  Sorted
-    iteration makes each class's representative its lexicographically
-    least family."""
+    equal elements, and each class is found by that tuple, its key.  The
+    keys are read column by column, and the families come in lexicographic
+    order, so each class's representative, the first family with its key,
+    is its lexicographically least family."""
     cat = P.cat
     carriers = tuple(tuple(sorted(bits(J.min_cover[c]))) for c in cat.objects)
     all_families = [
@@ -483,19 +477,16 @@ def sheafify(P: FinPresheaf, J: GrothendieckTopology) -> SheafificationResult:
 
     reps: list[tuple[tuple[int, ...], ...]] = []
     index: list[dict[tuple[int, ...], int]] = []
-    for c in cat.objects:
-        doms = [cat.dom[f] for f in carriers[c]]
-        classes: list[tuple[int, ...]] = []
-        by_key: dict[tuple[int, ...], int] = {}
-        idx: dict[tuple[int, ...], int] = {}
-        for fam in sorted(all_families[c]):
-            key = tuple(least[d][x] for d, x in zip(doms, fam))
-            if key not in by_key:
-                by_key[key] = len(classes)
-                classes.append(fam)
-            idx[fam] = by_key[key]
-        reps.append(tuple(classes))
-        index.append(idx)
+    for c, families in zip(cat.objects, all_families):
+        # per family, the least locally equal elements of its components, read column-wise
+        keys = zip(*(map(least[cat.dom[f]].__getitem__, column)
+                     for f, column in zip(carriers[c], zip(*families)))) \
+            if carriers[c] else [()] * len(families)
+        first: dict[tuple[int, ...], tuple[int, ...]] = {}  # key -> its least family
+        least_of = list(map(first.setdefault, keys, families))
+        number = dict(zip(first.values(), itertools.count()))
+        reps.append(tuple(first.values()))
+        index.append(dict(zip(families, map(number.__getitem__, least_of))))
 
     sizes = tuple(len(r) for r in reps)
     # per object, the values of its representatives at each carrier arrow
@@ -584,9 +575,12 @@ def sheaf_comparison(P: FinPresheaf, J: GrothendieckTopology,
     covers iff it holds each member of the least cover m_c, or each
     generator of m_c (L0).  Those v are the ones whose restriction along
     each f in m_c lies in over[dom f][e·f] = {eta2(x) | eta1(x) = e·f},
-    and they are looked up by their restrictions along m_c.  When there
-    are more such keys than elements of E2(c), every element is tested at
-    the generators instead.
+    and they are looked up by their restrictions along m_c.  When each set
+    over[dom f][e·f] read at c has one element, each e has one such key,
+    read column by column, and when the elements of E2(c) have distinct
+    keys it names at most one of them.  If so, and each key names one, that
+    is the component at c; otherwise each e is compared on its own
+    (`_compare_by_element`), which also names the first e that fails.
     """
     validate_presheaf_morphism(P, E1, eta1.components)
     validate_presheaf_morphism(P, E2, eta2.components)
@@ -594,34 +588,54 @@ def sheaf_comparison(P: FinPresheaf, J: GrothendieckTopology,
     over = []
     for d in cat.objects:
         images: list[set[int]] = [set() for _ in range(E1.sizes[d])]
-        for x in range(P.sizes[d]):
-            images[eta1.at(d, x)].add(eta2.at(d, x))
+        for u, v in zip(eta1.components[d], eta2.components[d]):
+            images[u].add(v)
         over.append(images)
+    # per d and u, the one element of over[d][u], or -1 when it has none or several
+    sole = [[min(s) if len(s) == 1 else -1 for s in images] for images in over]
     components = []
     for c in cat.objects:
         members = sorted(bits(J.min_cover[c]))
-        by_key = _by_restrictions(E2, c, members)
-        # per e, the sets over[dom f][e·f] along the members f of m_c
-        options_of = zip(*(map(over[cat.dom[f]].__getitem__, E1.restrict[f])
-                           for f in members)) if members else [()] * E1.sizes[c]
-        generator_rows = [(E1.restrict[g], E2.restrict[g], over[cat.dom[g]])
-                          for g in J.min_cover_generators[c]]
-        comp = []
-        for e, options in enumerate(options_of):
-            if math.prod(map(len, options)) > E2.sizes[c]:
-                tests = [(row2, images[row1[e]]) for row1, row2, images in generator_rows]
-                found = [v for v in range(E2.sizes[c])
-                         if all(row[v] in image for row, image in tests)]
-            else:
-                found = sorted(v for key in itertools.product(*options)
-                               for v in by_key.get(key, ()))
-            if len(found) != 1:
-                raise ValueError(
-                    f"sheaf comparison not uniquely defined at object {c}, element {e}: {found}")
-            comp.append(found[0])
-        components.append(tuple(comp))
+        # per e, its key when each set read has one element; a key with -1 names no element
+        keys = zip(*(map(sole[cat.dom[f]].__getitem__, E1.restrict[f]) for f in members)) \
+            if members else [()] * E1.sizes[c]
+        element = dict(zip(_restriction_keys(E2, c, members), range(E2.sizes[c])))
+        comp = tuple(map(element.get, keys))
+        if None in comp or len(element) < E2.sizes[c]:
+            comp = _compare_by_element(J, c, E1, E2, over, members)
+        components.append(comp)
     # checked: its naturality is part of what the comparison asserts
     return validate_presheaf_morphism(E1, E2, components)
+
+
+def _compare_by_element(J: GrothendieckTopology, c: int, E1: FinPresheaf, E2: FinPresheaf,
+                        over: list[list[set[int]]], members: list[int]) -> tuple[int, ...]:
+    """The component at c of `sheaf_comparison`, one element of E1(c) at a
+    time: the keys in the product of the sets over[dom f][e·f] are looked
+    up, or, when there are more of them than elements of E2(c), every
+    element is tested at the generators of m_c.  Raises at the first e
+    with no such element or several."""
+    cat = J.cat
+    by_key = _by_restrictions(E2, c, members)
+    # per e, the sets over[dom f][e·f] along the members f of m_c
+    options_of = zip(*(map(over[cat.dom[f]].__getitem__, E1.restrict[f])
+                       for f in members)) if members else [()] * E1.sizes[c]
+    generator_rows = [(E1.restrict[g], E2.restrict[g], over[cat.dom[g]])
+                      for g in J.min_cover_generators[c]]
+    comp = []
+    for e, options in enumerate(options_of):
+        if math.prod(map(len, options)) > E2.sizes[c]:
+            tests = [(row2, images[row1[e]]) for row1, row2, images in generator_rows]
+            found = [v for v in range(E2.sizes[c])
+                     if all(row[v] in image for row, image in tests)]
+        else:
+            found = sorted(v for key in itertools.product(*options)
+                           for v in by_key.get(key, ()))
+        if len(found) != 1:
+            raise ValueError(
+                f"sheaf comparison not uniquely defined at object {c}, element {e}: {found}")
+        comp.append(found[0])
+    return tuple(comp)
 
 
 # ---------------------------------------------------------------------------
@@ -685,16 +699,15 @@ def colimit_of_representables(F: FinFunctor) -> tuple[FinPresheaf, list[list[tup
 def family_locally_surjective(J: GrothendieckTopology,
                               morphisms: Sequence[PresheafMorphism],
                               target: FinPresheaf) -> bool:
-    """Joint local surjectivity onto the target (joint epi after a_J)."""
+    """Joint local surjectivity onto the target (joint epi after a_J): for
+    each y in target(c), {f | y·f in the image} covers.  The union of the
+    images is a subpresheaf, so that set is a sieve, and it covers iff it
+    holds each generator g of m_c (L0).  So the family is surjective iff
+    the image at dom g holds the whole row target(g), for every g."""
     cat = target.cat
     images = [set() for _ in cat.objects]
     for m in morphisms:
         for c in cat.objects:
             images[c].update(m.components[c])
-    for c in cat.objects:
-        triples = [(1 << f, target.restrict[f], images[cat.dom[f]]) for f in cat.arrows_into(c)]
-        # the bits are distinct, so their sum is the mask of the f with y·f in the image
-        for y in range(target.sizes[c]):
-            if not J.is_covering(c, sum(bit for bit, row, image in triples if row[y] in image)):
-                return False
-    return True
+    return all(images[cat.dom[g]].issuperset(target.restrict[g])
+               for gens in J.min_cover_generators for g in gens)

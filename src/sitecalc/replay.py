@@ -106,8 +106,13 @@ def recheck_witness(sf: SiteFunctor, verdict: Verdict) -> bool:
         if "witness" in w:
             return recheck_witness(sf, Verdict(False, w["witness"]))
         c, members = w["object"], tuple(frozenset(m) for m in w["family"])
-        return c in D.objects and len(members) == len(C.objects) and \
-            ps.closure_cJ(ps.SubPresheaf(_hom_presheaf(F, c), members), J).members == members \
+        if not (c in D.objects and len(members) == len(C.objects)):
+            return False
+        P = _hom_presheaf(F, c)  # the family must be a subpresheaf, as c_J reads one
+        return all(x in range(P.sizes[d]) and all(P.res(t, x) in members[C.dom[t]]
+                                                   for t in C.arrows_into(d))
+                   for d in C.objects for x in members[d]) \
+            and ps.closure_cJ(ps.SubPresheaf(P, members), J).members == members \
             and all(_induced_family(F, J, c, s) != members for s in all_sieve_masks(D, c))
     if kind == "comorphism-surjection":
         c, s = w["object"], w["sieve"]

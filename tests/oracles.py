@@ -17,12 +17,14 @@ the identity.  `reference_closure_mask` scans every arrow for the closure
 of a sieve.  `reference_local_equality` decides local equality by the
 agreement sieve over every arrow, where the topology compares per-arrow
 keys, and `reference_fixpoint_topology` is the generation fixpoint as it
-was before it skipped the members of each least cover.  `reference_is_sheaf`, `reference_sheaf_comparison`,
-`reference_elem_locally_equal`, `reference_cover_preserving`,
+was before it skipped the members of each least cover.
+`reference_is_sheaf`, `reference_sheaf_comparison`,
+`reference_elem_locally_equal`, `reference_closure_cJ`,
+`reference_induced_family`, `reference_cover_preserving`,
 `reference_cover_reflecting`, `reference_covering_lifting` and
 `reference_is_continuous` are the checks over covering sieves as they
 walked every cover, every sieve or every arrow into c, where the checkers
-read the least covers.
+read the least covers or their generators.
 `subpresheaves` lists every subpresheaf and
 `enumerate_presheaf_morphisms` every natural transformation, the searches
 that the reference bodies of the comorphism checks run and that the
@@ -73,7 +75,6 @@ from sitecalc.presheaf import (
     _by_restrictions,
     _unamalgamated,
     colimit_presheaf,
-    elem_locally_equal,
     is_bicovering,
     sheafify,
     sheafify_morphism,
@@ -154,7 +155,7 @@ def validate_functional_relation(R: FunctionalRelation,
     for c in cat.objects:
         for (x, y) in R.pairs[c]:
             for (x2, y2) in R.pairs[c]:
-                if x == x2 and not elem_locally_equal(Q, J, c, y, y2):
+                if x == x2 and not reference_elem_locally_equal(Q, J, c, y, y2):
                     return False, {"clause": "ii", "object": c, "pairs": ((x, y), (x2, y2))}
     for c in cat.objects:
         for x in range(P.sizes[c]):
@@ -170,7 +171,7 @@ def identity_relation(P: FinPresheaf, J: GrothendieckTopology) -> FunctionalRela
     cat = P.cat
     pairs = tuple(
         frozenset((x, y) for x in range(P.sizes[c]) for y in range(P.sizes[c])
-                  if elem_locally_equal(P, J, c, x, y))
+                  if reference_elem_locally_equal(P, J, c, x, y))
         for c in cat.objects)
     return FunctionalRelation(P, P, pairs)
 
@@ -180,7 +181,7 @@ def graph_relation(alpha: PresheafMorphism, J: GrothendieckTopology) -> Function
     P, Q = alpha.source, alpha.target
     pairs = tuple(
         frozenset((x, y) for x in range(P.sizes[c]) for y in range(Q.sizes[c])
-                  if elem_locally_equal(Q, J, c, alpha.at(c, x), y))
+                  if reference_elem_locally_equal(Q, J, c, alpha.at(c, x), y))
         for c in P.cat.objects)
     return FunctionalRelation(P, Q, pairs)
 
@@ -280,7 +281,7 @@ def relation_is_mono(R: FunctionalRelation, J: GrothendieckTopology) -> bool:
     for c in cat.objects:
         for (x, y) in R.pairs[c]:
             for (x2, y2) in R.pairs[c]:
-                if y == y2 and not elem_locally_equal(P, J, c, x, x2):
+                if y == y2 and not reference_elem_locally_equal(P, J, c, x, x2):
                     return False
     return True
 
@@ -604,6 +605,35 @@ def reference_elem_locally_equal(P: FinPresheaf, J: GrothendieckTopology,
     cat = P.cat
     agree = mask_of(f for f in cat.arrows_into(c) if P.res(f, x) == P.res(f, y))
     return J.is_covering(c, agree)
+
+
+def reference_closure_cJ(A: SubPresheaf, J: GrothendieckTopology) -> tuple[frozenset[int], ...]:
+    """The members of c_J(A): each x whose set {f | x·f in A} over every
+    arrow into c covers."""
+    E = A.ambient
+    cat = E.cat
+    members = []
+    for c in cat.objects:
+        good = set()
+        for x in range(E.sizes[c]):
+            s = mask_of(f for f in cat.arrows_into(c)
+                        if E.res(f, x) in A.members[cat.dom[f]])
+            if J.is_covering(c, s):
+                good.add(x)
+        members.append(frozenset(good))
+    return tuple(members)
+
+
+def reference_induced_family(F: FinFunctor, J: GrothendieckTopology, c: int,
+                             s: int) -> tuple[frozenset[int], ...]:
+    """The family induced by the sieve s on c: each x: F(d) -> c whose
+    pullback of s, over every arrow into d, covers."""
+    D, C = F.source, F.target
+    return tuple(
+        frozenset(xi for xi, x in enumerate(C.hom(F.on_obj(d), c))
+                  if J.is_covering(d, mask_of(t for t in D.arrows_into(d)
+                                              if (s >> C.compose(x, F.on_arr(t))) & 1)))
+        for d in D.objects)
 
 
 def reference_cover_preserving(sf: SiteFunctor) -> Verdict:

@@ -5,6 +5,7 @@ import pytest
 
 import sitecalc.factorizations as factorizations
 import sitecalc.morphisms as morphisms
+import sitecalc.presheaf as presheaf
 import sitecalc.topology as topology
 from sitecalc.constructions import (
     _check_adjunction,
@@ -24,13 +25,16 @@ from sitecalc.fincat import (
 from sitecalc.morphisms import (
     SiteFunctor,
     Verdict,
+    _induced_family,
     classify_comorphism,
     classify_morphism,
     is_comorphism_of_sites,
     is_morphism_of_sites,
     local_property_tests,
 )
+from sitecalc.presheaf import closure_cJ
 from sitecalc.replay import recheck_witness
+from sitecalc.sieves import all_sieve_masks
 from sitecalc.topology import (
     atomic_topology,
     coinduced_topology,
@@ -50,7 +54,13 @@ from conftest import (
     random_site_functors,
     random_topology,
 )
-from oracles import reference_j_faithful, reference_j_full, reference_morphism_of_sites
+from oracles import (
+    reference_closure_cJ,
+    reference_induced_family,
+    reference_j_faithful,
+    reference_j_full,
+    reference_morphism_of_sites,
+)
 
 
 def morphism_corpus(rng, n=8):
@@ -362,3 +372,39 @@ def test_local_verdicts_match_the_strict_scans(m2c_corpus):
             seen["J_faithful", props["J_faithful"].holds] += 1
             seen["J_full", props["J_full"].holds] += 1
     assert len(seen) == 4
+
+
+def test_closed_families_match_the_scans_over_every_arrow(m2c_corpus, monkeypatch):
+    """`closure_cJ` and `_induced_family` test each element at the
+    generators of the least cover.  They give what the bodies over every
+    arrow into an object give (`oracles.reference_closure_cJ` and
+    `reference_induced_family`) on the comorphisms of the corpus, π_C of
+    each m2c comma site and π_C out of each c2m comma site: on each closure
+    and induced family that the closed-families check computes, and on the
+    family that every sieve on each object induces."""
+    seen = collections.Counter()
+
+    def closure(A, J):
+        got = closure_cJ(A, J)
+        assert got.members == reference_closure_cJ(A, J)
+        seen["closed", got.members == A.members] += 1
+        return got
+
+    def induced(F, J, c, s):
+        got = _induced_family(F, J, c, s)
+        assert got == reference_induced_family(F, J, c, s)
+        seen["induced", all(map(len, got))] += 1
+        return got
+    monkeypatch.setattr(presheaf, "closure_cJ", closure)
+    monkeypatch.setattr(morphisms, "_induced_family", induced)
+    for sf, m2c in m2c_corpus:
+        cases = [] if m2c is None else [m2c.projections["to_source"]]
+        if is_comorphism_of_sites(sf):
+            cases += [sf, comorphism_to_morphism_comma(sf).projections["to_target"]]
+        for case in cases:
+            case = SiteFunctor(case.F, case.J, case.K)
+            seen["check", morphisms._check_closed_families(case).holds] += 1
+            for c in case.F.target.objects:
+                for s in all_sieve_masks(case.F.target, c):
+                    induced(case.F, case.J, c, s)
+    assert len(seen) == 6, seen

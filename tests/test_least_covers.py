@@ -44,8 +44,8 @@ from sitecalc.morphisms import (
     is_morphism_of_sites,
 )
 from sitecalc.presheaf import (
+    _least_locally_equal,
     constant_presheaf,
-    elem_locally_equal,
     identity_morphism,
     is_sheaf,
     sheaf_comparison,
@@ -179,9 +179,10 @@ def test_sheaf_checks_match_the_reference_walks():
                                                  *presentations)
             seen["comparison", isinstance(got, str)] += 1
         for c in cat.objects:
+            least = _least_locally_equal(P, J, c)
             for x in range(P.sizes[c]):
                 for y in range(P.sizes[c]):
-                    equal = elem_locally_equal(P, J, c, x, y)
+                    equal = least[x] == least[y]
                     assert equal == reference_elem_locally_equal(P, J, c, x, y)
                     seen["local", equal] += 1
     assert len(seen) == 6, seen
@@ -348,9 +349,10 @@ def test_passing_checks_read_only_the_least_covers(monkeypatch):
             seen["sheaf", expected[0]] += 1
         assert sheaf_comparison(P, unwalkable, pp, eta, sh.sheaf, sh.unit).components \
             == sheaf_comparison(P, J, pp, eta, sh.sheaf, sh.unit).components
-        assert all(elem_locally_equal(P, unwalkable, c, x, y)
-                   == reference_elem_locally_equal(P, J, c, x, y)
-                   for c in cat.objects for x in range(P.sizes[c]) for y in range(P.sizes[c]))
+        for c in cat.objects:
+            least = _least_locally_equal(P, unwalkable, c)
+            assert all((least[x] == least[y]) == reference_elem_locally_equal(P, J, c, x, y)
+                       for x in range(P.sizes[c]) for y in range(P.sizes[c]))
     assert seen["sheaf", True] and seen["sheaf", False], seen
 
 

@@ -819,3 +819,143 @@ def test_unreplayed_kinds_are_found():
         "        return False\n")
     assert sorted(_verdict_kinds({"morphisms": checkers}) - _replayed_kinds(replay)) == [
         "morphisms.is_neat.inner:11?", "tidy"]
+
+
+# failed records that `replay.recheck_witness` replays by re-running the
+# checker of their own kind: the kinds with no branch of their own reach its
+# table of checkers at the end, each kept there for the reason given
+REPLAY_RERUNS = {
+    "continuous": "no branch yet replays a failed connection square from its record",
+    "dense": "its record nests a failed part that no branch yet replays as a part",
+    "localic": "no branch yet recomputes the recorded sieve from the presented arrows",
+    "cofinal": "no branch yet replays either clause from its recorded instance",
+    "locally-connected": "its records name elements of categories that only the check builds",
+    "weakly-dense-ii": "a pass-only kind: clause (ii) fails as `weakly-dense`, so only a "
+                       "forged record reaches the re-run",
+}
+
+
+def _runner_checkers(runner: ast.expr, functions: dict[str, list[ast.AST]]) -> set[str]:
+    """The checker a `_POSITIVE_RUNNERS` entry runs: the function named,
+    or the outermost call of a lambda's body; for a `_conjunction`, the
+    checkers of its parts.  A checker that returns its `_memo` brings the
+    checker its memo computes."""
+    node = runner.body if isinstance(runner, ast.Lambda) else runner
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    if isinstance(node, ast.Call):
+        if getattr(node.func, "id", None) == "_conjunction":
+            return set().union(*(_runner_checkers(arg, functions) for arg in node.args[1:]))
+        return _runner_checkers(node.func, functions)
+    if not isinstance(node, ast.Name):
+        return set()
+    found = {node.id}
+    for definition in functions.get(node.id, ()):
+        last = definition.body[-1]
+        if (isinstance(last, ast.Return) and isinstance(last.value, ast.Call)
+                and getattr(last.value.func, "id", None) == "_memo"):
+            found |= _runner_checkers(last.value.args[-1], functions)
+    return found
+
+
+def _reached(nodes: list[ast.AST], functions: dict[str, list[ast.AST]],
+             stop: str) -> set[str]:
+    """The top-level functions of src/ that the nodes name, bare or as an
+    attribute, and every function those name in turn, except `stop`."""
+    seen: set[str] = set()
+    todo = list(nodes)
+    while todo:
+        for node in ast.walk(todo.pop()):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in functions and name != stop and name not in seen:
+                seen.add(name)
+                todo.extend(functions[name])
+    return seen
+
+
+def _own_checker_reruns(trees: dict[str, ast.Module]) -> list[str]:
+    """`kind:checker` for each branch of `replay.recheck_witness` that
+    reaches a checker of a kind it tests, and `kind:_POSITIVE_RUNNERS` for
+    each kind of the table without a branch, whose failure the table's
+    checker re-runs.  The branch on `verdict.holds` re-runs the table for a
+    pass and is not read."""
+    functions = collections.defaultdict(list)
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions[node.name].append(node)
+    replay = trees["replay"]
+    tables = {}
+    for node in replay.body:
+        target = getattr(node, "target", None) or (node.targets[0] if isinstance(node, ast.Assign)
+                                                    else None)
+        if getattr(target, "id", None) in ("_POSITIVE_RUNNERS", "_PARTS"):
+            tables[target.id] = node.value
+    runners = tables["_POSITIVE_RUNNERS"]
+    checkers = {key.value: _runner_checkers(value, functions)
+                for key, value in zip(runners.keys, runners.values)}
+    parts = {key.value for key in tables.get("_PARTS", ast.Dict([], [])).keys}
+    body = next(node for node in replay.body
+                if isinstance(node, ast.FunctionDef) and node.name == "recheck_witness").body
+    found, branched = [], set()
+    for statement in body:
+        if isinstance(statement, ast.If):
+            if getattr(statement.test, "attr", None) == "holds":
+                continue
+            kinds = set()
+            for node in ast.walk(statement.test):
+                if isinstance(node, ast.Compare) and getattr(node.left, "id", None) == "kind":
+                    for n in (n for comparator in node.comparators for n in ast.walk(comparator)):
+                        if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                            kinds.add(n.value)
+                        elif getattr(n, "id", None) == "_PARTS":
+                            kinds |= parts
+            reached = _reached([statement.test, *statement.body], functions, "recheck_witness")
+            found += [f"{kind}:{name}" for kind in kinds
+                      for name in sorted(checkers.get(kind, set()) & reached)]
+            branched |= kinds
+        elif any(getattr(node, "id", None) == "_POSITIVE_RUNNERS" for node in ast.walk(statement)):
+            found += [f"{kind}:_POSITIVE_RUNNERS" for kind in checkers if kind not in branched]
+    return sorted(found)
+
+
+def test_no_replay_reruns_the_checker_of_its_kind():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert _own_checker_reruns(trees) == sorted(f"{kind}:_POSITIVE_RUNNERS"
+                                                for kind in REPLAY_RERUNS)
+
+
+def test_unlisted_reruns_are_found():
+    """On a sample tree: a branch that calls its checker, a branch whose
+    helper in another module calls it, and a kind that has no branch are
+    found; the pass branch and a checker of another kind are not."""
+    morphisms = ast.parse(
+        "def is_dense(sf):\n"
+        "    return _memo(sf, 'dense', lambda: _check_dense(sf))\n"
+        "def _check_dense(sf):\n"
+        "    return is_continuous(sf)\n"
+        "def is_continuous(sf):\n"
+        "    return _yes('continuous')\n"
+        "def _helper(sf):\n"
+        "    return _check_dense(sf)\n"
+        "def is_cofinal(sf):\n"
+        "    return _yes('cofinal')\n")
+    replay = ast.parse(
+        "_POSITIVE_RUNNERS = {'dense': is_dense, 'continuous': lambda sf: is_continuous(sf),\n"
+        "                     'cofinal': lambda sf: is_cofinal(sf.F)['x'],\n"
+        "                     'pair': lambda sf: _conjunction('pair', is_dense(sf),\n"
+        "                                                     is_cofinal(sf))}\n"
+        "def recheck_witness(sf, verdict):\n"
+        "    kind = verdict.witness['kind']\n"
+        "    if verdict.holds:\n"
+        "        return _POSITIVE_RUNNERS[kind](sf).holds\n"
+        "    if kind == 'dense':\n"
+        "        return not is_dense(sf).holds\n"
+        "    if kind in ('continuous', 'pair'):\n"
+        "        return not _helper(sf).holds and recheck_witness(sf, verdict)\n"
+        "    checker = _POSITIVE_RUNNERS.get(kind)\n"
+        "    return not checker(sf).holds\n")
+    assert _own_checker_reruns({"morphisms": morphisms, "replay": replay}) == [
+        "cofinal:_POSITIVE_RUNNERS", "continuous:is_continuous", "dense:_check_dense",
+        "dense:is_dense", "pair:_check_dense"]

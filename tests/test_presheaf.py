@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 import sitecalc.morphisms as mor
+import sitecalc.presheaf as presheaf
 from sitecalc.fincat import (
     SizeGuardError,
     _UnionFind,
@@ -27,7 +28,6 @@ from sitecalc.presheaf import (
     closure_cJ,
     colimit_of_representables,
     constant_presheaf,
-    elem_locally_equal,
     family_locally_surjective,
     identity_morphism,
     is_bicovering,
@@ -71,6 +71,7 @@ from oracles import (
     enumerate_presheaf_morphisms,
     graph_relation,
     identity_relation,
+    reference_elem_locally_equal,
     relation_is_epi,
     relation_is_mono,
     relation_to_arrow,
@@ -538,7 +539,7 @@ def test_relation_class_function_correspondence(two):
         classes = []
         for y in range(Q.sizes[c]):
             for cl in classes:
-                if elem_locally_equal(Q, J, c, y, next(iter(cl))):
+                if reference_elem_locally_equal(Q, J, c, y, next(iter(cl))):
                     cl.add(y)
                     break
             else:
@@ -606,8 +607,8 @@ def test_local_presentation_equality_and_composition(two):
                         common = [m for m in members if (J.min_cover[c] >> m) & 1]
                         idx = [members.index(m) for m in common]
                         same = all(
-                            elem_locally_equal(yd, J, two.dom[members[i]],
-                                               f1[i], f2[i])
+                            reference_elem_locally_equal(yd, J, two.dom[members[i]],
+                                                         f1[i], f2[i])
                             for i in idx)
                         e1 = shd._index[c][tuple(f1[i] for i in idx)] \
                             if len(common) == len(shd.carrier[c]) else None
@@ -824,7 +825,7 @@ def _reference_sheafify(P, J):
         classes, idx = [], {}
         for fam in sorted(_locally_matching_families(P, J, c, carriers[c])):
             hit = next((k for k, rep in enumerate(classes)
-                        if all(elem_locally_equal(P, J, d, x, r)
+                        if all(reference_elem_locally_equal(P, J, d, x, r)
                                for d, x, r in zip(doms, fam, rep))), None)
             if hit is None:
                 hit = len(classes)
@@ -910,7 +911,7 @@ def _components_or_message(compare, *args):
         return str(exc)
 
 
-def test_restriction_lookups_match_reference_scans(rng):
+def test_restriction_lookups_match_reference_scans(rng, monkeypatch):
     """On 210 random sites and presheaves (every seventh on the trivial
     topology) and on the leg-covered vees, `sheafify`, `is_sheaf`,
     `sheaf_comparison`, `is_bicovering` and `family_locally_surjective`
@@ -918,9 +919,20 @@ def test_restriction_lookups_match_reference_scans(rng):
     representatives, the same verdicts and witnesses on sheaves and
     non-sheaves, the same comparison or the same error, also for swapped
     and non-sheaf presentations, and the same bicovering and surjectivity
-    verdicts, both of which occur."""
+    verdicts, both of which occur.  The comparison reads keys column-wise
+    at some objects and element by element at others (`_compare_by_element`),
+    some object has the empty sieve as its least cover, and
+    `_least_locally_equal` gives the least element that the pairwise
+    reference finds locally equal."""
     raised = non_sheaves = 0
     verdicts = collections.Counter()
+    routes = collections.Counter()
+    by_element = presheaf._compare_by_element
+
+    def counted(*args):
+        routes["by element"] += 1
+        return by_element(*args)
+    monkeypatch.setattr(presheaf, "_compare_by_element", counted)
     sites = []
     for i in range(210):
         cat = random_category(rng)
@@ -938,10 +950,20 @@ def test_restriction_lookups_match_reference_scans(rng):
         ident = identity_morphism(P)
         for presentations in ((pp, eta, sh.sheaf, sh.unit), (sh.sheaf, sh.unit, pp, eta),
                               (P, ident, sh.sheaf, sh.unit), (sh.sheaf, sh.unit, P, ident)):
+            before = routes["by element"]
             got = _components_or_message(sheaf_comparison, P, J, *presentations)
             assert got == _components_or_message(_reference_sheaf_comparison, P, J,
                                                  *presentations)
             raised += isinstance(got, str)
+            if not isinstance(got, str):
+                routes["columns"] += cat.n_objects - (routes["by element"] - before)
+        routes["no generators"] += sum(not gens for gens in J.min_cover_generators)
+        for Q in (P, sh.sheaf, pp):
+            for c in cat.objects:
+                assert presheaf._least_locally_equal(Q, J, c) == [
+                    next(y for y in range(Q.sizes[c])
+                         if reference_elem_locally_equal(Q, J, c, x, y))
+                    for x in range(Q.sizes[c])]
         collapse = validate_presheaf_morphism(P, constant_presheaf(cat, 1),
                                               [(0,) * n for n in P.sizes])
         for alpha in (sh.unit, eta, ident, collapse):
@@ -955,6 +977,7 @@ def test_restriction_lookups_match_reference_scans(rng):
             verdicts["surjective", verdict] += 1
     assert raised and non_sheaves
     assert len(verdicts) == 4
+    assert routes["columns"] and routes["by element"] and routes["no generators"], routes
 
 
 def _reference_strict_matching_families(P, c, mask):
@@ -1175,13 +1198,15 @@ def _reference_locally_matching_families(P, J, members):
             return
         f = members[i]
         for x in range(P.sizes[cat.dom[f]]):
-            ok = all(elem_locally_equal(P, J, cat.dom[z], x, P.res(z, x))
+            ok = all(reference_elem_locally_equal(P, J, cat.dom[z], x, P.res(z, x))
                      if cat.compose(f, z) == f
                      else position.get(cat.compose(f, z), i) >= i
-                     or elem_locally_equal(P, J, cat.dom[z],
-                                           assign[position[cat.compose(f, z)]], P.res(z, x))
+                     or reference_elem_locally_equal(P, J, cat.dom[z],
+                                                     assign[position[cat.compose(f, z)]],
+                                                     P.res(z, x))
                      for z in cat.arrows_into(cat.dom[f]))
-            ok = ok and all(elem_locally_equal(P, J, cat.dom[f], x, P.res(z, assign[j]))
+            ok = ok and all(reference_elem_locally_equal(P, J, cat.dom[f], x,
+                                                         P.res(z, assign[j]))
                             for j in range(i) for z in cat.arrows_into(cat.dom[members[j]])
                             if cat.compose(members[j], z) == f)
             if ok:
@@ -1224,7 +1249,7 @@ def test_locally_matching_families_match_reference_search(rng):
                             identity_carrying += 1
                             # some restriction has a locally equal element besides itself
                             merged_classes += any(
-                                elem_locally_equal(Q, J, cat.dom[f], Q.res(f, x), y)
+                                reference_elem_locally_equal(Q, J, cat.dom[f], Q.res(f, x), y)
                                 for f in members for x in range(Q.sizes[c])
                                 for y in range(Q.sizes[cat.dom[f]]) if y != Q.res(f, x))
     assert empty_member
